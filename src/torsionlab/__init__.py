@@ -27,13 +27,14 @@ from .hodge import (
     ChainMetric,
     EigenspaceSplit,
     SpectralData,
+    acyclic_spectra,
     betti,
     complex_power,
     eigendecompose,
     hodge_split,
-    jacobi_eigh,
     laplacian,
     log_op,
+    positive_spectra,
     spectral_data,
     sym_expm,
     tr_log,

@@ -32,7 +32,7 @@ from .errors import (
     SchemaError,
     TorsionLabError,
 )
-from .hodge import ChainMetric, spectral_data, tr_log
+from .hodge import ChainMetric, acyclic_spectra
 from .torsion import classify_beta, determinant_oracle, generalized_log_torsion
 from .verify import DEFAULT_SEED, run_suites
 
@@ -131,13 +131,8 @@ def cmd_torsion(args) -> int:
     if not classification.satisfies_recurrence:
         print("warning: beta not in span{1,k}; the value is metric dependent",
               file=sys.stderr)
-    tr_logs, spectra = [], []
-    for k in range(n + 1):
-        spec = spectral_data(cplx, metric, k)
-        if spec.kernel_dim:
-            raise NotAcyclic(f"degree {k} has a {spec.kernel_dim}-dimensional kernel")
-        tr_logs.append(tr_log(spec, strict=True))
-        spectra.append([float(lam) for lam in spec.eigenvalues])
+    spectra = acyclic_spectra(cplx, metric)
+    tr_logs = [float(np.sum(np.log(lam))) for lam in spectra]
     log_t = generalized_log_torsion(tr_logs, beta)
     payload = {
         "source": source,
@@ -146,7 +141,7 @@ def cmd_torsion(args) -> int:
         "beta": list(beta),
         "beta_in_invariant_span": classification.satisfies_recurrence,
         "tr_log": list(tr_logs),
-        "spectra": spectra,
+        "spectra": [lam.tolist() for lam in spectra],
         "log_torsion": log_t,
     }
     if args.metric == "identity":

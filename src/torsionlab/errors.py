@@ -29,10 +29,6 @@ class ShapeMismatch(TorsionLabError):
     """Dimensions of matrices, metrics or weight vectors do not chain."""
 
 
-class ConvergenceFailure(TorsionLabError):
-    """The Jacobi eigensolver did not converge within its sweep budget."""
-
-
 class NotInvertible(TorsionLabError):
     """Strict-mode log-determinant requested on an operator with kernel."""
 

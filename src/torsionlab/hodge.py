@@ -16,10 +16,17 @@ h_k-self-adjoint and positive semi-definite.  With identity metrics this is
 bd_k^T bd_k + bd_{k+1} bd_{k+1}^T.  Spectra (hence every torsion downstream)
 do not depend on the chain-vs-cochain bookkeeping.
 
-Eigenproblems are solved by cyclic Jacobi iteration on the symmetrized
-matrix h^{1/2} L h^{-1/2}; matrices here are small, so robustness and
-accuracy win over speed.  All functions are pure and operate on immutable
-inputs; results are deterministic.
+Torsion and Betti numbers never diagonalize a Laplacian.  Since
+d_k d_{k-1} = 0, the positive spectrum of L_k is the union of the squared
+singular values of the metric-weighted boundary maps
+h_{k+1}^{1/2} d_k h_k^{-1/2} and h_k^{1/2} d_{k-1} h_{k-1}^{-1/2}, so
+positive_spectra makes one SVD per boundary map and reads ranks off it with
+numpy's matrix_rank rule.  Working on the maps rather than on L_k keeps
+small eigenvalues accurate: cond(d) = sqrt(cond(L)).  The spectral calculus
+(hodge_split, green_inverse, complex powers, log L), which needs
+eigenvectors, solves the symmetric problem h^{1/2} L h^{-1/2} with LAPACK
+eigh.  All functions are pure and operate on immutable inputs; results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 from .complexes import TwistedComplex
 from .errors import (
     BadParameter,
-    ConvergenceFailure,
+    NotAcyclic,
     NotAnEigenvalue,
     NotInvertible,
     ShapeMismatch,
@@ -43,58 +50,10 @@ KERNEL_RELTOL = 1e-9
 EIGENVALUE_MATCH_RELTOL = 1e-7
 
 
-def jacobi_eigh(a: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
-
-    Cyclic Jacobi with full sweeps; converges quadratically once the
-    off-diagonal mass is small.  Raises ConvergenceFailure after
-    `max_sweeps` sweeps.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ShapeMismatch(f"expected a square matrix, got {a.shape}")
-    v = np.eye(n)
-    if n <= 1:
-        return a.reshape(n).copy() if n else np.zeros(0), v
-    a = 0.5 * (a + a.T)
-    scale = max(float(np.max(np.abs(a))), np.finfo(float).tiny)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= 1e-15 * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)) if theta != 0 \
-                    else 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    else:
-        raise ConvergenceFailure(f"Jacobi did not converge in {max_sweeps} sweeps")
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
 def sym_expm(s: np.ndarray) -> np.ndarray:
     """Matrix exponential of a symmetric matrix via its eigendecomposition."""
-    w, v = jacobi_eigh(np.asarray(s, dtype=float))
-    return v @ np.diag(np.exp(w)) @ v.T
+    w, v = np.linalg.eigh(np.asarray(s, dtype=float))
+    return (v * np.exp(w)) @ v.T
 
 
 class ChainMetric:
@@ -115,14 +74,14 @@ class ChainMetric:
                 if sym_defect > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(h)))):
                     raise BadParameter(
                         f"metric in degree {k} is not symmetric (defect {sym_defect:.3e})")
-            w, v = jacobi_eigh(h)
+            w, v = np.linalg.eigh(0.5 * (h + h.T))
             if h.size and float(w[0]) <= 0.0:
                 raise BadParameter(
                     f"metric in degree {k} is not positive definite (min eig {w[0]:.3e})")
             mats.append(h)
-            sqrts.append(v @ np.diag(np.sqrt(w)) @ v.T)
-            isqrts.append(v @ np.diag(1.0 / np.sqrt(w)) @ v.T)
-            invs.append(v @ np.diag(1.0 / w) @ v.T)
+            sqrts.append((v * np.sqrt(w)) @ v.T)
+            isqrts.append((v / np.sqrt(w)) @ v.T)
+            invs.append((v / w) @ v.T)
             for m in (mats[-1], sqrts[-1], isqrts[-1], invs[-1]):
                 m.setflags(write=False)
         self._mats = tuple(mats)
@@ -244,41 +203,70 @@ class SpectralData:
 
 
 def eigendecompose(mat: np.ndarray, h: np.ndarray | None = None) -> SpectralData:
-    """Spectral data of an h-self-adjoint PSD matrix.
+    """Spectral data of an h-self-adjoint PSD matrix (h = I when omitted).
 
     Solved as a plain symmetric problem on h^{1/2} mat h^{-1/2}; never as a
     generalized eigenproblem.
     """
     mat = np.asarray(mat, dtype=float)
-    n = mat.shape[0]
-    if h is None:
-        h = np.eye(n)
-        sym = mat
-        back = np.eye(n)
-    else:
-        h = np.asarray(h, dtype=float)
-        if h.shape != mat.shape:
-            raise ShapeMismatch("metric and operator shapes differ")
-        w_h, v_h = jacobi_eigh(h)
-        if n and w_h[0] <= 0.0:
-            raise BadParameter("metric is not positive definite")
-        h_sqrt = v_h @ np.diag(np.sqrt(w_h)) @ v_h.T
-        back = v_h @ np.diag(1.0 / np.sqrt(w_h)) @ v_h.T
-        sym = h_sqrt @ mat @ back
-    w, q = jacobi_eigh(sym)
-    vecs = back @ q
+    return _eigendecompose(mat, ChainMetric([np.eye(mat.shape[0]) if h is None else h]), 0)
+
+
+def _eigendecompose(mat: np.ndarray, metric: ChainMetric, k: int) -> SpectralData:
+    """eigendecompose with the factors of h_k that metric already holds."""
+    h = metric.matrix(k)
+    if h.shape != mat.shape:
+        raise ShapeMismatch("metric and operator shapes differ")
+    sym = metric.sqrt(k) @ mat @ metric.isqrt(k)
+    w, q = np.linalg.eigh(0.5 * (sym + sym.T))
+    n = w.shape[0]
     lam_max = float(w[-1]) if n else 0.0
     threshold = KERNEL_RELTOL * max(1.0, lam_max)
     if n and float(w[0]) < -threshold:
         raise BadParameter(f"operator is not PSD: min eigenvalue {w[0]:.3e}")
     kernel_dim = int(np.sum(np.abs(w) < threshold))
-    return SpectralData(eigenvalues=w, eigenvectors=vecs,
-                        kernel_dim=kernel_dim, metric=np.asarray(h, dtype=float))
+    return SpectralData(eigenvalues=w, eigenvectors=metric.isqrt(k) @ q,
+                        kernel_dim=kernel_dim, metric=h)
 
 
 def spectral_data(cplx: TwistedComplex, metric: ChainMetric | None, k: int) -> SpectralData:
     metric = _require_metric(cplx, metric)
-    return eigendecompose(laplacian(cplx, metric, k), metric.matrix(k))
+    return _eigendecompose(laplacian(cplx, metric, k), metric, k)
+
+
+def positive_spectra(cplx: TwistedComplex,
+                     metric: ChainMetric | None = None) -> list[np.ndarray]:
+    """The positive spectrum of every L_k, ascending, with no Laplacian built.
+
+    One SVD per weighted boundary map W_k = h_k^{1/2} bd_k^T h_{k-1}^{-1/2};
+    its squared singular values above numpy's matrix_rank cut
+    (sigma_max * max(W.shape) * eps) belong to both L_{k-1} and L_k.  So
+    cplx.dims[k] - len(spectra[k]) is the k-th Betti number.
+    """
+    metric = _require_metric(cplx, metric)
+    parts: list[list[np.ndarray]] = [[] for _ in cplx.dims]
+    for k in range(1, cplx.dimension + 1):
+        w = metric.sqrt(k) @ cplx.boundary(k).T @ metric.isqrt(k - 1)
+        sigma = np.linalg.svd(w, compute_uv=False) if w.size else np.zeros(0)
+        cut = sigma[0] * max(w.shape) * np.finfo(float).eps if sigma.size else 0.0
+        lam = sigma[sigma > cut] ** 2
+        parts[k - 1].append(lam)
+        parts[k].append(lam)
+    return [np.sort(np.concatenate(p)) if p else np.zeros(0) for p in parts]
+
+
+def acyclic_spectra(cplx: TwistedComplex,
+                    metric: ChainMetric | None = None) -> list[np.ndarray]:
+    """positive_spectra of a complex that must be acyclic.
+
+    Raises NotAcyclic, naming the first degree with a nonzero Betti number.
+    """
+    spectra = positive_spectra(cplx, metric)
+    b = [dim - lam.size for dim, lam in zip(cplx.dims, spectra)]
+    for k, b_k in enumerate(b):
+        if b_k:
+            raise NotAcyclic(f"degree {k} has Betti number {b_k} (Betti numbers {b})")
+    return spectra
 
 
 def complex_power(spec: SpectralData, z: complex) -> np.ndarray:
@@ -321,8 +309,7 @@ def tr_log(spec: SpectralData, strict: bool = False) -> float:
 
 def betti(cplx: TwistedComplex, metric: ChainMetric | None = None) -> list[int]:
     """Kernel dimensions of the degree-k Laplacians (twisted Betti numbers)."""
-    metric = _require_metric(cplx, metric)
-    return [spectral_data(cplx, metric, k).kernel_dim for k in range(cplx.dimension + 1)]
+    return [dim - lam.size for dim, lam in zip(cplx.dims, positive_spectra(cplx, metric))]
 
 
 @dataclass(frozen=True)

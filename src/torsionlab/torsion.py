@@ -26,13 +26,11 @@ from .complexes import TwistedComplex
 from .errors import NotAcyclic, PivotFailure, ShapeMismatch, StepTooLarge
 from .hodge import (
     ChainMetric,
-    betti,
+    acyclic_spectra,
     coboundary,
     laplacian,
     metric_adjoint,
-    spectral_data,
     sym_expm,
-    tr_log,
 )
 
 SECOND_DIFFERENCE_TOL = 1e-12
@@ -48,11 +46,10 @@ def generalized_log_torsion(tr_logs: Sequence[float], beta: Sequence[float]) -> 
                      for k, (t, b) in enumerate(zip(tr_logs, beta)))
 
 
-def _betti_or_raise(cplx: TwistedComplex, metric: ChainMetric | None) -> None:
-    b = betti(cplx, metric)
-    bad = [k for k, v in enumerate(b) if v != 0]
-    if bad:
-        raise NotAcyclic(f"nonzero Betti numbers in degrees {bad}: {b}")
+def _weighted_log_torsion(cplx: TwistedComplex, metric: ChainMetric | None,
+                          beta: Sequence[float]) -> float:
+    tr_logs = [float(np.sum(np.log(lam))) for lam in acyclic_spectra(cplx, metric)]
+    return generalized_log_torsion(tr_logs, beta)
 
 
 def log_reidemeister(cplx: TwistedComplex, metric: ChainMetric | None = None) -> float:
@@ -62,14 +59,10 @@ def log_reidemeister(cplx: TwistedComplex, metric: ChainMetric | None = None) ->
     identity metric the value matches the minor oracle and does not depend
     on the CW model of the pair; a metric deformation shifts it by exactly
     1/2 sum_k (-1)^(k+1) log det h_k (the covariance the variation module
-    differentiates).
+    differentiates).  Every tr log L_k comes from one SVD per boundary map
+    (hodge.positive_spectra).
     """
-    metric = metric if metric is not None else ChainMetric.identity(cplx)
-    _betti_or_raise(cplx, metric)
-    tr_logs = [tr_log(spectral_data(cplx, metric, k), strict=True)
-               for k in range(cplx.dimension + 1)]
-    beta = [float(k) for k in range(cplx.dimension + 1)]
-    return generalized_log_torsion(tr_logs, beta)
+    return _weighted_log_torsion(cplx, metric, [float(k) for k in range(cplx.dimension + 1)])
 
 
 def determinant_oracle(cplx: TwistedComplex) -> float:
@@ -280,22 +273,22 @@ def _variation_single(cplx: TwistedComplex, path: MetricPath, beta: Sequence[flo
                       u0: float, step: float) -> VariationReport:
     n = cplx.dimension
     h0, hp, hm = path(u0), path(u0 + step), path(u0 - step)
-    _betti_or_raise(cplx, h0)
+    # 2 log T on either side; this raises NotAcyclic, so P_k = L_k^{-1} below
+    lhs = (2.0 * _weighted_log_torsion(cplx, hp, beta)
+           - 2.0 * _weighted_log_torsion(cplx, hm, beta)) / (2.0 * step)
 
     alphas = []
     for k in range(n + 1):
         hdot = (hp.matrix(k) - hm.matrix(k)) / (2.0 * step)
         alphas.append(h0.inv(k) @ hdot)
 
-    specs = [spectral_data(cplx, h0, k) for k in range(n + 1)]
-    greens = [s.green_inverse() for s in specs]
-
     gammas, tr_alphas = [], []
     for k in range(n + 1):
         tr_alphas.append(float(np.trace(alphas[k])))
         if k < n:
             up = metric_adjoint(cplx, h0, k) @ coboundary(cplx, k)
-            gammas.append(float(np.trace(greens[k] @ up @ alphas[k])))
+            gammas.append(float(np.trace(
+                np.linalg.solve(laplacian(cplx, h0, k), up @ alphas[k]))))
         else:
             gammas.append(0.0)  # delta_n d_n vanishes in the top degree
 
@@ -309,13 +302,6 @@ def _variation_single(cplx: TwistedComplex, path: MetricPath, beta: Sequence[flo
               * (tr_alpha(k) + tr_alpha(k + 1)
                  - gamma(k + 1) - 2.0 * gamma(k) - gamma(k - 1))
               for k in range(n + 1))
-
-    def two_log_t(metric: ChainMetric) -> float:
-        tr_logs = [tr_log(spectral_data(cplx, metric, k), strict=True)
-                   for k in range(n + 1)]
-        return 2.0 * generalized_log_torsion(tr_logs, beta)
-
-    lhs = (two_log_t(hp) - two_log_t(hm)) / (2.0 * step)
 
     ddot_residual = 0.0
     for k in range(n + 1):

@@ -2,10 +2,11 @@
 
 Each case computes a measured discrepancy and compares it against a
 default tolerance (overridable, monotone: looser tolerances only turn
-failures into passes).  Cases carry a provenance tag naming where their
-expected value comes from: a closed form, an independent oracle
-(re-implemented here from scratch), exact arithmetic, a documented
-convention, or a negative control.
+failures into passes).  Pass/fail cases count failed checks against a fixed
+threshold of 0.5 that no override moves, so a failing guard never passes.
+Cases carry a provenance tag naming where their expected value comes
+from: a closed form, an independent oracle (re-implemented here from
+scratch), exact arithmetic, a documented convention, or a negative control.
 
 Suites: combinatorial, closed-spectral, boundary, variation, all.
 Execution is deterministic for a fixed seed; case ordering is fixed by id.
@@ -68,6 +69,7 @@ from .zetas import (
 
 DEFAULT_SEED = 20260808
 S_SAMPLES = (0.0, 0.75, 2.0)
+VERDICT_TOL = 0.5  # pass/fail cases: any failed check fails the case
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,14 @@ class _Recorder:
             case_id=f"{self.suite}/{case_id}", suite=self.suite,
             description=description, provenance=provenance,
             measured=float(measured), tolerance=float(tol), detail=detail))
+
+    def add_verdict(self, case_id: str, description: str, provenance: str,
+                    failures: float, detail: str = "") -> None:
+        """A pass/fail case: `failures` counts failed checks; no override applies."""
+        self.results.append(CaseResult(
+            case_id=f"{self.suite}/{case_id}", suite=self.suite,
+            description=description, provenance=provenance,
+            measured=float(failures), tolerance=VERDICT_TOL, detail=detail))
 
 
 # --- independent numeric oracles (no shared code with the engines) ----------
@@ -425,9 +435,9 @@ def combinatorial_suite(tol: float | None = None,
             "identity:second-difference", measured, 1e-12)
 
     ok = all(telescoping_identity_holds(n) for n in range(2, 11))
-    rec.add("telescoping-symbolic",
-            "gamma coefficients reduce to second differences, n <= 10",
-            "identity:exact-integer", 0.0 if ok else 1.0, 0.5)
+    rec.add_verdict("telescoping-symbolic",
+                    "gamma coefficients reduce to second differences, n <= 10",
+                    "identity:exact-integer", 0.0 if ok else 1.0)
 
     a, b_ = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
     measured = abs(generalized_log_torsion((a, b_), (0.0, 1.0)) - 0.5 * b_)
@@ -461,9 +471,9 @@ def combinatorial_suite(tol: float | None = None,
         guards += 1.0
     if not validate(good).ok:
         guards += 1.0
-    rec.add("guards-and-negative-control",
-            "trivial angles are rejected; corrupted complexes are flagged",
-            "negative-control", guards, 0.5)
+    rec.add_verdict("guards-and-negative-control",
+                    "trivial angles are rejected; corrupted complexes are flagged",
+                    "negative-control", guards)
 
     rec.add("validate-circle-residual", "circle preset validates cleanly",
             "identity:exact-arithmetic",
@@ -546,9 +556,9 @@ def closed_spectral_suite(tol: float | None = None,
             poles += 1.0
         except PoleHit:
             pass
-    rec.add("mellin-pole-consistency",
-            "s = 1/2 is rejected as a pole on one-dimensional models",
-            "closed-form:pole-location", poles, 0.5)
+    rec.add_verdict("mellin-pole-consistency",
+                    "s = 1/2 is rejected as a pole on one-dimensional models",
+                    "closed-form:pole-location", poles)
 
     h2 = theta_expansion("lattice", n=2, L=1.0)
     measured = abs(mellin_zeta(h2, 3.0).value - _lattice_zeta_brute(2, 1.0, 3.0))
@@ -846,9 +856,9 @@ def boundary_suite(tol: float | None = None,
         degenerate = 1.0
     except UnsupportedPartition:
         pass
-    rec.add("gluing-degenerate-rejected",
-            "empty pieces are rejected as unsupported partitions",
-            "negative-control", degenerate, 0.5)
+    rec.add_verdict("gluing-degenerate-rejected",
+                    "empty pieces are rejected as unsupported partitions",
+                    "negative-control", degenerate)
 
     return rec.results
 
@@ -917,10 +927,10 @@ def variation_suite(tol: float | None = None,
         gammas.append(rep.gammas[1:-1])
     smin = float(np.linalg.svd(np.array(gammas), compute_uv=False)[-1]) \
         if gammas and gammas[0] else 0.0
-    rec.add("gamma-metric-dependence",
-            "interior gamma values vary freely over sampled metric paths",
-            "observation:numerical-rank", 0.0 if smin > 1e-6 else 1.0, 0.5,
-            f"smallest singular value {smin:.3e}")
+    rec.add_verdict("gamma-metric-dependence",
+                    "interior gamma values vary freely over sampled metric paths",
+                    "observation:numerical-rank", 0.0 if smin > 1e-6 else 1.0,
+                    f"smallest singular value {smin:.3e}")
 
     def kinked(u: float) -> ChainMetric:
         factor = 1.0 + (u if u >= 0.0 else 2.0 * u)
@@ -932,9 +942,9 @@ def variation_suite(tol: float | None = None,
         raised = 1.0
     except StepTooLarge:
         pass
-    rec.add("kinked-path-rejected",
-            "a non-smooth path fails the quadratic-convergence guard",
-            "negative-control", raised, 0.5)
+    rec.add_verdict("kinked-path-rejected",
+                    "a non-smooth path fails the quadratic-convergence guard",
+                    "negative-control", raised)
 
     return rec.results
 

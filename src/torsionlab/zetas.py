@@ -192,9 +192,11 @@ def rgamma(s: float | complex):
 
 
 def _rgamma_prime(s: float) -> float:
-    # 1/Gamma is entire, so a central difference is uniformly safe.
-    h = 1e-6
-    return (rgamma(s + h) - rgamma(s - h)) / (2.0 * h)
+    """d/ds 1/Gamma(s) = -psi(s)/Gamma(s); at s = -n it is (-1)^n n! (a simple zero)."""
+    if s <= 0.0 and s == math.floor(s):
+        n = int(-s)
+        return (-1.0) ** n * math.factorial(n)
+    return -digamma(s) * rgamma(s)
 
 
 # --- heat traces ------------------------------------------------------------

@@ -47,6 +47,20 @@ def test_torsion_json_round_trip(capsys):
     assert payload["log_torsion"] == json.loads(json.dumps(payload))["log_torsion"]
 
 
+def test_torsion_small_angle_json(capsys):
+    # 2 - 2 cos(3e-5) ~ 9e-10: tiny but nonzero Laplacian eigenvalues
+    code, out, _ = run_cli(capsys, "torsion", "--preset", "circle",
+                           "--theta", "3e-5", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    expected = math.log(4.0 * math.sin(1.5e-5) ** 2)
+    assert abs(payload["log_torsion"] - expected) < 1e-12
+    assert abs(payload["log_torsion"] - payload["log_torsion_minor_oracle"]) < 1e-12
+    gap = 4.0 * math.sin(1.5e-5) ** 2
+    for spectrum in payload["spectra"]:
+        assert spectrum == pytest.approx([gap, gap], rel=1e-12)
+
+
 def test_torsion_beta_warning(capsys):
     code, out, err = run_cli(capsys, "torsion", "--preset", "torus2",
                              "--alpha", "1.0", "--beta-angle", "0.3",
@@ -172,6 +186,18 @@ def test_csv_output(capsys):
     assert code == 0
     rows = dict(line.split(",", 1) for line in out.splitlines())
     assert float(rows["value"]) == pytest.approx(-2.0)
+
+
+def test_tol_override_spares_pass_fail_cases():
+    verdicts = {"combinatorial/telescoping-symbolic",
+                "combinatorial/guards-and-negative-control",
+                "closed-spectral/mellin-pole-consistency",
+                "boundary/gluing-degenerate-rejected",
+                "variation/gamma-metric-dependence",
+                "variation/kinked-path-rejected"}
+    results = run_suites("all", tol=2.0)
+    assert {r.case_id for r in results if r.tolerance == 0.5} == verdicts
+    assert all(r.tolerance == 2.0 for r in results if r.case_id not in verdicts)
 
 
 def test_suite_provenance_tags_present():

@@ -8,6 +8,7 @@ from torsionlab import (
     CellStructure,
     ChainMetric,
     Representation,
+    betti,
     build_preset,
     build_twisted_boundary,
     classify_beta,
@@ -29,8 +30,41 @@ from torsionlab.torsion import (
 )
 
 
+def _ngon_circle(n: int, theta: float):
+    """The twisted circle as n vertices and n edges, the twist on the closing edge."""
+    edges = tuple((((i + 1) % n, 1, ((0, 1),) if i == n - 1 else ()), (i, -1, ()))
+                  for i in range(n))
+    cells = CellStructure(dimension=1, cells_per_degree=(n, n),
+                          incidences=(((),) * n, edges))
+    return build_twisted_boundary(cells, Representation(2, [rotation(theta)]))
+
+
+def _grid_torus(n: int, alpha: float, beta: float):
+    """The cubical n x n torus; cells crossing the seams carry the generators x, y."""
+    def vertex(i, j):
+        return (i % n) * n + j % n
+
+    def x(i):
+        return ((0, 1),) if i == n - 1 else ()
+
+    def y(j):
+        return ((1, 1),) if j == n - 1 else ()
+
+    grid = [(i, j) for i in range(n) for j in range(n)]
+    # edge vertex(i, j) runs along x from (i, j), edge n^2 + vertex(i, j) along y
+    edges = tuple(((vertex(i + 1, j), 1, x(i)), (vertex(i, j), -1, ())) for i, j in grid) \
+        + tuple(((vertex(i, j + 1), 1, y(j)), (vertex(i, j), -1, ())) for i, j in grid)
+    faces = tuple(((vertex(i, j), 1, ()), (n * n + vertex(i + 1, j), 1, x(i)),
+                   (vertex(i, j + 1), -1, y(j)), (n * n + vertex(i, j), -1, ()))
+                  for i, j in grid)
+    cells = CellStructure(dimension=2, cells_per_degree=(n * n, 2 * n * n, n * n),
+                          incidences=(((),) * (n * n), edges, faces))
+    return build_twisted_boundary(cells, Representation(2, [rotation(alpha), rotation(beta)]))
+
+
 def test_log_reidemeister_circle_closed_form():
-    for theta in (1.0, math.pi / 2, math.pi, 2.5):
+    # 3e-5 puts both Laplacian eigenvalues near 9e-10
+    for theta in (1.0, math.pi / 2, math.pi, 2.5, 3e-5):
         cx = build_preset("circle", theta=theta)
         expected = math.log(4.0 * math.sin(theta / 2.0) ** 2)
         assert abs(log_reidemeister(cx) - expected) < 1e-12
@@ -43,6 +77,20 @@ def test_log_reidemeister_requires_acyclic():
         log_reidemeister(trivial)
     with pytest.raises(NotAcyclic):
         determinant_oracle(trivial)
+
+
+def test_betti_and_minor_oracle_agree_on_acyclicity():
+    cells, _ = preset("circle", theta=1.0)
+    trivial = build_twisted_boundary(cells, Representation(1, [np.eye(1)]))
+    circles = [build_preset("circle", theta=t) for t in (1e-7, 3e-5, 1.0)] + [trivial]
+    for cx in circles:
+        try:
+            determinant_oracle(cx)
+            oracle_acyclic = True
+        except NotAcyclic:
+            oracle_acyclic = False
+        assert (betti(cx) == [0, 0]) == oracle_acyclic
+    assert betti(trivial) == [1, 1]
 
 
 def test_determinant_oracle_circle_is_log_det():
@@ -88,16 +136,20 @@ def test_torsion_independent_of_cw_model():
     )
     cx = build_twisted_boundary(cells, Representation(2, [rotation(theta)]))
     expected = math.log(4.0 * math.sin(theta / 2.0) ** 2)
-    assert abs(log_reidemeister(cx) - expected) < 1e-10
-    assert abs(determinant_oracle(cx) - expected) < 1e-10
+    for cx in (cx, _ngon_circle(8, theta), _ngon_circle(64, theta)):
+        assert abs(log_reidemeister(cx) - expected) < 1e-10
+        assert abs(determinant_oracle(cx) - expected) < 1e-10
+    # the 4 x 4 cubical torus, like the one-cell torus2 preset, has log T = 0
+    grid = _grid_torus(4, 1.0, 0.3)
+    assert abs(log_reidemeister(grid)) < 1e-10
+    assert abs(determinant_oracle(grid)) < 1e-10
 
 
 def test_metric_covariance_of_log_torsion():
     # log T(h) - log T(I) = 1/2 sum_k (-1)^(k+1) log det h_k, exactly
     rng = np.random.default_rng(3)
-    for name, kwargs in (("circle", {"theta": 2.1}),
-                         ("torus2", {"alpha": 1.0, "beta": 0.3})):
-        cx = build_preset(name, **kwargs)
+    for cx in (build_preset("circle", theta=2.1),
+               build_preset("torus2", alpha=1.0, beta=0.3), _ngon_circle(8, 2.1)):
         base = log_reidemeister(cx)
         for _ in range(3):
             metric = ChainMetric.random_spd(cx, rng)
@@ -194,16 +246,16 @@ def test_variation_constant_path():
 
 
 def test_variation_circle_scale_path():
-    cx = build_preset("circle", theta=1.0)
-
     def path(u):
         return ChainMetric([np.eye(2) * (1.0 + u), np.eye(2)])
 
-    rep = variation_check(cx, path, (0.0, 1.0))
-    assert abs(rep.tr_alphas[0] - 2.0) < 1e-10  # alpha_0 = I at u = 0
-    assert rep.discrepancy < 1e-6
-    assert rep.laplacian_dot_residual < 1e-6
-    assert 2.5 < rep.convergence_ratio < 8.0
+    for theta in (1.0, 3e-5):
+        rep = variation_check(build_preset("circle", theta=theta), path, (0.0, 1.0))
+        assert abs(rep.tr_alphas[0] - 2.0) < 1e-10  # alpha_0 = I at u = 0
+        assert abs(rep.lhs + 2.0) < 1e-6  # 2 log T(u) = const - 2 log(1 + u)
+        assert rep.discrepancy < 1e-6
+        assert rep.laplacian_dot_residual < 1e-6
+        assert 2.5 < rep.convergence_ratio < 8.0
 
 
 def test_variation_gamma_structure():

@@ -19,7 +19,7 @@ from torsionlab import (
     zeta_at_zero,
 )
 from torsionlab.errors import BadParameter, PoleAtOne, PoleHit
-from torsionlab.zetas import rgamma, sphere2_power_coefficients
+from torsionlab.zetas import _rgamma_prime, rgamma, sphere2_power_coefficients
 
 
 # --- independent oracles ------------------------------------------------------
@@ -102,6 +102,21 @@ def test_rgamma_zeros_and_values():
         assert abs(rgamma(float(m))) < 1e-15
     z = rgamma(complex(2.0, 1.0))
     assert abs(z * math.gamma(2.0) - rgamma(complex(2.0, 1.0)) * 1.0) == 0.0
+
+
+def test_rgamma_prime_closed_forms():
+    # d/ds 1/Gamma is Euler's gamma at 1 and (-1)^n n! at the zero s = -n
+    assert abs(_rgamma_prime(1.0) - 0.5772156649015329) < 1e-15
+    assert _rgamma_prime(0.0) == 1.0
+    assert _rgamma_prime(-2.0) == 2.0
+
+
+def test_rgamma_prime_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for s in (-1.5, 0.75, 2.5):
+        exact = float(mpmath.diff(mpmath.rgamma, s))
+        assert abs(_rgamma_prime(s) - exact) < 4e-15 * max(1.0, abs(exact))
 
 
 # --- heat traces ----------------------------------------------------------------
