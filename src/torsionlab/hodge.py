@@ -25,7 +25,8 @@ numpy's matrix_rank rule.  Working on the maps rather than on L_k keeps
 small eigenvalues accurate: cond(d) = sqrt(cond(L)).  The spectral calculus
 (hodge_split, green_inverse, complex powers, log L), which needs
 eigenvectors, solves the symmetric problem h^{1/2} L h^{-1/2} with LAPACK
-eigh.  All functions are pure and operate on immutable inputs; results are
+eigh and takes its kernel dimension from the same SVD rank rule.  All
+functions are pure and operate on immutable inputs; results are
 deterministic.
 """
 
@@ -60,8 +61,11 @@ class ChainMetric:
     """Per-degree symmetric positive-definite inner products h_k.
 
     Square-root factors h^{1/2}, h^{-1/2} and the inverse are computed once
-    at construction; instances are immutable.
+    at construction; instances are immutable.  is_identity is True only for
+    ChainMetric.identity, whose factors are all the identity itself.
     """
+
+    is_identity = False
 
     def __init__(self, matrices: Sequence[np.ndarray]):
         mats, sqrts, isqrts, invs = [], [], [], []
@@ -91,7 +95,14 @@ class ChainMetric:
 
     @classmethod
     def identity(cls, cplx: TwistedComplex) -> "ChainMetric":
-        return cls([np.eye(d) for d in cplx.dims])
+        """h_k = I in every degree, unfactored: I is its own square root and inverse."""
+        metric = cls.__new__(cls)
+        eyes = tuple(np.eye(d) for d in cplx.dims)
+        for eye in eyes:
+            eye.setflags(write=False)
+        metric._mats = metric._sqrts = metric._isqrts = metric._invs = eyes
+        metric.is_identity = True
+        return metric
 
     @classmethod
     def random_spd(cls, cplx: TwistedComplex, rng: np.random.Generator,
@@ -162,8 +173,11 @@ class SpectralData:
     """Eigendecomposition of an h-self-adjoint operator.
 
     eigenvalues are ascending; eigenvector columns are h-orthonormal
-    (plain orthonormal for the identity metric).  kernel_dim counts
-    eigenvalues below 1e-9 * max(1, lambda_max).
+    (plain orthonormal for the identity metric).  The first kernel_dim
+    eigenvalues are the kernel: for a Laplacian from spectral_data,
+    dims[k] minus the positive_spectra count (the rank rule of betti);
+    for a bare matrix from eigendecompose, those below
+    1e-9 * max(1, lambda_max).
     """
 
     eigenvalues: np.ndarray
@@ -212,8 +226,12 @@ def eigendecompose(mat: np.ndarray, h: np.ndarray | None = None) -> SpectralData
     return _eigendecompose(mat, ChainMetric([np.eye(mat.shape[0]) if h is None else h]), 0)
 
 
-def _eigendecompose(mat: np.ndarray, metric: ChainMetric, k: int) -> SpectralData:
-    """eigendecompose with the factors of h_k that metric already holds."""
+def _eigendecompose(mat: np.ndarray, metric: ChainMetric, k: int,
+                    kernel_dim: int | None = None) -> SpectralData:
+    """eigendecompose with the factors of h_k that metric already holds.
+
+    kernel_dim, when given, replaces the relative eigenvalue cut.
+    """
     h = metric.matrix(k)
     if h.shape != mat.shape:
         raise ShapeMismatch("metric and operator shapes differ")
@@ -224,29 +242,35 @@ def _eigendecompose(mat: np.ndarray, metric: ChainMetric, k: int) -> SpectralDat
     threshold = KERNEL_RELTOL * max(1.0, lam_max)
     if n and float(w[0]) < -threshold:
         raise BadParameter(f"operator is not PSD: min eigenvalue {w[0]:.3e}")
-    kernel_dim = int(np.sum(np.abs(w) < threshold))
+    if kernel_dim is None:
+        kernel_dim = int(np.sum(np.abs(w) < threshold))
     return SpectralData(eigenvalues=w, eigenvectors=metric.isqrt(k) @ q,
                         kernel_dim=kernel_dim, metric=h)
 
 
 def spectral_data(cplx: TwistedComplex, metric: ChainMetric | None, k: int) -> SpectralData:
+    """Spectral data of L_k; kernel_dim is betti(cplx, metric)[k]."""
     metric = _require_metric(cplx, metric)
-    return _eigendecompose(laplacian(cplx, metric, k), metric, k)
+    kernel_dim = cplx.dims[k] - positive_spectra(cplx, metric)[k].size
+    return _eigendecompose(laplacian(cplx, metric, k), metric, k, kernel_dim)
 
 
 def positive_spectra(cplx: TwistedComplex,
                      metric: ChainMetric | None = None) -> list[np.ndarray]:
     """The positive spectrum of every L_k, ascending, with no Laplacian built.
 
-    One SVD per weighted boundary map W_k = h_k^{1/2} bd_k^T h_{k-1}^{-1/2};
-    its squared singular values above numpy's matrix_rank cut
-    (sigma_max * max(W.shape) * eps) belong to both L_{k-1} and L_k.  So
-    cplx.dims[k] - len(spectra[k]) is the k-th Betti number.
+    One SVD per weighted boundary map W_k = h_k^{1/2} bd_k^T h_{k-1}^{-1/2}
+    (bd_k^T itself for the identity metric); its squared singular values
+    above numpy's matrix_rank cut (sigma_max * max(W.shape) * eps) belong to
+    both L_{k-1} and L_k.  So cplx.dims[k] - len(spectra[k]) is the k-th
+    Betti number.
     """
     metric = _require_metric(cplx, metric)
     parts: list[list[np.ndarray]] = [[] for _ in cplx.dims]
     for k in range(1, cplx.dimension + 1):
-        w = metric.sqrt(k) @ cplx.boundary(k).T @ metric.isqrt(k - 1)
+        w = cplx.boundary(k).T
+        if not metric.is_identity:
+            w = metric.sqrt(k) @ w @ metric.isqrt(k - 1)
         sigma = np.linalg.svd(w, compute_uv=False) if w.size else np.zeros(0)
         cut = sigma[0] * max(w.shape) * np.finfo(float).eps if sigma.size else 0.0
         lam = sigma[sigma > cut] ** 2

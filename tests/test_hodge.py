@@ -159,6 +159,33 @@ def test_betti_examples():
     assert betti(build_preset("torus2", alpha=1.3, beta=0.0)) == [0, 0, 0]
 
 
+def test_spectral_data_kernel_follows_betti():
+    # both eigenvalues of L_0 sit near 9e-10, below the old relative cut
+    cx = build_preset("circle", theta=3e-5)
+    assert betti(cx) == [0, 0]
+    lap = laplacian(cx, None, 0)
+    spec = spectral_data(cx, None, 0)
+    assert spec.kernel_dim == 0
+    assert np.max(np.abs(spec.green_inverse() @ lap - np.eye(2))) < 1e-8
+    trivial = _trivial_circle()
+    assert [spectral_data(trivial, None, k).kernel_dim for k in (0, 1)] == betti(trivial)
+    # a bare matrix keeps the relative cut
+    assert eigendecompose(np.diag([9e-10, 1.0])).kernel_dim == 1
+
+
+def test_identity_metric_is_unfactored_identity():
+    for cx in (build_preset("circle", theta=1.0), build_preset("torus2", alpha=1.0, beta=0.3),
+               _trivial_circle()):
+        metric = ChainMetric.identity(cx)
+        factored = ChainMetric([np.eye(d) for d in cx.dims])
+        assert metric.is_identity and not factored.is_identity
+        for k, d in enumerate(cx.dims):
+            for factor in (metric.matrix(k), metric.sqrt(k), metric.isqrt(k), metric.inv(k)):
+                assert np.array_equal(factor, np.eye(d)) and not factor.flags.writeable
+        for lam, ref in zip(positive_spectra(cx, metric), positive_spectra(cx, factored)):
+            assert np.array_equal(lam, ref)
+
+
 def test_betti_euler_poincare_and_metric_independence():
     rng = np.random.default_rng(4)
     for cx in (build_preset("circle", theta=1.0), _trivial_circle(),

@@ -23,8 +23,10 @@ from torsionlab import (
     tr_log,
     variation_check,
 )
-from torsionlab.errors import NotAcyclic, ShapeMismatch, StepTooLarge
+from torsionlab.errors import NotAcyclic, PivotFailure, ShapeMismatch, StepTooLarge
 from torsionlab.torsion import (
+    RANK_TOL,
+    _full_pivot_logdet,
     second_difference_table,
     telescoping_coefficient_table,
 )
@@ -60,6 +62,84 @@ def _grid_torus(n: int, alpha: float, beta: float):
     cells = CellStructure(dimension=2, cells_per_degree=(n * n, 2 * n * n, n * n),
                           incidences=(((),) * (n * n), edges, faces))
     return build_twisted_boundary(cells, Representation(2, [rotation(alpha), rotation(beta)]))
+
+
+def _reference_full_pivot_logdet(mat):
+    """Full-pivot elimination over the whole remaining submatrix at every step."""
+    work = np.array(mat, dtype=float)
+    n_rows, n_cols = work.shape
+    if n_cols == 0:
+        return [], 0.0
+    scale = max(float(np.max(np.abs(work))), np.finfo(float).tiny)
+    row_pool = list(range(n_rows))
+    col_pool = list(range(n_cols))
+    pivot_rows = []
+    log_det = 0.0
+    for _ in range(n_cols):
+        sub = np.abs(work[np.ix_(row_pool, col_pool)])
+        i_loc, j_loc = divmod(int(np.argmax(sub)), sub.shape[1])
+        piv_row, piv_col = row_pool[i_loc], col_pool[j_loc]
+        piv = work[piv_row, piv_col]
+        if abs(piv) <= RANK_TOL * scale:
+            raise PivotFailure(f"pivot {abs(piv):.3e} below threshold")
+        log_det += math.log(abs(piv))
+        pivot_rows.append(piv_row)
+        row_pool.remove(piv_row)
+        col_pool.remove(piv_col)
+        if row_pool and col_pool:
+            rows, cols = np.array(row_pool), np.array(col_pool)
+            factors = work[rows, piv_col] / piv
+            work[np.ix_(rows, cols)] -= np.outer(factors, work[piv_row, cols])
+    return pivot_rows, log_det
+
+
+def _oracle_minors(cx):
+    """The boundary minors determinant_oracle eliminates, top degree first."""
+    minors = []
+    columns = list(range(cx.dims[-1]))
+    for k in range(cx.dimension, 0, -1):
+        minors.append(cx.boundary(k)[:, columns])
+        taken = set(_reference_full_pivot_logdet(minors[-1])[0])
+        columns = [i for i in range(cx.dims[k - 1]) if i not in taken]
+    return minors
+
+
+def test_elimination_matches_reference_bitwise():
+    rng = np.random.default_rng(5)
+    mats = []
+    for n in (1, 3, 17, 64, 160):
+        mats.append(rng.standard_normal((n, n)))  # dense
+        mats.append(rng.standard_normal((n + n // 2 + 1, n)))  # tall
+        # sparse +-1 with many ties; the shifted diagonal keeps full column rank
+        ties = rng.choice([-1.0, 0.0, 0.0, 0.0, 0.0, 1.0], size=(2 * n, n))
+        mats.append(ties + 2.0 * np.eye(2 * n, n))
+    for theta in (0.4, 2.5):
+        for n in (3, 16, 128):
+            mats += _oracle_minors(_ngon_circle(n, theta))
+        for n in (2, 5, 9):
+            mats += _oracle_minors(_grid_torus(n, theta, 1.1))
+    for mat in mats:
+        rows, log_det = _full_pivot_logdet(mat)
+        ref_rows, ref_log_det = _reference_full_pivot_logdet(mat)
+        assert rows == ref_rows
+        assert log_det == ref_log_det
+    # a tie: the first maximum in row-major order is column 0 of row 0, and
+    # pivoting on column 2 instead would pick rows [0, 3, 1]
+    ties = np.array([[1, -1, 1], [1, -1, 0], [0, -1, 0], [0, 1, 1]], dtype=float)
+    assert _full_pivot_logdet(ties)[0] == _reference_full_pivot_logdet(ties)[0] == [0, 1, 2]
+
+
+def test_elimination_rejects_column_rank_deficiency():
+    rng = np.random.default_rng(8)
+    for base in (rng.integers(-3, 4, size=(12, 5)).astype(float),
+                 rng.standard_normal((40, 30))):
+        for extra in (base[:, 2], base[:, 0] - 2.0 * base[:, 4], np.zeros(len(base))):
+            mat = np.column_stack([base, extra])
+            with pytest.raises(PivotFailure) as ref:
+                _reference_full_pivot_logdet(mat)
+            with pytest.raises(PivotFailure) as new:
+                _full_pivot_logdet(mat)
+            assert str(new.value) == str(ref.value)
 
 
 def test_log_reidemeister_circle_closed_form():
@@ -136,13 +216,14 @@ def test_torsion_independent_of_cw_model():
     )
     cx = build_twisted_boundary(cells, Representation(2, [rotation(theta)]))
     expected = math.log(4.0 * math.sin(theta / 2.0) ** 2)
-    for cx in (cx, _ngon_circle(8, theta), _ngon_circle(64, theta)):
+    for cx in (cx, _ngon_circle(8, theta), _ngon_circle(64, theta), _ngon_circle(512, theta)):
         assert abs(log_reidemeister(cx) - expected) < 1e-10
         assert abs(determinant_oracle(cx) - expected) < 1e-10
-    # the 4 x 4 cubical torus, like the one-cell torus2 preset, has log T = 0
-    grid = _grid_torus(4, 1.0, 0.3)
-    assert abs(log_reidemeister(grid)) < 1e-10
-    assert abs(determinant_oracle(grid)) < 1e-10
+    # cubical tori, like the one-cell torus2 preset, have log T = 0
+    for n in (4, 16):
+        grid = _grid_torus(n, 1.0, 0.3)
+        assert abs(log_reidemeister(grid)) < 1e-10
+        assert abs(determinant_oracle(grid)) < 1e-10
 
 
 def test_metric_covariance_of_log_torsion():
