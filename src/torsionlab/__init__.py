@@ -69,8 +69,8 @@ from .zetas import (
     zeta_at_zero,
 )
 from .models import (
-    ClosedModel,
     IdentityReport,
+    SpectralModel,
     TorsionReport,
     analytic_torsion,
     build_model,
@@ -80,10 +80,8 @@ from .models import (
     surface_residue_combination,
 )
 from .boundary import (
-    BoundaryModel,
     GluingReport,
     PropositionReport,
-    boundary_residue_torsion,
     build_cylinder,
     build_interval,
     gluing_check,

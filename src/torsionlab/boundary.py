@@ -1,4 +1,9 @@
-"""Interval and cylinder spectra under relative/absolute boundary conditions.
+"""Interval and cylinder builders, the boundary sign law, the gluing check.
+
+build_interval and build_cylinder return a models.SpectralModel with its
+condition set; proposition_check compares a relative and an absolute
+model, and gluing_check splits a geometry and assembles both sides of the
+gluing formula from models.residue_torsion.
 
 On a product [0, R] x N the form Laplacian splits by writing
 omega = omega_1 + dx ^ omega_2; relative conditions impose Dirichlet data
@@ -29,50 +34,20 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BadParameter, ShapeMismatch, UnsupportedPartition
-from .models import TorsionReport, build_model, residue_torsion
+from .models import SpectralModel, TorsionReport, build_model, residue_torsion
 from .zetas import (
     HeatTrace,
-    ZetaEval,
-    mellin_zeta,
     product_heat_trace,
     scale_heat_trace,
     sum_heat_traces,
     theta_expansion,
-    zeta_at_zero,
 )
 
 CONDITIONS = ("relative", "absolute", "mixed")
 
-
-@dataclass(frozen=True)
-class BoundaryModel:
-    """A compact model with boundary: per-degree heat traces under condition B."""
-
-    name: str
-    dim: int
-    condition: str
-    rank: int
-    heat: tuple[HeatTrace, ...]
-    betti: tuple[int, ...]
-
-    def zeta(self, k: int, s, derivative: bool = False) -> ZetaEval:
-        return mellin_zeta(self.heat[k], s, derivative=derivative)
-
-    def zeta_at_zero(self, k: int) -> float:
-        return zeta_at_zero(self.heat[k])
-
-    @property
-    def chi(self) -> int:
-        return sum((-1) ** k * b for k, b in enumerate(self.betti))
-
-    @property
-    def chi_prime(self) -> int:
-        return sum((-1) ** k * k * b for k, b in enumerate(self.betti))
-
-    def weighted_zeta_sum_at_zero(self) -> float:
-        """sum_k (-1)^k k zeta_k(0)."""
-        return sum((-1.0) ** k * k * self.zeta_at_zero(k)
-                   for k in range(self.dim + 1))
+# Bench contract: bench/tracer.py wraps vars(BoundaryModel)["zeta"] by this
+# name.  Remove with the next change to bench/.
+BoundaryModel = SpectralModel
 
 
 def _check_condition(condition: str) -> str:
@@ -91,7 +66,7 @@ def _x_factors(R: float, condition: str) -> tuple[HeatTrace, HeatTrace]:
     return mixed, mixed
 
 
-def build_interval(R: float, condition: str, rank: int = 1) -> BoundaryModel:
+def build_interval(R: float, condition: str, rank: int = 1) -> SpectralModel:
     """Interval [0, R]: degree 0 carries the tangential factor, degree 1 the normal.
 
     relative: b = (0, 1), chi = -1; absolute: b = (1, 0), chi = 1;
@@ -107,12 +82,12 @@ def build_interval(R: float, condition: str, rank: int = 1) -> BoundaryModel:
     heat = [tangential, normal]
     if rank == 2:
         heat = [scale_heat_trace(h, 2) for h in heat]
-    return BoundaryModel(name=f"interval(R={R:g}, {condition}, rank={rank})",
+    return SpectralModel(name=f"interval(R={R:g}, {condition}, rank={rank})",
                          dim=1, condition=condition, rank=rank,
                          heat=tuple(heat), betti=tuple(h.kernel_dim for h in heat))
 
 
-def build_cylinder(R: float, L: float, condition: str, rank: int = 1) -> BoundaryModel:
+def build_cylinder(R: float, L: float, condition: str, rank: int = 1) -> SpectralModel:
     """Cylinder [0, R] x S^1 of circumference L.
 
     Degree 0: tangential x circle; degree 2: normal x circle; degree 1 is
@@ -130,7 +105,7 @@ def build_cylinder(R: float, L: float, condition: str, rank: int = 1) -> Boundar
     h2 = product_heat_trace(normal, circle)
     h1 = sum_heat_traces(h2, h0)
     heat = (h0, h1, h2)
-    return BoundaryModel(name=f"cylinder(R={R:g}, L={L:g}, {condition})",
+    return SpectralModel(name=f"cylinder(R={R:g}, L={L:g}, {condition})",
                          dim=2, condition=condition, rank=rank,
                          heat=heat, betti=tuple(h.kernel_dim for h in heat))
 
@@ -166,7 +141,7 @@ class PropositionReport:
         }
 
 
-def proposition_check(relative: BoundaryModel, absolute: BoundaryModel,
+def proposition_check(relative: SpectralModel, absolute: SpectralModel,
                       s_values: Sequence[float] = (0.0, 0.75, 2.0),
                       tol: float = 1e-8) -> PropositionReport:
     """Check sum_k (-1)^k k zeta_{k,R}(s) = (-1)^(n-1) sum_k (-1)^k k zeta_{k,A}(s),
@@ -198,32 +173,11 @@ def proposition_check(relative: BoundaryModel, absolute: BoundaryModel,
                              duality=duality, tol=tol)
 
 
-def boundary_residue_torsion(model: BoundaryModel, beta: Sequence[float]) -> TorsionReport:
-    """log T_res(beta) = sum_k (-1)^k beta_k (zeta_k(0) + b_k) with boundary data.
-
-    For beta = 1 this equals chi_B of the twisted coefficients (rank times
-    the geometric count); for beta = k it equals both
-    chi'_B + sum_k (-1)^k k zeta_k(0) (assembly) and (dim/2) chi_B
-    (closed form); the report carries both numbers under flags.
-    """
-    beta = tuple(float(x) for x in beta)
-    if len(beta) != model.dim + 1:
-        raise ShapeMismatch(f"beta must have length {model.dim + 1}")
-    zeta0 = tuple(model.zeta_at_zero(k) for k in range(model.dim + 1))
-    res = tuple(-2.0 * (zeta0[k] + model.betti[k]) for k in range(model.dim + 1))
-    log_t = 0.5 * sum((-1.0) ** (k + 1) * beta[k] * res[k]
-                      for k in range(model.dim + 1))
-    # model.chi counts twisted harmonic forms, so it already carries the
-    # coefficient rank; the closed form is (dim/2) times that count
-    flags = {
-        "chi": model.chi,
-        "chi_prime": model.chi_prime,
-        "weighted_assembly": model.chi_prime + model.weighted_zeta_sum_at_zero(),
-        "weighted_closed_form": 0.5 * model.dim * model.chi,
-    }
-    return TorsionReport(model=model.name, beta=beta, betti=model.betti,
-                         zeta0=zeta0, residue_traces=res,
-                         log_torsion_res=log_t, flags=flags)
+# Bench contract: bench/jobs.py calls this name and the tracer times it as
+# boundary.residue_torsion_s.  Remove with the next change to bench/.
+def boundary_residue_torsion(model: SpectralModel, beta: Sequence[float]) -> TorsionReport:
+    """models.residue_torsion under the name the benchmark calls."""
+    return residue_torsion(model, beta)
 
 
 @dataclass(frozen=True)
@@ -275,12 +229,8 @@ class GluingReport:
         }
 
 
-def _beta_k(dim: int) -> tuple[float, ...]:
-    return tuple(float(k) for k in range(dim + 1))
-
-
-def _log_t_res_k(model: BoundaryModel) -> float:
-    return boundary_residue_torsion(model, _beta_k(model.dim)).log_torsion_res
+def _log_t_res_k(model: SpectralModel) -> float:
+    return residue_torsion(model, range(model.dim + 1)).log_torsion_res
 
 
 def gluing_check(geometry: str, *, R: float = 1.0, L: float = 2.0 * math.pi,
@@ -315,8 +265,8 @@ def gluing_check(geometry: str, *, R: float = 1.0, L: float = 2.0 * math.pi,
         piece1 = build_cylinder(split, L, piece_condition)
         piece2 = build_cylinder(R - split, L, piece_condition)
         circle = build_model("circle", L=L, theta=0.0, rank=1)
-        interface_torsion = residue_torsion(circle, _beta_k(1)).log_torsion_res
-        half_chi = 0.5 * circle.euler_characteristic
+        interface_torsion = _log_t_res_k(circle)
+        half_chi = 0.5 * circle.chi
     else:
         raise UnsupportedPartition(f"unsupported geometry {geometry!r}")
     return GluingReport(geometry=geometry, outer_condition=outer, split=split,

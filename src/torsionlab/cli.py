@@ -15,6 +15,7 @@ significant digits; --json output round-trips bit-exactly through json.loads.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -203,24 +204,18 @@ def cmd_zeta(args) -> int:
 
 def cmd_model_torsion(args) -> int:
     model = _build_spectral_model(args)
+    if model.condition is not None and args.kind != "residue":
+        raise SchemaError("boundary models support --kind residue only")
     beta = parse_beta(args.beta, model.dim + 1)
-    if args.model in BOUNDARY_MODELS:
-        report = bnd.boundary_residue_torsion(model, beta)
-        if args.kind != "residue":
-            raise SchemaError("boundary models support --kind residue only")
-    elif args.kind == "residue":
-        report = mdl.residue_torsion(model, beta)
-    elif args.kind == "analytic":
+    if args.kind == "analytic":
         report = mdl.analytic_torsion(model, beta)
     else:
-        res = mdl.residue_torsion(model, beta)
+        report = mdl.residue_torsion(model, beta)
+    if args.kind == "both":
         ana = mdl.analytic_torsion(model, beta)
-        report = mdl.TorsionReport(
-            model=res.model, beta=res.beta, betti=res.betti, zeta0=res.zeta0,
-            residue_traces=res.residue_traces,
-            log_torsion_res=res.log_torsion_res,
-            log_torsion_zeta=ana.log_torsion_zeta, zeta_prime0=ana.zeta_prime0,
-            abs_error_estimate=ana.abs_error_estimate)
+        report = dataclasses.replace(
+            report, log_torsion_zeta=ana.log_torsion_zeta,
+            zeta_prime0=ana.zeta_prime0, abs_error_estimate=ana.abs_error_estimate)
     payload = report.as_dict()
     lines = [f"model           {report.model}",
              f"beta            {', '.join(fmt(b) for b in report.beta)}",
@@ -263,8 +258,7 @@ def cmd_verify(args) -> int:
 
 def cmd_gluing(args) -> int:
     report = bnd.gluing_check(args.geometry, R=args.R, L=args.L,
-                              split=args.split, outer=args.outer,
-                              tol=args.tol if args.tol is not None else 1e-8)
+                              split=args.split, outer=args.outer, tol=args.tol)
     payload = report.as_dict()
     lines = [f"geometry        {report.geometry} (outer {report.outer_condition}, "
              f"split at {fmt(report.split)})",
@@ -292,10 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--csv", action="store_true", help="flat key,value output")
-    common.add_argument("--tol", type=float, default=None,
-                        help="override verification tolerances")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for randomized cases")
 
     p = sub.add_parser("torsion", parents=[common],
                        help="log torsion of a twisted chain complex")
@@ -334,6 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    choices=("combinatorial", "closed-spectral", "boundary",
                             "variation", "all"))
+    p.add_argument("--tol", type=float, default=None,
+                   help="override verification tolerances")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed for randomized cases")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gluing", parents=[common],
@@ -344,6 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, default=2.0 * math.pi)
     p.add_argument("--split", type=float, default=0.5)
     p.add_argument("--outer", choices=("relative", "absolute"), default="absolute")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="tolerance on the gluing discrepancy")
     p.set_defaults(func=cmd_gluing)
 
     return parser

@@ -1,6 +1,9 @@
-"""Closed-manifold model spectra and torsion assembly.
+"""The one spectral model type, the closed model families, torsion assembly.
 
-Three families, each with per-degree heat traces and kernel dimensions:
+A SpectralModel holds one heat trace and one Betti number per degree.
+Its boundary condition is None on a closed manifold and "relative",
+"absolute" or "mixed" on a manifold with boundary; boundary.py builds
+those.  The closed families built here:
 
 * circle(L, theta, rank): flat circle, optionally twisted by a rank-2
   rotation character (acyclic for theta != 0); degrees 0 and 1 share one
@@ -42,14 +45,20 @@ from .zetas import (
 
 
 @dataclass(frozen=True)
-class ClosedModel:
-    """A closed model geometry: per-degree heat traces and Betti numbers."""
+class SpectralModel:
+    """A model geometry: per-degree heat traces and Betti numbers.
+
+    condition is None on a closed manifold and the boundary condition
+    ("relative", "absolute" or "mixed") otherwise.  betti counts twisted
+    harmonic forms, so chi and chi_prime already carry the coefficient rank.
+    """
 
     name: str
     dim: int
     rank: int
     heat: tuple[HeatTrace, ...]
     betti: tuple[int, ...]
+    condition: str | None = None
 
     def __post_init__(self):
         if len(self.heat) != self.dim + 1 or len(self.betti) != self.dim + 1:
@@ -62,12 +71,26 @@ class ClosedModel:
         return zeta_at_zero(self.heat[k])
 
     @property
-    def euler_characteristic(self) -> int:
+    def chi(self) -> int:
         return sum((-1) ** k * b for k, b in enumerate(self.betti))
+
+    @property
+    def chi_prime(self) -> int:
+        return sum((-1) ** k * k * b for k, b in enumerate(self.betti))
+
+    def weighted_zeta_sum_at_zero(self) -> float:
+        """sum_k (-1)^k k zeta_k(0)."""
+        return sum((-1.0) ** k * k * self.zeta_at_zero(k)
+                   for k in range(self.dim + 1))
+
+
+# Bench contract: bench/tracer.py wraps vars(ClosedModel)["zeta"] by this
+# name.  Remove with the next change to bench/.
+ClosedModel = SpectralModel
 
 
 def build_model(name: str, *, L: float = 2.0 * math.pi, theta: float = 0.0,
-                rank: int = 1, n: int = 2) -> ClosedModel:
+                rank: int = 1, n: int = 2) -> SpectralModel:
     """Construct one of the closed models; see the module docstring."""
     if name == "circle":
         if theta != 0.0 and rank != 2:
@@ -76,8 +99,8 @@ def build_model(name: str, *, L: float = 2.0 * math.pi, theta: float = 0.0,
             raise BadParameter(f"circle rank must be 1 or 2, got {rank}")
         h = circle_character_heat_trace(L, theta, rank)
         b = rank if theta == 0.0 else 0
-        return ClosedModel(name=f"circle(L={L:g}, theta={theta:g}, rank={rank})",
-                           dim=1, rank=rank, heat=(h, h), betti=(b, b))
+        return SpectralModel(name=f"circle(L={L:g}, theta={theta:g}, rank={rank})",
+                             dim=1, rank=rank, heat=(h, h), betti=(b, b))
     if name == "torus":
         if n < 1:
             raise BadParameter(f"torus dimension must be >= 1, got {n}")
@@ -86,13 +109,13 @@ def build_model(name: str, *, L: float = 2.0 * math.pi, theta: float = 0.0,
                                       label=f"torus deg {k}")
                      for k in range(n + 1))
         betti = tuple(math.comb(n, k) for k in range(n + 1))
-        return ClosedModel(name=f"torus(n={n}, L={L:g})", dim=n, rank=1,
-                           heat=heat, betti=betti)
+        return SpectralModel(name=f"torus(n={n}, L={L:g})", dim=n, rank=1,
+                             heat=heat, betti=betti)
     if name == "sphere2":
         scalar = sphere2_scalar_heat_trace()
         h1 = _double_without_kernel(scalar)
-        return ClosedModel(name="sphere2", dim=2, rank=1,
-                           heat=(scalar, h1, scalar), betti=(1, 0, 1))
+        return SpectralModel(name="sphere2", dim=2, rank=1,
+                             heat=(scalar, h1, scalar), betti=(1, 0, 1))
     raise BadParameter(f"unknown model {name!r}")
 
 
@@ -113,7 +136,7 @@ def _double_without_kernel(h: HeatTrace) -> HeatTrace:
     )
 
 
-def residue_log_trace(model: ClosedModel, k: int) -> float:
+def residue_log_trace(model: SpectralModel, k: int) -> float:
     """res_k = -2 (zeta_k(0) + b_k), by exact coefficient arithmetic."""
     return -2.0 * (model.zeta_at_zero(k) + model.betti[k])
 
@@ -160,22 +183,32 @@ def _check_beta(beta: Sequence[float], dim: int) -> tuple[float, ...]:
     return beta
 
 
-def residue_torsion(model: ClosedModel, beta: Sequence[float]) -> TorsionReport:
+def residue_torsion(model: SpectralModel, beta: Sequence[float]) -> TorsionReport:
     """log T_res(beta) = sum_k (-1)^k beta_k (zeta_k(0) + b_k); exact arithmetic.
 
-    For beta = 1 this is rank * chi; for beta = k on even-dimensional models
-    it is (dim/2) * rank * chi; odd-dimensional models give 0 for every beta.
+    For beta = 1 this is chi (rank times the geometric count); for beta = k
+    it equals both chi' + sum_k (-1)^k k zeta_k(0) (assembly) and
+    (dim/2) chi (closed form), on closed models and under every boundary
+    condition alike; the report carries all four numbers under flags.
+    Odd-dimensional closed models give 0 for every beta.
     """
     beta = _check_beta(beta, model.dim)
     zeta0 = tuple(model.zeta_at_zero(k) for k in range(model.dim + 1))
     res = tuple(residue_log_trace(model, k) for k in range(model.dim + 1))
     log_t = 0.5 * sum((-1.0) ** (k + 1) * beta[k] * res[k]
                       for k in range(model.dim + 1))
+    flags = {
+        "chi": model.chi,
+        "chi_prime": model.chi_prime,
+        "weighted_assembly": model.chi_prime + model.weighted_zeta_sum_at_zero(),
+        "weighted_closed_form": 0.5 * model.dim * model.chi,
+    }
     return TorsionReport(model=model.name, beta=beta, betti=model.betti,
-                         zeta0=zeta0, residue_traces=res, log_torsion_res=log_t)
+                         zeta0=zeta0, residue_traces=res, log_torsion_res=log_t,
+                         flags=flags)
 
 
-def analytic_torsion(model: ClosedModel, beta: Sequence[float],
+def analytic_torsion(model: SpectralModel, beta: Sequence[float],
                      require_acyclic: bool = False) -> TorsionReport:
     """log T_zeta(beta) = 1/2 sum_k (-1)^k beta_k zeta_k'(0).
 
@@ -234,7 +267,7 @@ class IdentityReport:
         }
 
 
-def identity_suite(model: ClosedModel, s_values: Sequence[float] = (0.0, 0.75, 2.0),
+def identity_suite(model: SpectralModel, s_values: Sequence[float] = (0.0, 0.75, 2.0),
                    tol: float = 1e-8) -> IdentityReport:
     """Check the duality and alternating-sum identities of the degree zetas.
 
@@ -263,7 +296,7 @@ def identity_suite(model: ClosedModel, s_values: Sequence[float] = (0.0, 0.75, 2
                           tol=tol)
 
 
-def surface_residue_combination(model: ClosedModel) -> float:
+def surface_residue_combination(model: SpectralModel) -> float:
     """(1/2) res_0 - res_1 + (3/2) res_2 on a closed surface.
 
     On a genus-g surface this evaluates to (4g - 4) * rank; it equals

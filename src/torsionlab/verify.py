@@ -818,12 +818,12 @@ def boundary_suite(tol: float | None = None,
                 max(report.weighted_sign_law, report.unweighted_relative,
                     report.unweighted_absolute, report.duality), 1e-8)
 
-    measured = abs(bnd.boundary_residue_torsion(
+    measured = abs(mdl.residue_torsion(
         interval_r, (1.0, 1.0)).log_torsion_res - (-1.0))
-    measured = max(measured, abs(bnd.boundary_residue_torsion(
+    measured = max(measured, abs(mdl.residue_torsion(
         interval_a, (0.0, 1.0)).log_torsion_res - 0.5))
     for cyl in (cyl_r, cyl_a):
-        measured = max(measured, abs(bnd.boundary_residue_torsion(
+        measured = max(measured, abs(mdl.residue_torsion(
             cyl, (1.0, 1.0, 1.0)).log_torsion_res))
     rec.add("boundary-residue-values",
             "boundary residue torsion reproduces the Euler-characteristic values",
@@ -831,7 +831,7 @@ def boundary_suite(tol: float | None = None,
 
     measured = 0.0
     for model in (interval_r, interval_a, cyl_r, cyl_a):
-        rep = bnd.boundary_residue_torsion(
+        rep = mdl.residue_torsion(
             model, tuple(float(k) for k in range(model.dim + 1)))
         measured = max(measured, abs(rep.flags["weighted_assembly"]
                                      - rep.flags["weighted_closed_form"]))

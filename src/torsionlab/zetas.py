@@ -23,16 +23,16 @@ particular zeta(0) = c_0 - b by pure coefficient arithmetic, and
 Riemann and Hurwitz zeta (Euler-Maclaurin) are provided as independent
 closed forms for cross-checking the engine, never as its internals.
 
-All functions are pure and deterministic for fixed quadrature settings;
-the environment variable TORSIONLAB_QUAD_EPS overrides the absolute
-quadrature target (default 1e-12).
+All functions are pure and deterministic.  The quadrature aims at
+QUAD_EPSABS absolute error, and a quadrature that reports it could not get
+there (an IntegrationWarning) raises QuadratureFailure instead of
+returning its estimate.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -555,30 +555,29 @@ class ZetaEval:
     kernel_dim: int
 
 
-def _quad_eps(override: float | None) -> float:
-    if override is not None:
-        return override
-    return float(os.environ.get("TORSIONLAB_QUAD_EPS", "1e-12"))
+QUAD_EPSABS = 1e-12
 
 
-def _integrate(fn, lo: float, hi: float, eps: float) -> tuple[float, float]:
+def _integrate(fn, lo: float, hi: float) -> tuple[float, float]:
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, err = quad(fn, lo, hi, epsabs=eps, epsrel=1e-11, limit=400)
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            value, err = quad(fn, lo, hi, epsabs=QUAD_EPSABS, epsrel=1e-11, limit=400)
+        except IntegrationWarning as exc:
+            raise QuadratureFailure(f"integral over [{lo:g}, {hi:g}]: "
+                                    f"{str(exc).splitlines()[0]}") from exc
     if not math.isfinite(value):
         raise QuadratureFailure(f"integral over [{lo:g}, {hi:g}] returned {value}")
     return value, err
 
 
-def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False,
-                quad_eps: float | None = None) -> ZetaEval:
+def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> ZetaEval:
     """Evaluate zeta(s) (and optionally zeta'(s)) for a HeatTrace model.
 
     s may be any real or complex number away from the poles {p > 0 with
     c_p != 0}; s = 0 is handled by exact coefficient arithmetic plus the
     entire integral parts.  Derivatives are supported for real s.
     """
-    eps = _quad_eps(quad_eps)
     s = complex(s)
     for p in h.positive_powers:
         if abs(s - p) < 1e-8:
@@ -592,8 +591,8 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False,
         err = 1e-15 * (abs(c0) + b + 1.0)
         deriv = None
         if derivative:
-            rem_int, e1 = _integrate(lambda t: h.remainder(t) / t, h.t_floor, 1.0, eps)
-            tail_int, e2 = _integrate(lambda t: h.tail(t) / t, 1.0, upper, eps)
+            rem_int, e1 = _integrate(lambda t: h.remainder(t) / t, h.t_floor, 1.0)
+            tail_int, e2 = _integrate(lambda t: h.tail(t) / t, 1.0, upper)
             deriv = (EULER_GAMMA * (c0 - b)
                      - sum(c / p for p, c in h.terms if p != 0.0)
                      + rem_int + tail_int)
@@ -606,9 +605,9 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False,
     if is_real:
         sr = s.real
         rem_int, e1 = _integrate(lambda t: t ** (sr - 1.0) * h.remainder(t),
-                                 h.t_floor, 1.0, eps)
+                                 h.t_floor, 1.0)
         tail_int, e2 = _integrate(lambda t: t ** (sr - 1.0) * h.tail(t),
-                                  1.0, upper, eps)
+                                  1.0, upper)
         f_val = closed.real + rem_int + tail_int
         rg = rgamma(sr)
         value: float | complex = rg * f_val
@@ -618,10 +617,10 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False,
             f_prime = (-sum(c / (s - p) ** 2 for p, c in h.terms) + b / s ** 2).real
             dr, e3 = _integrate(
                 lambda t: t ** (sr - 1.0) * math.log(t) * h.remainder(t),
-                h.t_floor, 1.0, eps)
+                h.t_floor, 1.0)
             dt_, e4 = _integrate(
                 lambda t: t ** (sr - 1.0) * math.log(t) * h.tail(t),
-                1.0, upper, eps)
+                1.0, upper)
             f_prime += dr + dt_
             deriv = _rgamma_prime(sr) * f_val + rg * f_prime
             err += 5.0 * abs(rg) * (e3 + e4)
@@ -632,8 +631,8 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False,
         raise BadParameter("derivative evaluation is supported for real s only")
 
     def complex_piece(fn, lo, hi):
-        re, er1 = _integrate(lambda t: (t ** (s - 1.0) * fn(t)).real, lo, hi, eps)
-        im, er2 = _integrate(lambda t: (t ** (s - 1.0) * fn(t)).imag, lo, hi, eps)
+        re, er1 = _integrate(lambda t: (t ** (s - 1.0) * fn(t)).real, lo, hi)
+        im, er2 = _integrate(lambda t: (t ** (s - 1.0) * fn(t)).imag, lo, hi)
         return complex(re, im), er1 + er2
 
     rem_c, e1 = complex_piece(h.remainder, h.t_floor, 1.0)

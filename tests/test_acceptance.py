@@ -11,7 +11,6 @@ import numpy as np
 
 from torsionlab import (
     analytic_torsion,
-    boundary_residue_torsion,
     build_cylinder,
     build_interval,
     build_model,
@@ -186,7 +185,7 @@ def test_criterion_8_boundary_torsion_and_gluing():
                   build_cylinder(1.0, 2.0 * math.pi, "relative"),
                   build_cylinder(1.0, 2.0 * math.pi, "absolute")):
         beta = tuple(float(k) for k in range(model.dim + 1))
-        report = boundary_residue_torsion(model, beta)
+        report = residue_torsion(model, beta)
         worst = max(worst, abs(report.flags["weighted_assembly"]
                                - report.flags["weighted_closed_form"]))
     for geometry in ("interval", "cylinder"):

@@ -3,11 +3,11 @@ import math
 import pytest
 
 from torsionlab import (
-    boundary_residue_torsion,
     build_cylinder,
     build_interval,
     gluing_check,
     proposition_check,
+    residue_torsion,
     riemann_zeta,
 )
 from torsionlab.errors import BadParameter, ShapeMismatch, UnsupportedPartition
@@ -103,14 +103,14 @@ def test_proposition_check_argument_order():
 
 def test_boundary_residue_torsion_values():
     rel = build_interval(1.0, "relative")
-    assert abs(boundary_residue_torsion(rel, (1.0, 1.0)).log_torsion_res
+    assert abs(residue_torsion(rel, (1.0, 1.0)).log_torsion_res
                - (-1.0)) < 1e-13
     absm = build_interval(1.0, "absolute")
-    assert abs(boundary_residue_torsion(absm, (0.0, 1.0)).log_torsion_res
+    assert abs(residue_torsion(absm, (0.0, 1.0)).log_torsion_res
                - 0.5) < 1e-13
     for condition in ("relative", "absolute"):
         cyl = build_cylinder(1.0, 2.0 * math.pi, condition)
-        assert abs(boundary_residue_torsion(
+        assert abs(residue_torsion(
             cyl, (1.0, 1.0, 1.0)).log_torsion_res) < 1e-13
 
 
@@ -121,7 +121,7 @@ def test_boundary_weighted_torsion_two_routes():
                   build_cylinder(1.0, 2.0 * math.pi, "relative"),
                   build_cylinder(1.0, 2.0 * math.pi, "absolute")):
         beta = tuple(float(k) for k in range(model.dim + 1))
-        report = boundary_residue_torsion(model, beta)
+        report = residue_torsion(model, beta)
         assembly = report.flags["weighted_assembly"]
         closed = report.flags["weighted_closed_form"]
         assert abs(assembly - closed) < 1e-10
@@ -134,7 +134,7 @@ def test_flat_weights_equal_twisted_chi():
                   build_interval(1.0, "absolute", rank=2),
                   build_cylinder(1.0, 2.0 * math.pi, "absolute")):
         ones = (1.0,) * (model.dim + 1)
-        report = boundary_residue_torsion(model, ones)
+        report = residue_torsion(model, ones)
         assert abs(report.log_torsion_res - model.chi) < 1e-12
 
 

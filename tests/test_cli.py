@@ -137,6 +137,10 @@ def test_model_torsion_boundary(capsys):
     payload = json.loads(out)
     assert payload["log_torsion_res"] == pytest.approx(0.5, abs=1e-9)
     assert payload["flags"]["weighted_closed_form"] == pytest.approx(0.5)
+    code, out, err = run_cli(capsys, "model-torsion", "--model", "interval",
+                             "--kind", "analytic")
+    assert code == 2 and out == ""
+    assert "residue only" in err
 
 
 def test_gluing_command(capsys):
@@ -163,6 +167,14 @@ def test_verify_json_stable_and_deterministic(capsys):
     assert payload["n_failed"] == 0
     ids = [case["case_id"] for case in payload["cases"]]
     assert ids == sorted(ids, key=ids.index)  # fixed registration order
+
+
+def test_tol_and_seed_only_where_read():
+    for argv in (["torsion", "--preset", "circle", "--tol", "1"],
+                 ["gluing", "--seed", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_verify_loose_tolerance_passes(capsys):

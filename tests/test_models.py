@@ -1,10 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from torsionlab import (
+    SpectralModel,
     analytic_torsion,
+    build_cylinder,
+    build_interval,
     build_model,
     build_preset,
     identity_suite,
@@ -13,7 +17,9 @@ from torsionlab import (
     residue_torsion,
     surface_residue_combination,
 )
+from torsionlab import boundary, models
 from torsionlab.errors import BadParameter, NotAcyclic, ShapeMismatch
+from torsionlab.torsion import euler_characteristics
 
 S_SAMPLES = (0.0, 0.75, 2.0)
 
@@ -174,3 +180,25 @@ def test_torsion_report_serialization():
     assert data["model"] == "sphere2"
     assert len(data["zeta_prime0"]) == 3
     assert "log_torsion_zeta" in data
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_model("circle"),
+    lambda: build_model("torus", n=2, L=1.0),
+    lambda: build_model("sphere2"),
+    lambda: build_interval(1.0, "absolute"),
+    lambda: build_cylinder(1.0, 2.0 * math.pi, "relative"),
+], ids=["circle", "torus", "sphere2", "interval", "cylinder"])
+def test_one_spectral_model_type(build):
+    model = build()
+    assert type(model) is SpectralModel
+    with pytest.raises(ShapeMismatch):
+        dataclasses.replace(model, betti=model.betti[:-1])
+    with pytest.raises(ShapeMismatch):
+        dataclasses.replace(model, heat=model.heat + model.heat[:1])
+    assert (model.chi, model.chi_prime) == euler_characteristics(model.betti, model.dim)
+    report = residue_torsion(model, range(model.dim + 1))
+    for key in ("weighted_assembly", "weighted_closed_form"):
+        assert abs(report.flags[key] - report.log_torsion_res) < 1e-12
+    assert models.ClosedModel is boundary.BoundaryModel is SpectralModel
+    assert "zeta" in vars(SpectralModel)

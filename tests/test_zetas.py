@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from torsionlab import (
     theta_expansion,
     zeta_at_zero,
 )
-from torsionlab.errors import BadParameter, PoleAtOne, PoleHit
+from torsionlab.errors import BadParameter, PoleAtOne, PoleHit, QuadratureFailure
 from torsionlab.zetas import _rgamma_prime, rgamma, sphere2_power_coefficients
 
 
@@ -307,11 +308,9 @@ def test_mellin_complex_s():
         mellin_zeta(h, complex(2.0, 0.5), derivative=True)
 
 
-def test_quad_eps_env_override(monkeypatch):
-    h = theta_expansion("circle", L=2.0 * math.pi)
-    monkeypatch.setenv("TORSIONLAB_QUAD_EPS", "1e-6")
-    loose = mellin_zeta(h, 2.0)
-    monkeypatch.delenv("TORSIONLAB_QUAD_EPS")
-    tight = mellin_zeta(h, 2.0)
-    assert abs(loose.value - tight.value) < 1e-6
-    assert loose.abs_error_estimate >= tight.abs_error_estimate
+def test_quadrature_warning_raises():
+    # sin(1/t) oscillates without bound near t = 0: quad cannot reach its target
+    h = dataclasses.replace(theta_expansion("circle", L=2.0 * math.pi),
+                            remainder=lambda t: math.sin(1.0 / t))
+    with pytest.raises(QuadratureFailure):
+        mellin_zeta(h, 2.0)
