@@ -26,18 +26,14 @@ from .complexes import (
 from .hodge import (
     ChainMetric,
     EigenspaceSplit,
-    SpectralData,
+    Factorization,
     acyclic_spectra,
     betti,
-    complex_power,
-    eigendecompose,
+    factorize,
     hodge_split,
     laplacian,
-    log_op,
     positive_spectra,
-    spectral_data,
     sym_expm,
-    tr_log,
 )
 from .torsion import (
     BetaClassification,

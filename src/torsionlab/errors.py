@@ -29,10 +29,6 @@ class ShapeMismatch(TorsionLabError):
     """Dimensions of matrices, metrics or weight vectors do not chain."""
 
 
-class NotInvertible(TorsionLabError):
-    """Strict-mode log-determinant requested on an operator with kernel."""
-
-
 class NotAnEigenvalue(TorsionLabError):
     """hodge_split was asked for an eigenvalue the operator does not have."""
 

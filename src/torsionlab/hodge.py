@@ -1,4 +1,4 @@
-"""Combinatorial Hodge theory: metrics, Laplacians, spectral calculus.
+"""Combinatorial Hodge theory: metrics, Laplacians, and their spectra.
 
 Conventions
 -----------
@@ -16,38 +16,31 @@ h_k-self-adjoint and positive semi-definite.  With identity metrics this is
 bd_k^T bd_k + bd_{k+1} bd_{k+1}^T.  Spectra (hence every torsion downstream)
 do not depend on the chain-vs-cochain bookkeeping.
 
-Torsion and Betti numbers never diagonalize a Laplacian.  Since
-d_k d_{k-1} = 0, the positive spectrum of L_k is the union of the squared
-singular values of the metric-weighted boundary maps
-h_{k+1}^{1/2} d_k h_k^{-1/2} and h_k^{1/2} d_{k-1} h_{k-1}^{-1/2}, so
-positive_spectra makes one SVD per boundary map and reads ranks off it with
-numpy's matrix_rank rule.  Working on the maps rather than on L_k keeps
-small eigenvalues accurate: cond(d) = sqrt(cond(L)).  The spectral calculus
-(hodge_split, green_inverse, complex powers, log L), which needs
-eigenvectors, solves the symmetric problem h^{1/2} L h^{-1/2} with LAPACK
-eigh and takes its kernel dimension from the same SVD rank rule.  All
-functions are pure and operate on immutable inputs; results are
+No Laplacian is ever diagonalized.  Since d_k d_{k-1} = 0, the positive
+eigenpairs of L_k are the singular pairs of the metric-weighted boundary
+maps W_k = h_k^{1/2} bd_k^T h_{k-1}^{-1/2} and W_{k+1}: the left singular
+vectors of W_k span the closed part, the right singular vectors of W_{k+1}
+the coclosed part, and each sigma^2 is an eigenvalue.  factorize makes one
+values-only SVD per map and reads ranks off it with numpy's matrix_rank
+rule, the one kernel rule; torsion and Betti numbers need nothing more.
+Singular vectors (for eigenpairs, green_inverse and hodge_split) come from
+a second SVD of a map, run once on first use.  Working on the maps rather
+than on L_k keeps small eigenvalues accurate: cond(W) = sqrt(cond(L)).
+All functions are pure and operate on immutable inputs; results are
 deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .complexes import TwistedComplex
-from .errors import (
-    BadParameter,
-    NotAcyclic,
-    NotAnEigenvalue,
-    NotInvertible,
-    ShapeMismatch,
-)
+from .errors import BadParameter, NotAcyclic, NotAnEigenvalue, ShapeMismatch
 
 SYMMETRY_TOL = 1e-12
-KERNEL_RELTOL = 1e-9
 EIGENVALUE_MATCH_RELTOL = 1e-7
 
 
@@ -148,10 +141,11 @@ def coboundary(cplx: TwistedComplex, k: int) -> np.ndarray:
 
 
 def metric_adjoint(cplx: TwistedComplex, metric: ChainMetric, k: int) -> np.ndarray:
-    """delta_k = h_k^{-1} d_k^T h_{k+1} : C_{k+1} -> C_k."""
+    """delta_k = h_k^{-1} d_k^T h_{k+1} : C_{k+1} -> C_k (d_k^T for the identity metric)."""
     d = coboundary(cplx, k)
-    return metric.inv(k) @ d.T @ metric.matrix(k + 1) if k + 1 <= cplx.dimension \
-        else d.T
+    if metric.is_identity or k + 1 > cplx.dimension:
+        return d.T
+    return metric.inv(k) @ d.T @ metric.matrix(k + 1)
 
 
 def laplacian(cplx: TwistedComplex, metric: ChainMetric | None, k: int) -> np.ndarray:
@@ -168,115 +162,98 @@ def laplacian(cplx: TwistedComplex, metric: ChainMetric | None, k: int) -> np.nd
     return lap
 
 
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigendecomposition of an h-self-adjoint operator.
+@dataclass(frozen=True, eq=False)
+class Factorization:
+    """The singular values and vectors of every metric-weighted boundary map.
 
-    eigenvalues are ascending; eigenvector columns are h-orthonormal
-    (plain orthonormal for the identity metric).  The first kernel_dim
-    eigenvalues are the kernel: for a Laplacian from spectral_data,
-    dims[k] minus the positive_spectra count (the rank rule of betti);
-    for a bare matrix from eigendecompose, those below
-    1e-9 * max(1, lambda_max).
+    maps[k] is W_k = h_k^{1/2} bd_k^T h_{k-1}^{-1/2} : C_{k-1} -> C_k for
+    0 <= k <= n + 1 (bd_k^T itself for the identity metric, zero-shaped for
+    k = 0 and k = n + 1).  sigmas[k] holds its singular values above numpy's
+    matrix_rank cut sigma_max * max(W_k.shape) * eps, descending; that cut
+    is the one kernel rule.  Each sigma^2 belongs to both L_{k-1} and L_k,
+    so spectra[k] (ascending) is the positive spectrum of L_k.  Singular
+    vectors are computed on first use, one SVD per map, and cached.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    kernel_dim: int
-    metric: np.ndarray  # h in this degree; defines the inverse V^{-1} = V^T h
-
-    def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
+    cplx: TwistedComplex
+    metric: ChainMetric
+    maps: tuple[np.ndarray, ...]
+    sigmas: tuple[np.ndarray, ...]
+    spectra: tuple[np.ndarray, ...]
+    _vectors: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
-    def size(self) -> int:
-        return self.eigenvalues.shape[0]
+    def betti(self) -> list[int]:
+        return [dim - lam.size for dim, lam in zip(self.cplx.dims, self.spectra)]
 
-    @property
-    def vectors_inverse(self) -> np.ndarray:
-        return self.eigenvectors.T @ self.metric
+    def _singular_vectors(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(U, V) of W_k for the kept singular values: W_k V = U diag(sigmas[k])."""
+        if k not in self._vectors:
+            w, r = self.maps[k], self.sigmas[k].size
+            if r:
+                u, _, vt = np.linalg.svd(w, full_matrices=False)
+                u, v = u[:, :r], vt[:r].T
+            else:
+                u, v = np.zeros((w.shape[0], 0)), np.zeros((w.shape[1], 0))
+            self._vectors[k] = (u, v)
+        return self._vectors[k]
 
-    def positive_eigenvalues(self) -> np.ndarray:
-        return self.eigenvalues[self.kernel_dim:]
+    def eigenpairs(self, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """(eigenvalues, eigenvectors, n_closed): the positive eigenpairs of L_k.
 
-    def apply_function(self, values: np.ndarray) -> np.ndarray:
-        """Reassemble V diag(values) V^{-1}; `values` must be spectrum-aligned."""
-        return (self.eigenvectors * values) @ self.vectors_inverse
+        Eigenvector columns are h_k-orthonormal.  The first n_closed are
+        closed (in im d_{k-1}): left singular vectors of W_k.  The rest are
+        coclosed (in im delta_k): right singular vectors of W_{k+1}.  Both
+        are mapped back by h_k^{-1/2}; the eigenvalues are their sigma^2.
+        """
+        if not 0 <= k <= self.cplx.dimension:
+            raise ShapeMismatch(f"degree {k} outside 0..{self.cplx.dimension}")
+        closed, _ = self._singular_vectors(k)
+        _, coclosed = self._singular_vectors(k + 1)
+        vectors = np.hstack([closed, coclosed])
+        if not self.metric.is_identity:
+            vectors = self.metric.isqrt(k) @ vectors
+        lam = np.concatenate([self.sigmas[k], self.sigmas[k + 1]]) ** 2
+        return lam, vectors, closed.shape[1]
 
-    def kernel_projector(self) -> np.ndarray:
-        mask = np.zeros(self.size)
-        mask[:self.kernel_dim] = 1.0
-        return self.apply_function(mask)
+    def green_inverse(self, k: int) -> np.ndarray:
+        """(L_k + Pi_ker)^{-1} = I + Q (1/lambda - 1) Q^T h_k.
 
-    def green_inverse(self) -> np.ndarray:
-        """(L + Pi_ker)^{-1}: the inverse off the kernel, identity on it."""
-        lam = self.eigenvalues.copy()
-        lam[:self.kernel_dim] = 1.0
-        return self.apply_function(1.0 / lam)
-
-
-def eigendecompose(mat: np.ndarray, h: np.ndarray | None = None) -> SpectralData:
-    """Spectral data of an h-self-adjoint PSD matrix (h = I when omitted).
-
-    Solved as a plain symmetric problem on h^{1/2} mat h^{-1/2}; never as a
-    generalized eigenproblem.
-    """
-    mat = np.asarray(mat, dtype=float)
-    return _eigendecompose(mat, ChainMetric([np.eye(mat.shape[0]) if h is None else h]), 0)
-
-
-def _eigendecompose(mat: np.ndarray, metric: ChainMetric, k: int,
-                    kernel_dim: int | None = None) -> SpectralData:
-    """eigendecompose with the factors of h_k that metric already holds.
-
-    kernel_dim, when given, replaces the relative eigenvalue cut.
-    """
-    h = metric.matrix(k)
-    if h.shape != mat.shape:
-        raise ShapeMismatch("metric and operator shapes differ")
-    sym = metric.sqrt(k) @ mat @ metric.isqrt(k)
-    w, q = np.linalg.eigh(0.5 * (sym + sym.T))
-    n = w.shape[0]
-    lam_max = float(w[-1]) if n else 0.0
-    threshold = KERNEL_RELTOL * max(1.0, lam_max)
-    if n and float(w[0]) < -threshold:
-        raise BadParameter(f"operator is not PSD: min eigenvalue {w[0]:.3e}")
-    if kernel_dim is None:
-        kernel_dim = int(np.sum(np.abs(w) < threshold))
-    return SpectralData(eigenvalues=w, eigenvectors=metric.isqrt(k) @ q,
-                        kernel_dim=kernel_dim, metric=h)
+        Q holds the positive eigenvectors, so this is L_k^{-1} off the
+        kernel and the identity on it; no kernel basis is needed.
+        """
+        lam, q, _ = self.eigenpairs(k)
+        q_h = q.T if self.metric.is_identity else q.T @ self.metric.matrix(k)
+        return np.eye(q.shape[0]) + (q * (1.0 / lam - 1.0)) @ q_h
 
 
-def spectral_data(cplx: TwistedComplex, metric: ChainMetric | None, k: int) -> SpectralData:
-    """Spectral data of L_k; kernel_dim is betti(cplx, metric)[k]."""
+def factorize(cplx: TwistedComplex, metric: ChainMetric | None = None) -> Factorization:
+    """One values-only SVD per weighted boundary map; vectors come later, on demand."""
     metric = _require_metric(cplx, metric)
-    kernel_dim = cplx.dims[k] - positive_spectra(cplx, metric)[k].size
-    return _eigendecompose(laplacian(cplx, metric, k), metric, k, kernel_dim)
+    dims = cplx.dims
+    maps, sigmas = [np.zeros((dims[0], 0))], [np.zeros(0)]
+    for k in range(1, len(dims)):
+        w = cplx.boundary(k).T
+        if not metric.is_identity:
+            w = metric.sqrt(k) @ w @ metric.isqrt(k - 1)
+        sigma = np.linalg.svd(w, compute_uv=False) if w.size else np.zeros(0)
+        cut = sigma[0] * max(w.shape) * np.finfo(float).eps if sigma.size else 0.0
+        maps.append(w)
+        sigmas.append(sigma[sigma > cut])
+    maps.append(np.zeros((0, dims[-1])))
+    sigmas.append(np.zeros(0))
+    spectra = tuple(np.sort(np.concatenate(sigmas[k:k + 2]) ** 2) for k in range(len(dims)))
+    return Factorization(cplx=cplx, metric=metric, maps=tuple(maps),
+                         sigmas=tuple(sigmas), spectra=spectra)
 
 
 def positive_spectra(cplx: TwistedComplex,
                      metric: ChainMetric | None = None) -> list[np.ndarray]:
     """The positive spectrum of every L_k, ascending, with no Laplacian built.
 
-    One SVD per weighted boundary map W_k = h_k^{1/2} bd_k^T h_{k-1}^{-1/2}
-    (bd_k^T itself for the identity metric); its squared singular values
-    above numpy's matrix_rank cut (sigma_max * max(W.shape) * eps) belong to
-    both L_{k-1} and L_k.  So cplx.dims[k] - len(spectra[k]) is the k-th
-    Betti number.
+    cplx.dims[k] - len(spectra[k]) is the k-th Betti number.
     """
-    metric = _require_metric(cplx, metric)
-    parts: list[list[np.ndarray]] = [[] for _ in cplx.dims]
-    for k in range(1, cplx.dimension + 1):
-        w = cplx.boundary(k).T
-        if not metric.is_identity:
-            w = metric.sqrt(k) @ w @ metric.isqrt(k - 1)
-        sigma = np.linalg.svd(w, compute_uv=False) if w.size else np.zeros(0)
-        cut = sigma[0] * max(w.shape) * np.finfo(float).eps if sigma.size else 0.0
-        lam = sigma[sigma > cut] ** 2
-        parts[k - 1].append(lam)
-        parts[k].append(lam)
-    return [np.sort(np.concatenate(p)) if p else np.zeros(0) for p in parts]
+    return list(factorize(cplx, metric).spectra)
 
 
 def acyclic_spectra(cplx: TwistedComplex,
@@ -285,55 +262,17 @@ def acyclic_spectra(cplx: TwistedComplex,
 
     Raises NotAcyclic, naming the first degree with a nonzero Betti number.
     """
-    spectra = positive_spectra(cplx, metric)
-    b = [dim - lam.size for dim, lam in zip(cplx.dims, spectra)]
+    fac = factorize(cplx, metric)
+    b = fac.betti
     for k, b_k in enumerate(b):
         if b_k:
             raise NotAcyclic(f"degree {k} has Betti number {b_k} (Betti numbers {b})")
-    return spectra
-
-
-def complex_power(spec: SpectralData, z: complex) -> np.ndarray:
-    """L^z by spectral calculus: lambda -> lambda^z off the kernel, 0 on it.
-
-    complex_power(spec, 0) is the projector onto the orthogonal complement
-    of the kernel; complex_power(spec, 1) is L with its kernel removed.
-    """
-    lam = spec.eigenvalues
-    if isinstance(z, complex) and z.imag != 0.0:
-        values = np.zeros(spec.size, dtype=complex)
-        pos = lam[spec.kernel_dim:].astype(complex)
-        values[spec.kernel_dim:] = pos ** z
-    else:
-        z = float(z.real if isinstance(z, complex) else z)
-        values = np.zeros(spec.size)
-        values[spec.kernel_dim:] = np.maximum(lam[spec.kernel_dim:], 0.0) ** z
-    return spec.apply_function(values)
-
-
-def log_op(spec: SpectralData) -> np.ndarray:
-    """log L: eigenvalue-wise logarithm on the nonzero spectrum, 0 on the kernel."""
-    values = np.zeros(spec.size)
-    positive = spec.eigenvalues[spec.kernel_dim:]
-    values[spec.kernel_dim:] = np.log(positive)
-    return spec.apply_function(values)
-
-
-def tr_log(spec: SpectralData, strict: bool = False) -> float:
-    """Sum of log(lambda) over the nonzero spectrum.
-
-    With strict=True the operator must be invertible (kernel_dim == 0);
-    otherwise NotInvertible is raised.
-    """
-    if strict and spec.kernel_dim > 0:
-        raise NotInvertible(f"operator has a {spec.kernel_dim}-dimensional kernel")
-    positive = spec.eigenvalues[spec.kernel_dim:]
-    return float(np.sum(np.log(positive)))
+    return list(fac.spectra)
 
 
 def betti(cplx: TwistedComplex, metric: ChainMetric | None = None) -> list[int]:
     """Kernel dimensions of the degree-k Laplacians (twisted Betti numbers)."""
-    return [dim - lam.size for dim, lam in zip(cplx.dims, positive_spectra(cplx, metric))]
+    return factorize(cplx, metric).betti
 
 
 @dataclass(frozen=True)
@@ -363,14 +302,13 @@ def hodge_split(cplx: TwistedComplex, metric: ChainMetric | None, k: int,
                 lam: float) -> EigenspaceSplit:
     """Split the lambda-eigenspace of L_k into closed and coclosed parts."""
     metric = _require_metric(cplx, metric)
-    spec = spectral_data(cplx, metric, k)
+    eigenvalues, vectors, n_closed = factorize(cplx, metric).eigenpairs(k)
     if lam <= 0:
         raise NotAnEigenvalue(f"{lam} is not a positive eigenvalue")
-    close = np.abs(spec.eigenvalues - lam) <= EIGENVALUE_MATCH_RELTOL * max(1.0, abs(lam))
-    close[:spec.kernel_dim] = False
+    close = np.abs(eigenvalues - lam) <= EIGENVALUE_MATCH_RELTOL * max(1.0, abs(lam))
     if not np.any(close):
         raise NotAnEigenvalue(f"{lam} does not match any positive eigenvalue of L_{k}")
-    basis = spec.eigenvectors[:, close]
+    basis = vectors[:, close]
     h_k = metric.matrix(k)
     down = coboundary(cplx, k - 1) @ metric_adjoint(cplx, metric, k - 1) if k > 0 \
         else np.zeros((cplx.dims[k], cplx.dims[k]))
@@ -378,8 +316,8 @@ def hodge_split(cplx: TwistedComplex, metric: ChainMetric | None, k: int,
         else np.zeros((cplx.dims[k], cplx.dims[k]))
     proj_closed = basis.T @ h_k @ (down @ basis) / lam
     proj_coclosed = basis.T @ h_k @ (up @ basis) / lam
-    f_mult = int(round(float(np.trace(proj_closed))))
-    g_mult = int(round(float(np.trace(proj_coclosed))))
+    f_mult = int(np.count_nonzero(close[:n_closed]))
+    g_mult = int(np.count_nonzero(close[n_closed:]))
     return EigenspaceSplit(eigenvalue=float(lam), f_mult=f_mult, g_mult=g_mult,
                            proj_closed=proj_closed, proj_coclosed=proj_coclosed,
                            basis=basis)

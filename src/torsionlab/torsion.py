@@ -28,6 +28,7 @@ from .hodge import (
     ChainMetric,
     acyclic_spectra,
     coboundary,
+    factorize,
     laplacian,
     metric_adjoint,
     sym_expm,
@@ -297,20 +298,18 @@ def _variation_single(cplx: TwistedComplex, path: MetricPath, beta: Sequence[flo
     lhs = (2.0 * _weighted_log_torsion(cplx, hp, beta)
            - 2.0 * _weighted_log_torsion(cplx, hm, beta)) / (2.0 * step)
 
-    alphas = []
-    for k in range(n + 1):
-        hdot = (hp.matrix(k) - hm.matrix(k)) / (2.0 * step)
-        alphas.append(h0.inv(k) @ hdot)
-
-    gammas, tr_alphas = [], []
-    for k in range(n + 1):
-        tr_alphas.append(float(np.trace(alphas[k])))
-        if k < n:
-            up = metric_adjoint(cplx, h0, k) @ coboundary(cplx, k)
-            gammas.append(float(np.trace(
-                np.linalg.solve(laplacian(cplx, h0, k), up @ alphas[k]))))
-        else:
-            gammas.append(0.0)  # delta_n d_n vanishes in the top degree
+    hdots = [(hp.matrix(k) - hm.matrix(k)) / (2.0 * step) for k in range(n + 1)]
+    alphas = [h0.inv(k) @ hdot for k, hdot in enumerate(hdots)]
+    tr_alphas = [float(np.trace(alpha)) for alpha in alphas]
+    # P_k delta_k d_k is the h_k-orthogonal projector onto im delta_k, spanned
+    # by the coclosed eigenvectors v_i of L_k, so gamma_k = sum_i v_i^T dh_k/du v_i
+    fac = factorize(cplx, h0)
+    gammas = []
+    for k in range(n):
+        _, vectors, n_closed = fac.eigenpairs(k)
+        coclosed = vectors[:, n_closed:]
+        gammas.append(float(np.sum(coclosed * (hdots[k] @ coclosed))))
+    gammas.append(0.0)  # delta_n d_n vanishes in the top degree
 
     def gamma(j: int) -> float:
         return gammas[j] if 0 <= j <= n else 0.0

@@ -34,14 +34,14 @@ from .complexes import (
 from .errors import NotAcyclicPreset, PoleHit, StepTooLarge, UnsupportedPartition
 from .hodge import (
     ChainMetric,
+    acyclic_spectra,
     betti,
     coboundary,
-    eigendecompose,
+    factorize,
     hodge_split,
     laplacian,
     metric_adjoint,
-    spectral_data,
-    tr_log,
+    positive_spectra,
 )
 from .torsion import (
     classify_beta,
@@ -243,19 +243,21 @@ def combinatorial_suite(tol: float | None = None,
             "circle Laplacians equal (2 - 2 cos theta) I in both degrees",
             "closed-form:rotation-algebra", worst, 1e-12)
 
-    spec = eigendecompose(np.diag([0.0, 1.0, 4.0]))
-    rec.add("eigendecompose-diag",
-            "diag(0, 1, 4) has spectrum [0, 1, 4] with kernel dimension 1",
-            "closed-form:diagonal",
-            float(np.max(np.abs(spec.eigenvalues - np.array([0.0, 1.0, 4.0]))))
-            + abs(spec.kernel_dim - 1), 1e-12)
+    worst = 0.0
+    for theta in (1.0, math.pi / 2, 2.5):
+        gap = 2.0 - 2.0 * math.cos(theta)
+        for lam in positive_spectra(build_preset("circle", theta=theta)):
+            worst = max(worst, float(np.max(np.abs(lam - gap))) + abs(lam.size - 2))
+    rec.add("spectrum-circle-closed-form",
+            "circle positive spectra are 2 - 2 cos theta, twice, in both degrees",
+            "closed-form:rotation-algebra", worst, 1e-12)
 
     cx2 = build_preset("torus2", alpha=1.0, beta=0.3)
     metric = ChainMetric.random_spd(cx2, rng)
     worst_exact, worst_green = 0.0, 0.0
     laps = [laplacian(cx2, metric, k) for k in range(3)]
-    specs = [spectral_data(cx2, metric, k) for k in range(3)]
-    greens = [s.green_inverse() for s in specs]
+    fac = factorize(cx2, metric)
+    greens = [fac.green_inverse(k) for k in range(3)]
     for k in range(2):
         d_k = coboundary(cx2, k)
         scale = max(1.0, float(np.max(np.abs(d_k @ laps[k]))))
@@ -278,15 +280,15 @@ def combinatorial_suite(tol: float | None = None,
             "identity:chain-complex", worst_green, 1e-9)
 
     worst = 0.0
-    for size in (3, 5, 8):
-        s = rng.standard_normal((size, size))
-        spd = s @ s.T + size * np.eye(size)
-        spec = eigendecompose(spd)
-        chol = np.linalg.cholesky(spd)
+    for k in range(3):
+        sym = metric.sqrt(k) @ laps[k] @ metric.isqrt(k)
+        chol = np.linalg.cholesky(0.5 * (sym + sym.T))
         oracle = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        worst = max(worst, abs(tr_log(spec, strict=True) - oracle)
+        worst = max(worst, abs(float(np.sum(np.log(fac.spectra[k]))) - oracle)
                     / max(1.0, abs(oracle)))
-    rec.add("tr-log-factorization", "tr log L matches Cholesky pivot logs",
+    rng.standard_normal(3 * 3 + 5 * 5 + 8 * 8)  # later cases' inputs sit at fixed rng offsets
+    rec.add("tr-log-factorization",
+            "sum log sigma^2 matches Cholesky pivot logs of h^1/2 L h^-1/2 on the torus",
             "oracle:cholesky-pivots", worst, 1e-9)
 
     cxq = build_preset("circle", theta=math.pi / 2)
@@ -305,8 +307,7 @@ def combinatorial_suite(tol: float | None = None,
             "quarter-turn circle: degree 0 is all coclosed, degree 1 all closed",
             "oracle:boundary-isomorphism", measured, 1e-9)
 
-    spec0 = spectral_data(cx2, None, 0)
-    lam = float(spec0.positive_eigenvalues()[0])
+    lam = float(positive_spectra(cx2)[0][0])
     g0 = hodge_split(cx2, None, 0, lam).g_mult
     f1 = hodge_split(cx2, None, 1, lam).f_mult
     rec.add("hodge-split-torus-pairing",
@@ -443,7 +444,7 @@ def combinatorial_suite(tol: float | None = None,
     measured = abs(generalized_log_torsion((a, b_), (0.0, 1.0)) - 0.5 * b_)
     measured += abs(generalized_log_torsion((a, b_), (0.0, 0.0)))
     cxq = build_preset("circle", theta=math.pi / 2)
-    tr_logs = [tr_log(spectral_data(cxq, None, k), strict=True) for k in (0, 1)]
+    tr_logs = [float(np.sum(np.log(lam))) for lam in acyclic_spectra(cxq)]
     measured += abs(generalized_log_torsion(tr_logs, (0.0, 1.0)) - math.log(2.0))
     rec.add("weighted-combination-examples",
             "weighted combinations reproduce the stated special values",

@@ -6,26 +6,25 @@ import pytest
 from torsionlab import (
     ChainMetric,
     Representation,
+    acyclic_spectra,
     betti,
     build_preset,
     build_twisted_boundary,
-    complex_power,
-    eigendecompose,
+    factorize,
     hodge_split,
     laplacian,
-    log_op,
     positive_spectra,
     preset,
-    spectral_data,
     sym_expm,
-    tr_log,
 )
 from torsionlab.errors import (
     BadParameter,
+    NotAcyclic,
     NotAnEigenvalue,
-    NotInvertible,
     ShapeMismatch,
 )
+from torsionlab.hodge import coboundary, metric_adjoint
+from test_torsion import _grid_torus, _ngon_circle
 
 
 def _trivial_circle():
@@ -44,14 +43,16 @@ def test_laplacian_circle_closed_form():
 
 
 def test_laplacian_identity_metric_definition():
-    cx = build_preset("torus2", alpha=1.0, beta=0.3)
-    for k in range(3):
-        direct = np.zeros((cx.dims[k], cx.dims[k]))
-        if k >= 1:
-            direct += cx.boundary(k).T @ cx.boundary(k)
-        if k + 1 <= 2:
-            direct += cx.boundary(k + 1) @ cx.boundary(k + 1).T
-        assert np.max(np.abs(laplacian(cx, None, k) - direct)) < 1e-13
+    # the identity metric multiplies by no identity factor: L_k is bd^T bd + bd bd^T exactly
+    for cx in (build_preset("torus2", alpha=1.0, beta=0.3), _ngon_circle(8, 1.3),
+               _grid_torus(4, 1.0, 0.3)):
+        for k in range(cx.dimension + 1):
+            direct = np.zeros((cx.dims[k], cx.dims[k]))
+            if k >= 1:
+                direct += cx.boundary(k).T @ cx.boundary(k)
+            if k + 1 <= cx.dimension:
+                direct += cx.boundary(k + 1) @ cx.boundary(k + 1).T
+            assert np.array_equal(laplacian(cx, None, k), direct)
 
 
 def test_laplacian_point_is_zero():
@@ -81,73 +82,53 @@ def test_laplacian_shape_mismatch():
 
 
 def test_eigendecompose_examples():
-    spec = eigendecompose(np.diag([0.0, 1.0, 4.0]))
-    assert np.allclose(spec.eigenvalues, [0.0, 1.0, 4.0])
-    assert spec.kernel_dim == 1
-
+    # eigenpairs of L_k: closed pairs (from W_k) first, then coclosed (from W_{k+1})
     cx = build_preset("circle", theta=math.pi / 2)
-    spec = spectral_data(cx, None, 1)
-    assert np.allclose(spec.eigenvalues, [2.0, 2.0])
-    assert spec.kernel_dim == 0
+    fac = factorize(cx)
+    lam, vectors, n_closed = fac.eigenpairs(1)
+    assert np.allclose(lam, [2.0, 2.0]) and vectors.shape == (2, 2) and n_closed == 2
+    lam, vectors, n_closed = fac.eigenpairs(0)
+    assert np.allclose(lam, [2.0, 2.0]) and vectors.shape == (2, 2) and n_closed == 0
 
     cx2 = build_preset("torus2", alpha=1.0, beta=0.3)
-    assert all(spectral_data(cx2, None, k).kernel_dim == 0 for k in range(3))
+    fac = factorize(cx2)
+    assert [fac.eigenpairs(k)[2] for k in range(3)] == [0, 2, 2]
+    assert all(fac.eigenpairs(k)[0].size == cx2.dims[k] for k in range(3))  # no kernel
+    with pytest.raises(ShapeMismatch):
+        fac.eigenpairs(3)
 
 
 def test_eigendecompose_residuals_and_orthonormality():
     rng = np.random.default_rng(8)
     cx = build_preset("torus2", alpha=0.9, beta=2.4)
     metric = ChainMetric.random_spd(cx, rng)
+    fac = factorize(cx, metric)
     for k in range(3):
         lap = laplacian(cx, metric, k)
-        spec = spectral_data(cx, metric, k)
+        lam, vectors, n_closed = fac.eigenpairs(k)
+        assert np.array_equal(np.sort(lam), fac.spectra[k])
         scale = max(1.0, np.max(np.abs(lap)))
-        for lam, v in zip(spec.eigenvalues, spec.eigenvectors.T):
-            assert np.linalg.norm(lap @ v - lam * v) < 1e-9 * scale
-        gram = spec.eigenvectors.T @ metric.matrix(k) @ spec.eigenvectors
-        assert np.max(np.abs(gram - np.eye(spec.size))) < 1e-10
-
-
-def test_complex_power_examples():
-    spec = eigendecompose(np.diag([4.0]))
-    assert np.allclose(complex_power(spec, 0.5), [[2.0]])
-    spec = eigendecompose(np.diag([0.0, 9.0]))
-    assert np.allclose(complex_power(spec, 0.5), np.diag([0.0, 3.0]))
-    # power at 0 is the projector off the kernel
-    assert np.allclose(complex_power(spec, 0.0), np.diag([0.0, 1.0]))
-
-
-def test_complex_power_derivative_matches_log_by_richardson():
-    rng = np.random.default_rng(2)
-    s = rng.standard_normal((5, 5))
-    mat = s @ s.T + 5.0 * np.eye(5)
-    spec = eigendecompose(mat)
-    logm = log_op(spec)
-
-    def central(eps):
-        return (complex_power(spec, eps) - complex_power(spec, -eps)) / (2.0 * eps)
-
-    d1, d2 = central(1e-3), central(5e-4)
-    err1 = np.max(np.abs(d1 - logm))
-    err2 = np.max(np.abs(d2 - logm))
-    assert err1 < 1e-4
-    assert err1 / err2 > 3.0  # O(eps^2)
-    richardson = (4.0 * d2 - d1) / 3.0
-    assert np.max(np.abs(richardson - logm)) < err2
+        for value, v in zip(lam, vectors.T):
+            assert np.linalg.norm(lap @ v - value * v) < 1e-9 * scale
+        gram = vectors.T @ metric.matrix(k) @ vectors
+        assert np.max(np.abs(gram - np.eye(lam.size))) < 1e-10
+        # closed vectors have d_k v = 0, coclosed ones delta_{k-1} v = 0
+        assert np.max(np.abs(coboundary(cx, k) @ vectors[:, :n_closed]), initial=0.0) < 1e-10
+        if k > 0:
+            down = metric_adjoint(cx, metric, k - 1) @ vectors[:, n_closed:]
+            assert np.max(np.abs(down), initial=0.0) < 1e-10
 
 
 def test_tr_log_values_and_strict_mode():
-    spec = eigendecompose(np.diag([math.e, math.e ** 2]))
-    assert abs(tr_log(spec) - 3.0) < 1e-12
+    # L_0 = L_1 = e I on the circle with 2 - 2 cos theta = e, so tr log L_0 = 2
+    cx = build_preset("circle", theta=math.acos(1.0 - math.e / 2.0))
+    assert abs(float(np.sum(np.log(acyclic_spectra(cx)[0]))) - 2.0) < 1e-12
 
     cx = build_preset("circle", theta=math.pi / 2)
-    spec = spectral_data(cx, None, 1)
-    assert abs(tr_log(spec, strict=True) - 2.0 * math.log(2.0)) < 1e-12
+    assert abs(float(np.sum(np.log(acyclic_spectra(cx)[1]))) - 2.0 * math.log(2.0)) < 1e-12
 
-    point = build_preset("point")
-    spec = spectral_data(point, None, 0)
-    with pytest.raises(NotInvertible):
-        tr_log(spec, strict=True)
+    with pytest.raises(NotAcyclic):
+        acyclic_spectra(build_preset("point"))
 
 
 def test_betti_examples():
@@ -160,17 +141,25 @@ def test_betti_examples():
 
 
 def test_spectral_data_kernel_follows_betti():
-    # both eigenvalues of L_0 sit near 9e-10, below the old relative cut
+    # both eigenvalues of L_0 sit near 9e-10, far above the rank cut
     cx = build_preset("circle", theta=3e-5)
     assert betti(cx) == [0, 0]
     lap = laplacian(cx, None, 0)
-    spec = spectral_data(cx, None, 0)
-    assert spec.kernel_dim == 0
-    assert np.max(np.abs(spec.green_inverse() @ lap - np.eye(2))) < 1e-8
+    fac = factorize(cx)
+    assert fac.eigenpairs(0)[0].size == 2
+    assert np.max(np.abs(fac.green_inverse(0) @ lap - np.eye(2))) < 1e-8
     trivial = _trivial_circle()
-    assert [spectral_data(trivial, None, k).kernel_dim for k in (0, 1)] == betti(trivial)
-    # a bare matrix keeps the relative cut
-    assert eigendecompose(np.diag([9e-10, 1.0])).kernel_dim == 1
+    fac = factorize(trivial)
+    assert [d - fac.eigenpairs(k)[0].size for k, d in enumerate(trivial.dims)] \
+        == fac.betti == betti(trivial) == [1, 1]
+    # the untwisted 8-gon: green_inverse is I on the constant sections, its kernel
+    ngon = _ngon_circle(8, 0.0)
+    assert betti(ngon) == [2, 2]
+    green = factorize(ngon).green_inverse(0)
+    constants = np.tile(np.eye(2), (8, 1))
+    off_kernel = np.eye(16) - constants @ constants.T / 8.0
+    assert np.max(np.abs(green @ constants - constants)) < 1e-12
+    assert np.max(np.abs(green @ laplacian(ngon, None, 0) - off_kernel)) < 1e-12
 
 
 def test_identity_metric_is_unfactored_identity():
@@ -236,8 +225,7 @@ def test_hodge_split_pairing_across_degrees():
     cx = build_preset("torus2", alpha=1.0, beta=0.3)
     metric = ChainMetric.random_spd(cx, rng)
     for k in (0, 1):
-        spec = spectral_data(cx, metric, k)
-        for lam in spec.positive_eigenvalues():
+        for lam in positive_spectra(cx, metric)[k]:
             g_here = hodge_split(cx, metric, k, float(lam)).g_mult
             try:
                 f_above = hodge_split(cx, metric, k + 1, float(lam)).f_mult
@@ -255,14 +243,12 @@ def test_hodge_split_rejects_non_eigenvalue():
 
 
 def test_intertwining_identities():
-    from torsionlab.hodge import coboundary, metric_adjoint
-
     rng = np.random.default_rng(12)
     cx = build_preset("torus2", alpha=1.9, beta=0.7)
     metric = ChainMetric.random_spd(cx, rng)
     laps = [laplacian(cx, metric, k) for k in range(3)]
-    specs = [spectral_data(cx, metric, k) for k in range(3)]
-    greens = [s.green_inverse() for s in specs]
+    fac = factorize(cx, metric)
+    greens = [fac.green_inverse(k) for k in range(3)]
     for k in range(2):
         d_k = coboundary(cx, k)
         delta_k = metric_adjoint(cx, metric, k)
@@ -275,9 +261,13 @@ def test_intertwining_identities():
 
 def test_tr_log_matches_cholesky_pivots():
     rng = np.random.default_rng(21)
-    for size in (3, 6, 10):
-        s = rng.standard_normal((size, size))
-        spd = s @ s.T + size * np.eye(size)
-        spec = eigendecompose(spd)
-        oracle = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(spd)))))
-        assert abs(tr_log(spec, strict=True) - oracle) < 1e-9 * max(1.0, abs(oracle))
+    for cx in (build_preset("torus2", alpha=1.0, beta=0.3), _ngon_circle(6, 2.0),
+               _grid_torus(3, 0.7, 1.9)):
+        metric = ChainMetric.random_spd(cx, rng)
+        spectra = acyclic_spectra(cx, metric)
+        for k in range(cx.dimension + 1):
+            sym = metric.sqrt(k) @ laplacian(cx, metric, k) @ metric.isqrt(k)
+            chol = np.linalg.cholesky(0.5 * (sym + sym.T))
+            oracle = 2.0 * float(np.sum(np.log(np.diag(chol))))
+            tr_log = float(np.sum(np.log(spectra[k])))
+            assert abs(tr_log - oracle) < 1e-9 * max(1.0, abs(oracle))

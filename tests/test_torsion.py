@@ -8,6 +8,7 @@ from torsionlab import (
     CellStructure,
     ChainMetric,
     Representation,
+    acyclic_spectra,
     betti,
     build_preset,
     build_twisted_boundary,
@@ -15,15 +16,16 @@ from torsionlab import (
     determinant_oracle,
     euler_characteristics,
     exponential_metric_path,
+    factorize,
     generalized_log_torsion,
     log_reidemeister,
+    positive_spectra,
     rotation,
-    spectral_data,
     telescoping_identity_holds,
-    tr_log,
     variation_check,
 )
 from torsionlab.errors import NotAcyclic, PivotFailure, ShapeMismatch, StepTooLarge
+from torsionlab.hodge import coboundary, laplacian, metric_adjoint
 from torsionlab.torsion import (
     RANK_TOL,
     _full_pivot_logdet,
@@ -93,6 +95,36 @@ def _reference_full_pivot_logdet(mat):
     return pivot_rows, log_det
 
 
+def _reference_positive_spectra(cx, metric):
+    """One values-only SVD per weighted boundary map, each sigma^2 in two degrees."""
+    parts = [[] for _ in cx.dims]
+    for k in range(1, cx.dimension + 1):
+        w = cx.boundary(k).T
+        if not metric.is_identity:
+            w = metric.sqrt(k) @ w @ metric.isqrt(k - 1)
+        sigma = np.linalg.svd(w, compute_uv=False) if w.size else np.zeros(0)
+        cut = sigma[0] * max(w.shape) * np.finfo(float).eps if sigma.size else 0.0
+        lam = sigma[sigma > cut] ** 2
+        parts[k - 1].append(lam)
+        parts[k].append(lam)
+    return [np.sort(np.concatenate(p)) if p else np.zeros(0) for p in parts]
+
+
+def _reference_gammas(cx, path, u0, step):
+    """gamma_k = tr(L_k^{-1} delta_k d_k alpha_k) by a linear solve at h(u0)."""
+    n = cx.dimension
+    h0, hp, hm = path(u0), path(u0 + step), path(u0 - step)
+    gammas = []
+    for k in range(n + 1):
+        alpha = h0.inv(k) @ ((hp.matrix(k) - hm.matrix(k)) / (2.0 * step))
+        if k < n:
+            up = metric_adjoint(cx, h0, k) @ coboundary(cx, k)
+            gammas.append(float(np.trace(np.linalg.solve(laplacian(cx, h0, k), up @ alpha))))
+        else:
+            gammas.append(0.0)
+    return gammas
+
+
 def _oracle_minors(cx):
     """The boundary minors determinant_oracle eliminates, top degree first."""
     minors = []
@@ -140,6 +172,53 @@ def test_elimination_rejects_column_rank_deficiency():
             with pytest.raises(PivotFailure) as new:
                 _full_pivot_logdet(mat)
             assert str(new.value) == str(ref.value)
+
+
+def test_torsion_path_is_values_only_and_bitwise(monkeypatch):
+    # betti, positive_spectra and log_reidemeister run no SVD with singular vectors
+    svd = np.linalg.svd
+    computed_uv = []
+
+    def recording_svd(a, *args, **kwargs):
+        computed_uv.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    rng = np.random.default_rng(17)
+    for cx in (_ngon_circle(2, 1.3), _ngon_circle(8, 1.3), _ngon_circle(64, 1.3),
+               _grid_torus(4, 1.0, 0.3)):
+        for metric in (ChainMetric.identity(cx), ChainMetric.random_spd(cx, rng)):
+            fac = factorize(cx, metric)
+            assert fac.betti == betti(cx, metric) == [0] * (cx.dimension + 1)
+            assert fac._vectors == {}
+            spectra = positive_spectra(cx, metric)
+            log_reidemeister(cx, metric)
+            reference = _reference_positive_spectra(cx, metric)
+            assert len(spectra) == len(reference)
+            for lam, ref, cached in zip(spectra, reference, fac.spectra):
+                assert np.array_equal(lam, ref) and np.array_equal(cached, ref)
+    assert computed_uv and not any(computed_uv)
+
+
+def test_variation_gammas_match_solve():
+    def gammas_agree(cx, path, step=1e-4):
+        rep = variation_check(cx, path, [float(k) for k in range(cx.dimension + 1)],
+                              step=step, check_convergence=False)
+        ref = _reference_gammas(cx, path, 0.0, step)
+        assert len(rep.gammas) == len(ref)
+        for gamma, expected in zip(rep.gammas, ref):
+            assert abs(gamma - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    rng = np.random.default_rng(123)
+    for case in range(3):
+        cx = build_preset("torus2", alpha=1.1 + case, beta=0.4)
+        gammas_agree(cx, exponential_metric_path(
+            [rng.standard_normal((d, d)) for d in cx.dims]))
+    gammas_agree(build_preset("circle", theta=3e-5),
+                 lambda u: ChainMetric([np.eye(2) * (1.0 + u), np.eye(2)]))
+    ngon = _ngon_circle(16, 2.0)
+    gammas_agree(ngon, exponential_metric_path(
+        [0.3 * rng.standard_normal((d, d)) for d in ngon.dims]))
 
 
 def test_log_reidemeister_circle_closed_form():
@@ -244,7 +323,7 @@ def test_generalized_log_torsion_examples():
     assert generalized_log_torsion((3.0, 5.0), (0.0, 1.0)) == 2.5
     assert generalized_log_torsion((3.0, 5.0), (0.0, 0.0)) == 0.0
     cx = build_preset("circle", theta=math.pi / 2)
-    tr_logs = [tr_log(spectral_data(cx, None, k), strict=True) for k in (0, 1)]
+    tr_logs = [float(np.sum(np.log(lam))) for lam in acyclic_spectra(cx)]
     assert abs(generalized_log_torsion(tr_logs, (0.0, 1.0)) - math.log(2.0)) < 1e-12
     with pytest.raises(ShapeMismatch):
         generalized_log_torsion((1.0, 2.0), (1.0, 2.0, 3.0))
