@@ -54,8 +54,8 @@ class ChainMetric:
     """Per-degree symmetric positive-definite inner products h_k.
 
     Square-root factors h^{1/2}, h^{-1/2} and the inverse are computed once
-    at construction; instances are immutable.  is_identity is True only for
-    ChainMetric.identity, whose factors are all the identity itself.
+    at construction; instances are immutable.  ChainMetric.identity, the only
+    is_identity metric, keeps only dims and builds a read-only I on request.
     """
 
     is_identity = False
@@ -81,6 +81,7 @@ class ChainMetric:
             invs.append((v / w) @ v.T)
             for m in (mats[-1], sqrts[-1], isqrts[-1], invs[-1]):
                 m.setflags(write=False)
+        self._dims = tuple(h.shape[0] for h in mats)
         self._mats = tuple(mats)
         self._sqrts = tuple(sqrts)
         self._isqrts = tuple(isqrts)
@@ -90,11 +91,7 @@ class ChainMetric:
     def identity(cls, cplx: TwistedComplex) -> "ChainMetric":
         """h_k = I in every degree, unfactored: I is its own square root and inverse."""
         metric = cls.__new__(cls)
-        eyes = tuple(np.eye(d) for d in cplx.dims)
-        for eye in eyes:
-            eye.setflags(write=False)
-        metric._mats = metric._sqrts = metric._isqrts = metric._invs = eyes
-        metric.is_identity = True
+        metric._dims, metric.is_identity = cplx.dims, True
         return metric
 
     @classmethod
@@ -108,23 +105,27 @@ class ChainMetric:
         return cls(mats)
 
     def __len__(self) -> int:
-        return len(self._mats)
+        return len(self._dims)
+
+    def _eye(self, k: int) -> np.ndarray:
+        eye = np.eye(self._dims[k])
+        eye.setflags(write=False)
+        return eye
 
     def matrix(self, k: int) -> np.ndarray:
-        return self._mats[k]
+        return self._eye(k) if self.is_identity else self._mats[k]
 
     def sqrt(self, k: int) -> np.ndarray:
-        return self._sqrts[k]
+        return self._eye(k) if self.is_identity else self._sqrts[k]
 
     def isqrt(self, k: int) -> np.ndarray:
-        return self._isqrts[k]
+        return self._eye(k) if self.is_identity else self._isqrts[k]
 
     def inv(self, k: int) -> np.ndarray:
-        return self._invs[k]
+        return self._eye(k) if self.is_identity else self._invs[k]
 
     def matches(self, cplx: TwistedComplex) -> bool:
-        return len(self) == cplx.dimension + 1 and all(
-            self._mats[k].shape == (d, d) for k, d in enumerate(cplx.dims))
+        return self._dims == cplx.dims
 
 
 def _require_metric(cplx: TwistedComplex, metric: ChainMetric | None) -> ChainMetric:
@@ -153,8 +154,7 @@ def laplacian(cplx: TwistedComplex, metric: ChainMetric | None, k: int) -> np.nd
     if not 0 <= k <= cplx.dimension:
         raise ShapeMismatch(f"degree {k} outside 0..{cplx.dimension}")
     metric = _require_metric(cplx, metric)
-    dim_k = cplx.dims[k]
-    lap = np.zeros((dim_k, dim_k))
+    lap = np.zeros((cplx.dims[k], cplx.dims[k]))
     if k < cplx.dimension:
         lap += metric_adjoint(cplx, metric, k) @ coboundary(cplx, k)
     if k > 0:

@@ -8,8 +8,8 @@ Cases carry a provenance tag naming where their expected value comes
 from: a closed form, an independent oracle (re-implemented here from
 scratch), exact arithmetic, a documented convention, or a negative control.
 
-Suites: combinatorial, closed-spectral, boundary, variation, all.
-Execution is deterministic for a fixed seed; case ordering is fixed by id.
+Suites: combinatorial, closed-spectral, boundary, variation, all.  Execution
+is deterministic for a fixed seed; cases keep registration order, not id order.
 """
 
 from __future__ import annotations

@@ -57,19 +57,6 @@ def test_torus_fox_derivative_blocks():
     assert np.max(np.abs(bd2[2:4, :] - (rotation(alpha) - np.eye(2)))) < 1e-14
 
 
-def test_word_evaluator_is_a_homomorphism():
-    rng = np.random.default_rng(5)
-    rho = Representation(2, [rotation(0.8), rotation(2.1) @ np.diag([1.0, -1.0])])
-    for _ in range(40):
-        w1 = tuple((int(rng.integers(0, 2)), int(rng.choice((-1, 1))))
-                   for _ in range(int(rng.integers(0, 7))))
-        w2 = tuple((int(rng.integers(0, 2)), int(rng.choice((-1, 1))))
-                   for _ in range(int(rng.integers(0, 7))))
-        lhs = rho.evaluate(w1 + w2)
-        rhs = rho.evaluate(w1) @ rho.evaluate(w2)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
 def test_block_shapes():
     cx = build_preset("torus2", alpha=1.0, beta=0.3)
     assert cx.boundary(1).shape == (2, 4)
@@ -116,10 +103,6 @@ def test_validate_flags_corrupted_degree():
     report = validate(corrupted)
     assert not report.ok
     assert report.flagged_degrees == (2,)
-
-
-def test_validate_circle_residual_tiny():
-    assert validate(build_preset("circle", theta=1.0)).max_residual < 1e-14
 
 
 def _circle_json(theta: float) -> dict:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,15 @@ def test_identity_metric_is_unfactored_identity():
                 assert np.array_equal(factor, np.eye(d)) and not factor.flags.writeable
         for lam, ref in zip(positive_spectra(cx, metric), positive_spectra(cx, factored)):
             assert np.array_equal(lam, ref)
+    # only the dims are kept, not the 512-gon's two 1024 x 1024 eyes (16.8 MB)
+    ngon = _ngon_circle(512, 1.0)
+    tracemalloc.start()
+    try:
+        ChainMetric.identity(ngon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"ChainMetric.identity peaked at {peak} bytes"
 
 
 def test_betti_euler_poincare_and_metric_independence():
@@ -204,20 +214,6 @@ def test_sym_expm_against_series():
         term = term @ s / j
         series = series + term
     assert np.max(np.abs(sym_expm(s) - series)) < 1e-13
-
-
-def test_hodge_split_circle_quarter_turn():
-    cx = build_preset("circle", theta=math.pi / 2)
-    sp0 = hodge_split(cx, None, 0, 2.0)
-    assert (sp0.f_mult, sp0.g_mult) == (0, 2)
-    sp1 = hodge_split(cx, None, 1, 2.0)
-    assert (sp1.f_mult, sp1.g_mult) == (2, 0)
-    for sp in (sp0, sp1):
-        eye = np.eye(sp.multiplicity)
-        assert np.max(np.abs(sp.proj_closed + sp.proj_coclosed - eye)) < 1e-9
-        assert np.max(np.abs(sp.proj_closed @ sp.proj_closed - sp.proj_closed)) < 1e-9
-        assert np.max(np.abs(sp.proj_coclosed @ sp.proj_coclosed
-                             - sp.proj_coclosed)) < 1e-9
 
 
 def test_hodge_split_pairing_across_degrees():
