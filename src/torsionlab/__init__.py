@@ -50,7 +50,8 @@ from .torsion import (
 from .zetas import (
     HeatTrace,
     ZetaEval,
-    circle_character_heat_trace,
+    circle_heat_trace,
+    combine_heat_traces,
     digamma,
     hurwitz_zeta,
     hurwitz_zeta_prime0,
@@ -58,10 +59,8 @@ from .zetas import (
     product_heat_trace,
     riemann_zeta,
     riemann_zeta_prime0,
-    scale_heat_trace,
     sphere2_scalar_heat_trace,
-    sum_heat_traces,
-    theta_expansion,
+    torus_heat_trace,
     zeta_at_zero,
 )
 from .models import (

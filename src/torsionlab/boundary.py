@@ -16,6 +16,14 @@ interval [0, R]           relative: (D; N)           absolute: (N; D)
 cylinder [0, R] x S^1_L   relative: (DxC; NxC + DxC; NxC)
                           absolute: (NxC; DxC + NxC; DxC)
 
+Each interval factor is an image sum on the circle of length 2R: its
+modes are the odd (Dirichlet), even (Neumann) or antiperiodic (mixed)
+functions there, so with circle = zetas.circle_heat_trace
+
+    Dirichlet  (m pi/R)^2, m >= 1             = 1/2 circle(2R) - 1/2
+    Neumann    (m pi/R)^2, m >= 0             = 1/2 circle(2R) + 1/2
+    mixed      ((m + 1/2) pi/R)^2, m >= 0     = 1/2 circle(2R, theta=pi)
+
 Betti numbers follow the boundary Hodge theorem: relative kernels realize
 H^k(X, Y), absolute kernels realize H^k(X).  "mixed" (relative on one end,
 absolute on the other) is supported as the interval factor appearing in
@@ -37,10 +45,9 @@ from .errors import BadParameter, ShapeMismatch, UnsupportedPartition
 from .models import SpectralModel, TorsionReport, build_model, residue_torsion
 from .zetas import (
     HeatTrace,
+    circle_heat_trace,
+    combine_heat_traces,
     product_heat_trace,
-    scale_heat_trace,
-    sum_heat_traces,
-    theta_expansion,
 )
 
 CONDITIONS = ("relative", "absolute", "mixed")
@@ -57,13 +64,16 @@ def _check_condition(condition: str) -> str:
 
 
 def _x_factors(R: float, condition: str) -> tuple[HeatTrace, HeatTrace]:
-    """(tangential, normal) interval factors for the given condition."""
+    """(tangential, normal) interval factors for the given condition, by images."""
+    if condition == "mixed":
+        mixed = combine_heat_traces([(0.5, circle_heat_trace(2.0 * R, theta=math.pi))])
+        return mixed, mixed
+    doubled = circle_heat_trace(2.0 * R)
+    dirichlet = combine_heat_traces([(0.5, doubled)], constant=-0.5)
+    neumann = combine_heat_traces([(0.5, doubled)], constant=0.5)
     if condition == "relative":
-        return theta_expansion("dirichlet", R=R), theta_expansion("neumann", R=R)
-    if condition == "absolute":
-        return theta_expansion("neumann", R=R), theta_expansion("dirichlet", R=R)
-    mixed = theta_expansion("mixed", R=R)
-    return mixed, mixed
+        return dirichlet, neumann
+    return neumann, dirichlet
 
 
 def build_interval(R: float, condition: str, rank: int = 1) -> SpectralModel:
@@ -81,7 +91,7 @@ def build_interval(R: float, condition: str, rank: int = 1) -> SpectralModel:
     tangential, normal = _x_factors(R, condition)
     heat = [tangential, normal]
     if rank == 2:
-        heat = [scale_heat_trace(h, 2) for h in heat]
+        heat = [combine_heat_traces([(2, h)]) for h in heat]
     return SpectralModel(name=f"interval(R={R:g}, {condition}, rank={rank})",
                          dim=1, condition=condition, rank=rank,
                          heat=tuple(heat), betti=tuple(h.kernel_dim for h in heat))
@@ -99,11 +109,11 @@ def build_cylinder(R: float, L: float, condition: str, rank: int = 1) -> Spectra
     _check_condition(condition)
     if rank != 1:
         raise BadParameter("cylinder supports rank 1 only")
-    circle = theta_expansion("circle", L=L)
+    circle = circle_heat_trace(L)
     tangential, normal = _x_factors(R, condition)
     h0 = product_heat_trace(tangential, circle)
     h2 = product_heat_trace(normal, circle)
-    h1 = sum_heat_traces(h2, h0)
+    h1 = combine_heat_traces([(1, h2), (1, h0)])
     heat = (h0, h1, h2)
     return SpectralModel(name=f"cylinder(R={R:g}, L={L:g}, {condition})",
                          dim=2, condition=condition, rank=rank,

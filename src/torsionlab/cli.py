@@ -165,13 +165,13 @@ def _build_spectral_model(args):
         return mdl.build_model("circle", L=args.L, theta=args.theta or 0.0,
                                rank=args.rank)
     if args.model == "torus":
-        return mdl.build_model("torus", n=args.n, L=args.L)
+        return mdl.build_model("torus", n=args.n, L=args.L, rank=args.rank)
     if args.model == "sphere2":
-        return mdl.build_model("sphere2")
+        return mdl.build_model("sphere2", rank=args.rank)
     if args.model == "interval":
         return bnd.build_interval(args.R, args.condition, rank=args.rank)
     if args.model == "cylinder":
-        return bnd.build_cylinder(args.R, args.L, args.condition)
+        return bnd.build_cylinder(args.R, args.L, args.condition, rank=args.rank)
     raise SchemaError(f"unknown model {args.model!r}")
 
 

@@ -11,8 +11,11 @@ those.  The closed families built here:
 * torus(n, L): flat n-torus; the degree-k form Laplacian is binom(n, k)
   copies of the scalar one, with harmonic forms of dimension binom(n, k).
 * sphere2: the round 2-sphere; the coexact/exact split of 1-forms pins
-  the degree spectra to the scalar one (zeta_1 = 2 zeta_0 off kernel,
-  zeta_2 = zeta_0, Betti (1, 0, 1)).
+  the degree spectra to the scalar one (1-form trace 2 scalar - 2, so
+  zeta_1 = 2 zeta_0; zeta_2 = zeta_0; Betti (1, 0, 1)).
+
+Only the circle takes a coefficient rank; torus and sphere2 reject any
+rank but 1.
 
 Torsion conventions (all logs):
 
@@ -21,8 +24,9 @@ Torsion conventions (all logs):
                                     = sum_k (-1)^k beta_k (zeta_k(0) + b_k)
     analytic torsion log T_zeta(beta) = 1/2 sum_k (-1)^k beta_k zeta_k'(0)
 
-residue quantities reduce to exact coefficient arithmetic; analytic ones
-go through the Mellin engine.
+Both torsions are torsion.generalized_log_torsion, of res_k and of
+log det L_k = -zeta_k'(0) respectively.  Residue quantities reduce to exact
+coefficient arithmetic; analytic ones go through the Mellin engine.
 """
 
 from __future__ import annotations
@@ -32,14 +36,15 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import BadParameter, NotAcyclic, ShapeMismatch
+from .torsion import euler_characteristics, generalized_log_torsion
 from .zetas import (
     HeatTrace,
     ZetaEval,
-    circle_character_heat_trace,
+    circle_heat_trace,
+    combine_heat_traces,
     mellin_zeta,
-    scale_heat_trace,
     sphere2_scalar_heat_trace,
-    theta_expansion,
+    torus_heat_trace,
     zeta_at_zero,
 )
 
@@ -72,11 +77,11 @@ class SpectralModel:
 
     @property
     def chi(self) -> int:
-        return sum((-1) ** k * b for k, b in enumerate(self.betti))
+        return euler_characteristics(self.betti, self.dim)[0]
 
     @property
     def chi_prime(self) -> int:
-        return sum((-1) ** k * k * b for k, b in enumerate(self.betti))
+        return euler_characteristics(self.betti, self.dim)[1]
 
     def weighted_zeta_sum_at_zero(self) -> float:
         """sum_k (-1)^k k zeta_k(0)."""
@@ -97,43 +102,28 @@ def build_model(name: str, *, L: float = 2.0 * math.pi, theta: float = 0.0,
             raise BadParameter("a nontrivial circle character requires rank 2")
         if rank not in (1, 2):
             raise BadParameter(f"circle rank must be 1 or 2, got {rank}")
-        h = circle_character_heat_trace(L, theta, rank)
+        h = circle_heat_trace(L, theta, rank)
         b = rank if theta == 0.0 else 0
         return SpectralModel(name=f"circle(L={L:g}, theta={theta:g}, rank={rank})",
                              dim=1, rank=rank, heat=(h, h), betti=(b, b))
+    if name in ("torus", "sphere2") and rank != 1:
+        raise BadParameter(f"{name} supports rank 1 only, got {rank}")
     if name == "torus":
         if n < 1:
             raise BadParameter(f"torus dimension must be >= 1, got {n}")
-        scalar = theta_expansion("lattice", n=n, L=L)
-        heat = tuple(scale_heat_trace(scalar, math.comb(n, k),
-                                      label=f"torus deg {k}")
+        scalar = torus_heat_trace(n, L)
+        heat = tuple(combine_heat_traces([(math.comb(n, k), scalar)])
                      for k in range(n + 1))
         betti = tuple(math.comb(n, k) for k in range(n + 1))
         return SpectralModel(name=f"torus(n={n}, L={L:g})", dim=n, rank=1,
                              heat=heat, betti=betti)
     if name == "sphere2":
         scalar = sphere2_scalar_heat_trace()
-        h1 = _double_without_kernel(scalar)
+        # 1-forms: exact and coexact copies of the scalar spectrum off its kernel
+        h1 = combine_heat_traces([(2, scalar)], constant=-2)
         return SpectralModel(name="sphere2", dim=2, rank=1,
                              heat=(scalar, h1, scalar), betti=(1, 0, 1))
     raise BadParameter(f"unknown model {name!r}")
-
-
-def _double_without_kernel(h: HeatTrace) -> HeatTrace:
-    """2 x (trace minus its kernel): the 1-form trace of the 2-sphere."""
-    doubled = scale_heat_trace(h, 2)
-    return HeatTrace(
-        terms=tuple(sorted(
-            [(p, c) for p, c in doubled.terms if p != 0.0]
-            + [(0.0, doubled.constant_coefficient - 2.0 * h.kernel_dim)],
-            key=lambda pc: -pc[0])),
-        remainder=doubled.remainder,
-        tail=doubled.tail,
-        kernel_dim=0,
-        lambda_min=doubled.lambda_min,
-        t_floor=doubled.t_floor,
-        label=f"2x({h.label}) minus kernel",
-    )
 
 
 def residue_log_trace(model: SpectralModel, k: int) -> float:
@@ -195,8 +185,7 @@ def residue_torsion(model: SpectralModel, beta: Sequence[float]) -> TorsionRepor
     beta = _check_beta(beta, model.dim)
     zeta0 = tuple(model.zeta_at_zero(k) for k in range(model.dim + 1))
     res = tuple(residue_log_trace(model, k) for k in range(model.dim + 1))
-    log_t = 0.5 * sum((-1.0) ** (k + 1) * beta[k] * res[k]
-                      for k in range(model.dim + 1))
+    log_t = generalized_log_torsion(res, beta)
     flags = {
         "chi": model.chi,
         "chi_prime": model.chi_prime,
@@ -223,8 +212,8 @@ def analytic_torsion(model: SpectralModel, beta: Sequence[float],
     zeta0 = tuple(e.value for e in evals)
     prime = tuple(e.derivative for e in evals)
     res = tuple(residue_log_trace(model, k) for k in range(model.dim + 1))
-    log_t = 0.5 * sum((-1.0) ** k * beta[k] * prime[k]
-                      for k in range(model.dim + 1))
+    # -zeta_k'(0) = log det L_k, the tr log L_k of the combinatorial formula
+    log_t = generalized_log_torsion([-p for p in prime], beta)
     err = sum(abs(beta[k]) * evals[k].abs_error_estimate
               for k in range(model.dim + 1))
     return TorsionReport(model=model.name, beta=beta, betti=model.betti,

@@ -26,6 +26,7 @@ from .complexes import TwistedComplex
 from .errors import NotAcyclic, PivotFailure, ShapeMismatch, StepTooLarge
 from .hodge import (
     ChainMetric,
+    Factorization,
     acyclic_spectra,
     coboundary,
     factorize,
@@ -272,10 +273,14 @@ def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float
     beta = [float(x) for x in beta]
     if len(beta) != n + 1:
         raise ShapeMismatch(f"expected {n + 1} weights, got {len(beta)}")
-    report = _variation_single(cplx, path, beta, u0, step)
+    # everything at u0 is shared by both steps
+    h0 = path(u0)
+    fac = factorize(cplx, h0)
+    deltas = [metric_adjoint(cplx, h0, k) for k in range(n)]
+    report = _variation_single(cplx, path, beta, u0, step, h0, fac, deltas)
     if not check_convergence:
         return report
-    halved = _variation_single(cplx, path, beta, u0, step / 2.0)
+    halved = _variation_single(cplx, path, beta, u0, step / 2.0, h0, fac, deltas)
     floor = 1e-10 * max(1.0, abs(report.lhs))
     if report.discrepancy > floor and halved.discrepancy > 0.0:
         ratio = report.discrepancy / halved.discrepancy
@@ -291,9 +296,12 @@ def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float
 
 
 def _variation_single(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float],
-                      u0: float, step: float) -> VariationReport:
+                      u0: float, step: float, h0: ChainMetric, fac: Factorization,
+                      deltas: Sequence[np.ndarray]) -> VariationReport:
+    """One central-difference comparison at u0; h0 = path(u0), fac its
+    factorization and deltas[k] its metric adjoints delta_k (k < n)."""
     n = cplx.dimension
-    h0, hp, hm = path(u0), path(u0 + step), path(u0 - step)
+    hp, hm = path(u0 + step), path(u0 - step)
     # 2 log T on either side; this raises NotAcyclic, so P_k = L_k^{-1} below
     lhs = (2.0 * _weighted_log_torsion(cplx, hp, beta)
            - 2.0 * _weighted_log_torsion(cplx, hm, beta)) / (2.0 * step)
@@ -303,7 +311,6 @@ def _variation_single(cplx: TwistedComplex, path: MetricPath, beta: Sequence[flo
     tr_alphas = [float(np.trace(alpha)) for alpha in alphas]
     # P_k delta_k d_k is the h_k-orthogonal projector onto im delta_k, spanned
     # by the coclosed eigenvectors v_i of L_k, so gamma_k = sum_i v_i^T dh_k/du v_i
-    fac = factorize(cplx, h0)
     gammas = []
     for k in range(n):
         _, vectors, n_closed = fac.eigenpairs(k)
@@ -327,12 +334,10 @@ def _variation_single(cplx: TwistedComplex, path: MetricPath, beta: Sequence[flo
         lap_dot_fd = (laplacian(cplx, hp, k) - laplacian(cplx, hm, k)) / (2.0 * step)
         formula = np.zeros_like(lap_dot_fd)
         if k < n:
-            d_k = coboundary(cplx, k)
-            delta_k = metric_adjoint(cplx, h0, k)
+            d_k, delta_k = coboundary(cplx, k), deltas[k]
             formula += -alphas[k] @ delta_k @ d_k + delta_k @ alphas[k + 1] @ d_k
         if k > 0:
-            d_km1 = coboundary(cplx, k - 1)
-            delta_km1 = metric_adjoint(cplx, h0, k - 1)
+            d_km1, delta_km1 = coboundary(cplx, k - 1), deltas[k - 1]
             formula += (-d_km1 @ alphas[k - 1] @ delta_km1
                         + d_km1 @ delta_km1 @ alphas[k])
         denom = max(1.0, float(np.max(np.abs(lap_dot_fd))) if lap_dot_fd.size else 0.0)

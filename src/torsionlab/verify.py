@@ -54,7 +54,7 @@ from .torsion import (
     variation_check,
 )
 from .zetas import (
-    circle_character_heat_trace,
+    circle_heat_trace,
     hurwitz_zeta,
     hurwitz_zeta_prime0,
     mellin_zeta,
@@ -63,7 +63,7 @@ from .zetas import (
     riemann_zeta_prime0,
     sphere2_power_coefficients,
     sphere2_scalar_heat_trace,
-    theta_expansion,
+    torus_heat_trace,
     zeta_at_zero,
 )
 
@@ -507,15 +507,15 @@ def closed_spectral_suite(tol: float | None = None,
     rec.add("hurwitz-values", "zeta_H(0, a) = 1/2 - a and the derivative at a = 1/2",
             "oracle:reflection-formula", measured, 1e-10)
 
-    factors = [theta_expansion("circle", L=2.0 * math.pi),
-               theta_expansion("circle", L=1.0),
-               theta_expansion("dirichlet", R=1.0),
-               theta_expansion("dirichlet", R=math.pi),
-               theta_expansion("neumann", R=1.0),
-               theta_expansion("mixed", R=1.0),
-               theta_expansion("lattice", n=2, L=1.0),
-               theta_expansion("lattice", n=3, L=1.0),
-               circle_character_heat_trace(2.0 * math.pi, 0.7, 2),
+    factors = [circle_heat_trace(2.0 * math.pi),
+               circle_heat_trace(1.0),
+               bnd.build_interval(1.0, "relative").heat[0],
+               bnd.build_interval(math.pi, "relative").heat[0],
+               bnd.build_interval(1.0, "absolute").heat[0],
+               bnd.build_interval(1.0, "mixed").heat[0],
+               torus_heat_trace(2, 1.0),
+               torus_heat_trace(3, 1.0),
+               circle_heat_trace(2.0 * math.pi, 0.7, 2),
                sphere2_scalar_heat_trace()]
     rec.add("theta-split-consistency",
             "eigenvalue sums equal theta expansions at the split point t = 1",
@@ -524,7 +524,7 @@ def closed_spectral_suite(tol: float | None = None,
 
     measured_val, measured_der = 0.0, 0.0
     for L in (2.0 * math.pi, 1.7):
-        h = theta_expansion("circle", L=L)
+        h = circle_heat_trace(L)
         scale = (2.0 * math.pi / L) ** 2
         for s in (-1.0, 2.0):
             closed = 2.0 * scale ** (-s) * riemann_zeta(2.0 * s)
@@ -533,7 +533,7 @@ def closed_spectral_suite(tol: float | None = None,
         measured_der = max(measured_der, abs(
             mellin_zeta(h, 0.0, derivative=True).derivative - (-2.0 * math.log(L))))
     for R in (1.0, math.pi):
-        h = theta_expansion("dirichlet", R=R)
+        h = bnd.build_interval(R, "relative").heat[0]
         scale = (math.pi / R) ** 2
         for s in (-1.0, 2.0):
             closed = scale ** (-s) * riemann_zeta(2.0 * s)
@@ -550,8 +550,8 @@ def closed_spectral_suite(tol: float | None = None,
             "closed-form:functional-determinant", measured_der, 1e-8)
 
     poles = 0.0
-    for h in (theta_expansion("circle", L=2.0 * math.pi),
-              theta_expansion("dirichlet", R=1.0)):
+    for h in (circle_heat_trace(2.0 * math.pi),
+              bnd.build_interval(1.0, "relative").heat[0]):
         try:
             mellin_zeta(h, 0.5)
             poles += 1.0
@@ -561,9 +561,9 @@ def closed_spectral_suite(tol: float | None = None,
                     "s = 1/2 is rejected as a pole on one-dimensional models",
                     "closed-form:pole-location", poles)
 
-    h2 = theta_expansion("lattice", n=2, L=1.0)
+    h2 = torus_heat_trace(2, 1.0)
     measured = abs(mellin_zeta(h2, 3.0).value - _lattice_zeta_brute(2, 1.0, 3.0))
-    hc = theta_expansion("circle", L=2.0 * math.pi)
+    hc = circle_heat_trace(2.0 * math.pi)
     brute = 2.0 * sum(m ** (-4.0) for m in range(1, 400000))
     measured = max(measured, abs(mellin_zeta(hc, 2.0).value - brute) - 1e-11)
     hs = sphere2_scalar_heat_trace()
@@ -573,10 +573,10 @@ def closed_spectral_suite(tol: float | None = None,
             "oracle:truncated-spectral-sum", measured, 1e-9)
 
     R, L = 1.0, 2.0 * math.pi
-    hd = product_heat_trace(theta_expansion("dirichlet", R=R),
-                            theta_expansion("circle", L=L))
-    hn = product_heat_trace(theta_expansion("neumann", R=R),
-                            theta_expansion("circle", L=L))
+    hd = product_heat_trace(bnd.build_interval(R, "relative").heat[0],
+                            circle_heat_trace(L))
+    hn = product_heat_trace(bnd.build_interval(R, "absolute").heat[0],
+                            circle_heat_trace(L))
     expect_d = {1.0: R * L / (4.0 * math.pi), 0.5: -L / (2.0 * math.sqrt(4.0 * math.pi))}
     expect_n = {1.0: R * L / (4.0 * math.pi), 0.5: L / (2.0 * math.sqrt(4.0 * math.pi))}
     measured = 0.0
@@ -590,7 +590,7 @@ def closed_spectral_suite(tol: float | None = None,
             "identity:series-product", measured, 1e-12)
 
     measured = abs((zeta_at_zero(hn) - zeta_at_zero(hd)) - (-1.0))
-    circ0 = mellin_zeta(theta_expansion("circle", L=L), 2.0).value
+    circ0 = mellin_zeta(circle_heat_trace(L), 2.0).value
     measured = max(measured, abs(
         (mellin_zeta(hn, 2.0).value - mellin_zeta(hd, 2.0).value) - circ0))
     rec.add("product-zeta-difference",
@@ -599,8 +599,8 @@ def closed_spectral_suite(tol: float | None = None,
 
     measured = 0.0
     for t in (0.3, 1.0):
-        f1 = theta_expansion("dirichlet", R=R)
-        f2 = theta_expansion("circle", L=L)
+        f1 = bnd.build_interval(R, "relative").heat[0]
+        f2 = circle_heat_trace(L)
         measured = max(measured, abs(hd.full(t) - f1.full(t) * f2.full(t)))
     rec.add("product-trace-pointwise",
             "product heat traces multiply pointwise",

@@ -20,6 +20,17 @@ particular zeta(0) = c_0 - b by pure coefficient arithmetic, and
     zeta'(0) = euler_gamma (c_0 - b) - sum_{p != 0} c_p / p
                + int_0^1 remainder(t)/t dt + int_1^oo tail(t)/t dt.
 
+Every flat model trace is an image sum of one primitive, circle_heat_trace
+(length L, rotation character theta), by the exact theta identity
+
+    sum_m e^{-t ((2 pi m + theta)/L)^2}
+        = L/sqrt(4 pi t) (1 + 2 sum_{j>=1} cos(j theta) e^{-j^2 L^2/(4t)}).
+
+torus_heat_trace is its n-fold product, boundary.py builds the interval
+factors from it, and combine_heat_traces and product_heat_trace form sums
+and products of traces; only the 2-sphere uses a truncated asymptotic
+expansion.  This module knows no boundary condition.
+
 Riemann and Hurwitz zeta (Euler-Maclaurin) are provided as independent
 closed forms for cross-checking the engine, never as its internals.
 
@@ -37,7 +48,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 from scipy.integrate import IntegrationWarning, quad
 
@@ -220,7 +231,6 @@ class HeatTrace:
     kernel_dim: int
     lambda_min: float
     t_floor: float = 0.0
-    label: str = ""
 
     def power(self, t: float) -> float:
         return sum(c * t ** (-p) for p, c in self.terms)
@@ -255,35 +265,55 @@ def _merge_terms(pairs) -> tuple[tuple[float, float], ...]:
                         key=lambda pc: -pc[0]))
 
 
-def scale_heat_trace(h: HeatTrace, m: int, label: str = "") -> HeatTrace:
-    """m parallel copies of the operator (multiplicity m in every degree)."""
-    rem, tl = h.remainder, h.tail
+def combine_heat_traces(parts: Sequence[tuple[float, HeatTrace]],
+                        constant: float = 0) -> HeatTrace:
+    """Heat trace of sum_i c_i h_i plus `constant` zero modes.
+
+    parts holds one or two (c_i, h_i) pairs; a negative constant removes
+    kernel.  The kernel dimension sum_i c_i b_i + constant must come out a
+    non-negative integer.  The constant enters the t^0 coefficient and the
+    kernel only, never the remainder or the tail.
+    """
+    kernel = sum(c * h.kernel_dim for c, h in parts) + constant
+    if kernel < 0 or not float(kernel).is_integer():
+        raise BadParameter(f"combined kernel dimension {kernel} is not a "
+                           f"non-negative integer")
+    # direct closures, no loop over parts: they run at every quadrature
+    # node, where a generator over the parts costs measurably more
+    if len(parts) == 1:
+        ((c, h),) = parts
+        rem, tl = h.remainder, h.tail
+
+        def remainder(t: float) -> float:
+            return c * rem(t)
+
+        def tail(t: float) -> float:
+            return c * tl(t)
+    elif len(parts) == 2:
+        (c1, h1), (c2, h2) = parts
+        r1, r2, tl1, tl2 = h1.remainder, h2.remainder, h1.tail, h2.tail
+
+        def remainder(t: float) -> float:
+            return c1 * r1(t) + c2 * r2(t)
+
+        def tail(t: float) -> float:
+            return c1 * tl1(t) + c2 * tl2(t)
+    else:
+        raise BadParameter(f"combine one or two heat traces, got {len(parts)}")
+    terms = [(p, c * cp) for c, h in parts for p, cp in h.terms]
+    if constant:
+        terms.append((0.0, constant))
     return HeatTrace(
-        terms=tuple((p, m * c) for p, c in h.terms),
-        remainder=lambda t: m * rem(t),
-        tail=lambda t: m * tl(t),
-        kernel_dim=m * h.kernel_dim,
-        lambda_min=h.lambda_min,
-        t_floor=h.t_floor,
-        label=label or f"{m}x({h.label})",
+        terms=_merge_terms(terms),
+        remainder=remainder,
+        tail=tail,
+        kernel_dim=int(kernel),
+        lambda_min=min(h.lambda_min for _, h in parts),
+        t_floor=max(h.t_floor for _, h in parts),
     )
 
 
-def sum_heat_traces(h1: HeatTrace, h2: HeatTrace, label: str = "") -> HeatTrace:
-    """Heat trace of a direct sum: everything adds."""
-    r1, r2, t1, t2 = h1.remainder, h2.remainder, h1.tail, h2.tail
-    return HeatTrace(
-        terms=_merge_terms(list(h1.terms) + list(h2.terms)),
-        remainder=lambda t: r1(t) + r2(t),
-        tail=lambda t: t1(t) + t2(t),
-        kernel_dim=h1.kernel_dim + h2.kernel_dim,
-        lambda_min=min(h1.lambda_min, h2.lambda_min),
-        t_floor=max(h1.t_floor, h2.t_floor),
-        label=label or f"({h1.label})+({h2.label})",
-    )
-
-
-def product_heat_trace(h1: HeatTrace, h2: HeatTrace, label: str = "") -> HeatTrace:
+def product_heat_trace(h1: HeatTrace, h2: HeatTrace) -> HeatTrace:
     """Heat trace of a product spectrum {lam + mu}: traces multiply.
 
     Power terms are the Cauchy product of the factor expansions truncated
@@ -317,7 +347,6 @@ def product_heat_trace(h1: HeatTrace, h2: HeatTrace, label: str = "") -> HeatTra
         kernel_dim=b1 * b2,
         lambda_min=min(candidates),
         t_floor=max(h1.t_floor, h2.t_floor),
-        label=label or f"({h1.label})x({h2.label})",
     )
 
 
@@ -326,112 +355,42 @@ _EXP_CUTOFF = 50.0  # exp(-50) ~ 2e-22, below double-precision relevance
 
 def _gauss_series(a_over_t: float, weight=None) -> float:
     """sum_{j>=1} w_j exp(-a j^2 / t) given a/t; w_j defaults to 1."""
-    total = 0.0
-    j = 1
-    while a_over_t * j * j <= _EXP_CUTOFF:
-        w = 1.0 if weight is None else weight(j)
-        total += w * math.exp(-a_over_t * j * j)
+    total, j, x = 0.0, 1, a_over_t
+    while x <= _EXP_CUTOFF:
+        term = math.exp(-x)
+        total += term if weight is None else weight(j) * term
         j += 1
+        x = a_over_t * j * j
     return total
 
 
-def theta_expansion(kind: str, *, L: float | None = None, R: float | None = None,
-                    n: int | None = None) -> HeatTrace:
-    """Heat-trace factors with exact theta-transformed expansions.
+def circle_heat_trace(L: float, theta: float = 0.0, rank: int = 1) -> HeatTrace:
+    """Circle of length L with a rotation character theta.
 
-    circle(L):    spectrum (2 pi m / L)^2, m in Z;     power  L/sqrt(4 pi t)
-    dirichlet(R): spectrum (m pi / R)^2, m >= 1;       power  R/sqrt(4 pi t) - 1/2
-    neumann(R):   spectrum (m pi / R)^2, m >= 0;       power  R/sqrt(4 pi t) + 1/2
-    mixed(R):     spectrum ((m+1/2) pi / R)^2, m >= 0; power  R/sqrt(4 pi t)
-    lattice(n,L): n-fold product of circle(L);         power  (L/sqrt(4 pi t))^n
-
-    The remainder closures evaluate the exact image-sum corrections, so the
-    split-point identity full(t) = kernel + tail(t) holds to rounding at t = 1.
-    """
-    root4pi = math.sqrt(4.0 * math.pi)
-    if kind == "circle":
-        _positive(L, "L")
-        pref = L / root4pi
-        omega = (2.0 * math.pi / L) ** 2
-
-        def remainder(t: float) -> float:
-            return (pref / math.sqrt(t)) * 2.0 * _gauss_series(L * L / (4.0 * t))
-
-        def tail(t: float) -> float:
-            return 2.0 * _gauss_series(omega * t)
-
-        return HeatTrace(terms=((0.5, pref),), remainder=remainder, tail=tail,
-                         kernel_dim=1, lambda_min=omega, label=f"circle(L={L:g})")
-    if kind in ("dirichlet", "neumann"):
-        _positive(R, "R")
-        pref = R / root4pi
-        mu = (math.pi / R) ** 2
-        sign = -0.5 if kind == "dirichlet" else 0.5
-
-        def remainder(t: float) -> float:
-            return (pref / math.sqrt(t)) * 2.0 * _gauss_series(R * R / t)
-
-        def tail(t: float) -> float:
-            return _gauss_series(mu * t)
-
-        return HeatTrace(terms=((0.5, pref), (0.0, sign)), remainder=remainder,
-                         tail=tail, kernel_dim=0 if kind == "dirichlet" else 1,
-                         lambda_min=mu, label=f"{kind}(R={R:g})")
-    if kind == "mixed":
-        _positive(R, "R")
-        pref = R / root4pi
-        mu = (math.pi / (2.0 * R)) ** 2
-
-        def remainder(t: float) -> float:
-            alternating = _gauss_series(R * R / t, weight=lambda j: (-1.0) ** j)
-            return (pref / math.sqrt(t)) * 2.0 * alternating
-
-        def tail(t: float) -> float:
-            total, m = 0.0, 0
-            while mu * (2 * m + 1) ** 2 * t <= _EXP_CUTOFF:
-                total += math.exp(-mu * (2 * m + 1) ** 2 * t)
-                m += 1
-            return total
-
-        return HeatTrace(terms=((0.5, pref),), remainder=remainder, tail=tail,
-                         kernel_dim=0, lambda_min=mu, label=f"mixed(R={R:g})")
-    if kind == "lattice":
-        _positive(L, "L")
-        if n is None or n < 1:
-            raise BadParameter("lattice factor needs a positive dimension n")
-        pref = L / root4pi
-        omega = (2.0 * math.pi / L) ** 2
-
-        def full_1d(t: float) -> float:
-            if omega * t >= 1.0:
-                return 1.0 + 2.0 * _gauss_series(omega * t)
-            return (pref / math.sqrt(t)) * (1.0 + 2.0 * _gauss_series(L * L / (4.0 * t)))
-
-        def remainder(t: float) -> float:
-            sigma = 2.0 * _gauss_series(L * L / (4.0 * t))
-            return (pref / math.sqrt(t)) ** n * ((1.0 + sigma) ** n - 1.0)
-
-        def tail(t: float) -> float:
-            return full_1d(t) ** n - 1.0
-
-        return HeatTrace(terms=((0.5 * n, pref ** n),), remainder=remainder,
-                         tail=tail, kernel_dim=1, lambda_min=omega,
-                         label=f"lattice(n={n}, L={L:g})")
-    raise BadParameter(f"unknown theta factor {kind!r}")
-
-
-def circle_character_heat_trace(L: float, theta: float, rank: int) -> HeatTrace:
-    """Circle with a rotation character: spectrum ((2 pi m + theta)/L)^2, m in Z,
-    with multiplicity `rank` (the two complex characters of a rank-2 rotation
-    block contribute conjugate phases, giving cosine image weights).
+    Spectrum ((2 pi m + theta)/L)^2, m in Z, each with multiplicity `rank`;
+    power rank L/sqrt(4 pi t).  At theta = 0 the constant modes give a
+    kernel of dimension rank; otherwise theta lies in (0, 2 pi) and there is
+    no kernel (the two complex characters of a rank-2 rotation block
+    contribute conjugate phases, giving cosine image weights).  The
+    remainder is the exact image sum, so full(t) = kernel + tail(t) holds to
+    rounding at the split point t = 1.
     """
     _positive(L, "L")
+    root4pi = math.sqrt(4.0 * math.pi)
     if theta == 0.0:
-        return scale_heat_trace(theta_expansion("circle", L=L), rank,
-                                label=f"circle(L={L:g}, trivial) x{rank}")
+        pref = L / root4pi
+        omega = (2.0 * math.pi / L) ** 2
+
+        def remainder(t: float) -> float:
+            return rank * ((pref / math.sqrt(t)) * 2.0 * _gauss_series(L * L / (4.0 * t)))
+
+        def tail(t: float) -> float:
+            return rank * (2.0 * _gauss_series(omega * t))
+
+        return HeatTrace(terms=((0.5, rank * pref),), remainder=remainder,
+                         tail=tail, kernel_dim=rank, lambda_min=omega)
     if not 0.0 < theta < 2.0 * math.pi:
         raise BadParameter(f"character angle must lie in (0, 2 pi), got {theta}")
-    root4pi = math.sqrt(4.0 * math.pi)
     pref = rank * L / root4pi
     a = theta / (2.0 * math.pi)
     lam_min = (2.0 * math.pi * min(a, 1.0 - a) / L) ** 2
@@ -440,8 +399,9 @@ def circle_character_heat_trace(L: float, theta: float, rank: int) -> HeatTrace:
         series = _gauss_series(L * L / (4.0 * t), weight=lambda j: math.cos(j * theta))
         return (pref / math.sqrt(t)) * 2.0 * series
 
+    scale = (2.0 * math.pi / L) ** 2
+
     def tail(t: float) -> float:
-        scale = (2.0 * math.pi / L) ** 2
         total = math.exp(-scale * a * a * t)
         m = 1
         while True:
@@ -456,8 +416,35 @@ def circle_character_heat_trace(L: float, theta: float, rank: int) -> HeatTrace:
         return rank * total
 
     return HeatTrace(terms=((0.5, pref),), remainder=remainder, tail=tail,
-                     kernel_dim=0, lambda_min=lam_min,
-                     label=f"circle(L={L:g}, theta={theta:g}) x{rank}")
+                     kernel_dim=0, lambda_min=lam_min)
+
+
+def torus_heat_trace(n: int, L: float) -> HeatTrace:
+    """Flat n-torus with all sides L: the n-fold product of circle_heat_trace(L).
+
+    Spectrum (2 pi / L)^2 |m|^2, m in Z^n; power (L/sqrt(4 pi t))^n, kernel 1.
+    """
+    _positive(L, "L")
+    if n < 1:
+        raise BadParameter(f"torus dimension must be >= 1, got {n}")
+    root4pi = math.sqrt(4.0 * math.pi)
+    pref = L / root4pi
+    omega = (2.0 * math.pi / L) ** 2
+
+    def full_1d(t: float) -> float:
+        if omega * t >= 1.0:
+            return 1.0 + 2.0 * _gauss_series(omega * t)
+        return (pref / math.sqrt(t)) * (1.0 + 2.0 * _gauss_series(L * L / (4.0 * t)))
+
+    def remainder(t: float) -> float:
+        sigma = 2.0 * _gauss_series(L * L / (4.0 * t))
+        return (pref / math.sqrt(t)) ** n * ((1.0 + sigma) ** n - 1.0)
+
+    def tail(t: float) -> float:
+        return full_1d(t) ** n - 1.0
+
+    return HeatTrace(terms=((0.5 * n, pref ** n),), remainder=remainder,
+                     tail=tail, kernel_dim=1, lambda_min=omega)
 
 
 @lru_cache(maxsize=None)
@@ -533,7 +520,7 @@ def sphere2_scalar_heat_trace() -> HeatTrace:
 
     return HeatTrace(terms=terms, remainder=lambda t: full(t) - power(t),
                      tail=lambda t: full(t) - 1.0, kernel_dim=1, lambda_min=2.0,
-                     t_floor=0.02, label="sphere2 scalar")
+                     t_floor=0.02)
 
 
 def _positive(value, name: str) -> None:

@@ -130,6 +130,16 @@ def test_model_torsion_sphere(capsys):
     assert payload["log_torsion_res"] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_rank_rejected_where_unsupported(capsys):
+    # torus, sphere2 and cylinder are rank 1 only; --rank 2 must not be ignored
+    for model in (["torus", "--n", "2"], ["sphere2"], ["cylinder"]):
+        for command in (["model-torsion", "--beta", "1"], ["zeta", "--s", "2"]):
+            code, out, err = run_cli(capsys, command[0], "--model", *model, "--rank", "2",
+                                     *command[1:], "--json")
+            assert code == 1 and out == ""
+            assert "rank 1 only" in err
+
+
 def test_model_torsion_boundary(capsys):
     code, out, _ = run_cli(capsys, "model-torsion", "--model", "interval",
                            "--condition", "absolute", "--beta", "k", "--json")

@@ -47,6 +47,15 @@ def test_build_model_guards():
         build_model("klein-bottle")
 
 
+def test_rank_only_where_supported():
+    # only the circle and the interval carry a coefficient rank
+    for name in ("torus", "sphere2"):
+        with pytest.raises(BadParameter):
+            build_model(name, rank=2)
+    with pytest.raises(BadParameter):
+        build_cylinder(1.0, 2.0 * math.pi, "relative", rank=2)
+
+
 def test_residue_traces():
     circle = build_model("circle", L=2.0 * math.pi)
     assert abs(residue_log_trace(circle, 0)) < 1e-14

@@ -402,6 +402,34 @@ def test_variation_random_paths_quadratic():
             assert 2.5 < rep.convergence_ratio < 8.0
 
 
+def test_variation_shares_the_base_point(monkeypatch):
+    # path(u0) and its factorization serve both steps: 5 path and 5
+    # factorize calls with the halving check, 3 and 3 without
+    from torsionlab import hodge, torsion
+
+    counts = {"path": 0, "factorize": 0}
+    real_factorize = hodge.factorize
+
+    def counting_factorize(*args, **kwargs):
+        counts["factorize"] += 1
+        return real_factorize(*args, **kwargs)
+
+    monkeypatch.setattr(hodge, "factorize", counting_factorize)
+    monkeypatch.setattr(torsion, "factorize", counting_factorize)
+    rng = np.random.default_rng(31)
+    cx = build_preset("torus2", alpha=1.0, beta=0.3)
+    real_path = exponential_metric_path([rng.standard_normal((d, d)) for d in cx.dims])
+
+    def path(u):
+        counts["path"] += 1
+        return real_path(u)
+
+    for check, expected in ((True, 5), (False, 3)):
+        counts.update(path=0, factorize=0)
+        variation_check(cx, path, (0.0, 1.0, 2.0), step=1e-4, check_convergence=check)
+        assert counts == {"path": expected, "factorize": expected}
+
+
 def test_variation_requires_acyclic():
     cells, _ = preset("circle", theta=1.0)
     trivial = build_twisted_boundary(cells, Representation(1, [np.eye(1)]))

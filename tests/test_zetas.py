@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from torsionlab import (
-    circle_character_heat_trace,
+    build_interval,
+    circle_heat_trace,
+    combine_heat_traces,
     digamma,
     hurwitz_zeta,
     hurwitz_zeta_prime0,
@@ -13,14 +15,18 @@ from torsionlab import (
     product_heat_trace,
     riemann_zeta,
     riemann_zeta_prime0,
-    scale_heat_trace,
     sphere2_scalar_heat_trace,
-    sum_heat_traces,
-    theta_expansion,
+    torus_heat_trace,
     zeta_at_zero,
 )
 from torsionlab.errors import BadParameter, PoleAtOne, PoleHit, QuadratureFailure
-from torsionlab.zetas import _rgamma_prime, rgamma, sphere2_power_coefficients
+from torsionlab.zetas import (
+    _EXP_CUTOFF,
+    _gauss_series,
+    _rgamma_prime,
+    rgamma,
+    sphere2_power_coefficients,
+)
 
 
 # --- independent oracles ------------------------------------------------------
@@ -123,27 +129,120 @@ def test_rgamma_prime_against_mpmath():
 # --- heat traces ----------------------------------------------------------------
 
 
+def interval(kind: str, R: float):
+    """The Dirichlet, Neumann or mixed interval factor, as boundary.py builds it."""
+    condition = {"dirichlet": "relative", "neumann": "absolute", "mixed": "mixed"}[kind]
+    return build_interval(R, condition).heat[0]
+
+
+def reference_gauss_series(a_over_t: float, weight=None) -> float:
+    """The theta series as first written; _gauss_series must match it bitwise."""
+    total = 0.0
+    j = 1
+    while a_over_t * j * j <= _EXP_CUTOFF:
+        w = 1.0 if weight is None else weight(j)
+        total += w * math.exp(-a_over_t * j * j)
+        j += 1
+    return total
+
+
+def test_gauss_series_matches_reference():
+    for a_over_t in (1e-3, 0.07, 0.5, 1.0, 3.3, 49.9, 50.0, 51.0):
+        for weight in (None, lambda j: (-1.0) ** j, lambda j: math.cos(0.7 * j)):
+            assert _gauss_series(a_over_t, weight) == reference_gauss_series(a_over_t, weight)
+
+
+def reference_interval(kind: str, R: float):
+    """The interval factors as written before they became half circles.
+
+    Returns (terms, remainder, tail, kernel_dim, lambda_min); the closures
+    are kept verbatim as a reference for the image-sum construction.
+    """
+    root4pi = math.sqrt(4.0 * math.pi)
+    pref = R / root4pi
+    if kind in ("dirichlet", "neumann"):
+        mu = (math.pi / R) ** 2
+        sign = -0.5 if kind == "dirichlet" else 0.5
+
+        def remainder(t):
+            return (pref / math.sqrt(t)) * 2.0 * reference_gauss_series(R * R / t)
+
+        def tail(t):
+            return reference_gauss_series(mu * t)
+
+        return (((0.5, pref), (0.0, sign)), remainder, tail,
+                0 if kind == "dirichlet" else 1, mu)
+    mu = (math.pi / (2.0 * R)) ** 2
+
+    def remainder(t):
+        alternating = reference_gauss_series(R * R / t, weight=lambda j: (-1.0) ** j)
+        return (pref / math.sqrt(t)) * 2.0 * alternating
+
+    def tail(t):
+        total, m = 0.0, 0
+        while mu * (2 * m + 1) ** 2 * t <= _EXP_CUTOFF:
+            total += math.exp(-mu * (2 * m + 1) ** 2 * t)
+            m += 1
+        return total
+
+    return ((0.5, pref),), remainder, tail, 0, mu
+
+
+def test_interval_factors_match_reference_closures():
+    # Dirichlet and Neumann bitwise; mixed (a reordered tail sum, whose first
+    # term the circle keeps below the exp(-50) cutoff) to 1e-15 relative
+    for R in (0.5, 1.0, 1.1, math.pi):
+        for kind in ("dirichlet", "neumann", "mixed"):
+            h = interval(kind, R)
+            terms, remainder, tail, kernel, lam_min = reference_interval(kind, R)
+            assert (h.terms, h.kernel_dim, h.lambda_min) == (terms, kernel, lam_min)
+            assert type(h.kernel_dim) is int
+            for t in (0.01, 0.05, 0.3, 0.7, 1.0):
+                assert h.remainder(t) == remainder(t)
+            for t in (1.0, 1.7, 3.0, 10.0):
+                if kind == "mixed":
+                    floor = max(abs(tail(t)), math.exp(-_EXP_CUTOFF))
+                    assert abs(h.tail(t) - tail(t)) <= 1e-15 * floor
+                else:
+                    assert h.tail(t) == tail(t)
+
+
+def test_interval_factors_against_eigenvalue_sums():
+    spectra = {
+        "dirichlet": lambda R: [(m * math.pi / R) ** 2 for m in range(1, 400)],
+        "neumann": lambda R: [(m * math.pi / R) ** 2 for m in range(0, 400)],
+        "mixed": lambda R: [((m + 0.5) * math.pi / R) ** 2 for m in range(0, 400)],
+    }
+    for kind, spectrum in spectra.items():
+        for R in (0.5, 1.1, math.pi):
+            h = interval(kind, R)
+            for t in (0.05, 0.3, 1.0, 3.0):
+                direct = sum(math.exp(-t * lam) for lam in spectrum(R))
+                assert abs(h.full(t) - direct) < 1e-12 * max(1.0, direct)
+                assert abs(h.kernel_dim + h.tail(t) - direct) < 1e-12 * max(1.0, direct)
+
+
 def test_theta_split_consistency():
-    factors = [theta_expansion("circle", L=2.0 * math.pi),
-               theta_expansion("circle", L=1.0),
-               theta_expansion("dirichlet", R=1.0),
-               theta_expansion("dirichlet", R=math.pi),
-               theta_expansion("neumann", R=1.0),
-               theta_expansion("mixed", R=0.5),
-               theta_expansion("lattice", n=2, L=1.0),
-               theta_expansion("lattice", n=3, L=1.0),
-               circle_character_heat_trace(2.0 * math.pi, 0.7, 2)]
+    factors = [circle_heat_trace(2.0 * math.pi),
+               circle_heat_trace(1.0),
+               interval("dirichlet", 1.0),
+               interval("dirichlet", math.pi),
+               interval("neumann", 1.0),
+               interval("mixed", 0.5),
+               torus_heat_trace(2, 1.0),
+               torus_heat_trace(3, 1.0),
+               circle_heat_trace(2.0 * math.pi, 0.7, 2)]
     for h in factors:
         assert h.consistency_residual(1.0) < 1e-10
 
 
 def test_theta_image_vs_direct_sum_small_t():
     # dirichlet on [0, pi]: images against the raw eigenvalue sum at t = 0.1
-    h = theta_expansion("dirichlet", R=math.pi)
+    h = interval("dirichlet", math.pi)
     direct = sum(math.exp(-0.1 * m * m) for m in range(1, 50))
     assert abs(h.full(0.1) - direct) < 1e-12
 
-    h2 = theta_expansion("lattice", n=2, L=1.0)
+    h2 = torus_heat_trace(2, 1.0)
     omega = (2.0 * math.pi) ** 2
     direct = sum(math.exp(-0.05 * omega * (i * i + j * j))
                  for i in range(-40, 41) for j in range(-40, 41))
@@ -151,24 +250,29 @@ def test_theta_image_vs_direct_sum_small_t():
 
 
 def test_character_trace_reduces_to_plain_circle():
-    h0 = theta_expansion("circle", L=2.0 * math.pi)
-    h1 = circle_character_heat_trace(2.0 * math.pi, 0.0, 1)
+    h0 = circle_heat_trace(2.0 * math.pi)
+    h1 = circle_heat_trace(2.0 * math.pi, 0.0, 1)
     for t in (0.2, 1.0):
         assert abs(h0.full(t) - h1.full(t)) < 1e-14
+    # at theta = 0 the constant modes are a kernel of dimension rank
+    h2 = circle_heat_trace(2.0 * math.pi, 0.0, 2)
+    assert h2.kernel_dim == 2
+    for t in (0.2, 1.0):
+        assert abs(h2.full(t) - 2.0 * h0.full(t)) < 1e-14
+    with pytest.raises(BadParameter):
+        circle_heat_trace(1.0, theta=2.0 * math.pi)
 
 
 def test_product_heat_trace_terms():
     R, L = 1.0, 2.0 * math.pi
-    hd = product_heat_trace(theta_expansion("dirichlet", R=R),
-                            theta_expansion("circle", L=L))
+    hd = product_heat_trace(interval("dirichlet", R), circle_heat_trace(L))
     terms = dict(hd.terms)
     assert abs(terms[1.0] - R * L / (4.0 * math.pi)) < 1e-14
     assert abs(terms[0.5] + L / (2.0 * math.sqrt(4.0 * math.pi))) < 1e-14
     assert 0.0 not in terms
     assert hd.kernel_dim == 0
 
-    hn = product_heat_trace(theta_expansion("neumann", R=R),
-                            theta_expansion("circle", L=L))
+    hn = product_heat_trace(interval("neumann", R), circle_heat_trace(L))
     terms = dict(hn.terms)
     assert abs(terms[0.5] - L / (2.0 * math.sqrt(4.0 * math.pi))) < 1e-14
     assert hn.kernel_dim == 1
@@ -176,8 +280,8 @@ def test_product_heat_trace_terms():
 
 
 def test_product_heat_trace_pointwise_and_split():
-    f1 = theta_expansion("neumann", R=0.8)
-    f2 = theta_expansion("circle", L=1.5)
+    f1 = interval("neumann", 0.8)
+    f2 = circle_heat_trace(1.5)
     prod = product_heat_trace(f1, f2)
     for t in (0.3, 0.7, 1.0):
         assert abs(prod.full(t) - f1.full(t) * f2.full(t)) < 1e-12
@@ -185,15 +289,32 @@ def test_product_heat_trace_pointwise_and_split():
 
 
 def test_sum_and_scale_heat_traces():
-    f1 = theta_expansion("dirichlet", R=1.0)
-    f2 = theta_expansion("neumann", R=1.0)
-    s = sum_heat_traces(f1, f2)
+    f1 = interval("dirichlet", 1.0)
+    f2 = interval("neumann", 1.0)
+    s = combine_heat_traces([(1, f1), (1, f2)])
     assert s.kernel_dim == 1
     for t in (0.4, 1.0):
         assert abs(s.full(t) - f1.full(t) - f2.full(t)) < 1e-13
-    tripled = scale_heat_trace(f2, 3)
+    tripled = combine_heat_traces([(3, f2)])
     assert tripled.kernel_dim == 3
     assert abs(tripled.full(0.5) - 3.0 * f2.full(0.5)) < 1e-13
+    # a negative constant removes kernel: Neumann minus its constant mode
+    stripped = combine_heat_traces([(1, f2)], constant=-1)
+    assert stripped.kernel_dim == 0
+    assert abs(stripped.full(0.5) - (f2.full(0.5) - 1.0)) < 1e-14
+    assert stripped.tail(2.0) == f2.tail(2.0)
+
+
+def test_combine_rejects_non_integer_or_negative_kernel():
+    circle = circle_heat_trace(1.0)
+    with pytest.raises(BadParameter):
+        combine_heat_traces([(0.5, circle)])
+    with pytest.raises(BadParameter):
+        combine_heat_traces([(0.5, circle)], constant=0.25)
+    with pytest.raises(BadParameter):
+        combine_heat_traces([(1, circle)], constant=-2)
+    with pytest.raises(BadParameter):
+        combine_heat_traces([(1, circle), (1, circle), (1, circle)])
 
 
 def test_sphere_coefficients_exact():
@@ -213,7 +334,7 @@ def test_sphere_coefficients_exact():
 
 def test_mellin_circle_against_closed_form():
     for L in (2.0 * math.pi, 1.7):
-        h = theta_expansion("circle", L=L)
+        h = circle_heat_trace(L)
         scale = (2.0 * math.pi / L) ** 2
         for s in (2.0, 3.0):
             closed = 2.0 * scale ** (-s) * riemann_zeta(2.0 * s)
@@ -231,7 +352,7 @@ def test_mellin_circle_against_closed_form():
 
 def test_mellin_dirichlet_against_closed_form():
     for R in (1.0, math.pi):
-        h = theta_expansion("dirichlet", R=R)
+        h = interval("dirichlet", R)
         scale = (math.pi / R) ** 2
         for s in (-1.0, 2.0):
             closed = scale ** (-s) * riemann_zeta(2.0 * s)
@@ -242,22 +363,22 @@ def test_mellin_dirichlet_against_closed_form():
 
 
 def test_mellin_pole_hits():
-    h = theta_expansion("circle", L=2.0 * math.pi)
+    h = circle_heat_trace(2.0 * math.pi)
     with pytest.raises(PoleHit):
         mellin_zeta(h, 0.5)
-    h2 = theta_expansion("lattice", n=2, L=1.0)
+    h2 = torus_heat_trace(2, 1.0)
     with pytest.raises(PoleHit):
         mellin_zeta(h2, 1.0)
 
 
 def test_mellin_zeta_zero_is_coefficient_arithmetic():
     cases = [
-        (theta_expansion("circle", L=2.0 * math.pi), -1.0),
-        (theta_expansion("dirichlet", R=1.0), -0.5),
-        (theta_expansion("neumann", R=1.0), -0.5),
-        (theta_expansion("mixed", R=1.0), 0.0),
-        (theta_expansion("lattice", n=2, L=1.0), -1.0),
-        (circle_character_heat_trace(2.0 * math.pi, 0.7, 2), 0.0),
+        (circle_heat_trace(2.0 * math.pi), -1.0),
+        (interval("dirichlet", 1.0), -0.5),
+        (interval("neumann", 1.0), -0.5),
+        (interval("mixed", 1.0), 0.0),
+        (torus_heat_trace(2, 1.0), -1.0),
+        (circle_heat_trace(2.0 * math.pi, 0.7, 2), 0.0),
     ]
     for h, expected in cases:
         assert mellin_zeta(h, 0.0).value == zeta_at_zero(h)
@@ -273,7 +394,7 @@ def test_mellin_character_derivative_hurwitz_oracle():
         closed = -4.0 * math.log(2.0 * math.sin(theta / 2.0))
         assert abs(oracle - closed) < 1e-11
         for L in (2.0 * math.pi, 1.0):
-            h = circle_character_heat_trace(L, theta, 2)
+            h = circle_heat_trace(L, theta, 2)
             ev = mellin_zeta(h, 0.0, derivative=True)
             assert abs(ev.derivative - closed) < 1e-8
 
@@ -289,7 +410,7 @@ def test_mellin_sphere_zeta_zero_and_binomial_oracle():
 
 
 def test_mellin_direct_sum_consistency():
-    h2 = theta_expansion("lattice", n=2, L=1.0)
+    h2 = torus_heat_trace(2, 1.0)
     omega = (2.0 * math.pi) ** 2
     brute = sum((omega * (i * i + j * j)) ** -3.0
                 for i in range(-80, 81) for j in range(-80, 81)
@@ -298,7 +419,7 @@ def test_mellin_direct_sum_consistency():
 
 
 def test_mellin_complex_s():
-    h = theta_expansion("circle", L=2.0 * math.pi)
+    h = circle_heat_trace(2.0 * math.pi)
     ev = mellin_zeta(h, complex(2.0, 0.5))
     # compare against the absolutely convergent direct sum
     direct = sum(2.0 * complex(m * m) ** complex(-2.0, -0.5)
@@ -310,7 +431,7 @@ def test_mellin_complex_s():
 
 def test_quadrature_warning_raises():
     # sin(1/t) oscillates without bound near t = 0: quad cannot reach its target
-    h = dataclasses.replace(theta_expansion("circle", L=2.0 * math.pi),
+    h = dataclasses.replace(circle_heat_trace(2.0 * math.pi),
                             remainder=lambda t: math.sin(1.0 / t))
     with pytest.raises(QuadratureFailure):
         mellin_zeta(h, 2.0)
