@@ -8,8 +8,10 @@ Subcommands:
     gluing         evaluate the torsion gluing identity on a split geometry
 
 Exit codes: 0 success; 1 failed verification or internal error; 2 malformed
-input; 3 acyclicity violation; 4 zeta pole hit.  All floating output uses 15
-significant digits; --json output round-trips bit-exactly through json.loads.
+input or an option the chosen model or preset does not read; 3 acyclicity
+violation, including one the minor oracle cannot certify; 4 zeta pole hit.
+All floating output uses 15 significant digits; --json output round-trips
+bit-exactly through json.loads.
 """
 
 from __future__ import annotations
@@ -25,20 +27,26 @@ import numpy as np
 from . import boundary as bnd
 from . import models as mdl
 from .complexes import build_preset, complex_from_json
-from .errors import (
-    NotAcyclic,
-    NotAcyclicPreset,
-    PoleAtOne,
-    PoleHit,
-    SchemaError,
-    TorsionLabError,
-)
+from .errors import NotAcyclic, PoleHit, SchemaError, TorsionLabError
 from .hodge import ChainMetric, acyclic_spectra
 from .torsion import classify_beta, determinant_oracle, generalized_log_torsion
 from .verify import DEFAULT_SEED, run_suites
 
-CLOSED_MODELS = ("circle", "torus", "sphere2")
-BOUNDARY_MODELS = ("interval", "cylinder")
+# The options each model and preset reads, with their defaults.  They default
+# to None on the command line, so one given where it is not read is rejected.
+MODEL_OPTIONS = {
+    "circle": {"L": 2.0 * math.pi, "theta": 0.0, "rank": 1},
+    "torus": {"n": 2, "L": 2.0 * math.pi, "rank": 1},
+    "sphere2": {"rank": 1},
+    "interval": {"R": 1.0, "condition": "relative", "rank": 1},
+    "cylinder": {"R": 1.0, "L": 2.0 * math.pi, "condition": "relative", "rank": 1},
+}
+PRESET_OPTIONS = {
+    "circle": {"theta": 1.0},
+    "torus2": {"alpha": 1.0, "beta_angle": 0.3},
+    "interval": {"rank": 1},
+    "point": {"rank": 1},
+}
 
 
 def fmt(x: float) -> str:
@@ -98,21 +106,28 @@ def _flatten(obj, prefix: str = "") -> dict:
 # --- torsion ------------------------------------------------------------------
 
 
+def _read_options(args, table: dict, name: str | None, owner: str) -> dict:
+    """The options table[name] reads, given or defaulted; SchemaError names any
+    other option of the table that was given (name None reads none)."""
+    reads = table.get(name, {})
+    for dest in sorted({d for opts in table.values() for d in opts} - reads.keys()):
+        if getattr(args, dest) is not None:
+            raise SchemaError(f"--{dest.replace('_', '-')} does not apply to {owner}")
+    return {dest: default if getattr(args, dest) is None else getattr(args, dest)
+            for dest, default in reads.items()}
+
+
 def _build_input_complex(args):
     if args.input is not None:
+        if args.preset is not None:
+            raise SchemaError("provide either --input or --preset, not both")
+        _read_options(args, PRESET_OPTIONS, None, "--input")
         return complex_from_json(args.input), f"json:{args.input}"
     if args.preset is None:
         raise SchemaError("provide either --input or --preset")
-    params = {}
-    if args.preset == "circle":
-        params["theta"] = args.theta if args.theta is not None else 1.0
-    elif args.preset == "torus2":
-        params["alpha"] = args.alpha if args.alpha is not None else 1.0
-        params["beta"] = args.beta_angle if args.beta_angle is not None else 0.3
-    elif args.preset in ("interval", "point"):
-        params["rank"] = args.rank
-    else:
-        raise SchemaError(f"unknown preset {args.preset!r}")
+    params = _read_options(args, PRESET_OPTIONS, args.preset, f"preset {args.preset}")
+    if "beta_angle" in params:
+        params["beta"] = params.pop("beta_angle")
     return build_preset(args.preset, **params), f"preset:{args.preset}"
 
 
@@ -161,18 +176,12 @@ def cmd_torsion(args) -> int:
 
 
 def _build_spectral_model(args):
-    if args.model == "circle":
-        return mdl.build_model("circle", L=args.L, theta=args.theta or 0.0,
-                               rank=args.rank)
-    if args.model == "torus":
-        return mdl.build_model("torus", n=args.n, L=args.L, rank=args.rank)
-    if args.model == "sphere2":
-        return mdl.build_model("sphere2", rank=args.rank)
+    params = _read_options(args, MODEL_OPTIONS, args.model, f"model {args.model}")
     if args.model == "interval":
-        return bnd.build_interval(args.R, args.condition, rank=args.rank)
+        return bnd.build_interval(**params)
     if args.model == "cylinder":
-        return bnd.build_cylinder(args.R, args.L, args.condition, rank=args.rank)
-    raise SchemaError(f"unknown model {args.model!r}")
+        return bnd.build_cylinder(**params)
+    return mdl.build_model(args.model, **params)
 
 
 def cmd_zeta(args) -> int:
@@ -290,11 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("torsion", parents=[common],
                        help="log torsion of a twisted chain complex")
     p.add_argument("--input", help="path to a complex JSON file")
-    p.add_argument("--preset", choices=("circle", "torus2", "interval", "point"))
+    p.add_argument("--preset", choices=tuple(PRESET_OPTIONS))
     p.add_argument("--theta", type=float, help="circle twisting angle")
     p.add_argument("--alpha", type=float, help="torus2 first angle")
     p.add_argument("--beta-angle", type=float, help="torus2 second angle")
-    p.add_argument("--rank", type=int, default=1, help="trivial coefficient rank")
+    p.add_argument("--rank", type=int, help="interval/point trivial coefficient rank")
     p.add_argument("--beta", default="k", help="weights: 1 | k | lin:l,m | list")
     p.add_argument("--metric", default="identity", help="identity | random:SEED")
     p.set_defaults(func=cmd_torsion)
@@ -302,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeta", parents=[common],
                        help="evaluate a model spectral zeta function")
     p.add_argument("--model", required=True,
-                   choices=CLOSED_MODELS + BOUNDARY_MODELS)
+                   choices=tuple(MODEL_OPTIONS))
     p.add_argument("--degree", type=int, default=0)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--derivative", action="store_true")
@@ -312,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model-torsion", parents=[common],
                        help="residue/analytic torsion of a model geometry")
     p.add_argument("--model", required=True,
-                   choices=CLOSED_MODELS + BOUNDARY_MODELS)
+                   choices=tuple(MODEL_OPTIONS))
     p.add_argument("--kind", choices=("residue", "analytic", "both"),
                    default="residue")
     p.add_argument("--beta", default="k", help="weights: 1 | k | lin:l,m | list")
@@ -346,14 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _model_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--L", type=float, default=2.0 * math.pi,
-                   help="circle circumference")
-    p.add_argument("--theta", type=float, default=None, help="circle character angle")
-    p.add_argument("--rank", type=int, default=1, help="coefficient rank")
-    p.add_argument("--n", type=int, default=2, help="torus dimension")
-    p.add_argument("--R", type=float, default=1.0, help="interval/cylinder length")
-    p.add_argument("--condition", choices=("relative", "absolute", "mixed"),
-                   default="relative")
+    p.add_argument("--L", type=float, help="circle circumference")
+    p.add_argument("--theta", type=float, help="circle character angle")
+    p.add_argument("--rank", type=int, help="coefficient rank")
+    p.add_argument("--n", type=int, help="torus dimension")
+    p.add_argument("--R", type=float, help="interval/cylinder length")
+    p.add_argument("--condition", choices=("relative", "absolute", "mixed"))
 
 
 def main(argv=None) -> int:
@@ -364,10 +371,10 @@ def main(argv=None) -> int:
     except (SchemaError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotAcyclic, NotAcyclicPreset) as exc:
+    except NotAcyclic as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (PoleHit, PoleAtOne) as exc:
+    except PoleHit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except TorsionLabError as exc:

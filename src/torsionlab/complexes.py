@@ -29,7 +29,7 @@ from .errors import (
     BadParameter,
     BadRepresentation,
     NonChainComplex,
-    NotAcyclicPreset,
+    NotAcyclic,
     SchemaError,
 )
 
@@ -209,10 +209,7 @@ def build_twisted_boundary(cells: CellStructure, rho: Representation) -> Twisted
         boundaries.append(mat)
     cplx = TwistedComplex(rank=n, cells_per_degree=cells.cells_per_degree,
                           boundaries=tuple(boundaries))
-    for k in range(2, cplx.dimension + 1):
-        lower, upper = cplx.boundary(k - 1), cplx.boundary(k)
-        residual = float(np.max(np.abs(lower @ upper))) if upper.size and lower.size else 0.0
-        bound = CHAIN_TOL * (1.0 + _opnorm(lower) * _opnorm(upper))
+    for k, residual, bound in validate(cplx).residuals:
         if residual > bound:
             raise NonChainComplex(
                 f"bd_{k - 1} @ bd_{k} has residual {residual:.3e} > {bound:.3e}")
@@ -269,7 +266,7 @@ def preset(name: str, *, theta: float | None = None, alpha: float | None = None,
             raise BadParameter("circle preset requires theta")
         _check_angle(theta, "theta")
         if theta == 0.0:
-            raise NotAcyclicPreset("circle preset with theta = 0 is not acyclic")
+            raise NotAcyclic("circle preset with theta = 0 is not acyclic")
         cells = CellStructure(
             dimension=1, cells_per_degree=(1, 1),
             incidences=(((),), (((0, 1, ((0, 1),)), (0, -1, empty)),)),
@@ -281,7 +278,7 @@ def preset(name: str, *, theta: float | None = None, alpha: float | None = None,
         _check_angle(alpha, "alpha")
         _check_angle(beta, "beta")
         if alpha == 0.0 and beta == 0.0:
-            raise NotAcyclicPreset("torus2 preset with alpha = beta = 0 is not acyclic")
+            raise NotAcyclic("torus2 preset with alpha = beta = 0 is not acyclic")
         word_a: GroupWord = ((0, 1),)
         word_b: GroupWord = ((1, 1),)
         cells = CellStructure(

@@ -21,10 +21,6 @@ class NonChainComplex(TorsionLabError):
     """Composed twisted boundaries are not zero to within tolerance."""
 
 
-class NotAcyclicPreset(TorsionLabError):
-    """A preset that must be acyclic was given a trivial twisting angle."""
-
-
 class ShapeMismatch(TorsionLabError):
     """Dimensions of matrices, metrics or weight vectors do not chain."""
 
@@ -34,23 +30,18 @@ class NotAnEigenvalue(TorsionLabError):
 
 
 class NotAcyclic(TorsionLabError):
-    """An operation requiring vanishing homology met a nonzero Betti number."""
-
-
-class PivotFailure(TorsionLabError):
-    """Gaussian elimination could not find an acceptable pivot."""
+    """An operation requiring vanishing homology met a complex without it:
+    a nonzero Betti number, a minor-oracle pivot at or below its threshold
+    or a row it leaves unpivoted, or a preset with a trivial twisting angle."""
 
 
 class StepTooLarge(TorsionLabError):
     """Finite-difference check did not exhibit quadratic convergence."""
 
 
-class PoleAtOne(TorsionLabError):
-    """Riemann/Hurwitz zeta evaluated at its pole s = 1."""
-
-
 class PoleHit(TorsionLabError):
-    """Spectral zeta evaluated at a pole of its meromorphic continuation."""
+    """A zeta function evaluated at a pole: a spectral zeta at a pole of its
+    meromorphic continuation, or the Riemann/Hurwitz zeta at s = 1."""
 
 
 class QuadratureFailure(TorsionLabError):

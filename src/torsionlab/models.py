@@ -98,6 +98,7 @@ def build_model(name: str, *, L: float = 2.0 * math.pi, theta: float = 0.0,
                 rank: int = 1, n: int = 2) -> SpectralModel:
     """Construct one of the closed models; see the module docstring."""
     if name == "circle":
+        theta += 0.0  # -0.0 is the trivial character; name it theta=0
         if theta != 0.0 and rank != 2:
             raise BadParameter("a nontrivial circle character requires rank 2")
         if rank not in (1, 2):

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .complexes import TwistedComplex
-from .errors import NotAcyclic, PivotFailure, ShapeMismatch, StepTooLarge
+from .errors import NotAcyclic, ShapeMismatch, StepTooLarge
 from .hodge import (
     ChainMetric,
     Factorization,
@@ -74,11 +74,16 @@ def determinant_oracle(cplx: TwistedComplex) -> float:
     columns still in play selects pivot rows whose complement forms the
     column set for the next degree; the minor of bd_k built this way gets
     exponent (-1)^(k+1).  Metric-free and independent of the Laplacian
-    route.  Raises NotAcyclic when the boundary ranks do not chain exactly,
-    PivotFailure if elimination degenerates despite consistent ranks.
+    route.
 
-    The ranks come from np.linalg.matrix_rank, the rule hodge uses for
-    Betti numbers; on large boundary maps that SVD is most of the cost.
+    The elimination is also the acyclicity test; no rank is computed
+    elsewhere.  In exact arithmetic bd_n has full column rank iff H_n = 0,
+    bd_k (k < n) on the complement of the pivot rows of degree k + 1 has
+    full column rank iff H_k = 0, and H_0 = 0 iff no row is left at degree 0.
+    So a pivot |pivot| <= RANK_TOL * scale in degree k, or a row left at
+    degree 0, raises NotAcyclic naming the degree: the complex is not
+    acyclic, or not to within the pivot threshold.
+
     Elimination (_full_pivot_logdet) pivots on the largest |entry| still
     live, the first in row-major order on ties, keeping the largest |entry|
     of every live row in `rowmax`; a step updates only the rows R nonzero in
@@ -86,35 +91,27 @@ def determinant_oracle(cplx: TwistedComplex) -> float:
     """
     dims = cplx.dims
     n = cplx.dimension
-    ranks = [0] * (n + 2)
-    for k in range(1, n + 1):
-        b = cplx.boundary(k)
-        ranks[k] = int(np.linalg.matrix_rank(b)) if b.size else 0
-    for k in range(0, n + 1):
-        if ranks[k] + ranks[k + 1] != dims[k]:
-            raise NotAcyclic(
-                f"rank defect in degree {k}: {ranks[k]} + {ranks[k + 1]} != {dims[k]}")
-
     log_tau = 0.0
     columns = list(range(dims[n]))
     for k in range(n, 0, -1):
         mat = cplx.boundary(k)[:, columns]
-        pivot_rows, log_det = _full_pivot_logdet(mat)
+        pivot_rows, log_det = _full_pivot_logdet(mat, k)
         log_tau += ((-1.0) ** (k + 1)) * log_det
         taken = set(pivot_rows)
         columns = [i for i in range(dims[k - 1]) if i not in taken]
     if columns:
-        raise PivotFailure("rows left unpivoted at degree 0")
+        raise NotAcyclic(f"not acyclic in degree 0: {len(columns)} rows left unpivoted")
     return log_tau
 
 
-def _full_pivot_logdet(mat: np.ndarray) -> tuple[list[int], float]:
+def _full_pivot_logdet(mat: np.ndarray, degree: int) -> tuple[list[int], float]:
     """Pivot rows and sum of log|pivot| from full-pivot elimination.
 
-    `mat` must have full column rank; the selected rows index an invertible
-    minor whose |det| is the product of the pivots.  Each step pivots on the
-    entry of largest modulus among the rows and columns not yet pivoted,
-    the first in row-major order on ties (most boundary entries are +-1).
+    The selected rows index an invertible minor whose |det| is the product
+    of the pivots.  Each step pivots on the entry of largest modulus among
+    the rows and columns not yet pivoted, the first in row-major order on
+    ties (most boundary entries are +-1).  Fewer rows than columns, or a
+    pivot at most RANK_TOL * max|entry|, raises NotAcyclic naming `degree`.
 
     A pivoted row and column are zeroed once eliminated, and rowmax[r] holds
     max |work[r, :]|, the largest modulus over the live columns, for every
@@ -128,9 +125,11 @@ def _full_pivot_logdet(mat: np.ndarray) -> tuple[list[int], float]:
     R stays short on the complexes determinant_oracle sees.
     """
     work = np.array(mat, dtype=float)
-    n_cols = work.shape[1]
+    n_rows, n_cols = work.shape
     if n_cols == 0:
         return [], 0.0
+    if n_rows < n_cols:
+        raise NotAcyclic(f"not acyclic in degree {degree}: {n_cols} columns, {n_rows} rows")
     rowmax = np.max(np.abs(work), axis=1)
     scale = max(float(np.max(rowmax)), np.finfo(float).tiny)
     pivot_rows: list[int] = []
@@ -141,7 +140,9 @@ def _full_pivot_logdet(mat: np.ndarray) -> tuple[list[int], float]:
         piv_col = int(np.argmax(np.abs(pivot)))
         piv = pivot[piv_col]
         if abs(piv) <= RANK_TOL * scale:
-            raise PivotFailure(f"pivot {abs(piv):.3e} below threshold")
+            raise NotAcyclic(
+                f"not acyclic in degree {degree}: pivot {abs(piv):.3e} is "
+                f"{abs(piv) / scale:.3e} of scale {scale:.3e}, at or below {RANK_TOL:.0e}")
         log_det += math.log(abs(piv))
         pivot_rows.append(piv_row)
         rows = np.flatnonzero(work[:, piv_col])

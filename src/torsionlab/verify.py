@@ -31,7 +31,7 @@ from .complexes import (
     rotation,
     validate,
 )
-from .errors import NotAcyclicPreset, PoleHit, StepTooLarge, UnsupportedPartition
+from .errors import NotAcyclic, PoleHit, StepTooLarge, UnsupportedPartition
 from .hodge import (
     ChainMetric,
     acyclic_spectra,
@@ -454,12 +454,12 @@ def combinatorial_suite(tol: float | None = None,
     try:
         preset("circle", theta=0.0)
         guards += 1.0
-    except NotAcyclicPreset:
+    except NotAcyclic:
         pass
     try:
         preset("torus2", alpha=0.0, beta=0.0)
         guards += 1.0
-    except NotAcyclicPreset:
+    except NotAcyclic:
         pass
     good = build_preset("torus2", alpha=1.0, beta=0.3)
     bad_boundaries = [m.copy() for m in good.boundaries]

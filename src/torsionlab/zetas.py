@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import BadParameter, PoleAtOne, PoleHit, QuadratureFailure
+from .errors import BadParameter, PoleHit, QuadratureFailure
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -110,7 +110,7 @@ def _hurwitz_core(s, a, want_derivative):
         raise BadParameter(f"Hurwitz parameter must be positive, got {a}")
     s = complex(s) if isinstance(s, complex) else float(s)
     if abs(s - 1.0) < 1e-12:
-        raise PoleAtOne("zeta has a simple pole at s = 1")
+        raise PoleHit("zeta has a simple pole at s = 1")
     n = _EM_N
     value = 0.0 if not isinstance(s, complex) else 0.0 + 0.0j
     deriv = value

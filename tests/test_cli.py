@@ -93,6 +93,60 @@ def test_torsion_not_acyclic_exit_3(capsys, tmp_path):
     assert "degree 0" in err  # the failing degree is named
 
 
+def test_oracle_refusal_exit_3(capsys, tmp_path):
+    # two-vertex circle at theta = 1e-11: the Laplacian route accepts it, the
+    # oracle's degree-1 pivot (about theta) is below its threshold
+    c, s = math.cos(1e-11), math.sin(1e-11)
+    data = {
+        "dimension": 1, "rank": 2, "generators": 1, "rep": [[[c, -s], [s, c]]],
+        "cells": [{"dim": 0, "boundary": []},
+                  {"dim": 0, "boundary": []},
+                  {"dim": 1, "boundary": [
+                      {"cell": 1, "coeff": 1, "word": []},
+                      {"cell": 0, "coeff": -1, "word": []}]},
+                  {"dim": 1, "boundary": [
+                      {"cell": 0, "coeff": 1, "word": [[0, 1]]},
+                      {"cell": 1, "coeff": -1, "word": []}]}],
+    }
+    path = tmp_path / "circle2.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "torsion", "--input", str(path), "--json")
+    assert code == 3 and out == ""
+    assert "degree 1" in err
+
+
+# the model and preset options each model or preset does not read
+_MODEL_OPTION_VALUES = {"--L": "3", "--theta": "1.0", "--n": "3", "--R": "2",
+                        "--condition": "absolute"}
+_MODEL_READS = {"circle": {"--L", "--theta"}, "torus": {"--n", "--L"}, "sphere2": set(),
+                "interval": {"--R", "--condition"},
+                "cylinder": {"--R", "--L", "--condition"}}
+_PRESET_OPTION_VALUES = {"--theta": "1.0", "--alpha": "1.0", "--beta-angle": "0.5",
+                         "--rank": "2"}
+_PRESET_READS = {"circle": {"--theta"}, "torus2": {"--alpha", "--beta-angle"},
+                 "interval": {"--rank"}, "point": {"--rank"}}
+_INAPPLICABLE = (
+    [([command, "--model", model, *extra, option, _MODEL_OPTION_VALUES[option]], option, model)
+     for command, extra in (("zeta", ["--s", "2"]), ("model-torsion", []))
+     for model, reads in _MODEL_READS.items()
+     for option in _MODEL_OPTION_VALUES if option not in reads]
+    + [(["torsion", "--preset", preset, option, _PRESET_OPTION_VALUES[option]], option, preset)
+       for preset, reads in _PRESET_READS.items()
+       for option in _PRESET_OPTION_VALUES if option not in reads]
+    + [(["torsion", "--input", "unread.json", option, value], option, "--input")
+       for option, value in _PRESET_OPTION_VALUES.items()]
+    + [(["torsion", "--input", "unread.json", "--preset", "circle"], "--preset", "--input")]
+)
+
+
+@pytest.mark.parametrize("argv, option, owner", _INAPPLICABLE,
+                         ids=[" ".join(argv) for argv, _, _ in _INAPPLICABLE])
+def test_inapplicable_option_rejected(capsys, argv, option, owner):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 2 and out == ""
+    assert option in err and owner in err
+
+
 def test_zeta_torus_value(capsys):
     code, out, _ = run_cli(capsys, "zeta", "--model", "torus", "--n", "2",
                            "--L", "1", "--degree", "1", "--s", "0", "--json")

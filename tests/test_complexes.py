@@ -19,7 +19,7 @@ from torsionlab.errors import (
     BadParameter,
     BadRepresentation,
     NonChainComplex,
-    NotAcyclicPreset,
+    NotAcyclic,
     SchemaError,
 )
 
@@ -81,9 +81,9 @@ def test_non_chain_complex_raises():
 
 
 def test_preset_guards():
-    with pytest.raises(NotAcyclicPreset):
+    with pytest.raises(NotAcyclic):
         preset("circle", theta=0.0)
-    with pytest.raises(NotAcyclicPreset):
+    with pytest.raises(NotAcyclic):
         preset("torus2", alpha=0.0, beta=0.0)
     with pytest.raises(BadParameter):
         preset("circle", theta=7.0)

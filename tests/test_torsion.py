@@ -24,7 +24,7 @@ from torsionlab import (
     telescoping_identity_holds,
     variation_check,
 )
-from torsionlab.errors import NotAcyclic, PivotFailure, ShapeMismatch
+from torsionlab.errors import NotAcyclic, ShapeMismatch
 from torsionlab.hodge import coboundary, laplacian, metric_adjoint
 from torsionlab.torsion import (
     RANK_TOL,
@@ -66,7 +66,7 @@ def _grid_torus(n: int, alpha: float, beta: float):
     return build_twisted_boundary(cells, Representation(2, [rotation(alpha), rotation(beta)]))
 
 
-def _reference_full_pivot_logdet(mat):
+def _reference_full_pivot_logdet(mat, degree=1):
     """Full-pivot elimination over the whole remaining submatrix at every step."""
     work = np.array(mat, dtype=float)
     n_rows, n_cols = work.shape
@@ -83,7 +83,9 @@ def _reference_full_pivot_logdet(mat):
         piv_row, piv_col = row_pool[i_loc], col_pool[j_loc]
         piv = work[piv_row, piv_col]
         if abs(piv) <= RANK_TOL * scale:
-            raise PivotFailure(f"pivot {abs(piv):.3e} below threshold")
+            raise NotAcyclic(
+                f"not acyclic in degree {degree}: pivot {abs(piv):.3e} is "
+                f"{abs(piv) / scale:.3e} of scale {scale:.3e}, at or below {RANK_TOL:.0e}")
         log_det += math.log(abs(piv))
         pivot_rows.append(piv_row)
         row_pool.remove(piv_row)
@@ -131,7 +133,7 @@ def _oracle_minors(cx):
     columns = list(range(cx.dims[-1]))
     for k in range(cx.dimension, 0, -1):
         minors.append(cx.boundary(k)[:, columns])
-        taken = set(_reference_full_pivot_logdet(minors[-1])[0])
+        taken = set(_reference_full_pivot_logdet(minors[-1], k)[0])
         columns = [i for i in range(cx.dims[k - 1]) if i not in taken]
     return minors
 
@@ -151,14 +153,14 @@ def test_elimination_matches_reference_bitwise():
         for n in (2, 5, 9):
             mats += _oracle_minors(_grid_torus(n, theta, 1.1))
     for mat in mats:
-        rows, log_det = _full_pivot_logdet(mat)
+        rows, log_det = _full_pivot_logdet(mat, 1)
         ref_rows, ref_log_det = _reference_full_pivot_logdet(mat)
         assert rows == ref_rows
         assert log_det == ref_log_det
     # a tie: the first maximum in row-major order is column 0 of row 0, and
     # pivoting on column 2 instead would pick rows [0, 3, 1]
     ties = np.array([[1, -1, 1], [1, -1, 0], [0, -1, 0], [0, 1, 1]], dtype=float)
-    assert _full_pivot_logdet(ties)[0] == _reference_full_pivot_logdet(ties)[0] == [0, 1, 2]
+    assert _full_pivot_logdet(ties, 1)[0] == _reference_full_pivot_logdet(ties)[0] == [0, 1, 2]
 
 
 def test_elimination_rejects_column_rank_deficiency():
@@ -167,11 +169,64 @@ def test_elimination_rejects_column_rank_deficiency():
                  rng.standard_normal((40, 30))):
         for extra in (base[:, 2], base[:, 0] - 2.0 * base[:, 4], np.zeros(len(base))):
             mat = np.column_stack([base, extra])
-            with pytest.raises(PivotFailure) as ref:
-                _reference_full_pivot_logdet(mat)
-            with pytest.raises(PivotFailure) as new:
-                _full_pivot_logdet(mat)
+            with pytest.raises(NotAcyclic) as ref:
+                _reference_full_pivot_logdet(mat, 3)
+            with pytest.raises(NotAcyclic) as new:
+                _full_pivot_logdet(mat, 3)
             assert str(new.value) == str(ref.value)
+            assert str(new.value).startswith("not acyclic in degree 3: pivot ")
+
+
+def test_oracle_runs_no_svd(monkeypatch):
+    # the oracle decides acyclicity from its own pivots: no SVD, no matrix_rank
+    def forbidden(*args, **kwargs):
+        raise AssertionError("determinant_oracle called an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(np.linalg, "matrix_rank", forbidden)
+    for cx in (build_preset("circle", theta=1.0), build_preset("torus2", alpha=1.0, beta=0.3),
+               _ngon_circle(8, 0.4), _grid_torus(4, 1.0, 0.3)):
+        determinant_oracle(cx)
+    with pytest.raises(NotAcyclic):
+        determinant_oracle(build_preset("interval", rank=2))
+
+
+def _ranks_chain(cx):
+    """Exact acyclicity by numpy's matrix_rank: rank bd_k + rank bd_(k+1) = dim C_k."""
+    ranks = [0] + [int(np.linalg.matrix_rank(cx.boundary(k))) if cx.boundary(k).size else 0
+                   for k in range(1, cx.dimension + 1)] + [0]
+    return all(ranks[k] + ranks[k + 1] == d for k, d in enumerate(cx.dims))
+
+
+def test_pivot_verdict_against_matrix_rank():
+    # returned => the matrix_rank ranks chain; ranks do not chain => NotAcyclic;
+    # above the pivot threshold (theta >= 1e-9) both accept
+    cells, _ = preset("circle", theta=1.0)
+    thetas = [10.0 ** -e for e in range(6, 15)]
+    cases = [(cx, None) for cx in (
+        build_preset("circle", theta=1.0), build_preset("circle", theta=math.pi),
+        build_preset("torus2", alpha=1.0, beta=0.3), build_preset("torus2", alpha=0.0, beta=0.7),
+        build_preset("interval", rank=1), build_preset("point", rank=2),
+        build_twisted_boundary(cells, Representation(1, [np.eye(1)])),
+        # a 1-cell and no 0-cell: bd_1 is 0 x 1, with more columns than rows
+        build_twisted_boundary(CellStructure(dimension=1, cells_per_degree=(0, 1),
+                                             incidences=((), ((),))), Representation(1, [])))]
+    cases += [(_ngon_circle(n, theta), theta) for n in (1, 2, 8, 64) for theta in thetas]
+    cases += [(_grid_torus(n, theta, theta), theta) for n in (2, 4) for theta in thetas]
+    outcomes = set()
+    for cx, theta in cases:
+        try:
+            determinant_oracle(cx)
+            returned = True
+        except NotAcyclic:
+            returned = False
+        chain = _ranks_chain(cx)
+        assert chain or not returned
+        if theta is not None and theta >= 1e-9:
+            assert chain and returned
+        outcomes.add((chain, returned))
+    # accepted, not acyclic, and acyclic but refused at the pivot threshold
+    assert outcomes == {(True, True), (False, False), (True, False)}
 
 
 def test_torsion_path_is_values_only_and_bitwise(monkeypatch):
