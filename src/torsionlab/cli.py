@@ -8,8 +8,9 @@ Subcommands:
     gluing         evaluate the torsion gluing identity on a split geometry
 
 Exit codes: 0 success; 1 failed verification or internal error; 2 malformed
-input or an option the chosen model or preset does not read; 3 acyclicity
-violation, including one the minor oracle cannot certify; 4 zeta pole hit.
+input or an option the chosen model, preset or geometry does not read;
+3 acyclicity violation, including one the minor oracle cannot certify;
+4 zeta pole hit.
 All floating output uses 15 significant digits; --json output round-trips
 bit-exactly through json.loads.
 """
@@ -32,8 +33,9 @@ from .hodge import ChainMetric, acyclic_spectra
 from .torsion import classify_beta, determinant_oracle, generalized_log_torsion
 from .verify import DEFAULT_SEED, run_suites
 
-# The options each model and preset reads, with their defaults.  They default
-# to None on the command line, so one given where it is not read is rejected.
+# The options each model, preset and gluing geometry reads, with their
+# defaults.  They default to None on the command line, so one given where it
+# is not read is rejected.
 MODEL_OPTIONS = {
     "circle": {"L": 2.0 * math.pi, "theta": 0.0, "rank": 1},
     "torus": {"n": 2, "L": 2.0 * math.pi, "rank": 1},
@@ -41,6 +43,7 @@ MODEL_OPTIONS = {
     "interval": {"R": 1.0, "condition": "relative", "rank": 1},
     "cylinder": {"R": 1.0, "L": 2.0 * math.pi, "condition": "relative", "rank": 1},
 }
+GLUING_OPTIONS = {"interval": {"R": 1.0}, "cylinder": {"R": 1.0, "L": 2.0 * math.pi}}
 PRESET_OPTIONS = {
     "circle": {"theta": 1.0},
     "torus2": {"alpha": 1.0, "beta_angle": 0.3},
@@ -266,8 +269,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gluing(args) -> int:
-    report = bnd.gluing_check(args.geometry, R=args.R, L=args.L,
-                              split=args.split, outer=args.outer, tol=args.tol)
+    params = _read_options(args, GLUING_OPTIONS, args.geometry, f"geometry {args.geometry}")
+    report = bnd.gluing_check(args.geometry, **params, split=args.split,
+                              outer=args.outer, tol=args.tol)
     payload = report.as_dict()
     lines = [f"geometry        {report.geometry} (outer {report.outer_condition}, "
              f"split at {fmt(report.split)})",
@@ -341,10 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gluing", parents=[common],
                        help="check the torsion gluing identity")
-    p.add_argument("--geometry", choices=("interval", "cylinder"),
-                   default="interval")
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--L", type=float, default=2.0 * math.pi)
+    p.add_argument("--geometry", choices=tuple(GLUING_OPTIONS), default="interval")
+    p.add_argument("--R", type=float, help="interval/cylinder length")
+    p.add_argument("--L", type=float, help="cylinder circumference")
     p.add_argument("--split", type=float, default=0.5)
     p.add_argument("--outer", choices=("relative", "absolute"), default="absolute")
     p.add_argument("--tol", type=float, default=1e-8,

@@ -1,7 +1,7 @@
 """Spectral zeta functions via heat-trace Mellin continuation.
 
 A model spectrum is wrapped as a HeatTrace: exact small-time power terms
-c_p t^{-p} (half-integer p), an exponentially small remainder so that
+c_p t^{-p} (half-integer p), a small remainder so that
 
     Tr e^{-tL} = sum_p c_p t^{-p} + remainder(t)        (0 < t <= 1),
 
@@ -14,11 +14,13 @@ splitting its Mellin integral at t = 1:
                        + int_0^1 t^{s-1} remainder(t) dt
                        + int_1^oo t^{s-1} tail(t) dt,
 
-where the first group is exact and the integrals are entire in s.  In
-particular zeta(0) = c_0 - b by pure coefficient arithmetic, and
+where the first group is exact and the integrals are entire in s.  At
+s = -n (n = 0, 1, ...) the simple zero of 1/Gamma meets the simple pole
+R/(s + n), R = c_{-n} - b [n = 0], of the right-hand side f, so
 
-    zeta'(0) = euler_gamma (c_0 - b) - sum_{p != 0} c_p / p
-               + int_0^1 remainder(t)/t dt + int_1^oo tail(t)/t dt.
+    zeta(-n) = (-1)^n n! R,    zeta'(-n) = (-1)^n n! (f_reg - psi(n+1) R)
+
+with f_reg the rest of f; zeta(0) = c_0 - b is the residue torsion's part.
 
 Every flat model trace is an image sum of one primitive, circle_heat_trace
 (length L, rotation character theta), by the exact theta identity
@@ -29,7 +31,8 @@ Every flat model trace is an image sum of one primitive, circle_heat_trace
 torus_heat_trace is its n-fold product, boundary.py builds the interval
 factors from it, and combine_heat_traces and product_heat_trace form sums
 and products of traces; only the 2-sphere uses a truncated asymptotic
-expansion.  This module knows no boundary condition.
+expansion, whose remainder is 0 where it would be rounding noise (see
+sphere2_scalar_heat_trace).  This module knows no boundary condition.
 
 Riemann and Hurwitz zeta (Euler-Maclaurin) are provided as independent
 closed forms for cross-checking the engine, never as its internals.
@@ -217,12 +220,15 @@ def _rgamma_prime(s: float) -> float:
 class HeatTrace:
     """Exact small-time data plus spectral evaluators for one operator.
 
-    terms are (p, c_p) pairs for sum_p c_p t^{-p}; remainder(t) is the
-    difference full - power on (0, 1], vanishing as t -> 0; tail(t) sums
-    exp(-t lambda) over the nonzero spectrum for t >= 1.  lambda_min is the
-    smallest positive eigenvalue (used to truncate upper integrals), and
-    t_floor > 0 marks models whose remainder is only trustworthy above it
-    (truncated asymptotic expansions).
+    terms are (p, c_p) pairs for sum_p c_p t^{-p}, p descending; remainder(t)
+    is the difference full - power on (0, 1], vanishing as t -> 0; tail(t)
+    sums exp(-t lambda) over the nonzero spectrum for t >= 1.  lambda_min is
+    the smallest positive eigenvalue (used to truncate upper integrals).
+
+    Terms with p < 0 (positive powers of t) mark a truncated asymptotic
+    expansion, whose remainder is 0 below the cut _expansion_cut(terms);
+    mellin_zeta bounds what the cut drops, and the rounding above it, from
+    the terms alone.  Theta-exact traces have no such terms.
     """
 
     terms: tuple[tuple[float, float], ...]
@@ -230,17 +236,12 @@ class HeatTrace:
     tail: Callable[[float], float]
     kernel_dim: int
     lambda_min: float
-    t_floor: float = 0.0
 
     def power(self, t: float) -> float:
         return sum(c * t ** (-p) for p, c in self.terms)
 
     def full(self, t: float) -> float:
         return self.power(t) + self.remainder(t)
-
-    @property
-    def constant_coefficient(self) -> float:
-        return sum(c for p, c in self.terms if p == 0.0)
 
     @property
     def positive_powers(self) -> tuple[float, ...]:
@@ -253,7 +254,16 @@ class HeatTrace:
 
 def zeta_at_zero(h: HeatTrace) -> float:
     """zeta(0) = c_0 - dim ker, by coefficient arithmetic alone."""
-    return h.constant_coefficient - h.kernel_dim
+    return sum(c for p, c in h.terms if p == 0.0) - h.kernel_dim
+
+
+def _expansion_cut(terms) -> float:
+    """Where the last term c_N t^N (N > 0) drops below the rounding of the
+    leading term; 0 without such a term."""
+    if not terms or terms[-1][0] >= 0.0:
+        return 0.0
+    (p_top, c_top), (p_last, c_last) = terms[0], terms[-1]
+    return (math.ulp(1.0) * abs(c_top / c_last)) ** (1.0 / (p_top - p_last))
 
 
 def _merge_terms(pairs) -> tuple[tuple[float, float], ...]:
@@ -309,7 +319,6 @@ def combine_heat_traces(parts: Sequence[tuple[float, HeatTrace]],
         tail=tail,
         kernel_dim=int(kernel),
         lambda_min=min(h.lambda_min for _, h in parts),
-        t_floor=max(h.t_floor for _, h in parts),
     )
 
 
@@ -318,8 +327,9 @@ def product_heat_trace(h1: HeatTrace, h2: HeatTrace) -> HeatTrace:
 
     Power terms are the Cauchy product of the factor expansions truncated
     at t^0; any dropped positive powers of t are folded into the remainder,
-    which stays exponentially small.  Both factors must carry full traces
-    (kernel included); the combined kernel dimension is the product.
+    which stays exponentially small.  Both factors must carry full,
+    theta-exact traces (kernel included); the combined kernel dimension is
+    the product.
     """
     kept, dropped = [], []
     for p1, c1 in h1.terms:
@@ -346,7 +356,6 @@ def product_heat_trace(h1: HeatTrace, h2: HeatTrace) -> HeatTrace:
         tail=tail,
         kernel_dim=b1 * b2,
         lambda_min=min(candidates),
-        t_floor=max(h1.t_floor, h2.t_floor),
     )
 
 
@@ -449,78 +458,50 @@ def torus_heat_trace(n: int, L: float) -> HeatTrace:
 
 @lru_cache(maxsize=None)
 def sphere2_power_coefficients(max_t_power: int = 10) -> tuple[tuple[int, Fraction], ...]:
-    """Exact heat coefficients of the scalar round 2-sphere.
+    """Exact heat coefficients ((j, c_j), ...) of the scalar round 2-sphere
+    for t^-1 .. t^max_t_power, zeros omitted.
 
-    Tr e^{-tL} = e^{t/4} * 2 sum_{u in N0 + 1/2} u e^{-t u^2}; the midpoint
-    Euler-Maclaurin expansion of the half-integer sum gives
-
-        Tr = 1/t + 1/2 - sum_{j>=1} B_{2j}/(2j)! q_{2j-1}(t)
-
-    with q_m(t) = H_m(1/2, t) + 2 m H_{m-1}(1/2, t), where H_m are the
-    Hermite-type polynomials of e^{-t y^2}.  Coefficients of t^j for
-    j <= max_t_power are exact rationals once 2 * len(B) - 1 >= ... the
-    Bernoulli list covers orders through B_24, enough for j <= 11.
-
-    Returns ((t_power, coefficient), ...) starting at t^-1.
+    Tr e^{-tL} = e^{t/4} sum_{u in N0 + 1/2} g(u) with g(u) = 2u e^{-t u^2}.
+    Midpoint Euler-Maclaurin, with g^(2k-1)(0) = 2 (2k-1)! (-t)^(k-1)/(k-1)!
+    and B_2k(1/2) = (2^(1-2k) - 1) B_2k, gives the half-integer sum
+    1/t - sum_{k>=1} B_2k(1/2) (-t)^(k-1)/k!.  B_2 .. B_24 cover t^11.
     """
-    # H_m as {(y_degree, t_degree): Fraction}; H_{m+1} = -2 t y H_m + dH_m/dy
-    h_prev: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
-    half = Fraction(1, 2)
-
-    def at_half(poly: dict[tuple[int, int], Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for (ydeg, tdeg), coef in poly.items():
-            out[tdeg] = out.get(tdeg, Fraction(0)) + coef * half ** ydeg
-        return out
-
-    polys_at_half = [at_half(h_prev)]
-    h_cur = h_prev
-    max_order = 2 * len(_BERNOULLI) - 1
-    for _ in range(max_order):
-        nxt: dict[tuple[int, int], Fraction] = {}
-        for (ydeg, tdeg), coef in h_cur.items():
-            key = (ydeg + 1, tdeg + 1)
-            nxt[key] = nxt.get(key, Fraction(0)) - 2 * coef
-            if ydeg >= 1:
-                key = (ydeg - 1, tdeg)
-                nxt[key] = nxt.get(key, Fraction(0)) + ydeg * coef
-        h_cur = nxt
-        polys_at_half.append(at_half(h_cur))
-
-    series: dict[int, Fraction] = {-1: Fraction(1), 0: half}
-    fact = Fraction(1)
-    for j, b2j in enumerate(_BERNOULLI, start=1):
-        fact *= (2 * j) * (2 * j - 1)
-        m = 2 * j - 1
-        q = dict(polys_at_half[m])
-        for tdeg, coef in polys_at_half[m - 1].items():
-            q[tdeg] = q.get(tdeg, Fraction(0)) + 2 * m * coef
-        for tdeg, coef in q.items():
-            series[tdeg] = series.get(tdeg, Fraction(0)) - b2j / fact * coef
-    return tuple(sorted((td, c) for td, c in series.items()
-                        if td <= max_t_power and c != 0))
+    if not -1 <= max_t_power < len(_BERNOULLI):
+        raise BadParameter(f"the sphere coefficients run through t^11, not t^{max_t_power}")
+    # mid[i] is the coefficient of t^(i-1) in the half-integer sum
+    mid = [Fraction(1)] + [(1 - Fraction(2) ** (1 - 2 * k)) * b2k * (-1) ** (k - 1)
+                           / math.factorial(k) for k, b2k in enumerate(_BERNOULLI, start=1)]
+    coeffs = ((j, sum(mid[i] / (4 ** (j + 1 - i) * math.factorial(j + 1 - i))
+                      for i in range(j + 2)))
+              for j in range(-1, max_t_power + 1))
+    return tuple((j, c) for j, c in coeffs if c != 0)
 
 
 def sphere2_scalar_heat_trace() -> HeatTrace:
     """Scalar Laplacian on the round 2-sphere: eigenvalues l(l+1), mult 2l+1.
 
-    The expansion here is a truncated asymptotic series (not theta-exact),
-    so the remainder is the difference from the explicit eigenvalue sum and
-    the quadrature floor is positive.
+    The expansion is asymptotic: its terms run through t^11 and the
+    remainder is the eigenvalue sum minus them, which is rounding noise where
+    c_11 t^11 is below the rounding of the sum (t below about 0.1), so it is
+    0 there.  mellin_zeta counts the cut and that noise in its estimate and
+    refuses Re s <= -11.
     """
-    coeffs = sphere2_power_coefficients()
-    terms = tuple((-float(td), float(c)) for td, c in coeffs)
+    terms = tuple((-float(td), float(c)) for td, c in sphere2_power_coefficients(11))
+    cut = _expansion_cut(terms)
 
-    def full(t: float) -> float:
+    def eigen_terms(t: float) -> list[float]:
         l_max = int(math.sqrt(_EXP_CUTOFF / t + 9.0)) + 4
-        return sum((2 * l + 1) * math.exp(-t * l * (l + 1)) for l in range(l_max + 1))
+        return [(2 * l + 1) * math.exp(-t * l * (l + 1)) for l in range(l_max + 1)]
 
-    def power(t: float) -> float:
-        return sum(float(c) * t ** td for td, c in coeffs)
+    def remainder(t: float) -> float:
+        if t < cut:
+            return 0.0
+        # one exact sum, so only the rounding of each term is left
+        return math.fsum(eigen_terms(t) + [-c * t ** (-p) for p, c in terms])
 
-    return HeatTrace(terms=terms, remainder=lambda t: full(t) - power(t),
-                     tail=lambda t: full(t) - 1.0, kernel_dim=1, lambda_min=2.0,
-                     t_floor=0.02)
+    return HeatTrace(terms=terms, remainder=remainder,
+                     tail=lambda t: sum(eigen_terms(t)) - 1.0, kernel_dim=1,
+                     lambda_min=2.0)
 
 
 def _positive(value, name: str) -> None:
@@ -558,33 +539,64 @@ def _integrate(fn, lo: float, hi: float) -> tuple[float, float]:
     return value, err
 
 
+# The sphere's remainder, one exact sum of rounded terms, is off by at most
+# 0.76 eps sum_p |c_p| t^-p on [cut, 1] (1500 points against 30-digit sums).
+_DIFFERENCE_ROUNDING = 2.0 * math.ulp(1.0)
+
+
+def _expansion_error(terms, sigma: float) -> tuple[float, float]:
+    """Bounds on the error the cut of a truncated expansion through t^N leaves
+    in int_0^1 w(t) remainder(t) dt, for w = t^(sigma-1) and t^(sigma-1) |log t|:
+    below the cut |c_N| t^N bounds the dropped remainder, above it
+    _DIFFERENCE_ROUNDING sum_p |c_p| t^-p bounds its rounding.  Needs sigma > -N."""
+    cut = _expansion_cut(terms)
+    if cut == 0.0:
+        return 0.0, 0.0
+    p_last, c_last = terms[-1]
+    a = sigma - p_last
+    if a <= 0.0:
+        raise BadParameter(f"the expansion continues zeta to Re s > {p_last:g} only")
+    log_cut = -math.log(cut)
+    bound = abs(c_last) * cut ** a / a + _DIFFERENCE_ROUNDING * sum(
+        abs(c) * (log_cut if sigma == p else (1.0 - cut ** (sigma - p)) / (sigma - p))
+        for p, c in terms)
+    return bound, bound * (1.0 / a + log_cut)
+
+
 def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> ZetaEval:
     """Evaluate zeta(s) (and optionally zeta'(s)) for a HeatTrace model.
 
     s may be any real or complex number away from the poles {p > 0 with
-    c_p != 0}; s = 0 is handled by exact coefficient arithmetic plus the
-    entire integral parts.  Derivatives are supported for real s.
+    c_p != 0}; s = -n takes the s = -n rule of the module docstring.
+    Derivatives are supported for real s.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise BadParameter(f"s must be finite, got {s}")
     for p in h.positive_powers:
         if abs(s - p) < 1e-8:
             raise PoleHit(f"zeta has a pole at s = {p}")
     is_real = s.imag == 0.0
     upper = max(2.0, _EXP_CUTOFF / h.lambda_min)
-    c0, b = h.constant_coefficient, h.kernel_dim
+    b = h.kernel_dim
+    cut_err, log_err = _expansion_error(h.terms, s.real)
 
-    if abs(s) < 1e-13:
-        value = c0 - float(b)
-        err = 1e-15 * (abs(c0) + b + 1.0)
+    n = round(-s.real)
+    if n >= 0 and abs(s + n) < 1e-13:
+        c_n = sum(c for p, c in h.terms if p == -n)
+        r_n = c_n - (b if n == 0 else 0)  # R of the module docstring
+        fact = _rgamma_prime(-n)
+        err = abs(fact) * 1e-15 * (abs(c_n) + b + 1.0)
         deriv = None
         if derivative:
-            rem_int, e1 = _integrate(lambda t: h.remainder(t) / t, h.t_floor, 1.0)
-            tail_int, e2 = _integrate(lambda t: h.tail(t) / t, 1.0, upper)
-            deriv = (EULER_GAMMA * (c0 - b)
-                     - sum(c / p for p, c in h.terms if p != 0.0)
-                     + rem_int + tail_int)
-            err += 5.0 * (e1 + e2) + 1e-13
-        return ZetaEval(s=s, value=value, derivative=deriv,
+            rem_int, e1 = _integrate(lambda t: h.remainder(t) / t ** (n + 1), 0.0, 1.0)
+            tail_int, e2 = _integrate(lambda t: h.tail(t) / t ** (n + 1), 1.0, upper)
+            psi = sum(1.0 / k for k in range(1, n + 1)) - EULER_GAMMA
+            f_reg = (sum(c / (-n - p) for p, c in h.terms if p != -n)
+                     + (b / n if n else 0.0))
+            deriv = fact * (-psi * r_n + f_reg + rem_int + tail_int)
+            err += abs(fact) * (5.0 * (e1 + e2) + 1e-13 + cut_err)
+        return ZetaEval(s=s, value=fact * r_n + 0.0, derivative=deriv,  # 0.0, not -0.0
                         abs_error_estimate=err, kernel_dim=b)
 
     closed = sum(c / (s - p) for p, c in h.terms) - b / s
@@ -592,25 +604,28 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
     if is_real:
         sr = s.real
         rem_int, e1 = _integrate(lambda t: t ** (sr - 1.0) * h.remainder(t),
-                                 h.t_floor, 1.0)
+                                 0.0, 1.0)
         tail_int, e2 = _integrate(lambda t: t ** (sr - 1.0) * h.tail(t),
                                   1.0, upper)
         f_val = closed.real + rem_int + tail_int
         rg = rgamma(sr)
         value: float | complex = rg * f_val
-        err = 5.0 * abs(rg) * (e1 + e2) + 1e-14 * (abs(f_val) + 1.0)
+        err = (5.0 * abs(rg) * (e1 + e2) + 1e-14 * (abs(f_val) + 1.0)
+               + abs(rg) * cut_err)
         deriv = None
         if derivative:
             f_prime = (-sum(c / (s - p) ** 2 for p, c in h.terms) + b / s ** 2).real
             dr, e3 = _integrate(
                 lambda t: t ** (sr - 1.0) * math.log(t) * h.remainder(t),
-                h.t_floor, 1.0)
+                0.0, 1.0)
             dt_, e4 = _integrate(
                 lambda t: t ** (sr - 1.0) * math.log(t) * h.tail(t),
                 1.0, upper)
             f_prime += dr + dt_
-            deriv = _rgamma_prime(sr) * f_val + rg * f_prime
-            err += 5.0 * abs(rg) * (e3 + e4)
+            rgp = _rgamma_prime(sr)
+            deriv = rgp * f_val + rg * f_prime
+            err += (5.0 * abs(rg) * (e3 + e4) + abs(rgp) * cut_err
+                    + abs(rg) * log_err)
         return ZetaEval(s=s, value=float(value), derivative=deriv,
                         abs_error_estimate=err, kernel_dim=b)
 
@@ -622,10 +637,10 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
         im, er2 = _integrate(lambda t: (t ** (s - 1.0) * fn(t)).imag, lo, hi)
         return complex(re, im), er1 + er2
 
-    rem_c, e1 = complex_piece(h.remainder, h.t_floor, 1.0)
+    rem_c, e1 = complex_piece(h.remainder, 0.0, 1.0)
     tail_c, e2 = complex_piece(h.tail, 1.0, upper)
     f_val = closed + rem_c + tail_c
     rg = rgamma(s)
     return ZetaEval(s=s, value=rg * f_val, derivative=None,
-                    abs_error_estimate=5.0 * abs(rg) * (e1 + e2) + 1e-14,
-                    kernel_dim=b)
+                    abs_error_estimate=5.0 * abs(rg) * (e1 + e2) + 1e-14
+                    + abs(rg) * cut_err, kernel_dim=b)

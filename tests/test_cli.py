@@ -6,6 +6,7 @@ import pytest
 from torsionlab.cli import main, parse_beta
 from torsionlab.errors import SchemaError
 from torsionlab.verify import run_suites
+from torsionlab.zetas import sphere2_power_coefficients
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +137,8 @@ _INAPPLICABLE = (
     + [(["torsion", "--input", "unread.json", option, value], option, "--input")
        for option, value in _PRESET_OPTION_VALUES.items()]
     + [(["torsion", "--input", "unread.json", "--preset", "circle"], "--preset", "--input")]
+    + [(["gluing", "--geometry", "interval", "--L", "3"], "--L", "geometry interval"),
+       (["gluing", "--L", "3"], "--L", "geometry interval")]
 )
 
 
@@ -160,6 +163,41 @@ def test_zeta_sphere_value(capsys):
                            "--degree", "0", "--s", "0", "--json")
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(-2.0 / 3.0, abs=1e-9)
+
+
+def test_zeta_sphere_negative_integers(capsys):
+    # zeta(-n) = (-1)^n n! c_n times the degree multiplicity; the derivative
+    # needs the same s = -n branch and must not fail either
+    coeffs = dict(sphere2_power_coefficients())
+    for n in (1, 2, 3, 4):
+        exact = (-1) ** n * math.factorial(n) * coeffs[n]
+        for degree, mult in enumerate((1, 2, 1)):
+            for extra in ([], ["--derivative"]):
+                code, out, _ = run_cli(capsys, "zeta", "--model", "sphere2", "--degree",
+                                       str(degree), "--s", str(-n), *extra, "--json")
+                assert code == 0
+                payload = json.loads(out)
+                assert payload["value"] == pytest.approx(float(mult * exact), rel=1e-15)
+                assert ("derivative" in payload) == bool(extra)
+
+
+def test_zeta_sphere_half_integers_below_zero(capsys):
+    # 40-digit values of the binomial-Hurwitz series for the scalar zeta
+    for s, value in (("-2.5", -0.0022440126778265867), ("-3.5", 0.00035591246773071301)):
+        code, out, _ = run_cli(capsys, "zeta", "--model", "sphere2", "--degree", "1",
+                               "--s", s, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["value"] - 2.0 * value) <= payload["abs_error_estimate"]
+
+
+def test_gluing_reads_its_options(capsys):
+    # the residue torsions are topological; R shows in which splits are valid
+    code, _, err = run_cli(capsys, "gluing", "--split", "1.5", "--json")
+    assert code == 1 and "split must cut the interior" in err
+    for argv in (["--R", "2"], ["--geometry", "cylinder", "--R", "2", "--L", "1.3"]):
+        code, out, _ = run_cli(capsys, "gluing", *argv, "--split", "1.5", "--json")
+        assert code == 0 and json.loads(out)["ok"] is True
 
 
 def test_zeta_pole_exit_4(capsys):

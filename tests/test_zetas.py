@@ -20,6 +20,7 @@ from torsionlab import (
     zeta_at_zero,
 )
 from torsionlab.errors import BadParameter, PoleHit, QuadratureFailure
+from torsionlab.models import build_model
 from torsionlab.zetas import (
     _EXP_CUTOFF,
     _gauss_series,
@@ -317,16 +318,118 @@ def test_combine_rejects_non_integer_or_negative_kernel():
         combine_heat_traces([(1, circle), (1, circle), (1, circle)])
 
 
+# t^-1 .. t^11 heat coefficients of the scalar round 2-sphere
+_SPHERE_COEFFICIENTS = (
+    (-1, Fraction(1)), (0, Fraction(1, 3)), (1, Fraction(1, 15)),
+    (2, Fraction(4, 315)), (3, Fraction(1, 315)), (4, Fraction(4, 3465)),
+    (5, Fraction(382, 675675)), (6, Fraction(232, 675675)),
+    (7, Fraction(2833, 11486475)), (8, Fraction(560204, 2749862115)),
+    (9, Fraction(13051226, 68746552875)), (10, Fraction(311192456, 1581170716125)),
+    (11, Fraction(1064987954, 4743512148375)),
+)
+
+
 def test_sphere_coefficients_exact():
-    coeffs = dict(sphere2_power_coefficients())
-    assert coeffs[-1] == Fraction(1)
-    assert coeffs[0] == Fraction(1, 3)
-    assert coeffs[1] == Fraction(1, 15)
-    assert coeffs[2] == Fraction(4, 315)
+    assert sphere2_power_coefficients() == _SPHERE_COEFFICIENTS[:-1]
+    assert sphere2_power_coefficients(11) == _SPHERE_COEFFICIENTS
+    with pytest.raises(BadParameter):
+        sphere2_power_coefficients(12)
     h = sphere2_scalar_heat_trace()
-    # the truncated expansion matches the eigenvalue sum deep into small t
-    assert abs(h.remainder(0.05)) < 1e-11
+    # the truncated expansion matches the eigenvalue sum above the cut
+    # (t ~ 0.1), below which the remainder is 0 by construction
+    assert abs(h.remainder(0.2)) < 1e-11
     assert h.consistency_residual(1.0) < 1e-12
+
+
+def _bernoulli_numbers(m: int) -> list[Fraction]:
+    """B_0 .. B_m (B_1 = -1/2) from sum_{k<=j} C(j+1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for j in range(1, m + 1):
+        b.append(-sum(math.comb(j + 1, k) * b[k] for k in range(j)) / (j + 1))
+    return b
+
+
+def _sphere_zeta_at_negative_integer(n: int) -> Fraction:
+    """zeta_{S^2}(-n) from the binomial-Hurwitz series
+    2 sum_j C(n, j) (-1/4)^j zeta_H(2j - 2n - 1, 3/2), which terminates:
+    zeta_H(-m, a) = -B_{m+1}(a)/(m+1), and the j = n + 1 term is the
+    removable 0 * pole, with limit -(-1/4)^(n+1) / (2(n+1))."""
+    bern = _bernoulli_numbers(2 * n + 2)
+
+    def bernoulli_poly(m: int, x: Fraction) -> Fraction:
+        return sum(math.comb(m, k) * bern[k] * x ** (m - k) for k in range(m + 1))
+
+    quarter = Fraction(-1, 4)
+    total = sum(math.comb(n, j) * quarter ** j
+                * -bernoulli_poly(2 * n - 2 * j + 2, Fraction(3, 2)) / (2 * n - 2 * j + 2)
+                for j in range(n + 1))
+    return 2 * (total - quarter ** (n + 1) / (2 * (n + 1)))
+
+
+def test_sphere_zeta_at_negative_integers_bernoulli_oracle():
+    # an exact oracle that shares nothing with the heat expansion
+    expected = [Fraction(-2, 3), Fraction(-1, 15), Fraction(8, 315), Fraction(-2, 105),
+                Fraction(32, 1155), Fraction(-3056, 45045)]
+    coeffs = dict(sphere2_power_coefficients())
+    sphere = build_model("sphere2")
+    for n, value in enumerate(expected):
+        assert _sphere_zeta_at_negative_integer(n) == value
+        # zeta(-n) = (-1)^n n! (c_{-n} - b [n = 0]), in exact arithmetic
+        assert (-1) ** n * math.factorial(n) * (coeffs[n] - (1 if n == 0 else 0)) == value
+        for k, mult in enumerate((1, 2, 1)):
+            ev = sphere.zeta(k, -n)
+            assert abs(ev.value - mult * float(value)) <= 4e-16 * abs(mult * float(value))
+            assert abs(ev.value - mult * float(value)) <= ev.abs_error_estimate
+
+
+def test_zeta_at_negative_integers_on_exact_traces():
+    # no t^n terms: zeta(-n) = 0 exactly, as zeta_R(-2n) = 0 gives for the circle
+    for h in (circle_heat_trace(1.7), torus_heat_trace(2, 1.0), interval("mixed", 1.0)):
+        for n in (1, 2, 3):
+            ev = mellin_zeta(h, -n, derivative=True)
+            assert ev.value == 0.0 and math.copysign(1.0, ev.value) == 1.0
+            near = mellin_zeta(h, -n + 1e-7, derivative=True)
+            assert abs(ev.derivative - near.derivative) < 1e-5 * max(1.0, abs(ev.derivative))
+
+
+def test_sphere_estimate_bounds_the_error():
+    mp = pytest.importorskip("mpmath")
+
+    def series(s):
+        # zeta_{S^2}(s) = 2 sum_j C(-s, j) (-1/4)^j zeta_H(2s + 2j - 1, 3/2),
+        # converging like 9^-j
+        return 2 * mp.fsum(mp.binomial(-s, j) * mp.mpf(-0.25) ** j
+                           * mp.zeta(2 * s + 2 * j - 1, mp.mpf(1.5)) for j in range(28))
+
+    sphere = build_model("sphere2")
+    points = [(s, True) for s in (-3.5, -2.5, -1.5, -0.5, 0.75, 2.5)]
+    points += [(-n, False) for n in (1, 2, 3, 4)]  # derivative only: removable 0 * pole
+    for s, with_value in points:
+        with mp.workdps(22):
+            # mp.diff samples the series off s, never at the removable point
+            deriv = float(mp.diff(series, mp.mpf(s)))
+            value = float(series(mp.mpf(s))) if with_value else None
+        for k, mult in ((0, 1), (1, 2)):
+            ev = sphere.zeta(k, s, derivative=True)
+            if with_value:
+                assert abs(ev.value - mult * value) <= ev.abs_error_estimate
+            assert abs(ev.derivative - mult * deriv) <= ev.abs_error_estimate
+    # the first two points of the list above, against 40-digit values
+    assert abs(sphere.zeta(0, -2.5).value - -0.0022440126778265867) < 1e-12
+    assert abs(sphere.zeta(0, -3.5).value - 0.00035591246773071301) < 1e-11
+
+
+def test_mellin_rejects_non_finite_s():
+    for s in (math.nan, math.inf, complex(0.5, math.inf)):
+        with pytest.raises(BadParameter):
+            mellin_zeta(circle_heat_trace(1.0), s)
+
+
+def test_sphere_refuses_beyond_its_expansion():
+    h = sphere2_scalar_heat_trace()
+    for s in (-11.0, -12.0, -11.5, complex(-11.5, 1.0)):
+        with pytest.raises(BadParameter):
+            mellin_zeta(h, s)
 
 
 # --- continuation engine --------------------------------------------------------
