@@ -33,7 +33,6 @@ from .hodge import (
     hodge_split,
     laplacian,
     positive_spectra,
-    sym_expm,
 )
 from .torsion import (
     BetaClassification,

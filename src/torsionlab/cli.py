@@ -10,7 +10,7 @@ Subcommands:
 Exit codes: 0 success; 1 failed verification or internal error; 2 malformed
 input or an option the chosen model, preset or geometry does not read;
 3 acyclicity violation, including one the minor oracle cannot certify;
-4 zeta pole hit.
+4 zeta pole hit.  Output into a closed pipe exits 1 with nothing on stderr.
 All floating output uses 15 significant digits; --json output round-trips
 bit-exactly through json.loads.
 """
@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -370,7 +371,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the flush at exit
+        # cannot fail again (the Python signal docs' advice for SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (SchemaError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

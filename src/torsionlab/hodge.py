@@ -23,9 +23,10 @@ vectors of W_k span the closed part, the right singular vectors of W_{k+1}
 the coclosed part, and each sigma^2 is an eigenvalue.  factorize makes one
 values-only SVD per map and reads ranks off it with numpy's matrix_rank
 rule, the one kernel rule; torsion and Betti numbers need nothing more.
-Singular vectors (for eigenpairs, green_inverse and hodge_split) come from
-a second SVD of a map, run once on first use.  Working on the maps rather
-than on L_k keeps small eigenvalues accurate: cond(W) = sqrt(cond(L)).
+Singular vectors (for eigenpairs, coclosed, green_inverse and hodge_split)
+come from a second SVD of a map, run once on first use.  Working on the
+maps rather than on L_k keeps small eigenvalues accurate:
+cond(W) = sqrt(cond(L)).
 All functions are pure and operate on immutable inputs; results are
 deterministic.
 """
@@ -44,24 +45,19 @@ SYMMETRY_TOL = 1e-12
 EIGENVALUE_MATCH_RELTOL = 1e-7
 
 
-def sym_expm(s: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix via its eigendecomposition."""
-    w, v = np.linalg.eigh(np.asarray(s, dtype=float))
-    return (v * np.exp(w)) @ v.T
-
-
 class ChainMetric:
     """Per-degree symmetric positive-definite inner products h_k.
 
-    Square-root factors h^{1/2}, h^{-1/2} and the inverse are computed once
-    at construction; instances are immutable.  ChainMetric.identity, the only
-    is_identity metric, keeps only dims and builds a read-only I on request.
+    h^{1/2}, h^{-1/2} and the inverse come from one eigh per degree, made at
+    construction (of h_k itself, or of S_k for ChainMetric.exponential);
+    instances are immutable.  ChainMetric.identity, the only is_identity
+    metric, keeps only dims and builds a read-only I on request.
     """
 
     is_identity = False
 
     def __init__(self, matrices: Sequence[np.ndarray]):
-        mats, sqrts, isqrts, invs = [], [], [], []
+        factors = []
         for k, h in enumerate(matrices):
             h = np.array(h, dtype=float)
             if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -75,17 +71,16 @@ class ChainMetric:
             if h.size and float(w[0]) <= 0.0:
                 raise BadParameter(
                     f"metric in degree {k} is not positive definite (min eig {w[0]:.3e})")
-            mats.append(h)
-            sqrts.append((v * np.sqrt(w)) @ v.T)
-            isqrts.append((v / np.sqrt(w)) @ v.T)
-            invs.append((v / w) @ v.T)
-            for m in (mats[-1], sqrts[-1], isqrts[-1], invs[-1]):
-                m.setflags(write=False)
-        self._dims = tuple(h.shape[0] for h in mats)
-        self._mats = tuple(mats)
-        self._sqrts = tuple(sqrts)
-        self._isqrts = tuple(isqrts)
-        self._invs = tuple(invs)
+            factors.append((h, w, v))
+        self._factor(factors)
+
+    def _factor(self, factors: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
+        """Keep h_k, h^{1/2}, h^{-1/2} and h^{-1}, formed from the eigenpairs (w, v) of h_k."""
+        self._factors = tuple((h, (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T, (v / w) @ v.T)
+                              for h, w, v in factors)
+        for m in (m for degree in self._factors for m in degree):
+            m.setflags(write=False)
+        self._dims = tuple(h.shape[0] for h, _, _, _ in self._factors)
 
     @classmethod
     def identity(cls, cplx: TwistedComplex) -> "ChainMetric":
@@ -95,14 +90,20 @@ class ChainMetric:
         return metric
 
     @classmethod
+    def exponential(cls, generators: Sequence[np.ndarray], u: float = 1.0) -> "ChainMetric":
+        """h_k = exp(u S_k) for the symmetrized generators S_k, from one eigh of each."""
+        eighs = (np.linalg.eigh(0.5 * (s + s.T)) for s in map(np.asarray, generators))
+        exps = ((np.exp(u * w), v) for w, v in eighs)
+        metric = cls.__new__(cls)
+        metric._factor([((v * e) @ v.T, e, v) for e, v in exps])
+        return metric
+
+    @classmethod
     def random_spd(cls, cplx: TwistedComplex, rng: np.random.Generator,
                    spread: float = 0.5) -> "ChainMetric":
         """exp(spread * S) with S random symmetric: well-conditioned SPD metrics."""
-        mats = []
-        for d in cplx.dims:
-            s = rng.standard_normal((d, d))
-            mats.append(sym_expm(spread * 0.5 * (s + s.T)))
-        return cls(mats)
+        draws = (rng.standard_normal((d, d)) for d in cplx.dims)
+        return cls.exponential([spread * 0.5 * (s + s.T) for s in draws])
 
     def __len__(self) -> int:
         return len(self._dims)
@@ -113,16 +114,16 @@ class ChainMetric:
         return eye
 
     def matrix(self, k: int) -> np.ndarray:
-        return self._eye(k) if self.is_identity else self._mats[k]
+        return self._eye(k) if self.is_identity else self._factors[k][0]
 
     def sqrt(self, k: int) -> np.ndarray:
-        return self._eye(k) if self.is_identity else self._sqrts[k]
+        return self._eye(k) if self.is_identity else self._factors[k][1]
 
     def isqrt(self, k: int) -> np.ndarray:
-        return self._eye(k) if self.is_identity else self._isqrts[k]
+        return self._eye(k) if self.is_identity else self._factors[k][2]
 
     def inv(self, k: int) -> np.ndarray:
-        return self._eye(k) if self.is_identity else self._invs[k]
+        return self._eye(k) if self.is_identity else self._factors[k][3]
 
     def matches(self, cplx: TwistedComplex) -> bool:
         return self._dims == cplx.dims
@@ -206,15 +207,19 @@ class Factorization:
         coclosed (in im delta_k): right singular vectors of W_{k+1}.  Both
         are mapped back by h_k^{-1/2}; the eigenvalues are their sigma^2.
         """
+        coclosed = self.coclosed(k)
+        closed, _ = self._singular_vectors(k)
+        if not self.metric.is_identity:
+            closed = self.metric.isqrt(k) @ closed
+        lam = np.concatenate([self.sigmas[k], self.sigmas[k + 1]]) ** 2
+        return lam, np.hstack([closed, coclosed]), closed.shape[1]
+
+    def coclosed(self, k: int) -> np.ndarray:
+        """The coclosed eigenvectors of eigenpairs(k), spanning im delta_k."""
         if not 0 <= k <= self.cplx.dimension:
             raise ShapeMismatch(f"degree {k} outside 0..{self.cplx.dimension}")
-        closed, _ = self._singular_vectors(k)
-        _, coclosed = self._singular_vectors(k + 1)
-        vectors = np.hstack([closed, coclosed])
-        if not self.metric.is_identity:
-            vectors = self.metric.isqrt(k) @ vectors
-        lam = np.concatenate([self.sigmas[k], self.sigmas[k + 1]]) ** 2
-        return lam, vectors, closed.shape[1]
+        _, vectors = self._singular_vectors(k + 1)
+        return vectors if self.metric.is_identity else self.metric.isqrt(k) @ vectors
 
     def green_inverse(self, k: int) -> np.ndarray:
         """(L_k + Pi_ker)^{-1} = I + Q (1/lambda - 1) Q^T h_k.

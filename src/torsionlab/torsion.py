@@ -17,7 +17,7 @@ identity; see variation_check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,13 +26,11 @@ from .complexes import TwistedComplex
 from .errors import NotAcyclic, ShapeMismatch, StepTooLarge
 from .hodge import (
     ChainMetric,
-    Factorization,
     acyclic_spectra,
     coboundary,
     factorize,
     laplacian,
     metric_adjoint,
-    sym_expm,
 )
 
 SECOND_DIFFERENCE_TOL = 1e-12
@@ -249,12 +247,11 @@ MetricPath = Callable[[float], ChainMetric]
 
 
 def exponential_metric_path(generators: Sequence[np.ndarray]) -> MetricPath:
-    """u -> ChainMetric(exp(u * S_k)) for symmetric generators S_k."""
-    gens = [0.5 * (np.asarray(s, dtype=float) + np.asarray(s, dtype=float).T)
-            for s in generators]
+    """u -> ChainMetric.exponential(generators, u): every h(u) on one eigenbasis."""
+    gens = [np.array(s, dtype=float) for s in generators]
 
     def path(u: float) -> ChainMetric:
-        return ChainMetric([sym_expm(u * s) for s in gens])
+        return ChainMetric.exponential(gens, u)
 
     return path
 
@@ -265,23 +262,26 @@ def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float
     """Compare d/du of 2*log T against the telescoped trace sum at u0.
 
     The derivative of the metric and of 2*log T are both central differences
-    with the given step, so the two sides agree to O(step^2).  With
-    check_convergence=True the comparison is repeated at step/2 and a
-    StepTooLarge error is raised unless the discrepancy shrinks roughly
-    quadratically (or is already at rounding level).
+    with the given step, so the two sides agree to O(step^2), and so does the
+    Laplacian derivative formula at that step.  With check_convergence=True
+    the two sides are compared again at step/2 and a StepTooLarge error is
+    raised unless the discrepancy shrinks roughly quadratically (or is
+    already at rounding level).
     """
     n = cplx.dimension
     beta = [float(x) for x in beta]
     if len(beta) != n + 1:
         raise ShapeMismatch(f"expected {n + 1} weights, got {len(beta)}")
-    # everything at u0 is shared by both steps
+    # path(u0) and its coclosed eigenvectors serve both steps
     h0 = path(u0)
     fac = factorize(cplx, h0)
-    deltas = [metric_adjoint(cplx, h0, k) for k in range(n)]
-    report = _variation_single(cplx, path, beta, u0, step, h0, fac, deltas)
+    coclosed = [fac.coclosed(k) for k in range(n)]
+    report, hp, hm, alphas = _variation_single(cplx, path, beta, u0, step, h0, coclosed)
+    report = replace(report, laplacian_dot_residual=_laplacian_dot_residual(
+        cplx, h0, hp, hm, alphas, step))
     if not check_convergence:
         return report
-    halved = _variation_single(cplx, path, beta, u0, step / 2.0, h0, fac, deltas)
+    halved = _variation_single(cplx, path, beta, u0, step / 2.0, h0, coclosed)[0]
     floor = 1e-10 * max(1.0, abs(report.lhs))
     if report.discrepancy > floor and halved.discrepancy > 0.0:
         ratio = report.discrepancy / halved.discrepancy
@@ -289,48 +289,43 @@ def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float
         if ratio < 2.5:
             raise StepTooLarge(
                 f"discrepancy fell only {ratio:.2f}x when halving step {step:g}")
-    return VariationReport(
-        gammas=report.gammas, tr_alphas=report.tr_alphas, lhs=report.lhs,
-        rhs=report.rhs, discrepancy=report.discrepancy,
-        laplacian_dot_residual=report.laplacian_dot_residual, step=step,
-        halved_discrepancy=halved.discrepancy)
+    return replace(report, halved_discrepancy=halved.discrepancy)
 
 
 def _variation_single(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float],
-                      u0: float, step: float, h0: ChainMetric, fac: Factorization,
-                      deltas: Sequence[np.ndarray]) -> VariationReport:
-    """One central-difference comparison at u0; h0 = path(u0), fac its
-    factorization and deltas[k] its metric adjoints delta_k (k < n)."""
-    n = cplx.dimension
+                      u0: float, step: float, h0: ChainMetric, coclosed: Sequence[np.ndarray]):
+    """Both sides at one step: the report (laplacian_dot_residual 0), path(u0 +- step)
+    and the alpha_k at h0 = path(u0); coclosed[k] are h0's coclosed vectors (k < n)."""
     hp, hm = path(u0 + step), path(u0 - step)
     # 2 log T on either side; this raises NotAcyclic, so P_k = L_k^{-1} below
     lhs = (2.0 * _weighted_log_torsion(cplx, hp, beta)
            - 2.0 * _weighted_log_torsion(cplx, hm, beta)) / (2.0 * step)
 
-    hdots = [(hp.matrix(k) - hm.matrix(k)) / (2.0 * step) for k in range(n + 1)]
+    hdots = [(hp.matrix(k) - hm.matrix(k)) / (2.0 * step) for k in range(len(beta))]
     alphas = [h0.inv(k) @ hdot for k, hdot in enumerate(hdots)]
-    tr_alphas = [float(np.trace(alpha)) for alpha in alphas]
     # P_k delta_k d_k is the h_k-orthogonal projector onto im delta_k, spanned
-    # by the coclosed eigenvectors v_i of L_k, so gamma_k = sum_i v_i^T dh_k/du v_i
-    gammas = []
-    for k in range(n):
-        _, vectors, n_closed = fac.eigenpairs(k)
-        coclosed = vectors[:, n_closed:]
-        gammas.append(float(np.sum(coclosed * (hdots[k] @ coclosed))))
-    gammas.append(0.0)  # delta_n d_n vanishes in the top degree
+    # by the coclosed eigenvectors v_i of L_k, so gamma_k = sum_i v_i^T dh_k/du v_i;
+    # gamma_n = 0 as delta_n d_n vanishes.  g[j + 1] and a[j + 1] hold degree j,
+    # and the zeros at either end stand for the degrees outside 0..n.
+    g = [0.0] + [float(np.sum(v * (hdot @ v))) for v, hdot in zip(coclosed, hdots)] + [0.0, 0.0]
+    a = [0.0] + [float(np.trace(alpha)) for alpha in alphas] + [0.0]
+    rhs = sum((-1.0) ** (k + 1) * b_k
+              * (a[k + 1] + a[k + 2] - g[k + 2] - 2.0 * g[k + 1] - g[k])
+              for k, b_k in enumerate(beta))
+    report = VariationReport(
+        gammas=tuple(g[1:-1]), tr_alphas=tuple(a[1:-1]), lhs=float(lhs),
+        rhs=float(rhs), discrepancy=abs(float(lhs) - float(rhs)),
+        laplacian_dot_residual=0.0, step=step)
+    return report, hp, hm, alphas
 
-    def gamma(j: int) -> float:
-        return gammas[j] if 0 <= j <= n else 0.0
 
-    def tr_alpha(j: int) -> float:
-        return tr_alphas[j] if 0 <= j <= n else 0.0
-
-    rhs = sum((-1.0) ** (k + 1) * beta[k]
-              * (tr_alpha(k) + tr_alpha(k + 1)
-                 - gamma(k + 1) - 2.0 * gamma(k) - gamma(k - 1))
-              for k in range(n + 1))
-
-    ddot_residual = 0.0
+def _laplacian_dot_residual(cplx: TwistedComplex, h0: ChainMetric, hp: ChainMetric,
+                            hm: ChainMetric, alphas: Sequence[np.ndarray], step: float) -> float:
+    """Largest relative gap between the central difference of L_k and its
+    four-term derivative formula at h0, over all k."""
+    n = cplx.dimension
+    deltas = [metric_adjoint(cplx, h0, k) for k in range(n)]
+    residual = 0.0
     for k in range(n + 1):
         lap_dot_fd = (laplacian(cplx, hp, k) - laplacian(cplx, hm, k)) / (2.0 * step)
         formula = np.zeros_like(lap_dot_fd)
@@ -343,12 +338,8 @@ def _variation_single(cplx: TwistedComplex, path: MetricPath, beta: Sequence[flo
                         + d_km1 @ delta_km1 @ alphas[k])
         denom = max(1.0, float(np.max(np.abs(lap_dot_fd))) if lap_dot_fd.size else 0.0)
         diff = float(np.max(np.abs(lap_dot_fd - formula))) if lap_dot_fd.size else 0.0
-        ddot_residual = max(ddot_residual, diff / denom)
-
-    return VariationReport(
-        gammas=tuple(gammas), tr_alphas=tuple(tr_alphas), lhs=float(lhs),
-        rhs=float(rhs), discrepancy=abs(float(lhs) - float(rhs)),
-        laplacian_dot_residual=ddot_residual, step=step)
+        residual = max(residual, diff / denom)
+    return residual
 
 
 # --- symbolic telescoping ---------------------------------------------------

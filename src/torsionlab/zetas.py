@@ -38,9 +38,10 @@ Riemann and Hurwitz zeta (Euler-Maclaurin) are provided as independent
 closed forms for cross-checking the engine, never as its internals.
 
 All functions are pure and deterministic.  The quadrature aims at
-QUAD_EPSABS absolute error, and a quadrature that reports it could not get
-there (an IntegrationWarning) raises QuadratureFailure instead of
-returning its estimate.
+QUAD_EPSABS absolute error, or at the bound the estimate already counts for
+the sphere's cut and rounding where that is larger, and a quadrature that
+reports it could not get there (an IntegrationWarning) raises
+QuadratureFailure instead of returning its estimate.
 """
 
 from __future__ import annotations
@@ -526,11 +527,14 @@ class ZetaEval:
 QUAD_EPSABS = 1e-12
 
 
-def _integrate(fn, lo: float, hi: float) -> tuple[float, float]:
+def _integrate(fn, lo: float, hi: float, bound: float = 0.0) -> tuple[float, float]:
+    """quad to max(QUAD_EPSABS, bound): an integrand whose own rounding is
+    known to be up to bound is not asked for more."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:
-            value, err = quad(fn, lo, hi, epsabs=QUAD_EPSABS, epsrel=1e-11, limit=400)
+            value, err = quad(fn, lo, hi, epsabs=max(QUAD_EPSABS, bound), epsrel=1e-11,
+                              limit=400)
         except IntegrationWarning as exc:
             raise QuadratureFailure(f"integral over [{lo:g}, {hi:g}]: "
                                     f"{str(exc).splitlines()[0]}") from exc
@@ -589,7 +593,8 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
         err = abs(fact) * 1e-15 * (abs(c_n) + b + 1.0)
         deriv = None
         if derivative:
-            rem_int, e1 = _integrate(lambda t: h.remainder(t) / t ** (n + 1), 0.0, 1.0)
+            rem_int, e1 = _integrate(lambda t: h.remainder(t) / t ** (n + 1), 0.0, 1.0,
+                                     cut_err)
             tail_int, e2 = _integrate(lambda t: h.tail(t) / t ** (n + 1), 1.0, upper)
             psi = sum(1.0 / k for k in range(1, n + 1)) - EULER_GAMMA
             f_reg = (sum(c / (-n - p) for p, c in h.terms if p != -n)
@@ -604,7 +609,7 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
     if is_real:
         sr = s.real
         rem_int, e1 = _integrate(lambda t: t ** (sr - 1.0) * h.remainder(t),
-                                 0.0, 1.0)
+                                 0.0, 1.0, cut_err)
         tail_int, e2 = _integrate(lambda t: t ** (sr - 1.0) * h.tail(t),
                                   1.0, upper)
         f_val = closed.real + rem_int + tail_int
@@ -617,7 +622,7 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
             f_prime = (-sum(c / (s - p) ** 2 for p, c in h.terms) + b / s ** 2).real
             dr, e3 = _integrate(
                 lambda t: t ** (sr - 1.0) * math.log(t) * h.remainder(t),
-                0.0, 1.0)
+                0.0, 1.0, log_err)
             dt_, e4 = _integrate(
                 lambda t: t ** (sr - 1.0) * math.log(t) * h.tail(t),
                 1.0, upper)
@@ -632,12 +637,12 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
     if derivative:
         raise BadParameter("derivative evaluation is supported for real s only")
 
-    def complex_piece(fn, lo, hi):
-        re, er1 = _integrate(lambda t: (t ** (s - 1.0) * fn(t)).real, lo, hi)
-        im, er2 = _integrate(lambda t: (t ** (s - 1.0) * fn(t)).imag, lo, hi)
+    def complex_piece(fn, lo, hi, bound=0.0):
+        re, er1 = _integrate(lambda t: (t ** (s - 1.0) * fn(t)).real, lo, hi, bound)
+        im, er2 = _integrate(lambda t: (t ** (s - 1.0) * fn(t)).imag, lo, hi, bound)
         return complex(re, im), er1 + er2
 
-    rem_c, e1 = complex_piece(h.remainder, 0.0, 1.0)
+    rem_c, e1 = complex_piece(h.remainder, 0.0, 1.0, cut_err)
     tail_c, e2 = complex_piece(h.tail, 1.0, upper)
     f_val = closed + rem_c + tail_c
     rg = rgamma(s)

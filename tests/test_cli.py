@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +208,22 @@ def test_zeta_pole_exit_4(capsys):
     code, _, err = run_cli(capsys, "zeta", "--model", "circle", "--s", "0.5")
     assert code == 4
     assert "pole" in err
+
+
+def test_closed_pipe_exits_1_quietly():
+    # writing into a pipe whose read end is closed: exit 1 and no traceback
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "torsionlab.cli", "zeta", "--model", "circle", "--s", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_zeta_boundary_model(capsys):

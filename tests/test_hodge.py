@@ -11,12 +11,12 @@ from torsionlab import (
     betti,
     build_preset,
     build_twisted_boundary,
+    exponential_metric_path,
     factorize,
     hodge_split,
     laplacian,
     positive_spectra,
     preset,
-    sym_expm,
 )
 from torsionlab.errors import (
     BadParameter,
@@ -95,8 +95,11 @@ def test_eigendecompose_examples():
     fac = factorize(cx2)
     assert [fac.eigenpairs(k)[2] for k in range(3)] == [0, 2, 2]
     assert all(fac.eigenpairs(k)[0].size == cx2.dims[k] for k in range(3))  # no kernel
-    with pytest.raises(ShapeMismatch):
-        fac.eigenpairs(3)
+    for k in (-1, 3):
+        with pytest.raises(ShapeMismatch):
+            fac.eigenpairs(k)
+        with pytest.raises(ShapeMismatch):
+            fac.coclosed(k)
 
 
 def test_eigendecompose_residuals_and_orthonormality():
@@ -213,7 +216,34 @@ def test_sym_expm_against_series():
     for j in range(1, 30):
         term = term @ s / j
         series = series + term
-    assert np.max(np.abs(sym_expm(s) - series)) < 1e-13
+    assert np.max(np.abs(ChainMetric.exponential([s]).matrix(0) - series)) < 1e-13
+
+
+def test_exponential_metric_is_one_eigh_per_degree(monkeypatch):
+    # exp(u S_k), its square roots and its inverse all come from one eigh of S_k
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rng = np.random.default_rng(5)
+    cx = build_preset("torus2", alpha=1.0, beta=0.3)
+    path = exponential_metric_path([rng.standard_normal((d, d)) for d in cx.dims])
+    for u in (0.0, 1e-4, -0.7):
+        calls.clear()
+        metric = path(u)
+        assert calls == [(d, d) for d in cx.dims]
+        for k, d in enumerate(cx.dims):
+            h, root, iroot = metric.matrix(k), metric.sqrt(k), metric.isqrt(k)
+            assert np.max(np.abs(root @ root - h)) < 1e-12
+            assert np.max(np.abs(root @ iroot - np.eye(d))) < 1e-12
+            assert np.max(np.abs(metric.inv(k) @ h - np.eye(d))) < 1e-12
+    calls.clear()
+    ChainMetric.random_spd(cx, rng)
+    assert len(calls) == len(cx.dims)
 
 
 def test_hodge_split_pairing_across_degrees():

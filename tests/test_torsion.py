@@ -457,6 +457,20 @@ def test_variation_random_paths_quadratic():
             assert 2.5 < rep.convergence_ratio < 8.0
 
 
+def test_variation_gentle_grid_paths():
+    # gentle paths on the 2 x 2 grid, drawn as the benchmark's gentle-path
+    # probe draws them; the halving ratios were 1.09 and 2.18 (StepTooLarge)
+    # when every h(u +- step) was eigendecomposed on its own basis
+    for seed in (19, 22):
+        rng = np.random.default_rng(seed)
+        alpha, beta = (float(rng.uniform(0.4, 2 * math.pi - 0.4)) for _ in range(2))
+        cx = _grid_torus(2, alpha, beta)
+        gens = [0.3 * 0.5 * (s + s.T) for s in (rng.standard_normal((d, d)) for d in cx.dims)]
+        rep = variation_check(cx, exponential_metric_path(gens), (0.0, 1.0, 2.0))
+        assert rep.discrepancy < 1e-6
+        assert rep.convergence_ratio > 2.5
+
+
 def test_variation_shares_the_base_point(monkeypatch):
     # path(u0) and its factorization serve both steps: 5 path and 5
     # factorize calls with the halving check, 3 and 3 without

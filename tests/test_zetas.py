@@ -402,8 +402,9 @@ def test_sphere_estimate_bounds_the_error():
                            * mp.zeta(2 * s + 2 * j - 1, mp.mpf(1.5)) for j in range(28))
 
     sphere = build_model("sphere2")
-    points = [(s, True) for s in (-3.5, -2.5, -1.5, -0.5, 0.75, 2.5)]
-    points += [(-n, False) for n in (1, 2, 3, 4)]  # derivative only: removable 0 * pole
+    points = [(s, True) for s in (-10.5, -9.5, -7.5, -5.5, -4.5, -3.5, -2.5, -1.5, -0.5,
+                                  0.75, 2.5)]
+    points += [(-n, False) for n in range(1, 11)]  # derivative only: removable 0 * pole
     for s, with_value in points:
         with mp.workdps(22):
             # mp.diff samples the series off s, never at the removable point
@@ -414,6 +415,11 @@ def test_sphere_estimate_bounds_the_error():
             if with_value:
                 assert abs(ev.value - mult * value) <= ev.abs_error_estimate
             assert abs(ev.derivative - mult * deriv) <= ev.abs_error_estimate
+    for s in (complex(-5.5, 1.0), complex(-8.5, 0.5)):
+        with mp.workdps(22):
+            value = complex(series(mp.mpc(s.real, s.imag)))
+        ev = sphere.zeta(0, s)
+        assert abs(ev.value - value) <= ev.abs_error_estimate
     # the first two points of the list above, against 40-digit values
     assert abs(sphere.zeta(0, -2.5).value - -0.0022440126778265867) < 1e-12
     assert abs(sphere.zeta(0, -3.5).value - 0.00035591246773071301) < 1e-11
