@@ -38,7 +38,7 @@ conventions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import BadParameter, ShapeMismatch, UnsupportedPartition
@@ -93,8 +93,7 @@ def build_interval(R: float, condition: str, rank: int = 1) -> SpectralModel:
     if rank == 2:
         heat = [combine_heat_traces([(2, h)]) for h in heat]
     return SpectralModel(name=f"interval(R={R:g}, {condition}, rank={rank})",
-                         dim=1, condition=condition, rank=rank,
-                         heat=tuple(heat), betti=tuple(h.kernel_dim for h in heat))
+                         heat=tuple(heat), condition=condition)
 
 
 def build_cylinder(R: float, L: float, condition: str, rank: int = 1) -> SpectralModel:
@@ -114,10 +113,8 @@ def build_cylinder(R: float, L: float, condition: str, rank: int = 1) -> Spectra
     h0 = product_heat_trace(tangential, circle)
     h2 = product_heat_trace(normal, circle)
     h1 = combine_heat_traces([(1, h2), (1, h0)])
-    heat = (h0, h1, h2)
     return SpectralModel(name=f"cylinder(R={R:g}, L={L:g}, {condition})",
-                         dim=2, condition=condition, rank=rank,
-                         heat=heat, betti=tuple(h.kernel_dim for h in heat))
+                         heat=(h0, h1, h2), condition=condition)
 
 
 @dataclass(frozen=True)
@@ -139,16 +136,7 @@ class PropositionReport:
                     self.unweighted_absolute, self.duality))
 
     def as_dict(self) -> dict:
-        return {
-            "geometry": self.geometry,
-            "s_values": list(self.s_values),
-            "weighted_sign_law": self.weighted_sign_law,
-            "unweighted_relative": self.unweighted_relative,
-            "unweighted_absolute": self.unweighted_absolute,
-            "duality": self.duality,
-            "tol": self.tol,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def proposition_check(relative: SpectralModel, absolute: SpectralModel,
@@ -223,20 +211,8 @@ class GluingReport:
         return self.discrepancy <= self.tol
 
     def as_dict(self) -> dict:
-        return {
-            "geometry": self.geometry,
-            "outer_condition": self.outer_condition,
-            "split": self.split,
-            "lhs": self.lhs,
-            "piece1": self.piece1,
-            "piece2": self.piece2,
-            "interface_torsion": self.interface_torsion,
-            "half_chi_interface": self.half_chi_interface,
-            "rhs": self.rhs,
-            "discrepancy": self.discrepancy,
-            "tol": self.tol,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "rhs": self.rhs, "discrepancy": self.discrepancy,
+                "ok": self.ok}
 
 
 def _log_t_res_k(model: SpectralModel) -> float:

@@ -32,7 +32,7 @@ from .complexes import build_preset, complex_from_json
 from .errors import NotAcyclic, PoleHit, SchemaError, TorsionLabError
 from .hodge import ChainMetric, acyclic_spectra
 from .torsion import classify_beta, determinant_oracle, generalized_log_torsion
-from .verify import DEFAULT_SEED, run_suites
+from .verify import DEFAULT_SEED, SUITES, run_suites
 
 # The options each model, preset and gluing geometry reads, with their
 # defaults.  They default to None on the command line, so one given where it
@@ -335,9 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the verification suites")
-    p.add_argument("--suite", default="all",
-                   choices=("combinatorial", "closed-spectral", "boundary",
-                            "variation", "all"))
+    p.add_argument("--suite", default="all", choices=(*SUITES, "all"))
     p.add_argument("--tol", type=float, default=None,
                    help="override verification tolerances")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -364,7 +362,7 @@ def _model_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rank", type=int, help="coefficient rank")
     p.add_argument("--n", type=int, help="torus dimension")
     p.add_argument("--R", type=float, help="interval/cylinder length")
-    p.add_argument("--condition", choices=("relative", "absolute", "mixed"))
+    p.add_argument("--condition", choices=bnd.CONDITIONS)
 
 
 def main(argv=None) -> int:

@@ -49,7 +49,8 @@ class ChainMetric:
     """Per-degree symmetric positive-definite inner products h_k.
 
     h^{1/2}, h^{-1/2} and the inverse come from one eigh per degree, made at
-    construction (of h_k itself, or of S_k for ChainMetric.exponential);
+    construction (of h_k itself, or of S_k for ChainMetric.exponential; a
+    torsion.exponential_metric_path takes it once for all its metrics);
     instances are immutable.  ChainMetric.identity, the only is_identity
     metric, keeps only dims and builds a read-only I on request.
     """
@@ -92,7 +93,17 @@ class ChainMetric:
     @classmethod
     def exponential(cls, generators: Sequence[np.ndarray], u: float = 1.0) -> "ChainMetric":
         """h_k = exp(u S_k) for the symmetrized generators S_k, from one eigh of each."""
-        eighs = (np.linalg.eigh(0.5 * (s + s.T)) for s in map(np.asarray, generators))
+        return cls._exponential(cls._generator_eighs(generators), u)
+
+    @staticmethod
+    def _generator_eighs(generators: Sequence[np.ndarray]) -> list:
+        """The eigenpairs (w, v) of each symmetrized generator 0.5 (S_k + S_k^T)."""
+        return [np.linalg.eigh(0.5 * (s + s.T)) for s in map(np.asarray, generators)]
+
+    @classmethod
+    def _exponential(cls, eighs: Sequence[tuple[np.ndarray, np.ndarray]],
+                     u: float) -> "ChainMetric":
+        """exp(u S_k) from the eigenpairs (w, v) of each S_k: no further eigh."""
         exps = ((np.exp(u * w), v) for w, v in eighs)
         metric = cls.__new__(cls)
         metric._factor([((v * e) @ v.T, e, v) for e, v in exps])

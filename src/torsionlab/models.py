@@ -1,9 +1,9 @@
 """The one spectral model type, the closed model families, torsion assembly.
 
-A SpectralModel holds one heat trace and one Betti number per degree.
-Its boundary condition is None on a closed manifold and "relative",
-"absolute" or "mixed" on a manifold with boundary; boundary.py builds
-those.  The closed families built here:
+A SpectralModel holds one heat trace per degree; its Betti numbers are
+the traces' kernel dimensions.  Its boundary condition is None on a
+closed manifold and "relative", "absolute" or "mixed" on a manifold with
+boundary; boundary.py builds those.  The closed families built here:
 
 * circle(L, theta, rank): flat circle, optionally twisted by a rank-2
   rotation character (acyclic for theta != 0); degrees 0 and 1 share one
@@ -32,7 +32,7 @@ coefficient arithmetic; analytic ones go through the Mellin engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .errors import BadParameter, NotAcyclic, ShapeMismatch
@@ -51,23 +51,26 @@ from .zetas import (
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """A model geometry: per-degree heat traces and Betti numbers.
+    """A model geometry: one heat trace per degree.
 
     condition is None on a closed manifold and the boundary condition
-    ("relative", "absolute" or "mixed") otherwise.  betti counts twisted
-    harmonic forms, so chi and chi_prime already carry the coefficient rank.
+    ("relative", "absolute" or "mixed") otherwise.  By the Hodge theorem
+    the Betti numbers are the kernel dimensions of the traces; they count
+    twisted harmonic forms, so chi and chi_prime already carry the
+    coefficient rank.
     """
 
     name: str
-    dim: int
-    rank: int
     heat: tuple[HeatTrace, ...]
-    betti: tuple[int, ...]
     condition: str | None = None
 
-    def __post_init__(self):
-        if len(self.heat) != self.dim + 1 or len(self.betti) != self.dim + 1:
-            raise ShapeMismatch("need one heat trace and Betti number per degree")
+    @property
+    def dim(self) -> int:
+        return len(self.heat) - 1
+
+    @property
+    def betti(self) -> tuple[int, ...]:
+        return tuple(h.kernel_dim for h in self.heat)
 
     def zeta(self, k: int, s, derivative: bool = False) -> ZetaEval:
         return mellin_zeta(self.heat[k], s, derivative=derivative)
@@ -104,9 +107,8 @@ def build_model(name: str, *, L: float = 2.0 * math.pi, theta: float = 0.0,
         if rank not in (1, 2):
             raise BadParameter(f"circle rank must be 1 or 2, got {rank}")
         h = circle_heat_trace(L, theta, rank)
-        b = rank if theta == 0.0 else 0
         return SpectralModel(name=f"circle(L={L:g}, theta={theta:g}, rank={rank})",
-                             dim=1, rank=rank, heat=(h, h), betti=(b, b))
+                             heat=(h, h))
     if name in ("torus", "sphere2") and rank != 1:
         raise BadParameter(f"{name} supports rank 1 only, got {rank}")
     if name == "torus":
@@ -115,15 +117,12 @@ def build_model(name: str, *, L: float = 2.0 * math.pi, theta: float = 0.0,
         scalar = torus_heat_trace(n, L)
         heat = tuple(combine_heat_traces([(math.comb(n, k), scalar)])
                      for k in range(n + 1))
-        betti = tuple(math.comb(n, k) for k in range(n + 1))
-        return SpectralModel(name=f"torus(n={n}, L={L:g})", dim=n, rank=1,
-                             heat=heat, betti=betti)
+        return SpectralModel(name=f"torus(n={n}, L={L:g})", heat=heat)
     if name == "sphere2":
         scalar = sphere2_scalar_heat_trace()
         # 1-forms: exact and coexact copies of the scalar spectrum off its kernel
         h1 = combine_heat_traces([(2, scalar)], constant=-2)
-        return SpectralModel(name="sphere2", dim=2, rank=1,
-                             heat=(scalar, h1, scalar), betti=(1, 0, 1))
+        return SpectralModel(name="sphere2", heat=(scalar, h1, scalar))
     raise BadParameter(f"unknown model {name!r}")
 
 
@@ -148,22 +147,9 @@ class TorsionReport:
     flags: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {
-            "model": self.model,
-            "beta": list(self.beta),
-            "betti": list(self.betti),
-            "zeta0": list(self.zeta0),
-            "residue_traces": list(self.residue_traces),
-            "abs_error_estimate": self.abs_error_estimate,
-        }
-        if self.log_torsion_res is not None:
-            out["log_torsion_res"] = self.log_torsion_res
-        if self.log_torsion_zeta is not None:
-            out["log_torsion_zeta"] = self.log_torsion_zeta
-        if self.zeta_prime0 is not None:
-            out["zeta_prime0"] = list(self.zeta_prime0)
-        if self.flags:
-            out["flags"] = self.flags
+        out = {k: v for k, v in asdict(self).items() if v is not None}
+        if not self.flags:
+            del out["flags"]
         return out
 
 
@@ -245,16 +231,7 @@ class IdentityReport:
         return all(c <= self.tol for c in checks)
 
     def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "s_values": list(self.s_values),
-            "duality": self.duality,
-            "alternating_sum": self.alternating_sum,
-            "weighted_sum": self.weighted_sum,
-            "half_dim_relation": self.half_dim_relation,
-            "tol": self.tol,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def identity_suite(model: SpectralModel, s_values: Sequence[float] = (0.0, 0.75, 2.0),

@@ -247,11 +247,12 @@ MetricPath = Callable[[float], ChainMetric]
 
 
 def exponential_metric_path(generators: Sequence[np.ndarray]) -> MetricPath:
-    """u -> ChainMetric.exponential(generators, u): every h(u) on one eigenbasis."""
-    gens = [np.array(s, dtype=float) for s in generators]
+    """u -> ChainMetric.exponential(generators, u), from one eigh per degree
+    taken here: every h(u) is on that one eigenbasis."""
+    eighs = ChainMetric._generator_eighs([np.array(s, dtype=float) for s in generators])
 
     def path(u: float) -> ChainMetric:
-        return ChainMetric.exponential(gens, u)
+        return ChainMetric._exponential(eighs, u)
 
     return path
 

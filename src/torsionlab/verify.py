@@ -15,7 +15,7 @@ is deterministic for a fixed seed; cases keep registration order, not id order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -94,17 +94,7 @@ class CaseResult:
         return self.measured <= self.tolerance
 
     def as_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "suite": self.suite,
-            "description": self.description,
-            "provenance": self.provenance,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "expected": self.expected,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 class _Recorder:

@@ -433,6 +433,9 @@ def torus_heat_trace(n: int, L: float) -> HeatTrace:
     """Flat n-torus with all sides L: the n-fold product of circle_heat_trace(L).
 
     Spectrum (2 pi / L)^2 |m|^2, m in Z^n; power (L/sqrt(4 pi t))^n, kernel 1.
+    Remainder and tail are (1 + x)^n - 1 for a small circle term x (the
+    image sum sigma, or the circle's nonzero modes), so both are formed as
+    expm1(n log1p(x)): no 1 is subtracted from a number near 1.
     """
     _positive(L, "L")
     if n < 1:
@@ -441,17 +444,17 @@ def torus_heat_trace(n: int, L: float) -> HeatTrace:
     pref = L / root4pi
     omega = (2.0 * math.pi / L) ** 2
 
-    def full_1d(t: float) -> float:
+    def circle_tail(t: float) -> float:
         if omega * t >= 1.0:
-            return 1.0 + 2.0 * _gauss_series(omega * t)
-        return (pref / math.sqrt(t)) * (1.0 + 2.0 * _gauss_series(L * L / (4.0 * t)))
+            return 2.0 * _gauss_series(omega * t)
+        return (pref / math.sqrt(t)) * (1.0 + 2.0 * _gauss_series(L * L / (4.0 * t))) - 1.0
 
     def remainder(t: float) -> float:
         sigma = 2.0 * _gauss_series(L * L / (4.0 * t))
-        return (pref / math.sqrt(t)) ** n * ((1.0 + sigma) ** n - 1.0)
+        return (pref / math.sqrt(t)) ** n * math.expm1(n * math.log1p(sigma))
 
     def tail(t: float) -> float:
-        return full_1d(t) ** n - 1.0
+        return math.expm1(n * math.log1p(circle_tail(t)))
 
     return HeatTrace(terms=((0.5 * n, pref ** n),), remainder=remainder,
                      tail=tail, kernel_dim=1, lambda_min=omega)
@@ -572,7 +575,9 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
 
     s may be any real or complex number away from the poles {p > 0 with
     c_p != 0}; s = -n takes the s = -n rule of the module docstring.
-    Derivatives are supported for real s.
+    Derivatives are supported for real s.  Every integral is one split: a
+    weighted remainder on (0, 1] and a weighted tail on [1, upper]; complex
+    s integrates the real and imaginary parts of each weight separately.
     """
     s = complex(s)
     if not cmath.isfinite(s):
@@ -580,10 +585,15 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
     for p in h.positive_powers:
         if abs(s - p) < 1e-8:
             raise PoleHit(f"zeta has a pole at s = {p}")
-    is_real = s.imag == 0.0
     upper = max(2.0, _EXP_CUTOFF / h.lambda_min)
     b = h.kernel_dim
     cut_err, log_err = _expansion_error(h.terms, s.real)
+
+    def split(integrand, bound: float) -> tuple[float, float, float]:
+        """(int_0^1 integrand(remainder), int_1^upper integrand(tail), quad error)."""
+        rem_int, e1 = _integrate(integrand(h.remainder), 0.0, 1.0, bound)
+        tail_int, e2 = _integrate(integrand(h.tail), 1.0, upper)
+        return rem_int, tail_int, e1 + e2
 
     n = round(-s.real)
     if n >= 0 and abs(s + n) < 1e-13:
@@ -593,59 +603,40 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
         err = abs(fact) * 1e-15 * (abs(c_n) + b + 1.0)
         deriv = None
         if derivative:
-            rem_int, e1 = _integrate(lambda t: h.remainder(t) / t ** (n + 1), 0.0, 1.0,
-                                     cut_err)
-            tail_int, e2 = _integrate(lambda t: h.tail(t) / t ** (n + 1), 1.0, upper)
+            rem_int, tail_int, e = split(lambda f: lambda t: f(t) / t ** (n + 1), cut_err)
             psi = sum(1.0 / k for k in range(1, n + 1)) - EULER_GAMMA
             f_reg = (sum(c / (-n - p) for p, c in h.terms if p != -n)
                      + (b / n if n else 0.0))
             deriv = fact * (-psi * r_n + f_reg + rem_int + tail_int)
-            err += abs(fact) * (5.0 * (e1 + e2) + 1e-13 + cut_err)
+            err += abs(fact) * (5.0 * e + 1e-13 + cut_err)
         return ZetaEval(s=s, value=fact * r_n + 0.0, derivative=deriv,  # 0.0, not -0.0
                         abs_error_estimate=err, kernel_dim=b)
 
     closed = sum(c / (s - p) for p, c in h.terms) - b / s
-
-    if is_real:
+    if s.imag == 0.0:
         sr = s.real
-        rem_int, e1 = _integrate(lambda t: t ** (sr - 1.0) * h.remainder(t),
-                                 0.0, 1.0, cut_err)
-        tail_int, e2 = _integrate(lambda t: t ** (sr - 1.0) * h.tail(t),
-                                  1.0, upper)
+        rem_int, tail_int, e = split(lambda f: lambda t: t ** (sr - 1.0) * f(t), cut_err)
         f_val = closed.real + rem_int + tail_int
         rg = rgamma(sr)
-        value: float | complex = rg * f_val
-        err = (5.0 * abs(rg) * (e1 + e2) + 1e-14 * (abs(f_val) + 1.0)
-               + abs(rg) * cut_err)
-        deriv = None
+    else:
         if derivative:
-            f_prime = (-sum(c / (s - p) ** 2 for p, c in h.terms) + b / s ** 2).real
-            dr, e3 = _integrate(
-                lambda t: t ** (sr - 1.0) * math.log(t) * h.remainder(t),
-                0.0, 1.0, log_err)
-            dt_, e4 = _integrate(
-                lambda t: t ** (sr - 1.0) * math.log(t) * h.tail(t),
-                1.0, upper)
-            f_prime += dr + dt_
-            rgp = _rgamma_prime(sr)
-            deriv = rgp * f_val + rg * f_prime
-            err += (5.0 * abs(rg) * (e3 + e4) + abs(rgp) * cut_err
-                    + abs(rg) * log_err)
-        return ZetaEval(s=s, value=float(value), derivative=deriv,
-                        abs_error_estimate=err, kernel_dim=b)
-
+            raise BadParameter("derivative evaluation is supported for real s only")
+        re_rem, re_tail, e_re = split(lambda f: lambda t: (t ** (s - 1.0) * f(t)).real,
+                                      cut_err)
+        im_rem, im_tail, e_im = split(lambda f: lambda t: (t ** (s - 1.0) * f(t)).imag,
+                                      cut_err)
+        f_val = closed + complex(re_rem, im_rem) + complex(re_tail, im_tail)
+        e = e_re + e_im
+        rg = rgamma(s)
+    err = 5.0 * abs(rg) * e + 1e-14 * (abs(f_val) + 1.0) + abs(rg) * cut_err
+    deriv = None
     if derivative:
-        raise BadParameter("derivative evaluation is supported for real s only")
-
-    def complex_piece(fn, lo, hi, bound=0.0):
-        re, er1 = _integrate(lambda t: (t ** (s - 1.0) * fn(t)).real, lo, hi, bound)
-        im, er2 = _integrate(lambda t: (t ** (s - 1.0) * fn(t)).imag, lo, hi, bound)
-        return complex(re, im), er1 + er2
-
-    rem_c, e1 = complex_piece(h.remainder, 0.0, 1.0, cut_err)
-    tail_c, e2 = complex_piece(h.tail, 1.0, upper)
-    f_val = closed + rem_c + tail_c
-    rg = rgamma(s)
-    return ZetaEval(s=s, value=rg * f_val, derivative=None,
-                    abs_error_estimate=5.0 * abs(rg) * (e1 + e2) + 1e-14
-                    + abs(rg) * cut_err, kernel_dim=b)
+        f_prime = (-sum(c / (s - p) ** 2 for p, c in h.terms) + b / s ** 2).real
+        dr, dt_, e = split(lambda f: lambda t: t ** (sr - 1.0) * math.log(t) * f(t),
+                           log_err)
+        f_prime += dr + dt_
+        rgp = _rgamma_prime(sr)
+        deriv = rgp * f_val + rg * f_prime
+        err += 5.0 * abs(rg) * e + abs(rgp) * cut_err + abs(rg) * log_err
+    return ZetaEval(s=s, value=rg * f_val, derivative=deriv, abs_error_estimate=err,
+                    kernel_dim=b)

@@ -527,6 +527,22 @@ def test_mellin_direct_sum_consistency():
     assert abs(mellin_zeta(h2, 3.0).value - brute) < 1e-9
 
 
+def test_torus_zeta_prime_against_closed_forms():
+    # the weight t^(s-1) log t over the tail amplifies any absolute rounding
+    # of the trace; 1- and 2-torus zetas are Riemann and Dirichlet-beta forms
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    L, s = 6.0, 2.5
+    scale = (2 * mpmath.pi / L) ** 2
+    closed_forms = {
+        1: lambda x: 2 * scale ** -x * mpmath.zeta(2 * x),
+        2: lambda x: 4 * scale ** -x * mpmath.zeta(x) * mpmath.dirichlet(x, [0, 1, 0, -1]),
+    }
+    for n, zeta in closed_forms.items():
+        ev = mellin_zeta(torus_heat_trace(n, L), s, derivative=True)
+        assert abs(ev.derivative - float(mpmath.diff(zeta, s))) < 1e-14
+
+
 def test_mellin_complex_s():
     h = circle_heat_trace(2.0 * math.pi)
     ev = mellin_zeta(h, complex(2.0, 0.5))
