@@ -200,11 +200,13 @@ def cmd_zeta(args) -> int:
         "value": ev.value,
         "abs_error_estimate": ev.abs_error_estimate,
         "kernel_dim": ev.kernel_dim,
+        "nodes": ev.nodes,
     }
     lines = [f"model           {model.name}",
              f"zeta_{args.degree}({fmt(args.s)})    {fmt(ev.value)}",
              f"error estimate  {fmt(ev.abs_error_estimate)}",
-             f"kernel dim      {ev.kernel_dim}"]
+             f"kernel dim      {ev.kernel_dim}",
+             f"nodes           {ev.nodes}"]
     if args.derivative:
         payload["derivative"] = ev.derivative
         lines.insert(2, f"d/ds            {fmt(ev.derivative)}")

@@ -37,10 +37,12 @@ sphere2_scalar_heat_trace).  This module knows no boundary condition.
 Riemann and Hurwitz zeta (Euler-Maclaurin) are provided as independent
 closed forms for cross-checking the engine, never as its internals.
 
-All functions are pure and deterministic.  The quadrature aims at
-QUAD_EPSABS absolute error, or at the bound the estimate already counts for
-the sphere's cut and rounding where that is larger, and a quadrature that
-reports it could not get there (an IntegrationWarning) raises
+All functions are pure and deterministic, and need nothing beyond the
+standard library.  Every Mellin integral is one nested tanh-sinh rule (quad)
+that evaluates the trace once per node for all the weights of its split.  It
+aims at QUAD_EPSABS absolute error, or at the bound the estimate already
+counts for the sphere's cut and rounding where that is larger, and at
+QUAD_EPSREL relative error; an integral that cannot get there raises
 QuadratureFailure instead of returning its estimate.
 """
 
@@ -48,13 +50,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
-
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import BadParameter, PoleHit, QuadratureFailure
 
@@ -411,6 +410,22 @@ def circle_heat_trace(L: float, theta: float = 0.0, rank: int = 1) -> HeatTrace:
 
     scale = (2.0 * math.pi / L) ** 2
 
+    if a == 0.5:
+        # theta = pi (the mixed interval factor): m - a and m - 1 + a coincide,
+        # so each eigenvalue (pi (2j + 1) / L)^2 is summed once and doubled
+        quarter = (math.pi / L) ** 2
+
+        def tail(t: float) -> float:
+            total, j, x = 0.0, 0, quarter * t
+            while x <= _EXP_CUTOFF:
+                total += math.exp(-x)
+                j += 1
+                x = quarter * (2 * j + 1) ** 2 * t
+            return rank * 2.0 * total
+
+        return HeatTrace(terms=((0.5, pref),), remainder=remainder, tail=tail,
+                         kernel_dim=0, lambda_min=lam_min)
+
     def tail(t: float) -> float:
         total = math.exp(-scale * a * a * t)
         m = 1
@@ -451,6 +466,8 @@ def torus_heat_trace(n: int, L: float) -> HeatTrace:
 
     def remainder(t: float) -> float:
         sigma = 2.0 * _gauss_series(L * L / (4.0 * t))
+        if sigma == 0.0:  # near t = 0, where (pref/sqrt(t))^n can overflow
+            return 0.0
         return (pref / math.sqrt(t)) ** n * math.expm1(n * math.log1p(sigma))
 
     def tail(t: float) -> float:
@@ -493,19 +510,18 @@ def sphere2_scalar_heat_trace() -> HeatTrace:
     terms = tuple((-float(td), float(c)) for td, c in sphere2_power_coefficients(11))
     cut = _expansion_cut(terms)
 
-    def eigen_terms(t: float) -> list[float]:
+    def eigen_terms(t: float, first: int) -> list[float]:
         l_max = int(math.sqrt(_EXP_CUTOFF / t + 9.0)) + 4
-        return [(2 * l + 1) * math.exp(-t * l * (l + 1)) for l in range(l_max + 1)]
+        return [(2 * l + 1) * math.exp(-t * l * (l + 1)) for l in range(first, l_max + 1)]
 
     def remainder(t: float) -> float:
         if t < cut:
             return 0.0
         # one exact sum, so only the rounding of each term is left
-        return math.fsum(eigen_terms(t) + [-c * t ** (-p) for p, c in terms])
+        return math.fsum(eigen_terms(t, 0) + [-c * t ** (-p) for p, c in terms])
 
     return HeatTrace(terms=terms, remainder=remainder,
-                     tail=lambda t: sum(eigen_terms(t)) - 1.0, kernel_dim=1,
-                     lambda_min=2.0)
+                     tail=lambda t: sum(eigen_terms(t, 1)), kernel_dim=1, lambda_min=2.0)
 
 
 def _positive(value, name: str) -> None:
@@ -518,33 +534,93 @@ def _positive(value, name: str) -> None:
 
 @dataclass(frozen=True)
 class ZetaEval:
-    """One evaluation of a spectral zeta: value, optional d/ds, error bound."""
+    """One evaluation of a spectral zeta: value, optional d/ds, error bound,
+    and the number of heat-trace evaluations (quadrature nodes) it took."""
 
     s: complex
     value: float | complex
     derivative: float | None
     abs_error_estimate: float
     kernel_dim: int
+    nodes: int
 
 
 QUAD_EPSABS = 1e-12
+QUAD_EPSREL = 1e-14  # values reach 1e5 (the circle character at s = 2.5)
+# The last level accepts what the levels could not reach, up to this: the theta
+# series' e^-50 cutoff, amplified by t^(s-1) at very negative s, leaves steps
+# in the integrand that stall the levels near 1e-12 relative.
+QUAD_EPSREL_LAST = 1e-11
+_TS_REACH = 4.0     # |u| <= 4: the outermost nodes lie 1e-37 half-widths from an end
+_TS_MAX_LEVEL = 8   # h = 2^-8, 2049 nodes per integral
 
 
-def _integrate(fn, lo: float, hi: float, bound: float = 0.0) -> tuple[float, float]:
-    """quad to max(QUAD_EPSABS, bound): an integrand whose own rounding is
-    known to be up to bound is not asked for more."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            value, err = quad(fn, lo, hi, epsabs=max(QUAD_EPSABS, bound), epsrel=1e-11,
-                              limit=400)
-        except IntegrationWarning as exc:
-            raise QuadratureFailure(f"integral over [{lo:g}, {hi:g}]: "
-                                    f"{str(exc).splitlines()[0]}") from exc
-    if not math.isfinite(value):
-        raise QuadratureFailure(f"integral over [{lo:g}, {hi:g}] returned {value}")
-    return value, err
+@lru_cache(maxsize=None)
+def _tanh_sinh_level(level: int) -> tuple[tuple[float, float], ...]:
+    """(c, w) for the nodes u = k 2^-level, 0 <= u <= _TS_REACH, first used at
+    that level (every k at level 0, odd k after): t = end -+ half c with
+    c = 1 - tanh(pi/2 sinh u), formed without cancellation, and dt/du = half w."""
+    h = 2.0 ** -level
+    ks = range(0 if level == 0 else 1, int(_TS_REACH / h) + 1, 1 if level == 0 else 2)
+    nodes = []
+    for k in ks:
+        v = 0.5 * math.pi * math.sinh(k * h)
+        nodes.append((2.0 / (1.0 + math.exp(2.0 * v)),
+                      0.5 * math.pi * math.cosh(k * h) / math.cosh(v) ** 2))
+    return tuple(nodes)
 
+
+def quad(trace, weights, lo: float, hi: float, epsabs, full_output: int = 0):
+    """int_lo^hi w(t) trace(t) dt for each weight w in weights(t), by one
+    nested tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974).
+
+    Each node evaluates trace once and weights only where the trace is
+    nonzero, so a weight that would overflow where the trace vanishes is
+    never formed.  Levels h = 2^-m halve the step; with d_m the change from
+    level m-1 to m, level m's error is estimated as d_m^2 / d_{m-1}, as the
+    convergence is quadratic.  Each integral aims at max(epsabs[i],
+    QUAD_EPSREL |value|), and the last level, _TS_MAX_LEVEL, accepts
+    QUAD_EPSREL_LAST; an integral that misses that too, or a value that is
+    not finite, raises QuadratureFailure.  Returns (values, errors), and also
+    {"neval": trace evaluations} with full_output.
+    """
+    half = 0.5 * (hi - lo)
+    count = len(epsabs)
+    values, change, neval = [0.0] * count, [math.inf] * count, 0
+
+    def converged(errors, rel: float) -> bool:
+        return all(err <= max(eps, rel * abs(v)) for err, eps, v in zip(errors, epsabs, values))
+
+    for level in range(_TS_MAX_LEVEL + 1):
+        new = [0.0] * count
+        for c, w in _tanh_sinh_level(level):
+            for t in ((lo + half,) if c == 1.0 else (lo + half * c, hi - half * c)):
+                f = trace(t)
+                if f != 0.0:
+                    f *= w
+                    for i, weight in enumerate(weights(t)):
+                        new[i] += weight * f
+            neval += 1 if c == 1.0 else 2
+        scale = half * 2.0 ** -level
+        previous, values = values, [0.5 * v + scale * x for v, x in zip(values, new)]
+        last, change = change, [abs(v - p) for v, p in zip(values, previous)]
+        errors = [d * d / e if e else d for d, e in zip(change, last)]
+        if not all(map(math.isfinite, values)):
+            raise QuadratureFailure(f"integral over [{lo:g}, {hi:g}] returned {values}")
+        if level >= 2 and converged(errors, QUAD_EPSREL):
+            break
+    else:
+        if not converged(errors, QUAD_EPSREL_LAST):
+            raise QuadratureFailure(
+                f"integral over [{lo:g}, {hi:g}]: error estimate {max(errors):.1e} "
+                f"after {neval} nodes, above the target")
+    if full_output:
+        return tuple(values), tuple(errors), {"neval": neval}
+    return tuple(values), tuple(errors)
+
+
+# Rounding allowed each summed part of Gamma(s) zeta(s), relative (about 45 eps).
+_ROUNDING = 1e-14
 
 # The sphere's remainder, one exact sum of rounded terms, is off by at most
 # 0.76 eps sum_p |c_p| t^-p on [cut, 1] (1500 points against 30-digit sums).
@@ -576,8 +652,9 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
     s may be any real or complex number away from the poles {p > 0 with
     c_p != 0}; s = -n takes the s = -n rule of the module docstring.
     Derivatives are supported for real s.  Every integral is one split: a
-    weighted remainder on (0, 1] and a weighted tail on [1, upper]; complex
-    s integrates the real and imaginary parts of each weight separately.
+    weighted remainder on (cut, 1] and a weighted tail on [1, upper], each
+    one quad call that evaluates the trace once per node for all its weights
+    (value and derivative, or the real and imaginary parts of t^(s-1)).
     """
     s = complex(s)
     if not cmath.isfinite(s):
@@ -587,13 +664,32 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
             raise PoleHit(f"zeta has a pole at s = {p}")
     upper = max(2.0, _EXP_CUTOFF / h.lambda_min)
     b = h.kernel_dim
+    cut = _expansion_cut(h.terms)  # the remainder is 0 below it
     cut_err, log_err = _expansion_error(h.terms, s.real)
+    nodes = 0
 
-    def split(integrand, bound: float) -> tuple[float, float, float]:
-        """(int_0^1 integrand(remainder), int_1^upper integrand(tail), quad error)."""
-        rem_int, e1 = _integrate(integrand(h.remainder), 0.0, 1.0, bound)
-        tail_int, e2 = _integrate(integrand(h.tail), 1.0, upper)
-        return rem_int, tail_int, e1 + e2
+    def counted(trace):
+        def evaluate(t: float) -> float:
+            nonlocal nodes
+            nodes += 1
+            return trace(t)
+        return evaluate
+
+    remainder, tail = counted(h.remainder), counted(h.tail)
+
+    def split(weights, bounds) -> tuple[tuple, tuple, list[float]]:
+        """(int_cut^1 w remainder, int_1^upper w tail, quad error) for each
+        weight w in weights(t); the remainder integral of weight i aims at
+        bounds[i], its own known rounding, where that exceeds QUAD_EPSABS."""
+        rem, e1 = quad(remainder, weights, cut, 1.0,
+                       [max(QUAD_EPSABS, bound) for bound in bounds])
+        tl, e2 = quad(tail, weights, 1.0, upper, [QUAD_EPSABS] * len(bounds))
+        return rem, tl, [x + y for x, y in zip(e1, e2)]
+
+    def error(factor, quad_err: float, bound: float, parts) -> float:
+        """|factor| times the quadrature error, the known bound and the
+        rounding of the parts that are summed to what factor multiplies."""
+        return abs(factor) * (5.0 * quad_err + bound + _ROUNDING * sum(map(abs, parts)))
 
     n = round(-s.real)
     if n >= 0 and abs(s + n) < 1e-13:
@@ -603,40 +699,50 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
         err = abs(fact) * 1e-15 * (abs(c_n) + b + 1.0)
         deriv = None
         if derivative:
-            rem_int, tail_int, e = split(lambda f: lambda t: f(t) / t ** (n + 1), cut_err)
+            (rem_int,), (tail_int,), (e,) = split(lambda t: (1.0 / t ** (n + 1),), [cut_err])
             psi = sum(1.0 / k for k in range(1, n + 1)) - EULER_GAMMA
-            f_reg = (sum(c / (-n - p) for p, c in h.terms if p != -n)
-                     + (b / n if n else 0.0))
-            deriv = fact * (-psi * r_n + f_reg + rem_int + tail_int)
-            err += abs(fact) * (5.0 * e + 1e-13 + cut_err)
+            f_parts = ([-psi * r_n] + [c / (-n - p) for p, c in h.terms if p != -n]
+                       + [b / n if n else 0.0, rem_int, tail_int])
+            deriv = fact * sum(f_parts)
+            err += error(fact, e, cut_err + 1e-13, f_parts)
         return ZetaEval(s=s, value=fact * r_n + 0.0, derivative=deriv,  # 0.0, not -0.0
-                        abs_error_estimate=err, kernel_dim=b)
+                        abs_error_estimate=err, kernel_dim=b, nodes=nodes)
 
-    closed = sum(c / (s - p) for p, c in h.terms) - b / s
-    if s.imag == 0.0:
-        sr = s.real
-        rem_int, tail_int, e = split(lambda f: lambda t: t ** (sr - 1.0) * f(t), cut_err)
-        f_val = closed.real + rem_int + tail_int
-        rg = rgamma(sr)
-    else:
+    closed = [c / (s - p) for p, c in h.terms] + [-b / s]
+    if s.imag != 0.0:
         if derivative:
             raise BadParameter("derivative evaluation is supported for real s only")
-        re_rem, re_tail, e_re = split(lambda f: lambda t: (t ** (s - 1.0) * f(t)).real,
-                                      cut_err)
-        im_rem, im_tail, e_im = split(lambda f: lambda t: (t ** (s - 1.0) * f(t)).imag,
-                                      cut_err)
-        f_val = closed + complex(re_rem, im_rem) + complex(re_tail, im_tail)
-        e = e_re + e_im
+
+        def parts(t: float) -> tuple[float, float]:
+            w = t ** (s - 1.0)
+            return w.real, w.imag
+
+        re_im_rem, re_im_tail, (e_re, e_im) = split(parts, [cut_err, cut_err])
+        f_parts = closed + [complex(*re_im_rem), complex(*re_im_tail)]
         rg = rgamma(s)
-    err = 5.0 * abs(rg) * e + 1e-14 * (abs(f_val) + 1.0) + abs(rg) * cut_err
+        return ZetaEval(s=s, value=rg * sum(f_parts), derivative=None,
+                        abs_error_estimate=error(rg, e_re + e_im, cut_err, f_parts) + _ROUNDING,
+                        kernel_dim=b, nodes=nodes)
+
+    sr, a = s.real, s.real - 1.0
+    if derivative:
+        def weights(t: float) -> tuple[float, float]:
+            w = t ** a
+            return w, w * math.log(t)
+
+        rem, tl, (e, e_log) = split(weights, [cut_err, log_err])
+    else:
+        rem, tl, (e,) = split(lambda t: (t ** a,), [cut_err])
+    f_parts = [x.real for x in closed] + [rem[0], tl[0]]
+    rg = rgamma(sr)
+    err = error(rg, e, cut_err, f_parts) + _ROUNDING
     deriv = None
     if derivative:
-        f_prime = (-sum(c / (s - p) ** 2 for p, c in h.terms) + b / s ** 2).real
-        dr, dt_, e = split(lambda f: lambda t: t ** (sr - 1.0) * math.log(t) * f(t),
-                           log_err)
-        f_prime += dr + dt_
+        # one exact sum: (1/Gamma)' times each part of f plus 1/Gamma times
+        # each part of f', so no partial sum rounds before the weights apply
         rgp = _rgamma_prime(sr)
-        deriv = rgp * f_val + rg * f_prime
-        err += 5.0 * abs(rg) * e + abs(rgp) * cut_err + abs(rg) * log_err
-    return ZetaEval(s=s, value=rg * f_val, derivative=deriv, abs_error_estimate=err,
-                    kernel_dim=b)
+        f_prime = [-c / (sr - p) ** 2 for p, c in h.terms] + [b / sr ** 2, rem[1], tl[1]]
+        deriv = math.fsum([rgp * x for x in f_parts] + [rg * x for x in f_prime])
+        err += error(rgp, e, cut_err, f_parts) + error(rg, e_log, log_err, f_prime)
+    return ZetaEval(s=s, value=rg * sum(f_parts), derivative=deriv, abs_error_estimate=err,
+                    kernel_dim=b, nodes=nodes)

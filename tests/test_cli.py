@@ -210,20 +210,37 @@ def test_zeta_pole_exit_4(capsys):
     assert "pole" in err
 
 
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's torsionlab."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_closed_pipe_exits_1_quietly():
     # writing into a pipe whose read end is closed: exit 1 and no traceback
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "torsionlab.cli", "zeta", "--model", "circle", "--s", "2"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+            stdout=write_end, stderr=subprocess.PIPE, env=_child_env(), timeout=120)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_cli_loads_no_scipy():
+    # a fresh interpreter, as this process may hold scipy for other reasons:
+    # the import and a zeta evaluation load numpy only
+    code = ("import sys; from torsionlab import cli; "
+            "assert cli.main(['zeta', '--model', 'sphere2', '--s', '0.75', '--derivative']) == 0; "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "assert not loaded, loaded")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "nodes" in proc.stdout
 
 
 def test_zeta_boundary_model(capsys):

@@ -19,6 +19,7 @@ from torsionlab import (
     torus_heat_trace,
     zeta_at_zero,
 )
+from torsionlab import zetas
 from torsionlab.errors import BadParameter, PoleHit, QuadratureFailure
 from torsionlab.models import build_model
 from torsionlab.zetas import (
@@ -392,14 +393,18 @@ def test_zeta_at_negative_integers_on_exact_traces():
             assert abs(ev.derivative - near.derivative) < 1e-5 * max(1.0, abs(ev.derivative))
 
 
+def _sphere2_zeta(mp, s):
+    """zeta_{S^2}(s) = 2 sum_j C(-s, j) (-1/4)^j zeta_H(2s + 2j - 1, 3/2), converging
+    like 9^-j; at s = 1 - j its j-th term is a removable 0 * pole."""
+    return 2 * mp.fsum(mp.binomial(-s, j) * mp.mpf(-0.25) ** j
+                       * mp.zeta(2 * s + 2 * j - 1, mp.mpf(1.5)) for j in range(28))
+
+
 def test_sphere_estimate_bounds_the_error():
     mp = pytest.importorskip("mpmath")
 
     def series(s):
-        # zeta_{S^2}(s) = 2 sum_j C(-s, j) (-1/4)^j zeta_H(2s + 2j - 1, 3/2),
-        # converging like 9^-j
-        return 2 * mp.fsum(mp.binomial(-s, j) * mp.mpf(-0.25) ** j
-                           * mp.zeta(2 * s + 2 * j - 1, mp.mpf(1.5)) for j in range(28))
+        return _sphere2_zeta(mp, s)
 
     sphere = build_model("sphere2")
     points = [(s, True) for s in (-10.5, -9.5, -7.5, -5.5, -4.5, -3.5, -2.5, -1.5, -0.5,
@@ -543,6 +548,14 @@ def test_torus_zeta_prime_against_closed_forms():
         assert abs(ev.derivative - float(mpmath.diff(zeta, s))) < 1e-14
 
 
+def test_torus_remainder_vanishes_without_overflow():
+    # the rule's nodes reach t ~ 1e-37, where (pref/sqrt(t))^20 would
+    # overflow a float and the image sum is already 0
+    h = torus_heat_trace(20, 1.0)
+    assert h.remainder(1e-37) == 0.0
+    assert math.isfinite(mellin_zeta(h, 2.5).value)
+
+
 def test_mellin_complex_s():
     h = circle_heat_trace(2.0 * math.pi)
     ev = mellin_zeta(h, complex(2.0, 0.5))
@@ -560,3 +573,62 @@ def test_quadrature_warning_raises():
                             remainder=lambda t: math.sin(1.0 / t))
     with pytest.raises(QuadratureFailure):
         mellin_zeta(h, 2.0)
+    # full_output, as a tracer that counts nodes calls it, raises just the same
+    with pytest.raises(QuadratureFailure):
+        zetas.quad(h.remainder, lambda t: (t,), 0.0, 1.0, [zetas.QUAD_EPSABS], full_output=1)
+
+
+def test_error_estimates_bound_the_true_error():
+    # calibration against mpmath closed forms: on every kind of trace, at s on
+    # both sides of the poles and off the real axis, the estimate bounds the
+    # true error of the value and of zeta'
+    mp = pytest.importorskip("mpmath")
+    L, R = 6.0, mp.mpf(1.1)
+    scale = (2 * mp.pi / L) ** 2
+
+    def character(theta):
+        a = mp.mpf(theta) / (2 * mp.pi)
+        return lambda s: 2 * (mp.zeta(2 * s, a) + mp.zeta(2 * s, 1 - a))
+
+    def sphere(s):
+        return mp.mpf(-2) / 3 if s == 0 else _sphere2_zeta(mp, s)
+
+    def dirichlet(s):
+        return (R / mp.pi) ** (2 * s) * mp.zeta(2 * s)
+
+    cases = [
+        (circle_heat_trace(2.0 * math.pi, 0.7, 2), character(0.7)),
+        (circle_heat_trace(2.0 * math.pi, 2.9, 2), character(2.9)),
+        (torus_heat_trace(1, L), lambda s: 2 * scale ** -s * mp.zeta(2 * s)),
+        (torus_heat_trace(2, L),
+         lambda s: 4 * scale ** -s * mp.zeta(s) * mp.dirichlet(s, [0, 1, 0, -1])),
+        # Jacobi: sum_k r_4(k) k^-s = 8 (1 - 4^(1-s)) zeta(s) zeta(s-1)
+        (torus_heat_trace(4, L),
+         lambda s: 8 * scale ** -s * (1 - 4 ** (1 - s)) * mp.zeta(s) * mp.zeta(s - 1)),
+        (sphere2_scalar_heat_trace(), sphere),
+        (interval("dirichlet", 1.1), dirichlet),
+        (interval("neumann", 1.1), dirichlet),
+        (interval("mixed", 1.1), lambda s: (R / mp.pi) ** (2 * s) * mp.zeta(2 * s, 0.5)),
+    ]
+    for h, zeta in cases:
+        for s in (-1.5, 0.0, 0.75, 2.5, complex(0.5, 2.0)):
+            with mp.workdps(25):
+                if isinstance(s, complex):
+                    value, deriv = complex(zeta(mp.mpc(s.real, s.imag))), None
+                else:
+                    # mp.diff samples zeta off s, never at a removable point
+                    value, deriv = float(zeta(mp.mpf(s))), float(mp.diff(zeta, mp.mpf(s)))
+            ev = mellin_zeta(h, s, derivative=deriv is not None)
+            assert abs(ev.value - value) <= ev.abs_error_estimate
+            if deriv is not None:
+                assert abs(ev.derivative - deriv) <= ev.abs_error_estimate
+
+
+def test_nodes_count_the_trace_evaluations():
+    h = circle_heat_trace(2.0 * math.pi, 0.7, 2)
+    calls = []
+    counted = dataclasses.replace(h, remainder=lambda t: calls.append(t) or h.remainder(t),
+                                  tail=lambda t: calls.append(t) or h.tail(t))
+    ev = mellin_zeta(counted, 0.75, derivative=True)
+    assert ev.nodes == len(calls) > 0
+    assert mellin_zeta(h, 0.0).nodes == 0  # coefficient arithmetic alone
