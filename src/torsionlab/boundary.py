@@ -76,7 +76,7 @@ def _x_factors(R: float, condition: str) -> tuple[HeatTrace, HeatTrace]:
     return neumann, dirichlet
 
 
-def build_interval(R: float, condition: str, rank: int = 1) -> SpectralModel:
+def build_interval(R: float = 1.0, condition: str = "relative", rank: int = 1) -> SpectralModel:
     """Interval [0, R]: degree 0 carries the tangential factor, degree 1 the normal.
 
     relative: b = (0, 1), chi = -1; absolute: b = (1, 0), chi = 1;
@@ -96,7 +96,8 @@ def build_interval(R: float, condition: str, rank: int = 1) -> SpectralModel:
                          heat=tuple(heat), condition=condition)
 
 
-def build_cylinder(R: float, L: float, condition: str, rank: int = 1) -> SpectralModel:
+def build_cylinder(R: float = 1.0, L: float = 2.0 * math.pi, condition: str = "relative",
+                   rank: int = 1) -> SpectralModel:
     """Cylinder [0, R] x S^1 of circumference L.
 
     Degree 0: tangential x circle; degree 2: normal x circle; degree 1 is

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -28,29 +29,26 @@ import numpy as np
 
 from . import boundary as bnd
 from . import models as mdl
-from .complexes import build_preset, complex_from_json
+from .complexes import PRESETS, build_preset, complex_from_json
 from .errors import NotAcyclic, PoleHit, SchemaError, TorsionLabError
 from .hodge import ChainMetric, acyclic_spectra
 from .torsion import classify_beta, determinant_oracle, generalized_log_torsion
 from .verify import DEFAULT_SEED, SUITES, run_suites
 
-# The options each model, preset and gluing geometry reads, with their
-# defaults.  They default to None on the command line, so one given where it
-# is not read is rejected.
-MODEL_OPTIONS = {
-    "circle": {"L": 2.0 * math.pi, "theta": 0.0, "rank": 1},
-    "torus": {"n": 2, "L": 2.0 * math.pi, "rank": 1},
-    "sphere2": {"rank": 1},
-    "interval": {"R": 1.0, "condition": "relative", "rank": 1},
-    "cylinder": {"R": 1.0, "L": 2.0 * math.pi, "condition": "relative", "rank": 1},
-}
+# Each model and preset states its options once, as its builder's keywords
+# and their defaults.  They default to None on the command line, so one
+# given where it is not read is rejected.
+SPECTRAL_MODELS = {**mdl.MODELS, "interval": bnd.build_interval, "cylinder": bnd.build_cylinder}
+
+
+def _options(builder) -> dict:
+    return {p.name: p.default for p in inspect.signature(builder).parameters.values()}
+
+
+MODEL_OPTIONS = {name: _options(builder) for name, builder in SPECTRAL_MODELS.items()}
+PRESET_OPTIONS = {name: {"beta_angle" if k == "beta" else k: v for k, v in _options(f).items()}
+                  for name, f in PRESETS.items()}
 GLUING_OPTIONS = {"interval": {"R": 1.0}, "cylinder": {"R": 1.0, "L": 2.0 * math.pi}}
-PRESET_OPTIONS = {
-    "circle": {"theta": 1.0},
-    "torus2": {"alpha": 1.0, "beta_angle": 0.3},
-    "interval": {"rank": 1},
-    "point": {"rank": 1},
-}
 
 
 def fmt(x: float) -> str:
@@ -137,14 +135,14 @@ def _build_input_complex(args):
 
 def cmd_torsion(args) -> int:
     cplx, source = _build_input_complex(args)
-    if args.metric.startswith("random:"):
-        rng = np.random.default_rng(int(args.metric.split(":", 1)[1]))
-        metric = ChainMetric.random_spd(cplx, rng)
+    kind, _, seed = args.metric.partition(":")
+    if kind == "random" and seed.isdecimal():
+        metric = ChainMetric.random_spd(cplx, np.random.default_rng(int(seed)))
     elif args.metric == "identity":
         metric = ChainMetric.identity(cplx)
     else:
-        raise SchemaError(f"metric spec must be identity or random:SEED, "
-                          f"got {args.metric!r}")
+        raise SchemaError(f"metric spec must be identity or random:SEED with SEED a "
+                          f"nonnegative integer, got {args.metric!r}")
     n = cplx.dimension
     beta = parse_beta(args.beta, n + 1)
     classification = classify_beta(beta)
@@ -181,11 +179,7 @@ def cmd_torsion(args) -> int:
 
 def _build_spectral_model(args):
     params = _read_options(args, MODEL_OPTIONS, args.model, f"model {args.model}")
-    if args.model == "interval":
-        return bnd.build_interval(**params)
-    if args.model == "cylinder":
-        return bnd.build_cylinder(**params)
-    return mdl.build_model(args.model, **params)
+    return SPECTRAL_MODELS[args.model](**params)
 
 
 def cmd_zeta(args) -> int:

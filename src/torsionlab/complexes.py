@@ -13,10 +13,15 @@ cell structure can be paired with many representations.
 
 Basis convention: degree-k chains are indexed cell-major, i.e. the block
 of rows/columns [i*n, (i+1)*n) belongs to the i-th k-cell.
+
+The presets circle(theta=1), torus2(alpha=1, beta=0.3), interval(rank=1)
+and point(rank=1) take their options as keywords; preset(name, **params)
+raises BadParameter naming any keyword the chosen preset does not read.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -248,64 +253,73 @@ def _check_angle(theta: float, name: str) -> None:
         raise BadParameter(f"{name} must lie in [0, 2*pi), got {theta}")
 
 
-def preset(name: str, *, theta: float | None = None, alpha: float | None = None,
-           beta: float | None = None, rank: int = 1) -> tuple[CellStructure, Representation]:
-    """Built-in cell structures with matching representations.
+def circle(*, theta: float = 1.0) -> tuple[CellStructure, Representation]:
+    """One 0-cell, one 1-cell, bd(e) = (t - 1) e0 with rho(t) the rotation by
+    theta; acyclic iff theta != 0."""
+    _check_angle(theta, "theta")
+    if theta == 0.0:
+        raise NotAcyclic("circle preset with theta = 0 is not acyclic")
+    cells = CellStructure(
+        dimension=1, cells_per_degree=(1, 1),
+        incidences=(((),), (((0, 1, ((0, 1),)), (0, -1, ())),)),
+    )
+    return cells, Representation(2, [rotation(theta)])
 
-    circle(theta):  one 0-cell, one 1-cell, bd(e) = (t - 1) e0 with
-                    rho(t) the rotation by theta; acyclic iff theta != 0.
-    torus2(alpha, beta):  one 0-cell, two 1-cells a, b, one 2-cell with
-                    bd(f) = (1 - b) a + (a - 1) b; rho(a), rho(b) rotations;
-                    acyclic iff alpha != 0 or beta != 0.
-    interval:       two 0-cells, one 1-cell, trivial coefficients.
-    point:          a single 0-cell; `rank` sets the trivial coefficient rank.
-    """
+
+def torus2(*, alpha: float = 1.0, beta: float = 0.3) -> tuple[CellStructure, Representation]:
+    """One 0-cell, 1-cells a, b, a 2-cell with bd(f) = (1 - b) a + (a - 1) b;
+    rho(a), rho(b) rotate by alpha and beta; acyclic unless both are 0."""
+    _check_angle(alpha, "alpha")
+    _check_angle(beta, "beta")
+    if alpha == 0.0 and beta == 0.0:
+        raise NotAcyclic("torus2 preset with alpha = beta = 0 is not acyclic")
     empty: GroupWord = ()
-    if name == "circle":
-        if theta is None:
-            raise BadParameter("circle preset requires theta")
-        _check_angle(theta, "theta")
-        if theta == 0.0:
-            raise NotAcyclic("circle preset with theta = 0 is not acyclic")
-        cells = CellStructure(
-            dimension=1, cells_per_degree=(1, 1),
-            incidences=(((),), (((0, 1, ((0, 1),)), (0, -1, empty)),)),
-        )
-        return cells, Representation(2, [rotation(theta)])
-    if name == "torus2":
-        if alpha is None or beta is None:
-            raise BadParameter("torus2 preset requires alpha and beta")
-        _check_angle(alpha, "alpha")
-        _check_angle(beta, "beta")
-        if alpha == 0.0 and beta == 0.0:
-            raise NotAcyclic("torus2 preset with alpha = beta = 0 is not acyclic")
-        word_a: GroupWord = ((0, 1),)
-        word_b: GroupWord = ((1, 1),)
-        cells = CellStructure(
-            dimension=2, cells_per_degree=(1, 2, 1),
-            incidences=(
-                ((),),
-                (((0, 1, word_a), (0, -1, empty)),
-                 ((0, 1, word_b), (0, -1, empty))),
-                # bd(f) = (1 - b) a + (a - 1) b, the commutator boundary
-                (((0, 1, empty), (0, -1, word_b), (1, 1, word_a), (1, -1, empty)),),
-            ),
-        )
-        return cells, Representation(2, [rotation(alpha), rotation(beta)])
-    if name == "interval":
-        if rank < 1:
-            raise BadParameter("rank must be positive")
-        cells = CellStructure(
-            dimension=1, cells_per_degree=(2, 1),
-            incidences=(((), ()), (((1, 1, empty), (0, -1, empty)),)),
-        )
-        return cells, Representation(rank, [])
-    if name == "point":
-        if rank < 1:
-            raise BadParameter("rank must be positive")
-        cells = CellStructure(dimension=0, cells_per_degree=(1,), incidences=(((),),))
-        return cells, Representation(rank, [])
-    raise BadParameter(f"unknown preset {name!r}")
+    word_a: GroupWord = ((0, 1),)
+    word_b: GroupWord = ((1, 1),)
+    cells = CellStructure(
+        dimension=2, cells_per_degree=(1, 2, 1),
+        incidences=(
+            ((),),
+            (((0, 1, word_a), (0, -1, empty)),
+             ((0, 1, word_b), (0, -1, empty))),
+            # bd(f) = (1 - b) a + (a - 1) b, the commutator boundary
+            (((0, 1, empty), (0, -1, word_b), (1, 1, word_a), (1, -1, empty)),),
+        ),
+    )
+    return cells, Representation(2, [rotation(alpha), rotation(beta)])
+
+
+def interval(*, rank: int = 1) -> tuple[CellStructure, Representation]:
+    """Two 0-cells, one 1-cell, trivial coefficients of the given rank."""
+    if rank < 1:
+        raise BadParameter("rank must be positive")
+    cells = CellStructure(
+        dimension=1, cells_per_degree=(2, 1),
+        incidences=(((), ()), (((1, 1, ()), (0, -1, ())),)),
+    )
+    return cells, Representation(rank, [])
+
+
+def point(*, rank: int = 1) -> tuple[CellStructure, Representation]:
+    """A single 0-cell, trivial coefficients of the given rank."""
+    if rank < 1:
+        raise BadParameter("rank must be positive")
+    cells = CellStructure(dimension=0, cells_per_degree=(1,), incidences=(((),),))
+    return cells, Representation(rank, [])
+
+
+PRESETS = {"circle": circle, "torus2": torus2, "interval": interval, "point": point}
+
+
+def preset(name: str, **params) -> tuple[CellStructure, Representation]:
+    """PRESETS[name](**params); BadParameter names any keyword it does not read."""
+    if name not in PRESETS:
+        raise BadParameter(f"unknown preset {name!r}")
+    # unwrap: a functools.wraps wrapper (a tracer's) has no __kwdefaults__
+    unread = params.keys() - inspect.unwrap(PRESETS[name]).__kwdefaults__.keys()
+    if unread:
+        raise BadParameter(f"preset {name} does not read {', '.join(sorted(unread))}")
+    return PRESETS[name](**params)
 
 
 def build_preset(name: str, **params) -> TwistedComplex:

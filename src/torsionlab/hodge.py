@@ -91,9 +91,9 @@ class ChainMetric:
         return metric
 
     @classmethod
-    def exponential(cls, generators: Sequence[np.ndarray], u: float = 1.0) -> "ChainMetric":
-        """h_k = exp(u S_k) for the symmetrized generators S_k, from one eigh of each."""
-        return cls._exponential(cls._generator_eighs(generators), u)
+    def exponential(cls, generators: Sequence[np.ndarray]) -> "ChainMetric":
+        """h_k = exp(S_k) for the symmetrized generators S_k, from one eigh of each."""
+        return cls._exponential(cls._generator_eighs(generators), 1.0)
 
     @staticmethod
     def _generator_eighs(generators: Sequence[np.ndarray]) -> list:
@@ -110,14 +110,10 @@ class ChainMetric:
         return metric
 
     @classmethod
-    def random_spd(cls, cplx: TwistedComplex, rng: np.random.Generator,
-                   spread: float = 0.5) -> "ChainMetric":
-        """exp(spread * S) with S random symmetric: well-conditioned SPD metrics."""
+    def random_spd(cls, cplx: TwistedComplex, rng: np.random.Generator) -> "ChainMetric":
+        """exp(S / 2), S the symmetric part of a standard normal matrix: well-conditioned."""
         draws = (rng.standard_normal((d, d)) for d in cplx.dims)
-        return cls.exponential([spread * 0.5 * (s + s.T) for s in draws])
-
-    def __len__(self) -> int:
-        return len(self._dims)
+        return cls.exponential([0.25 * (s + s.T) for s in draws])
 
     def _eye(self, k: int) -> np.ndarray:
         eye = np.eye(self._dims[k])

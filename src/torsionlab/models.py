@@ -3,19 +3,19 @@
 A SpectralModel holds one heat trace per degree; its Betti numbers are
 the traces' kernel dimensions.  Its boundary condition is None on a
 closed manifold and "relative", "absolute" or "mixed" on a manifold with
-boundary; boundary.py builds those.  The closed families built here:
+boundary; boundary.py builds those.  Each closed family is a keyword-only
+function whose keywords and defaults are its options; build_model(name,
+**params) looks it up in MODELS and raises BadParameter naming any keyword
+the family does not read.  Only the circle takes a rank other than 1.
 
-* circle(L, theta, rank): flat circle, optionally twisted by a rank-2
-  rotation character (acyclic for theta != 0); degrees 0 and 1 share one
-  spectrum.
-* torus(n, L): flat n-torus; the degree-k form Laplacian is binom(n, k)
-  copies of the scalar one, with harmonic forms of dimension binom(n, k).
-* sphere2: the round 2-sphere; the coexact/exact split of 1-forms pins
+* circle(L=2 pi, theta=0, rank=1): flat circle, optionally twisted by a
+  rank-2 rotation character (acyclic for theta != 0); degrees 0 and 1
+  share one spectrum.
+* torus(n=2, L=2 pi, rank=1): flat n-torus; the degree-k form Laplacian is
+  binom(n, k) copies of the scalar one, with harmonic forms of that dimension.
+* sphere2(rank=1): the round 2-sphere; the coexact/exact split of 1-forms pins
   the degree spectra to the scalar one (1-form trace 2 scalar - 2, so
   zeta_1 = 2 zeta_0; zeta_2 = zeta_0; Betti (1, 0, 1)).
-
-Only the circle takes a coefficient rank; torus and sphere2 reject any
-rank but 1.
 
 Torsion conventions (all logs):
 
@@ -31,6 +31,7 @@ coefficient arithmetic; analytic ones go through the Mellin engine.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -97,33 +98,48 @@ class SpectralModel:
 ClosedModel = SpectralModel
 
 
-def build_model(name: str, *, L: float = 2.0 * math.pi, theta: float = 0.0,
-                rank: int = 1, n: int = 2) -> SpectralModel:
-    """Construct one of the closed models; see the module docstring."""
-    if name == "circle":
-        theta += 0.0  # -0.0 is the trivial character; name it theta=0
-        if theta != 0.0 and rank != 2:
-            raise BadParameter("a nontrivial circle character requires rank 2")
-        if rank not in (1, 2):
-            raise BadParameter(f"circle rank must be 1 or 2, got {rank}")
-        h = circle_heat_trace(L, theta, rank)
-        return SpectralModel(name=f"circle(L={L:g}, theta={theta:g}, rank={rank})",
-                             heat=(h, h))
-    if name in ("torus", "sphere2") and rank != 1:
-        raise BadParameter(f"{name} supports rank 1 only, got {rank}")
-    if name == "torus":
-        if n < 1:
-            raise BadParameter(f"torus dimension must be >= 1, got {n}")
-        scalar = torus_heat_trace(n, L)
-        heat = tuple(combine_heat_traces([(math.comb(n, k), scalar)])
-                     for k in range(n + 1))
-        return SpectralModel(name=f"torus(n={n}, L={L:g})", heat=heat)
-    if name == "sphere2":
-        scalar = sphere2_scalar_heat_trace()
-        # 1-forms: exact and coexact copies of the scalar spectrum off its kernel
-        h1 = combine_heat_traces([(2, scalar)], constant=-2)
-        return SpectralModel(name="sphere2", heat=(scalar, h1, scalar))
-    raise BadParameter(f"unknown model {name!r}")
+def circle(*, L: float = 2.0 * math.pi, theta: float = 0.0, rank: int = 1) -> SpectralModel:
+    """Flat circle of length L with the rotation character theta (rank 2) or none."""
+    theta += 0.0  # -0.0 is the trivial character; name it theta=0
+    if theta != 0.0 and rank != 2:
+        raise BadParameter("a nontrivial circle character requires rank 2")
+    if rank not in (1, 2):
+        raise BadParameter(f"circle rank must be 1 or 2, got {rank}")
+    h = circle_heat_trace(L, theta, rank)
+    return SpectralModel(name=f"circle(L={L:g}, theta={theta:g}, rank={rank})", heat=(h, h))
+
+
+def torus(*, n: int = 2, L: float = 2.0 * math.pi, rank: int = 1) -> SpectralModel:
+    """Flat n-torus with all sides L."""
+    if rank != 1:
+        raise BadParameter(f"torus supports rank 1 only, got {rank}")
+    scalar = torus_heat_trace(n, L)
+    heat = tuple(combine_heat_traces([(math.comb(n, k), scalar)]) for k in range(n + 1))
+    return SpectralModel(name=f"torus(n={n}, L={L:g})", heat=heat)
+
+
+def sphere2(*, rank: int = 1) -> SpectralModel:
+    """The round 2-sphere."""
+    if rank != 1:
+        raise BadParameter(f"sphere2 supports rank 1 only, got {rank}")
+    scalar = sphere2_scalar_heat_trace()
+    # 1-forms: exact and coexact copies of the scalar spectrum off its kernel
+    h1 = combine_heat_traces([(2, scalar)], constant=-2)
+    return SpectralModel(name="sphere2", heat=(scalar, h1, scalar))
+
+
+MODELS = {"circle": circle, "torus": torus, "sphere2": sphere2}
+
+
+def build_model(name: str, **params) -> SpectralModel:
+    """MODELS[name](**params); BadParameter names any keyword it does not read."""
+    if name not in MODELS:
+        raise BadParameter(f"unknown model {name!r}")
+    # unwrap: a functools.wraps wrapper (a tracer's) has no __kwdefaults__
+    unread = params.keys() - inspect.unwrap(MODELS[name]).__kwdefaults__.keys()
+    if unread:
+        raise BadParameter(f"model {name} does not read {', '.join(sorted(unread))}")
+    return MODELS[name](**params)
 
 
 def residue_log_trace(model: SpectralModel, k: int) -> float:

@@ -247,8 +247,8 @@ MetricPath = Callable[[float], ChainMetric]
 
 
 def exponential_metric_path(generators: Sequence[np.ndarray]) -> MetricPath:
-    """u -> ChainMetric.exponential(generators, u), from one eigh per degree
-    taken here: every h(u) is on that one eigenbasis."""
+    """u -> h_k(u) = exp(u S_k) for the symmetrized generators S_k, from one eigh
+    per degree taken here: every h(u) is on that one eigenbasis."""
     eighs = ChainMetric._generator_eighs([np.array(s, dtype=float) for s in generators])
 
     def path(u: float) -> ChainMetric:
@@ -258,9 +258,8 @@ def exponential_metric_path(generators: Sequence[np.ndarray]) -> MetricPath:
 
 
 def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float],
-                    u0: float = 0.0, step: float = 1e-4,
-                    check_convergence: bool = True) -> VariationReport:
-    """Compare d/du of 2*log T against the telescoped trace sum at u0.
+                    step: float = 1e-4, check_convergence: bool = True) -> VariationReport:
+    """Compare d/du of 2*log T against the telescoped trace sum at u = 0.
 
     The derivative of the metric and of 2*log T are both central differences
     with the given step, so the two sides agree to O(step^2), and so does the
@@ -273,16 +272,16 @@ def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float
     beta = [float(x) for x in beta]
     if len(beta) != n + 1:
         raise ShapeMismatch(f"expected {n + 1} weights, got {len(beta)}")
-    # path(u0) and its coclosed eigenvectors serve both steps
-    h0 = path(u0)
+    # path(0) and its coclosed eigenvectors serve both steps
+    h0 = path(0.0)
     fac = factorize(cplx, h0)
     coclosed = [fac.coclosed(k) for k in range(n)]
-    report, hp, hm, alphas = _variation_single(cplx, path, beta, u0, step, h0, coclosed)
+    report, hp, hm, alphas = _variation_single(cplx, path, beta, step, h0, coclosed)
     report = replace(report, laplacian_dot_residual=_laplacian_dot_residual(
         cplx, h0, hp, hm, alphas, step))
     if not check_convergence:
         return report
-    halved = _variation_single(cplx, path, beta, u0, step / 2.0, h0, coclosed)[0]
+    halved = _variation_single(cplx, path, beta, step / 2.0, h0, coclosed)[0]
     floor = 1e-10 * max(1.0, abs(report.lhs))
     if report.discrepancy > floor and halved.discrepancy > 0.0:
         ratio = report.discrepancy / halved.discrepancy
@@ -294,10 +293,10 @@ def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float
 
 
 def _variation_single(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float],
-                      u0: float, step: float, h0: ChainMetric, coclosed: Sequence[np.ndarray]):
-    """Both sides at one step: the report (laplacian_dot_residual 0), path(u0 +- step)
-    and the alpha_k at h0 = path(u0); coclosed[k] are h0's coclosed vectors (k < n)."""
-    hp, hm = path(u0 + step), path(u0 - step)
+                      step: float, h0: ChainMetric, coclosed: Sequence[np.ndarray]):
+    """Both sides at one step: the report (laplacian_dot_residual 0), path(+-step)
+    and the alpha_k at h0 = path(0); coclosed[k] are h0's coclosed vectors (k < n)."""
+    hp, hm = path(step), path(-step)
     # 2 log T on either side; this raises NotAcyclic, so P_k = L_k^{-1} below
     lhs = (2.0 * _weighted_log_torsion(cplx, hp, beta)
            - 2.0 * _weighted_log_torsion(cplx, hm, beta)) / (2.0 * step)

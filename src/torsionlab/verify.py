@@ -510,7 +510,7 @@ def closed_spectral_suite(tol: float | None = None,
     rec.add("theta-split-consistency",
             "eigenvalue sums equal theta expansions at the split point t = 1",
             "oracle:jacobi-theta-identity",
-            max(h.consistency_residual(1.0) for h in factors), 1e-10)
+            max(h.consistency_residual() for h in factors), 1e-10)
 
     measured_val, measured_der = 0.0, 0.0
     for L in (2.0 * math.pi, 1.7):

@@ -247,9 +247,9 @@ class HeatTrace:
     def positive_powers(self) -> tuple[float, ...]:
         return tuple(p for p, c in self.terms if p > 0.0 and c != 0.0)
 
-    def consistency_residual(self, t: float = 1.0) -> float:
-        """|(b + tail(t)) - (power(t) + remainder(t))| at the split point."""
-        return abs((self.kernel_dim + self.tail(t)) - self.full(t))
+    def consistency_residual(self) -> float:
+        """|(b + tail(t)) - (power(t) + remainder(t))| at the split point t = 1."""
+        return abs((self.kernel_dim + self.tail(1.0)) - self.full(1.0))
 
 
 def zeta_at_zero(h: HeatTrace) -> float:

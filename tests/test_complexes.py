@@ -91,6 +91,19 @@ def test_preset_guards():
         preset("nonagon")
 
 
+def test_preset_rejects_keywords_the_preset_does_not_read():
+    for name, params, unread in (("circle", {"theta": 1.0, "alpha": 2.0}, "alpha"),
+                                 ("torus2", {"rank": 2}, "rank"),
+                                 ("point", {"theta": 1.0, "beta": 0.3}, "beta, theta")):
+        with pytest.raises(BadParameter, match=f"preset {name} does not read {unread}$"):
+            preset(name, **params)
+    # defaults come from the presets' signatures: circle(theta=1), torus2(1, 0.3)
+    assert np.array_equal(build_preset("circle").boundary(1),
+                          build_preset("circle", theta=1.0).boundary(1))
+    assert np.array_equal(build_preset("torus2").boundary(2),
+                          build_preset("torus2", alpha=1.0, beta=0.3).boundary(2))
+
+
 def test_validate_flags_corrupted_degree():
     good = build_preset("torus2", alpha=1.0, beta=0.3)
     assert validate(good).ok

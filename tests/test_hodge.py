@@ -82,7 +82,7 @@ def test_laplacian_shape_mismatch():
         laplacian(cx, ChainMetric.identity(other), 0)
 
 
-def test_eigendecompose_examples():
+def test_eigenpairs_examples():
     # eigenpairs of L_k: closed pairs (from W_k) first, then coclosed (from W_{k+1})
     cx = build_preset("circle", theta=math.pi / 2)
     fac = factorize(cx)
@@ -102,7 +102,7 @@ def test_eigendecompose_examples():
             fac.coclosed(k)
 
 
-def test_eigendecompose_residuals_and_orthonormality():
+def test_eigenpairs_residuals_and_orthonormality():
     rng = np.random.default_rng(8)
     cx = build_preset("torus2", alpha=0.9, beta=2.4)
     metric = ChainMetric.random_spd(cx, rng)
@@ -123,7 +123,7 @@ def test_eigendecompose_residuals_and_orthonormality():
             assert np.max(np.abs(down), initial=0.0) < 1e-10
 
 
-def test_tr_log_values_and_strict_mode():
+def test_acyclic_spectra_values_and_strict_mode():
     # L_0 = L_1 = e I on the circle with 2 - 2 cos theta = e, so tr log L_0 = 2
     cx = build_preset("circle", theta=math.acos(1.0 - math.e / 2.0))
     assert abs(float(np.sum(np.log(acyclic_spectra(cx)[0]))) - 2.0) < 1e-12
@@ -144,7 +144,7 @@ def test_betti_examples():
     assert betti(build_preset("torus2", alpha=1.3, beta=0.0)) == [0, 0, 0]
 
 
-def test_spectral_data_kernel_follows_betti():
+def test_factorization_kernel_follows_betti():
     # both eigenvalues of L_0 sit near 9e-10, far above the rank cut
     cx = build_preset("circle", theta=3e-5)
     assert betti(cx) == [0, 0]
@@ -207,7 +207,7 @@ def test_metric_validation():
         ChainMetric([np.diag([1.0, -0.5])])
 
 
-def test_sym_expm_against_series():
+def test_exponential_metric_against_series():
     rng = np.random.default_rng(1)
     s = rng.standard_normal((4, 4))
     s = 0.1 * (s + s.T)

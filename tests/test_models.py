@@ -48,6 +48,19 @@ def test_build_model_guards():
         build_model("klein-bottle")
 
 
+def test_build_model_rejects_keywords_the_model_does_not_read():
+    # each is refused by name, not built with the keyword ignored
+    for name, params, unread in (("torus", {"theta": 1.0}, "theta"),
+                                 ("sphere2", {"L": 5.0}, "L"),
+                                 ("sphere2", {"L": 5.0, "n": 7}, "L, n"),
+                                 ("circle", {"n": 3}, "n")):
+        with pytest.raises(BadParameter, match=f"model {name} does not read {unread}$"):
+            build_model(name, **params)
+    # the keywords a model reads and their defaults are its builder's signature
+    assert build_model("torus").name == models.torus(n=2, L=2.0 * math.pi).name
+    assert build_model("circle").name == models.circle(L=2.0 * math.pi, theta=0.0).name
+
+
 def test_rank_only_where_supported():
     # only the circle and the interval carry a coefficient rank
     for name in ("torus", "sphere2"):

@@ -235,7 +235,7 @@ def test_theta_split_consistency():
                torus_heat_trace(3, 1.0),
                circle_heat_trace(2.0 * math.pi, 0.7, 2)]
     for h in factors:
-        assert h.consistency_residual(1.0) < 1e-10
+        assert h.consistency_residual() < 1e-10
 
 
 def test_theta_image_vs_direct_sum_small_t():
@@ -287,7 +287,7 @@ def test_product_heat_trace_pointwise_and_split():
     prod = product_heat_trace(f1, f2)
     for t in (0.3, 0.7, 1.0):
         assert abs(prod.full(t) - f1.full(t) * f2.full(t)) < 1e-12
-    assert prod.consistency_residual(1.0) < 1e-10
+    assert prod.consistency_residual() < 1e-10
 
 
 def test_sum_and_scale_heat_traces():
@@ -339,7 +339,7 @@ def test_sphere_coefficients_exact():
     # the truncated expansion matches the eigenvalue sum above the cut
     # (t ~ 0.1), below which the remainder is 0 by construction
     assert abs(h.remainder(0.2)) < 1e-11
-    assert h.consistency_residual(1.0) < 1e-12
+    assert h.consistency_residual() < 1e-12
 
 
 def _bernoulli_numbers(m: int) -> list[Fraction]:
