@@ -81,7 +81,7 @@ class Representation:
                 raise BadRepresentation(
                     f"generator {idx} has shape {g.shape}, expected {(rank, rank)}")
             defect = np.max(np.abs(g.T @ g - np.eye(rank))) if rank else 0.0
-            if defect >= ORTHOGONALITY_TOL:
+            if not defect < ORTHOGONALITY_TOL:  # a NaN defect fails too
                 raise BadRepresentation(
                     f"generator {idx} is not orthogonal: |G^T G - I| = {defect:.3e}")
             g.setflags(write=False)
@@ -198,19 +198,31 @@ class ValidationReport:
 def build_twisted_boundary(cells: CellStructure, rho: Representation) -> TwistedComplex:
     """Assemble twisted boundary matrices and verify bd o bd = 0.
 
+    rho.evaluate runs once per distinct group word, in order of first use.
+    Each degree's coeff * image blocks are summed by one np.add.at into bd_k
+    seen as a (c_{k-1}, c_k, n, n) array of blocks, in incidence order, so
+    repeated (target, cell) pairs add up exactly as a per-incidence += would.
     Raises NonChainComplex if any composition exceeds
     1e-12 * (1 + |bd_{k-1}|_inf * |bd_k|_inf).
     """
     n = rho.rank
-    boundaries = []
+    word_index: dict[GroupWord, int] = {}
+    incidences = []
     for k in range(1, cells.dimension + 1):
-        rows = n * cells.cells_per_degree[k - 1]
-        cols = n * cells.cells_per_degree[k]
-        mat = np.zeros((rows, cols))
-        for i, entries in enumerate(cells.incidences[k]):
-            for (target, coeff, word) in entries:
-                block = coeff * rho.evaluate(word)
-                mat[target * n:(target + 1) * n, i * n:(i + 1) * n] += block
+        incidences.append([(target, i, coeff, word_index.setdefault(word, len(word_index)))
+                           for i, entries in enumerate(cells.incidences[k])
+                           for (target, coeff, word) in entries])
+    images = np.array([rho.evaluate(word) for word in word_index])
+    boundaries = []
+    for k, entries in enumerate(incidences, start=1):
+        c_low, c_high = cells.cells_per_degree[k - 1], cells.cells_per_degree[k]
+        mat = np.zeros((n * c_low, n * c_high))
+        if entries:
+            targets, cols, coeffs, words = zip(*entries)
+            values = np.array(coeffs, dtype=float)[:, None, None] * images[list(words)]
+            # blocks[t, i] is the view of mat's block (t, i)
+            blocks = mat.reshape(c_low, n, c_high, n).transpose(0, 2, 1, 3)
+            np.add.at(blocks, (list(targets), list(cols)), values)
         boundaries.append(mat)
     cplx = TwistedComplex(rank=n, cells_per_degree=cells.cells_per_degree,
                           boundaries=tuple(boundaries))

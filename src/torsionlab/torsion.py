@@ -16,6 +16,7 @@ identity; see variation_check.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -84,15 +85,17 @@ def determinant_oracle(cplx: TwistedComplex) -> float:
 
     Elimination (_full_pivot_logdet) pivots on the largest |entry| still
     live, the first in row-major order on ties, keeping the largest |entry|
-    of every live row in `rowmax`; a step updates only the rows R nonzero in
-    the pivot column, so it costs O(n_rows + |R| * n_cols).
+    of every live row in `rowmax` and its rows sparse; a step updates only
+    the rows R nonzero in the pivot column, so it costs
+    O(|R| * (nnz(pivot row) + nnz(row)) + |R| log n_rows), and the
+    elimination's own memory is O(nnz).
     """
     dims = cplx.dims
     n = cplx.dimension
     log_tau = 0.0
     columns = list(range(dims[n]))
     for k in range(n, 0, -1):
-        mat = cplx.boundary(k)[:, columns]
+        mat = np.take(cplx.boundary(k), columns, axis=1)
         pivot_rows, log_det = _full_pivot_logdet(mat, k)
         log_tau += ((-1.0) ** (k + 1)) * log_det
         taken = set(pivot_rows)
@@ -108,50 +111,82 @@ def _full_pivot_logdet(mat: np.ndarray, degree: int) -> tuple[list[int], float]:
     The selected rows index an invertible minor whose |det| is the product
     of the pivots.  Each step pivots on the entry of largest modulus among
     the rows and columns not yet pivoted, the first in row-major order on
-    ties (most boundary entries are +-1).  Fewer rows than columns, or a
-    pivot at most RANK_TOL * max|entry|, raises NotAcyclic naming `degree`.
+    ties (most boundary entries are +-1).  Fewer rows than columns, an entry
+    that is not finite, or a pivot at most RANK_TOL * max|entry|, raises
+    NotAcyclic naming `degree`.
 
-    A pivoted row and column are zeroed once eliminated, and rowmax[r] holds
-    max |work[r, :]|, the largest modulus over the live columns, for every
-    live row (-1 once r is pivoted).  The first argmax of rowmax, then the
-    first argmax of that row, is therefore the row-major-first maximum.  The
-    rank-1 update touches only R, the rows nonzero in the pivot column: any
-    other entry would change by exactly +-0, so pivots and log|det| are those
-    of eliminating the whole remaining submatrix.  Only the rows of R need a
-    new rowmax.  A step costs O(n_rows + |R| * n_cols), not a pass over the
-    remaining submatrix; a boundary column has at most 4 * rank nonzeros, so
-    R stays short on the complexes determinant_oracle sees.
+    The live submatrix is held sparse: `entries[r]` maps column -> value for
+    the nonzeros of row r, `in_col[c]` is the set of live rows nonzero in
+    column c, and rowmax[r] is the largest modulus in row r (0 when empty).
+    A heap of (-rowmax[r], r), with entries dropped once stale, yields the
+    first argmax of rowmax; the smallest column among that row's entries of
+    largest modulus then makes the row-major-first maximum.  The update
+    a - (b / pivot) * p touches only R = in_col[pivot column], the rows
+    nonzero there: any other entry would change by exactly +-0, so pivots
+    and log|det| are those of eliminating the whole remaining submatrix.
+    An entry that cancels to exactly 0 leaves its row and column.  A step
+    costs O(|R| * (nnz(pivot row) + nnz(row)) + |R| log n_rows), and the
+    elimination's own memory is O(nnz); on the boundary complexes
+    determinant_oracle sees, rows hold at most a few nonzeros and R stays
+    short.  A dense matrix fills in, and there a step costs O(|R| * n_cols)
+    Python operations, far slower than a numpy row update.
     """
-    work = np.array(mat, dtype=float)
-    n_rows, n_cols = work.shape
+    mat = np.asarray(mat, dtype=float)
+    n_rows, n_cols = mat.shape
     if n_cols == 0:
         return [], 0.0
     if n_rows < n_cols:
         raise NotAcyclic(f"not acyclic in degree {degree}: {n_cols} columns, {n_rows} rows")
-    rowmax = np.max(np.abs(work), axis=1)
-    scale = max(float(np.max(rowmax)), np.finfo(float).tiny)
+    nz_rows, nz_cols = np.nonzero(mat)
+    values = mat[nz_rows, nz_cols]
+    if not np.all(np.isfinite(values)):
+        raise NotAcyclic(f"not acyclic in degree {degree}: a matrix entry is not finite")
+    rowmax_arr = np.zeros(n_rows)
+    np.maximum.at(rowmax_arr, nz_rows, np.abs(values))
+    scale = max(float(np.max(rowmax_arr)), np.finfo(float).tiny)
+    rowmax = rowmax_arr.tolist()
+    entries: list[dict[int, float]] = [{} for _ in range(n_rows)]
+    in_col: list[set[int]] = [set() for _ in range(n_cols)]
+    for r, c, v in zip(nz_rows.tolist(), nz_cols.tolist(), values.tolist()):
+        entries[r][c] = v
+        in_col[c].add(r)
+    heap = [(-m, r) for r, m in enumerate(rowmax)]
+    heapq.heapify(heap)
     pivot_rows: list[int] = []
     log_det = 0.0
     for _ in range(n_cols):
-        piv_row = int(np.argmax(rowmax))
-        pivot = work[piv_row]
-        piv_col = int(np.argmax(np.abs(pivot)))
-        piv = pivot[piv_col]
+        neg_max, piv_row = heapq.heappop(heap)
+        while rowmax[piv_row] != -neg_max:
+            neg_max, piv_row = heapq.heappop(heap)
+        pivot = entries[piv_row]
+        piv_col, piv = 0, 0.0
+        for c, v in pivot.items():
+            if abs(v) > abs(piv) or (abs(v) == abs(piv) and c < piv_col):
+                piv_col, piv = c, v
         if abs(piv) <= RANK_TOL * scale:
             raise NotAcyclic(
                 f"not acyclic in degree {degree}: pivot {abs(piv):.3e} is "
                 f"{abs(piv) / scale:.3e} of scale {scale:.3e}, at or below {RANK_TOL:.0e}")
         log_det += math.log(abs(piv))
         pivot_rows.append(piv_row)
-        rows = np.flatnonzero(work[:, piv_col])
-        rows = rows[rows != piv_row]
-        block = work[rows]
-        block -= np.outer(block[:, piv_col] / piv, pivot)
-        block[:, piv_col] = 0.0
-        work[rows] = block
-        work[piv_row] = 0.0
-        rowmax[rows] = np.max(np.abs(block), axis=1)
         rowmax[piv_row] = -1.0
+        for c in pivot:
+            in_col[c].discard(piv_row)
+        del pivot[piv_col]
+        for r in in_col[piv_col]:
+            row = entries[r]
+            factor = row.pop(piv_col) / piv
+            for c, p in pivot.items():
+                a = row.get(c, 0.0) - factor * p
+                if a == 0.0:
+                    if row.pop(c, None) is not None:
+                        in_col[c].discard(r)
+                else:
+                    row[c] = a
+                    in_col[c].add(r)
+            rowmax[r] = max(map(abs, row.values()), default=0.0)
+            heapq.heappush(heap, (-rowmax[r], r))
+        in_col[piv_col] = set()
     return pivot_rows, log_det
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from torsionlab.cli import main, parse_beta
+from torsionlab.cli import MODEL_OPTIONS, PRESET_OPTIONS, main, parse_beta
 from torsionlab.errors import SchemaError
 from torsionlab.verify import run_suites
 from torsionlab.zetas import sphere2_power_coefficients
@@ -120,16 +120,18 @@ def test_oracle_refusal_exit_3(capsys, tmp_path):
     assert "degree 1" in err
 
 
-# the model and preset options each model or preset does not read
+def _flags(options) -> set:
+    return {"--" + name.replace("_", "-") for name in options}
+
+
+# the options each model or preset reads, from the CLI's own tables, and a
+# value for every option any of them reads
+_MODEL_READS = {model: _flags(options) for model, options in MODEL_OPTIONS.items()}
+_PRESET_READS = {preset: _flags(options) for preset, options in PRESET_OPTIONS.items()}
 _MODEL_OPTION_VALUES = {"--L": "3", "--theta": "1.0", "--n": "3", "--R": "2",
-                        "--condition": "absolute"}
-_MODEL_READS = {"circle": {"--L", "--theta"}, "torus": {"--n", "--L"}, "sphere2": set(),
-                "interval": {"--R", "--condition"},
-                "cylinder": {"--R", "--L", "--condition"}}
+                        "--condition": "absolute", "--rank": "2"}
 _PRESET_OPTION_VALUES = {"--theta": "1.0", "--alpha": "1.0", "--beta-angle": "0.5",
                          "--rank": "2"}
-_PRESET_READS = {"circle": {"--theta"}, "torus2": {"--alpha", "--beta-angle"},
-                 "interval": {"--rank"}, "point": {"--rank"}}
 _INAPPLICABLE = (
     [([command, "--model", model, *extra, option, _MODEL_OPTION_VALUES[option]], option, model)
      for command, extra in (("zeta", ["--s", "2"]), ("model-torsion", []))
@@ -152,6 +154,13 @@ def test_inapplicable_option_rejected(capsys, argv, option, owner):
     code, out, err = run_cli(capsys, *argv, "--json")
     assert code == 2 and out == ""
     assert option in err and owner in err
+
+
+def test_option_values_cover_the_tables():
+    # an option a new builder keyword adds must get a value above, or the
+    # models and presets that do not read it go untested
+    assert set(_MODEL_OPTION_VALUES) == set().union(*_MODEL_READS.values())
+    assert set(_PRESET_OPTION_VALUES) == set().union(*_PRESET_READS.values())
 
 
 def test_zeta_torus_value(capsys):

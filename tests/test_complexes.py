@@ -22,6 +22,8 @@ from torsionlab.errors import (
     NotAcyclic,
     SchemaError,
 )
+from torsionlab.complexes import structure_from_json
+from test_torsion import _grid_cells, _ngon_cells
 
 
 def test_circle_boundary_quarter_turn():
@@ -67,6 +69,9 @@ def test_block_shapes():
 def test_representation_rejects_non_orthogonal():
     with pytest.raises(BadRepresentation):
         Representation(2, [np.array([[1.0, 0.1], [0.0, 1.0]])])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(BadRepresentation, match="not orthogonal"):
+            Representation(1, [np.array([[bad]])])
 
 
 def test_non_chain_complex_raises():
@@ -171,3 +176,87 @@ def test_json_from_file(tmp_path):
     cx = complex_from_json(path)
     assert cx.rank == 2
     assert cx.dims == (2, 2)
+
+
+def _reference_boundaries(cells, rho):
+    """bd_k by one rho.evaluate and one += per incidence, in incidence order."""
+    n = rho.rank
+    mats = []
+    for k in range(1, cells.dimension + 1):
+        mat = np.zeros((n * cells.cells_per_degree[k - 1], n * cells.cells_per_degree[k]))
+        for i, entries in enumerate(cells.incidences[k]):
+            for target, coeff, word in entries:
+                mat[target * n:(target + 1) * n, i * n:(i + 1) * n] += coeff * rho.evaluate(word)
+        mats.append(mat)
+    return mats
+
+
+def _orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def _words_json() -> dict:
+    """Rank 3, two generators: multi-letter words, negative exponents and
+    repeated (target, cell) incidences whose blocks do not commute."""
+    rng = np.random.default_rng(11)
+    words = [[[0, 1], [1, -1]], [[1, 1], [0, 1], [0, -1]], [[0, -1], [1, -1], [0, 1]], []]
+    cells = [{"dim": 0, "boundary": []} for _ in range(3)]
+    for j in range(4):
+        cells.append({"dim": 1, "boundary": [
+            {"cell": (j + m) % 3, "coeff": c, "word": words[(j + m) % 4]}
+            for m, c in enumerate((1, -2, 3, 1, -1, 2, -3))]})
+    return {"dimension": 1, "rank": 3, "generators": 2,
+            "rep": [_orthogonal(rng, 3).tolist() for _ in range(2)], "cells": cells}
+
+
+def _assembly_cases():
+    return [preset("circle", theta=1.3), preset("torus2", alpha=2.2, beta=0.7),
+            preset("interval", rank=3), preset("point", rank=2),
+            (_ngon_cells(9), Representation(2, [rotation(0.4)])),
+            (_grid_cells(3), Representation(2, [rotation(1.1), rotation(2.9)])),
+            structure_from_json(_words_json())]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_assembly_matches_per_incidence_loop_bitwise():
+    for cells, rho in _assembly_cases():
+        cx = build_twisted_boundary(cells, rho)
+        ref = _reference_boundaries(cells, rho)
+        assert len(cx.boundaries) == len(ref)
+        # tobytes compares every bit, the sign of each zero included
+        assert all(_same_bits(b, r) for b, r in zip(cx.boundaries, ref))
+
+
+def test_assembly_evaluates_each_word_once(monkeypatch):
+    calls = []
+    evaluate = Representation.evaluate
+
+    def counted(self, word):
+        calls.append(word)
+        return evaluate(self, word)
+
+    monkeypatch.setattr(Representation, "evaluate", counted)
+    for cells, rho in _assembly_cases():
+        calls.clear()
+        build_twisted_boundary(cells, rho)
+        words = {word for per_cell in cells.incidences for entries in per_cell
+                 for (_, _, word) in entries}
+        assert sorted(calls) == sorted(words)
+
+
+def test_assembly_out_of_range_generator():
+    # the first word in incidence order with a missing generator is the one named
+    cells = CellStructure(
+        dimension=1, cells_per_degree=(1, 2),
+        incidences=(((),), (((0, 1, ((0, 1),)), (0, 1, ((3, 1),))),
+                            ((0, 1, ((2, -1),)),))))
+    rho = Representation(2, [rotation(0.5)])
+    with pytest.raises(SchemaError) as ref:
+        _reference_boundaries(cells, rho)
+    with pytest.raises(SchemaError) as new:
+        build_twisted_boundary(cells, rho)
+    assert str(new.value) == str(ref.value) == "word references generator 3, but only 1 exist"

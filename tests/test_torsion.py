@@ -34,16 +34,18 @@ from torsionlab.torsion import (
 )
 
 
-def _ngon_circle(n: int, theta: float):
-    """The twisted circle as n vertices and n edges, the twist on the closing edge."""
+def _ngon_cells(n: int) -> CellStructure:
+    """The circle as n vertices and n edges, the twist on the closing edge."""
     edges = tuple((((i + 1) % n, 1, ((0, 1),) if i == n - 1 else ()), (i, -1, ()))
                   for i in range(n))
-    cells = CellStructure(dimension=1, cells_per_degree=(n, n),
-                          incidences=(((),) * n, edges))
-    return build_twisted_boundary(cells, Representation(2, [rotation(theta)]))
+    return CellStructure(dimension=1, cells_per_degree=(n, n), incidences=(((),) * n, edges))
 
 
-def _grid_torus(n: int, alpha: float, beta: float):
+def _ngon_circle(n: int, theta: float):
+    return build_twisted_boundary(_ngon_cells(n), Representation(2, [rotation(theta)]))
+
+
+def _grid_cells(n: int) -> CellStructure:
     """The cubical n x n torus; cells crossing the seams carry the generators x, y."""
     def vertex(i, j):
         return (i % n) * n + j % n
@@ -61,9 +63,13 @@ def _grid_torus(n: int, alpha: float, beta: float):
     faces = tuple(((vertex(i, j), 1, ()), (n * n + vertex(i + 1, j), 1, x(i)),
                    (vertex(i, j + 1), -1, y(j)), (n * n + vertex(i, j), -1, ()))
                   for i, j in grid)
-    cells = CellStructure(dimension=2, cells_per_degree=(n * n, 2 * n * n, n * n),
-                          incidences=(((),) * (n * n), edges, faces))
-    return build_twisted_boundary(cells, Representation(2, [rotation(alpha), rotation(beta)]))
+    return CellStructure(dimension=2, cells_per_degree=(n * n, 2 * n * n, n * n),
+                         incidences=(((),) * (n * n), edges, faces))
+
+
+def _grid_torus(n: int, alpha: float, beta: float):
+    return build_twisted_boundary(_grid_cells(n),
+                                  Representation(2, [rotation(alpha), rotation(beta)]))
 
 
 def _reference_full_pivot_logdet(mat, degree=1):
@@ -161,6 +167,42 @@ def test_elimination_matches_reference_bitwise():
     # pivoting on column 2 instead would pick rows [0, 3, 1]
     ties = np.array([[1, -1, 1], [1, -1, 0], [0, -1, 0], [0, 1, 1]], dtype=float)
     assert _full_pivot_logdet(ties, 1)[0] == _reference_full_pivot_logdet(ties)[0] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("mat, pivot_rows", [
+    # row 1 cancels to exactly 0 in both columns and must leave column 1's rows
+    ([[1, 1], [1, 1], [0, 1]], [0, 2]),
+    # an update leaves rows 1 and 2 tied at rowmax 1: the lower index wins
+    ([[2, 0], [1, 1], [1, -1]], [0, 1]),
+    # tied from the start, and again after the first step
+    ([[0, 1], [1, 0], [1, 1]], [0, 1]),
+    # a cancellation to 0 in one column while the other fills in
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 1], [1, 0, 0]], [0, 1, 2]),
+])
+def test_elimination_sparse_cases(mat, pivot_rows):
+    rows, log_det = _full_pivot_logdet(np.array(mat, dtype=float), 1)
+    assert (rows, log_det) == _reference_full_pivot_logdet(mat)
+    assert rows == pivot_rows
+
+
+@pytest.mark.parametrize("mat", [
+    [[1, 1], [1, 1]],  # row 1 becomes all zero: the next pivot is 0
+    [[1, 2, 3], [2, 4, 6], [1, 1, 1]],
+    [[0, 0], [0, 0], [0, 0]],  # no nonzero at all: scale is the smallest normal
+])
+def test_elimination_zero_pivot_message(mat):
+    with pytest.raises(NotAcyclic) as ref:
+        _reference_full_pivot_logdet(mat, 2)
+    with pytest.raises(NotAcyclic) as new:
+        _full_pivot_logdet(np.array(mat, dtype=float), 2)
+    assert str(new.value) == str(ref.value)
+    assert "pivot 0.000e+00 is 0.000e+00" in str(new.value)
+
+
+def test_elimination_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NotAcyclic, match="^not acyclic in degree 2: a matrix entry is not"):
+            _full_pivot_logdet(np.array([[1.0, 0.0], [bad, 1.0], [0.0, 1.0]]), 2)
 
 
 def test_elimination_rejects_column_rank_deficiency():
