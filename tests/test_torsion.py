@@ -170,7 +170,7 @@ def test_elimination_matches_reference_bitwise():
 
 
 @pytest.mark.parametrize("mat, pivot_rows", [
-    # row 1 cancels to exactly 0 in both columns and must leave column 1's rows
+    # row 1 cancels to exactly 0 in column 1 and must leave that column's rows
     ([[1, 1], [1, 1], [0, 1]], [0, 2]),
     # an update leaves rows 1 and 2 tied at rowmax 1: the lower index wins
     ([[2, 0], [1, 1], [1, -1]], [0, 1]),
