@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -135,6 +136,237 @@ def interval(kind: str, R: float):
     """The Dirichlet, Neumann or mixed interval factor, as boundary.py builds it."""
     condition = {"dirichlet": "relative", "neumann": "absolute", "mixed": "mixed"}[kind]
     return build_interval(R, condition).heat[0]
+
+
+# --- mpmath references for the heat traces -------------------------------------
+#
+# Each reference sums the terms the library keeps (those whose exponent x is
+# at most _EXP_CUTOFF, or the sphere's l <= l_max(t)) in 30-digit arithmetic
+# from the same float inputs.  It returns (value, scale), where scale is
+# sum |term| (1 + x + k): the condition number of exp(-x) at a rounded x, plus
+# k for a rounded input inside x or the weight.  The library must land within
+# REFERENCE_ULPS ulp of that scale, at scalar t and on arrays of t.
+
+REFERENCE_ULPS = 4
+EPS = math.ulp(1.0)
+REMAINDER_TS = (0.01, 0.05, 0.2, 0.3, 0.7, 1.0)
+TAIL_TS = (1.0, 1.7, 3.0, 10.0, 40.0, 200.0)
+
+
+class Reference(NamedTuple):
+    terms: tuple       # the library trace's (p, c) power terms
+    remainder: object  # mpf t -> (value, scale)
+    tail: object
+
+
+def _kept(exponent, first=1):
+    """j = first, first + 1, ... while exponent(j) <= _EXP_CUTOFF."""
+    j = first
+    while exponent(j) <= _EXP_CUTOFF:
+        yield j
+        j += 1
+
+
+def _series(mp, terms):
+    """(sum w e^-x, sum e^-x (1 + x + k)) over (x, w, k); |w| <= 1."""
+    value = scale = mp.mpf(0)
+    for x, w, k in terms:
+        e = mp.exp(-x)
+        value += w * e
+        scale += e * (1 + x + k)
+    return value, scale
+
+
+def _power(mp, terms, t):
+    """(sum c t^-p, sum |c| t^-p) over float (p, c) terms."""
+    parts = [mp.mpf(c) * t ** -mp.mpf(p) for p, c in terms]
+    return mp.fsum(parts), mp.fsum(abs(x) for x in parts)
+
+
+def circle_reference(mp, h, L, theta=0.0, rank=1):
+    L, th = mp.mpf(L), mp.mpf(theta)
+    omega = (2 * mp.pi / L) ** 2
+
+    def remainder(t):
+        pre = 2 * rank * L / mp.sqrt(4 * mp.pi * t)
+
+        def x(j):
+            return L * L * j * j / (4 * t)
+
+        value, scale = _series(mp, ((x(j), mp.cos(j * th), j * th) for j in _kept(x)))
+        return pre * value, pre * scale
+
+    def tail(t):
+        if theta == 0.0:
+            def x(j):
+                return omega * j * j * t
+            value, scale = _series(mp, ((x(j), 1, 0) for j in _kept(x)))
+            return 2 * rank * value, 2 * rank * scale
+        if theta == math.pi:
+            def x(j):
+                return (mp.pi / L) ** 2 * (2 * j + 1) ** 2 * t
+            value, scale = _series(mp, ((x(j), 1, 0) for j in _kept(x, 0)))
+            return 2 * rank * value, 2 * rank * scale
+        # m -+ a for m >= 1, and the lowest mode a, kept whatever its size; a
+        # is rounded, which moves x by 2 x |da / (m -+ a)|
+        a = th / (2 * mp.pi)
+
+        def x(m, sign):
+            return omega * (m + sign * a) ** 2 * t
+
+        terms = [(x(0, 1), 1, 2 * x(0, 1))]
+        for sign in (-1, 1):
+            terms += [(x(m, sign), 1, 2 * x(m, sign) * a / abs(m + sign * a))
+                      for m in _kept(lambda m: x(m, sign))]
+        value, scale = _series(mp, terms)
+        return rank * value, rank * scale
+
+    return Reference(h.terms, remainder, tail)
+
+
+def torus_reference(mp, h, n, L):
+    """(1 + sigma)^n - 1 times the power, with sigma a circle series, and the
+    scale of sigma carried through d/dsigma (1 + sigma)^n."""
+    L = mp.mpf(L)
+    pref = L / mp.sqrt(4 * mp.pi)
+    omega = (2 * mp.pi / L) ** 2
+
+    def power_of(sigma, sigma_scale, factor=1):
+        value = factor * mp.expm1(n * mp.log1p(sigma))  # no 1 subtracted from 1 + sigma
+        return value, abs(value) * (n + 1) + factor * n * (1 + sigma) ** (n - 1) * sigma_scale
+
+    def images(t):
+        def x(j):
+            return L * L * j * j / (4 * t)
+        value, scale = _series(mp, ((x(j), 1, 0) for j in _kept(x)))
+        return 2 * value, 2 * scale
+
+    def remainder(t):
+        return power_of(*images(t), factor=(pref / mp.sqrt(t)) ** n)
+
+    def tail(t):
+        if float(omega) * float(t) >= 1.0:
+            def x(j):
+                return omega * j * j * t
+            value, scale = _series(mp, ((x(j), 1, 0) for j in _kept(x)))
+            return power_of(2 * value, 2 * scale)
+        # the image form, whose - 1 cancels against a power near 1
+        sigma, sigma_scale = images(t)
+        front = pref / mp.sqrt(t)
+        return power_of(front * (1 + sigma) - 1, front * (1 + sigma + sigma_scale) + 1)
+
+    return Reference(h.terms, remainder, tail)
+
+
+def sphere_reference(mp, h):
+    """The eigenvalue sum through l_max(t), less the expansion above the cut."""
+    cut = zetas._expansion_cut(h.terms)
+
+    def eigen(t, first):
+        l_max = int(math.sqrt(_EXP_CUTOFF / float(t) + 9.0)) + 4
+        return _series(mp, ((t * l * (l + 1), 2 * l + 1, 2 * l) for l in range(first, l_max + 1)))
+
+    def remainder(t):
+        if t < cut:
+            return mp.mpf(0), mp.mpf(0)
+        (value, scale), (power, power_abs) = eigen(t, 0), _power(mp, h.terms, t)
+        return value - power, scale + power_abs
+
+    return Reference(h.terms, remainder, lambda t: eigen(t, 1))
+
+
+def combine_reference(mp, h, parts):
+    """sum_i c_i times each part's reference; parts are (c_i, Reference)."""
+
+    def summed(which):
+        def evaluate(t):
+            pairs = [(c, getattr(ref, which)(t)) for c, ref in parts]
+            return (mp.fsum(c * v for c, (v, _) in pairs),
+                    mp.fsum(abs(c) * s for c, (_, s) in pairs))
+        return evaluate
+
+    return Reference(h.terms, summed("remainder"), summed("tail"))
+
+
+def product_reference(mp, h, r1, b1, r2, b2):
+    dropped = [(p1 + p2, c1 * c2) for p1, c1 in r1.terms for p2, c2 in r2.terms
+               if p1 + p2 < 0.0]
+
+    def remainder(t):
+        (p1, a1), (p2, a2) = _power(mp, r1.terms, t), _power(mp, r2.terms, t)
+        (x1, s1), (x2, s2) = r1.remainder(t), r2.remainder(t)
+        extra, extra_abs = _power(mp, dropped, t)
+        return p1 * x2 + x1 * p2 + x1 * x2 + extra, a1 * s2 + s1 * a2 + s1 * s2 + extra_abs
+
+    def tail(t):
+        (x1, s1), (x2, s2) = r1.tail(t), r2.tail(t)
+        return b1 * x2 + b2 * x1 + x1 * x2, b1 * s2 + b2 * s1 + s1 * s2
+
+    return Reference(h.terms, remainder, tail)
+
+
+def trace_families(mp):
+    """(library trace, reference) for every trace family."""
+    out = {}
+    for L, theta, rank in ((1.0, 0.0, 1), (2.0 * math.pi, 0.7, 2), (2.0, math.pi, 1),
+                           (2.0 * math.pi, 6.2, 2), (20.0, 0.05, 2)):
+        h = circle_heat_trace(L, theta, rank)
+        out[f"circle(L={L:g},theta={theta:g})"] = h, circle_reference(mp, h, L, theta, rank)
+    for L in (1.0, 6.0, 20.0):
+        for n in (1, 2, 3, 4):
+            h = torus_heat_trace(n, L)
+            out[f"torus(n={n},L={L:g})"] = h, torus_reference(mp, h, n, L)
+    h = sphere2_scalar_heat_trace()
+    out["sphere2"] = h, sphere_reference(mp, h)
+    # the interval factors are one-part combinations of a circle
+    R = 1.1
+    doubled, half_turn = circle_heat_trace(2.0 * R), circle_heat_trace(2.0 * R, math.pi)
+    doubled_ref = circle_reference(mp, doubled, 2.0 * R)
+    half_turn_ref = circle_reference(mp, half_turn, 2.0 * R, math.pi)
+    factors = {}
+    for kind, circle, ref in (("dirichlet", doubled, doubled_ref),
+                              ("neumann", doubled, doubled_ref),
+                              ("mixed", half_turn, half_turn_ref)):
+        h = interval(kind, R)
+        factors[kind] = h, combine_reference(mp, h, [(0.5, ref)])
+        out[f"interval-{kind}(R={R:g})"] = factors[kind]
+    # the relative cylinder: two products and their sum
+    L = 6.0
+    circle = circle_heat_trace(L)
+    circle_ref = circle_reference(mp, circle, L)
+    cylinder = []
+    for kind in ("dirichlet", "neumann"):
+        factor, factor_ref = factors[kind]
+        h = product_heat_trace(factor, circle)
+        cylinder.append((h, product_reference(mp, h, factor_ref, factor.kernel_dim,
+                                              circle_ref, circle.kernel_dim)))
+        out[f"product-{kind}(R={R:g},L={L:g})"] = cylinder[-1]
+    (h0, ref0), (h2, ref2) = cylinder
+    h = combine_heat_traces([(1, h2), (1, h0)])
+    out["combine-cylinder-degree-1"] = h, combine_reference(mp, h, [(1, ref2), (1, ref0)])
+    return out
+
+
+_FAMILY_IDS = ([f"circle(L={L:g},theta={th:g})" for L, th in
+                ((1.0, 0.0), (2.0 * math.pi, 0.7), (2.0, math.pi), (2.0 * math.pi, 6.2),
+                 (20.0, 0.05))]
+               + [f"torus(n={n},L={L:g})" for L in (1.0, 6.0, 20.0) for n in (1, 2, 3, 4)]
+               + ["sphere2"] + [f"interval-{k}(R=1.1)" for k in ("dirichlet", "neumann", "mixed")]
+               + [f"product-{k}(R=1.1,L=6)" for k in ("dirichlet", "neumann")]
+               + ["combine-cylinder-degree-1"])
+
+
+@pytest.mark.parametrize("family", _FAMILY_IDS)
+def test_heat_trace_matches_mpmath_reference(family):
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(30):
+        h, ref = trace_families(mp)[family]
+        for which, ts in (("remainder", REMAINDER_TS), ("tail", TAIL_TS)):
+            evaluate, reference = getattr(h, which), getattr(ref, which)
+            for t in ts:
+                value, scale = reference(mp.mpf(t))
+                got = evaluate(t)
+                assert abs(mp.mpf(float(got)) - value) <= REFERENCE_ULPS * EPS * scale, (which, t)
 
 
 def reference_gauss_series(a_over_t: float, weight=None) -> float:
