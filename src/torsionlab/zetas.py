@@ -37,9 +37,11 @@ sphere2_scalar_heat_trace).  This module knows no boundary condition.
 Riemann and Hurwitz zeta (Euler-Maclaurin) are provided as independent
 closed forms for cross-checking the engine, never as its internals.
 
-All functions are pure and deterministic, and need nothing beyond the
-standard library.  Every Mellin integral is one nested tanh-sinh rule (quad)
-that evaluates the trace once per node for all the weights of its split.  It
+All functions are pure and deterministic; numpy is their only dependency.
+A trace's remainder and tail take an array of t and return an array of the
+same shape.  Every Mellin integral is one nested tanh-sinh rule (quad) that
+evaluates the trace on arrays of nodes, once per node for all the weights of
+its split: levels 0-4 in one call, then one call per further level.  It
 aims at QUAD_EPSABS absolute error, or at the bound the estimate already
 counts for the sphere's cut and rounding where that is larger, and at
 QUAD_EPSREL relative error; an integral that cannot get there raises
@@ -54,6 +56,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import BadParameter, PoleHit, QuadratureFailure
 
@@ -222,8 +226,10 @@ class HeatTrace:
 
     terms are (p, c_p) pairs for sum_p c_p t^{-p}, p descending; remainder(t)
     is the difference full - power on (0, 1], vanishing as t -> 0; tail(t)
-    sums exp(-t lambda) over the nonzero spectrum for t >= 1.  lambda_min is
-    the smallest positive eigenvalue (used to truncate upper integrals).
+    sums exp(-t lambda) over the nonzero spectrum for t >= 1.  Both take a
+    float array of t (or one float) and return an array of its shape, as do
+    power and full.  lambda_min is the smallest positive eigenvalue (used to
+    truncate upper integrals).
 
     Terms with p < 0 (positive powers of t) mark a truncated asymptotic
     expansion, whose remainder is 0 below the cut _expansion_cut(terms);
@@ -232,15 +238,16 @@ class HeatTrace:
     """
 
     terms: tuple[tuple[float, float], ...]
-    remainder: Callable[[float], float]
-    tail: Callable[[float], float]
+    remainder: Callable[[np.ndarray], np.ndarray]
+    tail: Callable[[np.ndarray], np.ndarray]
     kernel_dim: int
     lambda_min: float
 
-    def power(self, t: float) -> float:
+    def power(self, t):
+        t = np.asarray(t, dtype=float)
         return sum(c * t ** (-p) for p, c in self.terms)
 
-    def full(self, t: float) -> float:
+    def full(self, t):
         return self.power(t) + self.remainder(t)
 
     @property
@@ -249,7 +256,7 @@ class HeatTrace:
 
     def consistency_residual(self) -> float:
         """|(b + tail(t)) - (power(t) + remainder(t))| at the split point t = 1."""
-        return abs((self.kernel_dim + self.tail(1.0)) - self.full(1.0))
+        return float(abs((self.kernel_dim + self.tail(1.0)) - self.full(1.0)))
 
 
 def zeta_at_zero(h: HeatTrace) -> float:
@@ -279,37 +286,25 @@ def combine_heat_traces(parts: Sequence[tuple[float, HeatTrace]],
                         constant: float = 0) -> HeatTrace:
     """Heat trace of sum_i c_i h_i plus `constant` zero modes.
 
-    parts holds one or two (c_i, h_i) pairs; a negative constant removes
+    parts holds (c_i, h_i) pairs, at least one; a negative constant removes
     kernel.  The kernel dimension sum_i c_i b_i + constant must come out a
     non-negative integer.  The constant enters the t^0 coefficient and the
     kernel only, never the remainder or the tail.
     """
+    if not parts:
+        raise BadParameter("combine at least one heat trace")
     kernel = sum(c * h.kernel_dim for c, h in parts) + constant
     if kernel < 0 or not float(kernel).is_integer():
         raise BadParameter(f"combined kernel dimension {kernel} is not a "
                            f"non-negative integer")
-    # direct closures, no loop over parts: they run at every quadrature
-    # node, where a generator over the parts costs measurably more
-    if len(parts) == 1:
-        ((c, h),) = parts
-        rem, tl = h.remainder, h.tail
+    parts = tuple(parts)
 
-        def remainder(t: float) -> float:
-            return c * rem(t)
+    def remainder(t):
+        return sum(c * h.remainder(t) for c, h in parts)
 
-        def tail(t: float) -> float:
-            return c * tl(t)
-    elif len(parts) == 2:
-        (c1, h1), (c2, h2) = parts
-        r1, r2, tl1, tl2 = h1.remainder, h2.remainder, h1.tail, h2.tail
+    def tail(t):
+        return sum(c * h.tail(t) for c, h in parts)
 
-        def remainder(t: float) -> float:
-            return c1 * r1(t) + c2 * r2(t)
-
-        def tail(t: float) -> float:
-            return c1 * tl1(t) + c2 * tl2(t)
-    else:
-        raise BadParameter(f"combine one or two heat traces, got {len(parts)}")
     terms = [(p, c * cp) for c, h in parts for p, cp in h.terms]
     if constant:
         terms.append((0.0, constant))
@@ -338,12 +333,15 @@ def product_heat_trace(h1: HeatTrace, h2: HeatTrace) -> HeatTrace:
     pw1, pw2, r1, r2 = h1.power, h2.power, h1.remainder, h2.remainder
     tl1, tl2, b1, b2 = h1.tail, h2.tail, h1.kernel_dim, h2.kernel_dim
 
-    def remainder(t: float) -> float:
+    def remainder(t):
+        t = np.asarray(t, dtype=float)
+        x1, x2 = r1(t), r2(t)
         extra = sum(c * t ** (-p) for p, c in dropped)
-        return pw1(t) * r2(t) + r1(t) * pw2(t) + r1(t) * r2(t) + extra
+        return pw1(t) * x2 + x1 * pw2(t) + x1 * x2 + extra
 
-    def tail(t: float) -> float:
-        return b1 * tl2(t) + b2 * tl1(t) + tl1(t) * tl2(t)
+    def tail(t):
+        y1, y2 = tl1(t), tl2(t)
+        return b1 * y2 + b2 * y1 + y1 * y2
 
     candidates = [h1.lambda_min + h2.lambda_min]
     if b2 > 0:
@@ -360,17 +358,41 @@ def product_heat_trace(h1: HeatTrace, h2: HeatTrace) -> HeatTrace:
 
 
 _EXP_CUTOFF = 50.0  # exp(-50) ~ 2e-22, below double-precision relevance
+_SERIES_BLOCK = 1 << 14  # terms a series forms at once: 128 KiB an array
 
 
-def _gauss_series(a_over_t: float, weight=None) -> float:
-    """sum_{j>=1} w_j exp(-a j^2 / t) given a/t; w_j defaults to 1."""
-    total, j, x = 0.0, 1, a_over_t
-    while x <= _EXP_CUTOFF:
-        term = math.exp(-x)
-        total += term if weight is None else weight(j) * term
-        j += 1
-        x = a_over_t * j * j
-    return total
+def _exp_series(x1, exponent, first: int = 1, weight=None) -> np.ndarray:
+    """sum_{j>=first} w_j exp(-x_j) for each element of the array x1, over
+    the terms with x_j = exponent(x1, j) <= _EXP_CUTOFF; x_j must grow with
+    j, and w_j = weight(j) defaults to 1.
+
+    j runs in blocks of 8 that double in width, up to _SERIES_BLOCK terms
+    in all, and only the elements whose last term was kept go on to the
+    next block, so the memory stays O(len(x1)) whatever the number of terms.
+    """
+    x1 = np.asarray(x1, dtype=float)
+    flat = x1.ravel()
+    total = np.zeros(flat.size)
+    active = np.arange(flat.size)
+    j0, width = first, 8
+    while active.size:
+        j = np.arange(j0, j0 + width, dtype=float)
+        x = exponent(flat[active, None], j)
+        kept = x <= _EXP_CUTOFF
+        terms = np.exp(-x, out=np.zeros(x.shape), where=kept)
+        if weight is not None:
+            terms *= weight(j)
+        total[active] += terms.sum(axis=1)
+        active = active[kept[:, -1]]
+        j0 += width
+        width = max(1, min(2 * width, _SERIES_BLOCK // max(active.size, 1)))
+    return total.reshape(x1.shape)
+
+
+def _gauss_series(a_over_t, weight=None) -> np.ndarray:
+    """sum_{j>=1} w_j exp(-a j^2 / t) for each element of the array a/t; w_j
+    = weight(j) for an array of j defaults to 1."""
+    return _exp_series(a_over_t, lambda x, j: x * j * j, weight=weight)
 
 
 def circle_heat_trace(L: float, theta: float = 0.0, rank: int = 1) -> HeatTrace:
@@ -390,11 +412,12 @@ def circle_heat_trace(L: float, theta: float = 0.0, rank: int = 1) -> HeatTrace:
         pref = L / root4pi
         omega = (2.0 * math.pi / L) ** 2
 
-        def remainder(t: float) -> float:
-            return rank * ((pref / math.sqrt(t)) * 2.0 * _gauss_series(L * L / (4.0 * t)))
+        def remainder(t):
+            t = np.asarray(t, dtype=float)
+            return rank * ((pref / np.sqrt(t)) * 2.0 * _gauss_series(L * L / (4.0 * t)))
 
-        def tail(t: float) -> float:
-            return rank * (2.0 * _gauss_series(omega * t))
+        def tail(t):
+            return rank * (2.0 * _gauss_series(omega * np.asarray(t, dtype=float)))
 
         return HeatTrace(terms=((0.5, rank * pref),), remainder=remainder,
                          tail=tail, kernel_dim=rank, lambda_min=omega)
@@ -404,9 +427,10 @@ def circle_heat_trace(L: float, theta: float = 0.0, rank: int = 1) -> HeatTrace:
     a = theta / (2.0 * math.pi)
     lam_min = (2.0 * math.pi * min(a, 1.0 - a) / L) ** 2
 
-    def remainder(t: float) -> float:
-        series = _gauss_series(L * L / (4.0 * t), weight=lambda j: math.cos(j * theta))
-        return (pref / math.sqrt(t)) * 2.0 * series
+    def remainder(t):
+        t = np.asarray(t, dtype=float)
+        series = _gauss_series(L * L / (4.0 * t), weight=lambda j: np.cos(j * theta))
+        return (pref / np.sqrt(t)) * 2.0 * series
 
     scale = (2.0 * math.pi / L) ** 2
 
@@ -415,30 +439,19 @@ def circle_heat_trace(L: float, theta: float = 0.0, rank: int = 1) -> HeatTrace:
         # so each eigenvalue (pi (2j + 1) / L)^2 is summed once and doubled
         quarter = (math.pi / L) ** 2
 
-        def tail(t: float) -> float:
-            total, j, x = 0.0, 0, quarter * t
-            while x <= _EXP_CUTOFF:
-                total += math.exp(-x)
-                j += 1
-                x = quarter * (2 * j + 1) ** 2 * t
-            return rank * 2.0 * total
+        def tail(t):
+            return rank * 2.0 * _exp_series(t, lambda t, j: quarter * (2 * j + 1) ** 2 * t,
+                                            first=0)
 
         return HeatTrace(terms=((0.5, pref),), remainder=remainder, tail=tail,
                          kernel_dim=0, lambda_min=lam_min)
 
-    def tail(t: float) -> float:
-        total = math.exp(-scale * a * a * t)
-        m = 1
-        while True:
-            lo = scale * (m - a) ** 2 * t
-            hi = scale * (m + a) ** 2 * t
-            if lo > _EXP_CUTOFF:
-                break
-            total += math.exp(-lo)
-            if hi <= _EXP_CUTOFF:
-                total += math.exp(-hi)
-            m += 1
-        return rank * total
+    def tail(t):
+        # the lowest mode a, kept whatever its size, then m - a and m + a, m >= 1
+        t = np.asarray(t, dtype=float)
+        return rank * (np.exp(-scale * a * a * t)
+                       + _exp_series(t, lambda t, m: scale * (m - a) ** 2 * t)
+                       + _exp_series(t, lambda t, m: scale * (m + a) ** 2 * t))
 
     return HeatTrace(terms=((0.5, pref),), remainder=remainder, tail=tail,
                      kernel_dim=0, lambda_min=lam_min)
@@ -459,19 +472,27 @@ def torus_heat_trace(n: int, L: float) -> HeatTrace:
     pref = L / root4pi
     omega = (2.0 * math.pi / L) ** 2
 
-    def circle_tail(t: float) -> float:
-        if omega * t >= 1.0:
-            return 2.0 * _gauss_series(omega * t)
-        return (pref / math.sqrt(t)) * (1.0 + 2.0 * _gauss_series(L * L / (4.0 * t))) - 1.0
+    def circle_tail(t):
+        """The circle's nonzero modes: the eigenvalue series where omega t >= 1,
+        the image sum less the kernel below."""
+        out = np.empty(t.shape)
+        eigen = omega * t >= 1.0
+        out[eigen] = 2.0 * _gauss_series(omega * t[eigen])
+        ti = t[~eigen]
+        out[~eigen] = (pref / np.sqrt(ti)) * (1.0 + 2.0 * _gauss_series(L * L / (4.0 * ti))) - 1.0
+        return out
 
-    def remainder(t: float) -> float:
+    def remainder(t):
+        t = np.asarray(t, dtype=float)
         sigma = 2.0 * _gauss_series(L * L / (4.0 * t))
-        if sigma == 0.0:  # near t = 0, where (pref/sqrt(t))^n can overflow
-            return 0.0
-        return (pref / math.sqrt(t)) ** n * math.expm1(n * math.log1p(sigma))
+        out = np.zeros(t.shape)
+        images = sigma != 0.0  # 0 near t = 0, where (pref/sqrt(t))^n can overflow
+        out[images] = (pref / np.sqrt(t[images])) ** n * np.expm1(n * np.log1p(sigma[images]))
+        return out
 
-    def tail(t: float) -> float:
-        return math.expm1(n * math.log1p(circle_tail(t)))
+    def tail(t):
+        t = np.asarray(t, dtype=float)
+        return np.expm1(n * np.log1p(circle_tail(t)))
 
     return HeatTrace(terms=((0.5 * n, pref ** n),), remainder=remainder,
                      tail=tail, kernel_dim=1, lambda_min=omega)
@@ -510,18 +531,28 @@ def sphere2_scalar_heat_trace() -> HeatTrace:
     terms = tuple((-float(td), float(c)) for td, c in sphere2_power_coefficients(11))
     cut = _expansion_cut(terms)
 
-    def eigen_terms(t: float, first: int) -> list[float]:
-        l_max = int(math.sqrt(_EXP_CUTOFF / t + 9.0)) + 4
-        return [(2 * l + 1) * math.exp(-t * l * (l + 1)) for l in range(first, l_max + 1)]
+    def eigen_terms(t, first: int) -> np.ndarray:
+        """(2l + 1) e^{-t l(l+1)} for l = first .. l_max(t), one row for each
+        element of the 1-d array t, and 0 past each row's own l_max."""
+        l_max = np.sqrt(_EXP_CUTOFF / t + 9.0).astype(int) + 4
+        l = np.arange(first, l_max.max(initial=first) + 1)
+        return np.where(l <= l_max[:, None], (2 * l + 1) * np.exp(-t[:, None] * l * (l + 1)), 0.0)
 
-    def remainder(t: float) -> float:
-        if t < cut:
-            return 0.0
-        # one exact sum, so only the rounding of each term is left
-        return math.fsum(eigen_terms(t, 0) + [-c * t ** (-p) for p, c in terms])
+    def remainder(t):
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape)
+        above = t >= cut
+        ta = t[above]
+        # one exact sum per node, so only the rounding of each term is left
+        rows = np.hstack([eigen_terms(ta, 0)] + [(-c * ta ** (-p))[:, None] for p, c in terms])
+        out[above] = [math.fsum(row) for row in rows.tolist()]
+        return out
 
-    return HeatTrace(terms=terms, remainder=remainder,
-                     tail=lambda t: sum(eigen_terms(t, 1)), kernel_dim=1, lambda_min=2.0)
+    def tail(t):
+        t = np.asarray(t, dtype=float)
+        return eigen_terms(t.ravel(), 1).sum(axis=1).reshape(t.shape)
+
+    return HeatTrace(terms=terms, remainder=remainder, tail=tail, kernel_dim=1, lambda_min=2.0)
 
 
 def _positive(value, name: str) -> None:
@@ -553,54 +584,82 @@ QUAD_EPSREL = 1e-14  # values reach 1e5 (the circle character at s = 2.5)
 QUAD_EPSREL_LAST = 1e-11
 _TS_REACH = 4.0     # |u| <= 4: the outermost nodes lie 1e-37 half-widths from an end
 _TS_MAX_LEVEL = 8   # h = 2^-8, 2049 nodes per integral
+# The levels each trace call evaluates: most integrals stop at level 3 to 5,
+# so levels 0-4 (129 nodes) go in one call and each later level in its own.
+_TS_GROUPS = ((0, 1, 2, 3, 4),) + tuple((m,) for m in range(5, _TS_MAX_LEVEL + 1))
 
 
 @lru_cache(maxsize=None)
-def _tanh_sinh_level(level: int) -> tuple[tuple[float, float], ...]:
-    """(c, w) for the nodes u = k 2^-level, 0 <= u <= _TS_REACH, first used at
-    that level (every k at level 0, odd k after): t = end -+ half c with
-    c = 1 - tanh(pi/2 sinh u), formed without cancellation, and dt/du = half w."""
-    h = 2.0 ** -level
-    ks = range(0 if level == 0 else 1, int(_TS_REACH / h) + 1, 1 if level == 0 else 2)
-    nodes = []
-    for k in ks:
-        v = 0.5 * math.pi * math.sinh(k * h)
-        nodes.append((2.0 / (1.0 + math.exp(2.0 * v)),
-                      0.5 * math.pi * math.cosh(k * h) / math.cosh(v) ** 2))
-    return tuple(nodes)
+def _tanh_sinh_nodes(levels: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """(c, w, left, starts), read-only, for the nodes u = k 2^-m, 0 <= u <=
+    _TS_REACH, first used at each level m of levels (every k at level 0, odd
+    k after), level after level: t = lo + half c where left, else hi - half c
+    (the midpoint, k = 0, once), with c = 1 - tanh(pi/2 sinh u) formed
+    without cancellation and dt/du = half w; levels[i]'s nodes begin at
+    starts[i]."""
+    c, w, left, starts = [], [], [], []
+    for level in levels:
+        starts.append(len(c))
+        h = 2.0 ** -level
+        for k in range(0 if level == 0 else 1, int(_TS_REACH / h) + 1, 1 if level == 0 else 2):
+            v = 0.5 * math.pi * math.sinh(k * h)
+            sides = (True,) if k == 0 else (True, False)
+            c += [2.0 / (1.0 + math.exp(2.0 * v))] * len(sides)
+            w += [0.5 * math.pi * math.cosh(k * h) / math.cosh(v) ** 2] * len(sides)
+            left += sides
+    arrays = (np.array(c), np.array(w), np.array(left), np.array(starts))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _level_sums(trace, weights, lo: float, hi: float, count: int):
+    """Yield (trace evaluations so far, [sum of w_i(t) trace(t) dt/du over the
+    nodes new at level m for each weight]) for m = 0 .. _TS_MAX_LEVEL, with
+    one trace call for each group of _TS_GROUPS."""
+    half = 0.5 * (hi - lo)
+    neval = 0
+    for levels in _TS_GROUPS:
+        c, w, left, starts = _tanh_sinh_nodes(levels)
+        t = np.where(left, lo + half * c, hi - half * c)
+        f = np.asarray(trace(t), dtype=float)
+        neval += t.size
+        nonzero = np.flatnonzero(f)
+        terms = np.zeros((count, t.size))
+        # a weight that overflows where the trace is nonzero makes the value
+        # inf or nan, which quad refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms[:, nonzero] = np.asarray(weights(t[nonzero])) * (f[nonzero] * w[nonzero])
+            sums = np.add.reduceat(terms, starts, axis=1)
+        for level_sums in sums.T.tolist():
+            yield neval, level_sums
 
 
 def quad(trace, weights, lo: float, hi: float, epsabs, full_output: int = 0):
     """int_lo^hi w(t) trace(t) dt for each weight w in weights(t), by one
     nested tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974).
 
-    Each node evaluates trace once and weights only where the trace is
-    nonzero, so a weight that would overflow where the trace vanishes is
-    never formed.  Levels h = 2^-m halve the step; with d_m the change from
-    level m-1 to m, level m's error is estimated as d_m^2 / d_{m-1}, as the
-    convergence is quadratic.  Each integral aims at max(epsabs[i],
-    QUAD_EPSREL |value|), and the last level, _TS_MAX_LEVEL, accepts
-    QUAD_EPSREL_LAST; an integral that misses that too, or a value that is
-    not finite, raises QuadratureFailure.  Returns (values, errors), and also
-    {"neval": trace evaluations} with full_output.
+    trace and weights take an array of nodes: trace returns an array of its
+    shape and weights a sequence of such arrays.  The nodes of levels 0-4
+    (129) go to trace in one call, then those of each later level in one, and
+    each level's sum is read off its slice of the call.  Weights are formed
+    only where the trace is nonzero, so a weight that would overflow where
+    the trace vanishes is never formed.  Levels h = 2^-m halve the step; with
+    d_m the change from level m-1 to m, level m's error is estimated as
+    d_m^2 / d_{m-1}, as the convergence is quadratic.  From level 2 on, each
+    integral aims at max(epsabs[i], QUAD_EPSREL |value|), and the last level,
+    _TS_MAX_LEVEL, accepts QUAD_EPSREL_LAST; an integral that misses that
+    too, or a value that is not finite, raises QuadratureFailure.  Returns
+    (values, errors), and also {"neval": trace evaluations} with full_output.
     """
     half = 0.5 * (hi - lo)
     count = len(epsabs)
-    values, change, neval = [0.0] * count, [math.inf] * count, 0
+    values, change = [0.0] * count, [math.inf] * count
 
     def converged(errors, rel: float) -> bool:
         return all(err <= max(eps, rel * abs(v)) for err, eps, v in zip(errors, epsabs, values))
 
-    for level in range(_TS_MAX_LEVEL + 1):
-        new = [0.0] * count
-        for c, w in _tanh_sinh_level(level):
-            for t in ((lo + half,) if c == 1.0 else (lo + half * c, hi - half * c)):
-                f = trace(t)
-                if f != 0.0:
-                    f *= w
-                    for i, weight in enumerate(weights(t)):
-                        new[i] += weight * f
-            neval += 1 if c == 1.0 else 2
+    for level, (neval, new) in enumerate(_level_sums(trace, weights, lo, hi, count)):
         scale = half * 2.0 ** -level
         previous, values = values, [0.5 * v + scale * x for v, x in zip(values, new)]
         last, change = change, [abs(v - p) for v, p in zip(values, previous)]
@@ -669,9 +728,9 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
     nodes = 0
 
     def counted(trace):
-        def evaluate(t: float) -> float:
+        def evaluate(t: np.ndarray) -> np.ndarray:
             nonlocal nodes
-            nodes += 1
+            nodes += t.size
             return trace(t)
         return evaluate
 
@@ -713,9 +772,11 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
         if derivative:
             raise BadParameter("derivative evaluation is supported for real s only")
 
-        def parts(t: float) -> tuple[float, float]:
-            w = t ** (s - 1.0)
-            return w.real, w.imag
+        def parts(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # t^(s-1) for t > 0 as Python's complex power forms it: the
+            # modulus by pow, the phase from log t
+            modulus, phase = t ** (s.real - 1.0), s.imag * np.log(t)
+            return modulus * np.cos(phase), modulus * np.sin(phase)
 
         re_im_rem, re_im_tail, (e_re, e_im) = split(parts, [cut_err, cut_err])
         f_parts = closed + [complex(*re_im_rem), complex(*re_im_tail)]
@@ -726,9 +787,9 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
 
     sr, a = s.real, s.real - 1.0
     if derivative:
-        def weights(t: float) -> tuple[float, float]:
+        def weights(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             w = t ** a
-            return w, w * math.log(t)
+            return w, w * np.log(t)
 
         rem, tl, (e, e_log) = split(weights, [cut_err, log_err])
     else:
