@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -277,7 +278,8 @@ def sphere_reference(mp, h):
 
 
 def combine_reference(mp, h, parts):
-    """sum_i c_i times each part's reference; parts are (c_i, Reference)."""
+    """sum_i c_i times each part's reference; parts are (c_i, reference builder)."""
+    parts = [(c, build(mp)) for c, build in parts]
 
     def summed(which):
         def evaluate(t):
@@ -290,6 +292,8 @@ def combine_reference(mp, h, parts):
 
 
 def product_reference(mp, h, r1, b1, r2, b2):
+    """The product of the factors' references r1, r2 (builders), kernels b1, b2."""
+    r1, r2 = r1(mp), r2(mp)
     dropped = [(p1 + p2, c1 * c2) for p1, c1 in r1.terms for p2, c2 in r2.terms
                if p1 + p2 < 0.0]
 
@@ -306,62 +310,56 @@ def product_reference(mp, h, r1, b1, r2, b2):
     return Reference(h.terms, remainder, tail)
 
 
-def trace_families(mp):
-    """(library trace, reference) for every trace family."""
+def trace_families():
+    """name -> (library trace, reference builder mp -> Reference) for every
+    trace family."""
     out = {}
     for L, theta, rank in ((1.0, 0.0, 1), (2.0 * math.pi, 0.7, 2), (2.0, math.pi, 1),
                            (2.0 * math.pi, 6.2, 2), (20.0, 0.05, 2)):
         h = circle_heat_trace(L, theta, rank)
-        out[f"circle(L={L:g},theta={theta:g})"] = h, circle_reference(mp, h, L, theta, rank)
+        out[f"circle(L={L:g},theta={theta:g})"] = h, partial(circle_reference, h=h, L=L,
+                                                               theta=theta, rank=rank)
     for L in (1.0, 6.0, 20.0):
         for n in (1, 2, 3, 4):
             h = torus_heat_trace(n, L)
-            out[f"torus(n={n},L={L:g})"] = h, torus_reference(mp, h, n, L)
+            out[f"torus(n={n},L={L:g})"] = h, partial(torus_reference, h=h, n=n, L=L)
     h = sphere2_scalar_heat_trace()
-    out["sphere2"] = h, sphere_reference(mp, h)
-    # the interval factors are one-part combinations of a circle
-    R = 1.1
-    doubled, half_turn = circle_heat_trace(2.0 * R), circle_heat_trace(2.0 * R, math.pi)
-    doubled_ref = circle_reference(mp, doubled, 2.0 * R)
-    half_turn_ref = circle_reference(mp, half_turn, 2.0 * R, math.pi)
-    factors = {}
-    for kind, circle, ref in (("dirichlet", doubled, doubled_ref),
-                              ("neumann", doubled, doubled_ref),
-                              ("mixed", half_turn, half_turn_ref)):
+    out["sphere2"] = h, partial(sphere_reference, h=h)
+    # the interval factors are halves of the circle of length 2R, the mixed
+    # one with the character pi
+    R, L = 1.1, 6.0
+    for kind, theta in (("dirichlet", 0.0), ("neumann", 0.0), ("mixed", math.pi)):
         h = interval(kind, R)
-        factors[kind] = h, combine_reference(mp, h, [(0.5, ref)])
-        out[f"interval-{kind}(R={R:g})"] = factors[kind]
+        doubled = partial(circle_reference, h=circle_heat_trace(2.0 * R, theta), L=2.0 * R,
+                          theta=theta)
+        out[f"interval-{kind}(R={R:g})"] = h, partial(combine_reference, h=h,
+                                                        parts=[(0.5, doubled)])
     # the relative cylinder: two products and their sum
-    L = 6.0
     circle = circle_heat_trace(L)
-    circle_ref = circle_reference(mp, circle, L)
     cylinder = []
     for kind in ("dirichlet", "neumann"):
-        factor, factor_ref = factors[kind]
+        factor, factor_ref = out[f"interval-{kind}(R={R:g})"]
         h = product_heat_trace(factor, circle)
-        cylinder.append((h, product_reference(mp, h, factor_ref, factor.kernel_dim,
-                                              circle_ref, circle.kernel_dim)))
+        cylinder.append((h, partial(product_reference, h=h, r1=factor_ref, b1=factor.kernel_dim,
+                                    r2=partial(circle_reference, h=circle, L=L),
+                                    b2=circle.kernel_dim)))
         out[f"product-{kind}(R={R:g},L={L:g})"] = cylinder[-1]
     (h0, ref0), (h2, ref2) = cylinder
     h = combine_heat_traces([(1, h2), (1, h0)])
-    out["combine-cylinder-degree-1"] = h, combine_reference(mp, h, [(1, ref2), (1, ref0)])
+    out["combine-cylinder-degree-1"] = h, partial(combine_reference, h=h,
+                                                  parts=[(1, ref2), (1, ref0)])
     return out
 
 
-_FAMILY_IDS = ([f"circle(L={L:g},theta={th:g})" for L, th in
-                ((1.0, 0.0), (2.0 * math.pi, 0.7), (2.0, math.pi), (2.0 * math.pi, 6.2),
-                 (20.0, 0.05))]
-               + [f"torus(n={n},L={L:g})" for L in (1.0, 6.0, 20.0) for n in (1, 2, 3, 4)]
-               + ["sphere2"] + [f"interval-{k}(R=1.1)" for k in ("dirichlet", "neumann", "mixed")]
-               + [f"product-{k}(R=1.1,L=6)" for k in ("dirichlet", "neumann")]
-               + ["combine-cylinder-degree-1"])
+TRACE_FAMILIES = trace_families()
 
 
-@pytest.mark.parametrize("family", _FAMILY_IDS)
+@pytest.mark.parametrize("family", list(TRACE_FAMILIES))
 def test_heat_trace_matches_mpmath_reference(family):
     mp = pytest.importorskip("mpmath").mp
+    h, build = TRACE_FAMILIES[family]
     with mp.workdps(30):
-        h, ref = trace_families(mp)[family]
+        ref = build(mp)
         for which, ts in (("remainder", REMAINDER_TS), ("tail", TAIL_TS)):
             evaluate, reference = getattr(h, which), getattr(ref, which)
             on_array = evaluate(np.array(ts).reshape(2, 3))
