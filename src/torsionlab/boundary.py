@@ -45,6 +45,7 @@ from .errors import BadParameter, ShapeMismatch, UnsupportedPartition
 from .models import SpectralModel, TorsionReport, build_model, residue_torsion
 from .zetas import (
     HeatTrace,
+    _length,
     circle_heat_trace,
     combine_heat_traces,
     product_heat_trace,
@@ -83,8 +84,7 @@ def build_interval(R: float = 1.0, condition: str = "relative", rank: int = 1) -
     mixed: b = (0, 0).  rank=2 doubles all multiplicities (the doubled
     interval convention); both counts are reported by the verify suite.
     """
-    if R <= 0.0:
-        raise BadParameter(f"interval length must be positive, got {R}")
+    _length(R, "R")
     _check_condition(condition)
     if rank not in (1, 2):
         raise BadParameter(f"interval rank must be 1 or 2, got {rank}")
@@ -104,8 +104,7 @@ def build_cylinder(R: float = 1.0, L: float = 2.0 * math.pi, condition: str = "r
     the direct sum of the two mixed products (the dtheta and dx form parts).
     relative: b = (0, 1, 1); absolute: b = (1, 1, 0); mixed: b = (0, 0, 0).
     """
-    if R <= 0.0 or L <= 0.0:
-        raise BadParameter("cylinder needs positive R and L")
+    _length(R, "R")  # L is the circle's to check
     _check_condition(condition)
     if rank != 1:
         raise BadParameter("cylinder supports rank 1 only")

@@ -70,13 +70,16 @@ def parse_beta(spec: str, length: int) -> tuple[float, ...]:
             lam, mu = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise SchemaError(f"bad linear weight spec {spec!r}") from exc
-        return tuple(lam + mu * k for k in range(length))
-    try:
-        beta = tuple(float(x) for x in spec.split(","))
-    except ValueError as exc:
-        raise SchemaError(f"bad weight list {spec!r}") from exc
-    if len(beta) != length:
-        raise SchemaError(f"weight list has length {len(beta)}, need {length}")
+        beta = tuple(lam + mu * k for k in range(length))
+    else:
+        try:
+            beta = tuple(float(x) for x in spec.split(","))
+        except ValueError as exc:
+            raise SchemaError(f"bad weight list {spec!r}") from exc
+        if len(beta) != length:
+            raise SchemaError(f"weight list has length {len(beta)}, need {length}")
+    if not all(map(math.isfinite, beta)):
+        raise SchemaError(f"every weight must be finite, got {spec!r}")
     return beta
 
 

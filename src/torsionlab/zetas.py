@@ -28,10 +28,12 @@ Every flat model trace is an image sum of one primitive, circle_heat_trace
     sum_m e^{-t ((2 pi m + theta)/L)^2}
         = L/sqrt(4 pi t) (1 + 2 sum_{j>=1} cos(j theta) e^{-j^2 L^2/(4t)}).
 
-torus_heat_trace is its n-fold product, boundary.py builds the interval
-factors from it, and combine_heat_traces and product_heat_trace form sums
-and products of traces; only the 2-sphere uses a truncated asymptotic
-expansion, whose remainder is 0 where it would be rounding noise (see
+One mode formula serves every theta in [0, 2 pi), so a sum over characters
+takes one code path.  torus_heat_trace is its n-fold product and reads the
+circle's trace, boundary.py builds the interval factors from it, and
+combine_heat_traces and product_heat_trace form sums and products of
+traces; only the 2-sphere uses a truncated asymptotic expansion, whose
+remainder is 0 where it would be rounding noise (see
 sphere2_scalar_heat_trace).  This module knows no boundary condition.
 
 Riemann and Hurwitz zeta (Euler-Maclaurin) are provided as independent
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -359,6 +362,8 @@ def product_heat_trace(h1: HeatTrace, h2: HeatTrace) -> HeatTrace:
 
 _EXP_CUTOFF = 50.0  # exp(-50) ~ 2e-22, below double-precision relevance
 _SERIES_BLOCK = 1 << 14  # terms a series forms at once: 128 KiB an array
+# Below this lowest eigenvalue a tail integral's upper limit _EXP_CUTOFF/lambda_min overflows.
+_LAMBDA_FLOOR = _EXP_CUTOFF / sys.float_info.max
 
 
 def _exp_series(x1, exponent, first: int = 1, weight=None) -> np.ndarray:
@@ -389,72 +394,53 @@ def _exp_series(x1, exponent, first: int = 1, weight=None) -> np.ndarray:
     return total.reshape(x1.shape)
 
 
-def _gauss_series(a_over_t, weight=None) -> np.ndarray:
-    """sum_{j>=1} w_j exp(-a j^2 / t) for each element of the array a/t; w_j
-    = weight(j) for an array of j defaults to 1."""
-    return _exp_series(a_over_t, lambda x, j: x * j * j, weight=weight)
+def _images(L: float, t, weight=None) -> np.ndarray:
+    """The image sum 2 sum_{j>=1} w_j exp(-j^2 L^2/(4t)) of the circle of
+    length L, for each element of the array t; w_j = weight(j) for an array
+    of j defaults to 1."""
+    return 2.0 * _exp_series(L * L / (4.0 * t), lambda x, j: x * j * j, weight=weight)
 
 
 def circle_heat_trace(L: float, theta: float = 0.0, rank: int = 1) -> HeatTrace:
-    """Circle of length L with a rotation character theta.
+    """Circle of length L with a rotation character theta in [0, 2 pi).
 
     Spectrum ((2 pi m + theta)/L)^2, m in Z, each with multiplicity `rank`;
-    power rank L/sqrt(4 pi t).  At theta = 0 the constant modes give a
-    kernel of dimension rank; otherwise theta lies in (0, 2 pi) and there is
-    no kernel (the two complex characters of a rank-2 rotation block
-    contribute conjugate phases, giving cosine image weights).  The
-    remainder is the exact image sum, so full(t) = kernel + tail(t) holds to
-    rounding at the split point t = 1.
+    power rank L/sqrt(4 pi t).  One mode formula serves every angle: with
+    a = theta/(2 pi) the nonzero modes are (2 pi (m + x)/L)^2, m >= 0, for
+    x = lo = a and x = hi = 1 - a, but lo = 1 at theta = 0, where the
+    constant modes are a kernel of dimension rank (one series, doubled,
+    where lo = hi).  The remainder is the exact image sum, cosine-weighted
+    for theta != 0 (the conjugate characters of a rank-2 rotation block),
+    so full(t) = kernel + tail(t) holds to rounding at the split point t = 1.
     """
-    _positive(L, "L")
-    root4pi = math.sqrt(4.0 * math.pi)
-    if theta == 0.0:
-        pref = L / root4pi
-        omega = (2.0 * math.pi / L) ** 2
-
-        def remainder(t):
-            t = np.asarray(t, dtype=float)
-            return rank * ((pref / np.sqrt(t)) * 2.0 * _gauss_series(L * L / (4.0 * t)))
-
-        def tail(t):
-            return rank * (2.0 * _gauss_series(omega * np.asarray(t, dtype=float)))
-
-        return HeatTrace(terms=((0.5, rank * pref),), remainder=remainder,
-                         tail=tail, kernel_dim=rank, lambda_min=omega)
-    if not 0.0 < theta < 2.0 * math.pi:
-        raise BadParameter(f"character angle must lie in (0, 2 pi), got {theta}")
-    pref = rank * L / root4pi
+    _length(L, "L")
+    if not 0.0 <= theta < 2.0 * math.pi:
+        raise BadParameter(f"character angle must lie in [0, 2 pi), got {theta}")
+    pref = L / math.sqrt(4.0 * math.pi)
+    scale = (2.0 * math.pi / L) ** 2
     a = theta / (2.0 * math.pi)
-    lam_min = (2.0 * math.pi * min(a, 1.0 - a) / L) ** 2
+    lo, hi = (a if theta else 1.0), 1.0 - a
+    lam_min = (2.0 * math.pi * min(lo, hi) / L) ** 2
+    if lam_min < _LAMBDA_FLOOR:
+        raise BadParameter(f"theta = {theta:g} at L = {L:g}: the lowest eigenvalue underflows")
+    weight = (lambda j: np.cos(j * theta)) if theta else None
 
     def remainder(t):
         t = np.asarray(t, dtype=float)
-        series = _gauss_series(L * L / (4.0 * t), weight=lambda j: np.cos(j * theta))
-        return (pref / np.sqrt(t)) * 2.0 * series
+        return rank * ((pref / np.sqrt(t)) * _images(L, t, weight))
 
-    scale = (2.0 * math.pi / L) ** 2
-
-    if a == 0.5:
-        # theta = pi (the mixed interval factor): m - a and m - 1 + a coincide,
-        # so each eigenvalue (pi (2j + 1) / L)^2 is summed once and doubled
-        quarter = (math.pi / L) ** 2
-
-        def tail(t):
-            return rank * 2.0 * _exp_series(t, lambda t, j: quarter * (2 * j + 1) ** 2 * t,
-                                            first=0)
-
-        return HeatTrace(terms=((0.5, pref),), remainder=remainder, tail=tail,
-                         kernel_dim=0, lambda_min=lam_min)
+    def modes(y, x):
+        """sum_{m>=0} exp(-y (m + x)^2) for each element of y = scale t."""
+        return _exp_series(y, lambda y, m: y * (m + x) * (m + x), first=0)
 
     def tail(t):
-        # the lowest mode a, kept whatever its size, then m - a and m + a, m >= 1
-        t = np.asarray(t, dtype=float)
-        return rank * (np.exp(-scale * a * a * t)
-                       + _exp_series(t, lambda t, m: scale * (m - a) ** 2 * t)
-                       + _exp_series(t, lambda t, m: scale * (m + a) ** 2 * t))
+        y = scale * np.asarray(t, dtype=float)
+        if lo == hi:
+            return rank * (2.0 * modes(y, lo))
+        return rank * (modes(y, lo) + modes(y, hi))
 
-    return HeatTrace(terms=((0.5, pref),), remainder=remainder, tail=tail,
-                     kernel_dim=0, lambda_min=lam_min)
+    return HeatTrace(terms=((0.5, rank * pref),), remainder=remainder, tail=tail,
+                     kernel_dim=0 if theta else rank, lambda_min=lam_min)
 
 
 def torus_heat_trace(n: int, L: float) -> HeatTrace:
@@ -462,29 +448,30 @@ def torus_heat_trace(n: int, L: float) -> HeatTrace:
 
     Spectrum (2 pi / L)^2 |m|^2, m in Z^n; power (L/sqrt(4 pi t))^n, kernel 1.
     Remainder and tail are (1 + x)^n - 1 for a small circle term x (the
-    image sum sigma, or the circle's nonzero modes), so both are formed as
-    expm1(n log1p(x)): no 1 is subtracted from a number near 1.
+    image sum sigma, or the circle's tail where omega t >= 1 and its full
+    trace less the kernel below), so both are formed as expm1(n log1p(x)):
+    no 1 is subtracted from a number near 1.
     """
-    _positive(L, "L")
     if n < 1:
         raise BadParameter(f"torus dimension must be >= 1, got {n}")
-    root4pi = math.sqrt(4.0 * math.pi)
-    pref = L / root4pi
-    omega = (2.0 * math.pi / L) ** 2
+    circle = circle_heat_trace(L)
+    ((_, pref),) = circle.terms
+    try:
+        volume = pref ** n
+    except OverflowError:
+        raise BadParameter(f"L = {L:g} overflows (L/sqrt(4 pi))^{n}") from None
 
     def circle_tail(t):
-        """The circle's nonzero modes: the eigenvalue series where omega t >= 1,
-        the image sum less the kernel below."""
         out = np.empty(t.shape)
-        eigen = omega * t >= 1.0
-        out[eigen] = 2.0 * _gauss_series(omega * t[eigen])
-        ti = t[~eigen]
-        out[~eigen] = (pref / np.sqrt(ti)) * (1.0 + 2.0 * _gauss_series(L * L / (4.0 * ti))) - 1.0
+        eigen = circle.lambda_min * t >= 1.0
+        out[eigen] = circle.tail(t[eigen])
+        if not eigen.all():  # at L < 2 pi no tail node lies below 1/omega
+            out[~eigen] = circle.full(t[~eigen]) - 1.0
         return out
 
     def remainder(t):
         t = np.asarray(t, dtype=float)
-        sigma = 2.0 * _gauss_series(L * L / (4.0 * t))
+        sigma = _images(L, t)
         out = np.zeros(t.shape)
         images = sigma != 0.0  # 0 near t = 0, where (pref/sqrt(t))^n can overflow
         out[images] = (pref / np.sqrt(t[images])) ** n * np.expm1(n * np.log1p(sigma[images]))
@@ -494,28 +481,26 @@ def torus_heat_trace(n: int, L: float) -> HeatTrace:
         t = np.asarray(t, dtype=float)
         return np.expm1(n * np.log1p(circle_tail(t)))
 
-    return HeatTrace(terms=((0.5 * n, pref ** n),), remainder=remainder,
-                     tail=tail, kernel_dim=1, lambda_min=omega)
+    return HeatTrace(terms=((0.5 * n, volume),), remainder=remainder,
+                     tail=tail, kernel_dim=1, lambda_min=circle.lambda_min)
 
 
 @lru_cache(maxsize=None)
-def sphere2_power_coefficients(max_t_power: int = 10) -> tuple[tuple[int, Fraction], ...]:
+def sphere2_power_coefficients() -> tuple[tuple[int, Fraction], ...]:
     """Exact heat coefficients ((j, c_j), ...) of the scalar round 2-sphere
-    for t^-1 .. t^max_t_power, zeros omitted.
+    for t^-1 .. t^11, zeros omitted.
 
     Tr e^{-tL} = e^{t/4} sum_{u in N0 + 1/2} g(u) with g(u) = 2u e^{-t u^2}.
     Midpoint Euler-Maclaurin, with g^(2k-1)(0) = 2 (2k-1)! (-t)^(k-1)/(k-1)!
     and B_2k(1/2) = (2^(1-2k) - 1) B_2k, gives the half-integer sum
     1/t - sum_{k>=1} B_2k(1/2) (-t)^(k-1)/k!.  B_2 .. B_24 cover t^11.
     """
-    if not -1 <= max_t_power < len(_BERNOULLI):
-        raise BadParameter(f"the sphere coefficients run through t^11, not t^{max_t_power}")
     # mid[i] is the coefficient of t^(i-1) in the half-integer sum
     mid = [Fraction(1)] + [(1 - Fraction(2) ** (1 - 2 * k)) * b2k * (-1) ** (k - 1)
                            / math.factorial(k) for k, b2k in enumerate(_BERNOULLI, start=1)]
     coeffs = ((j, sum(mid[i] / (4 ** (j + 1 - i) * math.factorial(j + 1 - i))
                       for i in range(j + 2)))
-              for j in range(-1, max_t_power + 1))
+              for j in range(-1, len(_BERNOULLI)))
     return tuple((j, c) for j, c in coeffs if c != 0)
 
 
@@ -528,7 +513,7 @@ def sphere2_scalar_heat_trace() -> HeatTrace:
     0 there.  mellin_zeta counts the cut and that noise in its estimate and
     refuses Re s <= -11.
     """
-    terms = tuple((-float(td), float(c)) for td, c in sphere2_power_coefficients(11))
+    terms = tuple((-float(td), float(c)) for td, c in sphere2_power_coefficients())
     cut = _expansion_cut(terms)
 
     def eigen_terms(t, first: int) -> np.ndarray:
@@ -555,9 +540,18 @@ def sphere2_scalar_heat_trace() -> HeatTrace:
     return HeatTrace(terms=terms, remainder=remainder, tail=tail, kernel_dim=1, lambda_min=2.0)
 
 
-def _positive(value, name: str) -> None:
-    if value is None or not value > 0.0:
-        raise BadParameter(f"{name} must be positive, got {value}")
+def _length(value, name: str) -> None:
+    """Refuse, naming `name`, a length that is not positive and finite, or whose
+    circles (of length value or 2 value, at theta = 0 or pi) have a lowest
+    eigenvalue, from (2 pi/value)^2 down to 1/16 of it, that overflows or
+    falls below _LAMBDA_FLOOR."""
+    if value is None or not 0.0 < value < math.inf:
+        raise BadParameter(f"{name} must be positive and finite, got {value}")
+    root = 2.0 * math.pi / value
+    if not root * root < math.inf:
+        raise BadParameter(f"{name} = {value:g} is too small: (2 pi/{name})^2 overflows")
+    if (0.25 * root) ** 2 < _LAMBDA_FLOOR:
+        raise BadParameter(f"{name} = {value:g} is too large: its lowest eigenvalue underflows")
 
 
 # --- the continuation engine -------------------------------------------------

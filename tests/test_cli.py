@@ -30,6 +30,11 @@ def test_parse_beta_grammar():
         parse_beta("lin:1", 3)
     with pytest.raises(SchemaError):
         parse_beta("spam", 3)
+    # every weight must be finite, in the list form and the lin: form
+    for spec, length in (("0,nan", 2), ("1,inf,2", 3), ("lin:inf,1", 3), ("lin:1,nan", 3),
+                         ("lin:1e308,1e308", 3)):
+        with pytest.raises(SchemaError):
+            parse_beta(spec, length)
 
 
 def test_torsion_circle_value(capsys):
@@ -217,6 +222,26 @@ def test_zeta_pole_exit_4(capsys):
     code, _, err = run_cli(capsys, "zeta", "--model", "circle", "--s", "0.5")
     assert code == 4
     assert "pole" in err
+
+
+# lengths (and an angle) whose eigenvalues floating point cannot hold: a
+# BadParameter naming the option given, one error line and no traceback
+_UNHOLDABLE = (
+    (["zeta", "--model", "circle", "--L", "1e-300", "--s", "2"], "L"),  # (2 pi/L)^2 overflows
+    (["zeta", "--model", "interval", "--R", "1e-170", "--s", "2"], "R"),
+    (["zeta", "--model", "circle", "--L", "inf", "--s", "2"], "L"),
+    (["zeta", "--model", "circle", "--L", "1e300", "--s", "2"], "L"),  # (2 pi/L)^2 underflows
+    (["zeta", "--model", "torus", "--n", "4", "--L", "1e100", "--s", "3"], "L"),
+    (["gluing", "--R", "inf"], "R"),
+    (["zeta", "--model", "circle", "--rank", "2", "--theta", "1e-200", "--s", "2"], "theta"),
+)
+
+
+@pytest.mark.parametrize("argv, option", _UNHOLDABLE, ids=[" ".join(a) for a, _ in _UNHOLDABLE])
+def test_unholdable_length_refused(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {option} ") and err.count("\n") == 1
 
 
 def _child_env() -> dict:

@@ -209,17 +209,14 @@ def circle_reference(mp, h, L, theta=0.0, rank=1):
                 return (mp.pi / L) ** 2 * (2 * j + 1) ** 2 * t
             value, scale = _series(mp, ((x(j), 1, 0) for j in _kept(x, 0)))
             return 2 * rank * value, 2 * rank * scale
-        # m -+ a for m >= 1, and the lowest mode a, kept whatever its size; a
-        # is rounded, which moves x by 2 x |da / (m -+ a)|
+        # m + a and m + 1 - a for m >= 0; a is rounded, which moves x by
+        # 2 x |da / (m + a or m + 1 - a)|
         a = th / (2 * mp.pi)
-
-        def x(m, sign):
-            return omega * (m + sign * a) ** 2 * t
-
-        terms = [(x(0, 1), 1, 2 * x(0, 1))]
-        for sign in (-1, 1):
-            terms += [(x(m, sign), 1, 2 * x(m, sign) * a / abs(m + sign * a))
-                      for m in _kept(lambda m: x(m, sign))]
+        terms = []
+        for low in (a, 1 - a):
+            def x(m, low=low):
+                return omega * (m + low) ** 2 * t
+            terms += [(x(m), 1, 2 * x(m) * a / (m + low)) for m in _kept(x, 0)]
         value, scale = _series(mp, terms)
         return rank * value, rank * scale
 
@@ -314,8 +311,10 @@ def trace_families():
     """name -> (library trace, reference builder mp -> Reference) for every
     trace family."""
     out = {}
+    # theta = 1e-9 and 2 pi - 1e-9: a lowest mode near 0 or near 1
     for L, theta, rank in ((1.0, 0.0, 1), (2.0 * math.pi, 0.7, 2), (2.0, math.pi, 1),
-                           (2.0 * math.pi, 6.2, 2), (20.0, 0.05, 2)):
+                           (2.0 * math.pi, 6.2, 2), (20.0, 0.05, 2), (2.0 * math.pi, 1e-9, 2),
+                           (1.0, 2.0 * math.pi - 1e-9, 2)):
         h = circle_heat_trace(L, theta, rank)
         out[f"circle(L={L:g},theta={theta:g})"] = h, partial(circle_reference, h=h, L=L,
                                                                theta=theta, rank=rank)
@@ -549,10 +548,7 @@ _SPHERE_COEFFICIENTS = (
 
 
 def test_sphere_coefficients_exact():
-    assert sphere2_power_coefficients() == _SPHERE_COEFFICIENTS[:-1]
-    assert sphere2_power_coefficients(11) == _SPHERE_COEFFICIENTS
-    with pytest.raises(BadParameter):
-        sphere2_power_coefficients(12)
+    assert sphere2_power_coefficients() == _SPHERE_COEFFICIENTS
     h = sphere2_scalar_heat_trace()
     # the truncated expansion matches the eigenvalue sum above the cut
     # (t ~ 0.1), below which the remainder is 0 by construction
