@@ -59,7 +59,6 @@ from .zetas import (
     riemann_zeta,
     riemann_zeta_prime0,
     sphere2_scalar_heat_trace,
-    torus_heat_trace,
     zeta_at_zero,
 )
 from .models import (
@@ -72,6 +71,7 @@ from .models import (
     residue_log_trace,
     residue_torsion,
     surface_residue_combination,
+    torus_heat_trace,
 )
 from .boundary import (
     GluingReport,

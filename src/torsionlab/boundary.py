@@ -1,9 +1,10 @@
 """Interval and cylinder builders, the boundary sign law, the gluing check.
 
 build_interval and build_cylinder return a models.SpectralModel with its
-condition set; proposition_check compares a relative and an absolute
-model, and gluing_check splits a geometry and assembles both sides of the
-gluing formula from models.residue_torsion.
+condition set; the cylinder is models.product of its interval and circle
+factors.  proposition_check compares a relative and an absolute model, and
+gluing_check splits a geometry and assembles both sides of the gluing
+formula from models.residue_torsion.
 
 On a product [0, R] x N the form Laplacian splits by writing
 omega = omega_1 + dx ^ omega_2; relative conditions impose Dirichlet data
@@ -42,14 +43,8 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import BadParameter, ShapeMismatch, UnsupportedPartition
-from .models import SpectralModel, TorsionReport, build_model, residue_torsion
-from .zetas import (
-    HeatTrace,
-    _length,
-    circle_heat_trace,
-    combine_heat_traces,
-    product_heat_trace,
-)
+from .models import SpectralModel, TorsionReport, circle, product, residue_torsion
+from .zetas import _length, circle_heat_trace, combine_heat_traces
 
 CONDITIONS = ("relative", "absolute", "mixed")
 
@@ -64,19 +59,6 @@ def _check_condition(condition: str) -> str:
     return condition
 
 
-def _x_factors(R: float, condition: str) -> tuple[HeatTrace, HeatTrace]:
-    """(tangential, normal) interval factors for the given condition, by images."""
-    if condition == "mixed":
-        mixed = combine_heat_traces([(0.5, circle_heat_trace(2.0 * R, theta=math.pi))])
-        return mixed, mixed
-    doubled = circle_heat_trace(2.0 * R)
-    dirichlet = combine_heat_traces([(0.5, doubled)], constant=-0.5)
-    neumann = combine_heat_traces([(0.5, doubled)], constant=0.5)
-    if condition == "relative":
-        return dirichlet, neumann
-    return neumann, dirichlet
-
-
 def build_interval(R: float = 1.0, condition: str = "relative", rank: int = 1) -> SpectralModel:
     """Interval [0, R]: degree 0 carries the tangential factor, degree 1 the normal.
 
@@ -84,37 +66,35 @@ def build_interval(R: float = 1.0, condition: str = "relative", rank: int = 1) -
     mixed: b = (0, 0).  rank=2 doubles all multiplicities (the doubled
     interval convention); both counts are reported by the verify suite.
     """
-    _length(R, "R")
+    _length(R, "R", scale=2.0)  # the factors are halves of the circle of length 2R
     _check_condition(condition)
     if rank not in (1, 2):
         raise BadParameter(f"interval rank must be 1 or 2, got {rank}")
-    tangential, normal = _x_factors(R, condition)
-    heat = [tangential, normal]
-    if rank == 2:
-        heat = [combine_heat_traces([(2, h)]) for h in heat]
+    half = 0.5 * rank
+    if condition == "mixed":
+        heat = (combine_heat_traces([(half, circle_heat_trace(2.0 * R, theta=math.pi))]),) * 2
+    else:
+        doubled = circle_heat_trace(2.0 * R)
+        dirichlet = combine_heat_traces([(half, doubled)], constant=-half)
+        neumann = combine_heat_traces([(half, doubled)], constant=half)
+        heat = (dirichlet, neumann) if condition == "relative" else (neumann, dirichlet)
     return SpectralModel(name=f"interval(R={R:g}, {condition}, rank={rank})",
-                         heat=tuple(heat), condition=condition)
+                         heat=heat, condition=condition)
 
 
 def build_cylinder(R: float = 1.0, L: float = 2.0 * math.pi, condition: str = "relative",
                    rank: int = 1) -> SpectralModel:
-    """Cylinder [0, R] x S^1 of circumference L.
+    """Cylinder [0, R] x S^1 of circumference L: models.product of
+    build_interval(R, condition) and the circle of length L.
 
     Degree 0: tangential x circle; degree 2: normal x circle; degree 1 is
     the direct sum of the two mixed products (the dtheta and dx form parts).
     relative: b = (0, 1, 1); absolute: b = (1, 1, 0); mixed: b = (0, 0, 0).
     """
-    _length(R, "R")  # L is the circle's to check
-    _check_condition(condition)
     if rank != 1:
         raise BadParameter("cylinder supports rank 1 only")
-    circle = circle_heat_trace(L)
-    tangential, normal = _x_factors(R, condition)
-    h0 = product_heat_trace(tangential, circle)
-    h2 = product_heat_trace(normal, circle)
-    h1 = combine_heat_traces([(1, h2), (1, h0)])
-    return SpectralModel(name=f"cylinder(R={R:g}, L={L:g}, {condition})",
-                         heat=(h0, h1, h2), condition=condition)
+    return product(f"cylinder(R={R:g}, L={L:g}, {condition})",
+                   build_interval(R, condition), circle(L=L))
 
 
 @dataclass(frozen=True)
@@ -250,9 +230,9 @@ def gluing_check(geometry: str, *, R: float = 1.0, L: float = 2.0 * math.pi,
         full = build_cylinder(R, L, outer)
         piece1 = build_cylinder(split, L, piece_condition)
         piece2 = build_cylinder(R - split, L, piece_condition)
-        circle = build_model("circle", L=L, theta=0.0, rank=1)
-        interface_torsion = _log_t_res_k(circle)
-        half_chi = 0.5 * circle.chi
+        interface = circle(L=L)
+        interface_torsion = _log_t_res_k(interface)
+        half_chi = 0.5 * interface.chi
     else:
         raise UnsupportedPartition(f"unsupported geometry {geometry!r}")
     return GluingReport(geometry=geometry, outer_condition=outer, split=split,

@@ -7,12 +7,15 @@ boundary; boundary.py builds those.  Each closed family is a keyword-only
 function whose keywords and defaults are its options; build_model(name,
 **params) looks it up in MODELS and raises BadParameter naming any keyword
 the family does not read.  Only the circle takes a rank other than 1.
+product(name, *factors) is the Kunneth product of models; boundary.py
+builds the cylinder with it.
 
 * circle(L=2 pi, theta=0, rank=1): flat circle, optionally twisted by a
   rank-2 rotation character (acyclic for theta != 0); degrees 0 and 1
   share one spectrum.
-* torus(n=2, L=2 pi, rank=1): flat n-torus; the degree-k form Laplacian is
-  binom(n, k) copies of the scalar one, with harmonic forms of that dimension.
+* torus(n=2, L=2 pi, rank=1): flat n-torus, the product of n circles of
+  length L; its degree-k trace is binom(n, k) copies of the n-fold product
+  of the circle's trace.
 * sphere2(rank=1): the round 2-sphere; the coexact/exact split of 1-forms pins
   the degree spectra to the scalar one (1-form trace 2 scalar - 2, so
   zeta_1 = 2 zeta_0; zeta_2 = zeta_0; Betti (1, 0, 1)).
@@ -44,8 +47,8 @@ from .zetas import (
     circle_heat_trace,
     combine_heat_traces,
     mellin_zeta,
+    product_heat_trace,
     sphere2_scalar_heat_trace,
-    torus_heat_trace,
     zeta_at_zero,
 )
 
@@ -110,12 +113,22 @@ def circle(*, L: float = 2.0 * math.pi, theta: float = 0.0, rank: int = 1) -> Sp
 
 
 def torus(*, n: int = 2, L: float = 2.0 * math.pi, rank: int = 1) -> SpectralModel:
-    """Flat n-torus with all sides L."""
+    """Flat n-torus with all sides L: the product of n circles of length L."""
     if rank != 1:
         raise BadParameter(f"torus supports rank 1 only, got {rank}")
-    scalar = torus_heat_trace(n, L)
-    heat = tuple(combine_heat_traces([(math.comb(n, k), scalar)]) for k in range(n + 1))
-    return SpectralModel(name=f"torus(n={n}, L={L:g})", heat=heat)
+    if n < 1:
+        raise BadParameter(f"torus dimension must be >= 1, got {n}")
+    factor = circle(L=L)
+    try:
+        (L / math.sqrt(4.0 * math.pi)) ** n
+    except OverflowError:
+        raise BadParameter(f"L = {L:g} overflows (L/sqrt(4 pi))^{n}") from None
+    return product(f"torus(n={n}, L={L:g})", *[factor] * n)
+
+
+def torus_heat_trace(n: int, L: float) -> HeatTrace:
+    """The flat n-torus's scalar heat trace: the product of n circles of length L."""
+    return torus(n=n, L=L).heat[0]
 
 
 def sphere2(*, rank: int = 1) -> SpectralModel:
@@ -126,6 +139,33 @@ def sphere2(*, rank: int = 1) -> SpectralModel:
     # 1-forms: exact and coexact copies of the scalar spectrum off its kernel
     h1 = combine_heat_traces([(2, scalar)], constant=-2)
     return SpectralModel(name="sphere2", heat=(scalar, h1, scalar))
+
+
+def product(name: str, *factors: SpectralModel) -> SpectralModel:
+    """The Kunneth product of the factors, at most one with a boundary, whose
+    condition it keeps.  Its degree-k trace is the sum over i_1 + ... + i_m = k
+    of product_heat_trace(factors[0].heat[i_1], ...); each multiset of traces
+    is multiplied once, shared between degrees, and weighted by the number of
+    index tuples that give it, so the n-torus multiplies its circle once."""
+    conditions = [f.condition for f in factors if f.condition is not None]
+    if len(conditions) > 1:
+        raise BadParameter("a product takes at most one factor with a boundary")
+    traces = list({id(h): h for f in factors for h in f.heat}.values())
+    position = {id(h): i for i, h in enumerate(traces)}
+    degrees = [{(): 1}]  # degrees[k]: sorted trace positions -> how many index tuples
+    for f in factors:
+        grown = [{} for _ in range(len(degrees) + f.dim)]
+        for i, h in enumerate(f.heat):
+            for k, groups in enumerate(degrees, start=i):
+                for key, count in groups.items():
+                    key = tuple(sorted(key + (position[id(h)],)))
+                    grown[k][key] = grown[k].get(key, 0) + count
+        degrees = grown
+    keys = dict.fromkeys(key for groups in degrees for key in groups)
+    made = {key: product_heat_trace(*(traces[i] for i in key)) for key in keys}
+    heat = [combine_heat_traces([(count, made[key]) for key, count in groups.items()])
+            for groups in degrees]
+    return SpectralModel(name=name, heat=tuple(heat), condition=(conditions or [None])[0])
 
 
 MODELS = {"circle": circle, "torus": torus, "sphere2": sphere2}

@@ -63,7 +63,6 @@ from .zetas import (
     riemann_zeta_prime0,
     sphere2_power_coefficients,
     sphere2_scalar_heat_trace,
-    torus_heat_trace,
     zeta_at_zero,
 )
 
@@ -503,8 +502,8 @@ def closed_spectral_suite(tol: float | None = None,
                bnd.build_interval(math.pi, "relative").heat[0],
                bnd.build_interval(1.0, "absolute").heat[0],
                bnd.build_interval(1.0, "mixed").heat[0],
-               torus_heat_trace(2, 1.0),
-               torus_heat_trace(3, 1.0),
+               mdl.torus_heat_trace(2, 1.0),
+               mdl.torus_heat_trace(3, 1.0),
                circle_heat_trace(2.0 * math.pi, 0.7, 2),
                sphere2_scalar_heat_trace()]
     rec.add("theta-split-consistency",
@@ -551,7 +550,7 @@ def closed_spectral_suite(tol: float | None = None,
                     "s = 1/2 is rejected as a pole on one-dimensional models",
                     "closed-form:pole-location", poles)
 
-    h2 = torus_heat_trace(2, 1.0)
+    h2 = mdl.torus_heat_trace(2, 1.0)
     measured = abs(mellin_zeta(h2, 3.0).value - _lattice_zeta_brute(2, 1.0, 3.0))
     hc = circle_heat_trace(2.0 * math.pi)
     brute = 2.0 * sum(m ** (-4.0) for m in range(1, 400000))

@@ -29,11 +29,11 @@ Every flat model trace is an image sum of one primitive, circle_heat_trace
         = L/sqrt(4 pi t) (1 + 2 sum_{j>=1} cos(j theta) e^{-j^2 L^2/(4t)}).
 
 One mode formula serves every theta in [0, 2 pi), so a sum over characters
-takes one code path.  torus_heat_trace is its n-fold product and reads the
-circle's trace, boundary.py builds the interval factors from it, and
-combine_heat_traces and product_heat_trace form sums and products of
-traces; only the 2-sphere uses a truncated asymptotic expansion, whose
-remainder is 0 where it would be rounding noise (see
+takes one code path.  boundary.py builds the interval factors from it, and
+combine_heat_traces and product_heat_trace form sums and products of any
+number of traces (models.product builds the torus and the cylinder from
+circles with it); only the 2-sphere uses a truncated asymptotic expansion,
+whose remainder is 0 where it would be rounding noise (see
 sphere2_scalar_heat_trace).  This module knows no boundary condition.
 
 Riemann and Hurwitz zeta (Euler-Maclaurin) are provided as independent
@@ -57,7 +57,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -292,10 +292,13 @@ def combine_heat_traces(parts: Sequence[tuple[float, HeatTrace]],
     parts holds (c_i, h_i) pairs, at least one; a negative constant removes
     kernel.  The kernel dimension sum_i c_i b_i + constant must come out a
     non-negative integer.  The constant enters the t^0 coefficient and the
-    kernel only, never the remainder or the tail.
+    kernel only, never the remainder or the tail.  One part of weight 1 and
+    no constant is that part itself.
     """
     if not parts:
         raise BadParameter("combine at least one heat trace")
+    if not constant and [c for c, _ in parts] == [1]:
+        return parts[0][1]
     kernel = sum(c * h.kernel_dim for c, h in parts) + constant
     if kernel < 0 or not float(kernel).is_integer():
         raise BadParameter(f"combined kernel dimension {kernel} is not a "
@@ -320,48 +323,60 @@ def combine_heat_traces(parts: Sequence[tuple[float, HeatTrace]],
     )
 
 
-def product_heat_trace(h1: HeatTrace, h2: HeatTrace) -> HeatTrace:
-    """Heat trace of a product spectrum {lam + mu}: traces multiply.
+def product_heat_trace(*factors: HeatTrace) -> HeatTrace:
+    """Heat trace of the product spectrum {lam_1 + ... + lam_m}: traces multiply.
 
-    Power terms are the Cauchy product of the factor expansions truncated
-    at t^0; any dropped positive powers of t are folded into the remainder,
-    which stays exponentially small.  Both factors must carry full,
-    theta-exact traces (kernel included); the combined kernel dimension is
-    the product.
+    Factors are theta-exact traces (circles, their sums and products) or the
+    2-sphere's expansion, whose positive powers of t the Cauchy product of
+    the power terms folds into the remainder: that makes it O(t^(1/2)), so
+    the product's zeta holds for Re s > -1/2 only (quad refuses from about
+    s = -1/4 down).  Each distinct factor is evaluated once per call, and
+    with P and B the products of the powers and kernels so far, remainder
+    and tail grow as R <- R (p + r) + P r and T <- T (b + y) + B y: no 1 is
+    subtracted from a number near 1.  P is taken as 0 where every remainder
+    is 0, as there, near t = 0, it can overflow.
     """
-    kept, dropped = [], []
-    for p1, c1 in h1.terms:
-        for p2, c2 in h2.terms:
-            (kept if p1 + p2 >= 0.0 else dropped).append((p1 + p2, c1 * c2))
-    pw1, pw2, r1, r2 = h1.power, h2.power, h1.remainder, h2.remainder
-    tl1, tl2, b1, b2 = h1.tail, h2.tail, h1.kernel_dim, h2.kernel_dim
+    if not factors:
+        raise BadParameter("multiply at least one heat trace")
+    if len(factors) == 1:
+        return factors[0]
+    index = {}
+    slots = [index.setdefault(id(h), len(index)) for h in factors]
+    distinct = list({id(h): h for h in factors}.values())
+    terms = factors[0].terms
+    for h in factors[1:]:
+        terms = _merge_terms((p + q, c * d) for p, c in terms for q, d in h.terms)
+    dropped = [(p, c) for p, c in terms if p < 0.0]
 
     def remainder(t):
         t = np.asarray(t, dtype=float)
-        x1, x2 = r1(t), r2(t)
-        extra = sum(c * t ** (-p) for p, c in dropped)
-        return pw1(t) * x2 + x1 * pw2(t) + x1 * x2 + extra
+        rems = [h.remainder(t) for h in distinct]
+        live = reduce(np.logical_or, rems)
+        powers = [np.where(live, h.power(t), 0.0) for h in distinct]
+        total, volume = rems[0], powers[0]
+        for i in slots[1:]:
+            total, volume = total * (powers[i] + rems[i]) + volume * rems[i], volume * powers[i]
+        return sum((c * t ** (-p) for p, c in dropped), total)
 
     def tail(t):
-        y1, y2 = tl1(t), tl2(t)
-        return b1 * y2 + b2 * y1 + y1 * y2
+        tails = [h.tail(t) for h in distinct]
+        total, kernel = tails[0], distinct[0].kernel_dim
+        for i in slots[1:]:
+            b = distinct[i].kernel_dim
+            total, kernel = total * (b + tails[i]) + kernel * tails[i], kernel * b
+        return total
 
-    candidates = [h1.lambda_min + h2.lambda_min]
-    if b2 > 0:
-        candidates.append(h1.lambda_min)
-    if b1 > 0:
-        candidates.append(h2.lambda_min)
-    return HeatTrace(
-        terms=_merge_terms(kept),
-        remainder=remainder,
-        tail=tail,
-        kernel_dim=b1 * b2,
-        lambda_min=min(candidates),
-    )
+    # the lowest positive sum: the kernel-free factors' lowest eigenvalues,
+    # or, where every factor has a kernel, the lowest of one factor
+    floor = sum(h.lambda_min for h in factors if h.kernel_dim == 0)
+    return HeatTrace(terms=tuple((p, c) for p, c in terms if p >= 0.0), remainder=remainder,
+                     tail=tail, kernel_dim=math.prod(h.kernel_dim for h in factors),
+                     lambda_min=floor or min(h.lambda_min for h in factors))
 
 
 _EXP_CUTOFF = 50.0  # exp(-50) ~ 2e-22, below double-precision relevance
 _SERIES_BLOCK = 1 << 14  # terms a series forms at once: 128 KiB an array
+_SERIES_TERMS = 1 << 20  # the most terms one circle series may need at t = 1
 # Below this lowest eigenvalue a tail integral's upper limit _EXP_CUTOFF/lambda_min overflows.
 _LAMBDA_FLOOR = _EXP_CUTOFF / sys.float_info.max
 
@@ -394,13 +409,6 @@ def _exp_series(x1, exponent, first: int = 1, weight=None) -> np.ndarray:
     return total.reshape(x1.shape)
 
 
-def _images(L: float, t, weight=None) -> np.ndarray:
-    """The image sum 2 sum_{j>=1} w_j exp(-j^2 L^2/(4t)) of the circle of
-    length L, for each element of the array t; w_j = weight(j) for an array
-    of j defaults to 1."""
-    return 2.0 * _exp_series(L * L / (4.0 * t), lambda x, j: x * j * j, weight=weight)
-
-
 def circle_heat_trace(L: float, theta: float = 0.0, rank: int = 1) -> HeatTrace:
     """Circle of length L with a rotation character theta in [0, 2 pi).
 
@@ -424,10 +432,13 @@ def circle_heat_trace(L: float, theta: float = 0.0, rank: int = 1) -> HeatTrace:
     if lam_min < _LAMBDA_FLOOR:
         raise BadParameter(f"theta = {theta:g} at L = {L:g}: the lowest eigenvalue underflows")
     weight = (lambda j: np.cos(j * theta)) if theta else None
+    quarter = 0.25 * L * L
 
     def remainder(t):
+        """rank pref/sqrt(t) 2 sum_{j>=1} w_j exp(-j^2 L^2/(4t)), w_j = cos(j theta)."""
         t = np.asarray(t, dtype=float)
-        return rank * ((pref / np.sqrt(t)) * _images(L, t, weight))
+        images = _exp_series(quarter / t, lambda x, j: x * j * j, weight=weight)
+        return (2.0 * rank * pref / np.sqrt(t)) * images
 
     def modes(y, x):
         """sum_{m>=0} exp(-y (m + x)^2) for each element of y = scale t."""
@@ -436,53 +447,11 @@ def circle_heat_trace(L: float, theta: float = 0.0, rank: int = 1) -> HeatTrace:
     def tail(t):
         y = scale * np.asarray(t, dtype=float)
         if lo == hi:
-            return rank * (2.0 * modes(y, lo))
+            return 2.0 * rank * modes(y, lo)
         return rank * (modes(y, lo) + modes(y, hi))
 
     return HeatTrace(terms=((0.5, rank * pref),), remainder=remainder, tail=tail,
                      kernel_dim=0 if theta else rank, lambda_min=lam_min)
-
-
-def torus_heat_trace(n: int, L: float) -> HeatTrace:
-    """Flat n-torus with all sides L: the n-fold product of circle_heat_trace(L).
-
-    Spectrum (2 pi / L)^2 |m|^2, m in Z^n; power (L/sqrt(4 pi t))^n, kernel 1.
-    Remainder and tail are (1 + x)^n - 1 for a small circle term x (the
-    image sum sigma, or the circle's tail where omega t >= 1 and its full
-    trace less the kernel below), so both are formed as expm1(n log1p(x)):
-    no 1 is subtracted from a number near 1.
-    """
-    if n < 1:
-        raise BadParameter(f"torus dimension must be >= 1, got {n}")
-    circle = circle_heat_trace(L)
-    ((_, pref),) = circle.terms
-    try:
-        volume = pref ** n
-    except OverflowError:
-        raise BadParameter(f"L = {L:g} overflows (L/sqrt(4 pi))^{n}") from None
-
-    def circle_tail(t):
-        out = np.empty(t.shape)
-        eigen = circle.lambda_min * t >= 1.0
-        out[eigen] = circle.tail(t[eigen])
-        if not eigen.all():  # at L < 2 pi no tail node lies below 1/omega
-            out[~eigen] = circle.full(t[~eigen]) - 1.0
-        return out
-
-    def remainder(t):
-        t = np.asarray(t, dtype=float)
-        sigma = _images(L, t)
-        out = np.zeros(t.shape)
-        images = sigma != 0.0  # 0 near t = 0, where (pref/sqrt(t))^n can overflow
-        out[images] = (pref / np.sqrt(t[images])) ** n * np.expm1(n * np.log1p(sigma[images]))
-        return out
-
-    def tail(t):
-        t = np.asarray(t, dtype=float)
-        return np.expm1(n * np.log1p(circle_tail(t)))
-
-    return HeatTrace(terms=((0.5 * n, volume),), remainder=remainder,
-                     tail=tail, kernel_dim=1, lambda_min=circle.lambda_min)
 
 
 @lru_cache(maxsize=None)
@@ -540,18 +509,17 @@ def sphere2_scalar_heat_trace() -> HeatTrace:
     return HeatTrace(terms=terms, remainder=remainder, tail=tail, kernel_dim=1, lambda_min=2.0)
 
 
-def _length(value, name: str) -> None:
-    """Refuse, naming `name`, a length that is not positive and finite, or whose
-    circles (of length value or 2 value, at theta = 0 or pi) have a lowest
-    eigenvalue, from (2 pi/value)^2 down to 1/16 of it, that overflows or
-    falls below _LAMBDA_FLOOR."""
+def _length(value, name: str, scale: float = 1.0) -> None:
+    """Refuse, naming `name`, a length that is not positive and finite, or
+    whose circle, of length ell = scale value, needs more than _SERIES_TERMS
+    terms at t = 1 (sqrt(4 _EXP_CUTOFF)/ell images or ell sqrt(_EXP_CUTOFF)/(2 pi)
+    modes), which also keeps its eigenvalues and integration limits finite."""
     if value is None or not 0.0 < value < math.inf:
         raise BadParameter(f"{name} must be positive and finite, got {value}")
-    root = 2.0 * math.pi / value
-    if not root * root < math.inf:
-        raise BadParameter(f"{name} = {value:g} is too small: (2 pi/{name})^2 overflows")
-    if (0.25 * root) ** 2 < _LAMBDA_FLOOR:
-        raise BadParameter(f"{name} = {value:g} is too large: its lowest eigenvalue underflows")
+    ell = scale * value
+    terms = max(math.sqrt(4.0 * _EXP_CUTOFF) / ell, ell * math.sqrt(_EXP_CUTOFF) / (2.0 * math.pi))
+    if terms > _SERIES_TERMS:
+        raise BadParameter(f"{name} = {value:g} needs {terms:.2g} series terms, over {_SERIES_TERMS}")
 
 
 # --- the continuation engine -------------------------------------------------

@@ -224,7 +224,8 @@ def test_zeta_pole_exit_4(capsys):
     assert "pole" in err
 
 
-# lengths (and an angle) whose eigenvalues floating point cannot hold: a
+# lengths (and an angle) whose eigenvalues floating point cannot hold, or
+# whose series would not end (about 1.1 L modes or 14/L images at t = 1): a
 # BadParameter naming the option given, one error line and no traceback
 _UNHOLDABLE = (
     (["zeta", "--model", "circle", "--L", "1e-300", "--s", "2"], "L"),  # (2 pi/L)^2 overflows
@@ -232,8 +233,13 @@ _UNHOLDABLE = (
     (["zeta", "--model", "circle", "--L", "inf", "--s", "2"], "L"),
     (["zeta", "--model", "circle", "--L", "1e300", "--s", "2"], "L"),  # (2 pi/L)^2 underflows
     (["zeta", "--model", "torus", "--n", "4", "--L", "1e100", "--s", "3"], "L"),
+    (["zeta", "--model", "torus", "--n", "60", "--L", "9e5", "--s", "3"], "L"),  # (L/sqrt(4 pi))^60 overflows
     (["gluing", "--R", "inf"], "R"),
     (["zeta", "--model", "circle", "--rank", "2", "--theta", "1e-200", "--s", "2"], "theta"),
+    (["zeta", "--model", "circle", "--L", "1e150", "--s", "2"], "L"),
+    (["zeta", "--model", "circle", "--L", "1e-100", "--s", "2"], "L"),
+    (["zeta", "--model", "torus", "--n", "2", "--L", "1e150", "--s", "2"], "L"),
+    (["zeta", "--model", "interval", "--R", "1e-100", "--s", "2"], "R"),
 )
 
 

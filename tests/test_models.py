@@ -15,7 +15,7 @@ from torsionlab import (
     residue_torsion,
     surface_residue_combination,
 )
-from torsionlab import boundary, models, verify
+from torsionlab import boundary, circle_heat_trace, models, verify
 from torsionlab.errors import BadParameter, NotAcyclic, ShapeMismatch
 from torsionlab.torsion import euler_characteristics
 
@@ -138,6 +138,54 @@ def test_surface_combination():
     assert abs(combo + residue_torsion(sphere, (1.0, 2.0, 3.0)).log_torsion_res) < 1e-12
     with pytest.raises(ShapeMismatch):
         surface_residue_combination(build_model("circle"))
+
+
+@pytest.mark.parametrize("theta", [0.7, 2.5])
+@pytest.mark.parametrize("build", [
+    lambda: models.torus(n=1),
+    lambda: models.torus(n=2),
+    lambda: models.sphere2(),
+    lambda: build_interval(1.1, "relative"),
+    lambda: build_interval(1.1, "absolute"),
+    lambda: build_interval(1.1, "mixed"),
+], ids=["torus1", "torus2", "sphere2", "interval-relative", "interval-absolute",
+        "interval-mixed"])
+def test_product_with_a_twisted_circle_multiplies_torsion_by_chi(build, theta):
+    # log T(D x C) = chi(D) log T(C) for an acyclic circle C (Milnor; Ray and
+    # Singer), and log T(C) = log(4 sin^2(theta/2)) at beta = k
+    factor = build()
+    model = models.product(f"{factor.name} x circle", factor,
+                           models.circle(theta=theta, rank=2))
+    assert model.dim == factor.dim + 1
+    assert model.betti == (0,) * (model.dim + 1)
+    assert model.condition == factor.condition
+    beta = range(model.dim + 1)
+    expected = factor.chi * math.log(4.0 * math.sin(theta / 2.0) ** 2)
+    assert abs(analytic_torsion(model, beta).log_torsion_zeta - expected) < 1e-8
+    assert residue_torsion(model, beta).log_torsion_res == 0.0
+
+
+def test_product_forms_each_equal_product_once():
+    # the degree-2 trace of circle^4 is six copies of one product, which
+    # evaluates its circle once per call, not once per copy or per factor
+    h = circle_heat_trace(6.0)
+    calls = []
+    counted = dataclasses.replace(h, remainder=lambda t: calls.append("remainder") or h.remainder(t),
+                                  tail=lambda t: calls.append("tail") or h.tail(t))
+    torus = models.product("4-torus", *[SpectralModel(name="circle", heat=(counted, counted))] * 4)
+    t = np.array([0.3, 0.7, 1.0])
+    torus.heat[2].remainder(t)
+    torus.heat[2].tail(t + 1.0)
+    assert calls == ["remainder", "tail"]
+    assert np.allclose(torus.heat[2].full(t), 6.0 * h.full(t) ** 4, rtol=1e-14, atol=0.0)
+    assert torus.betti == (1, 4, 6, 4, 1)
+
+
+def test_product_takes_one_boundary_factor():
+    interval = build_interval(1.0, "relative")
+    assert models.product("one", interval).heat == interval.heat
+    with pytest.raises(BadParameter):
+        models.product("corners", interval, build_interval(1.0, "absolute"))
 
 
 def test_torsion_report_serialization():

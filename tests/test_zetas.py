@@ -489,6 +489,14 @@ def test_product_heat_trace_pointwise_and_split():
     for t in (0.3, 0.7, 1.0):
         assert abs(prod.full(t) - f1.full(t) * f2.full(t)) < 1e-12
     assert prod.consistency_residual() < 1e-10
+    # a factor repeated out of order, and a kernel-free one
+    f3 = interval("dirichlet", 1.3)
+    triple = product_heat_trace(f1, f3, f2, f1)
+    for t in (0.3, 0.7, 1.0):
+        direct = f1.full(t) ** 2 * f2.full(t) * f3.full(t)
+        assert abs(triple.full(t) - direct) < 1e-13 * direct
+    assert triple.consistency_residual() < 1e-10
+    assert triple.kernel_dim == 0 and triple.lambda_min == f3.lambda_min
 
 
 def test_sum_and_scale_heat_traces():
@@ -768,6 +776,13 @@ def test_torus_remainder_vanishes_without_overflow():
     h = torus_heat_trace(20, 1.0)
     assert h.remainder(1e-37) == 0.0
     assert math.isfinite(mellin_zeta(h, 2.5).value)
+
+
+def test_torus_refusals():
+    with pytest.raises(BadParameter, match="dimension"):
+        torus_heat_trace(0, 1.0)
+    with pytest.raises(BadParameter, match="^L = 900000 overflows"):
+        torus_heat_trace(60, 9e5)
 
 
 def test_mellin_complex_s():
