@@ -27,12 +27,9 @@ from .hodge import (
     ChainMetric,
     EigenspaceSplit,
     Factorization,
-    acyclic_spectra,
-    betti,
     factorize,
     hodge_split,
     laplacian,
-    positive_spectra,
 )
 from .torsion import (
     BetaClassification,

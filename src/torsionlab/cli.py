@@ -31,7 +31,7 @@ from . import boundary as bnd
 from . import models as mdl
 from .complexes import PRESETS, build_preset, complex_from_json
 from .errors import NotAcyclic, PoleHit, SchemaError, TorsionLabError
-from .hodge import ChainMetric, acyclic_spectra
+from .hodge import ChainMetric, factorize
 from .torsion import classify_beta, determinant_oracle, generalized_log_torsion
 from .verify import DEFAULT_SEED, SUITES, run_suites
 
@@ -152,8 +152,8 @@ def cmd_torsion(args) -> int:
     if not classification.satisfies_recurrence:
         print("warning: beta not in span{1,k}; the value is metric dependent",
               file=sys.stderr)
-    spectra = acyclic_spectra(cplx, metric)
-    tr_logs = [float(np.sum(np.log(lam))) for lam in spectra]
+    fac = factorize(cplx, metric)
+    tr_logs = fac.tr_logs
     log_t = generalized_log_torsion(tr_logs, beta)
     payload = {
         "source": source,
@@ -162,7 +162,7 @@ def cmd_torsion(args) -> int:
         "beta": list(beta),
         "beta_in_invariant_span": classification.satisfies_recurrence,
         "tr_log": list(tr_logs),
-        "spectra": [lam.tolist() for lam in spectra],
+        "spectra": [lam.tolist() for lam in fac.spectra],
         "log_torsion": log_t,
     }
     if args.metric == "identity":

@@ -24,6 +24,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -36,6 +37,7 @@ from .errors import (
     NonChainComplex,
     NotAcyclic,
     SchemaError,
+    ShapeMismatch,
 )
 
 ORTHOGONALITY_TOL = 1e-12
@@ -134,7 +136,8 @@ class CellStructure:
                     if not 0 <= target < self.cells_per_degree[k - 1]:
                         raise SchemaError(
                             f"degree {k} cell {i}: target {target} out of range")
-                    if coeff != int(coeff):
+                    if not (isinstance(coeff, numbers.Real) and math.isfinite(coeff)
+                            and coeff == int(coeff)):
                         raise SchemaError("incidence coefficients must be integers")
 
 
@@ -143,8 +146,9 @@ class TwistedComplex:
     """Boundary matrices of a twisted chain complex.
 
     boundaries[k-1] is bd_k for k = 1..dimension, of shape
-    (rank*c_{k-1}, rank*c_k).  Values are immutable after construction;
-    instances are safe to share across threads.
+    (rank*c_{k-1}, rank*c_k); construction raises ShapeMismatch otherwise,
+    so every instance is well-shaped.  Values are immutable after
+    construction; instances are safe to share across threads.
     """
 
     rank: int
@@ -152,7 +156,14 @@ class TwistedComplex:
     boundaries: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        for b in self.boundaries:
+        dims = self.dims
+        if len(self.boundaries) != self.dimension:
+            raise ShapeMismatch(f"{len(self.boundaries)} boundary maps "
+                                f"for a complex of dimension {self.dimension}")
+        for k, b in enumerate(self.boundaries, start=1):
+            if b.shape != (dims[k - 1], dims[k]):
+                raise ShapeMismatch(
+                    f"bd_{k} has shape {b.shape}, expected {(dims[k - 1], dims[k])}")
             b.setflags(write=False)
 
     @property
@@ -177,14 +188,11 @@ class TwistedComplex:
 class ValidationReport:
     """Report-only chain validation: residuals of bd_{k-1} @ bd_k per degree."""
 
-    rank: int
-    dims: tuple[int, ...]
     residuals: tuple[tuple[int, float, float], ...]  # (degree k, residual, bound)
-    shapes_ok: bool
 
     @property
     def ok(self) -> bool:
-        return self.shapes_ok and all(r <= bound for (_, r, bound) in self.residuals)
+        return all(r <= bound for (_, r, bound) in self.residuals)
 
     @property
     def flagged_degrees(self) -> tuple[int, ...]:
@@ -234,20 +242,14 @@ def build_twisted_boundary(cells: CellStructure, rho: Representation) -> Twisted
 
 
 def validate(cplx: TwistedComplex) -> ValidationReport:
-    """Recheck shapes and chain residuals; never raises."""
+    """Chain residuals of a complex, well-shaped by construction; never raises."""
     residuals = []
-    shapes_ok = True
-    dims = cplx.dims
-    for k in range(1, cplx.dimension + 1):
-        if cplx.boundary(k).shape != (dims[k - 1], dims[k]):
-            shapes_ok = False
     for k in range(2, cplx.dimension + 1):
         lower, upper = cplx.boundary(k - 1), cplx.boundary(k)
         residual = float(np.max(np.abs(lower @ upper))) if lower.size and upper.size else 0.0
         bound = CHAIN_TOL * (1.0 + _opnorm(lower) * _opnorm(upper))
         residuals.append((k, residual, bound))
-    return ValidationReport(rank=cplx.rank, dims=dims,
-                            residuals=tuple(residuals), shapes_ok=shapes_ok)
+    return ValidationReport(residuals=tuple(residuals))
 
 
 def _opnorm(m: np.ndarray) -> float:

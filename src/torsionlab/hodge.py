@@ -23,6 +23,9 @@ vectors of W_k span the closed part, the right singular vectors of W_{k+1}
 the coclosed part, and each sigma^2 is an eigenvalue.  factorize makes one
 values-only SVD per map and reads ranks off it with numpy's matrix_rank
 rule, the one kernel rule; torsion and Betti numbers need nothing more.
+Its Factorization is the whole Laplacian route: spectra, betti, and
+tr_logs, the one place that decides acyclicity and takes the log of a
+spectrum.
 Singular vectors (for eigenpairs, coclosed, green_inverse and hodge_split)
 come from a second SVD of a map, run once on first use.  Working on the
 maps rather than on L_k keeps small eigenvalues accurate:
@@ -33,6 +36,7 @@ deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -64,8 +68,11 @@ class ChainMetric:
             if h.ndim != 2 or h.shape[0] != h.shape[1]:
                 raise ShapeMismatch(f"metric in degree {k} is not square: {h.shape}")
             if h.size:
+                scale = float(np.max(np.abs(h)))
+                if not math.isfinite(scale):
+                    raise BadParameter(f"metric in degree {k} has an entry that is not finite")
                 sym_defect = float(np.max(np.abs(h - h.T)))
-                if sym_defect > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(h)))):
+                if sym_defect > SYMMETRY_TOL * max(1.0, scale):
                     raise BadParameter(
                         f"metric in degree {k} is not symmetric (defect {sym_defect:.3e})")
             w, v = np.linalg.eigh(0.5 * (h + h.T))
@@ -98,7 +105,12 @@ class ChainMetric:
     @staticmethod
     def _generator_eighs(generators: Sequence[np.ndarray]) -> list:
         """The eigenpairs (w, v) of each symmetrized generator 0.5 (S_k + S_k^T)."""
-        return [np.linalg.eigh(0.5 * (s + s.T)) for s in map(np.asarray, generators)]
+        generators = [np.asarray(s) for s in generators]
+        for k, s in enumerate(generators):
+            if not np.isfinite(s).all():
+                raise BadParameter(
+                    f"metric generator in degree {k} has an entry that is not finite")
+        return [np.linalg.eigh(0.5 * (s + s.T)) for s in generators]
 
     @classmethod
     def _exponential(cls, eighs: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -192,7 +204,20 @@ class Factorization:
 
     @property
     def betti(self) -> list[int]:
+        """Kernel dimensions of the degree-k Laplacians (twisted Betti numbers)."""
         return [dim - lam.size for dim, lam in zip(self.cplx.dims, self.spectra)]
+
+    @property
+    def tr_logs(self) -> list[float]:
+        """tr log L_k = sum log spectra[k] in every degree, of an acyclic complex.
+
+        Raises NotAcyclic, naming the first degree with a nonzero Betti number.
+        """
+        b = self.betti
+        for k, b_k in enumerate(b):
+            if b_k:
+                raise NotAcyclic(f"degree {k} has Betti number {b_k} (Betti numbers {b})")
+        return [float(np.sum(np.log(lam))) for lam in self.spectra]
 
     def _singular_vectors(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(U, V) of W_k for the kept singular values: W_k V = U diag(sigmas[k])."""
@@ -257,34 +282,6 @@ def factorize(cplx: TwistedComplex, metric: ChainMetric | None = None) -> Factor
     spectra = tuple(np.sort(np.concatenate(sigmas[k:k + 2]) ** 2) for k in range(len(dims)))
     return Factorization(cplx=cplx, metric=metric, maps=tuple(maps),
                          sigmas=tuple(sigmas), spectra=spectra)
-
-
-def positive_spectra(cplx: TwistedComplex,
-                     metric: ChainMetric | None = None) -> list[np.ndarray]:
-    """The positive spectrum of every L_k, ascending, with no Laplacian built.
-
-    cplx.dims[k] - len(spectra[k]) is the k-th Betti number.
-    """
-    return list(factorize(cplx, metric).spectra)
-
-
-def acyclic_spectra(cplx: TwistedComplex,
-                    metric: ChainMetric | None = None) -> list[np.ndarray]:
-    """positive_spectra of a complex that must be acyclic.
-
-    Raises NotAcyclic, naming the first degree with a nonzero Betti number.
-    """
-    fac = factorize(cplx, metric)
-    b = fac.betti
-    for k, b_k in enumerate(b):
-        if b_k:
-            raise NotAcyclic(f"degree {k} has Betti number {b_k} (Betti numbers {b})")
-    return list(fac.spectra)
-
-
-def betti(cplx: TwistedComplex, metric: ChainMetric | None = None) -> list[int]:
-    """Kernel dimensions of the degree-k Laplacians (twisted Betti numbers)."""
-    return factorize(cplx, metric).betti
 
 
 @dataclass(frozen=True)

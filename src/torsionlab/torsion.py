@@ -25,14 +25,7 @@ import numpy as np
 
 from .complexes import TwistedComplex
 from .errors import NotAcyclic, ShapeMismatch, StepTooLarge
-from .hodge import (
-    ChainMetric,
-    acyclic_spectra,
-    coboundary,
-    factorize,
-    laplacian,
-    metric_adjoint,
-)
+from .hodge import ChainMetric, coboundary, factorize, laplacian, metric_adjoint
 
 SECOND_DIFFERENCE_TOL = 1e-12
 RANK_TOL = 1e-10
@@ -47,12 +40,6 @@ def generalized_log_torsion(tr_logs: Sequence[float], beta: Sequence[float]) -> 
                      for k, (t, b) in enumerate(zip(tr_logs, beta)))
 
 
-def _weighted_log_torsion(cplx: TwistedComplex, metric: ChainMetric | None,
-                          beta: Sequence[float]) -> float:
-    tr_logs = [float(np.sum(np.log(lam))) for lam in acyclic_spectra(cplx, metric)]
-    return generalized_log_torsion(tr_logs, beta)
-
-
 def log_reidemeister(cplx: TwistedComplex, metric: ChainMetric | None = None) -> float:
     """Log torsion via the Laplacian character formula with beta_k = k.
 
@@ -61,9 +48,10 @@ def log_reidemeister(cplx: TwistedComplex, metric: ChainMetric | None = None) ->
     on the CW model of the pair; a metric deformation shifts it by exactly
     1/2 sum_k (-1)^(k+1) log det h_k (the covariance the variation module
     differentiates).  Every tr log L_k comes from one SVD per boundary map
-    (hodge.positive_spectra).
+    (hodge.Factorization.tr_logs).
     """
-    return _weighted_log_torsion(cplx, metric, [float(k) for k in range(cplx.dimension + 1)])
+    return generalized_log_torsion(factorize(cplx, metric).tr_logs,
+                                   [float(k) for k in range(cplx.dimension + 1)])
 
 
 def determinant_oracle(cplx: TwistedComplex) -> float:
@@ -333,8 +321,8 @@ def _variation_single(cplx: TwistedComplex, path: MetricPath, beta: Sequence[flo
     and the alpha_k at h0 = path(0); coclosed[k] are h0's coclosed vectors (k < n)."""
     hp, hm = path(step), path(-step)
     # 2 log T on either side; this raises NotAcyclic, so P_k = L_k^{-1} below
-    lhs = (2.0 * _weighted_log_torsion(cplx, hp, beta)
-           - 2.0 * _weighted_log_torsion(cplx, hm, beta)) / (2.0 * step)
+    lhs = (2.0 * generalized_log_torsion(factorize(cplx, hp).tr_logs, beta)
+           - 2.0 * generalized_log_torsion(factorize(cplx, hm).tr_logs, beta)) / (2.0 * step)
 
     hdots = [(hp.matrix(k) - hm.matrix(k)) / (2.0 * step) for k in range(len(beta))]
     alphas = [h0.inv(k) @ hdot for k, hdot in enumerate(hdots)]

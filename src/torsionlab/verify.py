@@ -34,14 +34,11 @@ from .complexes import (
 from .errors import NotAcyclic, PoleHit, StepTooLarge, UnsupportedPartition
 from .hodge import (
     ChainMetric,
-    acyclic_spectra,
-    betti,
     coboundary,
     factorize,
     hodge_split,
     laplacian,
     metric_adjoint,
-    positive_spectra,
 )
 from .torsion import (
     classify_beta,
@@ -235,7 +232,7 @@ def combinatorial_suite(tol: float | None = None,
     worst = 0.0
     for theta in (1.0, math.pi / 2, 2.5):
         gap = 2.0 - 2.0 * math.cos(theta)
-        for lam in positive_spectra(build_preset("circle", theta=theta)):
+        for lam in factorize(build_preset("circle", theta=theta)).spectra:
             worst = max(worst, float(np.max(np.abs(lam - gap))) + abs(lam.size - 2))
     rec.add("spectrum-circle-closed-form",
             "circle positive spectra are 2 - 2 cos theta, twice, in both degrees",
@@ -269,12 +266,11 @@ def combinatorial_suite(tol: float | None = None,
             "identity:chain-complex", worst_green, 1e-9)
 
     worst = 0.0
-    for k in range(3):
+    for k, tr_log in enumerate(fac.tr_logs):
         sym = metric.sqrt(k) @ laps[k] @ metric.isqrt(k)
         chol = np.linalg.cholesky(0.5 * (sym + sym.T))
         oracle = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        worst = max(worst, abs(float(np.sum(np.log(fac.spectra[k]))) - oracle)
-                    / max(1.0, abs(oracle)))
+        worst = max(worst, abs(tr_log - oracle) / max(1.0, abs(oracle)))
     rng.standard_normal(3 * 3 + 5 * 5 + 8 * 8)  # later cases' inputs sit at fixed rng offsets
     rec.add("tr-log-factorization",
             "sum log sigma^2 matches Cholesky pivot logs of h^1/2 L h^-1/2 on the torus",
@@ -296,7 +292,8 @@ def combinatorial_suite(tol: float | None = None,
             "quarter-turn circle: degree 0 is all coclosed, degree 1 all closed",
             "oracle:boundary-isomorphism", measured, 1e-9)
 
-    lam = float(positive_spectra(cx2)[0][0])
+    fac2 = factorize(cx2)
+    lam = float(fac2.spectra[0][0])
     g0 = hodge_split(cx2, None, 0, lam).g_mult
     f1 = hodge_split(cx2, None, 1, lam).f_mult
     rec.add("hodge-split-torus-pairing",
@@ -304,29 +301,27 @@ def combinatorial_suite(tol: float | None = None,
             "oracle:eigensolve", abs(g0 - f1), 1e-9)
 
     measured = 0.0
-    measured += sum(abs(a - b) for a, b in zip(betti(_trivial_circle()), [1, 1]))
-    measured += sum(abs(a - b) for a, b in zip(betti(build_preset("circle", theta=1.0)),
-                                               [0, 0]))
-    measured += sum(abs(a - b) for a, b in zip(betti(build_preset("point", rank=2)),
-                                               [2]))
-    measured += sum(abs(v) for v in betti(cx2))
+    measured += sum(abs(a - b) for a, b in zip(factorize(_trivial_circle()).betti, [1, 1]))
+    measured += sum(abs(a - b) for a, b in zip(
+        factorize(build_preset("circle", theta=1.0)).betti, [0, 0]))
+    measured += sum(abs(a - b) for a, b in zip(
+        factorize(build_preset("point", rank=2)).betti, [2]))
+    measured += sum(abs(v) for v in fac2.betti)
     rec.add("betti-presets", "Betti numbers of the presets",
             "oracle:matrix-rank", measured, 1e-9)
 
-    base = betti(cx2)
     worst = 0.0
     for _ in range(10):
         worst = max(worst, float(sum(
             abs(a - b) for a, b in
-            zip(betti(cx2, ChainMetric.random_spd(cx2, rng)), base))))
+            zip(factorize(cx2, ChainMetric.random_spd(cx2, rng)).betti, fac2.betti))))
     rec.add("betti-metric-independence",
             "Betti numbers agree under 10 random SPD metrics",
             "identity:hodge-theorem", worst, 1e-9)
 
     worst = 0.0
     for cx in presets + [_trivial_circle(), build_preset("point", rank=2)]:
-        b = betti(cx)
-        chi, _ = euler_characteristics(b, cx.dimension)
+        chi, _ = euler_characteristics(factorize(cx).betti, cx.dimension)
         chi_dims = sum((-1) ** k * d for k, d in enumerate(cx.dims))
         worst = max(worst, abs(chi - chi_dims))
     rec.add("euler-poincare", "chi from Betti equals chi from chain dimensions",
@@ -433,8 +428,8 @@ def combinatorial_suite(tol: float | None = None,
     measured = abs(generalized_log_torsion((a, b_), (0.0, 1.0)) - 0.5 * b_)
     measured += abs(generalized_log_torsion((a, b_), (0.0, 0.0)))
     cxq = build_preset("circle", theta=math.pi / 2)
-    tr_logs = [float(np.sum(np.log(lam))) for lam in acyclic_spectra(cxq)]
-    measured += abs(generalized_log_torsion(tr_logs, (0.0, 1.0)) - math.log(2.0))
+    measured += abs(generalized_log_torsion(factorize(cxq).tr_logs, (0.0, 1.0))
+                    - math.log(2.0))
     rec.add("weighted-combination-examples",
             "weighted combinations reproduce the stated special values",
             "closed-form:linear-combination", measured, 1e-10)

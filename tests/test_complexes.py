@@ -21,6 +21,7 @@ from torsionlab.errors import (
     NonChainComplex,
     NotAcyclic,
     SchemaError,
+    ShapeMismatch,
 )
 from torsionlab.complexes import structure_from_json
 from test_torsion import _grid_cells, _ngon_cells
@@ -121,6 +122,27 @@ def test_validate_flags_corrupted_degree():
     report = validate(corrupted)
     assert not report.ok
     assert report.flagged_degrees == (2,)
+
+
+def test_mis_shaped_complex_is_refused_at_construction():
+    good = build_preset("torus2", alpha=1.0, beta=0.3)  # dims (2, 4, 2)
+    bd1, bd2 = good.boundaries
+    with pytest.raises(ShapeMismatch, match="1 boundary maps for a complex of dimension 2"):
+        TwistedComplex(rank=2, cells_per_degree=(1, 2, 1), boundaries=(bd1,))
+    with pytest.raises(ShapeMismatch, match=r"bd_1 has shape \(4, 2\), expected \(2, 4\)"):
+        TwistedComplex(rank=2, cells_per_degree=(1, 2, 1), boundaries=(bd1.T.copy(), bd2))
+    with pytest.raises(ShapeMismatch, match=r"bd_2 has shape \(4, 1\), expected \(4, 2\)"):
+        TwistedComplex(rank=2, cells_per_degree=(1, 2, 1), boundaries=(bd1, bd2[:, :1].copy()))
+    # a 2 x 1 bd_1 over dims (1, 1), which both torsion routes used to take values of
+    with pytest.raises(ShapeMismatch, match=r"bd_1 has shape \(2, 1\), expected \(1, 1\)"):
+        TwistedComplex(rank=1, cells_per_degree=(1, 1), boundaries=(np.ones((2, 1)),))
+
+
+def test_cell_structure_refuses_non_finite_coefficients():
+    for coeff in (math.nan, math.inf, -math.inf, 0.5):
+        with pytest.raises(SchemaError, match="incidence coefficients must be integers"):
+            CellStructure(dimension=1, cells_per_degree=(1, 1),
+                          incidences=(((),), (((0, coeff, ()),),)))
 
 
 def _circle_json(theta: float) -> dict:

@@ -7,15 +7,12 @@ import pytest
 from torsionlab import (
     ChainMetric,
     Representation,
-    acyclic_spectra,
-    betti,
     build_preset,
     build_twisted_boundary,
     exponential_metric_path,
     factorize,
     hodge_split,
     laplacian,
-    positive_spectra,
     preset,
 )
 from torsionlab.errors import (
@@ -65,7 +62,7 @@ def test_laplacian_metric_self_adjoint_psd():
     rng = np.random.default_rng(3)
     cx = build_preset("torus2", alpha=1.2, beta=2.0)
     metric = ChainMetric.random_spd(cx, rng)
-    spectra = positive_spectra(cx, metric)  # from boundary SVDs, no Laplacian
+    spectra = factorize(cx, metric).spectra  # from boundary SVDs, no Laplacian
     for k in range(3):
         lap = laplacian(cx, metric, k)
         h = metric.matrix(k)
@@ -126,39 +123,39 @@ def test_eigenpairs_residuals_and_orthonormality():
 def test_acyclic_spectra_values_and_strict_mode():
     # L_0 = L_1 = e I on the circle with 2 - 2 cos theta = e, so tr log L_0 = 2
     cx = build_preset("circle", theta=math.acos(1.0 - math.e / 2.0))
-    assert abs(float(np.sum(np.log(acyclic_spectra(cx)[0]))) - 2.0) < 1e-12
+    assert abs(factorize(cx).tr_logs[0] - 2.0) < 1e-12
 
     cx = build_preset("circle", theta=math.pi / 2)
-    assert abs(float(np.sum(np.log(acyclic_spectra(cx)[1]))) - 2.0 * math.log(2.0)) < 1e-12
+    assert abs(factorize(cx).tr_logs[1] - 2.0 * math.log(2.0)) < 1e-12
 
-    with pytest.raises(NotAcyclic):
-        acyclic_spectra(build_preset("point"))
+    with pytest.raises(NotAcyclic, match=r"^degree 0 has Betti number 1 \(Betti numbers \[1\]\)$"):
+        factorize(build_preset("point")).tr_logs
 
 
 def test_betti_examples():
-    assert betti(_trivial_circle()) == [1, 1]
-    assert betti(build_preset("circle", theta=1.0)) == [0, 0]
-    assert betti(build_preset("point", rank=3)) == [3]
-    assert betti(build_preset("torus2", alpha=1.0, beta=0.3)) == [0, 0, 0]
+    assert factorize(_trivial_circle()).betti == [1, 1]
+    assert factorize(build_preset("circle", theta=1.0)).betti == [0, 0]
+    assert factorize(build_preset("point", rank=3)).betti == [3]
+    assert factorize(build_preset("torus2", alpha=1.0, beta=0.3)).betti == [0, 0, 0]
     # one zero angle still leaves the twisted torus acyclic
-    assert betti(build_preset("torus2", alpha=1.3, beta=0.0)) == [0, 0, 0]
+    assert factorize(build_preset("torus2", alpha=1.3, beta=0.0)).betti == [0, 0, 0]
 
 
 def test_factorization_kernel_follows_betti():
     # both eigenvalues of L_0 sit near 9e-10, far above the rank cut
     cx = build_preset("circle", theta=3e-5)
-    assert betti(cx) == [0, 0]
     lap = laplacian(cx, None, 0)
     fac = factorize(cx)
+    assert fac.betti == [0, 0]
     assert fac.eigenpairs(0)[0].size == 2
     assert np.max(np.abs(fac.green_inverse(0) @ lap - np.eye(2))) < 1e-8
     trivial = _trivial_circle()
     fac = factorize(trivial)
     assert [d - fac.eigenpairs(k)[0].size for k, d in enumerate(trivial.dims)] \
-        == fac.betti == betti(trivial) == [1, 1]
+        == fac.betti == [1, 1]
     # the untwisted 8-gon: green_inverse is I on the constant sections, its kernel
     ngon = _ngon_circle(8, 0.0)
-    assert betti(ngon) == [2, 2]
+    assert factorize(ngon).betti == [2, 2]
     green = factorize(ngon).green_inverse(0)
     constants = np.tile(np.eye(2), (8, 1))
     off_kernel = np.eye(16) - constants @ constants.T / 8.0
@@ -175,7 +172,7 @@ def test_identity_metric_is_unfactored_identity():
         for k, d in enumerate(cx.dims):
             for factor in (metric.matrix(k), metric.sqrt(k), metric.isqrt(k), metric.inv(k)):
                 assert np.array_equal(factor, np.eye(d)) and not factor.flags.writeable
-        for lam, ref in zip(positive_spectra(cx, metric), positive_spectra(cx, factored)):
+        for lam, ref in zip(factorize(cx, metric).spectra, factorize(cx, factored).spectra):
             assert np.array_equal(lam, ref)
     # only the dims are kept, not the 512-gon's two 1024 x 1024 eyes (16.8 MB)
     ngon = _ngon_circle(512, 1.0)
@@ -192,12 +189,12 @@ def test_betti_euler_poincare_and_metric_independence():
     rng = np.random.default_rng(4)
     for cx in (build_preset("circle", theta=1.0), _trivial_circle(),
                build_preset("torus2", alpha=1.0, beta=0.3)):
-        b = betti(cx)
+        b = factorize(cx).betti
         chi_b = sum((-1) ** k * v for k, v in enumerate(b))
         chi_dim = sum((-1) ** k * d for k, d in enumerate(cx.dims))
         assert chi_b == chi_dim
         for _ in range(10):
-            assert betti(cx, ChainMetric.random_spd(cx, rng)) == b
+            assert factorize(cx, ChainMetric.random_spd(cx, rng)).betti == b
 
 
 def test_metric_validation():
@@ -205,6 +202,18 @@ def test_metric_validation():
         ChainMetric([np.array([[1.0, 0.2], [0.0, 1.0]])])
     with pytest.raises(BadParameter):
         ChainMetric([np.diag([1.0, -0.5])])
+
+
+def test_metric_refuses_non_finite_entries():
+    for bad in (math.nan, math.inf):
+        h0 = np.eye(2)
+        h0[0, 0] = bad
+        with pytest.raises(BadParameter, match="metric in degree 0 has an entry"):
+            ChainMetric([h0, np.eye(2)])
+        # exp(S) of a non-finite generator: refused before any eigh, on either route
+        for make in (ChainMetric.exponential, lambda g: exponential_metric_path(g)(0.5)):
+            with pytest.raises(BadParameter, match="metric generator in degree 0 has an entry"):
+                make([h0, np.zeros((2, 2))])
 
 
 def test_exponential_metric_against_series():
@@ -253,7 +262,7 @@ def test_hodge_split_pairing_across_degrees():
     cx = build_preset("torus2", alpha=1.0, beta=0.3)
     metric = ChainMetric.random_spd(cx, rng)
     for k in (0, 1):
-        for lam in positive_spectra(cx, metric)[k]:
+        for lam in factorize(cx, metric).spectra[k]:
             g_here = hodge_split(cx, metric, k, float(lam)).g_mult
             try:
                 f_above = hodge_split(cx, metric, k + 1, float(lam)).f_mult
@@ -292,10 +301,8 @@ def test_tr_log_matches_cholesky_pivots():
     for cx in (build_preset("torus2", alpha=1.0, beta=0.3), _ngon_circle(6, 2.0),
                _grid_torus(3, 0.7, 1.9)):
         metric = ChainMetric.random_spd(cx, rng)
-        spectra = acyclic_spectra(cx, metric)
-        for k in range(cx.dimension + 1):
+        for k, tr_log in enumerate(factorize(cx, metric).tr_logs):
             sym = metric.sqrt(k) @ laplacian(cx, metric, k) @ metric.isqrt(k)
             chol = np.linalg.cholesky(0.5 * (sym + sym.T))
             oracle = 2.0 * float(np.sum(np.log(np.diag(chol))))
-            tr_log = float(np.sum(np.log(spectra[k])))
             assert abs(tr_log - oracle) < 1e-9 * max(1.0, abs(oracle))

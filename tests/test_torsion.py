@@ -8,8 +8,6 @@ from torsionlab import (
     CellStructure,
     ChainMetric,
     Representation,
-    acyclic_spectra,
-    betti,
     build_preset,
     build_twisted_boundary,
     classify_beta,
@@ -19,7 +17,6 @@ from torsionlab import (
     factorize,
     generalized_log_torsion,
     log_reidemeister,
-    positive_spectra,
     rotation,
     telescoping_identity_holds,
     variation_check,
@@ -272,7 +269,7 @@ def test_pivot_verdict_against_matrix_rank():
 
 
 def test_torsion_path_is_values_only_and_bitwise(monkeypatch):
-    # betti, positive_spectra and log_reidemeister run no SVD with singular vectors
+    # spectra, betti, tr_logs and log_reidemeister run no SVD with singular vectors
     svd = np.linalg.svd
     computed_uv = []
 
@@ -286,14 +283,15 @@ def test_torsion_path_is_values_only_and_bitwise(monkeypatch):
                _grid_torus(4, 1.0, 0.3)):
         for metric in (ChainMetric.identity(cx), ChainMetric.random_spd(cx, rng)):
             fac = factorize(cx, metric)
-            assert fac.betti == betti(cx, metric) == [0] * (cx.dimension + 1)
-            assert fac._vectors == {}
-            spectra = positive_spectra(cx, metric)
+            assert fac.betti == [0] * (cx.dimension + 1)
+            tr_logs = fac.tr_logs
             log_reidemeister(cx, metric)
+            assert fac._vectors == {}
             reference = _reference_positive_spectra(cx, metric)
-            assert len(spectra) == len(reference)
-            for lam, ref, cached in zip(spectra, reference, fac.spectra):
-                assert np.array_equal(lam, ref) and np.array_equal(cached, ref)
+            assert len(fac.spectra) == len(reference) == len(tr_logs)
+            for lam, ref, tr_log in zip(fac.spectra, reference, tr_logs):
+                assert np.array_equal(lam, ref)
+                assert tr_log == float(np.sum(np.log(lam)))
     assert computed_uv and not any(computed_uv)
 
 
@@ -345,8 +343,8 @@ def test_betti_and_minor_oracle_agree_on_acyclicity():
             oracle_acyclic = True
         except NotAcyclic:
             oracle_acyclic = False
-        assert (betti(cx) == [0, 0]) == oracle_acyclic
-    assert betti(trivial) == [1, 1]
+        assert (factorize(cx).betti == [0, 0]) == oracle_acyclic
+    assert factorize(trivial).betti == [1, 1]
 
 
 def test_determinant_oracle_circle_is_log_det():
@@ -406,8 +404,8 @@ def test_generalized_log_torsion_examples():
     assert generalized_log_torsion((3.0, 5.0), (0.0, 1.0)) == 2.5
     assert generalized_log_torsion((3.0, 5.0), (0.0, 0.0)) == 0.0
     cx = build_preset("circle", theta=math.pi / 2)
-    tr_logs = [float(np.sum(np.log(lam))) for lam in acyclic_spectra(cx)]
-    assert abs(generalized_log_torsion(tr_logs, (0.0, 1.0)) - math.log(2.0)) < 1e-12
+    assert abs(generalized_log_torsion(factorize(cx).tr_logs, (0.0, 1.0))
+               - math.log(2.0)) < 1e-12
     with pytest.raises(ShapeMismatch):
         generalized_log_torsion((1.0, 2.0), (1.0, 2.0, 3.0))
 
