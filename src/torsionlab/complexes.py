@@ -14,6 +14,10 @@ cell structure can be paired with many representations.
 Basis convention: degree-k chains are indexed cell-major, i.e. the block
 of rows/columns [i*n, (i+1)*n) belongs to the i-th k-cell.
 
+Storage: a complex keeps each bd_k as its nonzero n x n blocks (Blocks), at
+most a few per cell.  Validation and the minor oracle work on the blocks;
+only the Laplacian route's SVD asks for a dense bd_k (boundary(k)).
+
 The presets circle(theta=1), torus2(alpha=1, beta=0.3), interval(rank=1)
 and point(rank=1) take their options as keywords; preset(name, **params)
 raises BadParameter naming any keyword the chosen preset does not read.
@@ -25,9 +29,10 @@ import inspect
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -136,35 +141,171 @@ class CellStructure:
                     if not 0 <= target < self.cells_per_degree[k - 1]:
                         raise SchemaError(
                             f"degree {k} cell {i}: target {target} out of range")
-                    if not (isinstance(coeff, numbers.Real) and math.isfinite(coeff)
-                            and coeff == int(coeff)):
+                    try:
+                        integral = (isinstance(coeff, numbers.Real) and math.isfinite(coeff)
+                                    and coeff == int(coeff))
+                    except OverflowError:  # an int beyond the float range
+                        raise SchemaError(
+                            f"degree {k} cell {i}: the coefficient on target {target} "
+                            f"does not fit a float") from None
+                    if not integral:
                         raise SchemaError("incidence coefficients must be integers")
 
+    @cached_property
+    def _layout(self) -> "_Layout":
+        """What every build of this structure shares, compiled at the first build.
 
-@dataclass(frozen=True)
+        The distinct words in order of first use; per degree k >= 1 each
+        incidence's coefficient, word and block (its (target, cell) pair,
+        numbered row-major among the distinct pairs); and, per k >= 2, the
+        pairs of bd_{k-1} and bd_k blocks that share a middle cell.
+        """
+        word_index: dict[GroupWord, int] = {}
+        degrees = []
+        for k in range(1, self.dimension + 1):
+            entries = [(target, i, coeff, word_index.setdefault(word, len(word_index)))
+                       for i, per_cell in enumerate(self.incidences[k])
+                       for (target, coeff, word) in per_cell]
+            targets, cells, coeffs, words = (list(column) for column in zip(*entries)) \
+                if entries else ([], [], [], [])
+            n_cols = self.cells_per_degree[k]
+            keys = np.array(targets, dtype=np.intp) * n_cols + np.array(cells, dtype=np.intp)
+            # the distinct (target, cell) keys, row-major, and each incidence's index
+            # among them: np.unique's work, without the 0.75 MB its first call maps in
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            first = _first_of_runs(keys)
+            block = np.empty_like(order)
+            block[order] = np.cumsum(first) - 1
+            rows, cols = np.divmod(keys[first], max(n_cols, 1))
+            degrees.append(_Incidences(np.array(coeffs, dtype=float),
+                                       np.array(words, dtype=np.intp), block,
+                                       _frozen(rows), _frozen(cols)))
+        return _Layout(tuple(word_index), tuple(degrees),
+                       _chain_pairs(degrees, self.cells_per_degree))
+
+
+class _Incidences(NamedTuple):
+    """One degree's incidences as arrays, in incidence order, and its blocks."""
+
+    coeffs: np.ndarray  # coefficient of each incidence
+    words: np.ndarray   # index of each incidence's word in _Layout.words
+    block: np.ndarray   # index of each incidence's block in (rows, cols)
+    rows: np.ndarray    # target cell of each distinct block, row-major
+    cols: np.ndarray    # cell of each distinct block
+
+
+class _Layout(NamedTuple):
+    words: tuple[GroupWord, ...]
+    degrees: tuple[_Incidences, ...]
+    pairs: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+class Blocks(NamedTuple):
+    """The stored form of one boundary map bd_k: its nonzero n x n blocks.
+
+    values[m] is the block of bd_k in row cell rows[m] and column cell
+    cols[m], i.e. at rows [rows[m]*n, rows[m]*n + n) and columns
+    [cols[m]*n, cols[m]*n + n).  The (row, column) cell pairs are distinct
+    and row-major; the arrays are read-only.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _chain_pairs(maps: Sequence, cells_per_degree: tuple[int, ...]) -> tuple:
+    """Per k >= 2, (a, b, starts) for the blocks of bd_{k-1} = maps[k-2] and
+    bd_k = maps[k-1] (each with row-major `rows` and `cols` cell arrays):
+    every block a of bd_{k-1} and block b of bd_k that share a middle cell,
+    lower cols[a] == upper rows[b], grouped by the block (lower rows[a],
+    upper cols[b]) of bd_{k-1} @ bd_k they add to, groups row-major and a
+    ascending within each; group g begins at starts[g]."""
+    pairs = []
+    for k, (lower, upper) in enumerate(zip(maps, maps[1:]), start=2):
+        counts = np.bincount(upper.rows, minlength=cells_per_degree[k - 1])
+        per_a = counts[lower.cols]
+        a = np.repeat(np.arange(lower.cols.size), per_a)
+        # upper's blocks in row m are contiguous, from the start of that row
+        offsets = np.arange(a.size) - np.repeat(np.cumsum(per_a) - per_a, per_a)
+        b = (np.cumsum(counts) - counts)[lower.cols[a]] + offsets
+        key = lower.rows[a] * cells_per_degree[k] + upper.cols[b]
+        order = np.argsort(key, kind="stable")
+        a, b = a[order], b[order]
+        pairs.append((_frozen(a), _frozen(b), _frozen(_first_of_runs(key[order]).nonzero()[0])))
+    return tuple(pairs)
+
+
+def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
+    """True where a sorted array's entry differs from the one before it."""
+    first = np.ones(sorted_keys.size, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return first
+
+
+@dataclass(frozen=True, eq=False)
 class TwistedComplex:
-    """Boundary matrices of a twisted chain complex.
+    """A twisted chain complex, each boundary map stored as its nonzero blocks.
 
-    boundaries[k-1] is bd_k for k = 1..dimension, of shape
-    (rank*c_{k-1}, rank*c_k); construction raises ShapeMismatch otherwise,
-    so every instance is well-shaped.  Values are immutable after
-    construction; instances are safe to share across threads.
+    blocks[k-1] holds bd_k, of shape (rank*c_{k-1}, rank*c_k), for
+    k = 1..dimension (see Blocks).  TwistedComplex(rank, cells_per_degree,
+    boundaries) takes dense maps and cuts each into its nonzero blocks;
+    build_twisted_boundary assembles the blocks directly.  Construction
+    raises ShapeMismatch unless there is one map per degree k >= 1, each
+    (dims[k-1], dims[k]), and SchemaError naming the degree for an entry
+    that is not finite, so every instance is well-shaped and finite.
+    boundary(k) densifies bd_k on first request, for the Laplacian route.
+    Values are immutable after construction; instances are safe to share
+    across threads.
     """
 
     rank: int
     cells_per_degree: tuple[int, ...]
-    boundaries: tuple[np.ndarray, ...]
+    blocks: tuple[Blocks, ...]
+    # the _chain_pairs of the blocks, which validate reads
+    _pairs: tuple = field(repr=False)
+    _dense: dict = field(repr=False)
 
-    def __post_init__(self):
-        dims = self.dims
-        if len(self.boundaries) != self.dimension:
-            raise ShapeMismatch(f"{len(self.boundaries)} boundary maps "
-                                f"for a complex of dimension {self.dimension}")
-        for k, b in enumerate(self.boundaries, start=1):
-            if b.shape != (dims[k - 1], dims[k]):
-                raise ShapeMismatch(
-                    f"bd_{k} has shape {b.shape}, expected {(dims[k - 1], dims[k])}")
-            b.setflags(write=False)
+    def __init__(self, rank: int, cells_per_degree: Sequence[int],
+                 boundaries: Sequence[np.ndarray]):
+        cells = tuple(int(c) for c in cells_per_degree)
+        if len(boundaries) != len(cells) - 1:
+            raise ShapeMismatch(f"{len(boundaries)} boundary maps "
+                                f"for a complex of dimension {len(cells) - 1}")
+        blocks = []
+        for k, b in enumerate(boundaries, start=1):
+            b = np.asarray(b, dtype=float)
+            expected = (rank * cells[k - 1], rank * cells[k])
+            if b.shape != expected:
+                raise ShapeMismatch(f"bd_{k} has shape {b.shape}, expected {expected}")
+            grid = b.reshape(cells[k - 1], rank, cells[k], rank).transpose(0, 2, 1, 3)
+            rows, cols = np.argwhere(np.any(grid != 0.0, axis=(2, 3))).T
+            blocks.append(Blocks(_frozen(rows), _frozen(cols), grid[rows, cols]))
+        self._store(int(rank), cells, blocks, _chain_pairs(blocks, cells))
+
+    @classmethod
+    def _assembled(cls, rank: int, cells_per_degree: tuple[int, ...],
+                   blocks: Sequence[Blocks], pairs: tuple) -> "TwistedComplex":
+        """A complex from well-shaped Blocks and their pairs (build_twisted_boundary)."""
+        cplx = cls.__new__(cls)
+        cplx._store(rank, cells_per_degree, blocks, pairs)
+        return cplx
+
+    def _store(self, rank: int, cells_per_degree: tuple[int, ...],
+               blocks: Sequence[Blocks], pairs: tuple) -> None:
+        for k, b in enumerate(blocks, start=1):
+            if not np.isfinite(b.values).all():
+                raise SchemaError(f"bd_{k} has an entry that is not finite")
+            b.values.setflags(write=False)
+        for name, value in (("rank", rank), ("cells_per_degree", cells_per_degree),
+                            ("blocks", tuple(blocks)), ("_pairs", pairs), ("_dense", {})):
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self) -> int:
@@ -176,12 +317,39 @@ class TwistedComplex:
         return tuple(self.rank * c for c in self.cells_per_degree)
 
     def boundary(self, k: int) -> np.ndarray:
-        """bd_k for 1 <= k <= dimension; zero-shaped matrix outside that range."""
+        """bd_k as a dense read-only matrix for 1 <= k <= dimension, made on the
+        first request and cached; a zero-shaped matrix outside that range."""
         if 1 <= k <= self.dimension:
-            return self.boundaries[k - 1]
+            if k not in self._dense:
+                self._dense[k] = _densify(self.blocks[k - 1], self.rank,
+                                          self.cells_per_degree[k - 1], self.cells_per_degree[k])
+            return self._dense[k]
         if k <= 0:
             return np.zeros((0, self.dims[0] if k == 0 else 0))
         return np.zeros((self.dims[self.dimension], 0))
+
+    def entries(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values): the nonzero entries of bd_k (1 <= k <= dimension)
+        in row-major order, read off the blocks; O(nnz log nnz)."""
+        rows, cols, values = self.blocks[k - 1]
+        n = self.rank
+        offsets = np.arange(n)
+        r = np.broadcast_to((rows * n)[:, None, None] + offsets[None, :, None], values.shape)
+        c = np.broadcast_to((cols * n)[:, None, None] + offsets[None, None, :], values.shape)
+        v = values.ravel()
+        nonzero = v != 0.0
+        r, c, v = r.ravel()[nonzero], c.ravel()[nonzero], v[nonzero]
+        # blocks are row-major, so a stable sort on the row alone keeps columns ascending
+        order = np.argsort(r, kind="stable")
+        return r[order], c[order], v[order]
+
+
+def _densify(blocks: Blocks, n: int, n_rows: int, n_cols: int) -> np.ndarray:
+    """The dense (n*n_rows, n*n_cols) matrix of `blocks`, read-only."""
+    mat = np.zeros((n * n_rows, n * n_cols))
+    mat.reshape(n_rows, n, n_cols, n).transpose(0, 2, 1, 3)[blocks.rows, blocks.cols] = \
+        blocks.values
+    return _frozen(mat)
 
 
 @dataclass(frozen=True)
@@ -204,36 +372,29 @@ class ValidationReport:
 
 
 def build_twisted_boundary(cells: CellStructure, rho: Representation) -> TwistedComplex:
-    """Assemble twisted boundary matrices and verify bd o bd = 0.
+    """Assemble the twisted boundary blocks and verify bd o bd = 0.
 
-    rho.evaluate runs once per distinct group word, in order of first use.
-    Each degree's coeff * image blocks are summed by one np.add.at into bd_k
-    seen as a (c_{k-1}, c_k, n, n) array of blocks, in incidence order, so
-    repeated (target, cell) pairs add up exactly as a per-incidence += would.
-    Raises NonChainComplex if any composition exceeds
-    1e-12 * (1 + |bd_{k-1}|_inf * |bd_k|_inf).
+    What depends on the structure alone is compiled once per CellStructure
+    (CellStructure._layout).  A build then runs rho.evaluate once per
+    distinct word, in order of first use, forms every coeff * image of a
+    degree in one batch, and sums them by one np.add.at into that degree's
+    distinct (target, cell) blocks, from 0.0 in incidence order, so repeated
+    pairs add up exactly as a per-incidence += into a dense bd_k would.  The
+    cost is O(incidences * n^2) and no dense matrix is formed.  Raises
+    SchemaError if a sum is not finite, and NonChainComplex if any
+    composition exceeds 1e-12 * (1 + |bd_{k-1}|_inf * |bd_k|_inf).
     """
     n = rho.rank
-    word_index: dict[GroupWord, int] = {}
-    incidences = []
-    for k in range(1, cells.dimension + 1):
-        incidences.append([(target, i, coeff, word_index.setdefault(word, len(word_index)))
-                           for i, entries in enumerate(cells.incidences[k])
-                           for (target, coeff, word) in entries])
-    images = np.array([rho.evaluate(word) for word in word_index])
-    boundaries = []
-    for k, entries in enumerate(incidences, start=1):
-        c_low, c_high = cells.cells_per_degree[k - 1], cells.cells_per_degree[k]
-        mat = np.zeros((n * c_low, n * c_high))
-        if entries:
-            targets, cols, coeffs, words = zip(*entries)
-            values = np.array(coeffs, dtype=float)[:, None, None] * images[list(words)]
-            # blocks[t, i] is the view of mat's block (t, i)
-            blocks = mat.reshape(c_low, n, c_high, n).transpose(0, 2, 1, 3)
-            np.add.at(blocks, (list(targets), list(cols)), values)
-        boundaries.append(mat)
-    cplx = TwistedComplex(rank=n, cells_per_degree=cells.cells_per_degree,
-                          boundaries=tuple(boundaries))
+    layout = cells._layout
+    images = np.array([rho.evaluate(word) for word in layout.words]).reshape(-1, n, n)
+    blocks = []
+    # an overflowing sum becomes inf here and is refused by the complex
+    with np.errstate(over="ignore", invalid="ignore"):
+        for degree in layout.degrees:
+            values = np.zeros((degree.rows.size, n, n))
+            np.add.at(values, degree.block, degree.coeffs[:, None, None] * images[degree.words])
+            blocks.append(Blocks(degree.rows, degree.cols, values))
+    cplx = TwistedComplex._assembled(n, cells.cells_per_degree, blocks, layout.pairs)
     for k, residual, bound in validate(cplx).residuals:
         if residual > bound:
             raise NonChainComplex(
@@ -242,18 +403,32 @@ def build_twisted_boundary(cells: CellStructure, rho: Representation) -> Twisted
 
 
 def validate(cplx: TwistedComplex) -> ValidationReport:
-    """Chain residuals of a complex, well-shaped by construction; never raises."""
+    """Chain residuals max|bd_{k-1} @ bd_k| of a complex, from its blocks; never raises.
+
+    Each block of the product is the sum, over the middle cells the two maps
+    share, of the products of their blocks: O(blocks * rank^3) work, where
+    blocks counts the pairs of blocks that share a middle cell.  No dense
+    matrix is formed.
+    """
     residuals = []
     for k in range(2, cplx.dimension + 1):
-        lower, upper = cplx.boundary(k - 1), cplx.boundary(k)
-        residual = float(np.max(np.abs(lower @ upper))) if lower.size and upper.size else 0.0
-        bound = CHAIN_TOL * (1.0 + _opnorm(lower) * _opnorm(upper))
+        lower, upper = cplx.blocks[k - 2], cplx.blocks[k - 1]
+        a, b, starts = cplx._pairs[k - 2]
+        residual = float(np.abs(np.add.reduceat(
+            lower.values[a] @ upper.values[b], starts)).max()) if a.size else 0.0
+        bound = CHAIN_TOL * (1.0 + _opnorm(lower, cplx.cells_per_degree[k - 2])
+                             * _opnorm(upper, cplx.cells_per_degree[k - 1]))
         residuals.append((k, residual, bound))
     return ValidationReport(residuals=tuple(residuals))
 
 
-def _opnorm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, np.inf)) if m.size else 0.0
+def _opnorm(blocks: Blocks, n_row_cells: int) -> float:
+    """The infinity norm (largest absolute row sum) of the map `blocks` store."""
+    if not blocks.rows.size:
+        return 0.0
+    row_sums = np.zeros((n_row_cells, blocks.values.shape[1]))
+    np.add.at(row_sums, blocks.rows, np.abs(blocks.values).sum(axis=2))
+    return float(row_sums.max())
 
 
 def rotation(theta: float) -> np.ndarray:

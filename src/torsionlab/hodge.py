@@ -47,6 +47,9 @@ from .errors import BadParameter, NotAcyclic, NotAnEigenvalue, ShapeMismatch
 
 SYMMETRY_TOL = 1e-12
 EIGENVALUE_MATCH_RELTOL = 1e-7
+# exp(x) and exp(-x) are normal floats for x strictly between these
+_LOG_TINY = math.log(np.finfo(float).tiny)
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 class ChainMetric:
@@ -115,10 +118,23 @@ class ChainMetric:
     @classmethod
     def _exponential(cls, eighs: Sequence[tuple[np.ndarray, np.ndarray]],
                      u: float) -> "ChainMetric":
-        """exp(u S_k) from the eigenpairs (w, v) of each S_k: no further eigh."""
-        exps = ((np.exp(u * w), v) for w, v in eighs)
+        """exp(u S_k) from the eigenpairs (w, v) of each S_k: no further eigh.
+
+        Raises BadParameter naming the degree when an eigenvalue of u S_k
+        leaves (log tiny, log max), where exp(u S_k) would overflow or its
+        inverse would.
+        """
+        factors = []
+        for k, (w, v) in enumerate(eighs):
+            uw = u * w
+            if uw.size and not (_LOG_TINY < np.min(uw) and np.max(uw) < _LOG_MAX):
+                raise BadParameter(
+                    f"metric generator in degree {k}: exp(u S_k) or its inverse overflows, "
+                    f"u S_k has eigenvalues in [{np.min(uw):.3e}, {np.max(uw):.3e}]")
+            e = np.exp(uw)
+            factors.append(((v * e) @ v.T, e, v))
         metric = cls.__new__(cls)
-        metric._factor([((v * e) @ v.T, e, v) for e, v in exps])
+        metric._factor(factors)
         return metric
 
     @classmethod
@@ -307,11 +323,11 @@ class EigenspaceSplit:
         return self.f_mult + self.g_mult
 
 
-def hodge_split(cplx: TwistedComplex, metric: ChainMetric | None, k: int,
-                lam: float) -> EigenspaceSplit:
-    """Split the lambda-eigenspace of L_k into closed and coclosed parts."""
-    metric = _require_metric(cplx, metric)
-    eigenvalues, vectors, n_closed = factorize(cplx, metric).eigenpairs(k)
+def hodge_split(fac: Factorization, k: int, lam: float) -> EigenspaceSplit:
+    """Split the lambda-eigenspace of L_k into closed and coclosed parts,
+    from the eigenpairs of a factorization of the complex under its metric."""
+    cplx, metric = fac.cplx, fac.metric
+    eigenvalues, vectors, n_closed = fac.eigenpairs(k)
     if lam <= 0:
         raise NotAnEigenvalue(f"{lam} is not a positive eigenvalue")
     close = np.abs(eigenvalues - lam) <= EIGENVALUE_MATCH_RELTOL * max(1.0, abs(lam))

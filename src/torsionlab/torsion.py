@@ -76,32 +76,39 @@ def determinant_oracle(cplx: TwistedComplex) -> float:
     of every live row in `rowmax` and its rows sparse; a step updates only
     the rows R nonzero in the pivot column, so it costs
     O(|R| * (nnz(pivot row) + nnz(row)) + |R| log n_rows), and the
-    elimination's own memory is O(nnz).
+    elimination's own memory is O(nnz).  Each minor's entries come straight
+    from the complex's blocks (TwistedComplex.entries), O(nnz log nnz); no
+    dense matrix is formed.
     """
     dims = cplx.dims
-    n = cplx.dimension
     log_tau = 0.0
-    columns = list(range(dims[n]))
-    for k in range(n, 0, -1):
-        mat = np.take(cplx.boundary(k), columns, axis=1)
-        pivot_rows, log_det = _full_pivot_logdet(mat, k)
+    live = np.ones(dims[-1], dtype=bool)  # the columns still in play
+    for k in range(cplx.dimension, 0, -1):
+        rows, cols, values = cplx.entries(k)
+        keep = live[cols]
+        minor_col = np.cumsum(live) - 1  # a live column's index within the minor
+        pivot_rows, log_det = _full_pivot_logdet(
+            (dims[k - 1], int(np.count_nonzero(live))),
+            rows[keep], minor_col[cols[keep]], values[keep], k)
         log_tau += ((-1.0) ** (k + 1)) * log_det
-        taken = set(pivot_rows)
-        columns = [i for i in range(dims[k - 1]) if i not in taken]
-    if columns:
-        raise NotAcyclic(f"not acyclic in degree 0: {len(columns)} rows left unpivoted")
+        live = np.ones(dims[k - 1], dtype=bool)
+        live[pivot_rows] = False
+    if live.any():
+        raise NotAcyclic(f"not acyclic in degree 0: {int(live.sum())} rows left unpivoted")
     return log_tau
 
 
-def _full_pivot_logdet(mat: np.ndarray, degree: int) -> tuple[list[int], float]:
+def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
+                       values: np.ndarray, degree: int) -> tuple[list[int], float]:
     """Pivot rows and sum of log|pivot| from full-pivot elimination.
 
-    The selected rows index an invertible minor whose |det| is the product
-    of the pivots.  Each step pivots on the entry of largest modulus among
-    the rows and columns not yet pivoted, the first in row-major order on
-    ties (most boundary entries are +-1).  Fewer rows than columns, an entry
-    that is not finite, or a pivot at most RANK_TOL * max|entry|, raises
-    NotAcyclic naming `degree`.
+    The matrix has the given shape and its nonzero entries values[i] at
+    (rows[i], cols[i]), finite and in row-major order.  The selected rows
+    index an invertible minor whose |det| is the product of the pivots.
+    Each step pivots on the entry of largest modulus among the rows and
+    columns not yet pivoted, the first in row-major order on ties (most
+    boundary entries are +-1).  Fewer rows than columns, or a pivot at most
+    RANK_TOL * max|entry|, raises NotAcyclic naming `degree`.
 
     The live submatrix is held sparse: `entries[r]` maps column -> value for
     the nonzeros of row r, `in_col[c]` is the set of live rows nonzero in
@@ -119,23 +126,18 @@ def _full_pivot_logdet(mat: np.ndarray, degree: int) -> tuple[list[int], float]:
     short.  A dense matrix fills in, and there a step costs O(|R| * n_cols)
     Python operations, far slower than a numpy row update.
     """
-    mat = np.asarray(mat, dtype=float)
-    n_rows, n_cols = mat.shape
+    n_rows, n_cols = shape
     if n_cols == 0:
         return [], 0.0
     if n_rows < n_cols:
         raise NotAcyclic(f"not acyclic in degree {degree}: {n_cols} columns, {n_rows} rows")
-    nz_rows, nz_cols = np.nonzero(mat)
-    values = mat[nz_rows, nz_cols]
-    if not np.all(np.isfinite(values)):
-        raise NotAcyclic(f"not acyclic in degree {degree}: a matrix entry is not finite")
     rowmax_arr = np.zeros(n_rows)
-    np.maximum.at(rowmax_arr, nz_rows, np.abs(values))
+    np.maximum.at(rowmax_arr, rows, np.abs(values))
     scale = max(float(np.max(rowmax_arr)), np.finfo(float).tiny)
     rowmax = rowmax_arr.tolist()
     entries: list[dict[int, float]] = [{} for _ in range(n_rows)]
     in_col: list[set[int]] = [set() for _ in range(n_cols)]
-    for r, c, v in zip(nz_rows.tolist(), nz_cols.tolist(), values.tolist()):
+    for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
         entries[r][c] = v
         in_col[c].add(r)
     heap = [(-m, r) for r, m in enumerate(rowmax)]

@@ -277,8 +277,9 @@ def combinatorial_suite(tol: float | None = None,
             "oracle:cholesky-pivots", worst, 1e-9)
 
     cxq = build_preset("circle", theta=math.pi / 2)
-    sp0 = hodge_split(cxq, None, 0, 2.0)
-    sp1 = hodge_split(cxq, None, 1, 2.0)
+    facq = factorize(cxq)
+    sp0 = hodge_split(facq, 0, 2.0)
+    sp1 = hodge_split(facq, 1, 2.0)
     measured = abs(sp0.f_mult - 0) + abs(sp0.g_mult - 2) \
         + abs(sp1.f_mult - 2) + abs(sp1.g_mult - 0)
     for sp in (sp0, sp1):
@@ -294,8 +295,8 @@ def combinatorial_suite(tol: float | None = None,
 
     fac2 = factorize(cx2)
     lam = float(fac2.spectra[0][0])
-    g0 = hodge_split(cx2, None, 0, lam).g_mult
-    f1 = hodge_split(cx2, None, 1, lam).f_mult
+    g0 = hodge_split(fac2, 0, lam).g_mult
+    f1 = hodge_split(fac2, 1, lam).f_mult
     rec.add("hodge-split-torus-pairing",
             "coclosed multiplicity in degree 0 equals closed multiplicity in degree 1",
             "oracle:eigensolve", abs(g0 - f1), 1e-9)
@@ -446,7 +447,7 @@ def combinatorial_suite(tol: float | None = None,
     except NotAcyclic:
         pass
     good = build_preset("torus2", alpha=1.0, beta=0.3)
-    bad_boundaries = [m.copy() for m in good.boundaries]
+    bad_boundaries = [good.boundary(k).copy() for k in (1, 2)]
     bad_boundaries[1][0, 0] += 0.5
     corrupted = TwistedComplex(rank=good.rank,
                                cells_per_degree=good.cells_per_degree,

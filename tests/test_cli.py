@@ -250,6 +250,21 @@ def test_unholdable_length_refused(capsys, argv, option):
     assert err.startswith(f"error: {option} ") and err.count("\n") == 1
 
 
+def test_non_finite_boundary_refused(capsys, tmp_path):
+    # a sum of coefficients that overflows, and a coefficient beyond the float
+    # range: malformed input, exit 2 with one error line
+    data = json.loads((Path(__file__).parent / "huge_coefficient.json").read_text())
+    data["cells"][1]["boundary"] = [{"cell": 0, "coeff": 10 ** 400, "word": []}]
+    beyond = tmp_path / "beyond.json"
+    beyond.write_text(json.dumps(data))
+    for path, message in ((Path(__file__).parent / "huge_coefficient.json",
+                           "error: bd_1 has an entry that is not finite\n"),
+                          (beyond, "error: degree 1 cell 0: the coefficient on target 0 "
+                                   "does not fit a float\n")):
+        code, out, err = run_cli(capsys, "torsion", "--input", str(path))
+        assert (code, out, err) == (2, "", message)
+
+
 def _child_env() -> dict:
     """The environment of a fresh interpreter that imports this checkout's torsionlab."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from torsionlab.errors import (
 )
 from torsionlab.complexes import structure_from_json
 from test_torsion import _grid_cells, _ngon_cells
+
+HUGE_COEFFICIENT = Path(__file__).parent / "huge_coefficient.json"
 
 
 def test_circle_boundary_quarter_turn():
@@ -114,7 +117,7 @@ def test_validate_flags_corrupted_degree():
     good = build_preset("torus2", alpha=1.0, beta=0.3)
     assert validate(good).ok
     assert validate(good).max_residual < 1e-12
-    bad = [m.copy() for m in good.boundaries]
+    bad = [good.boundary(k).copy() for k in (1, 2)]
     bad[1][0, 0] += 0.25
     corrupted = TwistedComplex(rank=good.rank,
                                cells_per_degree=good.cells_per_degree,
@@ -126,7 +129,7 @@ def test_validate_flags_corrupted_degree():
 
 def test_mis_shaped_complex_is_refused_at_construction():
     good = build_preset("torus2", alpha=1.0, beta=0.3)  # dims (2, 4, 2)
-    bd1, bd2 = good.boundaries
+    bd1, bd2 = good.boundary(1), good.boundary(2)
     with pytest.raises(ShapeMismatch, match="1 boundary maps for a complex of dimension 2"):
         TwistedComplex(rank=2, cells_per_degree=(1, 2, 1), boundaries=(bd1,))
     with pytest.raises(ShapeMismatch, match=r"bd_1 has shape \(4, 2\), expected \(2, 4\)"):
@@ -143,6 +146,26 @@ def test_cell_structure_refuses_non_finite_coefficients():
         with pytest.raises(SchemaError, match="incidence coefficients must be integers"):
             CellStructure(dimension=1, cells_per_degree=(1, 1),
                           incidences=(((),), (((0, coeff, ()),),)))
+
+
+def test_complex_refuses_non_finite_entries():
+    # a NaN or inf in a dense map: before, the SVD route ended in LinAlgError
+    good = build_preset("torus2", alpha=1.0, beta=0.3)
+    for bad in (math.nan, math.inf, -math.inf):
+        maps = [good.boundary(k).copy() for k in (1, 2)]
+        maps[1][1, 0] = bad
+        with pytest.raises(SchemaError, match="^bd_2 has an entry that is not finite$"):
+            TwistedComplex(rank=2, cells_per_degree=(1, 2, 1), boundaries=maps)
+    # two finite incidences on one (target, cell) pair whose sum overflows, with no
+    # RuntimeWarning (pytest makes it an error): before, a warning and Betti numbers [2, 2]
+    with pytest.raises(SchemaError, match="^bd_1 has an entry that is not finite$"):
+        complex_from_json(HUGE_COEFFICIENT)
+    # a coefficient beyond the float range: before, an OverflowError
+    data = _circle_json(1.0)
+    data["cells"][1]["boundary"][0]["coeff"] = 10 ** 400
+    with pytest.raises(SchemaError, match="^degree 1 cell 0: the coefficient on target 0 "
+                                          "does not fit a float$"):
+        complex_from_json(data)
 
 
 def _circle_json(theta: float) -> dict:
@@ -248,9 +271,9 @@ def test_assembly_matches_per_incidence_loop_bitwise():
     for cells, rho in _assembly_cases():
         cx = build_twisted_boundary(cells, rho)
         ref = _reference_boundaries(cells, rho)
-        assert len(cx.boundaries) == len(ref)
+        assert cx.dimension == len(ref)
         # tobytes compares every bit, the sign of each zero included
-        assert all(_same_bits(b, r) for b, r in zip(cx.boundaries, ref))
+        assert all(_same_bits(cx.boundary(k), r) for k, r in enumerate(ref, start=1))
 
 
 def test_assembly_evaluates_each_word_once(monkeypatch):

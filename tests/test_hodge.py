@@ -216,6 +216,21 @@ def test_metric_refuses_non_finite_entries():
                 make([h0, np.zeros((2, 2))])
 
 
+def test_exponential_metric_refuses_overflow():
+    # a finite generator whose exp leaves the float range, above or below:
+    # before, exp(diag(800, 0)) made a NaN metric and the circle a NotAcyclic verdict
+    for w in (800.0, -800.0):
+        gens = [np.zeros((2, 2)), np.diag([w, 0.0])]
+        with pytest.raises(BadParameter, match="^metric generator in degree 1: exp"):
+            ChainMetric.exponential(gens)
+        path = exponential_metric_path(gens)
+        assert np.isfinite(path(0.5).matrix(1)).all()
+        with pytest.raises(BadParameter, match="^metric generator in degree 1: exp"):
+            path(1.0)
+    with pytest.raises(BadParameter, match="^metric generator in degree 0: exp"):
+        ChainMetric.exponential([np.diag([800.0, 0.0]), np.zeros((2, 2))])
+
+
 def test_exponential_metric_against_series():
     rng = np.random.default_rng(1)
     s = rng.standard_normal((4, 4))
@@ -260,23 +275,23 @@ def test_exponential_metric_is_one_eigh_per_degree(monkeypatch):
 def test_hodge_split_pairing_across_degrees():
     rng = np.random.default_rng(9)
     cx = build_preset("torus2", alpha=1.0, beta=0.3)
-    metric = ChainMetric.random_spd(cx, rng)
+    fac = factorize(cx, ChainMetric.random_spd(cx, rng))
     for k in (0, 1):
-        for lam in factorize(cx, metric).spectra[k]:
-            g_here = hodge_split(cx, metric, k, float(lam)).g_mult
+        for lam in fac.spectra[k]:
+            g_here = hodge_split(fac, k, float(lam)).g_mult
             try:
-                f_above = hodge_split(cx, metric, k + 1, float(lam)).f_mult
+                f_above = hodge_split(fac, k + 1, float(lam)).f_mult
             except NotAnEigenvalue:
                 f_above = 0  # lam absent upstairs: its eigenspace here is closed
             assert g_here == f_above
 
 
 def test_hodge_split_rejects_non_eigenvalue():
-    cx = build_preset("circle", theta=math.pi / 2)
+    fac = factorize(build_preset("circle", theta=math.pi / 2))
     with pytest.raises(NotAnEigenvalue):
-        hodge_split(cx, None, 0, 3.333)
+        hodge_split(fac, 0, 3.333)
     with pytest.raises(NotAnEigenvalue):
-        hodge_split(cx, None, 0, -1.0)
+        hodge_split(fac, 0, -1.0)
 
 
 def test_intertwining_identities():
