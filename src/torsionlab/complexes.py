@@ -21,6 +21,8 @@ only the Laplacian route's SVD asks for a dense bd_k (boundary(k)).
 The presets circle(theta=1), torus2(alpha=1, beta=0.3), interval(rank=1)
 and point(rank=1) take their options as keywords; preset(name, **params)
 raises BadParameter naming any keyword the chosen preset does not read.
+Their options reach the representation only, so each preset's
+CellStructure is built once per process and shared by all its calls.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -442,17 +444,34 @@ def _check_angle(theta: float, name: str) -> None:
         raise BadParameter(f"{name} must lie in [0, 2*pi), got {theta}")
 
 
+@lru_cache(maxsize=None)
+def _preset_cells(name: str) -> CellStructure:
+    """The cells of preset `name`, which read none of its options: built at
+    the first call and shared, with the layout their first build compiles."""
+    empty: GroupWord = ()
+    word_a: GroupWord = ((0, 1),)
+    word_b: GroupWord = ((1, 1),)
+    incidences = {
+        "circle": (((),), (((0, 1, word_a), (0, -1, empty)),)),
+        "torus2": (((),),
+                   (((0, 1, word_a), (0, -1, empty)),
+                    ((0, 1, word_b), (0, -1, empty))),
+                   # bd(f) = (1 - b) a + (a - 1) b, the commutator boundary
+                   (((0, 1, empty), (0, -1, word_b), (1, 1, word_a), (1, -1, empty)),)),
+        "interval": (((), ()), (((1, 1, empty), (0, -1, empty)),)),
+        "point": (((),),),
+    }[name]
+    return CellStructure(dimension=len(incidences) - 1,
+                         cells_per_degree=tuple(map(len, incidences)), incidences=incidences)
+
+
 def circle(*, theta: float = 1.0) -> tuple[CellStructure, Representation]:
     """One 0-cell, one 1-cell, bd(e) = (t - 1) e0 with rho(t) the rotation by
     theta; acyclic iff theta != 0."""
     _check_angle(theta, "theta")
     if theta == 0.0:
         raise NotAcyclic("circle preset with theta = 0 is not acyclic")
-    cells = CellStructure(
-        dimension=1, cells_per_degree=(1, 1),
-        incidences=(((),), (((0, 1, ((0, 1),)), (0, -1, ())),)),
-    )
-    return cells, Representation(2, [rotation(theta)])
+    return _preset_cells("circle"), Representation(2, [rotation(theta)])
 
 
 def torus2(*, alpha: float = 1.0, beta: float = 0.3) -> tuple[CellStructure, Representation]:
@@ -462,39 +481,21 @@ def torus2(*, alpha: float = 1.0, beta: float = 0.3) -> tuple[CellStructure, Rep
     _check_angle(beta, "beta")
     if alpha == 0.0 and beta == 0.0:
         raise NotAcyclic("torus2 preset with alpha = beta = 0 is not acyclic")
-    empty: GroupWord = ()
-    word_a: GroupWord = ((0, 1),)
-    word_b: GroupWord = ((1, 1),)
-    cells = CellStructure(
-        dimension=2, cells_per_degree=(1, 2, 1),
-        incidences=(
-            ((),),
-            (((0, 1, word_a), (0, -1, empty)),
-             ((0, 1, word_b), (0, -1, empty))),
-            # bd(f) = (1 - b) a + (a - 1) b, the commutator boundary
-            (((0, 1, empty), (0, -1, word_b), (1, 1, word_a), (1, -1, empty)),),
-        ),
-    )
-    return cells, Representation(2, [rotation(alpha), rotation(beta)])
+    return _preset_cells("torus2"), Representation(2, [rotation(alpha), rotation(beta)])
 
 
 def interval(*, rank: int = 1) -> tuple[CellStructure, Representation]:
     """Two 0-cells, one 1-cell, trivial coefficients of the given rank."""
     if rank < 1:
         raise BadParameter("rank must be positive")
-    cells = CellStructure(
-        dimension=1, cells_per_degree=(2, 1),
-        incidences=(((), ()), (((1, 1, ()), (0, -1, ())),)),
-    )
-    return cells, Representation(rank, [])
+    return _preset_cells("interval"), Representation(rank, [])
 
 
 def point(*, rank: int = 1) -> tuple[CellStructure, Representation]:
     """A single 0-cell, trivial coefficients of the given rank."""
     if rank < 1:
         raise BadParameter("rank must be positive")
-    cells = CellStructure(dimension=0, cells_per_degree=(1,), incidences=(((),),))
-    return cells, Representation(rank, [])
+    return _preset_cells("point"), Representation(rank, [])
 
 
 PRESETS = {"circle": circle, "torus2": torus2, "interval": interval, "point": point}

@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .complexes import TwistedComplex
-from .errors import BadParameter, NotAcyclic, NotAnEigenvalue, ShapeMismatch
+from .errors import BadParameter, NotAcyclic, NotAnEigenvalue, SchemaError, ShapeMismatch
 
 SYMMETRY_TOL = 1e-12
 EIGENVALUE_MATCH_RELTOL = 1e-7
@@ -288,9 +288,17 @@ def factorize(cplx: TwistedComplex, metric: ChainMetric | None = None) -> Factor
     for k in range(1, len(dims)):
         w = cplx.boundary(k).T
         if not metric.is_identity:
-            w = metric.sqrt(k) @ w @ metric.isqrt(k - 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = metric.sqrt(k) @ w @ metric.isqrt(k - 1)
+            if not np.isfinite(w).all():
+                raise SchemaError(f"bd_{k} weighted by the metric has an entry that is not finite")
         sigma = np.linalg.svd(w, compute_uv=False) if w.size else np.zeros(0)
-        cut = sigma[0] * max(w.shape) * np.finfo(float).eps if sigma.size else 0.0
+        # the eigenvalues of L_k are the squares: refuse a map whose largest
+        # square leaves the float range (entries near the float maximum)
+        if sigma.size and not math.isfinite(float(sigma[0]) * float(sigma[0])):
+            raise SchemaError(f"bd_{k} has singular value {sigma[0]:.3g}, "
+                              f"whose square is not finite")
+        cut = sigma[0] * (max(w.shape) * np.finfo(float).eps) if sigma.size else 0.0
         maps.append(w)
         sigmas.append(sigma[sigma > cut])
     maps.append(np.zeros((0, dims[-1])))

@@ -39,23 +39,29 @@ sphere2_scalar_heat_trace).  This module knows no boundary condition.
 Riemann and Hurwitz zeta (Euler-Maclaurin) are provided as independent
 closed forms for cross-checking the engine, never as its internals.
 
-All functions are pure and deterministic; numpy is their only dependency.
+All functions are deterministic (the memo below changes no result); numpy
+is their only dependency.
 A trace's remainder and tail take an array of t and return an array of the
 same shape.  Every Mellin integral is one nested tanh-sinh rule (quad) that
 evaluates the trace on arrays of nodes, once per node for all the weights of
-its split: levels 0-4 in one call, then one call per further level.  It
-aims at QUAD_EPSABS absolute error, or at the bound the estimate already
-counts for the sphere's cut and rounding where that is larger, and at
-QUAD_EPSREL relative error; an integral that cannot get there raises
-QuadratureFailure instead of returning its estimate.
+its split: levels 0-4 in one call, then one call per further level.  The
+nodes depend on the trace alone, never on s, so mellin_zeta samples each
+part (remainder, tail) once per group of levels and keeps the samples in
+the trace's private memo, HeatTrace._samples, for the trace's lifetime:
+every later zeta of the trace, at any s, reads them.  Each integral aims
+at QUAD_EPSABS absolute error, or at the bound the estimate already counts
+for the sphere's cut and rounding where that is larger, and at QUAD_EPSREL
+relative error; an integral that cannot get there raises QuadratureFailure
+instead of returning its estimate.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Callable, Sequence
@@ -245,6 +251,14 @@ class HeatTrace:
     tail: Callable[[np.ndarray], np.ndarray]
     kernel_dim: int
     lambda_min: float
+    # mellin_zeta's memo, for the trace's lifetime (dataclasses.replace starts
+    # an empty one): (part, lo, hi, group of _TS_GROUPS) -> the read-only
+    # samples of part on that group's nodes over [lo, hi].  The nodes depend
+    # on the trace alone (lo, hi are cut and 1, or 1 and the tail's upper
+    # limit), so it holds at most 2 len(_TS_GROUPS) arrays.  A series cutoff
+    # chosen per call (ROADMAP item 4) would make the samples depend on the
+    # call: the key must then name that cutoff.
+    _samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def power(self, t):
         t = np.asarray(t, dtype=float)
@@ -528,7 +542,8 @@ def _length(value, name: str, scale: float = 1.0) -> None:
 @dataclass(frozen=True)
 class ZetaEval:
     """One evaluation of a spectral zeta: value, optional d/ds, error bound,
-    and the number of heat-trace evaluations (quadrature nodes) it took."""
+    and the number of quadrature nodes it used, whether the trace was sampled
+    on them afresh or reused from its memo."""
 
     s: complex
     value: float | complex
@@ -578,7 +593,7 @@ def _tanh_sinh_nodes(levels: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 def _level_sums(trace, weights, lo: float, hi: float, count: int):
     """Yield (trace evaluations so far, [sum of w_i(t) trace(t) dt/du over the
     nodes new at level m for each weight]) for m = 0 .. _TS_MAX_LEVEL, with
-    one trace call for each group of _TS_GROUPS."""
+    one trace call for each group of _TS_GROUPS, in their order."""
     half = 0.5 * (hi - lo)
     neval = 0
     for levels in _TS_GROUPS:
@@ -689,22 +704,32 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
     cut_err, log_err = _expansion_error(h.terms, s.real)
     nodes = 0
 
-    def counted(trace):
-        def evaluate(t: np.ndarray) -> np.ndarray:
+    def sampled(part: str, lo: float, hi: float):
+        """h's `part` on the nodes quad passes over [lo, hi], one call per
+        group of _TS_GROUPS in order: read from h's memo, or evaluated once
+        and kept there read-only.  nodes counts every node used."""
+        groups = itertools.count()
+
+        def sample(t: np.ndarray) -> np.ndarray:
             nonlocal nodes
             nodes += t.size
-            return trace(t)
-        return evaluate
-
-    remainder, tail = counted(h.remainder), counted(h.tail)
+            key = (part, lo, hi, next(groups))
+            f = h._samples.get(key)
+            if f is None:  # a copy: the array the trace returned stays writable
+                f = np.array(getattr(h, part)(t), dtype=float)
+                f.flags.writeable = False
+                h._samples[key] = f
+            return f
+        return sample
 
     def split(weights, bounds) -> tuple[tuple, tuple, list[float]]:
         """(int_cut^1 w remainder, int_1^upper w tail, quad error) for each
         weight w in weights(t); the remainder integral of weight i aims at
         bounds[i], its own known rounding, where that exceeds QUAD_EPSABS."""
-        rem, e1 = quad(remainder, weights, cut, 1.0,
+        rem, e1 = quad(sampled("remainder", cut, 1.0), weights, cut, 1.0,
                        [max(QUAD_EPSABS, bound) for bound in bounds])
-        tl, e2 = quad(tail, weights, 1.0, upper, [QUAD_EPSABS] * len(bounds))
+        tl, e2 = quad(sampled("tail", 1.0, upper), weights, 1.0, upper,
+                      [QUAD_EPSABS] * len(bounds))
         return rem, tl, [x + y for x, y in zip(e1, e2)]
 
     def error(factor, quad_err: float, bound: float, parts) -> float:

@@ -265,6 +265,20 @@ def test_non_finite_boundary_refused(capsys, tmp_path):
         assert (code, out, err) == (2, "", message)
 
 
+def test_singular_value_beyond_float_range_refused(capsys, recwarn):
+    # bd_1 = 10^308 R(pi/2) - I: every entry finite, but sigma^2, an eigenvalue
+    # of L_1, is not: malformed input, exit 2 with one error line, no warning
+    path = Path(__file__).parent / "huge_singular_value.json"
+    code, out, err = run_cli(capsys, "torsion", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: bd_1 has singular value 1e+308, whose square is not finite\n"
+    # under a metric the weighted map itself overflows
+    code, out, err = run_cli(capsys, "torsion", "--input", str(path), "--metric", "random:2")
+    assert (code, out) == (2, "")
+    assert err == "error: bd_1 weighted by the metric has an entry that is not finite\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def _child_env() -> dict:
     """The environment of a fresh interpreter that imports this checkout's torsionlab."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -291,6 +292,25 @@ def test_assembly_evaluates_each_word_once(monkeypatch):
         words = {word for per_cell in cells.incidences for entries in per_cell
                  for (_, _, word) in entries}
         assert sorted(calls) == sorted(words)
+
+
+def test_preset_structure_is_shared_and_builds_bitwise():
+    # each preset's cells are one object per process; its options reach the
+    # representation only, which every call makes anew
+    for name, options in (("circle", ({"theta": 1.0}, {"theta": 2.5})),
+                          ("torus2", ({}, {"alpha": 0.7, "beta": 0.0})),
+                          ("interval", ({}, {"rank": 3})),
+                          ("point", ({"rank": 2}, {}))):
+        (cells, rho), (again, rho2) = (preset(name, **params) for params in options)
+        assert cells is again and rho is not rho2
+        for params in options:
+            cx = build_preset(name, **params)
+            cells, rho = preset(name, **params)
+            # a structure of its own compiles its own layout: the same bits
+            own = build_twisted_boundary(dataclasses.replace(cells), rho)
+            ref = _reference_boundaries(cells, rho)
+            assert all(_same_bits(cx.boundary(k), own.boundary(k)) and
+                       _same_bits(cx.boundary(k), r) for k, r in enumerate(ref, start=1))
 
 
 def test_assembly_out_of_range_generator():

@@ -863,3 +863,78 @@ def test_nodes_count_the_trace_evaluations():
     assert ev.nodes == sum(calls) > 0
     assert len(calls) < ev.nodes
     assert mellin_zeta(h, 0.0).nodes == 0  # coefficient arithmetic alone
+
+
+# --- the trace's sample memo ---------------------------------------------------
+
+# real s, complex s, and s = -n with and without the derivative
+_MEMO_CALLS = ((2.5, False), (0.75, True), (complex(0.5, 2.0), False),
+               (-1.0, True), (0.0, True), (-2.5, False), (1.5, True))
+_MEMO_TRACES = (partial(circle_heat_trace, 2.0 * math.pi, 0.7, 2),
+                sphere2_scalar_heat_trace,  # its remainder integral starts at the cut
+                partial(torus_heat_trace, 2, 6.0))
+
+
+@pytest.mark.parametrize("make", _MEMO_TRACES)
+def test_memo_leaves_every_zeta_bitwise(make):
+    # repr round-trips each float, so equal reprs are bitwise equal values
+    # (value, derivative, abs_error_estimate) and equal node counts
+    fresh = [repr(mellin_zeta(make(), s, derivative=d)) for s, d in _MEMO_CALLS]
+    for order in (1, -1):
+        h = make()
+        reused = {(s, d): repr(mellin_zeta(h, s, derivative=d)) for s, d in _MEMO_CALLS[::order]}
+        assert [reused[call] for call in _MEMO_CALLS] == fresh
+        assert h._samples
+
+
+def test_memo_samples_each_group_once():
+    h = circle_heat_trace(2.0 * math.pi, 0.7, 2)
+    calls = []
+    counted = dataclasses.replace(h, remainder=lambda t: calls.append(t.size) or h.remainder(t),
+                                  tail=lambda t: calls.append(t.size) or h.tail(t))
+    first = mellin_zeta(counted, 2.5)
+    assert first.nodes == sum(calls) > 0
+    for s, derivative in ((2.5, False), (0.75, True), (complex(0.5, 2.0), False)):
+        sampled, calls[:] = set(counted._samples), []
+        ev = mellin_zeta(counted, s, derivative=derivative)
+        # a trace call only for a group no earlier call sampled
+        assert len(calls) == len(set(counted._samples) - sampled)
+        assert ev.nodes == mellin_zeta(h, s, derivative=derivative).nodes
+    calls[:] = []
+    assert repr(mellin_zeta(counted, 2.5)) == repr(first)
+    assert calls == []
+
+
+def test_memo_is_private_to_each_trace():
+    h = circle_heat_trace(6.0, 1.3, 2)
+    for s, derivative in _MEMO_CALLS:
+        mellin_zeta(h, s, derivative=derivative)
+    samples = h._samples
+    # at most one array per part and group, each read-only
+    assert 0 < len(samples) <= 2 * len(zetas._TS_GROUPS)
+    assert {part for part, *_ in samples} == {"remainder", "tail"}
+    for f in samples.values():
+        assert not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[...] = 0.0
+    # replace starts an empty memo, and the copy fills its own
+    other = dataclasses.replace(h)
+    assert other._samples == {} and other._samples is not samples
+    mellin_zeta(other, 2.5)
+    assert other._samples and len(samples) == len(h._samples)
+    assert "_samples" not in repr(h) and other == h
+
+
+def test_memo_keeps_nothing_from_a_trace_that_raises():
+    h = circle_heat_trace(2.0 * math.pi, 0.7, 2)
+
+    def fails(t):
+        raise ZeroDivisionError("trace failed")
+
+    for part in ("remainder", "tail"):
+        broken = dataclasses.replace(h, **{part: fails})
+        with pytest.raises(ZeroDivisionError):
+            mellin_zeta(broken, 2.5)
+        # the remainder is integrated first: its failure leaves nothing at all
+        assert all(key[0] == "remainder" for key in broken._samples)
+        assert bool(broken._samples) == (part == "tail")
