@@ -7,10 +7,15 @@ Subcommands:
     verify         run the verification suites
     gluing         evaluate the torsion gluing identity on a split geometry
 
-Exit codes: 0 success; 1 failed verification or internal error; 2 malformed
-input or an option the chosen model, preset or geometry does not read;
-3 acyclicity violation, including one the minor oracle cannot certify;
-4 zeta pole hit.  Output into a closed pipe exits 1 with nothing on stderr.
+Exit codes, each an error class's exit_code (errors states them once):
+    0  success
+    1  failed verification, or any other error (TorsionLabError)
+    2  malformed input, including an option the chosen model, preset or
+       geometry does not read (SchemaError)
+    3  acyclicity violation, including one the minor oracle cannot certify
+       (NotAcyclic)
+    4  zeta pole hit (PoleHit)
+Output into a closed pipe exits 1 with nothing on stderr.
 All floating output uses 15 significant digits; --json output round-trips
 bit-exactly through json.loads.
 """
@@ -30,7 +35,7 @@ import numpy as np
 from . import boundary as bnd
 from . import models as mdl
 from .complexes import PRESETS, build_preset, complex_from_json
-from .errors import NotAcyclic, PoleHit, SchemaError, TorsionLabError
+from .errors import SchemaError, TorsionLabError
 from .hodge import ChainMetric, factorize
 from .torsion import classify_beta, determinant_oracle, generalized_log_torsion
 from .verify import DEFAULT_SEED, SUITES, run_suites
@@ -187,8 +192,6 @@ def _build_spectral_model(args):
 
 def cmd_zeta(args) -> int:
     model = _build_spectral_model(args)
-    if not 0 <= args.degree <= model.dim:
-        raise SchemaError(f"degree must lie in 0..{model.dim}")
     ev = model.zeta(args.degree, args.s, derivative=args.derivative)
     payload = {
         "model": model.name,
@@ -376,18 +379,9 @@ def main(argv=None) -> int:
         # cannot fail again (the Python signal docs' advice for SIGPIPE)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (SchemaError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotAcyclic as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PoleHit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except TorsionLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

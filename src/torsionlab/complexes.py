@@ -23,6 +23,9 @@ and point(rank=1) take their options as keywords; preset(name, **params)
 raises BadParameter naming any keyword the chosen preset does not read.
 Their options reach the representation only, so each preset's
 CellStructure is built once per process and shared by all its calls.
+Every angle builds, the trivial ones too: whether a complex is acyclic is
+decided by the torsion routes (hodge.Factorization.tr_logs and
+torsion.determinant_oracle), not by the presets.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .errors import (
     BadParameter,
     BadRepresentation,
     NonChainComplex,
-    NotAcyclic,
     SchemaError,
     ShapeMismatch,
 )
@@ -50,23 +52,15 @@ from .errors import (
 ORTHOGONALITY_TOL = 1e-12
 CHAIN_TOL = 1e-12
 
-# A group word is a sequence of (generator index, exponent) with exponent +-1.
+# A group word is a tuple of (generator index, exponent) letters: integers,
+# the index >= 0 and the exponent +-1 (CellStructure checks every word).
 GroupWord = tuple[tuple[int, int], ...]
 
 
-def as_word(letters: Sequence[Sequence[int]]) -> GroupWord:
-    """Normalize and validate a word given as e.g. [[0, 1], [2, -1]]."""
-    out = []
-    for letter in letters:
-        if len(letter) != 2:
-            raise SchemaError(f"word letter must be a (generator, exponent) pair, got {letter!r}")
-        gen, exp = int(letter[0]), int(letter[1])
-        if exp not in (-1, 1):
-            raise SchemaError(f"word exponent must be +-1, got {exp}")
-        if gen < 0:
-            raise SchemaError(f"generator index must be nonnegative, got {gen}")
-        out.append((gen, exp))
-    return tuple(out)
+def _is_letter(letter) -> bool:
+    return (isinstance(letter, tuple) and len(letter) == 2
+            and all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in letter)
+            and letter[0] >= 0 and letter[1] in (-1, 1))
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,9 @@ class CellStructure:
     """Cells per degree plus signed, word-decorated incidences.
 
     incidences[k][i] lists (target cell index, coefficient, word) for the
-    i-th k-cell; degree 0 has no incidences.
+    i-th k-cell; degree 0 has no incidences.  Construction raises
+    SchemaError for a target out of range, a coefficient that is not an
+    integer, or a word that is not a GroupWord.
     """
 
     dimension: int
@@ -152,6 +148,10 @@ class CellStructure:
                             f"does not fit a float") from None
                     if not integral:
                         raise SchemaError("incidence coefficients must be integers")
+                    if not (isinstance(word, tuple) and all(map(_is_letter, word))):
+                        raise SchemaError(
+                            f"degree {k} cell {i}: word {word!r} is not a tuple of "
+                            f"(generator >= 0, exponent +-1) integer pairs")
 
     @cached_property
     def _layout(self) -> "_Layout":
@@ -469,8 +469,6 @@ def circle(*, theta: float = 1.0) -> tuple[CellStructure, Representation]:
     """One 0-cell, one 1-cell, bd(e) = (t - 1) e0 with rho(t) the rotation by
     theta; acyclic iff theta != 0."""
     _check_angle(theta, "theta")
-    if theta == 0.0:
-        raise NotAcyclic("circle preset with theta = 0 is not acyclic")
     return _preset_cells("circle"), Representation(2, [rotation(theta)])
 
 
@@ -479,22 +477,16 @@ def torus2(*, alpha: float = 1.0, beta: float = 0.3) -> tuple[CellStructure, Rep
     rho(a), rho(b) rotate by alpha and beta; acyclic unless both are 0."""
     _check_angle(alpha, "alpha")
     _check_angle(beta, "beta")
-    if alpha == 0.0 and beta == 0.0:
-        raise NotAcyclic("torus2 preset with alpha = beta = 0 is not acyclic")
     return _preset_cells("torus2"), Representation(2, [rotation(alpha), rotation(beta)])
 
 
 def interval(*, rank: int = 1) -> tuple[CellStructure, Representation]:
     """Two 0-cells, one 1-cell, trivial coefficients of the given rank."""
-    if rank < 1:
-        raise BadParameter("rank must be positive")
     return _preset_cells("interval"), Representation(rank, [])
 
 
 def point(*, rank: int = 1) -> tuple[CellStructure, Representation]:
     """A single 0-cell, trivial coefficients of the given rank."""
-    if rank < 1:
-        raise BadParameter("rank must be positive")
     return _preset_cells("point"), Representation(rank, [])
 
 
@@ -572,15 +564,11 @@ def structure_from_json(data: dict) -> tuple[CellStructure, Representation]:
             if set(inc) != _INCIDENCE_FIELDS:
                 raise SchemaError(
                     "each incidence needs exactly the fields 'cell', 'coeff', 'word'")
-            word = as_word(inc["word"])
-            for gen, _ in word:
-                if gen >= n_gens:
-                    raise SchemaError(
-                        f"word references generator {gen}, only {n_gens} declared")
+            word = inc["word"]
+            if not (isinstance(word, list) and all(isinstance(x, list) for x in word)):
+                raise SchemaError(f"an incidence word must be a list of letters, got {word!r}")
             entries.append((_as_int(inc["cell"], "incidence cell"),
-                            _as_int(inc["coeff"], "incidence coeff"), word))
-        if k == 0 and entries:
-            raise SchemaError("0-cells must have an empty boundary list")
+                            _as_int(inc["coeff"], "incidence coeff"), tuple(map(tuple, word))))
         per_degree[k].append(entries)
 
     cells_struct = CellStructure(
@@ -602,6 +590,8 @@ def complex_from_json(source: str | Path | dict) -> TwistedComplex:
                 text = Path(text).read_text()
         except OSError:
             pass  # raw JSON text, not a path
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{text} is not UTF-8 text: {exc}") from exc
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

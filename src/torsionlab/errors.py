@@ -2,15 +2,21 @@
 
 Every failure mode of the public API raises a subclass of TorsionLabError,
 so callers (and the CLI) can distinguish contract violations from bugs.
+Each class's exit_code is the CLI's exit status for it: 2 for SchemaError,
+3 for NotAcyclic, 4 for PoleHit and 1 for every other error.
 """
 
 
 class TorsionLabError(Exception):
     """Base class for all torsionlab errors."""
 
+    exit_code = 1
+
 
 class SchemaError(TorsionLabError):
     """Malformed input data: unknown fields, wrong types, bad indices."""
+
+    exit_code = 2
 
 
 class BadRepresentation(TorsionLabError):
@@ -31,8 +37,10 @@ class NotAnEigenvalue(TorsionLabError):
 
 class NotAcyclic(TorsionLabError):
     """An operation requiring vanishing homology met a complex without it:
-    a nonzero Betti number, a minor-oracle pivot at or below its threshold
-    or a row it leaves unpivoted, or a preset with a trivial twisting angle."""
+    a nonzero Betti number, or a minor-oracle pivot at or below its
+    threshold or a row it leaves unpivoted."""
+
+    exit_code = 3
 
 
 class StepTooLarge(TorsionLabError):
@@ -42,6 +50,8 @@ class StepTooLarge(TorsionLabError):
 class PoleHit(TorsionLabError):
     """A zeta function evaluated at a pole: a spectral zeta at a pole of its
     meromorphic continuation, or the Riemann/Hurwitz zeta at s = 1."""
+
+    exit_code = 4
 
 
 class QuadratureFailure(TorsionLabError):

@@ -39,7 +39,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
-from .errors import BadParameter, NotAcyclic, ShapeMismatch
+from .errors import BadParameter, NotAcyclic, SchemaError, ShapeMismatch
 from .torsion import euler_characteristics, generalized_log_torsion
 from .zetas import (
     HeatTrace,
@@ -61,7 +61,8 @@ class SpectralModel:
     ("relative", "absolute" or "mixed") otherwise.  By the Hodge theorem
     the Betti numbers are the kernel dimensions of the traces; they count
     twisted harmonic forms, so chi and chi_prime already carry the
-    coefficient rank.
+    coefficient rank.  zeta and zeta_at_zero raise SchemaError for a degree
+    outside 0..dim.
     """
 
     name: str
@@ -76,11 +77,16 @@ class SpectralModel:
     def betti(self) -> tuple[int, ...]:
         return tuple(h.kernel_dim for h in self.heat)
 
+    def _trace(self, k: int) -> HeatTrace:
+        if not 0 <= k <= self.dim:
+            raise SchemaError(f"degree must lie in 0..{self.dim}")
+        return self.heat[k]
+
     def zeta(self, k: int, s, derivative: bool = False) -> ZetaEval:
-        return mellin_zeta(self.heat[k], s, derivative=derivative)
+        return mellin_zeta(self._trace(k), s, derivative=derivative)
 
     def zeta_at_zero(self, k: int) -> float:
-        return zeta_at_zero(self.heat[k])
+        return zeta_at_zero(self._trace(k))
 
     @property
     def chi(self) -> int:
@@ -209,13 +215,6 @@ class TorsionReport:
         return out
 
 
-def _check_beta(beta: Sequence[float], dim: int) -> tuple[float, ...]:
-    beta = tuple(float(x) for x in beta)
-    if len(beta) != dim + 1:
-        raise ShapeMismatch(f"beta must have length {dim + 1}, got {len(beta)}")
-    return beta
-
-
 def residue_torsion(model: SpectralModel, beta: Sequence[float]) -> TorsionReport:
     """log T_res(beta) = sum_k (-1)^k beta_k (zeta_k(0) + b_k); exact arithmetic.
 
@@ -225,7 +224,7 @@ def residue_torsion(model: SpectralModel, beta: Sequence[float]) -> TorsionRepor
     condition alike; the report carries all four numbers under flags.
     Odd-dimensional closed models give 0 for every beta.
     """
-    beta = _check_beta(beta, model.dim)
+    beta = tuple(map(float, beta))
     zeta0 = tuple(model.zeta_at_zero(k) for k in range(model.dim + 1))
     res = tuple(residue_log_trace(model, k) for k in range(model.dim + 1))
     log_t = generalized_log_torsion(res, beta)
@@ -248,7 +247,7 @@ def analytic_torsion(model: SpectralModel, beta: Sequence[float],
     beta = k) a nonzero Betti number raises NotAcyclic.  beta = 1 yields 0
     in every dimension.
     """
-    beta = _check_beta(beta, model.dim)
+    beta = tuple(map(float, beta))
     if require_acyclic and any(model.betti):
         raise NotAcyclic(f"model {model.name} has Betti numbers {model.betti}")
     evals = [model.zeta(k, 0.0, derivative=True) for k in range(model.dim + 1)]

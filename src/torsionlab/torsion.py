@@ -295,8 +295,6 @@ def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float
     """
     n = cplx.dimension
     beta = [float(x) for x in beta]
-    if len(beta) != n + 1:
-        raise ShapeMismatch(f"expected {n + 1} weights, got {len(beta)}")
     # path(0) and its coclosed eigenvectors serve both steps
     h0 = path(0.0)
     fac = factorize(cplx, h0)

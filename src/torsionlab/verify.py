@@ -27,7 +27,6 @@ from .complexes import (
     TwistedComplex,
     build_preset,
     build_twisted_boundary,
-    preset,
     rotation,
     validate,
 )
@@ -163,12 +162,6 @@ def _subdivided_circle(theta: float) -> TwistedComplex:
     return build_twisted_boundary(cells, Representation(2, [rotation(theta)]))
 
 
-def _trivial_circle() -> TwistedComplex:
-    """Circle cells with the trivial rank-1 representation (not acyclic)."""
-    cells, _ = preset("circle", theta=1.0)
-    return build_twisted_boundary(cells, Representation(1, [np.eye(1)]))
-
-
 def _random_orthogonal_rep(rng: np.random.Generator, n_gens: int) -> Representation:
     images = []
     for _ in range(n_gens):
@@ -301,8 +294,9 @@ def combinatorial_suite(tol: float | None = None,
             "coclosed multiplicity in degree 0 equals closed multiplicity in degree 1",
             "oracle:eigensolve", abs(g0 - f1), 1e-9)
 
+    trivial = build_preset("circle", theta=0.0)
     measured = 0.0
-    measured += sum(abs(a - b) for a, b in zip(factorize(_trivial_circle()).betti, [1, 1]))
+    measured += sum(abs(a - b) for a, b in zip(factorize(trivial).betti, [2, 2]))
     measured += sum(abs(a - b) for a, b in zip(
         factorize(build_preset("circle", theta=1.0)).betti, [0, 0]))
     measured += sum(abs(a - b) for a, b in zip(
@@ -321,7 +315,7 @@ def combinatorial_suite(tol: float | None = None,
             "identity:hodge-theorem", worst, 1e-9)
 
     worst = 0.0
-    for cx in presets + [_trivial_circle(), build_preset("point", rank=2)]:
+    for cx in presets + [trivial, build_preset("point", rank=2)]:
         chi, _ = euler_characteristics(factorize(cx).betti, cx.dimension)
         chi_dims = sum((-1) ** k * d for k, d in enumerate(cx.dims))
         worst = max(worst, abs(chi - chi_dims))
@@ -436,16 +430,14 @@ def combinatorial_suite(tol: float | None = None,
             "closed-form:linear-combination", measured, 1e-10)
 
     guards = 0.0
-    try:
-        preset("circle", theta=0.0)
-        guards += 1.0
-    except NotAcyclic:
-        pass
-    try:
-        preset("torus2", alpha=0.0, beta=0.0)
-        guards += 1.0
-    except NotAcyclic:
-        pass
+    # the trivial angles build; both routes refuse them
+    for cx in (trivial, build_preset("torus2", alpha=0.0, beta=0.0)):
+        for route in (lambda c: factorize(c).tr_logs, determinant_oracle):
+            try:
+                route(cx)
+                guards += 1.0
+            except NotAcyclic:
+                pass
     good = build_preset("torus2", alpha=1.0, beta=0.3)
     bad_boundaries = [good.boundary(k).copy() for k in (1, 2)]
     bad_boundaries[1][0, 0] += 0.5
@@ -461,9 +453,8 @@ def combinatorial_suite(tol: float | None = None,
                     "trivial angles are rejected; corrupted complexes are flagged",
                     "negative-control", guards)
 
-    rec.add("validate-circle-residual", "circle preset validates cleanly",
-            "identity:exact-arithmetic",
-            validate(build_preset("circle", theta=1.0)).max_residual, 1e-14)
+    rec.add("validate-torus2-residual", "torus2 preset validates cleanly",
+            "identity:exact-arithmetic", validate(cx2).max_residual, 1e-14)
 
     return rec.results
 

@@ -1,14 +1,16 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from torsionlab import cli, errors
 from torsionlab.cli import MODEL_OPTIONS, PRESET_OPTIONS, main, parse_beta
-from torsionlab.errors import SchemaError
+from torsionlab.errors import NotAcyclic, PoleHit, SchemaError, TorsionLabError
 from torsionlab.verify import run_suites
 from torsionlab.zetas import sphere2_power_coefficients
 
@@ -85,6 +87,15 @@ def test_torsion_malformed_json_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "torsion", "--input", str(bad))
     assert code == 2
     assert "error" in err
+
+
+def test_torsion_input_not_utf8_exit_2(capsys, tmp_path):
+    # before, a UnicodeDecodeError traceback
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b"\xff\xfe{")
+    code, out, err = run_cli(capsys, "torsion", "--input", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad} is not UTF-8 text: ") and err.count("\n") == 1
 
 
 def test_torsion_not_acyclic_exit_3(capsys, tmp_path):
@@ -263,6 +274,53 @@ def test_non_finite_boundary_refused(capsys, tmp_path):
                                    "does not fit a float\n")):
         code, out, err = run_cli(capsys, "torsion", "--input", str(path))
         assert (code, out, err) == (2, "", message)
+
+
+# the exit status of each error class: these four, and 1 for every other subclass
+EXIT_CODES = {TorsionLabError: 1, SchemaError: 2, NotAcyclic: 3, PoleHit: 4}
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, TorsionLabError)]
+
+
+def test_exit_code_table_matches_cli_docstring():
+    documented = dict(re.findall(r"^    ([1-4])  [^()]*\((\w+)\)", cli.__doc__, re.M))
+    assert documented == {str(code): cls.__name__ for cls, code in EXIT_CODES.items()}
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=[c.__name__ for c in ERROR_CLASSES])
+def test_each_error_class_exits_with_its_code(capsys, monkeypatch, cls):
+    def fail(args):
+        raise cls("what went wrong")
+
+    monkeypatch.setattr(cli, "cmd_zeta", fail)
+    code, out, err = run_cli(capsys, "zeta", "--model", "circle", "--s", "2")
+    assert code == cls.exit_code == EXIT_CODES.get(cls, 1)
+    assert (out, err) == ("", "error: what went wrong\n")
+
+
+_REFUSALS = (
+    # the trivial angles build; the Laplacian route refuses them
+    (["torsion", "--preset", "torus2", "--alpha", "0", "--beta-angle", "0"], 3,
+     "error: degree 0 has Betti number 2 (Betti numbers [2, 4, 2])\n"),
+    (["torsion", "--preset", "circle", "--theta", "0"], 3,
+     "error: degree 0 has Betti number 2 (Betti numbers [2, 2])\n"),
+    # SpectralModel refuses a degree outside 0..dim, at both ends
+    (["zeta", "--model", "sphere2", "--degree", "-1", "--s", "2"], 2,
+     "error: degree must lie in 0..2\n"),
+    (["zeta", "--model", "sphere2", "--degree", "3", "--s", "2"], 2,
+     "error: degree must lie in 0..2\n"),
+    # CellStructure refuses the exponent 2 (before, it was read as -1)
+    (["torsion", "--input", "tests/bad_word_exponent.json"], 2,
+     "error: degree 1 cell 0: word ((0, 2),) is not a tuple of (generator >= 0, "
+     "exponent +-1) integer pairs\n"),
+)
+
+
+@pytest.mark.parametrize("argv, code, message", _REFUSALS,
+                         ids=[" ".join(argv) for argv, _, _ in _REFUSALS])
+def test_refusals_exit_once(capsys, monkeypatch, argv, code, message):
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    assert run_cli(capsys, *argv) == (code, "", message)
 
 
 def test_singular_value_beyond_float_range_refused(capsys, recwarn):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ from torsionlab import (
     build_preset,
     build_twisted_boundary,
     complex_from_json,
+    determinant_oracle,
+    factorize,
     preset,
     rotation,
     validate,
@@ -29,6 +32,7 @@ from torsionlab.complexes import structure_from_json
 from test_torsion import _grid_cells, _ngon_cells
 
 HUGE_COEFFICIENT = Path(__file__).parent / "huge_coefficient.json"
+BAD_WORD_EXPONENT = Path(__file__).parent / "bad_word_exponent.json"
 
 
 def test_circle_boundary_quarter_turn():
@@ -91,10 +95,17 @@ def test_non_chain_complex_raises():
 
 
 def test_preset_guards():
-    with pytest.raises(NotAcyclic):
-        preset("circle", theta=0.0)
-    with pytest.raises(NotAcyclic):
-        preset("torus2", alpha=0.0, beta=0.0)
+    # the trivial angles build; both torsion routes refuse them, naming degree 0
+    # (Laplacian route) and the first degree the elimination cannot pivot (oracle)
+    for name, params, betti, oracle_degree in (
+            ("circle", {"theta": 0.0}, [2, 2], 1),
+            ("torus2", {"alpha": 0.0, "beta": 0.0}, [2, 4, 2], 2)):
+        cx = build_preset(name, **params)
+        message = f"degree 0 has Betti number 2 (Betti numbers {betti})"
+        with pytest.raises(NotAcyclic, match=f"^{re.escape(message)}$"):
+            factorize(cx).tr_logs
+        with pytest.raises(NotAcyclic, match=f"^not acyclic in degree {oracle_degree}: "):
+            determinant_oracle(cx)
     with pytest.raises(BadParameter):
         preset("circle", theta=7.0)
     with pytest.raises(BadParameter):
@@ -205,15 +216,49 @@ def test_json_rejects_unknown_fields():
         complex_from_json(data)
 
 
+BAD_LETTERS = ((0, 2), (0, 0), (0, 1.5), (0, -2), (0.7, -1), (-1, 1), (0, True), (0,), (0, 1, 1))
+
+
+def test_cell_structure_refuses_bad_words():
+    # before, every exponent other than 1 was taken as -1: the word ((0, 2),) on the
+    # circle at theta = 1 gave -0.08404, the value for t^-1
+    for letter in BAD_LETTERS:
+        with pytest.raises(SchemaError, match=r"^degree 1 cell 0: word .* is not a tuple of "
+                                              r"\(generator >= 0, exponent \+-1\) integer pairs$"):
+            CellStructure(dimension=1, cells_per_degree=(1, 1),
+                          incidences=(((),), (((0, 1, (letter,)), (0, -1, ())),)))
+    for word in ([(0, 1)], ((0, 1), [0, 1]), "a"):
+        with pytest.raises(SchemaError):
+            CellStructure(dimension=1, cells_per_degree=(1, 1),
+                          incidences=(((),), (((0, 1, word),),)))
+    # numpy integers are integers
+    cells = CellStructure(dimension=1, cells_per_degree=(1, 1),
+                          incidences=(((),), (((0, 1, ((np.int64(0), np.int64(1)),)),
+                                                (0, -1, ())),)))
+    cx = build_twisted_boundary(cells, Representation(2, [rotation(1.0)]))
+    assert _same_bits(cx.boundary(1), build_preset("circle", theta=1.0).boundary(1))
+
+
 def test_json_rejects_bad_words():
-    data = _circle_json(1.0)
-    data["cells"][1]["boundary"][0]["word"] = [[0, 2]]
-    with pytest.raises(SchemaError):
-        complex_from_json(data)
+    # the JSON path reaches the same check: before, [[0, 1.9]] was read as (0, 1)
+    # and [[0.7, -1]] as (0, -1)
+    for letter in [[0, 1.9], [0.7, -1], *map(list, BAD_LETTERS)]:
+        data = _circle_json(1.0)
+        data["cells"][1]["boundary"][0]["word"] = [letter]
+        with pytest.raises(SchemaError, match=r"^degree 1 cell 0: word "):
+            complex_from_json(data)
+    for word in ([3, 1], [[0, 1], 5], "ab", None):
+        data = _circle_json(1.0)
+        data["cells"][1]["boundary"][0]["word"] = word
+        with pytest.raises(SchemaError, match="^an incidence word must be a list of letters"):
+            complex_from_json(data)
+    # a generator the representation does not have: refused when its word is evaluated
     data = _circle_json(1.0)
     data["cells"][1]["boundary"][0]["word"] = [[3, 1]]
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="^word references generator 3, but only 1 exist$"):
         complex_from_json(data)
+    with pytest.raises(SchemaError, match=r"^degree 1 cell 0: word \(\(0, 2\),\) is not"):
+        complex_from_json(BAD_WORD_EXPONENT)
 
 
 def test_json_from_file(tmp_path):

@@ -6,14 +6,11 @@ import pytest
 
 from torsionlab import (
     ChainMetric,
-    Representation,
     build_preset,
-    build_twisted_boundary,
     exponential_metric_path,
     factorize,
     hodge_split,
     laplacian,
-    preset,
 )
 from torsionlab.errors import (
     BadParameter,
@@ -23,11 +20,6 @@ from torsionlab.errors import (
 )
 from torsionlab.hodge import coboundary, metric_adjoint
 from test_torsion import _grid_torus, _ngon_circle
-
-
-def _trivial_circle():
-    cells, _ = preset("circle", theta=1.0)
-    return build_twisted_boundary(cells, Representation(1, [np.eye(1)]))
 
 
 def test_laplacian_circle_closed_form():
@@ -133,7 +125,7 @@ def test_acyclic_spectra_values_and_strict_mode():
 
 
 def test_betti_examples():
-    assert factorize(_trivial_circle()).betti == [1, 1]
+    assert factorize(build_preset("circle", theta=0.0)).betti == [2, 2]
     assert factorize(build_preset("circle", theta=1.0)).betti == [0, 0]
     assert factorize(build_preset("point", rank=3)).betti == [3]
     assert factorize(build_preset("torus2", alpha=1.0, beta=0.3)).betti == [0, 0, 0]
@@ -149,10 +141,10 @@ def test_factorization_kernel_follows_betti():
     assert fac.betti == [0, 0]
     assert fac.eigenpairs(0)[0].size == 2
     assert np.max(np.abs(fac.green_inverse(0) @ lap - np.eye(2))) < 1e-8
-    trivial = _trivial_circle()
+    trivial = build_preset("circle", theta=0.0)
     fac = factorize(trivial)
     assert [d - fac.eigenpairs(k)[0].size for k, d in enumerate(trivial.dims)] \
-        == fac.betti == [1, 1]
+        == fac.betti == [2, 2]
     # the untwisted 8-gon: green_inverse is I on the constant sections, its kernel
     ngon = _ngon_circle(8, 0.0)
     assert factorize(ngon).betti == [2, 2]
@@ -165,7 +157,7 @@ def test_factorization_kernel_follows_betti():
 
 def test_identity_metric_is_unfactored_identity():
     for cx in (build_preset("circle", theta=1.0), build_preset("torus2", alpha=1.0, beta=0.3),
-               _trivial_circle()):
+               build_preset("circle", theta=0.0)):
         metric = ChainMetric.identity(cx)
         factored = ChainMetric([np.eye(d) for d in cx.dims])
         assert metric.is_identity and not factored.is_identity
@@ -187,7 +179,7 @@ def test_identity_metric_is_unfactored_identity():
 
 def test_betti_euler_poincare_and_metric_independence():
     rng = np.random.default_rng(4)
-    for cx in (build_preset("circle", theta=1.0), _trivial_circle(),
+    for cx in (build_preset("circle", theta=1.0), build_preset("circle", theta=0.0),
                build_preset("torus2", alpha=1.0, beta=0.3)):
         b = factorize(cx).betti
         chi_b = sum((-1) ** k * v for k, v in enumerate(b))

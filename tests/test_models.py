@@ -16,7 +16,7 @@ from torsionlab import (
     surface_residue_combination,
 )
 from torsionlab import boundary, circle_heat_trace, models, verify
-from torsionlab.errors import BadParameter, NotAcyclic, ShapeMismatch
+from torsionlab.errors import BadParameter, NotAcyclic, SchemaError, ShapeMismatch
 from torsionlab.torsion import euler_characteristics
 
 S_SAMPLES = (0.0, 0.75, 2.0)
@@ -108,8 +108,23 @@ def test_residue_torsion_odd_dimensions_vanish():
 
 def test_residue_torsion_shape_check():
     sphere = build_model("sphere2")
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match="^got 3 traces but 2 weights$"):
         residue_torsion(sphere, (1.0, 1.0))
+    with pytest.raises(ShapeMismatch, match="^got 3 traces but 4 weights$"):
+        analytic_torsion(sphere, (1.0, 1.0, 1.0, 1.0))
+
+
+def test_degree_out_of_range_refused():
+    # before, degree -1 read the top degree and degree 3 raised a bare IndexError
+    sphere = build_model("sphere2")
+    for k in (-1, 3):
+        for call in (lambda: sphere.zeta(k, 2.0), lambda: sphere.zeta_at_zero(k),
+                     lambda: residue_log_trace(sphere, k)):
+            with pytest.raises(SchemaError, match=r"^degree must lie in 0\.\.2$"):
+                call()
+    # both ends of the range are read: zeta_1 = 2 zeta_0, zeta_2 = zeta_0
+    assert sphere.zeta(2, 2.0).value == sphere.zeta(0, 2.0).value
+    assert sphere.zeta_at_zero(2) == sphere.zeta_at_zero(0) == 0.5 * sphere.zeta_at_zero(1)
 
 
 def test_analytic_torsion_requires_acyclic_in_reidemeister_mode():

@@ -407,8 +407,11 @@ def test_generalized_log_torsion_examples():
     cx = build_preset("circle", theta=math.pi / 2)
     assert abs(generalized_log_torsion(factorize(cx).tr_logs, (0.0, 1.0))
                - math.log(2.0)) < 1e-12
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match="^got 2 traces but 3 weights$"):
         generalized_log_torsion((1.0, 2.0), (1.0, 2.0, 3.0))
+    # variation_check's weights go through the same one length check
+    with pytest.raises(ShapeMismatch, match="^got 2 traces but 3 weights$"):
+        variation_check(cx, lambda u: ChainMetric.identity(cx), (0.0, 1.0, 2.0))
 
 
 def test_generalized_log_torsion_linearity():
