@@ -4,13 +4,15 @@ Each entry is an argv (every one ends in --json) with its exit code, its
 first stderr line and its stdout as JSON.  Exit codes and stderr lines must
 match exactly; floats agree to 1e-12 relative, or to 1e-14 absolute for
 rounding residuals such as the verify cases' deviations, whose last bits
-depend on the BLAS.
+vary from host to host.
 
 The entries come from the CLI's option tables: every subcommand with every
 model, preset or gluing geometry at its defaults, then with each option of
 its table set once (exit 2 where the family does not read it), plus one
 entry per documented failure.  A change that moves an output on purpose
-regenerates the file, and its diff shows every output that moved:
+regenerates the file.  Regeneration writes back the committed entry wherever
+the fresh one replays as it, so the diff shows only the outputs that moved
+beyond the replay tolerance:
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 """
@@ -91,6 +93,11 @@ def _same(a, b) -> bool:
     return a == b
 
 
+def _replays(got: dict, entry: dict) -> bool:
+    return ((got["exit"], got["stderr"]) == (entry["exit"], entry["stderr"])
+            and _same(got["stdout"], entry["stdout"]))
+
+
 ENTRIES = json.loads(CORPUS.read_text()) if CORPUS.exists() else []
 
 
@@ -102,10 +109,14 @@ def test_corpus_lists_every_generated_argv():
 def test_replay(entry, monkeypatch):
     monkeypatch.chdir(ROOT)
     got = record(entry["argv"])
-    assert (got["exit"], got["stderr"]) == (entry["exit"], entry["stderr"])
-    assert _same(got["stdout"], entry["stdout"]), got["stdout"]
+    assert _replays(got, entry), got
 
 
 if __name__ == "__main__":
     os.chdir(ROOT)
-    CORPUS.write_text(json.dumps([record(argv) for argv in argvs()], indent=1) + "\n")
+    committed = {tuple(entry["argv"]): entry for entry in ENTRIES}
+    entries = []
+    for argv in argvs():
+        got, old = record(argv), committed.get(tuple(argv))
+        entries.append(old if old is not None and _replays(got, old) else got)
+    CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
