@@ -46,9 +46,11 @@ same shape.  Every Mellin integral is one nested tanh-sinh rule (quad) that
 evaluates the trace on arrays of nodes, once per node for all the weights of
 its split: levels 0-4 in one call, then one call per further level.  The
 nodes depend on the trace alone, never on s, so mellin_zeta samples each
-part (remainder, tail) once per group of levels and keeps the samples in
-the trace's private memo, HeatTrace._samples, for the trace's lifetime:
-every later zeta of the trace, at any s, reads them.  Each integral aims
+part (remainder, tail) once per group of levels and keeps, in the trace's
+private memo HeatTrace._samples and for the trace's lifetime, what quad
+needs of those samples: the positions of the nonzero ones, t there and
+trace(t) dt/du there.  Every later zeta of the trace, at any s, reads them,
+and forms only its weights at those t.  Each integral aims
 at QUAD_EPSABS absolute error, or at the bound the estimate already counts
 for the sphere's cut and rounding where that is larger, and at QUAD_EPSREL
 relative error; an integral that cannot get there raises QuadratureFailure
@@ -58,17 +60,16 @@ instead of returning its estimate.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadParameter, PoleHit, QuadratureFailure
+from .errors import BadParameter, PoleHit, QuadratureFailure, ShapeMismatch
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -252,10 +253,12 @@ class HeatTrace:
     kernel_dim: int
     lambda_min: float
     # mellin_zeta's memo, for the trace's lifetime (dataclasses.replace starts
-    # an empty one): (part, lo, hi, group of _TS_GROUPS) -> the read-only
-    # samples of part on that group's nodes over [lo, hi].  The nodes depend
-    # on the trace alone (lo, hi are cut and 1, or 1 and the tail's upper
-    # limit), so it holds at most 2 len(_TS_GROUPS) arrays.  A series cutoff
+    # an empty one): (part, lo, hi, index into _TS_GROUPS) -> _node_arrays of
+    # part on that group's nodes over [lo, hi], three read-only arrays: the
+    # positions where part is nonzero, t there and part(t) dt/du there.  The
+    # nodes depend on the trace alone (lo, hi are cut and 1, or 1 and the
+    # tail's upper limit), so it holds at most 2 len(_TS_GROUPS) entries, of
+    # at most 24 bytes a node (2049 nodes a part).  A series cutoff
     # chosen per call (ROADMAP item 4) would make the samples depend on the
     # call: the key must then name that cutoff.
     _samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -590,26 +593,46 @@ def _tanh_sinh_nodes(levels: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _level_sums(trace, weights, lo: float, hi: float, count: int):
-    """Yield (trace evaluations so far, [sum of w_i(t) trace(t) dt/du over the
-    nodes new at level m for each weight]) for m = 0 .. _TS_MAX_LEVEL, with
-    one trace call for each group of _TS_GROUPS, in their order."""
+# (group of _TS_GROUPS, position in it) for each level m = 0 .. _TS_MAX_LEVEL
+_TS_LEVELS = tuple((group, i) for group, levels in enumerate(_TS_GROUPS) for i in range(len(levels)))
+
+
+def _node_arrays(trace, name: str, lo: float, hi: float, group: int) -> tuple[np.ndarray, ...]:
+    """(positions, t, trace(t) dt/du) at the nodes of _TS_GROUPS[group] over
+    [lo, hi] where trace is nonzero, read-only: all that quad needs of the
+    trace there, none of it dependent on the weights.  A trace that returns
+    another shape than its nodes' raises ShapeMismatch naming it `name`."""
+    c, w, left, _ = _tanh_sinh_nodes(_TS_GROUPS[group])
     half = 0.5 * (hi - lo)
-    neval = 0
-    for levels in _TS_GROUPS:
-        c, w, left, starts = _tanh_sinh_nodes(levels)
-        t = np.where(left, lo + half * c, hi - half * c)
-        f = np.asarray(trace(t), dtype=float)
-        neval += t.size
-        nonzero = np.flatnonzero(f)
-        terms = np.zeros((count, t.size))
-        # a weight that overflows where the trace is nonzero makes the value
-        # inf or nan, which quad refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms[:, nonzero] = np.asarray(weights(t[nonzero])) * (f[nonzero] * w[nonzero])
-            sums = np.add.reduceat(terms, starts, axis=1)
-        for level_sums in sums.T.tolist():
-            yield neval, level_sums
+    t = np.where(left, lo + half * c, hi - half * c)
+    f = np.asarray(trace(t), dtype=float)
+    if f.shape != t.shape:
+        raise ShapeMismatch(f"the {name} returned shape {f.shape} on {t.size} nodes")
+    at = np.flatnonzero(f)
+    arrays = (at, t[at], f[at] * w[at])
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+class _Sampled:
+    """h's remainder or tail as quad's trace: its node arrays are read from
+    h's memo, HeatTrace._samples, or formed once by _node_arrays and kept
+    there.  nodes counts every node quad uses, sampled afresh or not."""
+
+    __slots__ = ("h", "part", "nodes")
+
+    def __init__(self, h: HeatTrace, part: str):
+        self.h, self.part, self.nodes = h, part, 0
+
+    def node_arrays(self, lo: float, hi: float, group: int) -> tuple[np.ndarray, ...]:
+        self.nodes += _tanh_sinh_nodes(_TS_GROUPS[group])[0].size
+        key = (self.part, lo, hi, group)
+        arrays = self.h._samples.get(key)
+        if arrays is None:
+            trace = getattr(self.h, self.part)
+            arrays = self.h._samples[key] = _node_arrays(trace, self.part, lo, hi, group)
+        return arrays
 
 
 def quad(trace, weights, lo: float, hi: float, epsabs, full_output: int = 0):
@@ -618,38 +641,60 @@ def quad(trace, weights, lo: float, hi: float, epsabs, full_output: int = 0):
 
     trace and weights take an array of nodes: trace returns an array of its
     shape and weights a sequence of such arrays.  The nodes of levels 0-4
-    (129) go to trace in one call, then those of each later level in one, and
-    each level's sum is read off its slice of the call.  Weights are formed
-    only where the trace is nonzero, so a weight that would overflow where
-    the trace vanishes is never formed.  Levels h = 2^-m halve the step; with
-    d_m the change from level m-1 to m, level m's error is estimated as
-    d_m^2 / d_{m-1}, as the convergence is quadratic.  From level 2 on, each
-    integral aims at max(epsabs[i], QUAD_EPSREL |value|), and the last level,
-    _TS_MAX_LEVEL, accepts QUAD_EPSREL_LAST; an integral that misses that
-    too, or a value that is not finite, raises QuadratureFailure.  Returns
-    (values, errors), and also {"neval": trace evaluations} with full_output.
+    (129) go to trace in one call, then those of each later level in one,
+    and of each call _node_arrays keeps the positions where the trace is
+    nonzero, t there and trace(t) dt/du there.  mellin_zeta passes, in place
+    of a trace, a _Sampled, whose node_arrays method reads these from the
+    trace's memo.  The weights are formed at those t alone, so a weight that
+    would overflow where the trace vanishes is never formed, and scattered
+    into the full node row, zeros included, whose slices np.add.reduceat
+    sums to each level's sum.  One flat loop in Python floats runs over the
+    levels: h = 2^-m halves the step; with d_m the change from level m-1 to
+    m, level m's error is estimated as d_m^2 / d_{m-1}, as the convergence
+    is quadratic.  From level 2 on, each integral aims at max(epsabs[i],
+    QUAD_EPSREL |value|), and the last level, _TS_MAX_LEVEL, accepts
+    QUAD_EPSREL_LAST; an integral that misses that too, or a value that is
+    not finite, raises QuadratureFailure.  Returns (values, errors), and
+    also {"neval": trace evaluations} with full_output.
     """
+    node_arrays = getattr(trace, "node_arrays", None)
+    if node_arrays is None:
+        node_arrays = partial(_node_arrays, trace, "trace")
     half = 0.5 * (hi - lo)
     count = len(epsabs)
-    values, change = [0.0] * count, [math.inf] * count
-
-    def converged(errors, rel: float) -> bool:
-        return all(err <= max(eps, rel * abs(v)) for err, eps, v in zip(errors, epsabs, values))
-
-    for level, (neval, new) in enumerate(_level_sums(trace, weights, lo, hi, count)):
-        scale = half * 2.0 ** -level
-        previous, values = values, [0.5 * v + scale * x for v, x in zip(values, new)]
-        last, change = change, [abs(v - p) for v, p in zip(values, previous)]
-        errors = [d * d / e if e else d for d, e in zip(change, last)]
-        if not all(map(math.isfinite, values)):
-            raise QuadratureFailure(f"integral over [{lo:g}, {hi:g}] returned {values}")
-        if level >= 2 and converged(errors, QUAD_EPSREL):
-            break
-    else:
-        if not converged(errors, QUAD_EPSREL_LAST):
-            raise QuadratureFailure(
-                f"integral over [{lo:g}, {hi:g}]: error estimate {max(errors):.1e} "
-                f"after {neval} nodes, above the target")
+    values, change, errors = [0.0] * count, [math.inf] * count, [0.0] * count
+    neval = 0
+    # a weight that overflows where the trace is nonzero makes the value inf
+    # or nan, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level, (group, row) in enumerate(_TS_LEVELS):
+            if row == 0:
+                at, t, ftw = node_arrays(lo, hi, group)
+                c, _, _, starts = _tanh_sinh_nodes(_TS_GROUPS[group])
+                neval += c.size
+                terms = np.zeros((count, c.size))
+                for i, weight in enumerate(weights(t)):
+                    terms[i, at] = weight * ftw
+                sums = np.add.reduceat(terms, starts, axis=1).T.tolist()
+            scale = half * 2.0 ** -level
+            finite = converged = True
+            for i, (x, eps) in enumerate(zip(sums[row], epsabs)):
+                v = 0.5 * values[i] + scale * x
+                d, last = abs(v - values[i]), change[i]
+                values[i], change[i] = v, d
+                errors[i] = err = d * d / last if last else d
+                finite = finite and math.isfinite(v)
+                converged = converged and err <= max(eps, QUAD_EPSREL * abs(v))
+            if not finite:
+                raise QuadratureFailure(f"integral over [{lo:g}, {hi:g}] returned {values}")
+            if level >= 2 and converged:
+                break
+        else:
+            if not all(err <= max(eps, QUAD_EPSREL_LAST * abs(v))
+                       for err, eps, v in zip(errors, epsabs, values)):
+                raise QuadratureFailure(
+                    f"integral over [{lo:g}, {hi:g}]: error estimate {max(errors):.1e} "
+                    f"after {neval} nodes, above the target")
     if full_output:
         return tuple(values), tuple(errors), {"neval": neval}
     return tuple(values), tuple(errors)
@@ -704,32 +749,15 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
     cut_err, log_err = _expansion_error(h.terms, s.real)
     nodes = 0
 
-    def sampled(part: str, lo: float, hi: float):
-        """h's `part` on the nodes quad passes over [lo, hi], one call per
-        group of _TS_GROUPS in order: read from h's memo, or evaluated once
-        and kept there read-only.  nodes counts every node used."""
-        groups = itertools.count()
-
-        def sample(t: np.ndarray) -> np.ndarray:
-            nonlocal nodes
-            nodes += t.size
-            key = (part, lo, hi, next(groups))
-            f = h._samples.get(key)
-            if f is None:  # a copy: the array the trace returned stays writable
-                f = np.array(getattr(h, part)(t), dtype=float)
-                f.flags.writeable = False
-                h._samples[key] = f
-            return f
-        return sample
-
     def split(weights, bounds) -> tuple[tuple, tuple, list[float]]:
         """(int_cut^1 w remainder, int_1^upper w tail, quad error) for each
         weight w in weights(t); the remainder integral of weight i aims at
         bounds[i], its own known rounding, where that exceeds QUAD_EPSABS."""
-        rem, e1 = quad(sampled("remainder", cut, 1.0), weights, cut, 1.0,
-                       [max(QUAD_EPSABS, bound) for bound in bounds])
-        tl, e2 = quad(sampled("tail", 1.0, upper), weights, 1.0, upper,
-                      [QUAD_EPSABS] * len(bounds))
+        nonlocal nodes
+        rem_part, tail_part = _Sampled(h, "remainder"), _Sampled(h, "tail")
+        rem, e1 = quad(rem_part, weights, cut, 1.0, [max(QUAD_EPSABS, bound) for bound in bounds])
+        tl, e2 = quad(tail_part, weights, 1.0, upper, [QUAD_EPSABS] * len(bounds))
+        nodes += rem_part.nodes + tail_part.nodes
         return rem, tl, [x + y for x, y in zip(e1, e2)]
 
     def error(factor, quad_err: float, bound: float, parts) -> float:

@@ -24,7 +24,7 @@ from torsionlab import (
     zeta_at_zero,
 )
 from torsionlab import zetas
-from torsionlab.errors import BadParameter, PoleHit, QuadratureFailure
+from torsionlab.errors import BadParameter, PoleHit, QuadratureFailure, ShapeMismatch
 from torsionlab.models import build_model
 from torsionlab.zetas import (
     _EXP_CUTOFF,
@@ -910,13 +910,24 @@ def test_memo_is_private_to_each_trace():
     for s, derivative in _MEMO_CALLS:
         mellin_zeta(h, s, derivative=derivative)
     samples = h._samples
-    # at most one array per part and group, each read-only
+    # at most one entry per part and group: the positions of the nonzero
+    # samples, t there and trace(t) dt/du there, three read-only arrays of
+    # at most the group's nodes
     assert 0 < len(samples) <= 2 * len(zetas._TS_GROUPS)
     assert {part for part, *_ in samples} == {"remainder", "tail"}
-    for f in samples.values():
-        assert not f.flags.writeable
-        with pytest.raises(ValueError):
-            f[...] = 0.0
+    for (_, _, _, group), arrays in samples.items():
+        nodes = zetas._tanh_sinh_nodes(zetas._TS_GROUPS[group])[0].size
+        assert len(arrays) == 3 and len({a.size for a in arrays}) == 1
+        for a in arrays:
+            assert a.ndim == 1 and a.size <= nodes and a.itemsize == 8
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+    # so a trace's memo, even with every group of both parts sampled, stays
+    # under 24 bytes a node: 2 x 2049 nodes, 96 KiB
+    nodes = sum(zetas._tanh_sinh_nodes(levels)[0].size for levels in zetas._TS_GROUPS)
+    assert nodes == 2049
+    assert sum(a.nbytes for arrays in samples.values() for a in arrays) <= 2 * nodes * 24 < 98_400
     # replace starts an empty memo, and the copy fills its own
     other = dataclasses.replace(h)
     assert other._samples == {} and other._samples is not samples
@@ -938,3 +949,46 @@ def test_memo_keeps_nothing_from_a_trace_that_raises():
         # the remainder is integrated first: its failure leaves nothing at all
         assert all(key[0] == "remainder" for key in broken._samples)
         assert bool(broken._samples) == (part == "tail")
+
+
+def test_memo_refuses_a_trace_of_another_shape():
+    # a part that returns a scalar, or fewer values than nodes, is refused
+    # where it is sampled, naming the part, by mellin_zeta and plain quad
+    h = circle_heat_trace(2.0 * math.pi, 0.7, 2)
+    upper = _EXP_CUTOFF / h.lambda_min
+    for wrong in (lambda t: 0.0, lambda t: np.ones(3)):
+        for part, lo, hi in (("remainder", 0.0, 1.0), ("tail", 1.0, upper)):
+            broken = dataclasses.replace(h, **{part: wrong})
+            with pytest.raises(ShapeMismatch, match=f"^the {part} returned shape"):
+                mellin_zeta(broken, 2.5)
+            assert all(key[0] != part for key in broken._samples)
+            with pytest.raises(ShapeMismatch, match="^the trace returned shape"):
+                zetas.quad(getattr(broken, part), lambda t: (t,), lo, hi, [zetas.QUAD_EPSABS])
+
+
+@pytest.mark.parametrize("make", _MEMO_TRACES)
+def test_plain_quad_matches_the_memo(make, monkeypatch):
+    # every integral mellin_zeta forms through the memo, cold or warm, is
+    # bitwise the one quad forms from the plain remainder or tail, and
+    # full_output's neval counts the nodes mellin_zeta reports
+    real_quad, calls = zetas.quad, []
+
+    def recording(trace, weights, lo, hi, epsabs):
+        out = real_quad(trace, weights, lo, hi, epsabs)
+        calls.append((weights, lo, hi, epsabs, out))
+        return out
+
+    monkeypatch.setattr(zetas, "quad", recording)
+    h = make()
+    for s, derivative in _MEMO_CALLS * 2:
+        calls[:] = []
+        ev = mellin_zeta(h, s, derivative=derivative)
+        neval = 0
+        for weights, lo, hi, epsabs, out in calls:
+            plain = getattr(h, "tail" if lo == 1.0 else "remainder")
+            assert repr(real_quad(plain, weights, lo, hi, epsabs)) == repr(out)
+            values, errors, info = real_quad(plain, weights, lo, hi, epsabs, full_output=1)
+            assert repr((values, errors)) == repr(out)
+            neval += info["neval"]
+        assert len(calls) == 2
+        assert neval == ev.nodes
