@@ -40,7 +40,6 @@ from .torsion import (
     exponential_metric_path,
     generalized_log_torsion,
     log_reidemeister,
-    telescoping_identity_holds,
     variation_check,
 )
 from .zetas import (
@@ -49,12 +48,8 @@ from .zetas import (
     circle_heat_trace,
     combine_heat_traces,
     digamma,
-    hurwitz_zeta,
-    hurwitz_zeta_prime0,
     mellin_zeta,
     product_heat_trace,
-    riemann_zeta,
-    riemann_zeta_prime0,
     sphere2_scalar_heat_trace,
     zeta_at_zero,
 )
@@ -68,7 +63,6 @@ from .models import (
     residue_log_trace,
     residue_torsion,
     surface_residue_combination,
-    torus_heat_trace,
 )
 from .boundary import (
     GluingReport,

@@ -331,8 +331,12 @@ class TwistedComplex:
         return np.zeros((self.dims[self.dimension], 0))
 
     def entries(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values): the nonzero entries of bd_k (1 <= k <= dimension)
-        in row-major order, read off the blocks; O(nnz log nnz)."""
+        """(rows, cols, values): the nonzero entries of bd_k in row-major order,
+        read off the blocks; O(nnz log nnz).  Outside 1 <= k <= dimension they
+        are three empty arrays, the entries of the zero-shaped boundary(k)."""
+        if not 1 <= k <= self.dimension:
+            empty = np.zeros(0, dtype=np.intp)
+            return empty, empty, np.zeros(0)
         rows, cols, values = self.blocks[k - 1]
         n = self.rank
         offsets = np.arange(n)

@@ -48,8 +48,7 @@ class StepTooLarge(TorsionLabError):
 
 
 class PoleHit(TorsionLabError):
-    """A zeta function evaluated at a pole: a spectral zeta at a pole of its
-    meromorphic continuation, or the Riemann/Hurwitz zeta at s = 1."""
+    """A zeta function evaluated at a pole of its meromorphic continuation."""
 
     exit_code = 4
 

@@ -143,22 +143,28 @@ class ChainMetric:
         draws = (rng.standard_normal((d, d)) for d in cplx.dims)
         return cls.exponential([0.25 * (s + s.T) for s in draws])
 
-    def _eye(self, k: int) -> np.ndarray:
+    def _factor_at(self, k: int, which: int) -> np.ndarray:
+        """Factor `which` (h, h^{1/2}, h^{-1/2}, h^{-1}) of degree k; a read-only I
+        for the identity metric."""
+        if not 0 <= k < len(self._dims):
+            raise ShapeMismatch(f"degree {k} outside 0..{len(self._dims) - 1}")
+        if not self.is_identity:
+            return self._factors[k][which]
         eye = np.eye(self._dims[k])
         eye.setflags(write=False)
         return eye
 
     def matrix(self, k: int) -> np.ndarray:
-        return self._eye(k) if self.is_identity else self._factors[k][0]
+        return self._factor_at(k, 0)
 
     def sqrt(self, k: int) -> np.ndarray:
-        return self._eye(k) if self.is_identity else self._factors[k][1]
+        return self._factor_at(k, 1)
 
     def isqrt(self, k: int) -> np.ndarray:
-        return self._eye(k) if self.is_identity else self._factors[k][2]
+        return self._factor_at(k, 2)
 
     def inv(self, k: int) -> np.ndarray:
-        return self._eye(k) if self.is_identity else self._factors[k][3]
+        return self._factor_at(k, 3)
 
     def matches(self, cplx: TwistedComplex) -> bool:
         return self._dims == cplx.dims

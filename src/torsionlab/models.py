@@ -132,11 +132,6 @@ def torus(*, n: int = 2, L: float = 2.0 * math.pi, rank: int = 1) -> SpectralMod
     return product(f"torus(n={n}, L={L:g})", *[factor] * n)
 
 
-def torus_heat_trace(n: int, L: float) -> HeatTrace:
-    """The flat n-torus's scalar heat trace: the product of n circles of length L."""
-    return torus(n=n, L=L).heat[0]
-
-
 def sphere2(*, rank: int = 1) -> SpectralModel:
     """The round 2-sphere."""
     if rank != 1:

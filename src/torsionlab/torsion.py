@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .complexes import TwistedComplex
-from .errors import NotAcyclic, ShapeMismatch, StepTooLarge
+from .errors import BadParameter, NotAcyclic, ShapeMismatch, StepTooLarge
 from .hodge import ChainMetric, coboundary, factorize, laplacian, metric_adjoint
 
 SECOND_DIFFERENCE_TOL = 1e-12
@@ -208,7 +208,7 @@ class BetaClassification:
 
     def reconstruct(self, length: int) -> np.ndarray:
         if not self.satisfies_recurrence:
-            raise ValueError("weights are not in span{1, k}")
+            raise BadParameter("weights are not in span{1, k}")
         return np.array([self.lam + self.mu * k for k in range(length)])
 
 
@@ -363,52 +363,3 @@ def _laplacian_dot_residual(cplx: TwistedComplex, h0: ChainMetric, hp: ChainMetr
         diff = float(np.max(np.abs(lap_dot_fd - formula))) if lap_dot_fd.size else 0.0
         residual = max(residual, diff / denom)
     return residual
-
-
-# --- symbolic telescoping ---------------------------------------------------
-
-
-def telescoping_coefficient_table(n: int) -> dict[int, dict[int, int]]:
-    """Coefficient of gamma_j as an integer combination of the beta_i.
-
-    Expands sum_{k=0}^n (-1)^(k+1) beta_k (-gamma_{k+1} - 2 gamma_k
-    - gamma_{k-1}) with gamma indices outside 0..n dropped; the result maps
-    j -> {i: coefficient of beta_i}.
-    """
-    table: dict[int, dict[int, int]] = {j: {} for j in range(n + 1)}
-
-    def add(j: int, i: int, value: int) -> None:
-        if 0 <= j <= n:
-            table[j][i] = table[j].get(i, 0) + value
-            if table[j][i] == 0:
-                del table[j][i]
-
-    for k in range(n + 1):
-        sign = (-1) ** (k + 1)
-        add(k + 1, k, -sign)
-        add(k, k, -2 * sign)
-        add(k - 1, k, -sign)
-    return table
-
-
-def second_difference_table(n: int) -> dict[int, dict[int, int]]:
-    """Expected gamma coefficients: (-1)^(j+1) (beta_{j+1} - 2 beta_j + beta_{j-1}).
-
-    Out-of-range beta indices are read as zero, so the boundary rows j = 0
-    and j = n carry the truncated stencils (2 beta_0 - beta_1) and
-    (-1)^(n+1) * (beta_{n+1 dropped} - 2 beta_n + beta_{n-1}).
-    """
-    table: dict[int, dict[int, int]] = {}
-    for j in range(n + 1):
-        sign = (-1) ** (j + 1)
-        row: dict[int, int] = {}
-        for i, coeff in ((j + 1, 1), (j, -2), (j - 1, 1)):
-            if 0 <= i <= n:
-                row[i] = row.get(i, 0) + sign * coeff
-        table[j] = {i: c for i, c in row.items() if c != 0}
-    return table
-
-
-def telescoping_identity_holds(n: int) -> bool:
-    """Exact integer check that the expansion matches the second-difference stencil."""
-    return telescoping_coefficient_table(n) == second_difference_table(n)

@@ -36,9 +36,6 @@ circles with it); only the 2-sphere uses a truncated asymptotic expansion,
 whose remainder is 0 where it would be rounding noise (see
 sphere2_scalar_heat_trace).  This module knows no boundary condition.
 
-Riemann and Hurwitz zeta (Euler-Maclaurin) are provided as independent
-closed forms for cross-checking the engine, never as its internals.
-
 All functions are deterministic (the memo below changes no result); numpy
 is their only dependency.
 A trace's remainder and tail take an array of t and return an array of the
@@ -80,89 +77,6 @@ _BERNOULLI = (
     Fraction(43867, 798), Fraction(-174611, 330), Fraction(854513, 138),
     Fraction(-236364091, 2730),
 )
-
-_EM_N = 24  # direct summands in Euler-Maclaurin before the tail correction
-
-
-def _powneg(base: float, s: complex | float):
-    """base^(-s) for base > 0 and real or complex s."""
-    if isinstance(s, complex):
-        return cmath.exp(-s * math.log(base))
-    return base ** (-s)
-
-
-def hurwitz_zeta(s: float | complex, a: float):
-    """Hurwitz zeta(s, a) = sum_{n>=0} (n+a)^(-s), continued to s != 1.
-
-    Euler-Maclaurin with 24 direct terms and Bernoulli corrections through
-    B_24; full double precision for |s| up to a few tens and a > 0.
-    """
-    value, _ = _hurwitz_core(s, a, want_derivative=False)
-    return value
-
-
-def hurwitz_zeta_prime(s: float | complex, a: float):
-    """d/ds of hurwitz_zeta at (s, a), by the differentiated continuation."""
-    _, deriv = _hurwitz_core(s, a, want_derivative=True)
-    return deriv
-
-
-def hurwitz_zeta_prime0(a: float) -> float:
-    """d/ds zeta_H(s, a) at s = 0; equals log Gamma(a) - (1/2) log(2 pi)."""
-    return float(hurwitz_zeta_prime(0.0, a).real)
-
-
-def riemann_zeta(s: float | complex):
-    """Riemann zeta via the Hurwitz continuation at a = 1."""
-    return hurwitz_zeta(s, 1.0)
-
-
-def riemann_zeta_prime0() -> float:
-    """zeta_R'(0) = -(1/2) log(2 pi), computed by the continuation itself."""
-    return float(hurwitz_zeta_prime(0.0, 1.0).real)
-
-
-def _hurwitz_core(s, a, want_derivative):
-    if a <= 0.0:
-        raise BadParameter(f"Hurwitz parameter must be positive, got {a}")
-    s = complex(s) if isinstance(s, complex) else float(s)
-    if abs(s - 1.0) < 1e-12:
-        raise PoleHit("zeta has a simple pole at s = 1")
-    n = _EM_N
-    value = 0.0 if not isinstance(s, complex) else 0.0 + 0.0j
-    deriv = value
-    for k in range(n):
-        base = k + a
-        term = _powneg(base, s)
-        value += term
-        if want_derivative:
-            deriv -= math.log(base) * term
-    big = n + a
-    log_big = math.log(big)
-    tail_pow = _powneg(big, s)  # big^(-s)
-    # integral term big^(1-s)/(s-1)
-    value += big * tail_pow / (s - 1.0)
-    if want_derivative:
-        deriv += big * tail_pow * (-log_big / (s - 1.0) - 1.0 / (s - 1.0) ** 2)
-    # half-weight endpoint
-    value += 0.5 * tail_pow
-    if want_derivative:
-        deriv += -0.5 * log_big * tail_pow
-    # Bernoulli corrections: B_{2j}/(2j)! * s(s+1)...(s+2j-2) * big^(-s-2j+1)
-    fact = 1.0
-    for j, b2j in enumerate(_BERNOULLI, start=1):
-        fact *= (2 * j) * (2 * j - 1)
-        coeff = float(b2j) / fact
-        rising = 1.0 if not isinstance(s, complex) else 1.0 + 0.0j
-        rising_d = 0.0 * rising
-        for i in range(2 * j - 1):
-            rising_d = rising_d * (s + i) + rising
-            rising = rising * (s + i)
-        scale = tail_pow * big ** (1 - 2 * j)
-        value += coeff * rising * scale
-        if want_derivative:
-            deriv += coeff * (rising_d - rising * log_big) * scale
-    return value, deriv
 
 
 def digamma(x: float) -> float:

@@ -41,6 +41,16 @@ def test_circle_boundary_quarter_turn():
     assert np.max(np.abs(cx.boundary(1) - expected)) < 1e-14
 
 
+def test_entries_are_the_nonzeros_of_the_boundary_in_every_degree():
+    for cx in (build_preset("torus2"), build_preset("circle", theta=1.0)):
+        for k in range(-1, cx.dimension + 2):
+            rows, cols, values = cx.entries(k)
+            bd = cx.boundary(k)
+            nz_rows, nz_cols = np.nonzero(bd)
+            assert np.array_equal(rows, nz_rows) and np.array_equal(cols, nz_cols), k
+            assert np.array_equal(values, bd[nz_rows, nz_cols]), k
+
+
 def test_trivial_representation_gives_integer_boundary():
     cells, _ = preset("torus2", alpha=1.0, beta=0.5)
     cx = build_twisted_boundary(cells, Representation(1, [np.eye(1), np.eye(1)]))

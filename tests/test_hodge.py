@@ -177,6 +177,17 @@ def test_identity_metric_is_unfactored_identity():
     assert peak < 2 ** 20, f"ChainMetric.identity peaked at {peak} bytes"
 
 
+def test_metric_factors_refuse_a_degree_outside_the_metric():
+    cx = build_preset("circle", theta=1.0)
+    factored = ChainMetric([np.diag([2.0, 3.0]), np.array([[5.0]])])
+    for metric in (factored, ChainMetric.identity(cx)):
+        for k in (-1, 2):
+            for factor in (metric.matrix, metric.sqrt, metric.isqrt, metric.inv):
+                with pytest.raises(ShapeMismatch, match=f"^degree {k} outside 0..1$"):
+                    factor(k)
+    assert factored.matrix(1).tolist() == [[5.0]]
+
+
 def test_betti_euler_poincare_and_metric_independence():
     rng = np.random.default_rng(4)
     for cx in (build_preset("circle", theta=1.0), build_preset("circle", theta=0.0),

@@ -18,16 +18,15 @@ from torsionlab import (
     generalized_log_torsion,
     log_reidemeister,
     rotation,
-    telescoping_identity_holds,
     variation_check,
 )
-from torsionlab.errors import NotAcyclic, ShapeMismatch
+from torsionlab.errors import BadParameter, NotAcyclic, ShapeMismatch
 from torsionlab.hodge import coboundary, laplacian, metric_adjoint
-from torsionlab.torsion import (
-    RANK_TOL,
-    _full_pivot_logdet,
-    second_difference_table,
-    telescoping_coefficient_table,
+from torsionlab.torsion import RANK_TOL, _full_pivot_logdet
+from torsionlab.verify import (
+    _second_difference_table,
+    _telescoping_coefficient_table,
+    _telescoping_identity_holds,
 )
 
 
@@ -447,16 +446,22 @@ def test_classify_beta_examples():
     assert classify_beta((7.0, -1.0)).satisfies_recurrence
 
 
+def test_reconstruct_refuses_weights_off_the_recurrence():
+    assert classify_beta((0.0, 1.0, 2.0)).reconstruct(4).tolist() == [0.0, 1.0, 2.0, 3.0]
+    with pytest.raises(BadParameter, match="not in span"):
+        classify_beta((1.0, 2.0, 4.0)).reconstruct(3)
+
+
 def test_telescoping_tables():
     # interior rows carry (-1)^(j+1) (beta_{j+1} - 2 beta_j + beta_{j-1});
     # the boundary rows truncate the stencil (out-of-range beta read as 0)
-    table = telescoping_coefficient_table(4)
+    table = _telescoping_coefficient_table(4)
     assert table[2] == {3: -1, 2: 2, 1: -1}
     assert table[0] == {0: 2, 1: -1}
     assert table[4] == {4: 2, 3: -1}
     for n in range(1, 11):
-        assert telescoping_coefficient_table(n) == second_difference_table(n)
-        assert telescoping_identity_holds(n)
+        assert _telescoping_coefficient_table(n) == _second_difference_table(n)
+        assert _telescoping_identity_holds(n)
 
 
 def test_variation_constant_path():

@@ -1,14 +1,23 @@
 """Every verify case at its default tolerance, read from the session's one run,
 and the independent oracles behind them against closed forms."""
 
+import ast
 import math
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import torsionlab
+from torsionlab import zetas
+from torsionlab.errors import BadParameter, PoleHit
 from torsionlab.verify import (
     SUITES,
+    _BERNOULLI,
     _circle_brute,
+    _hurwitz,
     _lattice_zeta_brute,
     _riemann_brute,
     run_suites,
@@ -68,3 +77,99 @@ def test_verify_memory_stays_bounded(verify_run):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, f"traced peak {peak / 1e6:.2f} MB"
+
+
+def test_unknown_suite_is_a_bad_parameter():
+    with pytest.raises(BadParameter, match="unknown suite 'nope'"):
+        run_suites("nope")
+
+
+def test_bernoulli_recurrence_matches_the_library_table():
+    # the oracle derives B_2..B_24 from their recurrence; the library's table is typed in
+    assert _BERNOULLI == zetas._BERNOULLI
+
+
+def test_no_library_module_imports_verify():
+    package = pathlib.Path(torsionlab.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem in ("verify", "cli"):
+            continue
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not {name for name in imported if name.split(".")[-1] == "verify"}, path.name
+    code = (f"import sys; sys.path.insert(0, {str(package.parent)!r}); import torsionlab; "
+            "print('torsionlab.verify' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
+# --- the Hurwitz/Riemann oracle against closed forms and independent sums ----
+
+
+def eta_transform_zeta(s: float, depth: int = 40) -> float:
+    """zeta via the Euler-transformed alternating series; valid for s != 1."""
+    eta = 0.0
+    for k in range(depth):
+        inner = sum(math.comb(k, j) * (-1.0) ** j * (j + 1.0) ** (-s)
+                    for j in range(k + 1))
+        eta += inner / 2.0 ** (k + 1)
+    return eta / (1.0 - 2.0 ** (1.0 - s))
+
+
+def brute_zeta(s: float, n: int = 4000) -> float:
+    """Partial sum with integral, endpoint, and B_2 corrections; s > 1."""
+    total = sum(k ** (-s) for k in range(1, n))
+    return total + n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** (-s) \
+        + s * n ** (-s - 1.0) / 12.0
+
+
+def test_riemann_values():
+    assert abs(_hurwitz(2.0) - math.pi ** 2 / 6.0) < 1e-13
+    assert abs(_hurwitz(2.0) - brute_zeta(2.0)) < 1e-12
+    assert abs(_hurwitz(0.0) - eta_transform_zeta(0.0)) < 1e-12
+    assert abs(_hurwitz(0.0) + 0.5) < 1e-14
+    assert abs(_hurwitz(-1.0) - eta_transform_zeta(-1.0)) < 1e-12
+    assert abs(_hurwitz(-1.0) + 1.0 / 12.0) < 1e-14
+    assert abs(_hurwitz(3.0) - brute_zeta(3.0)) < 1e-13
+
+
+def test_riemann_prime_zero():
+    assert abs(_hurwitz(0.0, derivative=True) + 0.5 * math.log(2.0 * math.pi)) < 1e-12
+
+
+def test_riemann_pole():
+    with pytest.raises(PoleHit):
+        _hurwitz(1.0)
+
+
+def test_hurwitz_values():
+    for a in (0.25, 0.5, 1.0, 1.5, 3.25):
+        assert abs(_hurwitz(0.0, a) - (0.5 - a)) < 1e-13
+    assert abs(_hurwitz(2.0, 1.0) - math.pi ** 2 / 6.0) < 1e-13
+    # splitting the sum over even/odd shifts
+    lhs = _hurwitz(2.0, 0.5) + _hurwitz(2.0, 1.0)
+    assert abs(lhs - 4.0 * _hurwitz(2.0)) < 1e-12
+    with pytest.raises(BadParameter):
+        _hurwitz(2.0, -1.0)
+
+
+def test_hurwitz_prime_zero_reflection():
+    # log Gamma(1/2) = (1/2) log pi by the reflection formula
+    assert abs(_hurwitz(0.0, 0.5, derivative=True) + 0.5 * math.log(2.0)) < 1e-12
+    # and the lgamma closed form at a generic point
+    for a in (0.3, 1.0, 2.2):
+        closed = math.lgamma(a) - 0.5 * math.log(2.0 * math.pi)
+        assert abs(_hurwitz(0.0, a, derivative=True) - closed) < 1e-11
+
+
+def test_hurwitz_negative_argument_bernoulli():
+    # zeta_H(-1, a) = -(a^2 - a + 1/6)/2
+    for a in (0.5, 1.5, 2.0):
+        expected = -(a * a - a + 1.0 / 6.0) / 2.0
+        assert abs(_hurwitz(-1.0, a) - expected) < 1e-12
