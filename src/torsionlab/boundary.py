@@ -39,10 +39,9 @@ conventions.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import BadParameter, ShapeMismatch, UnsupportedPartition
+from .errors import BadParameter, SchemaError, ShapeMismatch, UnsupportedPartition
 from .models import SpectralModel, TorsionReport, circle, product, residue_torsion
 from .zetas import _length, circle_heat_trace, combine_heat_traces
 
@@ -97,8 +96,7 @@ def build_cylinder(R: float = 1.0, L: float = 2.0 * math.pi, condition: str = "r
                    build_interval(R, condition), circle(L=L))
 
 
-@dataclass(frozen=True)
-class PropositionReport:
+class PropositionReport(NamedTuple):
     """Deviations of the relative/absolute weighted and plain sum identities."""
 
     geometry: str
@@ -116,7 +114,7 @@ class PropositionReport:
                     self.unweighted_absolute, self.duality))
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        return {**self._asdict(), "ok": self.ok}
 
 
 def proposition_check(relative: SpectralModel, absolute: SpectralModel,
@@ -158,8 +156,7 @@ def boundary_residue_torsion(model: SpectralModel, beta: Sequence[float]) -> Tor
     return residue_torsion(model, beta)
 
 
-@dataclass(frozen=True)
-class GluingReport:
+class GluingReport(NamedTuple):
     """Both sides of the torsion gluing identity, term by term.
 
     lhs = log T_res,k of the glued manifold; the right side adds the two
@@ -191,7 +188,7 @@ class GluingReport:
         return self.discrepancy <= self.tol
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "rhs": self.rhs, "discrepancy": self.discrepancy,
+        return {**self._asdict(), "rhs": self.rhs, "discrepancy": self.discrepancy,
                 "ok": self.ok}
 
 
@@ -212,8 +209,10 @@ def gluing_check(geometry: str, *, R: float = 1.0, L: float = 2.0 * math.pi,
     Pieces keep the outer condition on the original boundary and take
     relative conditions on the interface, i.e. they are fully relative when
     outer='relative' and mixed otherwise.  A degenerate split (an empty
-    piece) is rejected.
+    piece) is rejected, and so is a tol that is not a finite number >= 0.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise SchemaError(f"tolerance must be a finite number >= 0, got {tol!r}")
     if outer not in ("relative", "absolute"):
         raise BadParameter("outer condition must be 'relative' or 'absolute'")
     if not 0.0 < split < R:

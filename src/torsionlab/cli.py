@@ -23,7 +23,6 @@ bit-exactly through json.loads.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import inspect
 import json
 import math
@@ -228,9 +227,9 @@ def cmd_model_torsion(args) -> int:
         report = mdl.residue_torsion(model, beta)
     if args.kind == "both":
         ana = mdl.analytic_torsion(model, beta)
-        report = dataclasses.replace(
-            report, log_torsion_zeta=ana.log_torsion_zeta,
-            zeta_prime0=ana.zeta_prime0, abs_error_estimate=ana.abs_error_estimate)
+        report = report._replace(log_torsion_zeta=ana.log_torsion_zeta,
+                                 zeta_prime0=ana.zeta_prime0,
+                                 abs_error_estimate=ana.abs_error_estimate)
     payload = report.as_dict()
     lines = [f"model           {report.model}",
              f"beta            {', '.join(fmt(b) for b in report.beta)}",

@@ -63,12 +63,13 @@ def _is_letter(letter) -> bool:
             and letter[0] >= 0 and letter[1] in (-1, 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Representation:
     """An orthogonal representation given by its generator images.
 
     Each image G must satisfy max|G^T G - I| < 1e-12.  Inverses are taken
     as transposes, so words with negative exponents stay exactly orthogonal.
+    Representations compare by identity, as complexes do.
     """
 
     rank: int
@@ -251,7 +252,7 @@ def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
     return first
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class TwistedComplex:
     """A twisted chain complex, each boundary map stored as its nonzero blocks.
 
@@ -358,8 +359,7 @@ def _densify(blocks: Blocks, n: int, n_rows: int, n_cols: int) -> np.ndarray:
     return _frozen(mat)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Report-only chain validation: residuals of bd_{k-1} @ bd_k per degree."""
 
     residuals: tuple[tuple[int, float, float], ...]  # (degree k, residual, bound)
@@ -584,14 +584,18 @@ def structure_from_json(data: dict) -> tuple[CellStructure, Representation]:
 
 
 def complex_from_json(source: str | Path | dict) -> TwistedComplex:
-    """Load a twisted complex from a JSON file path, JSON text, or parsed dict."""
+    """Load a twisted complex from a JSON file path, JSON text, or parsed dict.
+
+    Raises SchemaError naming the source when a file holds no JSON, and when
+    a string is neither an existing file nor JSON text.
+    """
     if isinstance(source, dict):
         data = source
     else:
-        text = str(source)
+        text, path = str(source), None
         try:
             if Path(text).exists():
-                text = Path(text).read_text()
+                text, path = Path(text).read_text(), text
         except OSError:
             pass  # raw JSON text, not a path
         except UnicodeDecodeError as exc:
@@ -599,7 +603,11 @@ def complex_from_json(source: str | Path | dict) -> TwistedComplex:
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from exc
+            if path is not None:
+                raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+            shown = text if len(text) <= 120 else text[:117] + "..."
+            raise SchemaError(f"{shown!r} is neither an existing file "
+                              f"nor JSON text ({exc})") from exc
     cells, rho = structure_from_json(data)
     return build_twisted_boundary(cells, rho)
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -314,8 +314,7 @@ def factorize(cplx: TwistedComplex, metric: ChainMetric | None = None) -> Factor
                          sigmas=tuple(sigmas), spectra=spectra)
 
 
-@dataclass(frozen=True)
-class EigenspaceSplit:
+class EigenspaceSplit(NamedTuple):
     """Closed/coclosed split of a positive eigenspace.
 
     proj_closed and proj_coclosed are (d delta)/lambda and (delta d)/lambda

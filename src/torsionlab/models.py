@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .errors import BadParameter, NotAcyclic, SchemaError, ShapeMismatch
 from .torsion import euler_characteristics, generalized_log_torsion
@@ -188,9 +188,12 @@ def residue_log_trace(model: SpectralModel, k: int) -> float:
     return -2.0 * (model.zeta_at_zero(k) + model.betti[k])
 
 
-@dataclass(frozen=True)
-class TorsionReport:
-    """Per-degree zeta data and assembled torsion combinations."""
+class TorsionReport(NamedTuple):
+    """Per-degree zeta data and assembled torsion combinations.
+
+    flags holds residue_torsion's four cross-check numbers (see there); it is
+    None in an analytic_torsion report, and as_dict leaves every None out.
+    """
 
     model: str
     beta: tuple[float, ...]
@@ -201,13 +204,10 @@ class TorsionReport:
     log_torsion_zeta: float | None = None
     zeta_prime0: tuple[float, ...] | None = None
     abs_error_estimate: float = 0.0
-    flags: dict = field(default_factory=dict)
+    flags: dict | None = None
 
     def as_dict(self) -> dict:
-        out = {k: v for k, v in asdict(self).items() if v is not None}
-        if not self.flags:
-            del out["flags"]
-        return out
+        return {k: v for k, v in self._asdict().items() if v is not None}
 
 
 def residue_torsion(model: SpectralModel, beta: Sequence[float]) -> TorsionReport:
@@ -259,8 +259,7 @@ def analytic_torsion(model: SpectralModel, beta: Sequence[float],
                          abs_error_estimate=err)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Max deviations of the zeta identities at the sampled points."""
 
     model: str
@@ -281,7 +280,7 @@ class IdentityReport:
         return all(c <= self.tol for c in checks)
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        return {**self._asdict(), "ok": self.ok}
 
 
 def identity_suite(model: SpectralModel, s_values: Sequence[float] = (0.0, 0.75, 2.0),

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -193,8 +192,7 @@ def euler_characteristics(b: Sequence[int], n: int) -> tuple[int, int]:
     return chi, chi_prime
 
 
-@dataclass(frozen=True)
-class BetaClassification:
+class BetaClassification(NamedTuple):
     """Outcome of the second-difference test on a degree-weight vector.
 
     satisfies_recurrence means beta_{k+1} - 2 beta_k + beta_{k-1} = 0 for
@@ -248,8 +246,7 @@ def classify_beta(beta: Sequence[float]) -> BetaClassification:
 # error of the central differences.
 
 
-@dataclass(frozen=True)
-class VariationReport:
+class VariationReport(NamedTuple):
     """Measured two-sided comparison of the variation identity at one step."""
 
     gammas: tuple[float, ...]
@@ -300,7 +297,7 @@ def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float
     fac = factorize(cplx, h0)
     coclosed = [fac.coclosed(k) for k in range(n)]
     report, hp, hm, alphas = _variation_single(cplx, path, beta, step, h0, coclosed)
-    report = replace(report, laplacian_dot_residual=_laplacian_dot_residual(
+    report = report._replace(laplacian_dot_residual=_laplacian_dot_residual(
         cplx, h0, hp, hm, alphas, step))
     if not check_convergence:
         return report
@@ -312,7 +309,7 @@ def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float
         if ratio < 2.5:
             raise StepTooLarge(
                 f"discrepancy fell only {ratio:.2f}x when halving step {step:g}")
-    return replace(report, halved_discrepancy=halved.discrepancy)
+    return report._replace(halved_discrepancy=halved.discrepancy)
 
 
 def _variation_single(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float],

@@ -15,8 +15,9 @@ is deterministic for a fixed seed; cases keep registration order, not id order.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,14 @@ from .complexes import (
     rotation,
     validate,
 )
-from .errors import BadParameter, NotAcyclic, PoleHit, StepTooLarge, UnsupportedPartition
+from .errors import (
+    BadParameter,
+    NotAcyclic,
+    PoleHit,
+    SchemaError,
+    StepTooLarge,
+    UnsupportedPartition,
+)
 from .hodge import (
     ChainMetric,
     coboundary,
@@ -63,8 +71,7 @@ S_SAMPLES = (0.0, 0.75, 2.0)
 VERDICT_TOL = 0.5  # pass/fail cases: any failed check fails the case
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     """One verification case: a measured discrepancy against its expectation.
 
     `measured` is a deviation from `expected` (zero for identity checks), so
@@ -85,7 +92,7 @@ class CaseResult:
         return self.measured <= self.tolerance
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**self._asdict(), "passed": self.passed}
 
 
 class _Recorder:
@@ -127,15 +134,16 @@ def _blocked_sum(term, start: int, stop: int) -> float:
         for lo in range(start, stop, _BLOCK))
 
 
+@cache
 def _bernoulli_even(top: int = 24) -> tuple[Fraction, ...]:
-    """B_2, B_4, ..., B_top from B_0 = 1 and sum_{k<=m} C(m+1, k) B_k = 0."""
+    """B_2, B_4, ..., B_top from B_0 = 1 and sum_{k<=m} C(m+1, k) B_k = 0,
+    computed on first use: every CLI process imports verify."""
     b = [Fraction(1)]
     for m in range(1, top + 1):
         b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
     return tuple(b[2::2])
 
 
-_BERNOULLI = _bernoulli_even()
 _EM_N = 24  # direct summands in Euler-Maclaurin before the tail correction
 
 
@@ -167,7 +175,7 @@ def _hurwitz(s: float, a: float = 1.0, derivative: bool = False) -> float:
     deriv += -0.5 * log_big * tail_pow
     # Bernoulli corrections: B_{2j}/(2j)! * s(s+1)...(s+2j-2) * big^(-s-2j+1)
     fact = 1.0
-    for j, b2j in enumerate(_BERNOULLI, start=1):
+    for j, b2j in enumerate(_bernoulli_even(), start=1):
         fact *= (2 * j) * (2 * j - 1)
         coeff = float(b2j) / fact
         rising, rising_d = 1.0, 0.0
@@ -242,7 +250,7 @@ def _random_orthogonal_rep(rng: np.random.Generator, n_gens: int) -> Representat
 
 
 def _random_word(rng: np.random.Generator, n_gens: int, length: int):
-    return tuple((int(rng.integers(0, n_gens)), int(rng.choice((-1, 1))))
+    return tuple((int(rng.integers(0, n_gens)), (-1, 1)[rng.integers(0, 2)])
                  for _ in range(length))
 
 
@@ -511,7 +519,7 @@ def combinatorial_suite(tol: float | None = None,
         lam, mu = rng.uniform(-3, 3), rng.uniform(-3, 3)
         b = [lam + mu * k for k in range(n + 1)]
         j = int(rng.integers(0, n + 1))
-        b[j] += float(rng.choice((-1.0, 1.0))) * rng.uniform(1e-6, 1.0)
+        b[j] += (-1.0, 1.0)[rng.integers(0, 2)] * rng.uniform(1e-6, 1.0)
         if classify_beta(b).satisfies_recurrence:
             miss += 1
     rec.add("beta-classification-grid",
@@ -1053,7 +1061,15 @@ SUITES = {
 
 def run_suites(names, tol: float | None = None,
                seed: int = DEFAULT_SEED) -> list[CaseResult]:
-    """Run the named suites ('all' expands to every suite) in fixed order."""
+    """Run the named suites ('all' expands to every suite) in fixed order.
+
+    Raises SchemaError for a tol that is not a finite number >= 0 and for a
+    negative seed, and BadParameter for an unknown suite.
+    """
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise SchemaError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    if seed < 0:
+        raise SchemaError(f"seed must be a nonnegative integer, got {seed!r}")
     if isinstance(names, str):
         names = [names]
     expanded: list[str] = []

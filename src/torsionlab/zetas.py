@@ -62,7 +62,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -456,8 +456,7 @@ def _length(value, name: str, scale: float = 1.0) -> None:
 # --- the continuation engine -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZetaEval:
+class ZetaEval(NamedTuple):
     """One evaluation of a spectral zeta: value, optional d/ds, error bound,
     and the number of quadrature nodes it used, whether the trace was sampled
     on them afresh or reused from its memo."""

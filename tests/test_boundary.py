@@ -9,7 +9,7 @@ from torsionlab import (
     proposition_check,
     residue_torsion,
 )
-from torsionlab.errors import BadParameter, ShapeMismatch, UnsupportedPartition
+from torsionlab.errors import BadParameter, SchemaError, ShapeMismatch, UnsupportedPartition
 from torsionlab.verify import _hurwitz
 
 S_SAMPLES = (0.0, 0.75, 2.0)
@@ -163,6 +163,12 @@ def test_gluing_rejects_degenerate_partitions():
         gluing_check("interval", split=1.0, R=1.0)
     with pytest.raises(UnsupportedPartition):
         gluing_check("moebius")
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_gluing_tolerance_must_be_finite_and_nonnegative(tol):
+    with pytest.raises(SchemaError, match="tolerance must be a finite number >= 0"):
+        gluing_check("interval", tol=tol)
 
 
 def test_build_guards():

@@ -432,6 +432,22 @@ def test_tol_and_seed_only_where_read():
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["verify", "--seed", "-1"], ["verify", "--tol", "inf"],
+                                  ["gluing", "--tol", "nan"]])
+def test_negative_seed_and_unusable_tolerance_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_missing_input_file_is_named(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, "torsion", "--input", missing)
+    assert code == 2 and out == ""
+    assert err == f"error: '{missing}' is neither an existing file nor JSON text " \
+                  "(Expecting value: line 1 column 1 (char 0))\n"
+
+
 def test_verify_loose_tolerance_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "closed-spectral",
                            "--tol", "1e-6", "--json")

@@ -93,6 +93,14 @@ def test_representation_rejects_non_orthogonal():
             Representation(1, [np.array([[bad]])])
 
 
+def test_representations_compare_by_identity():
+    # a generated __eq__ or __hash__ would compare the tuples of image arrays and raise
+    a, b = Representation(2, [rotation(1.0)]), Representation(2, [rotation(1.0)])
+    assert a != b and not a == b
+    assert a == a
+    assert {a, b, a} == {a, b}
+
+
 def test_non_chain_complex_raises():
     cells = CellStructure(
         dimension=2, cells_per_degree=(1, 1, 1),
@@ -277,6 +285,17 @@ def test_json_from_file(tmp_path):
     cx = complex_from_json(path)
     assert cx.rank == 2
     assert cx.dims == (2, 2)
+
+
+def test_json_source_neither_a_file_nor_json(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(SchemaError, match=f"^'{re.escape(str(missing))}' is neither an "
+                                          "existing file nor JSON text"):
+        complex_from_json(missing)
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(broken))}: invalid JSON"):
+        complex_from_json(broken)
 
 
 def _reference_boundaries(cells, rho):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -15,7 +16,16 @@ from torsionlab import (
     residue_torsion,
     surface_residue_combination,
 )
-from torsionlab import boundary, circle_heat_trace, models, verify
+from torsionlab import (
+    boundary,
+    circle_heat_trace,
+    complexes,
+    hodge,
+    models,
+    torsion,
+    verify,
+    zetas,
+)
 from torsionlab.errors import BadParameter, NotAcyclic, SchemaError, ShapeMismatch
 from torsionlab.torsion import euler_characteristics
 
@@ -219,8 +229,8 @@ def test_report_key_sets():
     sphere = build_model("sphere2")
     residue = residue_torsion(sphere, (0.0, 1.0, 2.0))
     analytic = analytic_torsion(sphere, (0.0, 1.0, 2.0))
-    both = dataclasses.replace(residue, log_torsion_zeta=analytic.log_torsion_zeta,
-                               zeta_prime0=analytic.zeta_prime0)
+    both = residue._replace(log_torsion_zeta=analytic.log_torsion_zeta,
+                            zeta_prime0=analytic.zeta_prime0)
     assert set(residue.as_dict()) == torsion_keys | {"log_torsion_res", "flags"}
     assert set(analytic.as_dict()) == torsion_keys | {"log_torsion_zeta", "zeta_prime0"}
     assert set(both.as_dict()) == torsion_keys | {"log_torsion_res", "log_torsion_zeta",
@@ -247,6 +257,22 @@ def test_report_key_sets():
                               "provenance": "closed-form", "measured": 1e-9,
                               "tolerance": 1e-8, "expected": 0.0, "passed": True,
                               "detail": ""}
+
+
+_RECORDS = [complexes.ValidationReport, hodge.EigenspaceSplit, torsion.BetaClassification,
+            torsion.VariationReport, zetas.ZetaEval, models.TorsionReport,
+            models.IdentityReport, boundary.PropositionReport, boundary.GluingReport,
+            verify.CaseResult]
+
+
+@pytest.mark.parametrize("record", _RECORDS, ids=[r.__name__ for r in _RECORDS])
+def test_report_records_are_read_only_named_tuples(record):
+    # a frozen dataclass compiles its methods at every import of the library
+    assert not dataclasses.is_dataclass(record)
+    fields = list(inspect.signature(record).parameters)
+    instance = record(**dict.fromkeys(fields))
+    with pytest.raises(AttributeError):
+        setattr(instance, fields[0], 0)
 
 
 @pytest.mark.parametrize("build", [

@@ -12,10 +12,10 @@ import pytest
 
 import torsionlab
 from torsionlab import zetas
-from torsionlab.errors import BadParameter, PoleHit
+from torsionlab.errors import BadParameter, PoleHit, SchemaError
 from torsionlab.verify import (
     SUITES,
-    _BERNOULLI,
+    _bernoulli_even,
     _circle_brute,
     _hurwitz,
     _lattice_zeta_brute,
@@ -84,9 +84,20 @@ def test_unknown_suite_is_a_bad_parameter():
         run_suites("nope")
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    with pytest.raises(SchemaError, match="tolerance must be a finite number >= 0"):
+        run_suites("boundary", tol=tol)
+
+
+def test_negative_seed_is_a_schema_error():
+    with pytest.raises(SchemaError, match="^seed must be a nonnegative integer, got -1$"):
+        run_suites("combinatorial", seed=-1)
+
+
 def test_bernoulli_recurrence_matches_the_library_table():
     # the oracle derives B_2..B_24 from their recurrence; the library's table is typed in
-    assert _BERNOULLI == zetas._BERNOULLI
+    assert _bernoulli_even() == zetas._BERNOULLI
 
 
 def test_no_library_module_imports_verify():
@@ -107,6 +118,16 @@ def test_no_library_module_imports_verify():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_oracle_tables_uncomputed():
+    # every CLI process imports verify; only the oracles read the Bernoulli numbers
+    package = pathlib.Path(torsionlab.__file__).parent
+    code = (f"import sys; sys.path.insert(0, {str(package.parent)!r}); import torsionlab.cli; "
+            "from torsionlab import verify; print(verify._bernoulli_even.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "0"
 
 
 # --- the Hurwitz/Riemann oracle against closed forms and independent sums ----
