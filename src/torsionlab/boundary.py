@@ -41,8 +41,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .errors import BadParameter, SchemaError, ShapeMismatch, UnsupportedPartition
-from .models import SpectralModel, TorsionReport, circle, product, residue_torsion
+from .errors import BadParameter, ShapeMismatch, UnsupportedPartition
+from .models import SpectralModel, TorsionReport, _check_tolerance, circle, product, residue_torsion
 from .zetas import _length, circle_heat_trace, combine_heat_traces
 
 CONDITIONS = ("relative", "absolute", "mixed")
@@ -81,8 +81,8 @@ def build_interval(R: float = 1.0, condition: str = "relative", rank: int = 1) -
                          heat=heat, condition=condition)
 
 
-def build_cylinder(R: float = 1.0, L: float = 2.0 * math.pi, condition: str = "relative",
-                   rank: int = 1) -> SpectralModel:
+def build_cylinder(R: float = 1.0, L: float = 2.0 * math.pi,
+                   condition: str = "relative") -> SpectralModel:
     """Cylinder [0, R] x S^1 of circumference L: models.product of
     build_interval(R, condition) and the circle of length L.
 
@@ -90,8 +90,6 @@ def build_cylinder(R: float = 1.0, L: float = 2.0 * math.pi, condition: str = "r
     the direct sum of the two mixed products (the dtheta and dx form parts).
     relative: b = (0, 1, 1); absolute: b = (1, 1, 0); mixed: b = (0, 0, 0).
     """
-    if rank != 1:
-        raise BadParameter("cylinder supports rank 1 only")
     return product(f"cylinder(R={R:g}, L={L:g}, {condition})",
                    build_interval(R, condition), circle(L=L))
 
@@ -122,8 +120,10 @@ def proposition_check(relative: SpectralModel, absolute: SpectralModel,
                       tol: float = 1e-8) -> PropositionReport:
     """Check sum_k (-1)^k k zeta_{k,R}(s) = (-1)^(n-1) sum_k (-1)^k k zeta_{k,A}(s),
     the vanishing of both unweighted alternating sums, and the degree-flip
-    duality zeta_{k,R} = zeta_{n-k,A}, at every sampled s.
+    duality zeta_{k,R} = zeta_{n-k,A}, at every sampled s.  SchemaError
+    refuses a tol that is not a finite number >= 0.
     """
+    _check_tolerance(tol)
     if relative.dim != absolute.dim:
         raise ShapeMismatch("models have different dimensions")
     if relative.condition != "relative" or absolute.condition != "absolute":
@@ -211,8 +211,7 @@ def gluing_check(geometry: str, *, R: float = 1.0, L: float = 2.0 * math.pi,
     outer='relative' and mixed otherwise.  A degenerate split (an empty
     piece) is rejected, and so is a tol that is not a finite number >= 0.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise SchemaError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    _check_tolerance(tol)
     if outer not in ("relative", "absolute"):
         raise BadParameter("outer condition must be 'relative' or 'absolute'")
     if not 0.0 < split < R:

@@ -306,10 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="log torsion of a twisted chain complex")
     p.add_argument("--input", help="path to a complex JSON file")
     p.add_argument("--preset", choices=tuple(PRESET_OPTIONS))
-    p.add_argument("--theta", type=float, help="circle twisting angle")
-    p.add_argument("--alpha", type=float, help="torus2 first angle")
-    p.add_argument("--beta-angle", type=float, help="torus2 second angle")
-    p.add_argument("--rank", type=int, help="interval/point trivial coefficient rank")
+    _add_options(p, PRESET_OPTIONS)
     p.add_argument("--beta", default="k", help="weights: 1 | k | lin:l,m | list")
     p.add_argument("--metric", default="identity", help="identity | random:SEED")
     p.set_defaults(func=cmd_torsion)
@@ -321,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=0)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--derivative", action="store_true")
-    _model_params(p)
+    _add_options(p, MODEL_OPTIONS)
     p.set_defaults(func=cmd_zeta)
 
     p = sub.add_parser("model-torsion", parents=[common],
@@ -331,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("residue", "analytic", "both"),
                    default="residue")
     p.add_argument("--beta", default="k", help="weights: 1 | k | lin:l,m | list")
-    _model_params(p)
+    _add_options(p, MODEL_OPTIONS)
     p.set_defaults(func=cmd_model_torsion)
 
     p = sub.add_parser("verify", parents=[common],
@@ -346,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gluing", parents=[common],
                        help="check the torsion gluing identity")
     p.add_argument("--geometry", choices=tuple(GLUING_OPTIONS), default="interval")
-    p.add_argument("--R", type=float, help="interval/cylinder length")
-    p.add_argument("--L", type=float, help="cylinder circumference")
+    _add_options(p, GLUING_OPTIONS)
     p.add_argument("--split", type=float, default=0.5)
     p.add_argument("--outer", choices=("relative", "absolute"), default="absolute")
     p.add_argument("--tol", type=float, default=1e-8,
@@ -357,13 +353,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _model_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--L", type=float, help="circle circumference")
-    p.add_argument("--theta", type=float, help="circle character angle")
-    p.add_argument("--rank", type=int, help="coefficient rank")
-    p.add_argument("--n", type=int, help="torus dimension")
-    p.add_argument("--R", type=float, help="interval/cylinder length")
-    p.add_argument("--condition", choices=bnd.CONDITIONS)
+def _add_options(p: argparse.ArgumentParser, table: dict) -> None:
+    """--option for each option of the table, typed by its first default; its
+    help names the families that read it."""
+    readers: dict = {}
+    for name, options in table.items():
+        for dest, default in options.items():
+            readers.setdefault(dest, (default, []))[1].append(name)
+    for dest, (default, names) in readers.items():
+        p.add_argument(f"--{dest.replace('_', '-')}", type=type(default),
+                       choices=bnd.CONDITIONS if dest == "condition" else None,
+                       help=f"read by {', '.join(names)}")
 
 
 def main(argv=None) -> int:

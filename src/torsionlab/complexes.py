@@ -30,7 +30,6 @@ torsion.determinant_oracle), not by the presets.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import numbers
@@ -495,14 +494,15 @@ def point(*, rank: int = 1) -> tuple[CellStructure, Representation]:
 
 
 PRESETS = {"circle": circle, "torus2": torus2, "interval": interval, "point": point}
+# read here, before anything (a tracer) can wrap a preset and hide its keywords
+_KEYWORDS = {name: frozenset(f.__kwdefaults__) for name, f in PRESETS.items()}
 
 
 def preset(name: str, **params) -> tuple[CellStructure, Representation]:
     """PRESETS[name](**params); BadParameter names any keyword it does not read."""
     if name not in PRESETS:
         raise BadParameter(f"unknown preset {name!r}")
-    # unwrap: a functools.wraps wrapper (a tracer's) has no __kwdefaults__
-    unread = params.keys() - inspect.unwrap(PRESETS[name]).__kwdefaults__.keys()
+    unread = params.keys() - _KEYWORDS[name]
     if unread:
         raise BadParameter(f"preset {name} does not read {', '.join(sorted(unread))}")
     return PRESETS[name](**params)

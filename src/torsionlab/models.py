@@ -6,17 +6,17 @@ closed manifold and "relative", "absolute" or "mixed" on a manifold with
 boundary; boundary.py builds those.  Each closed family is a keyword-only
 function whose keywords and defaults are its options; build_model(name,
 **params) looks it up in MODELS and raises BadParameter naming any keyword
-the family does not read.  Only the circle takes a rank other than 1.
+the family does not read.  Only the circle and the interval take a rank.
 product(name, *factors) is the Kunneth product of models; boundary.py
 builds the cylinder with it.
 
 * circle(L=2 pi, theta=0, rank=1): flat circle, optionally twisted by a
   rank-2 rotation character (acyclic for theta != 0); degrees 0 and 1
   share one spectrum.
-* torus(n=2, L=2 pi, rank=1): flat n-torus, the product of n circles of
+* torus(n=2, L=2 pi): flat n-torus, the product of n circles of
   length L; its degree-k trace is binom(n, k) copies of the n-fold product
   of the circle's trace.
-* sphere2(rank=1): the round 2-sphere; the coexact/exact split of 1-forms pins
+* sphere2(): the round 2-sphere; the coexact/exact split of 1-forms pins
   the degree spectra to the scalar one (1-form trace 2 scalar - 2, so
   zeta_1 = 2 zeta_0; zeta_2 = zeta_0; Betti (1, 0, 1)).
 
@@ -34,7 +34,6 @@ coefficient arithmetic; analytic ones go through the Mellin engine.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -118,10 +117,8 @@ def circle(*, L: float = 2.0 * math.pi, theta: float = 0.0, rank: int = 1) -> Sp
     return SpectralModel(name=f"circle(L={L:g}, theta={theta:g}, rank={rank})", heat=(h, h))
 
 
-def torus(*, n: int = 2, L: float = 2.0 * math.pi, rank: int = 1) -> SpectralModel:
+def torus(*, n: int = 2, L: float = 2.0 * math.pi) -> SpectralModel:
     """Flat n-torus with all sides L: the product of n circles of length L."""
-    if rank != 1:
-        raise BadParameter(f"torus supports rank 1 only, got {rank}")
     if n < 1:
         raise BadParameter(f"torus dimension must be >= 1, got {n}")
     factor = circle(L=L)
@@ -132,10 +129,8 @@ def torus(*, n: int = 2, L: float = 2.0 * math.pi, rank: int = 1) -> SpectralMod
     return product(f"torus(n={n}, L={L:g})", *[factor] * n)
 
 
-def sphere2(*, rank: int = 1) -> SpectralModel:
+def sphere2() -> SpectralModel:
     """The round 2-sphere."""
-    if rank != 1:
-        raise BadParameter(f"sphere2 supports rank 1 only, got {rank}")
     scalar = sphere2_scalar_heat_trace()
     # 1-forms: exact and coexact copies of the scalar spectrum off its kernel
     h1 = combine_heat_traces([(2, scalar)], constant=-2)
@@ -170,14 +165,15 @@ def product(name: str, *factors: SpectralModel) -> SpectralModel:
 
 
 MODELS = {"circle": circle, "torus": torus, "sphere2": sphere2}
+# read here, before anything (a tracer) can wrap a builder and hide its keywords
+_KEYWORDS = {name: frozenset(f.__kwdefaults__ or ()) for name, f in MODELS.items()}
 
 
 def build_model(name: str, **params) -> SpectralModel:
     """MODELS[name](**params); BadParameter names any keyword it does not read."""
     if name not in MODELS:
         raise BadParameter(f"unknown model {name!r}")
-    # unwrap: a functools.wraps wrapper (a tracer's) has no __kwdefaults__
-    unread = params.keys() - inspect.unwrap(MODELS[name]).__kwdefaults__.keys()
+    unread = params.keys() - _KEYWORDS[name]
     if unread:
         raise BadParameter(f"model {name} does not read {', '.join(sorted(unread))}")
     return MODELS[name](**params)
@@ -185,7 +181,7 @@ def build_model(name: str, **params) -> SpectralModel:
 
 def residue_log_trace(model: SpectralModel, k: int) -> float:
     """res_k = -2 (zeta_k(0) + b_k), by exact coefficient arithmetic."""
-    return -2.0 * (model.zeta_at_zero(k) + model.betti[k])
+    return -2.0 * (model.zeta_at_zero(k) + model.betti[k]) + 0.0  # 0.0, not -0.0
 
 
 class TorsionReport(NamedTuple):
@@ -283,14 +279,22 @@ class IdentityReport(NamedTuple):
         return {**self._asdict(), "ok": self.ok}
 
 
+def _check_tolerance(tol: float) -> None:
+    """Refuse, with SchemaError, a tol that is not a finite number >= 0."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise SchemaError(f"tolerance must be a finite number >= 0, got {tol!r}")
+
+
 def identity_suite(model: SpectralModel, s_values: Sequence[float] = (0.0, 0.75, 2.0),
                    tol: float = 1e-8) -> IdentityReport:
     """Check the duality and alternating-sum identities of the degree zetas.
 
     At every sampled s: zeta_k(s) = zeta_{n-k}(s); for odd n the alternating
     sum vanishes; for even n both the plain and the k-weighted alternating
-    sums vanish and (n/2) * sum = weighted sum.
+    sums vanish and (n/2) * sum = weighted sum.  SchemaError refuses a tol
+    that is not a finite number >= 0.
     """
+    _check_tolerance(tol)
     n = model.dim
     duality = 0.0
     alternating = 0.0

@@ -195,7 +195,7 @@ class HeatTrace:
 
 def zeta_at_zero(h: HeatTrace) -> float:
     """zeta(0) = c_0 - dim ker, by coefficient arithmetic alone."""
-    return sum(c for p, c in h.terms if p == 0.0) - h.kernel_dim
+    return sum((c for p, c in h.terms if p == 0.0), 0.0) - h.kernel_dim
 
 
 def _expansion_cut(terms) -> float:

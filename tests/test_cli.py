@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from torsionlab import cli, errors
-from torsionlab.cli import MODEL_OPTIONS, PRESET_OPTIONS, main, parse_beta
+from torsionlab.cli import GLUING_OPTIONS, MODEL_OPTIONS, PRESET_OPTIONS, main, parse_beta
 from torsionlab.errors import NotAcyclic, PoleHit, SchemaError, TorsionLabError
 from torsionlab.verify import run_suites
 from torsionlab.zetas import sphere2_power_coefficients
@@ -387,13 +388,42 @@ def test_model_torsion_sphere(capsys):
 
 
 def test_rank_rejected_where_unsupported(capsys):
-    # torus, sphere2 and cylinder are rank 1 only; --rank 2 must not be ignored
+    # torus, sphere2 and cylinder read no rank; --rank 2 must not be ignored
     for model in (["torus", "--n", "2"], ["sphere2"], ["cylinder"]):
         for command in (["model-torsion", "--beta", "1"], ["zeta", "--s", "2"]):
             code, out, err = run_cli(capsys, command[0], "--model", *model, "--rank", "2",
                                      *command[1:], "--json")
-            assert code == 1 and out == ""
-            assert "rank 1 only" in err
+            assert code == 2 and out == ""
+            assert err == f"error: --rank does not apply to model {model[0]}\n"
+
+
+def test_family_flags_are_the_option_tables():
+    # every family flag comes from its table, and its help names the families reading it
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    for command, table, own in (
+            ("torsion", PRESET_OPTIONS, {"input", "preset", "beta", "metric"}),
+            ("zeta", MODEL_OPTIONS, {"model", "degree", "s", "derivative"}),
+            ("model-torsion", MODEL_OPTIONS, {"model", "kind", "beta"}),
+            ("gluing", GLUING_OPTIONS, {"geometry", "split", "outer", "tol"})):
+        actions = {a.dest: a for a in subparsers[command]._actions}
+        keywords = {dest for reads in table.values() for dest in reads}
+        assert actions.keys() - {"help", "json", "csv"} - own == keywords, command
+        for dest in keywords:
+            readers = ", ".join(name for name, reads in table.items() if dest in reads)
+            assert actions[dest].help == f"read by {readers}", (command, dest)
+            assert actions[dest].default is None
+
+
+def test_residue_quantities_print_no_negative_zero(capsys):
+    for model in (["circle"], ["torus"], ["cylinder", "--condition", "mixed"]):
+        code, out, _ = run_cli(capsys, "model-torsion", "--model", *model, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert all(type(z) is float for z in payload["zeta0"]), payload["zeta0"]
+        numbers = [x for value in payload.values() if isinstance(value, list) for x in value]
+        numbers += [x for x in payload.values() if isinstance(x, float)]
+        assert not [x for x in numbers if x == 0.0 and math.copysign(1.0, x) < 0.0], payload
 
 
 def test_model_torsion_boundary(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import math
 
@@ -74,10 +75,32 @@ def test_build_model_rejects_keywords_the_model_does_not_read():
 def test_rank_only_where_supported():
     # only the circle and the interval carry a coefficient rank
     for name in ("torus", "sphere2"):
-        with pytest.raises(BadParameter):
+        with pytest.raises(BadParameter, match=f"^model {name} does not read rank$"):
             build_model(name, rank=2)
-    with pytest.raises(BadParameter):
+    with pytest.raises(TypeError, match="rank"):
         build_cylinder(1.0, 2.0 * math.pi, "relative", rank=2)
+
+
+def test_builders_check_keywords_behind_wrappers(monkeypatch):
+    # a functools.wraps wrapper (as a tracer installs) hides a builder's keyword
+    # defaults; build_model and preset still build and still refuse by name
+    def wrapped(fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            return fn(*args, **kwargs)
+        return call
+
+    for table in (models.MODELS, complexes.PRESETS):
+        for name, fn in list(table.items()):
+            monkeypatch.setitem(table, name, wrapped(fn))
+    assert build_model("torus", n=3, L=1.0).betti == (1, 3, 3, 1)
+    assert build_model("circle", theta=0.5, rank=2).betti == (0, 0)
+    assert complexes.preset("torus2", alpha=0.5, beta=0.2)[1].rank == 2
+    assert complexes.preset("point", rank=3)[1].rank == 3
+    with pytest.raises(BadParameter, match="^model torus does not read rank, theta$"):
+        build_model("torus", rank=2, theta=1.0)
+    with pytest.raises(BadParameter, match="^preset circle does not read alpha$"):
+        complexes.preset("circle", alpha=1.0)
 
 
 def test_residue_traces():

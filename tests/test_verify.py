@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 import torsionlab
-from torsionlab import zetas
+from torsionlab import build_interval, identity_suite, proposition_check, zetas
 from torsionlab.errors import BadParameter, PoleHit, SchemaError
 from torsionlab.verify import (
     SUITES,
@@ -86,8 +86,12 @@ def test_unknown_suite_is_a_bad_parameter():
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
 def test_tolerance_must_be_finite_and_nonnegative(tol):
-    with pytest.raises(SchemaError, match="tolerance must be a finite number >= 0"):
-        run_suites("boundary", tol=tol)
+    relative = build_interval(1.0, "relative")
+    for check in (lambda: run_suites("boundary", tol=tol),
+                  lambda: identity_suite(relative, tol=tol),
+                  lambda: proposition_check(relative, build_interval(1.0, "absolute"), tol=tol)):
+        with pytest.raises(SchemaError, match="tolerance must be a finite number >= 0"):
+            check()
 
 
 def test_negative_seed_is_a_schema_error():
