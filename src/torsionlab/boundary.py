@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
+from .complexes import _as_int
 from .errors import BadParameter, ShapeMismatch, UnsupportedPartition
 from .models import SpectralModel, TorsionReport, _check_tolerance, circle, product, residue_torsion
 from .zetas import _length, circle_heat_trace, combine_heat_traces
@@ -67,6 +68,7 @@ def build_interval(R: float = 1.0, condition: str = "relative", rank: int = 1) -
     """
     _length(R, "R", scale=2.0)  # the factors are halves of the circle of length 2R
     _check_condition(condition)
+    rank = _as_int(rank, "interval rank", BadParameter)
     if rank not in (1, 2):
         raise BadParameter(f"interval rank must be 1 or 2, got {rank}")
     half = 0.5 * rank

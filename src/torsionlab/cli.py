@@ -299,8 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--csv", action="store_true", help="flat key,value output")
+    output = common.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true", help="machine-readable output")
+    output.add_argument("--csv", action="store_true", help="flat key,value output")
 
     p = sub.add_parser("torsion", parents=[common],
                        help="log torsion of a twisted chain complex")

@@ -75,6 +75,7 @@ class Representation:
     generator_images: tuple[np.ndarray, ...]
 
     def __init__(self, rank: int, generator_images: Sequence[np.ndarray]):
+        rank = _as_int(rank, "rank", BadRepresentation)
         if rank < 1:
             raise BadRepresentation(f"rank must be positive, got {rank}")
         images = []
@@ -89,7 +90,7 @@ class Representation:
                     f"generator {idx} is not orthogonal: |G^T G - I| = {defect:.3e}")
             g.setflags(write=False)
             images.append(g)
-        object.__setattr__(self, "rank", int(rank))
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "generator_images", tuple(images))
 
     @property
@@ -612,7 +613,9 @@ def complex_from_json(source: str | Path | dict) -> TwistedComplex:
     return build_twisted_boundary(cells, rho)
 
 
-def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{name} must be an integer, got {value!r}")
-    return value
+def _as_int(value, name: str, error: type[Exception] = SchemaError) -> int:
+    """value as an int; `error` refuses a bool or a value that is not an integer
+    (numpy integers are integers)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)

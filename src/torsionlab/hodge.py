@@ -29,7 +29,8 @@ spectrum.
 Singular vectors (for eigenpairs, coclosed, green_inverse and hodge_split)
 come from a second SVD of a map, run once on first use.  Working on the
 maps rather than on L_k keeps small eigenvalues accurate:
-cond(W) = sqrt(cond(L)).
+cond(W) = sqrt(cond(L)), so no torsion route forms L_k; laplacian and
+hodge_split form its two halves on request, in one function.
 All functions are pure and operate on immutable inputs; results are
 deterministic.
 """
@@ -191,17 +192,21 @@ def metric_adjoint(cplx: TwistedComplex, metric: ChainMetric, k: int) -> np.ndar
     return metric.inv(k) @ d.T @ metric.matrix(k + 1)
 
 
+def _laplacian_halves(cplx: TwistedComplex, metric: ChainMetric, k: int) -> tuple:
+    """(d_{k-1} delta_{k-1}, delta_k d_k), the halves of L_k; zero where a half
+    leaves 0..dim (k = 0 down, k = dim up)."""
+    zero = np.zeros((cplx.dims[k], cplx.dims[k]))
+    down = coboundary(cplx, k - 1) @ metric_adjoint(cplx, metric, k - 1) if k > 0 else zero
+    up = metric_adjoint(cplx, metric, k) @ coboundary(cplx, k) if k < cplx.dimension else zero
+    return down, up
+
+
 def laplacian(cplx: TwistedComplex, metric: ChainMetric | None, k: int) -> np.ndarray:
     """L_k = delta_k d_k + d_{k-1} delta_{k-1}; h_k-self-adjoint PSD."""
     if not 0 <= k <= cplx.dimension:
         raise ShapeMismatch(f"degree {k} outside 0..{cplx.dimension}")
-    metric = _require_metric(cplx, metric)
-    lap = np.zeros((cplx.dims[k], cplx.dims[k]))
-    if k < cplx.dimension:
-        lap += metric_adjoint(cplx, metric, k) @ coboundary(cplx, k)
-    if k > 0:
-        lap += coboundary(cplx, k - 1) @ metric_adjoint(cplx, metric, k - 1)
-    return lap
+    down, up = _laplacian_halves(cplx, _require_metric(cplx, metric), k)
+    return down + up
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,10 +353,7 @@ def hodge_split(fac: Factorization, k: int, lam: float) -> EigenspaceSplit:
         raise NotAnEigenvalue(f"{lam} does not match any positive eigenvalue of L_{k}")
     basis = vectors[:, close]
     h_k = metric.matrix(k)
-    down = coboundary(cplx, k - 1) @ metric_adjoint(cplx, metric, k - 1) if k > 0 \
-        else np.zeros((cplx.dims[k], cplx.dims[k]))
-    up = metric_adjoint(cplx, metric, k) @ coboundary(cplx, k) if k < cplx.dimension \
-        else np.zeros((cplx.dims[k], cplx.dims[k]))
+    down, up = _laplacian_halves(cplx, metric, k)
     proj_closed = basis.T @ h_k @ (down @ basis) / lam
     proj_coclosed = basis.T @ h_k @ (up @ basis) / lam
     f_mult = int(np.count_nonzero(close[:n_closed]))

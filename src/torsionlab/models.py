@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+from .complexes import _as_int
 from .errors import BadParameter, NotAcyclic, SchemaError, ShapeMismatch
 from .torsion import euler_characteristics, generalized_log_torsion
 from .zetas import (
@@ -108,6 +109,7 @@ ClosedModel = SpectralModel
 
 def circle(*, L: float = 2.0 * math.pi, theta: float = 0.0, rank: int = 1) -> SpectralModel:
     """Flat circle of length L with the rotation character theta (rank 2) or none."""
+    rank = _as_int(rank, "circle rank", BadParameter)
     theta += 0.0  # -0.0 is the trivial character; name it theta=0
     if theta != 0.0 and rank != 2:
         raise BadParameter("a nontrivial circle character requires rank 2")
@@ -119,6 +121,7 @@ def circle(*, L: float = 2.0 * math.pi, theta: float = 0.0, rank: int = 1) -> Sp
 
 def torus(*, n: int = 2, L: float = 2.0 * math.pi) -> SpectralModel:
     """Flat n-torus with all sides L: the product of n circles of length L."""
+    n = _as_int(n, "torus dimension", BadParameter)
     if n < 1:
         raise BadParameter(f"torus dimension must be >= 1, got {n}")
     factor = circle(L=L)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .complexes import TwistedComplex
 from .errors import BadParameter, NotAcyclic, ShapeMismatch, StepTooLarge
-from .hodge import ChainMetric, coboundary, factorize, laplacian, metric_adjoint
+from .hodge import ChainMetric, factorize
 
 SECOND_DIFFERENCE_TOL = 1e-12
 RANK_TOL = 1e-10
@@ -229,21 +229,16 @@ def classify_beta(beta: Sequence[float]) -> BetaClassification:
 
 # --- metric variation -------------------------------------------------------
 #
-# Along a path of metrics h_k(u), with alpha_k := h_k^{-1} dh_k/du and
-# P_k = L_k^{-1} (acyclic case), the derivative of the Laplacian is exactly
-#
-#   dL_k/du = -alpha_k delta_k d_k + delta_k alpha_{k+1} d_k
-#             - d_{k-1} alpha_{k-1} delta_{k-1} + d_{k-1} delta_{k-1} alpha_k
-#
-# and with gamma_k := tr(P_k delta_k d_k alpha_k) the derivative of twice the
-# weighted log torsion telescopes to
+# Along a path of metrics h_k(u), with alpha_k := h_k^{-1} dh_k/du,
+# P_k = L_k^{-1} (acyclic case) and gamma_k := tr(P_k delta_k d_k alpha_k),
+# the derivative of twice the weighted log torsion telescopes to
 #
 #   sum_k (-1)^(k+1) beta_k [tr alpha_k + tr alpha_{k+1}
 #                            - gamma_{k+1} - 2 gamma_k - gamma_{k-1}],
 #
-# with gamma and alpha indices outside 0..n read as zero.  Both statements
-# are exact in finite dimensions; the checks below only carry the O(step^2)
-# error of the central differences.
+# with gamma and alpha indices outside 0..n read as zero.  This is exact in
+# finite dimensions; the check below only carries the O(step^2) error of the
+# central differences.
 
 
 class VariationReport(NamedTuple):
@@ -254,7 +249,6 @@ class VariationReport(NamedTuple):
     lhs: float
     rhs: float
     discrepancy: float
-    laplacian_dot_residual: float
     step: float
     halved_discrepancy: float | None = None
 
@@ -284,24 +278,24 @@ def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float
     """Compare d/du of 2*log T against the telescoped trace sum at u = 0.
 
     The derivative of the metric and of 2*log T are both central differences
-    with the given step, so the two sides agree to O(step^2), and so does the
-    Laplacian derivative formula at that step.  With check_convergence=True
-    the two sides are compared again at step/2 and a StepTooLarge error is
-    raised unless the discrepancy shrinks roughly quadratically (or is
-    already at rounding level).
+    with the given step, so the two sides agree to O(step^2).  With
+    check_convergence=True the two sides are compared again at step/2 and a
+    StepTooLarge error is raised unless the discrepancy shrinks roughly
+    quadratically (or is already at rounding level).  BadParameter refuses a
+    step that is not a finite number > 0.
     """
+    if not (math.isfinite(step) and step > 0.0):
+        raise BadParameter(f"step must be a finite number > 0, got {step!r}")
     n = cplx.dimension
     beta = [float(x) for x in beta]
     # path(0) and its coclosed eigenvectors serve both steps
     h0 = path(0.0)
     fac = factorize(cplx, h0)
     coclosed = [fac.coclosed(k) for k in range(n)]
-    report, hp, hm, alphas = _variation_single(cplx, path, beta, step, h0, coclosed)
-    report = report._replace(laplacian_dot_residual=_laplacian_dot_residual(
-        cplx, h0, hp, hm, alphas, step))
+    report = _variation_single(cplx, path, beta, step, h0, coclosed)
     if not check_convergence:
         return report
-    halved = _variation_single(cplx, path, beta, step / 2.0, h0, coclosed)[0]
+    halved = _variation_single(cplx, path, beta, step / 2.0, h0, coclosed)
     floor = 1e-10 * max(1.0, abs(report.lhs))
     if report.discrepancy > floor and halved.discrepancy > 0.0:
         ratio = report.discrepancy / halved.discrepancy
@@ -314,8 +308,8 @@ def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float
 
 def _variation_single(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float],
                       step: float, h0: ChainMetric, coclosed: Sequence[np.ndarray]):
-    """Both sides at one step: the report (laplacian_dot_residual 0), path(+-step)
-    and the alpha_k at h0 = path(0); coclosed[k] are h0's coclosed vectors (k < n)."""
+    """Both sides at one step, the alpha_k taken at h0 = path(0); coclosed[k]
+    are h0's coclosed vectors (k < n)."""
     hp, hm = path(step), path(-step)
     # 2 log T on either side; this raises NotAcyclic, so P_k = L_k^{-1} below
     lhs = (2.0 * generalized_log_torsion(factorize(cplx, hp).tr_logs, beta)
@@ -332,31 +326,6 @@ def _variation_single(cplx: TwistedComplex, path: MetricPath, beta: Sequence[flo
     rhs = sum((-1.0) ** (k + 1) * b_k
               * (a[k + 1] + a[k + 2] - g[k + 2] - 2.0 * g[k + 1] - g[k])
               for k, b_k in enumerate(beta))
-    report = VariationReport(
+    return VariationReport(
         gammas=tuple(g[1:-1]), tr_alphas=tuple(a[1:-1]), lhs=float(lhs),
-        rhs=float(rhs), discrepancy=abs(float(lhs) - float(rhs)),
-        laplacian_dot_residual=0.0, step=step)
-    return report, hp, hm, alphas
-
-
-def _laplacian_dot_residual(cplx: TwistedComplex, h0: ChainMetric, hp: ChainMetric,
-                            hm: ChainMetric, alphas: Sequence[np.ndarray], step: float) -> float:
-    """Largest relative gap between the central difference of L_k and its
-    four-term derivative formula at h0, over all k."""
-    n = cplx.dimension
-    deltas = [metric_adjoint(cplx, h0, k) for k in range(n)]
-    residual = 0.0
-    for k in range(n + 1):
-        lap_dot_fd = (laplacian(cplx, hp, k) - laplacian(cplx, hm, k)) / (2.0 * step)
-        formula = np.zeros_like(lap_dot_fd)
-        if k < n:
-            d_k, delta_k = coboundary(cplx, k), deltas[k]
-            formula += -alphas[k] @ delta_k @ d_k + delta_k @ alphas[k + 1] @ d_k
-        if k > 0:
-            d_km1, delta_km1 = coboundary(cplx, k - 1), deltas[k - 1]
-            formula += (-d_km1 @ alphas[k - 1] @ delta_km1
-                        + d_km1 @ delta_km1 @ alphas[k])
-        denom = max(1.0, float(np.max(np.abs(lap_dot_fd))) if lap_dot_fd.size else 0.0)
-        diff = float(np.max(np.abs(lap_dot_fd - formula))) if lap_dot_fd.size else 0.0
-        residual = max(residual, diff / denom)
-    return residual
+        rhs=float(rhs), discrepancy=abs(float(lhs) - float(rhs)), step=step)

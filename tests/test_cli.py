@@ -462,6 +462,15 @@ def test_tol_and_seed_only_where_read():
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flags", [["--json", "--csv"], ["--csv", "--json"]])
+def test_json_and_csv_exclude_each_other(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--model", "circle", "--s", "2", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flags[1]}: not allowed with argument {flags[0]}" in err
+
+
 @pytest.mark.parametrize("argv", [["verify", "--seed", "-1"], ["verify", "--tol", "inf"],
                                   ["gluing", "--tol", "nan"]])
 def test_negative_seed_and_unusable_tolerance_exit_2(capsys, argv):

@@ -27,7 +27,13 @@ from torsionlab import (
     verify,
     zetas,
 )
-from torsionlab.errors import BadParameter, NotAcyclic, SchemaError, ShapeMismatch
+from torsionlab.errors import (
+    BadParameter,
+    BadRepresentation,
+    NotAcyclic,
+    SchemaError,
+    ShapeMismatch,
+)
 from torsionlab.torsion import euler_characteristics
 
 S_SAMPLES = (0.0, 0.75, 2.0)
@@ -186,6 +192,27 @@ def test_surface_combination():
     assert abs(combo + residue_torsion(sphere, (1.0, 2.0, 3.0)).log_torsion_res) < 1e-12
     with pytest.raises(ShapeMismatch):
         surface_residue_combination(build_model("circle"))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: models.torus(n=2.5), BadParameter),
+    (lambda: models.torus(n=True), BadParameter),
+    (lambda: models.circle(rank=True), BadParameter),
+    (lambda: models.circle(rank=2.0), BadParameter),
+    (lambda: build_interval(1.0, "absolute", rank=True), BadParameter),
+    (lambda: complexes.preset("point", rank=2.5), BadRepresentation),
+    (lambda: complexes.preset("interval", rank=1.5), BadRepresentation),
+], ids=["torus-n-2.5", "torus-n-True", "circle-rank-True", "circle-rank-2.0",
+        "interval-rank-True", "point-rank-2.5", "interval-preset-rank-1.5"])
+def test_integer_options_refuse_non_integers(build, error):
+    with pytest.raises(error, match="must be an integer, got"):
+        build()
+
+
+def test_integer_options_take_numpy_integers():
+    assert models.torus(n=np.int64(2)).name == models.torus(n=2).name
+    assert models.circle(theta=1.0, rank=np.int32(2)).name == models.circle(theta=1.0, rank=2).name
+    assert type(complexes.preset("point", rank=np.int64(2))[1].rank) is int
 
 
 @pytest.mark.parametrize("theta", [0.7, 2.5])

@@ -20,10 +20,12 @@ from torsionlab import (
     rotation,
     variation_check,
 )
+from torsionlab import hodge, torsion
 from torsionlab.errors import BadParameter, NotAcyclic, ShapeMismatch
 from torsionlab.hodge import coboundary, laplacian, metric_adjoint
 from torsionlab.torsion import RANK_TOL, _full_pivot_logdet
 from torsionlab.verify import (
+    _laplacian_dot_residual,
     _second_difference_table,
     _telescoping_coefficient_table,
     _telescoping_identity_holds,
@@ -476,12 +478,39 @@ def test_variation_circle_scale_path():
         return ChainMetric([np.eye(2) * (1.0 + u), np.eye(2)])
 
     for theta in (1.0, 3e-5):
-        rep = variation_check(build_preset("circle", theta=theta), path, (0.0, 1.0))
+        cx = build_preset("circle", theta=theta)
+        rep = variation_check(cx, path, (0.0, 1.0))
         assert abs(rep.tr_alphas[0] - 2.0) < 1e-10  # alpha_0 = I at u = 0
         assert abs(rep.lhs + 2.0) < 1e-6  # 2 log T(u) = const - 2 log(1 + u)
         assert rep.discrepancy < 1e-6
-        assert rep.laplacian_dot_residual < 1e-6
+        assert _laplacian_dot_residual(cx, path, rep.step) < 1e-6
         assert 2.5 < rep.convergence_ratio < 8.0
+
+
+@pytest.mark.parametrize("step", [0.0, math.nan, math.inf, -1e-4])
+def test_variation_step_must_be_finite_and_positive(step):
+    cx = build_preset("circle", theta=1.0)
+    with pytest.raises(BadParameter, match="^step must be a finite number > 0"):
+        variation_check(cx, lambda u: ChainMetric.identity(cx), (0.0, 1.0), step=step)
+
+
+def test_routes_read_the_boundary_maps_only(monkeypatch):
+    # every spectrum comes off the SVDs of the weighted boundary maps: no
+    # route forms d_k, delta_k or L_k as a matrix of its own
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a torsion route formed d_k, delta_k or L_k")
+
+    for module in (hodge, torsion):
+        for name in ("laplacian", "metric_adjoint", "coboundary"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    rng = np.random.default_rng(11)
+    cx = build_preset("torus2")
+    value = log_reidemeister(cx)
+    assert abs(value - determinant_oracle(cx)) < 1e-10
+    assert math.isfinite(log_reidemeister(cx, ChainMetric.random_spd(cx, rng)))
+    path = exponential_metric_path([rng.standard_normal((d, d)) for d in cx.dims])
+    assert variation_check(cx, path, (0.0, 1.0, 2.0)).discrepancy < 1e-6
 
 
 def test_variation_gamma_structure():
