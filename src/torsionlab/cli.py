@@ -9,15 +9,25 @@ Subcommands:
 
 Exit codes, each an error class's exit_code (errors states them once):
     0  success
-    1  failed verification, or any other error (TorsionLabError)
-    2  malformed input, including an option the chosen model, preset or
-       geometry does not read (SchemaError)
+    1  failed verification, a value inside its domain that the numerics
+       cannot hold (NumericalLimit), or any other error (TorsionLabError)
+    2  malformed input: a value outside its documented domain, or an option
+       the chosen model, preset or geometry does not read (SchemaError,
+       BadParameter, BadRepresentation, UnsupportedPartition); argparse's
+       usage errors exit 2 too
     3  acyclicity violation, including one the minor oracle cannot certify
        (NotAcyclic)
     4  zeta pole hit (PoleHit)
 Output into a closed pipe exits 1 with nothing on stderr.
 All floating output uses 15 significant digits; --json output round-trips
 bit-exactly through json.loads.
+
+A CLI process (the torsionlab script, python -m torsionlab.cli) ends in
+run(): it flushes stdout and stderr, then ends without interpreter
+teardown, the finalizing of numpy and of every module the library loaded.
+So atexit handlers registered by other code, a coverage hook in a
+child process for one, do not run.  main(argv) returns the exit code to
+in-process callers and ends nothing.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ import json
 import math
 import os
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -384,5 +395,23 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
+def run() -> NoReturn:
+    """The process entry: main() on sys.argv, its output flushed, then
+    os._exit with its code, skipping interpreter teardown.  argparse's exit
+    (2 for a usage error, 0 for --help) ends the same way; any other
+    exception escaping main keeps its traceback and the normal exit, and so
+    does a flush error other than a closed pipe."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's, whose code is an int
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = 1  # the reader closed the pipe: nothing is printed about it
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -2,8 +2,10 @@
 
 Every failure mode of the public API raises a subclass of TorsionLabError,
 so callers (and the CLI) can distinguish contract violations from bugs.
-Each class's exit_code is the CLI's exit status for it: 2 for SchemaError,
-3 for NotAcyclic, 4 for PoleHit and 1 for every other error.
+Each class's exit_code is the CLI's exit status for it: 2 for SchemaError
+and its subclasses (a value outside its documented domain), 3 for
+NotAcyclic, 4 for PoleHit and 1 for every other error, NumericalLimit (a
+value inside its domain that the numerics cannot hold) among them.
 """
 
 
@@ -19,7 +21,7 @@ class SchemaError(TorsionLabError):
     exit_code = 2
 
 
-class BadRepresentation(TorsionLabError):
+class BadRepresentation(SchemaError):
     """A generator image is not orthogonal to within tolerance."""
 
 
@@ -57,9 +59,16 @@ class QuadratureFailure(TorsionLabError):
     """Adaptive quadrature returned a non-finite or untrusted result."""
 
 
-class BadParameter(TorsionLabError):
+class BadParameter(SchemaError):
     """A geometric or model parameter is out of its admissible range."""
 
 
-class UnsupportedPartition(TorsionLabError):
+class NumericalLimit(TorsionLabError):
+    """A parameter inside its admissible range that floating point or a
+    truncated series cannot serve: an eigenvalue that under- or overflows,
+    a series that would need too many terms, an s below the reach of an
+    asymptotic expansion."""
+
+
+class UnsupportedPartition(SchemaError):
     """gluing_check was asked for a partition it does not support."""

@@ -39,11 +39,12 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .complexes import _as_int
-from .errors import BadParameter, NotAcyclic, SchemaError, ShapeMismatch
+from .errors import BadParameter, NotAcyclic, NumericalLimit, SchemaError, ShapeMismatch
 from .torsion import euler_characteristics, generalized_log_torsion
 from .zetas import (
     HeatTrace,
     ZetaEval,
+    _angle,
     circle_heat_trace,
     combine_heat_traces,
     mellin_zeta,
@@ -110,6 +111,7 @@ ClosedModel = SpectralModel
 def circle(*, L: float = 2.0 * math.pi, theta: float = 0.0, rank: int = 1) -> SpectralModel:
     """Flat circle of length L with the rotation character theta (rank 2) or none."""
     rank = _as_int(rank, "circle rank", BadParameter)
+    _angle(theta)  # before the rank rule, which every angle out of range would fail
     theta += 0.0  # -0.0 is the trivial character; name it theta=0
     if theta != 0.0 and rank != 2:
         raise BadParameter("a nontrivial circle character requires rank 2")
@@ -128,7 +130,7 @@ def torus(*, n: int = 2, L: float = 2.0 * math.pi) -> SpectralModel:
     try:
         (L / math.sqrt(4.0 * math.pi)) ** n
     except OverflowError:
-        raise BadParameter(f"L = {L:g} overflows (L/sqrt(4 pi))^{n}") from None
+        raise NumericalLimit(f"L = {L:g} overflows (L/sqrt(4 pi))^{n}") from None
     return product(f"torus(n={n}, L={L:g})", *[factor] * n)
 
 

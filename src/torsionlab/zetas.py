@@ -66,7 +66,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadParameter, PoleHit, QuadratureFailure, ShapeMismatch
+from .errors import BadParameter, NumericalLimit, PoleHit, QuadratureFailure, ShapeMismatch
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -353,15 +353,14 @@ def circle_heat_trace(L: float, theta: float = 0.0, rank: int = 1) -> HeatTrace:
     so full(t) = kernel + tail(t) holds to rounding at the split point t = 1.
     """
     _length(L, "L")
-    if not 0.0 <= theta < 2.0 * math.pi:
-        raise BadParameter(f"character angle must lie in [0, 2 pi), got {theta}")
+    _angle(theta)
     pref = L / math.sqrt(4.0 * math.pi)
     scale = (2.0 * math.pi / L) ** 2
     a = theta / (2.0 * math.pi)
     lo, hi = (a if theta else 1.0), 1.0 - a
     lam_min = (2.0 * math.pi * min(lo, hi) / L) ** 2
     if lam_min < _LAMBDA_FLOOR:
-        raise BadParameter(f"theta = {theta:g} at L = {L:g}: the lowest eigenvalue underflows")
+        raise NumericalLimit(f"theta = {theta:g} at L = {L:g}: the lowest eigenvalue underflows")
     weight = (lambda j: np.cos(j * theta)) if theta else None
     quarter = 0.25 * L * L
 
@@ -441,16 +440,23 @@ def sphere2_scalar_heat_trace() -> HeatTrace:
 
 
 def _length(value, name: str, scale: float = 1.0) -> None:
-    """Refuse, naming `name`, a length that is not positive and finite, or
-    whose circle, of length ell = scale value, needs more than _SERIES_TERMS
-    terms at t = 1 (sqrt(4 _EXP_CUTOFF)/ell images or ell sqrt(_EXP_CUTOFF)/(2 pi)
-    modes), which also keeps its eigenvalues and integration limits finite."""
+    """Refuse, naming `name`, a length that is not positive and finite
+    (BadParameter), or whose circle, of length ell = scale value, needs more
+    than _SERIES_TERMS terms at t = 1 (sqrt(4 _EXP_CUTOFF)/ell images or
+    ell sqrt(_EXP_CUTOFF)/(2 pi) modes; NumericalLimit), which also keeps its
+    eigenvalues and integration limits finite."""
     if value is None or not 0.0 < value < math.inf:
         raise BadParameter(f"{name} must be positive and finite, got {value}")
     ell = scale * value
     terms = max(math.sqrt(4.0 * _EXP_CUTOFF) / ell, ell * math.sqrt(_EXP_CUTOFF) / (2.0 * math.pi))
     if terms > _SERIES_TERMS:
-        raise BadParameter(f"{name} = {value:g} needs {terms:.2g} series terms, over {_SERIES_TERMS}")
+        raise NumericalLimit(f"{name} = {value:g} needs {terms:.2g} series terms, over {_SERIES_TERMS}")
+
+
+def _angle(theta) -> None:
+    """Refuse a character angle outside [0, 2 pi), NaN included."""
+    if not 0.0 <= theta < 2.0 * math.pi:
+        raise BadParameter(f"character angle must lie in [0, 2 pi), got {theta}")
 
 
 # --- the continuation engine -------------------------------------------------
@@ -632,7 +638,7 @@ def _expansion_error(terms, sigma: float) -> tuple[float, float]:
     p_last, c_last = terms[-1]
     a = sigma - p_last
     if a <= 0.0:
-        raise BadParameter(f"the expansion continues zeta to Re s > {p_last:g} only")
+        raise NumericalLimit(f"the expansion continues zeta to Re s > {p_last:g} only")
     log_cut = -math.log(cut)
     bound = abs(c_last) * cut ** a / a + _DIFFERENCE_ROUNDING * sum(
         abs(c) * (log_cut if sigma == p else (1.0 - cut ** (sigma - p)) / (sigma - p))
@@ -650,9 +656,9 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
     one quad call that evaluates the trace once per node for all its weights
     (value and derivative, or the real and imaginary parts of t^(s-1)).
     """
-    s = complex(s)
+    given, s = s, complex(s)
     if not cmath.isfinite(s):
-        raise BadParameter(f"s must be finite, got {s}")
+        raise BadParameter(f"s must be finite, got {given}")
     for p in h.positive_powers:
         if abs(s - p) < 1e-8:
             raise PoleHit(f"zeta has a pole at s = {p}")

@@ -1,4 +1,6 @@
 import argparse
+import ast
+import inspect
 import json
 import math
 import os
@@ -11,7 +13,16 @@ import pytest
 
 from torsionlab import cli, errors
 from torsionlab.cli import GLUING_OPTIONS, MODEL_OPTIONS, PRESET_OPTIONS, main, parse_beta
-from torsionlab.errors import NotAcyclic, PoleHit, SchemaError, TorsionLabError
+from torsionlab.errors import (
+    BadParameter,
+    BadRepresentation,
+    NotAcyclic,
+    NumericalLimit,
+    PoleHit,
+    SchemaError,
+    TorsionLabError,
+    UnsupportedPartition,
+)
 from torsionlab.verify import run_suites
 from torsionlab.zetas import sphere2_power_coefficients
 
@@ -224,7 +235,7 @@ def test_zeta_sphere_half_integers_below_zero(capsys):
 def test_gluing_reads_its_options(capsys):
     # the residue torsions are topological; R shows in which splits are valid
     code, _, err = run_cli(capsys, "gluing", "--split", "1.5", "--json")
-    assert code == 1 and "split must cut the interior" in err
+    assert code == 2 and "split must cut the interior" in err
     for argv in (["--R", "2"], ["--geometry", "cylinder", "--R", "2", "--L", "1.3"]):
         code, out, _ = run_cli(capsys, "gluing", *argv, "--split", "1.5", "--json")
         assert code == 0 and json.loads(out)["ok"] is True
@@ -238,28 +249,52 @@ def test_zeta_pole_exit_4(capsys):
 
 # lengths (and an angle) whose eigenvalues floating point cannot hold, or
 # whose series would not end (about 1.1 L modes or 14/L images at t = 1): a
-# BadParameter naming the option given, one error line and no traceback
+# NumericalLimit naming the option given, exit 1, one error line and no
+# traceback; an infinite length is outside its domain, a BadParameter, exit 2
 _UNHOLDABLE = (
-    (["zeta", "--model", "circle", "--L", "1e-300", "--s", "2"], "L"),  # (2 pi/L)^2 overflows
-    (["zeta", "--model", "interval", "--R", "1e-170", "--s", "2"], "R"),
-    (["zeta", "--model", "circle", "--L", "inf", "--s", "2"], "L"),
-    (["zeta", "--model", "circle", "--L", "1e300", "--s", "2"], "L"),  # (2 pi/L)^2 underflows
-    (["zeta", "--model", "torus", "--n", "4", "--L", "1e100", "--s", "3"], "L"),
-    (["zeta", "--model", "torus", "--n", "60", "--L", "9e5", "--s", "3"], "L"),  # (L/sqrt(4 pi))^60 overflows
-    (["gluing", "--R", "inf"], "R"),
-    (["zeta", "--model", "circle", "--rank", "2", "--theta", "1e-200", "--s", "2"], "theta"),
-    (["zeta", "--model", "circle", "--L", "1e150", "--s", "2"], "L"),
-    (["zeta", "--model", "circle", "--L", "1e-100", "--s", "2"], "L"),
-    (["zeta", "--model", "torus", "--n", "2", "--L", "1e150", "--s", "2"], "L"),
-    (["zeta", "--model", "interval", "--R", "1e-100", "--s", "2"], "R"),
+    (["zeta", "--model", "circle", "--L", "1e-300", "--s", "2"], "L", 1),  # (2 pi/L)^2 overflows
+    (["zeta", "--model", "interval", "--R", "1e-170", "--s", "2"], "R", 1),
+    (["zeta", "--model", "circle", "--L", "inf", "--s", "2"], "L", 2),
+    (["zeta", "--model", "circle", "--L", "1e300", "--s", "2"], "L", 1),  # (2 pi/L)^2 underflows
+    (["zeta", "--model", "torus", "--n", "4", "--L", "1e100", "--s", "3"], "L", 1),
+    (["zeta", "--model", "torus", "--n", "60", "--L", "9e5", "--s", "3"], "L", 1),  # (L/sqrt(4 pi))^60 overflows
+    (["gluing", "--R", "inf"], "R", 2),
+    (["zeta", "--model", "circle", "--rank", "2", "--theta", "1e-200", "--s", "2"], "theta", 1),
+    (["zeta", "--model", "circle", "--L", "1e150", "--s", "2"], "L", 1),
+    (["zeta", "--model", "circle", "--L", "1e-100", "--s", "2"], "L", 1),
+    (["zeta", "--model", "torus", "--n", "2", "--L", "1e150", "--s", "2"], "L", 1),
+    (["zeta", "--model", "interval", "--R", "1e-100", "--s", "2"], "R", 1),
 )
 
 
-@pytest.mark.parametrize("argv, option", _UNHOLDABLE, ids=[" ".join(a) for a, _ in _UNHOLDABLE])
-def test_unholdable_length_refused(capsys, argv, option):
+@pytest.mark.parametrize("argv, option, exit_code", _UNHOLDABLE,
+                         ids=[" ".join(a) for a, _, _ in _UNHOLDABLE])
+def test_unholdable_length_refused(capsys, argv, option, exit_code):
     code, out, err = run_cli(capsys, *argv)
-    assert code == 1 and out == ""
+    assert code == exit_code and out == ""
     assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+
+
+# a value outside its documented domain: exit 2, its one error line, no output
+_MALFORMED = (
+    (["torsion", "--preset", "point", "--rank", "0"], "rank must be positive, got 0"),
+    (["zeta", "--model", "circle", "--rank", "0", "--s", "2"], "circle rank must be 1 or 2, got 0"),
+    (["torsion", "--preset", "circle", "--theta", "nan"], "theta must lie in [0, 2*pi), got nan"),
+    (["zeta", "--model", "circle", "--L", "-1", "--s", "2"], "L must be positive and finite, got -1.0"),
+    (["zeta", "--model", "circle", "--s", "nan"], "s must be finite, got nan"),
+    (["zeta", "--model", "torus", "--n", "0", "--s", "2"], "torus dimension must be >= 1, got 0"),
+    (["zeta", "--model", "interval", "--R", "0", "--s", "2"], "R must be positive and finite, got 0.0"),
+    (["gluing", "--split", "1.5"], "split must cut the interior: need 0 < 1.5 < 1"),
+    (["zeta", "--model", "circle", "--theta", "0.7", "--s", "2"],
+     "a nontrivial circle character requires rank 2"),
+    (["model-torsion", "--model", "circle", "--theta", "7"],
+     "character angle must lie in [0, 2 pi), got 7.0"),
+)
+
+
+@pytest.mark.parametrize("argv, message", _MALFORMED, ids=[" ".join(a) for a, _ in _MALFORMED])
+def test_malformed_option_value_exits_2(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_non_finite_boundary_refused(capsys, tmp_path):
@@ -277,15 +312,24 @@ def test_non_finite_boundary_refused(capsys, tmp_path):
         assert (code, out, err) == (2, "", message)
 
 
-# the exit status of each error class: these four, and 1 for every other subclass
-EXIT_CODES = {TorsionLabError: 1, SchemaError: 2, NotAcyclic: 3, PoleHit: 4}
+# the exit status of each error class: these, and 1 for every other subclass
+EXIT_CODES = {TorsionLabError: 1, NumericalLimit: 1,
+              SchemaError: 2, BadParameter: 2, BadRepresentation: 2, UnsupportedPartition: 2,
+              NotAcyclic: 3, PoleHit: 4}
 ERROR_CLASSES = [c for c in vars(errors).values()
                  if isinstance(c, type) and issubclass(c, TorsionLabError)]
 
 
 def test_exit_code_table_matches_cli_docstring():
-    documented = dict(re.findall(r"^    ([1-4])  [^()]*\((\w+)\)", cli.__doc__, re.M))
-    assert documented == {str(code): cls.__name__ for cls, code in EXIT_CODES.items()}
+    table = cli.__doc__.split("Exit codes")[1].split("Output into")[0]
+    documented = {int(code): {name for group in re.findall(r"\((\w+(?:,\s+\w+)*)\)", text)
+                              for name in re.split(r",\s+", group)}
+                  for code, text in re.findall(r"^    ([0-4])  (.*?)(?=^    [0-4]  |\Z)",
+                                               table, re.M | re.S)}
+    expected: dict = {}
+    for cls, code in EXIT_CODES.items():
+        expected.setdefault(code, set()).add(cls.__name__)
+    assert {code: names for code, names in documented.items() if names} == expected
 
 
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=[c.__name__ for c in ERROR_CLASSES])
@@ -356,6 +400,60 @@ def test_closed_pipe_exits_1_quietly():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def _fresh(*argv: str) -> subprocess.CompletedProcess:
+    """One command as the torsionlab script runs it, in a fresh interpreter
+    whose stdout and stderr are pipes, buffered: a write that run() failed
+    to flush is lost."""
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "torsionlab.cli", *argv], capture_output=True,
+                          text=True, env=env, cwd=Path(__file__).resolve().parents[1],
+                          timeout=120)
+
+
+def test_piped_verify_json_is_one_whole_document():
+    # the process ends without teardown, which flushes nothing: a lost buffer
+    # would cut this output short
+    proc = _fresh("verify", "--suite", "all", "--json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("}\n")  # print's newline, the one write after the document
+    payload = json.loads(proc.stdout)
+    assert payload["n_failed"] == 0 and len(payload["cases"]) == payload["n_cases"]
+
+
+# one command per exit status; 0 and 2 also from argparse (--help, a usage error)
+_EXITS = (
+    ["zeta", "--model", "circle", "--s", "2"],
+    ["--help"],
+    ["zeta", "--model", "circle", "--L", "1e-300", "--s", "2"],
+    ["torsion", "--preset", "point", "--rank", "0"],
+    ["zeta", "--model", "circle", "--s", "2", "--json", "--csv"],
+    ["torsion", "--preset", "circle", "--theta", "0"],
+    ["zeta", "--model", "circle", "--s", "0.5"],
+)
+
+
+@pytest.mark.parametrize("argv", _EXITS, ids=[" ".join(a) for a in _EXITS])
+def test_process_ends_as_main_returns(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # one width for --help here and in the child
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    proc = _fresh(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+
+def test_console_script_and_main_block_call_run():
+    root = Path(__file__).resolve().parents[1]
+    script = re.search(r'^torsionlab = "torsionlab\.cli:(\w+)"$',
+                       (root / "pyproject.toml").read_text(), re.M)
+    blocks = [node.body for node in ast.parse(inspect.getsource(cli)).body
+              if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert script.group(1) == "run"
+    assert [[ast.unparse(stmt) for stmt in body] for body in blocks] == [["run()"]]
 
 
 def test_cli_loads_no_scipy():

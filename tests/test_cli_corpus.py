@@ -68,7 +68,7 @@ def argvs() -> list[list[str]]:
         ["model-torsion", "--model", "interval", "--kind", "analytic"],      # exit 2
         ["zeta", "--model", "circle", "--s", "0.5"],                         # exit 4
         ["zeta", "--model", "sphere2", "--s", "-11"],                        # exit 1
-        ["gluing", "--split", "1.5"],                                        # exit 1
+        ["gluing", "--split", "1.5"],                                        # exit 2
         ["torsion", "--preset", "circle", "--metric", "random:abc"],         # exit 2
         ["torsion", "--preset", "circle", "--metric", "random:-1"],          # exit 2
     ]]

@@ -65,6 +65,14 @@ def test_build_model_guards():
         build_model("klein-bottle")
 
 
+@pytest.mark.parametrize("theta", [7.0, -0.5, 2.0 * math.pi, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_circle_checks_the_angle_range_before_the_rank_rule(theta, rank):
+    # before, rank 1 named the rank rule for these angles and rank 2 the range
+    with pytest.raises(BadParameter, match=r"^character angle must lie in \[0, 2 pi\), got "):
+        models.circle(theta=theta, rank=rank)
+
+
 def test_build_model_rejects_keywords_the_model_does_not_read():
     # each is refused by name, not built with the keyword ignored
     for name, params, unread in (("torus", {"theta": 1.0}, "theta"),

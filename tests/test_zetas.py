@@ -19,7 +19,13 @@ from torsionlab import (
     zeta_at_zero,
 )
 from torsionlab import zetas
-from torsionlab.errors import BadParameter, PoleHit, QuadratureFailure, ShapeMismatch
+from torsionlab.errors import (
+    BadParameter,
+    NumericalLimit,
+    PoleHit,
+    QuadratureFailure,
+    ShapeMismatch,
+)
 from torsionlab.models import build_model, torus
 from torsionlab.verify import _hurwitz
 from torsionlab.zetas import (
@@ -591,7 +597,7 @@ def test_mellin_rejects_non_finite_s():
 def test_sphere_refuses_beyond_its_expansion():
     h = sphere2_scalar_heat_trace()
     for s in (-11.0, -12.0, -11.5, complex(-11.5, 1.0)):
-        with pytest.raises(BadParameter):
+        with pytest.raises(NumericalLimit):
             mellin_zeta(h, s)
 
 
@@ -712,7 +718,7 @@ def test_torus_remainder_vanishes_without_overflow():
 def test_torus_refusals():
     with pytest.raises(BadParameter, match="dimension"):
         torus(n=0, L=1.0).heat[0]
-    with pytest.raises(BadParameter, match="^L = 900000 overflows"):
+    with pytest.raises(NumericalLimit, match="^L = 900000 overflows"):
         torus(n=60, L=9e5).heat[0]
 
 
