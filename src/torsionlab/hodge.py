@@ -44,7 +44,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .complexes import TwistedComplex
-from .errors import BadParameter, NotAcyclic, NotAnEigenvalue, SchemaError, ShapeMismatch
+from .errors import (BadParameter, NotAcyclic, NotAnEigenvalue, NumericalLimit, SchemaError,
+                     ShapeMismatch)
 
 SYMMETRY_TOL = 1e-12
 EIGENVALUE_MATCH_RELTOL = 1e-7
@@ -121,15 +122,16 @@ class ChainMetric:
                      u: float) -> "ChainMetric":
         """exp(u S_k) from the eigenpairs (w, v) of each S_k: no further eigh.
 
-        Raises BadParameter naming the degree when an eigenvalue of u S_k
+        Raises NumericalLimit naming the degree when an eigenvalue of u S_k
         leaves (log tiny, log max), where exp(u S_k) would overflow or its
-        inverse would.
+        inverse would: the generator is admissible, floating point cannot
+        hold its exponential.
         """
         factors = []
         for k, (w, v) in enumerate(eighs):
             uw = u * w
             if uw.size and not (_LOG_TINY < np.min(uw) and np.max(uw) < _LOG_MAX):
-                raise BadParameter(
+                raise NumericalLimit(
                     f"metric generator in degree {k}: exp(u S_k) or its inverse overflows, "
                     f"u S_k has eigenvalues in [{np.min(uw):.3e}, {np.max(uw):.3e}]")
             e = np.exp(uw)

@@ -73,8 +73,9 @@ def determinant_oracle(cplx: TwistedComplex) -> float:
     Elimination (_full_pivot_logdet) pivots on the largest |entry| still
     live, the first in row-major order on ties, keeping the largest |entry|
     of every live row in `rowmax` and its rows sparse; a step updates only
-    the rows R nonzero in the pivot column, so it costs
-    O(|R| * (nnz(pivot row) + nnz(row)) + |R| log n_rows), and the
+    the rows R nonzero in the pivot column and puts back on its heap only
+    the rows C of R whose maximum changed, so it costs
+    O(|R| * (nnz(pivot row) + nnz(row)) + |C| log n_rows), and the
     elimination's own memory is O(nnz).  Each minor's entries come straight
     from the complex's blocks (TwistedComplex.entries), O(nnz log nnz); no
     dense matrix is formed.
@@ -113,13 +114,17 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
     the nonzeros of row r, `in_col[c]` is the set of live rows nonzero in
     column c, and rowmax[r] is the largest modulus in row r (0 when empty).
     A heap of (-rowmax[r], r), with entries dropped once stale, yields the
-    first argmax of rowmax; the smallest column among that row's entries of
-    largest modulus then makes the row-major-first maximum.  The update
-    a - (b / pivot) * p touches only R = in_col[pivot column], the rows
-    nonzero there: any other entry would change by exactly +-0, so pivots
-    and log|det| are those of eliminating the whole remaining submatrix.
-    An entry that cancels to exactly 0 leaves its row and column.  A step
-    costs O(|R| * (nnz(pivot row) + nnz(row)) + |R| log n_rows), and the
+    first argmax of rowmax.  An update pushes row r only when it changes
+    rowmax[r]: an unchanged maximum's entry is still on the heap, valid
+    until popped, and a valid pop pivots its row.  The popped key gives the
+    pivot's modulus m, and the smallest column holding m or -m makes the
+    row-major-first maximum.  The update a - (b / pivot) * p touches only
+    R = in_col[pivot column], the rows nonzero there: any other entry would
+    change by exactly +-0, so pivots and log|det| are those of eliminating
+    the whole remaining submatrix.  An entry that cancels to exactly 0
+    leaves its row and column.  A step costs
+    O(|R| * (nnz(pivot row) + nnz(row)) + |C| log n_rows), C the rows of R
+    whose maximum changed (a heap entry is popped at most once), and the
     elimination's own memory is O(nnz); on the boundary complexes
     determinant_oracle sees, rows hold at most a few nonzeros and R stays
     short.  A dense matrix fills in, and there a step costs O(|R| * n_cols)
@@ -147,21 +152,22 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
         neg_max, piv_row = heapq.heappop(heap)
         while rowmax[piv_row] != -neg_max:
             neg_max, piv_row = heapq.heappop(heap)
-        pivot = entries[piv_row]
-        piv_col, piv = 0, 0.0
-        for c, v in pivot.items():
-            if abs(v) > abs(piv) or (abs(v) == abs(piv) and c < piv_col):
-                piv_col, piv = c, v
-        if abs(piv) <= RANK_TOL * scale:
+        m = -neg_max  # the pivot's modulus
+        if m <= RANK_TOL * scale:
             raise NotAcyclic(
-                f"not acyclic in degree {degree}: pivot {abs(piv):.3e} is "
-                f"{abs(piv) / scale:.3e} of scale {scale:.3e}, at or below {RANK_TOL:.0e}")
-        log_det += math.log(abs(piv))
+                f"not acyclic in degree {degree}: pivot {m:.3e} is "
+                f"{m / scale:.3e} of scale {scale:.3e}, at or below {RANK_TOL:.0e}")
+        pivot = entries[piv_row]
+        piv_col = n_cols  # the smallest column holding m or -m
+        for c, v in pivot.items():
+            if c < piv_col and (v == m or v == -m):
+                piv_col = c
+        log_det += math.log(m)
         pivot_rows.append(piv_row)
         rowmax[piv_row] = -1.0
         for c in pivot:
             in_col[c].discard(piv_row)
-        del pivot[piv_col]
+        piv = pivot.pop(piv_col)
         for r in in_col[piv_col]:
             row = entries[r]
             factor = row.pop(piv_col) / piv
@@ -173,8 +179,10 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
                 else:
                     row[c] = a
                     in_col[c].add(r)
-            rowmax[r] = max(map(abs, row.values()), default=0.0)
-            heapq.heappush(heap, (-rowmax[r], r))
+            new_max = max(map(abs, row.values()), default=0.0)
+            if new_max != rowmax[r]:  # an unchanged maximum keeps its valid heap entry
+                rowmax[r] = new_max
+                heapq.heappush(heap, (-new_max, r))
         in_col[piv_col] = set()
     return pivot_rows, log_det
 

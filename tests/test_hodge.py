@@ -16,6 +16,7 @@ from torsionlab.errors import (
     BadParameter,
     NotAcyclic,
     NotAnEigenvalue,
+    NumericalLimit,
     ShapeMismatch,
 )
 from torsionlab.hodge import coboundary, metric_adjoint
@@ -220,17 +221,18 @@ def test_metric_refuses_non_finite_entries():
 
 
 def test_exponential_metric_refuses_overflow():
-    # a finite generator whose exp leaves the float range, above or below:
-    # before, exp(diag(800, 0)) made a NaN metric and the circle a NotAcyclic verdict
+    # a finite generator whose exp leaves the float range, above or below, is
+    # admissible input the numerics cannot hold: before, exp(diag(800, 0)) made a
+    # NaN metric and the circle a NotAcyclic verdict
     for w in (800.0, -800.0):
         gens = [np.zeros((2, 2)), np.diag([w, 0.0])]
-        with pytest.raises(BadParameter, match="^metric generator in degree 1: exp"):
+        with pytest.raises(NumericalLimit, match="^metric generator in degree 1: exp"):
             ChainMetric.exponential(gens)
         path = exponential_metric_path(gens)
         assert np.isfinite(path(0.5).matrix(1)).all()
-        with pytest.raises(BadParameter, match="^metric generator in degree 1: exp"):
+        with pytest.raises(NumericalLimit, match="^metric generator in degree 1: exp"):
             path(1.0)
-    with pytest.raises(BadParameter, match="^metric generator in degree 0: exp"):
+    with pytest.raises(NumericalLimit, match="^metric generator in degree 0: exp"):
         ChainMetric.exponential([np.diag([800.0, 0.0]), np.zeros((2, 2))])
 
 
