@@ -1,3 +1,4 @@
+import heapq
 import math
 import types
 
@@ -229,7 +230,6 @@ def test_elimination_pushes_only_changed_maxima(monkeypatch):
     # a row goes back on the heap only when an update changes its maximum, so
     # on the 128-gon every pop yields a pivot; pushing every updated row, as
     # before, made 255 pushes and 507 pops for the 256 pivots
-    import heapq
     counts = {"push": 0, "pop": 0}
 
     def heappush(heap, item):
