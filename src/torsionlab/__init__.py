@@ -1,8 +1,8 @@
 """torsionlab: combinatorial and spectral torsion invariants at desk scale.
 
 Combinatorial side: twisted chain complexes from CW data and orthogonal
-representations, Hodge Laplacians with deformable chain metrics, and the
-log-torsion of acyclic complexes computed two independent ways.
+representations, Laplacian spectra under deformable chain metrics (one
+SVD per boundary map), and log-torsion computed two independent ways.
 
 Spectral side: model heat traces (circle, torus, 2-sphere, interval and
 cylinder with relative/absolute boundary conditions), zeta functions by
@@ -25,11 +25,8 @@ from .complexes import (
 )
 from .hodge import (
     ChainMetric,
-    EigenspaceSplit,
     Factorization,
     factorize,
-    hodge_split,
-    laplacian,
 )
 from .torsion import (
     BetaClassification,

@@ -33,10 +33,6 @@ class ShapeMismatch(TorsionLabError):
     """Dimensions of matrices, metrics or weight vectors do not chain."""
 
 
-class NotAnEigenvalue(TorsionLabError):
-    """hodge_split was asked for an eigenvalue the operator does not have."""
-
-
 class NotAcyclic(TorsionLabError):
     """An operation requiring vanishing homology met a complex without it:
     a nonzero Betti number, or a minor-oracle pivot at or below its

@@ -26,11 +26,11 @@ rule, the one kernel rule; torsion and Betti numbers need nothing more.
 Its Factorization is the whole Laplacian route: spectra, betti, and
 tr_logs, the one place that decides acyclicity and takes the log of a
 spectrum.
-Singular vectors (for eigenpairs, coclosed, green_inverse and hodge_split)
-come from a second SVD of a map, run once on first use.  Working on the
-maps rather than on L_k keeps small eigenvalues accurate:
-cond(W) = sqrt(cond(L)), so no torsion route forms L_k; laplacian and
-hodge_split form its two halves on request, in one function.
+Singular vectors (for eigenpairs and coclosed) come from a second SVD of
+a map, run once on first use.  Working on the maps rather than on L_k
+keeps small eigenvalues accurate: cond(W) = sqrt(cond(L)), so nothing here
+forms delta_k or L_k as a matrix; the dense operators, Green's operators
+and Hodge split that check a Factorization live in verify.
 All functions are pure and operate on immutable inputs; results are
 deterministic.
 """
@@ -39,16 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .complexes import TwistedComplex
-from .errors import (BadParameter, NotAcyclic, NotAnEigenvalue, NumericalLimit, SchemaError,
-                     ShapeMismatch)
+from .errors import BadParameter, NotAcyclic, NumericalLimit, SchemaError, ShapeMismatch
 
 SYMMETRY_TOL = 1e-12
-EIGENVALUE_MATCH_RELTOL = 1e-7
 # exp(x) and exp(-x) are normal floats for x strictly between these
 _LOG_TINY = math.log(np.finfo(float).tiny)
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -181,36 +179,6 @@ def _require_metric(cplx: TwistedComplex, metric: ChainMetric | None) -> ChainMe
     return metric
 
 
-def coboundary(cplx: TwistedComplex, k: int) -> np.ndarray:
-    """d_k = bd_{k+1}^T : C_k -> C_{k+1} (zero-shaped outside 0 <= k < dim)."""
-    return cplx.boundary(k + 1).T
-
-
-def metric_adjoint(cplx: TwistedComplex, metric: ChainMetric, k: int) -> np.ndarray:
-    """delta_k = h_k^{-1} d_k^T h_{k+1} : C_{k+1} -> C_k (d_k^T for the identity metric)."""
-    d = coboundary(cplx, k)
-    if metric.is_identity or k + 1 > cplx.dimension:
-        return d.T
-    return metric.inv(k) @ d.T @ metric.matrix(k + 1)
-
-
-def _laplacian_halves(cplx: TwistedComplex, metric: ChainMetric, k: int) -> tuple:
-    """(d_{k-1} delta_{k-1}, delta_k d_k), the halves of L_k; zero where a half
-    leaves 0..dim (k = 0 down, k = dim up)."""
-    zero = np.zeros((cplx.dims[k], cplx.dims[k]))
-    down = coboundary(cplx, k - 1) @ metric_adjoint(cplx, metric, k - 1) if k > 0 else zero
-    up = metric_adjoint(cplx, metric, k) @ coboundary(cplx, k) if k < cplx.dimension else zero
-    return down, up
-
-
-def laplacian(cplx: TwistedComplex, metric: ChainMetric | None, k: int) -> np.ndarray:
-    """L_k = delta_k d_k + d_{k-1} delta_{k-1}; h_k-self-adjoint PSD."""
-    if not 0 <= k <= cplx.dimension:
-        raise ShapeMismatch(f"degree {k} outside 0..{cplx.dimension}")
-    down, up = _laplacian_halves(cplx, _require_metric(cplx, metric), k)
-    return down + up
-
-
 @dataclass(frozen=True, eq=False)
 class Factorization:
     """The singular values and vectors of every metric-weighted boundary map.
@@ -282,16 +250,6 @@ class Factorization:
         _, vectors = self._singular_vectors(k + 1)
         return vectors if self.metric.is_identity else self.metric.isqrt(k) @ vectors
 
-    def green_inverse(self, k: int) -> np.ndarray:
-        """(L_k + Pi_ker)^{-1} = I + Q (1/lambda - 1) Q^T h_k.
-
-        Q holds the positive eigenvectors, so this is L_k^{-1} off the
-        kernel and the identity on it; no kernel basis is needed.
-        """
-        lam, q, _ = self.eigenpairs(k)
-        q_h = q.T if self.metric.is_identity else q.T @ self.metric.matrix(k)
-        return np.eye(q.shape[0]) + (q * (1.0 / lam - 1.0)) @ q_h
-
 
 def factorize(cplx: TwistedComplex, metric: ChainMetric | None = None) -> Factorization:
     """One values-only SVD per weighted boundary map; vectors come later, on demand."""
@@ -319,47 +277,3 @@ def factorize(cplx: TwistedComplex, metric: ChainMetric | None = None) -> Factor
     spectra = tuple(np.sort(np.concatenate(sigmas[k:k + 2]) ** 2) for k in range(len(dims)))
     return Factorization(cplx=cplx, metric=metric, maps=tuple(maps),
                          sigmas=tuple(sigmas), spectra=spectra)
-
-
-class EigenspaceSplit(NamedTuple):
-    """Closed/coclosed split of a positive eigenspace.
-
-    proj_closed and proj_coclosed are (d delta)/lambda and (delta d)/lambda
-    restricted to the eigenspace, expressed in an h-orthonormal eigenbasis;
-    they are complementary orthogonal projections.  f_mult counts the closed
-    part, g_mult the coclosed part, and g_mult in degree k equals f_mult in
-    degree k+1 (d/sqrt(lambda) is an isometry between them).
-    """
-
-    eigenvalue: float
-    f_mult: int
-    g_mult: int
-    proj_closed: np.ndarray
-    proj_coclosed: np.ndarray
-    basis: np.ndarray
-
-    @property
-    def multiplicity(self) -> int:
-        return self.f_mult + self.g_mult
-
-
-def hodge_split(fac: Factorization, k: int, lam: float) -> EigenspaceSplit:
-    """Split the lambda-eigenspace of L_k into closed and coclosed parts,
-    from the eigenpairs of a factorization of the complex under its metric."""
-    cplx, metric = fac.cplx, fac.metric
-    eigenvalues, vectors, n_closed = fac.eigenpairs(k)
-    if lam <= 0:
-        raise NotAnEigenvalue(f"{lam} is not a positive eigenvalue")
-    close = np.abs(eigenvalues - lam) <= EIGENVALUE_MATCH_RELTOL * max(1.0, abs(lam))
-    if not np.any(close):
-        raise NotAnEigenvalue(f"{lam} does not match any positive eigenvalue of L_{k}")
-    basis = vectors[:, close]
-    h_k = metric.matrix(k)
-    down, up = _laplacian_halves(cplx, metric, k)
-    proj_closed = basis.T @ h_k @ (down @ basis) / lam
-    proj_coclosed = basis.T @ h_k @ (up @ basis) / lam
-    f_mult = int(np.count_nonzero(close[:n_closed]))
-    g_mult = int(np.count_nonzero(close[n_closed:]))
-    return EigenspaceSplit(eigenvalue=float(lam), f_mult=f_mult, g_mult=g_mult,
-                           proj_closed=proj_closed, proj_coclosed=proj_coclosed,
-                           basis=basis)

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .complexes import TwistedComplex
-from .errors import BadParameter, NotAcyclic, ShapeMismatch, StepTooLarge
+from .errors import BadParameter, NotAcyclic, NumericalLimit, ShapeMismatch, StepTooLarge
 from .hodge import ChainMetric, factorize
 
 SECOND_DIFFERENCE_TOL = 1e-12
@@ -68,7 +68,9 @@ def determinant_oracle(cplx: TwistedComplex) -> float:
     full column rank iff H_k = 0, and H_0 = 0 iff no row is left at degree 0.
     So a pivot |pivot| <= RANK_TOL * scale in degree k, or a row left at
     degree 0, raises NotAcyclic naming the degree: the complex is not
-    acyclic, or not to within the pivot threshold.
+    acyclic, or not to within the pivot threshold.  An update that
+    overflows (bd_1 = [[1e308, 1e308], [-1e308, 1e308]], log|det| about
+    1419.06) raises NumericalLimit naming the degree, not inf.
 
     Elimination (_full_pivot_logdet) pivots on the largest |entry| still
     live, the first in row-major order on ties, keeping the largest |entry|
@@ -108,7 +110,8 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
     Each step pivots on the entry of largest modulus among the rows and
     columns not yet pivoted, the first in row-major order on ties (most
     boundary entries are +-1).  Fewer rows than columns, or a pivot at most
-    RANK_TOL * max|entry|, raises NotAcyclic naming `degree`.
+    RANK_TOL * max|entry|, raises NotAcyclic naming `degree`, and an update
+    that makes a row's maximum inf raises NumericalLimit naming it.
 
     The live submatrix is held sparse: `entries[r]` maps column -> value for
     the nonzeros of row r, `in_col[c]` is the set of live rows nonzero in
@@ -181,6 +184,9 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
                     in_col[c].add(r)
             new_max = max(map(abs, row.values()), default=0.0)
             if new_max != rowmax[r]:  # an unchanged maximum keeps its valid heap entry
+                if not math.isfinite(new_max):  # inf: a NaN needs an inf refused before
+                    raise NumericalLimit(f"minor oracle in degree {degree}: an elimination step "
+                                         f"overflows the float range (entries up to {scale:.3e})")
                 rowmax[r] = new_max
                 heapq.heappush(heap, (-new_max, r))
         in_col[piv_col] = set()

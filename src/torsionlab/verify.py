@@ -40,14 +40,7 @@ from .errors import (
     StepTooLarge,
     UnsupportedPartition,
 )
-from .hodge import (
-    ChainMetric,
-    coboundary,
-    factorize,
-    hodge_split,
-    laplacian,
-    metric_adjoint,
-)
+from .hodge import ChainMetric, Factorization, factorize
 from .torsion import (
     classify_beta,
     determinant_oracle,
@@ -254,6 +247,71 @@ def _random_word(rng: np.random.Generator, n_gens: int, length: int):
                  for _ in range(length))
 
 
+# --- dense Hodge operators, the checks of hodge.Factorization ---------------
+# The library reads every spectrum and eigenvector off the SVDs of the
+# weighted boundary maps and forms none of these matrices; the cases below
+# form them from their definitions and check the factorization against them.
+
+
+def _coboundary(cplx: TwistedComplex, k: int) -> np.ndarray:
+    """d_k = bd_{k+1}^T : C_k -> C_{k+1} (zero-shaped outside 0 <= k < dim)."""
+    return cplx.boundary(k + 1).T
+
+
+def _metric_adjoint(cplx: TwistedComplex, metric: ChainMetric, k: int) -> np.ndarray:
+    """delta_k = h_k^{-1} d_k^T h_{k+1} : C_{k+1} -> C_k (d_k^T for the identity metric)."""
+    d = _coboundary(cplx, k)
+    if metric.is_identity or k + 1 > cplx.dimension:
+        return d.T
+    return metric.inv(k) @ d.T @ metric.matrix(k + 1)
+
+
+def _laplacian_halves(cplx: TwistedComplex, metric: ChainMetric, k: int) -> tuple:
+    """(d_{k-1} delta_{k-1}, delta_k d_k), the halves of L_k; zero where a half
+    leaves 0..dim (k = 0 down, k = dim up)."""
+    zero = np.zeros((cplx.dims[k], cplx.dims[k]))
+    down = _coboundary(cplx, k - 1) @ _metric_adjoint(cplx, metric, k - 1) if k > 0 else zero
+    up = _metric_adjoint(cplx, metric, k) @ _coboundary(cplx, k) if k < cplx.dimension else zero
+    return down, up
+
+
+def _laplacian(cplx: TwistedComplex, metric: ChainMetric | None, k: int) -> np.ndarray:
+    """L_k = delta_k d_k + d_{k-1} delta_{k-1}, h_k-self-adjoint PSD (identity metric for None)."""
+    down, up = _laplacian_halves(cplx, ChainMetric.identity(cplx) if metric is None else metric, k)
+    return down + up
+
+
+def _green_inverse(fac: Factorization, k: int) -> np.ndarray:
+    """(L_k + Pi_ker)^{-1} = I + Q (1/lambda - 1) Q^T h_k.
+
+    Q holds the positive eigenvectors, so this is L_k^{-1} off the kernel
+    and the identity on it; no kernel basis is needed.
+    """
+    lam, q, _ = fac.eigenpairs(k)
+    q_h = q.T if fac.metric.is_identity else q.T @ fac.metric.matrix(k)
+    return np.eye(q.shape[0]) + (q * (1.0 / lam - 1.0)) @ q_h
+
+
+def _hodge_split(fac: Factorization, k: int, lam: float) -> tuple:
+    """(f_mult, g_mult, proj_closed, proj_coclosed) of the lam-eigenspace of L_k.
+
+    The eigenspace is spanned by the eigenpairs(k) columns whose eigenvalue
+    is within 1e-7 relative of lam (none if lam is no eigenvalue).  f_mult
+    counts its closed part, g_mult its coclosed part, and g_mult in degree k
+    equals f_mult in degree k+1 (d/sqrt(lam) is an isometry between them).
+    proj_closed and proj_coclosed are (d delta)/lam and (delta d)/lam
+    restricted to the eigenspace, in that h-orthonormal basis: they are
+    complementary orthogonal projections.
+    """
+    eigenvalues, vectors, n_closed = fac.eigenpairs(k)
+    close = np.abs(eigenvalues - lam) <= 1e-7 * max(1.0, abs(lam))
+    basis = vectors[:, close]
+    h_k = fac.metric.matrix(k)
+    down, up = _laplacian_halves(fac.cplx, fac.metric, k)
+    return (int(np.count_nonzero(close[:n_closed])), int(np.count_nonzero(close[n_closed:])),
+            basis.T @ h_k @ (down @ basis) / lam, basis.T @ h_k @ (up @ basis) / lam)
+
+
 # --- symbolic telescoping ---------------------------------------------------
 
 
@@ -342,7 +400,7 @@ def combinatorial_suite(tol: float | None = None,
         cx = build_preset("circle", theta=theta)
         gap = 2.0 - 2.0 * math.cos(theta)
         for k in (0, 1):
-            lap = laplacian(cx, None, k)
+            lap = _laplacian(cx, None, k)
             worst = max(worst, float(np.max(np.abs(lap - gap * np.eye(2)))))
     rec.add("laplacian-circle-closed-form",
             "circle Laplacians equal (2 - 2 cos theta) I in both degrees",
@@ -360,18 +418,18 @@ def combinatorial_suite(tol: float | None = None,
     cx2 = build_preset("torus2", alpha=1.0, beta=0.3)
     metric = ChainMetric.random_spd(cx2, rng)
     worst_exact, worst_green = 0.0, 0.0
-    laps = [laplacian(cx2, metric, k) for k in range(3)]
+    laps = [_laplacian(cx2, metric, k) for k in range(3)]
     fac = factorize(cx2, metric)
-    greens = [fac.green_inverse(k) for k in range(3)]
+    greens = [_green_inverse(fac, k) for k in range(3)]
     for k in range(2):
-        d_k = coboundary(cx2, k)
+        d_k = _coboundary(cx2, k)
         scale = max(1.0, float(np.max(np.abs(d_k @ laps[k]))))
         worst_exact = max(worst_exact, float(
             np.max(np.abs(d_k @ laps[k] - laps[k + 1] @ d_k))) / scale)
         worst_green = max(worst_green, float(
             np.max(np.abs(d_k @ greens[k] - greens[k + 1] @ d_k)))
             / max(1.0, float(np.max(np.abs(d_k @ greens[k])))))
-        delta_k = metric_adjoint(cx2, metric, k)
+        delta_k = _metric_adjoint(cx2, metric, k)
         scale = max(1.0, float(np.max(np.abs(delta_k @ laps[k + 1]))))
         worst_exact = max(worst_exact, float(
             np.max(np.abs(delta_k @ laps[k + 1] - laps[k] @ delta_k))) / scale)
@@ -397,25 +455,21 @@ def combinatorial_suite(tol: float | None = None,
 
     cxq = build_preset("circle", theta=math.pi / 2)
     facq = factorize(cxq)
-    sp0 = hodge_split(facq, 0, 2.0)
-    sp1 = hodge_split(facq, 1, 2.0)
-    measured = abs(sp0.f_mult - 0) + abs(sp0.g_mult - 2) \
-        + abs(sp1.f_mult - 2) + abs(sp1.g_mult - 0)
-    for sp in (sp0, sp1):
-        eye = np.eye(sp.multiplicity)
-        measured += float(np.max(np.abs(sp.proj_closed + sp.proj_coclosed - eye)))
-        measured += float(np.max(np.abs(sp.proj_closed @ sp.proj_closed
-                                        - sp.proj_closed)))
-        measured += float(np.max(np.abs(sp.proj_coclosed @ sp.proj_coclosed
-                                        - sp.proj_coclosed)))
+    (f0, g0, *projs0), (f1, g1, *projs1) = (_hodge_split(facq, k, 2.0) for k in (0, 1))
+    measured = abs(f0 - 0) + abs(g0 - 2) + abs(f1 - 2) + abs(g1 - 0)
+    for closed, coclosed in (projs0, projs1):
+        eye = np.eye(closed.shape[0])
+        measured += float(np.max(np.abs(closed + coclosed - eye)))
+        measured += float(np.max(np.abs(closed @ closed - closed)))
+        measured += float(np.max(np.abs(coclosed @ coclosed - coclosed)))
     rec.add("hodge-split-circle",
             "quarter-turn circle: degree 0 is all coclosed, degree 1 all closed",
             "oracle:boundary-isomorphism", measured, 1e-9)
 
     fac2 = factorize(cx2)
     lam = float(fac2.spectra[0][0])
-    g0 = hodge_split(fac2, 0, lam).g_mult
-    f1 = hodge_split(fac2, 1, lam).f_mult
+    g0 = _hodge_split(fac2, 0, lam)[1]
+    f1 = _hodge_split(fac2, 1, lam)[0]
     rec.add("hodge-split-torus-pairing",
             "coclosed multiplicity in degree 0 equals closed multiplicity in degree 1",
             "oracle:eigensolve", abs(g0 - f1), 1e-9)
@@ -966,16 +1020,16 @@ def _laplacian_dot_residual(cplx: TwistedComplex, path, step: float) -> float:
     n = cplx.dimension
     h0, hp, hm = path(0.0), path(step), path(-step)
     alphas = [h0.inv(k) @ ((hp.matrix(k) - hm.matrix(k)) / (2.0 * step)) for k in range(n + 1)]
-    deltas = [metric_adjoint(cplx, h0, k) for k in range(n)]
+    deltas = [_metric_adjoint(cplx, h0, k) for k in range(n)]
     residual = 0.0
     for k in range(n + 1):
-        lap_dot_fd = (laplacian(cplx, hp, k) - laplacian(cplx, hm, k)) / (2.0 * step)
+        lap_dot_fd = (_laplacian(cplx, hp, k) - _laplacian(cplx, hm, k)) / (2.0 * step)
         formula = np.zeros_like(lap_dot_fd)
         if k < n:
-            d_k, delta_k = coboundary(cplx, k), deltas[k]
+            d_k, delta_k = _coboundary(cplx, k), deltas[k]
             formula += -alphas[k] @ delta_k @ d_k + delta_k @ alphas[k + 1] @ d_k
         if k > 0:
-            d_km1, delta_km1 = coboundary(cplx, k - 1), deltas[k - 1]
+            d_km1, delta_km1 = _coboundary(cplx, k - 1), deltas[k - 1]
             formula += (-d_km1 @ alphas[k - 1] @ delta_km1
                         + d_km1 @ delta_km1 @ alphas[k])
         denom = max(1.0, float(np.max(np.abs(lap_dot_fd))) if lap_dot_fd.size else 0.0)

@@ -9,17 +9,20 @@ from torsionlab import (
     build_preset,
     exponential_metric_path,
     factorize,
-    hodge_split,
-    laplacian,
 )
 from torsionlab.errors import (
     BadParameter,
     NotAcyclic,
-    NotAnEigenvalue,
     NumericalLimit,
     ShapeMismatch,
 )
-from torsionlab.hodge import coboundary, metric_adjoint
+from torsionlab.verify import (
+    _coboundary,
+    _green_inverse,
+    _hodge_split,
+    _laplacian,
+    _metric_adjoint,
+)
 from test_torsion import _grid_torus, _ngon_circle
 
 
@@ -29,7 +32,7 @@ def test_laplacian_circle_closed_form():
         cx = build_preset("circle", theta=theta)
         gap = 2.0 - 2.0 * math.cos(theta)
         for k in (0, 1):
-            lap = laplacian(cx, None, k)
+            lap = _laplacian(cx, None, k)
             assert np.max(np.abs(lap - gap * np.eye(2))) < 1e-13
 
 
@@ -43,12 +46,12 @@ def test_laplacian_identity_metric_definition():
                 direct += cx.boundary(k).T @ cx.boundary(k)
             if k + 1 <= cx.dimension:
                 direct += cx.boundary(k + 1) @ cx.boundary(k + 1).T
-            assert np.array_equal(laplacian(cx, None, k), direct)
+            assert np.array_equal(_laplacian(cx, None, k), direct)
 
 
 def test_laplacian_point_is_zero():
     cx = build_preset("point", rank=2)
-    assert np.max(np.abs(laplacian(cx, None, 0))) == 0.0
+    assert np.max(np.abs(_laplacian(cx, None, 0))) == 0.0
 
 
 def test_laplacian_metric_self_adjoint_psd():
@@ -57,7 +60,7 @@ def test_laplacian_metric_self_adjoint_psd():
     metric = ChainMetric.random_spd(cx, rng)
     spectra = factorize(cx, metric).spectra  # from boundary SVDs, no Laplacian
     for k in range(3):
-        lap = laplacian(cx, metric, k)
+        lap = _laplacian(cx, metric, k)
         h = metric.matrix(k)
         assert np.max(np.abs(h @ lap - (h @ lap).T)) < 1e-10
         w = np.linalg.eigvalsh(metric.sqrt(k) @ lap @ metric.isqrt(k))
@@ -69,7 +72,7 @@ def test_laplacian_shape_mismatch():
     cx = build_preset("circle", theta=1.0)
     other = build_preset("torus2", alpha=1.0, beta=0.3)
     with pytest.raises(ShapeMismatch):
-        laplacian(cx, ChainMetric.identity(other), 0)
+        factorize(cx, ChainMetric.identity(other))
 
 
 def test_eigenpairs_examples():
@@ -98,7 +101,7 @@ def test_eigenpairs_residuals_and_orthonormality():
     metric = ChainMetric.random_spd(cx, rng)
     fac = factorize(cx, metric)
     for k in range(3):
-        lap = laplacian(cx, metric, k)
+        lap = _laplacian(cx, metric, k)
         lam, vectors, n_closed = fac.eigenpairs(k)
         assert np.array_equal(np.sort(lam), fac.spectra[k])
         scale = max(1.0, np.max(np.abs(lap)))
@@ -107,9 +110,9 @@ def test_eigenpairs_residuals_and_orthonormality():
         gram = vectors.T @ metric.matrix(k) @ vectors
         assert np.max(np.abs(gram - np.eye(lam.size))) < 1e-10
         # closed vectors have d_k v = 0, coclosed ones delta_{k-1} v = 0
-        assert np.max(np.abs(coboundary(cx, k) @ vectors[:, :n_closed]), initial=0.0) < 1e-10
+        assert np.max(np.abs(_coboundary(cx, k) @ vectors[:, :n_closed]), initial=0.0) < 1e-10
         if k > 0:
-            down = metric_adjoint(cx, metric, k - 1) @ vectors[:, n_closed:]
+            down = _metric_adjoint(cx, metric, k - 1) @ vectors[:, n_closed:]
             assert np.max(np.abs(down), initial=0.0) < 1e-10
 
 
@@ -137,23 +140,23 @@ def test_betti_examples():
 def test_factorization_kernel_follows_betti():
     # both eigenvalues of L_0 sit near 9e-10, far above the rank cut
     cx = build_preset("circle", theta=3e-5)
-    lap = laplacian(cx, None, 0)
+    lap = _laplacian(cx, None, 0)
     fac = factorize(cx)
     assert fac.betti == [0, 0]
     assert fac.eigenpairs(0)[0].size == 2
-    assert np.max(np.abs(fac.green_inverse(0) @ lap - np.eye(2))) < 1e-8
+    assert np.max(np.abs(_green_inverse(fac, 0) @ lap - np.eye(2))) < 1e-8
     trivial = build_preset("circle", theta=0.0)
     fac = factorize(trivial)
     assert [d - fac.eigenpairs(k)[0].size for k, d in enumerate(trivial.dims)] \
         == fac.betti == [2, 2]
-    # the untwisted 8-gon: green_inverse is I on the constant sections, its kernel
+    # the untwisted 8-gon: the Green operator is I on the constant sections, its kernel
     ngon = _ngon_circle(8, 0.0)
     assert factorize(ngon).betti == [2, 2]
-    green = factorize(ngon).green_inverse(0)
+    green = _green_inverse(factorize(ngon), 0)
     constants = np.tile(np.eye(2), (8, 1))
     off_kernel = np.eye(16) - constants @ constants.T / 8.0
     assert np.max(np.abs(green @ constants - constants)) < 1e-12
-    assert np.max(np.abs(green @ laplacian(ngon, None, 0) - off_kernel)) < 1e-12
+    assert np.max(np.abs(green @ _laplacian(ngon, None, 0) - off_kernel)) < 1e-12
 
 
 def test_identity_metric_is_unfactored_identity():
@@ -283,32 +286,22 @@ def test_hodge_split_pairing_across_degrees():
     fac = factorize(cx, ChainMetric.random_spd(cx, rng))
     for k in (0, 1):
         for lam in fac.spectra[k]:
-            g_here = hodge_split(fac, k, float(lam)).g_mult
-            try:
-                f_above = hodge_split(fac, k + 1, float(lam)).f_mult
-            except NotAnEigenvalue:
-                f_above = 0  # lam absent upstairs: its eigenspace here is closed
+            g_here = _hodge_split(fac, k, float(lam))[1]
+            # lam absent upstairs has f_mult 0 there: its eigenspace here is closed
+            f_above = _hodge_split(fac, k + 1, float(lam))[0]
             assert g_here == f_above
-
-
-def test_hodge_split_rejects_non_eigenvalue():
-    fac = factorize(build_preset("circle", theta=math.pi / 2))
-    with pytest.raises(NotAnEigenvalue):
-        hodge_split(fac, 0, 3.333)
-    with pytest.raises(NotAnEigenvalue):
-        hodge_split(fac, 0, -1.0)
 
 
 def test_intertwining_identities():
     rng = np.random.default_rng(12)
     cx = build_preset("torus2", alpha=1.9, beta=0.7)
     metric = ChainMetric.random_spd(cx, rng)
-    laps = [laplacian(cx, metric, k) for k in range(3)]
+    laps = [_laplacian(cx, metric, k) for k in range(3)]
     fac = factorize(cx, metric)
-    greens = [fac.green_inverse(k) for k in range(3)]
+    greens = [_green_inverse(fac, k) for k in range(3)]
     for k in range(2):
-        d_k = coboundary(cx, k)
-        delta_k = metric_adjoint(cx, metric, k)
+        d_k = _coboundary(cx, k)
+        delta_k = _metric_adjoint(cx, metric, k)
         scale = max(1.0, np.max(np.abs(laps[k])))
         assert np.max(np.abs(d_k @ laps[k] - laps[k + 1] @ d_k)) < 1e-10 * scale
         assert np.max(np.abs(delta_k @ laps[k + 1] - laps[k] @ delta_k)) < 1e-10 * scale
@@ -322,7 +315,7 @@ def test_tr_log_matches_cholesky_pivots():
                _grid_torus(3, 0.7, 1.9)):
         metric = ChainMetric.random_spd(cx, rng)
         for k, tr_log in enumerate(factorize(cx, metric).tr_logs):
-            sym = metric.sqrt(k) @ laplacian(cx, metric, k) @ metric.isqrt(k)
+            sym = metric.sqrt(k) @ _laplacian(cx, metric, k) @ metric.isqrt(k)
             chol = np.linalg.cholesky(0.5 * (sym + sym.T))
             oracle = 2.0 * float(np.sum(np.log(np.diag(chol))))
             assert abs(tr_log - oracle) < 1e-9 * max(1.0, abs(oracle))

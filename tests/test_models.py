@@ -21,7 +21,6 @@ from torsionlab import (
     boundary,
     circle_heat_trace,
     complexes,
-    hodge,
     models,
     torsion,
     verify,
@@ -317,7 +316,7 @@ def test_report_key_sets():
                               "detail": ""}
 
 
-_RECORDS = [complexes.ValidationReport, hodge.EigenspaceSplit, torsion.BetaClassification,
+_RECORDS = [complexes.ValidationReport, torsion.BetaClassification,
             torsion.VariationReport, zetas.ZetaEval, models.TorsionReport,
             models.IdentityReport, boundary.PropositionReport, boundary.GluingReport,
             verify.CaseResult]

@@ -1,18 +1,23 @@
 import heapq
+import json
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import torsionlab
 from torsionlab import (
     preset,
     CellStructure,
     ChainMetric,
     Representation,
+    TwistedComplex,
     build_preset,
     build_twisted_boundary,
     classify_beta,
+    complex_from_json,
     determinant_oracle,
     euler_characteristics,
     exponential_metric_path,
@@ -22,12 +27,14 @@ from torsionlab import (
     rotation,
     variation_check,
 )
-from torsionlab import hodge, torsion
-from torsionlab.errors import BadParameter, NotAcyclic, ShapeMismatch
-from torsionlab.hodge import coboundary, laplacian, metric_adjoint
+from torsionlab import errors, hodge, torsion, verify
+from torsionlab.errors import BadParameter, NotAcyclic, NumericalLimit, ShapeMismatch
 from torsionlab.torsion import RANK_TOL, _full_pivot_logdet
 from torsionlab.verify import (
+    _coboundary,
+    _laplacian,
     _laplacian_dot_residual,
+    _metric_adjoint,
     _second_difference_table,
     _telescoping_coefficient_table,
     _telescoping_identity_holds,
@@ -133,8 +140,8 @@ def _reference_gammas(cx, path, u0, step):
     for k in range(n + 1):
         alpha = h0.inv(k) @ ((hp.matrix(k) - hm.matrix(k)) / (2.0 * step))
         if k < n:
-            up = metric_adjoint(cx, h0, k) @ coboundary(cx, k)
-            gammas.append(float(np.trace(np.linalg.solve(laplacian(cx, h0, k), up @ alpha))))
+            up = _metric_adjoint(cx, h0, k) @ _coboundary(cx, k)
+            gammas.append(float(np.trace(np.linalg.solve(_laplacian(cx, h0, k), up @ alpha))))
         else:
             gammas.append(0.0)
     return gammas
@@ -224,6 +231,18 @@ def test_elimination_rejects_column_rank_deficiency():
                 _eliminate(mat, 3)
             assert str(new.value) == str(ref.value)
             assert str(new.value).startswith("not acyclic in degree 3: pivot ")
+
+
+def test_oracle_refuses_an_overflowing_elimination():
+    # log|det| of this bd_1 is log 2 + 616 log 10 (about 1419.06), which a float
+    # holds, but the update 1e308 + 1e308 is inf: refused, where it returned inf
+    cx = TwistedComplex(1, (2, 2), [[[1e308, 1e308], [-1e308, 1e308]]])
+    with pytest.raises(NumericalLimit, match="^minor oracle in degree 1: an elimination step "
+                                             "overflows the float range"):
+        determinant_oracle(cx)
+    # 10^308 R(pi/2) - I: entries near the float maximum whose updates stay finite
+    stored = json.loads((Path(__file__).parent / "huge_singular_value.json").read_text())
+    assert determinant_oracle(complex_from_json(stored)) == 1418.3924172843322
 
 
 def test_elimination_pushes_only_changed_maxima(monkeypatch):
@@ -524,15 +543,19 @@ def test_variation_step_must_be_finite_and_positive(step):
 
 
 def test_routes_read_the_boundary_maps_only(monkeypatch):
-    # every spectrum comes off the SVDs of the weighted boundary maps: no
-    # route forms d_k, delta_k or L_k as a matrix of its own
+    # every spectrum comes off the SVDs of the weighted boundary maps: the
+    # dense d_k, delta_k and L_k live in verify only, and no route reaches them
+    moved = {"laplacian", "metric_adjoint", "coboundary", "hodge_split", "EigenspaceSplit",
+             "NotAnEigenvalue"}
+    for module in (torsionlab, hodge, torsion, errors):
+        assert not moved & set(vars(module)), f"{module.__name__} defines a dense helper"
+    assert not hasattr(hodge.Factorization, "green_inverse")
+
     def forbidden(*args, **kwargs):
         raise AssertionError("a torsion route formed d_k, delta_k or L_k")
 
-    for module in (hodge, torsion):
-        for name in ("laplacian", "metric_adjoint", "coboundary"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
+    for name in ("_laplacian", "_metric_adjoint", "_coboundary"):
+        monkeypatch.setattr(verify, name, forbidden)
     rng = np.random.default_rng(11)
     cx = build_preset("torus2")
     value = log_reidemeister(cx)
