@@ -147,15 +147,26 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
     for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
         entries[r][c] = v
         in_col[c].add(r)
-    heap = [(-m, r) for r, m in enumerate(rowmax)]
-    heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
+    queues: dict[float, list[int]] = {}  # maximum -> heap of the rows holding it
+    for r, m in enumerate(rowmax):
+        queues.setdefault(m, []).append(r)  # ascending, so already a heap
+    levels = [-m for m in queues]  # the other levels, negated
+    heapq.heapify(levels)
+    top = -heappop(levels)
+    top_q = queues[top]
     pivot_rows: list[int] = []
     log_det = 0.0
     for _ in range(n_cols):
-        neg_max, piv_row = heapq.heappop(heap)
-        while rowmax[piv_row] != -neg_max:
-            neg_max, piv_row = heapq.heappop(heap)
-        m = -neg_max  # the pivot's modulus
+        while True:
+            while not top_q:  # a level emptied before a higher one came can follow
+                del queues[top]
+                top = -heappop(levels)
+                top_q = queues[top]
+            piv_row = heappop(top_q)
+            if rowmax[piv_row] == top:
+                break
+        m = top  # the pivot's modulus
         if m <= RANK_TOL * scale:
             raise NotAcyclic(
                 f"not acyclic in degree {degree}: pivot {m:.3e} is "
@@ -167,28 +178,43 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
                 piv_col = c
         log_det += math.log(m)
         pivot_rows.append(piv_row)
-        rowmax[piv_row] = -1.0
-        for c in pivot:
-            in_col[c].discard(piv_row)
+        rowmax[piv_row] = -1.0  # pivoted: skipped wherever in_col still lists it
         piv = pivot.pop(piv_col)
         for r in in_col[piv_col]:
+            if rowmax[r] < 0.0:
+                continue
             row = entries[r]
             factor = row.pop(piv_col) / piv
             for c, p in pivot.items():
-                a = row.get(c, 0.0) - factor * p
-                if a == 0.0:
-                    if row.pop(c, None) is not None:
-                        in_col[c].discard(r)
+                a = row.get(c)
+                if a is None:
+                    a = 0.0 - factor * p
+                    if a != 0.0:
+                        row[c] = a
+                        in_col[c].add(r)
                 else:
-                    row[c] = a
-                    in_col[c].add(r)
+                    a -= factor * p
+                    if a == 0.0:
+                        del row[c]
+                        in_col[c].discard(r)
+                    else:
+                        row[c] = a
             new_max = max(map(abs, row.values()), default=0.0)
-            if new_max != rowmax[r]:  # an unchanged maximum keeps its valid heap entry
+            if new_max != rowmax[r]:  # an unchanged maximum keeps its valid queue entry
                 if not math.isfinite(new_max):  # inf: a NaN needs an inf refused before
                     raise NumericalLimit(f"minor oracle in degree {degree}: an elimination step "
                                          f"overflows the float range (entries up to {scale:.3e})")
                 rowmax[r] = new_max
-                heapq.heappush(heap, (-new_max, r))
+                q = queues.get(new_max)
+                if q is not None:
+                    heappush(q, r)
+                elif new_max < top:
+                    queues[new_max] = [r]
+                    heappush(levels, -new_max)
+                else:  # a new highest level: the old top goes back among the others
+                    heappush(levels, -top)
+                    top, top_q = new_max, [r]
+                    queues[top] = top_q
         in_col[piv_col] = set()
     return pivot_rows, log_det
 
@@ -210,7 +236,11 @@ class BetaClassification(NamedTuple):
     """Outcome of the second-difference test on a degree-weight vector.
 
     satisfies_recurrence means beta_{k+1} - 2 beta_k + beta_{k-1} = 0 for
-    all interior k, i.e. beta = lam * (1,...,1) + mu * (0,1,...,n).
+    all interior k, i.e. beta = lam * (1,...,1) + mu * (0,1,...,n).  A
+    second difference counts as 0 when its modulus is at most
+    SECOND_DIFFERENCE_TOL * max(1, max_j |beta_j|): relative to the weights'
+    size, so (1e5, 1e5 + 0.1, 1e5 + 0.2), whose residual -1.455e-11 is the
+    rounding of its decimal inputs, is linear.
     """
 
     satisfies_recurrence: bool
@@ -233,7 +263,8 @@ def classify_beta(beta: Sequence[float]) -> BetaClassification:
     beta = [float(x) for x in beta]
     residual = tuple(beta[k + 1] - 2.0 * beta[k] + beta[k - 1]
                      for k in range(1, len(beta) - 1))
-    ok = all(abs(r) <= SECOND_DIFFERENCE_TOL for r in residual)
+    tol = SECOND_DIFFERENCE_TOL * max(1.0, max(map(abs, beta), default=0.0))
+    ok = all(abs(r) <= tol for r in residual)
     if ok:
         lam = beta[0] if beta else 0.0
         mu = (beta[1] - beta[0]) if len(beta) >= 2 else 0.0
