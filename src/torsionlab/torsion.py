@@ -74,11 +74,12 @@ def determinant_oracle(cplx: TwistedComplex) -> float:
 
     Elimination (_full_pivot_logdet) pivots on the largest |entry| still
     live, the first in row-major order on ties, keeping the largest |entry|
-    of every live row in `rowmax` and its rows sparse; a step updates only
-    the rows R nonzero in the pivot column and puts back on its heap only
-    the rows C of R whose maximum changed, so it costs
-    O(|R| * (nnz(pivot row) + nnz(row)) + |C| log n_rows), and the
-    elimination's own memory is O(nnz).  Each minor's entries come straight
+    of every live row in `rowmax` and its rows sparse; rows wait in one heap
+    of indices per distinct maximum.  A step updates only the live rows of R,
+    the rows listed in the pivot column (a pivoted row stays listed and is
+    skipped), and queues again only the rows C of R whose maximum changed,
+    so it costs O(|R| * (nnz(pivot row) + nnz(row)) + |C| log n_rows), and
+    the elimination's own memory is O(nnz).  Each minor's entries come straight
     from the complex's blocks (TwistedComplex.entries), O(nnz log nnz); no
     dense matrix is formed.
     """
@@ -114,20 +115,29 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
     that makes a row's maximum inf raises NumericalLimit naming it.
 
     The live submatrix is held sparse: `entries[r]` maps column -> value for
-    the nonzeros of row r, `in_col[c]` is the set of live rows nonzero in
-    column c, and rowmax[r] is the largest modulus in row r (0 when empty).
-    A heap of (-rowmax[r], r), with entries dropped once stale, yields the
-    first argmax of rowmax.  An update pushes row r only when it changes
-    rowmax[r]: an unchanged maximum's entry is still on the heap, valid
-    until popped, and a valid pop pivots its row.  The popped key gives the
-    pivot's modulus m, and the smallest column holding m or -m makes the
-    row-major-first maximum.  The update a - (b / pivot) * p touches only
+    the nonzeros of row r, `in_col[c]` holds the rows nonzero in column c
+    (a pivoted row stays there, skipped by its rowmax of -1), and rowmax[r]
+    is the largest modulus in live row r (0 when empty).  Each distinct
+    maximum m has a heap of row indices, queues[m]; `levels` is a heap of
+    the other maxima, negated, and the highest one is held in `top` and
+    `top_q`.  Every live row r has an entry in queues[rowmax[r]], and an
+    entry is valid while rowmax[r] equals its level, so the first valid pop
+    from the highest level is the first argmax of rowmax: the largest
+    maximum, then the smallest row.  An update queues row r again only
+    when it changes rowmax[r]: an unchanged maximum's entry is still
+    queued, valid until popped, and a valid pop pivots its row.  A level
+    whose queue runs empty leaves `queues` when the search passes it; it
+    can lie under a higher level that appeared since, so the search skips
+    every empty queue it meets.  The level gives the pivot's modulus m,
+    and the smallest column holding m or -m makes the row-major-first
+    maximum.  The update a - (b / pivot) * p touches only the live rows of
     R = in_col[pivot column], the rows nonzero there: any other entry would
     change by exactly +-0, so pivots and log|det| are those of eliminating
-    the whole remaining submatrix.  An entry that cancels to exactly 0
-    leaves its row and column.  A step costs
+    the whole remaining submatrix.  A column absent from a row takes
+    0.0 - (b / pivot) * p, the same bits, and an entry that cancels to
+    exactly 0 leaves its row and column.  A step costs
     O(|R| * (nnz(pivot row) + nnz(row)) + |C| log n_rows), C the rows of R
-    whose maximum changed (a heap entry is popped at most once), and the
+    whose maximum changed (a queued entry is popped at most once), and the
     elimination's own memory is O(nnz); on the boundary complexes
     determinant_oracle sees, rows hold at most a few nonzeros and R stays
     short.  A dense matrix fills in, and there a step costs O(|R| * n_cols)

@@ -198,6 +198,9 @@ def test_elimination_matches_reference_bitwise():
     # the update leaves row 1's maximum 1 unchanged, so it is not pushed again,
     # while row 2 falls from 1.5 to tie it: the unpushed row 1 wins
     ([[2, 1, 0], [1, 0, 1], [1, 1.5, 0]], [0, 1, 2]),
+    # a level's queue is left empty under a higher level that appears in the
+    # same step; the pivot search must pass over it, not stop at it
+    ([[1, -1, 1, 0], [-1, 0, 2, -2], [0, -1, -1, 1], [-1, -1, 0, 0]], [1, 0, 3, 2]),
 ])
 def test_elimination_sparse_cases(mat, pivot_rows):
     rows, log_det = _eliminate(mat)
@@ -246,24 +249,30 @@ def test_oracle_refuses_an_overflowing_elimination():
 
 
 def test_elimination_pushes_only_changed_maxima(monkeypatch):
-    # a row goes back on the heap only when an update changes its maximum, so
-    # on the 128-gon every pop yields a pivot; pushing every updated row, as
-    # before, made 255 pushes and 507 pops for the 256 pivots
-    counts = {"push": 0, "pop": 0}
+    # rows wait in one int heap per distinct maximum, and the maxima in a heap
+    # of floats; a row is queued again only when an update changes its
+    # maximum, so on the 128-gon every row pop yields a pivot, where queueing
+    # every updated row would make 255 row pushes and 507 row pops
+    counts = {(op, kind): 0 for op in ("push", "pop") for kind in ("row", "level")}
+
+    def kind(item):
+        return "row" if type(item) is int else "level"
 
     def heappush(heap, item):
-        counts["push"] += 1
+        counts["push", kind(item)] += 1
         heapq.heappush(heap, item)
 
     def heappop(heap):
-        counts["pop"] += 1
-        return heapq.heappop(heap)
+        item = heapq.heappop(heap)
+        counts["pop", kind(item)] += 1
+        return item
 
     monkeypatch.setattr(torsion, "heapq", types.SimpleNamespace(
         heapify=heapq.heapify, heappush=heappush, heappop=heappop))
     determinant_oracle(_ngon_circle(128, 2.5))
-    assert counts["pop"] == 256
-    assert counts["push"] <= 4
+    assert counts["pop", "row"] == 256
+    assert counts["push", "row"] <= 4
+    assert counts["push", "level"] <= 4
 
 
 def test_oracle_runs_no_svd(monkeypatch):
@@ -492,6 +501,12 @@ def test_classify_beta_examples():
     cls = classify_beta((1.0, 2.0, 4.0))
     assert not cls.satisfies_recurrence
     assert cls.residual == (1.0,)
+    # the tolerance scales with max |beta_j|: the residual -1.455e-11 here is
+    # the rounding of the decimal inputs, while 1e-6 off the line is not
+    cls = classify_beta((1e5, 1e5 + 0.1, 1e5 + 0.2))
+    assert cls.satisfies_recurrence and cls.lam == 1e5
+    assert abs(cls.residual[0]) > 1e-11
+    assert not classify_beta((1e5, 1e5 + 0.1 + 1e-6, 1e5 + 0.2)).satisfies_recurrence
     # length <= 2 is vacuous
     assert classify_beta((7.0, -1.0)).satisfies_recurrence
 
