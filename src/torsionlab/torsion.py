@@ -157,7 +157,8 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
     for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
         entries[r][c] = v
         in_col[c].add(r)
-    heappop, heappush = heapq.heappop, heapq.heappush
+    heappop, heappush, log = heapq.heappop, heapq.heappush, math.log
+    threshold = RANK_TOL * scale
     queues: dict[float, list[int]] = {}  # maximum -> heap of the rows holding it
     for r, m in enumerate(rowmax):
         queues.setdefault(m, []).append(r)  # ascending, so already a heap
@@ -177,7 +178,7 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
             if rowmax[piv_row] == top:
                 break
         m = top  # the pivot's modulus
-        if m <= RANK_TOL * scale:
+        if m <= threshold:
             raise NotAcyclic(
                 f"not acyclic in degree {degree}: pivot {m:.3e} is "
                 f"{m / scale:.3e} of scale {scale:.3e}, at or below {RANK_TOL:.0e}")
@@ -186,7 +187,7 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
         for c, v in pivot.items():
             if c < piv_col and (v == m or v == -m):
                 piv_col = c
-        log_det += math.log(m)
+        log_det += log(m)
         pivot_rows.append(piv_row)
         rowmax[piv_row] = -1.0  # pivoted: skipped wherever in_col still lists it
         piv = pivot.pop(piv_col)
@@ -225,7 +226,6 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
                     heappush(levels, -top)
                     top, top_q = new_max, [r]
                     queues[top] = top_q
-        in_col[piv_col] = set()
     return pivot_rows, log_det
 
 
