@@ -170,7 +170,7 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
     log_det = 0.0
     for _ in range(n_cols):
         while True:
-            while not top_q:  # a level emptied before a higher one came can follow
+            while not top_q:  # an emptied level can sit under a higher one that came later
                 del queues[top]
                 top = -heappop(levels)
                 top_q = queues[top]
