@@ -210,7 +210,7 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
                         in_col[c].discard(r)
                     else:
                         row[c] = a
-            new_max = max(map(abs, row.values()), default=0.0)
+            new_max = max(map(abs, row.values())) if row else 0.0  # cheaper than default=0.0
             if new_max != rowmax[r]:  # an unchanged maximum keeps its valid queue entry
                 if not math.isfinite(new_max):  # inf: a NaN needs an inf refused before
                     raise NumericalLimit(f"minor oracle in degree {degree}: an elimination step "
