@@ -18,6 +18,7 @@ from .complexes import (
     build_preset,
     build_twisted_boundary,
     complex_from_json,
+    cyclic_cover,
     preset,
     rotation,
     structure_from_json,

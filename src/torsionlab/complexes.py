@@ -26,6 +26,11 @@ CellStructure is built once per process and shared by all its calls.
 Every angle builds, the trivial ones too: whether a complex is acyclic is
 decided by the torsion routes (hodge.Factorization.tr_logs and
 torsion.determinant_oracle), not by the presets.
+
+cyclic_cover(cells, orders) lifts a structure to a finite abelian cover.
+The subdivided circles and cubical tori are built that way: the N-gon is
+cyclic_cover of the circle's cells with orders (N,), and the n x n grid
+that of torus2's with (n, n).
 """
 
 from __future__ import annotations
@@ -513,6 +518,48 @@ def build_preset(name: str, **params) -> TwistedComplex:
     """preset() followed by build_twisted_boundary()."""
     cells, rho = preset(name, **params)
     return build_twisted_boundary(cells, rho)
+
+
+def cyclic_cover(cells: CellStructure, orders: Sequence[int]) -> CellStructure:
+    """The finite cover of `cells` for Z/orders[0] x Z/orders[1] x ..., generator
+    i acting as the unit of Z/orders[i].
+
+    The points p of the group are numbered row-major (np.ndindex order), and
+    cell c lifts to the cells c * size + index(p).  An incidence (target,
+    coeff, word) of c lifts at p by walking the word from p, a letter (i, +-1)
+    moving coordinate i by +-1, to a point q; the lift is (target * size +
+    index(q), coeff, the letters that wrapped a coordinate around, in order).
+    So cyclic_cover(circle cells, (N,)) is the N-gon, twisted on its closing
+    edge, and cyclic_cover(torus2 cells, (n, n)) the cubical n x n torus; a
+    build with the base's representation restricts it to the cover's group.
+    Raises BadParameter for an order that is not a positive integer, and for a
+    word whose generator has no order.
+    """
+    orders = tuple(_as_int(order, "a cover order", BadParameter) for order in orders)
+    for order in orders:
+        if order < 1:
+            raise BadParameter(f"a cover order must be positive, got {order}")
+    points = list(np.ndindex(*orders))
+    size, index = len(points), {p: m for m, p in enumerate(points)}
+
+    def lift(target: int, coeff: int, word: GroupWord, p: tuple[int, ...]):
+        q, kept = list(p), []
+        for gen, exp in word:
+            if gen >= len(orders):
+                raise BadParameter(f"word {word!r} uses generator {gen}, "
+                                   f"which has no order in {orders}")
+            q[gen] += exp
+            if not 0 <= q[gen] < orders[gen]:
+                q[gen] %= orders[gen]
+                kept.append((gen, exp))
+        return target * size + index[tuple(q)], coeff, tuple(kept)
+
+    return CellStructure(
+        dimension=cells.dimension,
+        cells_per_degree=tuple(c * size for c in cells.cells_per_degree),
+        incidences=tuple(tuple(tuple(lift(*incidence, p) for incidence in entries)
+                               for entries in per_cell for p in points)
+                         for per_cell in cells.incidences))
 
 
 # JSON input schema.  Field names are fixed; unknown fields are rejected.

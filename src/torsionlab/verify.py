@@ -24,11 +24,12 @@ import numpy as np
 from . import boundary as bnd
 from . import models as mdl
 from .complexes import (
-    CellStructure,
     Representation,
     TwistedComplex,
     build_preset,
     build_twisted_boundary,
+    cyclic_cover,
+    preset,
     rotation,
     validate,
 )
@@ -216,20 +217,6 @@ def _lattice_zeta_brute(n: int, L: float, s: float, box: int = 60) -> float:
 def _circle_brute(n_terms: int = 400000) -> float:
     """zeta(2) of the circle of length 2 pi: 2 sum m^-4 over 0 < m < n_terms."""
     return 2.0 * _blocked_sum(lambda m: m ** (-4.0), 1, n_terms)
-
-
-def _subdivided_circle(theta: float) -> TwistedComplex:
-    """A second CW model of the circle: two 0-cells, two 1-cells."""
-    empty = ()
-    cells = CellStructure(
-        dimension=1, cells_per_degree=(2, 2),
-        incidences=(
-            ((), ()),
-            (((1, 1, empty), (0, -1, empty)),       # e0: v1 - v0
-             ((0, 1, ((0, 1),)), (1, -1, empty))),  # e1: t v0 - v1
-        ),
-    )
-    return build_twisted_boundary(cells, Representation(2, [rotation(theta)]))
 
 
 def _random_orthogonal_rep(rng: np.random.Generator, n_gens: int) -> Representation:
@@ -549,7 +536,9 @@ def combinatorial_suite(tol: float | None = None,
             "oracle:pivot-minors", worst, 1e-8)
 
     theta = 1.3
-    sub = _subdivided_circle(theta)
+    # the circle as two 0-cells and two 1-cells: the 2-fold cover of the preset
+    cells, rho = preset("circle", theta=theta)
+    sub = build_twisted_boundary(cyclic_cover(cells, (2,)), rho)
     closed = math.log(4.0 * math.sin(theta / 2.0) ** 2)
     rec.add("oracle-cw-model-independence",
             "a subdivided circle model gives the same torsion",

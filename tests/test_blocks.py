@@ -11,7 +11,9 @@ from torsionlab import (
     TwistedComplex,
     build_preset,
     build_twisted_boundary,
+    cyclic_cover,
     determinant_oracle,
+    preset,
     rotation,
     validate,
 )
@@ -19,12 +21,13 @@ from torsionlab import complexes
 from torsionlab.complexes import CHAIN_TOL, structure_from_json
 from torsionlab.errors import NonChainComplex, NotAcyclic
 from test_complexes import _orthogonal, _reference_boundaries, _same_bits, _words_json
-from test_torsion import _grid_cells, _ngon_cells, _reference_full_pivot_logdet
+from test_torsion import _reference_full_pivot_logdet
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 EPS = np.finfo(float).eps
+CIRCLE, TORUS2 = preset("circle")[0], preset("torus2")[0]
 
 words = st.lists(st.tuples(st.integers(0, 1), st.sampled_from((-1, 1))), max_size=3).map(tuple)
 
@@ -122,9 +125,10 @@ def test_validate_and_oracle_never_densify(monkeypatch):
     corrupted = [build_preset("torus2").boundary(k).copy() for k in (1, 2)]
     corrupted[1][0, 0] += 0.25
     cases = [build_preset("torus2"), build_preset("circle", theta=1.0),
-             build_twisted_boundary(_ngon_cells(64), Representation(2, [rotation(2.5)])),
-             build_twisted_boundary(_grid_cells(5), Representation(2, [rotation(1.0),
-                                                                       rotation(0.3)])),
+             build_twisted_boundary(cyclic_cover(CIRCLE, (64,)),
+                                    Representation(2, [rotation(2.5)])),
+             build_twisted_boundary(cyclic_cover(TORUS2, (5, 5)),
+                                    Representation(2, [rotation(1.0), rotation(0.3)])),
              build_twisted_boundary(*structure_from_json(_words_json())),
              TwistedComplex(rank=2, cells_per_degree=(1, 2, 1), boundaries=corrupted)]
 
@@ -139,14 +143,16 @@ def test_validate_and_oracle_never_densify(monkeypatch):
         except NotAcyclic:
             pass
     # building does not densify either
-    build_twisted_boundary(_grid_cells(3), Representation(2, [rotation(1.1), rotation(2.9)]))
+    build_twisted_boundary(cyclic_cover(TORUS2, (3, 3)),
+                           Representation(2, [rotation(1.1), rotation(2.9)]))
     assert validate(cases[-1]).flagged_degrees == (2,)
 
 
 @pytest.mark.parametrize("cells, rho, exact", [
     # log(4 sin^2(theta/2)) = 1.28156898568832 at theta = 2.5, for every N
-    (_ngon_cells(4096), Representation(2, [rotation(2.5)]), math.log(4.0 * math.sin(1.25) ** 2)),
-    (_grid_cells(64), Representation(2, [rotation(1.0), rotation(0.3)]), 0.0),
+    (cyclic_cover(CIRCLE, (4096,)), Representation(2, [rotation(2.5)]),
+     math.log(4.0 * math.sin(1.25) ** 2)),
+    (cyclic_cover(TORUS2, (64, 64)), Representation(2, [rotation(1.0), rotation(0.3)]), 0.0),
 ], ids=["4096-gon", "64x64-grid"])
 def test_oracle_at_scale_meets_the_closed_forms(cells, rho, exact):
     # dims (8192, 8192) and (8192, 16384, 8192): dense maps would take 0.5 and 2 GB

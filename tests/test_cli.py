@@ -126,23 +126,10 @@ def test_torsion_not_acyclic_exit_3(capsys, tmp_path):
     assert "degree 0" in err  # the failing degree is named
 
 
-def test_oracle_refusal_exit_3(capsys, tmp_path):
+def test_oracle_refusal_exit_3(capsys):
     # two-vertex circle at theta = 1e-11: the Laplacian route accepts it, the
     # oracle's degree-1 pivot (about theta) is below its threshold
-    c, s = math.cos(1e-11), math.sin(1e-11)
-    data = {
-        "dimension": 1, "rank": 2, "generators": 1, "rep": [[[c, -s], [s, c]]],
-        "cells": [{"dim": 0, "boundary": []},
-                  {"dim": 0, "boundary": []},
-                  {"dim": 1, "boundary": [
-                      {"cell": 1, "coeff": 1, "word": []},
-                      {"cell": 0, "coeff": -1, "word": []}]},
-                  {"dim": 1, "boundary": [
-                      {"cell": 0, "coeff": 1, "word": [[0, 1]]},
-                      {"cell": 1, "coeff": -1, "word": []}]}],
-    }
-    path = tmp_path / "circle2.json"
-    path.write_text(json.dumps(data))
+    path = Path(__file__).parent / "two_vertex_circle.json"
     code, out, err = run_cli(capsys, "torsion", "--input", str(path), "--json")
     assert code == 3 and out == ""
     assert "degree 1" in err

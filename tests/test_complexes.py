@@ -14,6 +14,7 @@ from torsionlab import (
     build_preset,
     build_twisted_boundary,
     complex_from_json,
+    cyclic_cover,
     determinant_oracle,
     factorize,
     preset,
@@ -29,10 +30,10 @@ from torsionlab.errors import (
     ShapeMismatch,
 )
 from torsionlab.complexes import structure_from_json
-from test_torsion import _grid_cells, _ngon_cells
 
 HUGE_COEFFICIENT = Path(__file__).parent / "huge_coefficient.json"
 BAD_WORD_EXPONENT = Path(__file__).parent / "bad_word_exponent.json"
+TWO_VERTEX_CIRCLE = Path(__file__).parent / "two_vertex_circle.json"
 
 
 def test_circle_boundary_quarter_turn():
@@ -333,8 +334,9 @@ def _words_json() -> dict:
 def _assembly_cases():
     return [preset("circle", theta=1.3), preset("torus2", alpha=2.2, beta=0.7),
             preset("interval", rank=3), preset("point", rank=2),
-            (_ngon_cells(9), Representation(2, [rotation(0.4)])),
-            (_grid_cells(3), Representation(2, [rotation(1.1), rotation(2.9)])),
+            (cyclic_cover(preset("circle")[0], (9,)), Representation(2, [rotation(0.4)])),
+            (cyclic_cover(preset("torus2")[0], (3, 3)),
+             Representation(2, [rotation(1.1), rotation(2.9)])),
             structure_from_json(_words_json())]
 
 
@@ -399,3 +401,34 @@ def test_assembly_out_of_range_generator():
     with pytest.raises(SchemaError) as new:
         build_twisted_boundary(cells, rho)
     assert str(new.value) == str(ref.value) == "word references generator 3, but only 1 exist"
+
+
+def test_cyclic_cover_spec():
+    # orders of 1 wrap every letter, so each preset is its own trivial cover
+    for name in ("circle", "torus2", "interval", "point"):
+        cells, rho = preset(name)
+        assert cyclic_cover(cells, (1,) * rho.n_generators) == cells
+    # the 2-fold cover of the circle is the circle as two arcs
+    two_gon = CellStructure(
+        dimension=1, cells_per_degree=(2, 2),
+        incidences=(((), ()),
+                    (((1, 1, ()), (0, -1, ())),            # e0: v1 - v0
+                     ((0, 1, ((0, 1),)), (1, -1, ())))))  # e1: t v0 - v1
+    circle_cells, rho = preset("circle", theta=1e-11)
+    assert cyclic_cover(circle_cells, (2,)) == two_gon
+    stored = complex_from_json(TWO_VERTEX_CIRCLE)
+    lifted = build_twisted_boundary(two_gon, rho)
+    assert all(_same_bits(a, b) for blocks in zip(lifted.blocks, stored.blocks)
+               for a, b in zip(*blocks))
+    # a rectangular cover of the torus is a chain complex with log T = 0
+    cells, rho = preset("torus2", alpha=1.0, beta=0.3)
+    grid = build_twisted_boundary(cyclic_cover(cells, (2, 3)), rho)
+    assert grid.cells_per_degree == (6, 12, 6)
+    assert abs(determinant_oracle(grid)) < 1e-12
+    for orders, shown in (((0,), "0"), ((-1,), "-1"), ((2.5,), "2.5"), ((True,), "True")):
+        with pytest.raises(BadParameter, match=f"got {re.escape(shown)}$"):
+            cyclic_cover(circle_cells, orders)
+    for base, orders, gen in ((circle_cells, (), 0), (cells, (3,), 1)):
+        with pytest.raises(BadParameter, match=re.escape(
+                f"word (({gen}, 1),) uses generator {gen}, which has no order in {orders}")):
+            cyclic_cover(base, orders)

@@ -6,9 +6,13 @@ import pytest
 
 from torsionlab import (
     ChainMetric,
+    TwistedComplex,
     build_preset,
+    build_twisted_boundary,
+    cyclic_cover,
     exponential_metric_path,
     factorize,
+    preset,
 )
 from torsionlab.errors import (
     BadParameter,
@@ -23,7 +27,12 @@ from torsionlab.verify import (
     _laplacian,
     _metric_adjoint,
 )
-from test_torsion import _grid_torus, _ngon_circle
+
+
+def _cover(name: str, orders: tuple[int, ...], **params) -> TwistedComplex:
+    """Preset `name`, with its options, built on its cyclic cover of the given orders."""
+    cells, rho = preset(name, **params)
+    return build_twisted_boundary(cyclic_cover(cells, orders), rho)
 
 
 def test_laplacian_circle_closed_form():
@@ -38,8 +47,8 @@ def test_laplacian_circle_closed_form():
 
 def test_laplacian_identity_metric_definition():
     # the identity metric multiplies by no identity factor: L_k is bd^T bd + bd bd^T exactly
-    for cx in (build_preset("torus2", alpha=1.0, beta=0.3), _ngon_circle(8, 1.3),
-               _grid_torus(4, 1.0, 0.3)):
+    for cx in (build_preset("torus2", alpha=1.0, beta=0.3), _cover("circle", (8,), theta=1.3),
+               _cover("torus2", (4, 4), alpha=1.0, beta=0.3)):
         for k in range(cx.dimension + 1):
             direct = np.zeros((cx.dims[k], cx.dims[k]))
             if k >= 1:
@@ -150,7 +159,7 @@ def test_factorization_kernel_follows_betti():
     assert [d - fac.eigenpairs(k)[0].size for k, d in enumerate(trivial.dims)] \
         == fac.betti == [2, 2]
     # the untwisted 8-gon: the Green operator is I on the constant sections, its kernel
-    ngon = _ngon_circle(8, 0.0)
+    ngon = _cover("circle", (8,), theta=0.0)
     assert factorize(ngon).betti == [2, 2]
     green = _green_inverse(factorize(ngon), 0)
     constants = np.tile(np.eye(2), (8, 1))
@@ -171,7 +180,7 @@ def test_identity_metric_is_unfactored_identity():
         for lam, ref in zip(factorize(cx, metric).spectra, factorize(cx, factored).spectra):
             assert np.array_equal(lam, ref)
     # only the dims are kept, not the 512-gon's two 1024 x 1024 eyes (16.8 MB)
-    ngon = _ngon_circle(512, 1.0)
+    ngon = _cover("circle", (512,), theta=1.0)
     tracemalloc.start()
     try:
         ChainMetric.identity(ngon)
@@ -311,11 +320,41 @@ def test_intertwining_identities():
 
 def test_tr_log_matches_cholesky_pivots():
     rng = np.random.default_rng(21)
-    for cx in (build_preset("torus2", alpha=1.0, beta=0.3), _ngon_circle(6, 2.0),
-               _grid_torus(3, 0.7, 1.9)):
+    for cx in (build_preset("torus2", alpha=1.0, beta=0.3), _cover("circle", (6,), theta=2.0),
+               _cover("torus2", (3, 3), alpha=0.7, beta=1.9)):
         metric = ChainMetric.random_spd(cx, rng)
         for k, tr_log in enumerate(factorize(cx, metric).tr_logs):
             sym = metric.sqrt(k) @ _laplacian(cx, metric, k) @ metric.isqrt(k)
             chol = np.linalg.cholesky(0.5 * (sym + sym.T))
             oracle = 2.0 * float(np.sum(np.log(np.diag(chol))))
             assert abs(tr_log - oracle) < 1e-9 * max(1.0, abs(oracle))
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+@pytest.mark.parametrize("theta", [0.4, 2.5])
+def test_ngon_spectra_are_the_characters_of_its_cover(n, theta):
+    # the N-gon's Laplacians diagonalise over the N-th roots w of rho's eigenvalues
+    # exp(+-i theta), each w giving 2 - 2 Re w; both signs give the same values
+    # 2 - 2 cos((theta + 2 pi j) / N), so each comes twice, in both degrees
+    roots = (theta + 2.0 * np.pi * np.arange(n)) / n
+    expected = np.sort(np.repeat(2.0 - 2.0 * np.cos(roots), 2))
+    for lam in factorize(_cover("circle", (n,), theta=theta)).spectra:
+        assert lam.shape == expected.shape
+        assert np.max(np.abs(lam - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("alpha, beta", [(1.0, 0.3), (2.2, 4.4)])
+def test_grid_spectra_are_the_characters_of_its_cover(n, alpha, beta):
+    # likewise on the n x n grid, with one root for each of rho(a) and rho(b):
+    # L_0 and L_2 take 4 sin^2(x_i / 2) + 4 sin^2(y_j / 2) twice, and L_1, whose
+    # positive spectrum is theirs together, four times
+    x = (alpha + 2.0 * np.pi * np.arange(n)) / n
+    y = (beta + 2.0 * np.pi * np.arange(n)) / n
+    values = (4.0 * np.sin(x / 2.0) ** 2)[:, None] + (4.0 * np.sin(y / 2.0) ** 2)[None, :]
+    once = np.sort(np.repeat(values.ravel(), 2))
+    expected = (once, np.sort(np.repeat(once, 2)), once)
+    spectra = factorize(_cover("torus2", (n, n), alpha=alpha, beta=beta)).spectra
+    for lam, ref in zip(spectra, expected, strict=True):
+        assert lam.shape == ref.shape
+        assert np.max(np.abs(lam - ref)) < 1e-12

@@ -18,13 +18,13 @@ from torsionlab import (
     build_twisted_boundary,
     classify_beta,
     complex_from_json,
+    cyclic_cover,
     determinant_oracle,
     euler_characteristics,
     exponential_metric_path,
     factorize,
     generalized_log_torsion,
     log_reidemeister,
-    rotation,
     variation_check,
 )
 from torsionlab import errors, hodge, torsion, verify
@@ -41,42 +41,10 @@ from torsionlab.verify import (
 )
 
 
-def _ngon_cells(n: int) -> CellStructure:
-    """The circle as n vertices and n edges, the twist on the closing edge."""
-    edges = tuple((((i + 1) % n, 1, ((0, 1),) if i == n - 1 else ()), (i, -1, ()))
-                  for i in range(n))
-    return CellStructure(dimension=1, cells_per_degree=(n, n), incidences=(((),) * n, edges))
-
-
-def _ngon_circle(n: int, theta: float):
-    return build_twisted_boundary(_ngon_cells(n), Representation(2, [rotation(theta)]))
-
-
-def _grid_cells(n: int) -> CellStructure:
-    """The cubical n x n torus; cells crossing the seams carry the generators x, y."""
-    def vertex(i, j):
-        return (i % n) * n + j % n
-
-    def x(i):
-        return ((0, 1),) if i == n - 1 else ()
-
-    def y(j):
-        return ((1, 1),) if j == n - 1 else ()
-
-    grid = [(i, j) for i in range(n) for j in range(n)]
-    # edge vertex(i, j) runs along x from (i, j), edge n^2 + vertex(i, j) along y
-    edges = tuple(((vertex(i + 1, j), 1, x(i)), (vertex(i, j), -1, ())) for i, j in grid) \
-        + tuple(((vertex(i, j + 1), 1, y(j)), (vertex(i, j), -1, ())) for i, j in grid)
-    faces = tuple(((vertex(i, j), 1, ()), (n * n + vertex(i + 1, j), 1, x(i)),
-                   (vertex(i, j + 1), -1, y(j)), (n * n + vertex(i, j), -1, ()))
-                  for i, j in grid)
-    return CellStructure(dimension=2, cells_per_degree=(n * n, 2 * n * n, n * n),
-                         incidences=(((),) * (n * n), edges, faces))
-
-
-def _grid_torus(n: int, alpha: float, beta: float):
-    return build_twisted_boundary(_grid_cells(n),
-                                  Representation(2, [rotation(alpha), rotation(beta)]))
+def _cover(name: str, orders: tuple[int, ...], **params) -> TwistedComplex:
+    """Preset `name`, with its options, built on its cyclic cover of the given orders."""
+    cells, rho = preset(name, **params)
+    return build_twisted_boundary(cyclic_cover(cells, orders), rho)
 
 
 def _reference_full_pivot_logdet(mat, degree=1):
@@ -169,9 +137,9 @@ def test_elimination_matches_reference_bitwise():
         mats.append(ties + 2.0 * np.eye(2 * n, n))
     for theta in (0.4, 2.5):
         for n in (3, 16, 128):
-            mats += _oracle_minors(_ngon_circle(n, theta))
+            mats += _oracle_minors(_cover("circle", (n,), theta=theta))
         for n in (2, 5, 9):
-            mats += _oracle_minors(_grid_torus(n, theta, 1.1))
+            mats += _oracle_minors(_cover("torus2", (n, n), alpha=theta, beta=1.1))
     for mat in mats:
         rows, log_det = _eliminate(mat)
         ref_rows, ref_log_det = _reference_full_pivot_logdet(mat)
@@ -269,7 +237,7 @@ def test_elimination_pushes_only_changed_maxima(monkeypatch):
 
     monkeypatch.setattr(torsion, "heapq", types.SimpleNamespace(
         heapify=heapq.heapify, heappush=heappush, heappop=heappop))
-    determinant_oracle(_ngon_circle(128, 2.5))
+    determinant_oracle(_cover("circle", (128,), theta=2.5))
     assert counts["pop", "row"] == 256
     assert counts["push", "row"] <= 4
     assert counts["push", "level"] <= 4
@@ -283,7 +251,7 @@ def test_oracle_runs_no_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", forbidden)
     monkeypatch.setattr(np.linalg, "matrix_rank", forbidden)
     for cx in (build_preset("circle", theta=1.0), build_preset("torus2", alpha=1.0, beta=0.3),
-               _ngon_circle(8, 0.4), _grid_torus(4, 1.0, 0.3)):
+               _cover("circle", (8,), theta=0.4), _cover("torus2", (4, 4), alpha=1.0, beta=0.3)):
         determinant_oracle(cx)
     with pytest.raises(NotAcyclic):
         determinant_oracle(build_preset("interval", rank=2))
@@ -309,8 +277,10 @@ def test_pivot_verdict_against_matrix_rank():
         # a 1-cell and no 0-cell: bd_1 is 0 x 1, with more columns than rows
         build_twisted_boundary(CellStructure(dimension=1, cells_per_degree=(0, 1),
                                              incidences=((), ((),))), Representation(1, [])))]
-    cases += [(_ngon_circle(n, theta), theta) for n in (1, 2, 8, 64) for theta in thetas]
-    cases += [(_grid_torus(n, theta, theta), theta) for n in (2, 4) for theta in thetas]
+    cases += [(_cover("circle", (n,), theta=theta), theta)
+              for n in (1, 2, 8, 64) for theta in thetas]
+    cases += [(_cover("torus2", (n, n), alpha=theta, beta=theta), theta)
+              for n in (2, 4) for theta in thetas]
     outcomes = set()
     for cx, theta in cases:
         try:
@@ -338,8 +308,8 @@ def test_torsion_path_is_values_only_and_bitwise(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     rng = np.random.default_rng(17)
-    for cx in (_ngon_circle(2, 1.3), _ngon_circle(8, 1.3), _ngon_circle(64, 1.3),
-               _grid_torus(4, 1.0, 0.3)):
+    for cx in (*(_cover("circle", (n,), theta=1.3) for n in (2, 8, 64)),
+               _cover("torus2", (4, 4), alpha=1.0, beta=0.3)):
         for metric in (ChainMetric.identity(cx), ChainMetric.random_spd(cx, rng)):
             fac = factorize(cx, metric)
             assert fac.betti == [0] * (cx.dimension + 1)
@@ -370,7 +340,7 @@ def test_variation_gammas_match_solve():
             [rng.standard_normal((d, d)) for d in cx.dims]))
     gammas_agree(build_preset("circle", theta=3e-5),
                  lambda u: ChainMetric([np.eye(2) * (1.0 + u), np.eye(2)]))
-    ngon = _ngon_circle(16, 2.0)
+    ngon = _cover("circle", (16,), theta=2.0)
     gammas_agree(ngon, exponential_metric_path(
         [0.3 * rng.standard_normal((d, d)) for d in ngon.dims]))
 
@@ -423,24 +393,16 @@ def test_oracle_equivalence_on_presets():
 
 
 def test_torsion_independent_of_cw_model():
-    # the circle again, but subdivided into two arcs
+    # the circle again, subdivided into N arcs: its N-fold cover
     theta = 1.3
-    cells = CellStructure(
-        dimension=1, cells_per_degree=(2, 2),
-        incidences=(
-            ((), ()),
-            (((1, 1, ()), (0, -1, ())),
-             ((0, 1, ((0, 1),)), (1, -1, ()))),
-        ),
-    )
-    cx = build_twisted_boundary(cells, Representation(2, [rotation(theta)]))
     expected = math.log(4.0 * math.sin(theta / 2.0) ** 2)
-    for cx in (cx, _ngon_circle(8, theta), _ngon_circle(64, theta), _ngon_circle(512, theta)):
+    for n in (2, 8, 64, 512):
+        cx = _cover("circle", (n,), theta=theta)
         assert abs(log_reidemeister(cx) - expected) < 1e-10
         assert abs(determinant_oracle(cx) - expected) < 1e-10
     # cubical tori, like the one-cell torus2 preset, have log T = 0
     for n in (4, 16):
-        grid = _grid_torus(n, 1.0, 0.3)
+        grid = _cover("torus2", (n, n), alpha=1.0, beta=0.3)
         assert abs(log_reidemeister(grid)) < 1e-10
         assert abs(determinant_oracle(grid)) < 1e-10
 
@@ -449,7 +411,7 @@ def test_metric_covariance_of_log_torsion():
     # log T(h) - log T(I) = 1/2 sum_k (-1)^(k+1) log det h_k, exactly
     rng = np.random.default_rng(3)
     for cx in (build_preset("circle", theta=2.1),
-               build_preset("torus2", alpha=1.0, beta=0.3), _ngon_circle(8, 2.1)):
+               build_preset("torus2", alpha=1.0, beta=0.3), _cover("circle", (8,), theta=2.1)):
         base = log_reidemeister(cx)
         for _ in range(3):
             metric = ChainMetric.random_spd(cx, rng)
@@ -609,7 +571,7 @@ def test_variation_gentle_grid_paths():
     for seed in (19, 22):
         rng = np.random.default_rng(seed)
         alpha, beta = (float(rng.uniform(0.4, 2 * math.pi - 0.4)) for _ in range(2))
-        cx = _grid_torus(2, alpha, beta)
+        cx = _cover("torus2", (2, 2), alpha=alpha, beta=beta)
         gens = [0.3 * 0.5 * (s + s.T) for s in (rng.standard_normal((d, d)) for d in cx.dims)]
         rep = variation_check(cx, exponential_metric_path(gens), (0.0, 1.0, 2.0))
         assert rep.discrepancy < 1e-6
