@@ -268,9 +268,9 @@ class TwistedComplex:
     raises ShapeMismatch unless there is one map per degree k >= 1, each
     (dims[k-1], dims[k]), and SchemaError naming the degree for an entry
     that is not finite, so every instance is well-shaped and finite.
-    boundary(k) densifies bd_k on first request, for the Laplacian route.
-    Values are immutable after construction; instances are safe to share
-    across threads.
+    boundary(k) densifies bd_k from the blocks on every call, for the
+    Laplacian route; nothing else is kept.  Values are immutable after
+    construction; instances are safe to share across threads.
     """
 
     rank: int
@@ -278,7 +278,6 @@ class TwistedComplex:
     blocks: tuple[Blocks, ...]
     # the _chain_pairs of the blocks, which validate reads
     _pairs: tuple = field(repr=False)
-    _dense: dict = field(repr=False)
 
     def __init__(self, rank: int, cells_per_degree: Sequence[int],
                  boundaries: Sequence[np.ndarray]):
@@ -312,7 +311,7 @@ class TwistedComplex:
                 raise SchemaError(f"bd_{k} has an entry that is not finite")
             b.values.setflags(write=False)
         for name, value in (("rank", rank), ("cells_per_degree", cells_per_degree),
-                            ("blocks", tuple(blocks)), ("_pairs", pairs), ("_dense", {})):
+                            ("blocks", tuple(blocks)), ("_pairs", pairs)):
             object.__setattr__(self, name, value)
 
     @property
@@ -325,13 +324,11 @@ class TwistedComplex:
         return tuple(self.rank * c for c in self.cells_per_degree)
 
     def boundary(self, k: int) -> np.ndarray:
-        """bd_k as a dense read-only matrix for 1 <= k <= dimension, made on the
-        first request and cached; a zero-shaped matrix outside that range."""
+        """bd_k as a dense read-only matrix for 1 <= k <= dimension, built from
+        the blocks on each call; a zero-shaped matrix outside that range."""
         if 1 <= k <= self.dimension:
-            if k not in self._dense:
-                self._dense[k] = _densify(self.blocks[k - 1], self.rank,
-                                          self.cells_per_degree[k - 1], self.cells_per_degree[k])
-            return self._dense[k]
+            return _densify(self.blocks[k - 1], self.rank,
+                            self.cells_per_degree[k - 1], self.cells_per_degree[k])
         if k <= 0:
             return np.zeros((0, self.dims[0] if k == 0 else 0))
         return np.zeros((self.dims[self.dimension], 0))

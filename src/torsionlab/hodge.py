@@ -27,7 +27,7 @@ Its Factorization is the whole Laplacian route: spectra, betti, and
 tr_logs, the one place that decides acyclicity and takes the log of a
 spectrum.
 Singular vectors (for eigenpairs and coclosed) come from a second SVD of
-a map, run once on first use.  Working on the maps rather than on L_k
+a map, run on each request.  Working on the maps rather than on L_k
 keeps small eigenvalues accurate: cond(W) = sqrt(cond(L)), so nothing here
 forms delta_k or L_k as a matrix; the dense operators, Green's operators
 and Hodge split that check a Factorization live in verify.
@@ -38,7 +38,7 @@ deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -189,7 +189,7 @@ class Factorization:
     matrix_rank cut sigma_max * max(W_k.shape) * eps, descending; that cut
     is the one kernel rule.  Each sigma^2 belongs to both L_{k-1} and L_k,
     so spectra[k] (ascending) is the positive spectrum of L_k.  Singular
-    vectors are computed on first use, one SVD per map, and cached.
+    vectors are not kept: each request runs one SVD of its map.
     """
 
     cplx: TwistedComplex
@@ -197,7 +197,6 @@ class Factorization:
     maps: tuple[np.ndarray, ...]
     sigmas: tuple[np.ndarray, ...]
     spectra: tuple[np.ndarray, ...]
-    _vectors: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def betti(self) -> list[int]:
@@ -216,17 +215,13 @@ class Factorization:
                 raise NotAcyclic(f"degree {k} has Betti number {b_k} (Betti numbers {b})")
         return [float(np.sum(np.log(lam))) for lam in self.spectra]
 
-    def _singular_vectors(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def _svd(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(U, V) of W_k for the kept singular values: W_k V = U diag(sigmas[k])."""
-        if k not in self._vectors:
-            w, r = self.maps[k], self.sigmas[k].size
-            if r:
-                u, _, vt = np.linalg.svd(w, full_matrices=False)
-                u, v = u[:, :r], vt[:r].T
-            else:
-                u, v = np.zeros((w.shape[0], 0)), np.zeros((w.shape[1], 0))
-            self._vectors[k] = (u, v)
-        return self._vectors[k]
+        w, r = self.maps[k], self.sigmas[k].size
+        if not r:
+            return np.zeros((w.shape[0], 0)), np.zeros((w.shape[1], 0))
+        u, _, vt = np.linalg.svd(w, full_matrices=False)
+        return u[:, :r], vt[:r].T
 
     def eigenpairs(self, k: int) -> tuple[np.ndarray, np.ndarray, int]:
         """(eigenvalues, eigenvectors, n_closed): the positive eigenpairs of L_k.
@@ -237,7 +232,7 @@ class Factorization:
         are mapped back by h_k^{-1/2}; the eigenvalues are their sigma^2.
         """
         coclosed = self.coclosed(k)
-        closed, _ = self._singular_vectors(k)
+        closed, _ = self._svd(k)
         if not self.metric.is_identity:
             closed = self.metric.isqrt(k) @ closed
         lam = np.concatenate([self.sigmas[k], self.sigmas[k + 1]]) ** 2
@@ -247,7 +242,7 @@ class Factorization:
         """The coclosed eigenvectors of eigenpairs(k), spanning im delta_k."""
         if not 0 <= k <= self.cplx.dimension:
             raise ShapeMismatch(f"degree {k} outside 0..{self.cplx.dimension}")
-        _, vectors = self._singular_vectors(k + 1)
+        _, vectors = self._svd(k + 1)
         return vectors if self.metric.is_identity else self.metric.isqrt(k) @ vectors
 
 

@@ -45,6 +45,7 @@ from .zetas import (
     HeatTrace,
     ZetaEval,
     _angle,
+    _constant_term,
     circle_heat_trace,
     combine_heat_traces,
     mellin_zeta,
@@ -185,8 +186,8 @@ def build_model(name: str, **params) -> SpectralModel:
 
 
 def residue_log_trace(model: SpectralModel, k: int) -> float:
-    """res_k = -2 (zeta_k(0) + b_k), by exact coefficient arithmetic."""
-    return -2.0 * (model.zeta_at_zero(k) + model.betti[k]) + 0.0  # 0.0, not -0.0
+    """res_k = -2 (zeta_k(0) + b_k) = -2 c_0, read off the t^0 heat coefficient."""
+    return -2.0 * _constant_term(model._trace(k)) + 0.0  # 0.0, not -0.0
 
 
 class TorsionReport(NamedTuple):

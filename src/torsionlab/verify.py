@@ -1118,9 +1118,9 @@ SUITES = {
 }
 
 
-def run_suites(names, tol: float | None = None,
+def run_suites(name: str, tol: float | None = None,
                seed: int = DEFAULT_SEED) -> list[CaseResult]:
-    """Run the named suites ('all' expands to every suite) in fixed order.
+    """Run the named suite, or with 'all' every suite in fixed order.
 
     Raises SchemaError for a tol that is not a finite number >= 0 and for a
     negative seed, and BadParameter for an unknown suite.
@@ -1129,18 +1129,8 @@ def run_suites(names, tol: float | None = None,
         mdl._check_tolerance(tol)
     if seed < 0:
         raise SchemaError(f"seed must be a nonnegative integer, got {seed!r}")
-    if isinstance(names, str):
-        names = [names]
-    expanded: list[str] = []
-    for name in names:
-        if name == "all":
-            expanded.extend(SUITES)
-        elif name in SUITES:
-            expanded.append(name)
-        else:
-            raise BadParameter(f"unknown suite {name!r}; choose from "
+    if name != "all" and name not in SUITES:
+        raise BadParameter(f"unknown suite {name!r}; choose from "
                            f"{sorted(SUITES)} or 'all'")
-    results: list[CaseResult] = []
-    for name in expanded:
-        results.extend(SUITES[name](tol=tol, seed=seed))
-    return results
+    names = SUITES if name == "all" else [name]
+    return [r for n in names for r in SUITES[n](tol=tol, seed=seed)]

@@ -193,9 +193,14 @@ class HeatTrace:
         return float(abs((self.kernel_dim + self.tail(1.0)) - self.full(1.0)))
 
 
+def _constant_term(h: HeatTrace) -> float:
+    """c_0, the t^0 coefficient of the small-time expansion."""
+    return sum((c for p, c in h.terms if p == 0.0), 0.0)
+
+
 def zeta_at_zero(h: HeatTrace) -> float:
     """zeta(0) = c_0 - dim ker, by coefficient arithmetic alone."""
-    return sum((c for p, c in h.terms if p == 0.0), 0.0) - h.kernel_dim
+    return _constant_term(h) - h.kernel_dim
 
 
 def _expansion_cut(terms) -> float:

@@ -125,6 +125,19 @@ def test_eigenpairs_residuals_and_orthonormality():
             assert np.max(np.abs(down), initial=0.0) < 1e-10
 
 
+def test_singular_vectors_repeat_bitwise():
+    # no vectors are kept, so every request runs its SVD again: same bits each time
+    rng = np.random.default_rng(9)
+    cx = _cover("torus2", (3, 3), alpha=1.0, beta=0.3)
+    for metric in (None, ChainMetric.random_spd(cx, rng)):
+        fac = factorize(cx, metric)
+        for k in range(cx.dimension + 1):
+            first, again = fac.eigenpairs(k), fac.eigenpairs(k)
+            assert first[2] == again[2]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(first[:2], again[:2]))
+            assert fac.coclosed(k).tobytes() == fac.coclosed(k).tobytes()
+
+
 def test_acyclic_spectra_values_and_strict_mode():
     # L_0 = L_1 = e I on the circle with 2 - 2 cos theta = e, so tr log L_0 = 2
     cx = build_preset("circle", theta=math.acos(1.0 - math.e / 2.0))

@@ -1,6 +1,7 @@
 import heapq
 import json
 import math
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -315,13 +316,26 @@ def test_torsion_path_is_values_only_and_bitwise(monkeypatch):
             assert fac.betti == [0] * (cx.dimension + 1)
             tr_logs = fac.tr_logs
             log_reidemeister(cx, metric)
-            assert fac._vectors == {}
             reference = _reference_positive_spectra(cx, metric)
             assert len(fac.spectra) == len(reference) == len(tr_logs)
             for lam, ref, tr_log in zip(fac.spectra, reference, tr_logs):
                 assert np.array_equal(lam, ref)
                 assert tr_log == float(np.sum(np.log(lam)))
     assert computed_uv and not any(computed_uv)
+
+
+def test_log_reidemeister_leaves_the_complex_as_built():
+    # a complex keeps its blocks only: no densified bd_k outlives the call
+    # (the 512-gon's dense bd_1 is 1024 x 1024, 8 MB)
+    ngon = _cover("circle", (512,), theta=2.5)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        log_reidemeister(ngon)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.1 * 2 ** 20, f"the 512-gon keeps {kept} bytes after log_reidemeister"
 
 
 def test_variation_gammas_match_solve():
