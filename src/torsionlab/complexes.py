@@ -41,7 +41,7 @@ import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,9 +80,7 @@ class Representation:
     generator_images: tuple[np.ndarray, ...]
 
     def __init__(self, rank: int, generator_images: Sequence[np.ndarray]):
-        rank = _as_int(rank, "rank", BadRepresentation)
-        if rank < 1:
-            raise BadRepresentation(f"rank must be positive, got {rank}")
+        rank = _as_int(rank, "rank", BadRepresentation, low=1)
         images = []
         for idx, g in enumerate(generator_images):
             g = np.asarray(g, dtype=float)
@@ -265,9 +263,11 @@ class TwistedComplex:
     k = 1..dimension (see Blocks).  TwistedComplex(rank, cells_per_degree,
     boundaries) takes dense maps and cuts each into its nonzero blocks;
     build_twisted_boundary assembles the blocks directly.  Construction
-    raises ShapeMismatch unless there is one map per degree k >= 1, each
-    (dims[k-1], dims[k]), and SchemaError naming the degree for an entry
-    that is not finite, so every instance is well-shaped and finite.
+    raises SchemaError naming the value for a rank or cell count that is not
+    an integer (a bool or 1.0 is not) or is below 1 or 0, ShapeMismatch
+    unless there is one map per degree k >= 1, each (dims[k-1], dims[k]),
+    and SchemaError naming the degree for an entry that is not finite, so
+    every instance is well-shaped and finite.
     boundary(k) densifies bd_k from the blocks on every call, for the
     Laplacian route; nothing else is kept.  Values are immutable after
     construction; instances are safe to share across threads.
@@ -281,7 +281,8 @@ class TwistedComplex:
 
     def __init__(self, rank: int, cells_per_degree: Sequence[int],
                  boundaries: Sequence[np.ndarray]):
-        cells = tuple(int(c) for c in cells_per_degree)
+        rank = _as_int(rank, "rank", low=1)
+        cells = tuple(_as_int(c, "a cell count", low=0) for c in cells_per_degree)
         if len(boundaries) != len(cells) - 1:
             raise ShapeMismatch(f"{len(boundaries)} boundary maps "
                                 f"for a complex of dimension {len(cells) - 1}")
@@ -294,7 +295,7 @@ class TwistedComplex:
             grid = b.reshape(cells[k - 1], rank, cells[k], rank).transpose(0, 2, 1, 3)
             rows, cols = np.argwhere(np.any(grid != 0.0, axis=(2, 3))).T
             blocks.append(Blocks(_frozen(rows), _frozen(cols), grid[rows, cols]))
-        self._store(int(rank), cells, blocks, _chain_pairs(blocks, cells))
+        self._store(rank, cells, blocks, _chain_pairs(blocks, cells))
 
     @classmethod
     def _assembled(cls, rank: int, cells_per_degree: tuple[int, ...],
@@ -332,25 +333,6 @@ class TwistedComplex:
         if k <= 0:
             return np.zeros((0, self.dims[0] if k == 0 else 0))
         return np.zeros((self.dims[self.dimension], 0))
-
-    def entries(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values): the nonzero entries of bd_k in row-major order,
-        read off the blocks; O(nnz log nnz).  Outside 1 <= k <= dimension they
-        are three empty arrays, the entries of the zero-shaped boundary(k)."""
-        if not 1 <= k <= self.dimension:
-            empty = np.zeros(0, dtype=np.intp)
-            return empty, empty, np.zeros(0)
-        rows, cols, values = self.blocks[k - 1]
-        n = self.rank
-        offsets = np.arange(n)
-        r = np.broadcast_to((rows * n)[:, None, None] + offsets[None, :, None], values.shape)
-        c = np.broadcast_to((cols * n)[:, None, None] + offsets[None, None, :], values.shape)
-        v = values.ravel()
-        nonzero = v != 0.0
-        r, c, v = r.ravel()[nonzero], c.ravel()[nonzero], v[nonzero]
-        # blocks are row-major, so a stable sort on the row alone keeps columns ascending
-        order = np.argsort(r, kind="stable")
-        return r[order], c[order], v[order]
 
 
 def _densify(blocks: Blocks, n: int, n_rows: int, n_cols: int) -> np.ndarray:
@@ -529,13 +511,12 @@ def cyclic_cover(cells: CellStructure, orders: Sequence[int]) -> CellStructure:
     So cyclic_cover(circle cells, (N,)) is the N-gon, twisted on its closing
     edge, and cyclic_cover(torus2 cells, (n, n)) the cubical n x n torus; a
     build with the base's representation restricts it to the cover's group.
-    Raises BadParameter for an order that is not a positive integer, and for a
-    word whose generator has no order.
+    Raises BadParameter for orders that are not a sequence, an order that is
+    not a positive integer, and a word whose generator has no order.
     """
-    orders = tuple(_as_int(order, "a cover order", BadParameter) for order in orders)
-    for order in orders:
-        if order < 1:
-            raise BadParameter(f"a cover order must be positive, got {order}")
+    if not isinstance(orders, Iterable):
+        raise BadParameter(f"cover orders must be a sequence of integers, got {orders!r}")
+    orders = tuple(_as_int(order, "a cover order", BadParameter, low=1) for order in orders)
     points = list(np.ndindex(*orders))
     size, index = len(points), {p: m for m, p in enumerate(points)}
 
@@ -657,9 +638,12 @@ def complex_from_json(source: str | Path | dict) -> TwistedComplex:
     return build_twisted_boundary(cells, rho)
 
 
-def _as_int(value, name: str, error: type[Exception] = SchemaError) -> int:
+def _as_int(value, name: str, error: type[Exception] = SchemaError,
+            low: int | None = None) -> int:
     """value as an int; `error` refuses a bool or a value that is not an integer
-    (numpy integers are integers)."""
+    (numpy integers are integers), and one below `low` (0 or 1) when given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be {'positive' if low else 'non-negative'}, got {int(value)}")
     return int(value)

@@ -73,22 +73,25 @@ def determinant_oracle(cplx: TwistedComplex) -> float:
     1419.06) raises NumericalLimit naming the degree, not inf.
 
     Elimination (_full_pivot_logdet) pivots on the largest |entry| still
-    live, the first in row-major order on ties, keeping the largest |entry|
-    of every live row in `rowmax` and its rows sparse; rows wait in one heap
-    of indices per distinct maximum.  A step updates only the live rows of R,
-    the rows listed in the pivot column (a pivoted row stays listed and is
-    skipped), and queues again only the rows C of R whose maximum changed,
-    so it costs O(|R| * (nnz(pivot row) + nnz(row)) + |C| log n_rows), and
-    the elimination's own memory is O(nnz).  Each minor's entries come straight
-    from the complex's blocks (TwistedComplex.entries), O(nnz log nnz); no
-    dense matrix is formed.
+    live, the smallest row and then column on ties, keeping the largest
+    |entry| of every live row in `rowmax` and its rows sparse; rows wait in
+    one heap of indices per distinct maximum.  A step updates only the live
+    rows of R, the rows listed in the pivot column (a pivoted row stays
+    listed and is skipped), and queues again only the rows C of R whose
+    maximum changed, so it costs O(|R| * (nnz(pivot row) + nnz(row)) +
+    |C| log n_rows), and its own memory is O(nnz).  Each minor is read in
+    place from the complex's blocks, O(nnz); no dense matrix is formed.
     """
-    dims = cplx.dims
+    dims, n = cplx.dims, cplx.rank
     log_tau = 0.0
     live = np.ones(dims[-1], dtype=bool)  # the columns still in play
     for k in range(cplx.dimension, 0, -1):
-        rows, cols, values = cplx.entries(k)
-        keep = live[cols]
+        block_rows, block_cols, blocks = cplx.blocks[k - 1]
+        # blocks[m, i, j] is entry (block_rows[m]*n + i, block_cols[m]*n + j) of bd_k
+        rows = np.repeat(block_rows[:, None] * n + np.arange(n), n)
+        cols = np.tile(block_cols[:, None] * n + np.arange(n), n).ravel()
+        values = blocks.ravel()
+        keep = (values != 0.0) & live[cols]
         minor_col = np.cumsum(live) - 1  # a live column's index within the minor
         pivot_rows, log_det = _full_pivot_logdet(
             (dims[k - 1], int(np.count_nonzero(live))),
@@ -106,13 +109,13 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
     """Pivot rows and sum of log|pivot| from full-pivot elimination.
 
     The matrix has the given shape and its nonzero entries values[i] at
-    (rows[i], cols[i]), finite and in row-major order.  The selected rows
-    index an invertible minor whose |det| is the product of the pivots.
-    Each step pivots on the entry of largest modulus among the rows and
-    columns not yet pivoted, the first in row-major order on ties (most
-    boundary entries are +-1).  Fewer rows than columns, or a pivot at most
-    RANK_TOL * max|entry|, raises NotAcyclic naming `degree`, and an update
-    that makes a row's maximum inf raises NumericalLimit naming it.
+    (rows[i], cols[i]), finite, each position once, in any order.  The
+    selected rows index an invertible minor whose |det| is the product of
+    the pivots.  Each step pivots on the entry of largest modulus among the
+    rows and columns not yet pivoted, the smallest row and then column on
+    ties (most boundary entries are +-1).  Fewer rows than columns, or a
+    pivot at most RANK_TOL * max|entry|, raises NotAcyclic naming `degree`,
+    and an update making a row's maximum inf raises NumericalLimit.
 
     The live submatrix is held sparse: `entries[r]` maps column -> value for
     the nonzeros of row r, `in_col[c]` holds the rows nonzero in column c
@@ -128,12 +131,12 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
     queued, valid until popped, and a valid pop pivots its row.  A level
     whose queue runs empty leaves `queues` when the search passes it; it
     can lie under a higher level that appeared since, so the search skips
-    every empty queue it meets.  The level gives the pivot's modulus m,
-    and the smallest column holding m or -m makes the row-major-first
-    maximum.  The update a - (b / pivot) * p touches only the live rows of
-    R = in_col[pivot column], the rows nonzero there: any other entry would
-    change by exactly +-0, so pivots and log|det| are those of eliminating
-    the whole remaining submatrix.  A column absent from a row takes
+    every empty queue it meets.  The level gives the pivot's modulus m, and
+    the pivot column is the smallest in that row holding m or -m; no input
+    order is read.  The update a - (b / pivot) * p touches only the live
+    rows of R = in_col[pivot column], the rows nonzero there: any other
+    entry would change by exactly +-0, so pivots and log|det| are those of
+    eliminating the whole remaining submatrix.  A column absent from a row takes
     0.0 - (b / pivot) * p, the same bits, and an entry that cancels to
     exactly 0 leaves its row and column.  A step costs
     O(|R| * (nnz(pivot row) + nnz(row)) + |C| log n_rows), C the rows of R
@@ -268,9 +271,13 @@ def classify_beta(beta: Sequence[float]) -> BetaClassification:
     """Test whether beta is (up to constants) flat, linear, or neither.
 
     Any beta of length <= 2 vacuously satisfies the recurrence.  The
-    decomposition is lam = beta_0, mu = beta_1 - beta_0.
+    decomposition is lam = beta_0, mu = beta_1 - beta_0.  BadParameter
+    refuses a weight that is not finite, which would make the tolerance inf.
     """
     beta = [float(x) for x in beta]
+    for k, b in enumerate(beta):
+        if not math.isfinite(b):
+            raise BadParameter(f"weight beta_{k} must be finite, got {b!r}")
     residual = tuple(beta[k + 1] - 2.0 * beta[k] + beta[k - 1]
                      for k in range(1, len(beta) - 1))
     tol = SECOND_DIFFERENCE_TOL * max(1.0, max(map(abs, beta), default=0.0))

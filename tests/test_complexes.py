@@ -42,16 +42,6 @@ def test_circle_boundary_quarter_turn():
     assert np.max(np.abs(cx.boundary(1) - expected)) < 1e-14
 
 
-def test_entries_are_the_nonzeros_of_the_boundary_in_every_degree():
-    for cx in (build_preset("torus2"), build_preset("circle", theta=1.0)):
-        for k in range(-1, cx.dimension + 2):
-            rows, cols, values = cx.entries(k)
-            bd = cx.boundary(k)
-            nz_rows, nz_cols = np.nonzero(bd)
-            assert np.array_equal(rows, nz_rows) and np.array_equal(cols, nz_cols), k
-            assert np.array_equal(values, bd[nz_rows, nz_cols]), k
-
-
 def test_trivial_representation_gives_integer_boundary():
     cells, _ = preset("torus2", alpha=1.0, beta=0.5)
     cx = build_twisted_boundary(cells, Representation(1, [np.eye(1), np.eye(1)]))
@@ -170,6 +160,22 @@ def test_mis_shaped_complex_is_refused_at_construction():
     # a 2 x 1 bd_1 over dims (1, 1), which both torsion routes used to take values of
     with pytest.raises(ShapeMismatch, match=r"bd_1 has shape \(2, 1\), expected \(1, 1\)"):
         TwistedComplex(rank=1, cells_per_degree=(1, 1), boundaries=(np.ones((2, 1)),))
+
+
+def test_complex_refuses_a_rank_or_cell_count_that_is_not_an_integer():
+    # before, (1.7, 1) was read as cells (1, 1) and log_reidemeister returned log 2,
+    # and a rank of 1.0 or True escaped as numpy's TypeError
+    for rank, cells, shown in ((1, (1.7, 1), "a cell count must be an integer, got 1.7"),
+                               (1.0, (1, 1), "rank must be an integer, got 1.0"),
+                               (True, (1, 1), "rank must be an integer, got True"),
+                               (0, (1, 1), "rank must be positive, got 0"),
+                               (1, (1, -1), "a cell count must be non-negative, got -1")):
+        with pytest.raises(SchemaError, match=f"^{re.escape(shown)}$") as info:
+            TwistedComplex(rank, cells, [[[2.0]]])
+        assert info.value.exit_code == 2
+    cx = TwistedComplex(np.int64(1), (np.int32(1), 1), [[[2.0]]])
+    assert type(cx.rank) is int and all(type(c) is int for c in cx.cells_per_degree)
+    assert determinant_oracle(cx) == math.log(2.0)
 
 
 def test_cell_structure_refuses_non_finite_coefficients():
@@ -425,7 +431,9 @@ def test_cyclic_cover_spec():
     grid = build_twisted_boundary(cyclic_cover(cells, (2, 3)), rho)
     assert grid.cells_per_degree == (6, 12, 6)
     assert abs(determinant_oracle(grid)) < 1e-12
-    for orders, shown in (((0,), "0"), ((-1,), "-1"), ((2.5,), "2.5"), ((True,), "True")):
+    # the int 3 where a sequence of orders belongs was a raw TypeError
+    for orders, shown in (((0,), "0"), ((-1,), "-1"), ((2.5,), "2.5"), ((True,), "True"),
+                          (3, "3")):
         with pytest.raises(BadParameter, match=f"got {re.escape(shown)}$"):
             cyclic_cover(circle_cells, orders)
     for base, orders, gen in ((circle_cells, (), 0), (cells, (3,), 1)):

@@ -1,6 +1,7 @@
 import heapq
 import json
 import math
+import re
 import tracemalloc
 import types
 from pathlib import Path
@@ -150,6 +151,38 @@ def test_elimination_matches_reference_bitwise():
     # pivoting on column 2 instead would pick rows [0, 3, 1]
     ties = np.array([[1, -1, 1], [1, -1, 0], [0, -1, 0], [0, 1, 1]], dtype=float)
     assert _eliminate(ties)[0] == _reference_full_pivot_logdet(ties)[0] == [0, 1, 2]
+
+
+def test_elimination_ignores_entry_order():
+    # the smallest row comes from the per-maximum heaps and the smallest column
+    # from a scan of the pivot row, so no input order is read: determinant_oracle
+    # passes each minor's entries in block order
+    rng = np.random.default_rng(11)
+    mats = []
+    for n in (1, 4, 17, 60):
+        mats.append(rng.standard_normal((n, n)))  # dense
+        sparse = rng.standard_normal((2 * n, n)) * (rng.random((2 * n, n)) < 0.2)
+        mats.append(sparse + np.eye(2 * n, n))
+        ties = rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0], size=(2 * n, n))
+        mats.append(ties + 2.0 * np.eye(2 * n, n))
+        mats.append(np.column_stack([ties, ties[:, 0]]))  # rank deficient: NotAcyclic
+    mats.append(_cover("circle", (256,), theta=2.5).boundary(1))
+    mats += _oracle_minors(_cover("torus2", (8, 8), alpha=1.0, beta=0.3))
+    refused = 0
+    for mat in mats:
+        rows, cols = np.nonzero(mat)
+        values = mat[rows, cols]
+        outcomes = []
+        for order in [np.arange(rows.size)] + [rng.permutation(rows.size) for _ in range(5)]:
+            try:
+                pivot_rows, log_det = _full_pivot_logdet(
+                    mat.shape, rows[order], cols[order], values[order], 1)
+                outcomes.append((pivot_rows, log_det.hex()))
+            except NotAcyclic as exc:
+                outcomes.append(str(exc))
+        assert outcomes == outcomes[:1] * len(outcomes)
+        refused += isinstance(outcomes[0], str)
+    assert refused >= 4
 
 
 @pytest.mark.parametrize("mat, pivot_rows", [
@@ -485,6 +518,15 @@ def test_classify_beta_examples():
     assert not classify_beta((1e5, 1e5 + 0.1 + 1e-6, 1e5 + 0.2)).satisfies_recurrence
     # length <= 2 is vacuous
     assert classify_beta((7.0, -1.0)).satisfies_recurrence
+
+
+def test_classify_beta_refuses_non_finite_weights():
+    # before, (0, inf, 1) made the tolerance inf and passed as linear with mu = inf
+    for beta, shown in (((0.0, math.inf, 1.0), "beta_1 must be finite, got inf"),
+                        ((math.nan,), "beta_0 must be finite, got nan"),
+                        ((1.0, 2.0, -math.inf), "beta_2 must be finite, got -inf")):
+        with pytest.raises(BadParameter, match=f"^weight {re.escape(shown)}$"):
+            classify_beta(beta)
 
 
 def test_reconstruct_refuses_weights_off_the_recurrence():
