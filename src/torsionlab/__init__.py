@@ -27,6 +27,7 @@ from .complexes import (
 from .hodge import (
     ChainMetric,
     Factorization,
+    exponential_metric_path,
     factorize,
 )
 from .torsion import (
@@ -35,7 +36,6 @@ from .torsion import (
     classify_beta,
     determinant_oracle,
     euler_characteristics,
-    exponential_metric_path,
     generalized_log_torsion,
     log_reidemeister,
     variation_check,

@@ -118,8 +118,9 @@ class CellStructure:
 
     incidences[k][i] lists (target cell index, coefficient, word) for the
     i-th k-cell; degree 0 has no incidences.  Construction raises
-    SchemaError for a target out of range, a coefficient that is not an
-    integer, or a word that is not a GroupWord.
+    SchemaError for a dimension or cell count that is not a non-negative
+    integer (a bool is not one), a target out of range, a coefficient that
+    is not an integer, or a word that is not a GroupWord.
     """
 
     dimension: int
@@ -127,8 +128,9 @@ class CellStructure:
     incidences: tuple[tuple[tuple[tuple[int, int, GroupWord], ...], ...], ...]
 
     def __post_init__(self):
-        if self.dimension < 0:
-            raise SchemaError("dimension must be nonnegative")
+        _as_int(self.dimension, "dimension", low=0)
+        for count in self.cells_per_degree:
+            _as_int(count, "a cell count", low=0)
         if len(self.cells_per_degree) != self.dimension + 1:
             raise SchemaError("cells_per_degree must have length dimension + 1")
         if len(self.incidences) != self.dimension + 1:

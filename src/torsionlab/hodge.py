@@ -25,9 +25,10 @@ values-only SVD per map and reads ranks off it with numpy's matrix_rank
 rule, the one kernel rule; torsion and Betti numbers need nothing more.
 Its Factorization is the whole Laplacian route: spectra, betti, and
 tr_logs, the one place that decides acyclicity and takes the log of a
-spectrum.
-Singular vectors (for eigenpairs and coclosed) come from a second SVD of
-a map, run on each request.  Working on the maps rather than on L_k
+spectrum.  It keeps singular values only: singular vectors (for
+eigenpairs and coclosed) come from a second SVD of W_k, formed again by
+_weighted_map on each request, as a ChainMetric forms h^{1/2}, h^{-1/2}
+and h^{-1}.  Working on the maps rather than on L_k
 keeps small eigenvalues accurate: cond(W) = sqrt(cond(L)), so nothing here
 forms delta_k or L_k as a matrix; the dense operators, Green's operators
 and Hodge split that check a Factorization live in verify.
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,17 +56,19 @@ _LOG_MAX = math.log(np.finfo(float).max)
 class ChainMetric:
     """Per-degree symmetric positive-definite inner products h_k.
 
-    h^{1/2}, h^{-1/2} and the inverse come from one eigh per degree, made at
-    construction (of h_k itself, or of S_k for ChainMetric.exponential; a
-    torsion.exponential_metric_path takes it once for all its metrics);
-    instances are immutable.  ChainMetric.identity, the only is_identity
-    metric, keeps only dims and builds a read-only I on request.
+    Each degree keeps h_k and its eigenpairs (w, v), from one eigh made at
+    construction (of h_k itself, or of S_k for an exponential metric, whose
+    path takes it once for all its metrics); matrix, sqrt, isqrt and inv
+    form h, h^{1/2} = (v sqrt(w)) v^T, h^{-1/2} = (v / sqrt(w)) v^T and
+    h^{-1} = (v / w) v^T read-only on each request.  Instances are
+    immutable.  ChainMetric.identity, the only is_identity metric, keeps
+    only dims and builds a read-only I on request.
     """
 
     is_identity = False
 
     def __init__(self, matrices: Sequence[np.ndarray]):
-        factors = []
+        degrees = []
         for k, h in enumerate(matrices):
             h = np.array(h, dtype=float)
             if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -82,16 +85,13 @@ class ChainMetric:
             if h.size and float(w[0]) <= 0.0:
                 raise BadParameter(
                     f"metric in degree {k} is not positive definite (min eig {w[0]:.3e})")
-            factors.append((h, w, v))
-        self._factor(factors)
+            degrees.append((h, w, v))
+        self._store(degrees)
 
-    def _factor(self, factors: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
-        """Keep h_k, h^{1/2}, h^{-1/2} and h^{-1}, formed from the eigenpairs (w, v) of h_k."""
-        self._factors = tuple((h, (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T, (v / w) @ v.T)
-                              for h, w, v in factors)
-        for m in (m for degree in self._factors for m in degree):
-            m.setflags(write=False)
-        self._dims = tuple(h.shape[0] for h, _, _, _ in self._factors)
+    def _store(self, degrees: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
+        """Keep h_k and the eigenpairs (w, v) of h_k in each degree."""
+        self._degrees = tuple(degrees)
+        self._dims = tuple(h.shape[0] for h, _, _ in self._degrees)
 
     @classmethod
     def identity(cls, cplx: TwistedComplex) -> "ChainMetric":
@@ -102,41 +102,8 @@ class ChainMetric:
 
     @classmethod
     def exponential(cls, generators: Sequence[np.ndarray]) -> "ChainMetric":
-        """h_k = exp(S_k) for the symmetrized generators S_k, from one eigh of each."""
-        return cls._exponential(cls._generator_eighs(generators), 1.0)
-
-    @staticmethod
-    def _generator_eighs(generators: Sequence[np.ndarray]) -> list:
-        """The eigenpairs (w, v) of each symmetrized generator 0.5 (S_k + S_k^T)."""
-        generators = [np.asarray(s) for s in generators]
-        for k, s in enumerate(generators):
-            if not np.isfinite(s).all():
-                raise BadParameter(
-                    f"metric generator in degree {k} has an entry that is not finite")
-        return [np.linalg.eigh(0.5 * (s + s.T)) for s in generators]
-
-    @classmethod
-    def _exponential(cls, eighs: Sequence[tuple[np.ndarray, np.ndarray]],
-                     u: float) -> "ChainMetric":
-        """exp(u S_k) from the eigenpairs (w, v) of each S_k: no further eigh.
-
-        Raises NumericalLimit naming the degree when an eigenvalue of u S_k
-        leaves (log tiny, log max), where exp(u S_k) would overflow or its
-        inverse would: the generator is admissible, floating point cannot
-        hold its exponential.
-        """
-        factors = []
-        for k, (w, v) in enumerate(eighs):
-            uw = u * w
-            if uw.size and not (_LOG_TINY < np.min(uw) and np.max(uw) < _LOG_MAX):
-                raise NumericalLimit(
-                    f"metric generator in degree {k}: exp(u S_k) or its inverse overflows, "
-                    f"u S_k has eigenvalues in [{np.min(uw):.3e}, {np.max(uw):.3e}]")
-            e = np.exp(uw)
-            factors.append(((v * e) @ v.T, e, v))
-        metric = cls.__new__(cls)
-        metric._factor(factors)
-        return metric
+        """h_k = exp(S_k): the metric at u = 1 of exponential_metric_path(generators)."""
+        return exponential_metric_path(generators)(1.0)
 
     @classmethod
     def random_spd(cls, cplx: TwistedComplex, rng: np.random.Generator) -> "ChainMetric":
@@ -144,31 +111,63 @@ class ChainMetric:
         draws = (rng.standard_normal((d, d)) for d in cplx.dims)
         return cls.exponential([0.25 * (s + s.T) for s in draws])
 
-    def _factor_at(self, k: int, which: int) -> np.ndarray:
-        """Factor `which` (h, h^{1/2}, h^{-1/2}, h^{-1}) of degree k; a read-only I
-        for the identity metric."""
+    def _form(self, k: int, factor: Callable[..., np.ndarray]) -> np.ndarray:
+        """factor(h, w, v) of degree k, read-only; a read-only I for the identity metric."""
         if not 0 <= k < len(self._dims):
             raise ShapeMismatch(f"degree {k} outside 0..{len(self._dims) - 1}")
-        if not self.is_identity:
-            return self._factors[k][which]
-        eye = np.eye(self._dims[k])
-        eye.setflags(write=False)
-        return eye
+        out = np.eye(self._dims[k]) if self.is_identity else factor(*self._degrees[k])
+        out.setflags(write=False)
+        return out
 
     def matrix(self, k: int) -> np.ndarray:
-        return self._factor_at(k, 0)
+        return self._form(k, lambda h, w, v: h)
 
     def sqrt(self, k: int) -> np.ndarray:
-        return self._factor_at(k, 1)
+        return self._form(k, lambda h, w, v: (v * np.sqrt(w)) @ v.T)
 
     def isqrt(self, k: int) -> np.ndarray:
-        return self._factor_at(k, 2)
+        return self._form(k, lambda h, w, v: (v / np.sqrt(w)) @ v.T)
 
     def inv(self, k: int) -> np.ndarray:
-        return self._factor_at(k, 3)
+        return self._form(k, lambda h, w, v: (v / w) @ v.T)
 
     def matches(self, cplx: TwistedComplex) -> bool:
         return self._dims == cplx.dims
+
+
+MetricPath = Callable[[float], ChainMetric]
+
+
+def exponential_metric_path(generators: Sequence[np.ndarray]) -> MetricPath:
+    """u -> h_k(u) = exp(u S_k) = (v exp(u w)) v^T, from the one eigh per degree
+    taken here of each symmetrized generator S_k = 0.5 (G_k + G_k^T).
+
+    BadParameter refuses a generator entry that is not finite.  path(u)
+    raises NumericalLimit naming the degree when an eigenvalue of u S_k
+    leaves (log tiny, log max), where exp(u S_k) or its inverse would
+    overflow: the generator is admissible, floating point cannot hold it.
+    """
+    generators = [np.array(s, dtype=float) for s in generators]
+    for k, s in enumerate(generators):
+        if not np.isfinite(s).all():
+            raise BadParameter(f"metric generator in degree {k} has an entry that is not finite")
+    eighs = [np.linalg.eigh(0.5 * (s + s.T)) for s in generators]
+
+    def path(u: float) -> ChainMetric:
+        degrees = []
+        for k, (w, v) in enumerate(eighs):
+            uw = u * w
+            if uw.size and not (_LOG_TINY < np.min(uw) and np.max(uw) < _LOG_MAX):
+                raise NumericalLimit(
+                    f"metric generator in degree {k}: exp(u S_k) or its inverse overflows, "
+                    f"u S_k has eigenvalues in [{np.min(uw):.3e}, {np.max(uw):.3e}]")
+            e = np.exp(uw)
+            degrees.append(((v * e) @ v.T, e, v))
+        metric = ChainMetric.__new__(ChainMetric)
+        metric._store(degrees)
+        return metric
+
+    return path
 
 
 def _require_metric(cplx: TwistedComplex, metric: ChainMetric | None) -> ChainMetric:
@@ -181,20 +180,18 @@ def _require_metric(cplx: TwistedComplex, metric: ChainMetric | None) -> ChainMe
 
 @dataclass(frozen=True, eq=False)
 class Factorization:
-    """The singular values and vectors of every metric-weighted boundary map.
+    """The singular values of every metric-weighted boundary map.
 
-    maps[k] is W_k = h_k^{1/2} bd_k^T h_{k-1}^{-1/2} : C_{k-1} -> C_k for
-    0 <= k <= n + 1 (bd_k^T itself for the identity metric, zero-shaped for
-    k = 0 and k = n + 1).  sigmas[k] holds its singular values above numpy's
-    matrix_rank cut sigma_max * max(W_k.shape) * eps, descending; that cut
-    is the one kernel rule.  Each sigma^2 belongs to both L_{k-1} and L_k,
-    so spectra[k] (ascending) is the positive spectrum of L_k.  Singular
-    vectors are not kept: each request runs one SVD of its map.
+    sigmas[k] holds the singular values of W_k (see _weighted_map) above
+    numpy's matrix_rank cut sigma_max * max(W_k.shape) * eps, descending;
+    that cut is the one kernel rule.  Each sigma^2 belongs to both L_{k-1}
+    and L_k, so spectra[k] (ascending) is the positive spectrum of L_k.
+    Neither W_k nor its singular vectors are kept: each request for vectors
+    forms W_k again and runs one SVD of it.
     """
 
     cplx: TwistedComplex
     metric: ChainMetric
-    maps: tuple[np.ndarray, ...]
     sigmas: tuple[np.ndarray, ...]
     spectra: tuple[np.ndarray, ...]
 
@@ -217,10 +214,11 @@ class Factorization:
 
     def _svd(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(U, V) of W_k for the kept singular values: W_k V = U diag(sigmas[k])."""
-        w, r = self.maps[k], self.sigmas[k].size
-        if not r:
-            return np.zeros((w.shape[0], 0)), np.zeros((w.shape[1], 0))
-        u, _, vt = np.linalg.svd(w, full_matrices=False)
+        r = self.sigmas[k].size
+        if not r:  # W_k is dims[k] x dims[k - 1], zero-shaped past either end
+            dims = (0, *self.cplx.dims, 0)
+            return np.zeros((dims[k + 1], 0)), np.zeros((dims[k], 0))
+        u, _, vt = np.linalg.svd(_weighted_map(self.cplx, self.metric, k), full_matrices=False)
         return u[:, :r], vt[:r].T
 
     def eigenpairs(self, k: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -246,18 +244,25 @@ class Factorization:
         return vectors if self.metric.is_identity else self.metric.isqrt(k) @ vectors
 
 
+def _weighted_map(cplx: TwistedComplex, metric: ChainMetric, k: int) -> np.ndarray:
+    """W_k = h_k^{1/2} bd_k^T h_{k-1}^{-1/2} : C_{k-1} -> C_k for 1 <= k <= n, bd_k^T
+    for the identity metric.  SchemaError refuses an entry that is not finite."""
+    w = cplx.boundary(k).T
+    if not metric.is_identity:
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = metric.sqrt(k) @ w @ metric.isqrt(k - 1)
+        if not np.isfinite(w).all():
+            raise SchemaError(f"bd_{k} weighted by the metric has an entry that is not finite")
+    return w
+
+
 def factorize(cplx: TwistedComplex, metric: ChainMetric | None = None) -> Factorization:
     """One values-only SVD per weighted boundary map; vectors come later, on demand."""
     metric = _require_metric(cplx, metric)
     dims = cplx.dims
-    maps, sigmas = [np.zeros((dims[0], 0))], [np.zeros(0)]
+    sigmas = [np.zeros(0)]
     for k in range(1, len(dims)):
-        w = cplx.boundary(k).T
-        if not metric.is_identity:
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = metric.sqrt(k) @ w @ metric.isqrt(k - 1)
-            if not np.isfinite(w).all():
-                raise SchemaError(f"bd_{k} weighted by the metric has an entry that is not finite")
+        w = _weighted_map(cplx, metric, k)
         sigma = np.linalg.svd(w, compute_uv=False) if w.size else np.zeros(0)
         # the eigenvalues of L_k are the squares: refuse a map whose largest
         # square leaves the float range (entries near the float maximum)
@@ -265,10 +270,7 @@ def factorize(cplx: TwistedComplex, metric: ChainMetric | None = None) -> Factor
             raise SchemaError(f"bd_{k} has singular value {sigma[0]:.3g}, "
                               f"whose square is not finite")
         cut = sigma[0] * (max(w.shape) * np.finfo(float).eps) if sigma.size else 0.0
-        maps.append(w)
         sigmas.append(sigma[sigma > cut])
-    maps.append(np.zeros((0, dims[-1])))
     sigmas.append(np.zeros(0))
     spectra = tuple(np.sort(np.concatenate(sigmas[k:k + 2]) ** 2) for k in range(len(dims)))
-    return Factorization(cplx=cplx, metric=metric, maps=tuple(maps),
-                         sigmas=tuple(sigmas), spectra=spectra)
+    return Factorization(cplx=cplx, metric=metric, sigmas=tuple(sigmas), spectra=spectra)

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .complexes import TwistedComplex
 from .errors import BadParameter, NotAcyclic, NumericalLimit, ShapeMismatch, StepTooLarge
-from .hodge import ChainMetric, factorize
+from .hodge import ChainMetric, MetricPath, exponential_metric_path, factorize
 
 SECOND_DIFFERENCE_TOL = 1e-12
 RANK_TOL = 1e-10
@@ -321,20 +321,6 @@ class VariationReport(NamedTuple):
         return self.discrepancy / self.halved_discrepancy
 
 
-MetricPath = Callable[[float], ChainMetric]
-
-
-def exponential_metric_path(generators: Sequence[np.ndarray]) -> MetricPath:
-    """u -> h_k(u) = exp(u S_k) for the symmetrized generators S_k, from one eigh
-    per degree taken here: every h(u) is on that one eigenbasis."""
-    eighs = ChainMetric._generator_eighs([np.array(s, dtype=float) for s in generators])
-
-    def path(u: float) -> ChainMetric:
-        return ChainMetric._exponential(eighs, u)
-
-    return path
-
-
 def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float],
                     step: float = 1e-4, check_convergence: bool = True) -> VariationReport:
     """Compare d/du of 2*log T against the telescoped trace sum at u = 0.
@@ -350,14 +336,15 @@ def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float
         raise BadParameter(f"step must be a finite number > 0, got {step!r}")
     n = cplx.dimension
     beta = [float(x) for x in beta]
-    # path(0) and its coclosed eigenvectors serve both steps
+    # path(0)'s inverses and coclosed eigenvectors serve both steps
     h0 = path(0.0)
     fac = factorize(cplx, h0)
     coclosed = [fac.coclosed(k) for k in range(n)]
-    report = _variation_single(cplx, path, beta, step, h0, coclosed)
+    h0_invs = [h0.inv(k) for k in range(n + 1)]
+    report = _variation_single(cplx, path, beta, step, h0_invs, coclosed)
     if not check_convergence:
         return report
-    halved = _variation_single(cplx, path, beta, step / 2.0, h0, coclosed)
+    halved = _variation_single(cplx, path, beta, step / 2.0, h0_invs, coclosed)
     floor = 1e-10 * max(1.0, abs(report.lhs))
     if report.discrepancy > floor and halved.discrepancy > 0.0:
         ratio = report.discrepancy / halved.discrepancy
@@ -369,16 +356,17 @@ def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float
 
 
 def _variation_single(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float],
-                      step: float, h0: ChainMetric, coclosed: Sequence[np.ndarray]):
-    """Both sides at one step, the alpha_k taken at h0 = path(0); coclosed[k]
-    are h0's coclosed vectors (k < n)."""
+                      step: float, h0_invs: Sequence[np.ndarray],
+                      coclosed: Sequence[np.ndarray]):
+    """Both sides at one step, the alpha_k taken at h0 = path(0): h0_invs[k] is
+    h0's inverse in degree k, and coclosed[k] are h0's coclosed vectors (k < n)."""
     hp, hm = path(step), path(-step)
     # 2 log T on either side; this raises NotAcyclic, so P_k = L_k^{-1} below
     lhs = (2.0 * generalized_log_torsion(factorize(cplx, hp).tr_logs, beta)
            - 2.0 * generalized_log_torsion(factorize(cplx, hm).tr_logs, beta)) / (2.0 * step)
 
     hdots = [(hp.matrix(k) - hm.matrix(k)) / (2.0 * step) for k in range(len(beta))]
-    alphas = [h0.inv(k) @ hdot for k, hdot in enumerate(hdots)]
+    alphas = [inv @ hdot for inv, hdot in zip(h0_invs, hdots)]
     # P_k delta_k d_k is the h_k-orthogonal projector onto im delta_k, spanned
     # by the coclosed eigenvectors v_i of L_k, so gamma_k = sum_i v_i^T dh_k/du v_i;
     # gamma_n = 0 as delta_n d_n vanishes.  g[j + 1] and a[j + 1] hold degree j,

@@ -41,12 +41,11 @@ from .errors import (
     StepTooLarge,
     UnsupportedPartition,
 )
-from .hodge import ChainMetric, Factorization, factorize
+from .hodge import ChainMetric, Factorization, exponential_metric_path, factorize
 from .torsion import (
     classify_beta,
     determinant_oracle,
     euler_characteristics,
-    exponential_metric_path,
     generalized_log_torsion,
     log_reidemeister,
     variation_check,

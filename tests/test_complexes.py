@@ -173,6 +173,16 @@ def test_complex_refuses_a_rank_or_cell_count_that_is_not_an_integer():
         with pytest.raises(SchemaError, match=f"^{re.escape(shown)}$") as info:
             TwistedComplex(rank, cells, [[[2.0]]])
         assert info.value.exit_code == 2
+    # a CellStructure reads its dimension and cell counts the same way: before,
+    # these passed and log_reidemeister on them escaped as numpy's TypeError
+    for dimension, cells, shown in ((1, (1.0, True), "a cell count must be an integer, got 1.0"),
+                                    (1, (1, True), "a cell count must be an integer, got True"),
+                                    (True, (1, 1), "dimension must be an integer, got True"),
+                                    (-1, (), "dimension must be non-negative, got -1")):
+        with pytest.raises(SchemaError, match=f"^{re.escape(shown)}$") as info:
+            CellStructure(dimension=dimension, cells_per_degree=cells,
+                          incidences=(((),), (((0, 2, ()),),)))
+        assert info.value.exit_code == 2
     cx = TwistedComplex(np.int64(1), (np.int32(1), 1), [[[2.0]]])
     assert type(cx.rank) is int and all(type(c) is int for c in cx.cells_per_degree)
     assert determinant_oracle(cx) == math.log(2.0)

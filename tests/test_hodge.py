@@ -302,6 +302,24 @@ def test_exponential_metric_is_one_eigh_per_degree(monkeypatch):
     assert len(calls) == len(cx.dims)
 
 
+def test_exponential_metric_keeps_h_and_its_eigenpairs():
+    # a metric on the path keeps h_k and shares the path's eigenpairs; h^{1/2},
+    # h^{-1/2} and h^{-1} are formed per request (64 MB kept on the 512-gon's dims
+    # before, where h_0 and h_1 are 8 MB each)
+    ngon = _cover("circle", (512,), theta=2.5)
+    rng = np.random.default_rng(1)
+    path = exponential_metric_path([0.01 * rng.standard_normal((d, d)) for d in ngon.dims])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        metric = path(1.0)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert metric.matches(ngon)
+    assert kept < 20 * 2 ** 20, f"a metric on the 512-gon's dims keeps {kept} bytes"
+
+
 def test_hodge_split_pairing_across_degrees():
     rng = np.random.default_rng(9)
     cx = build_preset("torus2", alpha=1.0, beta=0.3)

@@ -359,16 +359,21 @@ def test_torsion_path_is_values_only_and_bitwise(monkeypatch):
 
 def test_log_reidemeister_leaves_the_complex_as_built():
     # a complex keeps its blocks only: no densified bd_k outlives the call
-    # (the 512-gon's dense bd_1 is 1024 x 1024, 8 MB)
+    # (the 512-gon's dense bd_1 is 1024 x 1024, 8 MB), and a live Factorization
+    # keeps its singular values, not the weighted map W_1 (8 MB before)
     ngon = _cover("circle", (512,), theta=2.5)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         log_reidemeister(ngon)
         kept = tracemalloc.get_traced_memory()[0] - start
+        fac = factorize(ngon)
+        kept_live = tracemalloc.get_traced_memory()[0] - start - kept
     finally:
         tracemalloc.stop()
     assert kept < 0.1 * 2 ** 20, f"the 512-gon keeps {kept} bytes after log_reidemeister"
+    assert fac.betti == [0, 0]
+    assert kept_live < 0.1 * 2 ** 20, f"a Factorization of the 512-gon keeps {kept_live} bytes"
 
 
 def test_variation_gammas_match_solve():
@@ -635,8 +640,8 @@ def test_variation_gentle_grid_paths():
 
 
 def test_variation_shares_the_base_point(monkeypatch):
-    # path(u0) and its factorization serve both steps: 5 path and 5
-    # factorize calls with the halving check, 3 and 3 without
+    # path(u0), its factorization and its inverses serve both steps: 5 path and
+    # 5 factorize calls with the halving check, 3 and 3 without
     from torsionlab import hodge, torsion
 
     counts = {"path": 0, "factorize": 0}
@@ -656,10 +661,18 @@ def test_variation_shares_the_base_point(monkeypatch):
         counts["path"] += 1
         return real_path(u)
 
+    # and each h0^{-1} is formed once, for both steps
+    real_inv = ChainMetric.inv
+
+    def counting_inv(self, k):
+        counts["inv"] += 1
+        return real_inv(self, k)
+
+    monkeypatch.setattr(ChainMetric, "inv", counting_inv)
     for check, expected in ((True, 5), (False, 3)):
-        counts.update(path=0, factorize=0)
+        counts.update(path=0, factorize=0, inv=0)
         variation_check(cx, path, (0.0, 1.0, 2.0), step=1e-4, check_convergence=check)
-        assert counts == {"path": expected, "factorize": expected}
+        assert counts == {"path": expected, "factorize": expected, "inv": len(cx.dims)}
 
 
 def test_variation_requires_acyclic():
