@@ -24,6 +24,7 @@ import numpy as np
 
 from .complexes import TwistedComplex
 from .errors import BadParameter, NotAcyclic, NumericalLimit, ShapeMismatch, StepTooLarge
+# exponential_metric_path is named here too, for the callers of variation_check
 from .hodge import ChainMetric, MetricPath, exponential_metric_path, factorize
 
 SECOND_DIFFERENCE_TOL = 1e-12

@@ -173,8 +173,9 @@ def test_complex_refuses_a_rank_or_cell_count_that_is_not_an_integer():
         with pytest.raises(SchemaError, match=f"^{re.escape(shown)}$") as info:
             TwistedComplex(rank, cells, [[[2.0]]])
         assert info.value.exit_code == 2
-    # a CellStructure reads its dimension and cell counts the same way: before,
-    # these passed and log_reidemeister on them escaped as numpy's TypeError
+    # a CellStructure reads its dimension and cell counts the same way: before, the
+    # first three passed, and log_reidemeister then escaped as numpy's TypeError or,
+    # for dimension True, returned log 2
     for dimension, cells, shown in ((1, (1.0, True), "a cell count must be an integer, got 1.0"),
                                     (1, (1, True), "a cell count must be an integer, got True"),
                                     (True, (1, 1), "dimension must be an integer, got True"),
