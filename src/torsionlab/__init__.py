@@ -30,16 +30,9 @@ from .hodge import (
     exponential_metric_path,
     factorize,
 )
-from .torsion import (
-    BetaClassification,
-    VariationReport,
-    classify_beta,
-    determinant_oracle,
-    euler_characteristics,
-    generalized_log_torsion,
-    log_reidemeister,
-    variation_check,
-)
+from .torsion import VariationReport, determinant_oracle, log_reidemeister, variation_check
+from .weights import (BetaClassification, classify_beta, euler_characteristics,
+                      generalized_log_torsion)
 from .zetas import (
     HeatTrace,
     ZetaEval,

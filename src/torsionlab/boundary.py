@@ -41,8 +41,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .complexes import _as_int
-from .errors import BadParameter, ShapeMismatch, UnsupportedPartition
+from .errors import BadParameter, ShapeMismatch, UnsupportedPartition, _as_int
 from .models import SpectralModel, TorsionReport, _check_tolerance, circle, product, residue_torsion
 from .zetas import _length, circle_heat_trace, combine_heat_traces
 
@@ -123,9 +122,11 @@ def proposition_check(relative: SpectralModel, absolute: SpectralModel,
     """Check sum_k (-1)^k k zeta_{k,R}(s) = (-1)^(n-1) sum_k (-1)^k k zeta_{k,A}(s),
     the vanishing of both unweighted alternating sums, and the degree-flip
     duality zeta_{k,R} = zeta_{n-k,A}, at every sampled s.  SchemaError
-    refuses a tol that is not a finite number >= 0.
+    refuses a tol that is not a finite number >= 0, BadParameter no s_values.
     """
     _check_tolerance(tol)
+    if not len(s_values):
+        raise BadParameter("s_values is empty: the identities would be checked nowhere")
     if relative.dim != absolute.dim:
         raise ShapeMismatch("models have different dimensions")
     if relative.condition != "relative" or absolute.condition != "absolute":

@@ -45,10 +45,11 @@ import numpy as np
 from . import boundary as bnd
 from . import models as mdl
 from .complexes import PRESETS, build_preset, complex_from_json
-from .errors import SchemaError, TorsionLabError
+from .errors import SchemaError, ShapeMismatch, TorsionLabError
 from .hodge import ChainMetric, factorize
-from .torsion import classify_beta, determinant_oracle, generalized_log_torsion
+from .torsion import determinant_oracle
 from .verify import DEFAULT_SEED, SUITES, run_suites
+from .weights import _weights, classify_beta, generalized_log_torsion
 
 # Each model and preset states its options once, as its builder's keywords
 # and their defaults.  They default to None on the command line, so one
@@ -91,11 +92,10 @@ def parse_beta(spec: str, length: int) -> tuple[float, ...]:
             beta = tuple(float(x) for x in spec.split(","))
         except ValueError as exc:
             raise SchemaError(f"bad weight list {spec!r}") from exc
-        if len(beta) != length:
-            raise SchemaError(f"weight list has length {len(beta)}, need {length}")
-    if not all(map(math.isfinite, beta)):
-        raise SchemaError(f"every weight must be finite, got {spec!r}")
-    return beta
+    try:
+        return _weights(beta, length)
+    except ShapeMismatch:
+        raise SchemaError(f"weight list has length {len(beta)}, need {length}") from None
 
 
 def _emit(args, payload: dict, pretty_lines: list[str]) -> None:

@@ -51,19 +51,21 @@ from .errors import (
     NonChainComplex,
     SchemaError,
     ShapeMismatch,
+    _as_int,
 )
 
 ORTHOGONALITY_TOL = 1e-12
 CHAIN_TOL = 1e-12
 
 # A group word is a tuple of (generator index, exponent) letters: integers,
-# the index >= 0 and the exponent +-1 (CellStructure checks every word).
+# the index >= 0 and the exponent +-1; CellStructure and evaluate refuse others.
 GroupWord = tuple[tuple[int, int], ...]
 
 
 def _is_letter(letter) -> bool:
-    return (isinstance(letter, tuple) and len(letter) == 2
-            and all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in letter)
+    return (isinstance(letter, tuple) and len(letter) == 2  # int first: numbers.Integral is slow
+            and all(type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
+                    for x in letter)
             and letter[0] >= 0 and letter[1] in (-1, 1))
 
 
@@ -102,9 +104,12 @@ class Representation:
 
     def evaluate(self, word: GroupWord) -> np.ndarray:
         """Product of generator images along the word; identity for the empty word."""
+        if not all(map(_is_letter, word)):
+            raise SchemaError(
+                f"word {word!r} is not a tuple of (generator >= 0, exponent +-1) integer pairs")
         out = np.eye(self.rank)
         for gen, exp in word:
-            if not 0 <= gen < self.n_generators:
+            if gen >= self.n_generators:
                 raise SchemaError(
                     f"word references generator {gen}, but only {self.n_generators} exist")
             g = self.generator_images[gen]
@@ -638,14 +643,3 @@ def complex_from_json(source: str | Path | dict) -> TwistedComplex:
                               f"nor JSON text ({exc})") from exc
     cells, rho = structure_from_json(data)
     return build_twisted_boundary(cells, rho)
-
-
-def _as_int(value, name: str, error: type[Exception] = SchemaError,
-            low: int | None = None) -> int:
-    """value as an int; `error` refuses a bool or a value that is not an integer
-    (numpy integers are integers), and one below `low` (0 or 1) when given."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise error(f"{name} must be {'positive' if low else 'non-negative'}, got {int(value)}")
-    return int(value)

@@ -1,4 +1,4 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and _as_int, the integer rule every constructor shares.
 
 Every failure mode of the public API raises a subclass of TorsionLabError,
 so callers (and the CLI) can distinguish contract violations from bugs.
@@ -7,6 +7,8 @@ and its subclasses (a value outside its documented domain), 3 for
 NotAcyclic, 4 for PoleHit and 1 for every other error, NumericalLimit (a
 value inside its domain that the numerics cannot hold) among them.
 """
+
+import numbers
 
 
 class TorsionLabError(Exception):
@@ -68,3 +70,14 @@ class NumericalLimit(TorsionLabError):
 
 class UnsupportedPartition(SchemaError):
     """gluing_check was asked for a partition it does not support."""
+
+
+def _as_int(value, name: str, error: type[Exception] = SchemaError,
+            low: int | None = None) -> int:
+    """value as an int; `error` refuses a bool or a value that is not an integer
+    (numpy integers are integers), and one below `low` (0 or 1) when given."""
+    if type(value) is not int and (type(value) is bool or not isinstance(value, numbers.Integral)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be {'positive' if low else 'non-negative'}, got {int(value)}")
+    return int(value)

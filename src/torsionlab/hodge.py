@@ -227,12 +227,15 @@ class Factorization:
         Eigenvector columns are h_k-orthonormal.  The first n_closed are
         closed (in im d_{k-1}): left singular vectors of W_k.  The rest are
         coclosed (in im delta_k): right singular vectors of W_{k+1}.  Both
-        are mapped back by h_k^{-1/2}; the eigenvalues are their sigma^2.
+        are mapped back by one h_k^{-1/2}; the eigenvalues are their sigma^2.
         """
-        coclosed = self.coclosed(k)
+        if not 0 <= k <= self.cplx.dimension:
+            raise ShapeMismatch(f"degree {k} outside 0..{self.cplx.dimension}")
+        _, coclosed = self._svd(k + 1)
         closed, _ = self._svd(k)
         if not self.metric.is_identity:
-            closed = self.metric.isqrt(k) @ closed
+            isqrt = self.metric.isqrt(k)
+            closed, coclosed = isqrt @ closed, isqrt @ coclosed
         lam = np.concatenate([self.sigmas[k], self.sigmas[k + 1]]) ** 2
         return lam, np.hstack([closed, coclosed]), closed.shape[1]
 

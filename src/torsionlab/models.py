@@ -27,7 +27,7 @@ Torsion conventions (all logs):
                                     = sum_k (-1)^k beta_k (zeta_k(0) + b_k)
     analytic torsion log T_zeta(beta) = 1/2 sum_k (-1)^k beta_k zeta_k'(0)
 
-Both torsions are torsion.generalized_log_torsion, of res_k and of
+Both torsions are weights.generalized_log_torsion, of res_k and of
 log det L_k = -zeta_k'(0) respectively.  Residue quantities reduce to exact
 coefficient arithmetic; analytic ones go through the Mellin engine.
 """
@@ -38,9 +38,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .complexes import _as_int
-from .errors import BadParameter, NotAcyclic, NumericalLimit, SchemaError, ShapeMismatch
-from .torsion import euler_characteristics, generalized_log_torsion
+from .errors import BadParameter, NotAcyclic, NumericalLimit, SchemaError, ShapeMismatch, _as_int
+from .weights import _weights, euler_characteristics, generalized_log_torsion
 from .zetas import (
     HeatTrace,
     ZetaEval,
@@ -64,7 +63,7 @@ class SpectralModel:
     the Betti numbers are the kernel dimensions of the traces; they count
     twisted harmonic forms, so chi and chi_prime already carry the
     coefficient rank.  zeta and zeta_at_zero raise SchemaError for a degree
-    outside 0..dim.
+    that is not an integer in 0..dim.
     """
 
     name: str
@@ -80,7 +79,7 @@ class SpectralModel:
         return tuple(h.kernel_dim for h in self.heat)
 
     def _trace(self, k: int) -> HeatTrace:
-        if not 0 <= k <= self.dim:
+        if not 0 <= _as_int(k, "degree") <= self.dim:
             raise SchemaError(f"degree must lie in 0..{self.dim}")
         return self.heat[k]
 
@@ -221,7 +220,7 @@ def residue_torsion(model: SpectralModel, beta: Sequence[float]) -> TorsionRepor
     condition alike; the report carries all four numbers under flags.
     Odd-dimensional closed models give 0 for every beta.
     """
-    beta = tuple(map(float, beta))
+    beta = _weights(beta, model.dim + 1)
     zeta0 = tuple(model.zeta_at_zero(k) for k in range(model.dim + 1))
     res = tuple(residue_log_trace(model, k) for k in range(model.dim + 1))
     log_t = generalized_log_torsion(res, beta)
@@ -244,7 +243,7 @@ def analytic_torsion(model: SpectralModel, beta: Sequence[float],
     beta = k) a nonzero Betti number raises NotAcyclic.  beta = 1 yields 0
     in every dimension.
     """
-    beta = tuple(map(float, beta))
+    beta = _weights(beta, model.dim + 1)
     if require_acyclic and any(model.betti):
         raise NotAcyclic(f"model {model.name} has Betti numbers {model.betti}")
     evals = [model.zeta(k, 0.0, derivative=True) for k in range(model.dim + 1)]
@@ -253,8 +252,7 @@ def analytic_torsion(model: SpectralModel, beta: Sequence[float],
     res = tuple(residue_log_trace(model, k) for k in range(model.dim + 1))
     # -zeta_k'(0) = log det L_k, the tr log L_k of the combinatorial formula
     log_t = generalized_log_torsion([-p for p in prime], beta)
-    err = sum(abs(beta[k]) * evals[k].abs_error_estimate
-              for k in range(model.dim + 1))
+    err = sum(abs(b) * e.abs_error_estimate for b, e in zip(beta, evals))
     return TorsionReport(model=model.name, beta=beta, betti=model.betti,
                          zeta0=zeta0, residue_traces=res,
                          log_torsion_zeta=log_t, zeta_prime0=prime,
@@ -298,9 +296,11 @@ def identity_suite(model: SpectralModel, s_values: Sequence[float] = (0.0, 0.75,
     At every sampled s: zeta_k(s) = zeta_{n-k}(s); for odd n the alternating
     sum vanishes; for even n both the plain and the k-weighted alternating
     sums vanish and (n/2) * sum = weighted sum.  SchemaError refuses a tol
-    that is not a finite number >= 0.
+    that is not a finite number >= 0, BadParameter an empty s_values.
     """
     _check_tolerance(tol)
+    if not len(s_values):
+        raise BadParameter("s_values is empty: the identities would be checked nowhere")
     n = model.dim
     duality = 0.0
     alternating = 0.0

@@ -4,7 +4,7 @@ Two independent routes to the log torsion of an acyclic based complex:
 
 * the Laplacian character formula
       log T = 1/2 * sum_k (-1)^(k+1) k tr log L_k,
-  generalized to arbitrary degree weights beta_k; and
+  the beta_k = k case of weights.generalized_log_torsion; and
 
 * an alternating product of boundary minors chosen by Gaussian
   elimination (determinant_oracle), which never builds a Laplacian.
@@ -23,21 +23,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .complexes import TwistedComplex
-from .errors import BadParameter, NotAcyclic, NumericalLimit, ShapeMismatch, StepTooLarge
+from .errors import BadParameter, NotAcyclic, NumericalLimit, StepTooLarge
 # exponential_metric_path is named here too, for the callers of variation_check
 from .hodge import ChainMetric, MetricPath, exponential_metric_path, factorize
+from .weights import _weights, generalized_log_torsion
 
-SECOND_DIFFERENCE_TOL = 1e-12
 RANK_TOL = 1e-10
-
-
-def generalized_log_torsion(tr_logs: Sequence[float], beta: Sequence[float]) -> float:
-    """1/2 * sum_k (-1)^(k+1) beta_k * t_k, linear in both arguments."""
-    if len(tr_logs) != len(beta):
-        raise ShapeMismatch(
-            f"got {len(tr_logs)} traces but {len(beta)} weights")
-    return 0.5 * sum((-1.0) ** (k + 1) * b * t
-                     for k, (t, b) in enumerate(zip(tr_logs, beta)))
 
 
 def log_reidemeister(cplx: TwistedComplex, metric: ChainMetric | None = None) -> float:
@@ -50,8 +41,7 @@ def log_reidemeister(cplx: TwistedComplex, metric: ChainMetric | None = None) ->
     differentiates).  Every tr log L_k comes from one SVD per boundary map
     (hodge.Factorization.tr_logs).
     """
-    return generalized_log_torsion(factorize(cplx, metric).tr_logs,
-                                   [float(k) for k in range(cplx.dimension + 1)])
+    return generalized_log_torsion(factorize(cplx, metric).tr_logs, range(cplx.dimension + 1))
 
 
 def determinant_oracle(cplx: TwistedComplex) -> float:
@@ -233,63 +223,6 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
     return pivot_rows, log_det
 
 
-def euler_characteristics(b: Sequence[int], n: int) -> tuple[int, int]:
-    """(chi, chi') = (sum (-1)^k b_k, sum (-1)^k k b_k) for Betti numbers b.
-
-    When b is palindromic (b_k = b_{n-k}) these satisfy
-    chi' * (1 + (-1)^n) = n * chi; in particular chi' = (n/2) chi for even n.
-    """
-    if len(b) != n + 1:
-        raise ShapeMismatch(f"expected {n + 1} Betti numbers, got {len(b)}")
-    chi = sum((-1) ** k * bk for k, bk in enumerate(b))
-    chi_prime = sum((-1) ** k * k * bk for k, bk in enumerate(b))
-    return chi, chi_prime
-
-
-class BetaClassification(NamedTuple):
-    """Outcome of the second-difference test on a degree-weight vector.
-
-    satisfies_recurrence means beta_{k+1} - 2 beta_k + beta_{k-1} = 0 for
-    all interior k, i.e. beta = lam * (1,...,1) + mu * (0,1,...,n).  A
-    second difference counts as 0 when its modulus is at most
-    SECOND_DIFFERENCE_TOL * max(1, max_j |beta_j|): relative to the weights'
-    size, so (1e5, 1e5 + 0.1, 1e5 + 0.2), whose residual -1.455e-11 is the
-    rounding of its decimal inputs, is linear.
-    """
-
-    satisfies_recurrence: bool
-    lam: float | None
-    mu: float | None
-    residual: tuple[float, ...]
-
-    def reconstruct(self, length: int) -> np.ndarray:
-        if not self.satisfies_recurrence:
-            raise BadParameter("weights are not in span{1, k}")
-        return np.array([self.lam + self.mu * k for k in range(length)])
-
-
-def classify_beta(beta: Sequence[float]) -> BetaClassification:
-    """Test whether beta is (up to constants) flat, linear, or neither.
-
-    Any beta of length <= 2 vacuously satisfies the recurrence.  The
-    decomposition is lam = beta_0, mu = beta_1 - beta_0.  BadParameter
-    refuses a weight that is not finite, which would make the tolerance inf.
-    """
-    beta = [float(x) for x in beta]
-    for k, b in enumerate(beta):
-        if not math.isfinite(b):
-            raise BadParameter(f"weight beta_{k} must be finite, got {b!r}")
-    residual = tuple(beta[k + 1] - 2.0 * beta[k] + beta[k - 1]
-                     for k in range(1, len(beta) - 1))
-    tol = SECOND_DIFFERENCE_TOL * max(1.0, max(map(abs, beta), default=0.0))
-    ok = all(abs(r) <= tol for r in residual)
-    if ok:
-        lam = beta[0] if beta else 0.0
-        mu = (beta[1] - beta[0]) if len(beta) >= 2 else 0.0
-        return BetaClassification(True, lam, mu, residual)
-    return BetaClassification(False, None, None, residual)
-
-
 # --- metric variation -------------------------------------------------------
 #
 # Along a path of metrics h_k(u), with alpha_k := h_k^{-1} dh_k/du,
@@ -331,12 +264,12 @@ def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float
     check_convergence=True the two sides are compared again at step/2 and a
     StepTooLarge error is raised unless the discrepancy shrinks roughly
     quadratically (or is already at rounding level).  BadParameter refuses a
-    step that is not a finite number > 0.
+    step that is not a finite number > 0 or a weight that is not finite.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise BadParameter(f"step must be a finite number > 0, got {step!r}")
     n = cplx.dimension
-    beta = [float(x) for x in beta]
+    beta = _weights(beta, n + 1)
     # path(0)'s inverses and coclosed eigenvectors serve both steps
     h0 = path(0.0)
     fac = factorize(cplx, h0)

@@ -42,14 +42,8 @@ from .errors import (
     UnsupportedPartition,
 )
 from .hodge import ChainMetric, Factorization, exponential_metric_path, factorize
-from .torsion import (
-    classify_beta,
-    determinant_oracle,
-    euler_characteristics,
-    generalized_log_torsion,
-    log_reidemeister,
-    variation_check,
-)
+from .torsion import determinant_oracle, log_reidemeister, variation_check
+from .weights import classify_beta, euler_characteristics, generalized_log_torsion
 from .zetas import (
     circle_heat_trace,
     mellin_zeta,

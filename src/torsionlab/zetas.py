@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -661,6 +662,8 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
     one quad call that evaluates the trace once per node for all its weights
     (value and derivative, or the real and imaginary parts of t^(s-1)).
     """
+    if not isinstance(s, numbers.Number):
+        raise BadParameter(f"s must be a number, got {s!r}")
     given, s = s, complex(s)
     if not cmath.isfinite(s):
         raise BadParameter(f"s must be finite, got {given}")

@@ -38,7 +38,7 @@ def test_parse_beta_grammar():
     assert parse_beta("k", 3) == (0.0, 1.0, 2.0)
     assert parse_beta("lin:2,-1", 3) == (2.0, 1.0, 0.0)
     assert parse_beta("1,2,4", 3) == (1.0, 2.0, 4.0)
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="^weight list has length 2, need 3$"):
         parse_beta("1,2", 3)
     with pytest.raises(SchemaError):
         parse_beta("lin:1", 3)
@@ -269,6 +269,9 @@ _MALFORMED = (
     (["torsion", "--preset", "circle", "--theta", "nan"], "theta must lie in [0, 2*pi), got nan"),
     (["zeta", "--model", "circle", "--L", "-1", "--s", "2"], "L must be positive and finite, got -1.0"),
     (["zeta", "--model", "circle", "--s", "nan"], "s must be finite, got nan"),
+    (["torsion", "--preset", "circle", "--beta", "0,nan"], "weight beta_1 must be finite, got nan"),
+    (["model-torsion", "--model", "torus", "--beta", "lin:1e308,1e308"],
+     "weight beta_1 must be finite, got inf"),
     (["zeta", "--model", "torus", "--n", "0", "--s", "2"], "torus dimension must be >= 1, got 0"),
     (["zeta", "--model", "interval", "--R", "0", "--s", "2"], "R must be positive and finite, got 0.0"),
     (["gluing", "--split", "1.5"], "split must cut the interior: need 0 < 1.5 < 1"),

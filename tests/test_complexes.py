@@ -275,6 +275,21 @@ def test_cell_structure_refuses_bad_words():
     assert _same_bits(cx.boundary(1), build_preset("circle", theta=1.0).boundary(1))
 
 
+def test_evaluate_refuses_the_letters_cell_structure_refuses():
+    # before, evaluate(((0, 2),)) returned rho(a)^T = rho(a)^-1, reading every exponent
+    # other than 1 as -1, and evaluate(((0.0, 1),)) escaped as a raw TypeError
+    rho = Representation(2, [rotation(1.0)])
+    for letter in BAD_LETTERS + ((0.0, 1),):
+        word = ((0, 1), letter)
+        with pytest.raises(SchemaError, match=f"^word {re.escape(repr(word))} is not a tuple of "
+                                              r"\(generator >= 0, exponent \+-1\) integer pairs$"):
+            rho.evaluate(word)
+    # numpy integers are integers, and a missing generator is still named
+    assert _same_bits(rho.evaluate(((np.int64(0), np.int64(-1)),)), rotation(1.0).T)
+    with pytest.raises(SchemaError, match="^word references generator 1, but only 1 exist$"):
+        rho.evaluate(((1, 1),))
+
+
 def test_json_rejects_bad_words():
     # the JSON path reaches the same check: before, [[0, 1.9]] was read as (0, 1)
     # and [[0.7, -1]] as (0, -1)

@@ -104,6 +104,22 @@ def test_eigenpairs_examples():
             fac.coclosed(k)
 
 
+def test_eigenpairs_forms_the_inverse_root_once(monkeypatch):
+    # before, eigenpairs(1) formed h_1^{-1/2} three times: isqrt degrees [1, 1, 0, 1]
+    cx = build_preset("torus2", alpha=1.0, beta=0.3)
+    metric = ChainMetric.random_spd(cx, np.random.default_rng(4))
+    fac = factorize(cx, metric)
+    closed = metric.isqrt(1) @ fac._svd(1)[0]
+    coclosed = fac.coclosed(1)
+    calls = []
+    isqrt = ChainMetric.isqrt
+    monkeypatch.setattr(ChainMetric, "isqrt", lambda self, k: calls.append(k) or isqrt(self, k))
+    _, vectors, n_closed = fac.eigenpairs(1)
+    assert calls == [1, 0, 1]
+    for ours, reference in ((vectors[:, :n_closed], closed), (vectors[:, n_closed:], coclosed)):
+        assert ours.shape == reference.shape and ours.tobytes() == reference.tobytes()
+
+
 def test_eigenpairs_residuals_and_orthonormality():
     rng = np.random.default_rng(8)
     cx = build_preset("torus2", alpha=0.9, beta=2.4)

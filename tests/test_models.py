@@ -24,6 +24,7 @@ from torsionlab import (
     models,
     torsion,
     verify,
+    weights,
     zetas,
 )
 from torsionlab.errors import (
@@ -33,7 +34,7 @@ from torsionlab.errors import (
     SchemaError,
     ShapeMismatch,
 )
-from torsionlab.torsion import euler_characteristics
+from torsionlab.weights import euler_characteristics
 
 S_SAMPLES = (0.0, 0.75, 2.0)
 
@@ -171,6 +172,42 @@ def test_degree_out_of_range_refused():
     # both ends of the range are read: zeta_1 = 2 zeta_0, zeta_2 = zeta_0
     assert sphere.zeta(2, 2.0).value == sphere.zeta(0, 2.0).value
     assert sphere.zeta_at_zero(2) == sphere.zeta_at_zero(0) == 0.5 * sphere.zeta_at_zero(1)
+
+
+def test_zeta_refuses_a_degree_or_s_that_is_not_a_number():
+    # before, zeta("a", 1.0) and zeta(0, None) raised a raw TypeError, zeta(0, "x")
+    # a raw ValueError, and zeta(True, 1.0) read degree 1
+    circle = build_model("circle")
+    for k in ("a", 1.0, True, None):
+        for call in (lambda: circle.zeta(k, 1.0), lambda: circle.zeta_at_zero(k)):
+            with pytest.raises(SchemaError, match=f"^degree must be an integer, got {k!r}$"):
+                call()
+    for s in ("x", None, "2"):
+        with pytest.raises(BadParameter, match=f"^s must be a number, got {s!r}$"):
+            circle.zeta(0, s)
+    assert circle.zeta(np.int64(1), np.float64(2.0)) == circle.zeta(1, 2.0)
+
+
+def test_torsions_refuse_weights_that_are_not_finite():
+    # before, each returned nan or +-inf
+    twisted, circle = build_model("circle", theta=1.0, rank=2), build_model("circle")
+    for call, shown in ((lambda: residue_torsion(twisted, (0.0, math.nan)), "beta_1 must be finite, got nan"),
+                        (lambda: analytic_torsion(circle, (0.0, math.inf)), "beta_1 must be finite, got inf"),
+                        (lambda: analytic_torsion(twisted, (-math.inf, 1.0)), "beta_0 must be finite, got -inf"),
+                        (lambda: residue_torsion(build_interval(1.0, "relative"), (math.inf, 0.0)),
+                         "beta_0 must be finite, got inf")):
+        with pytest.raises(BadParameter, match=f"^weight {shown}$"):
+            call()
+
+
+def test_identity_checks_refuse_an_empty_sample():
+    # before, identity_suite returned ok and proposition_check deviations of 0.0
+    # without evaluating a single zeta
+    rel, absm = build_interval(1.0, "relative"), build_interval(1.0, "absolute")
+    for call in (lambda: identity_suite(build_model("sphere2"), s_values=()),
+                 lambda: boundary.proposition_check(rel, absm, s_values=())):
+        with pytest.raises(BadParameter, match="^s_values is empty"):
+            call()
 
 
 def test_analytic_torsion_requires_acyclic_in_reidemeister_mode():
@@ -316,7 +353,7 @@ def test_report_key_sets():
                               "detail": ""}
 
 
-_RECORDS = [complexes.ValidationReport, torsion.BetaClassification,
+_RECORDS = [complexes.ValidationReport, weights.BetaClassification,
             torsion.VariationReport, zetas.ZetaEval, models.TorsionReport,
             models.IdentityReport, boundary.PropositionReport, boundary.GluingReport,
             verify.CaseResult]

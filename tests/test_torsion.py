@@ -534,6 +534,19 @@ def test_classify_beta_refuses_non_finite_weights():
             classify_beta(beta)
 
 
+def test_weighted_torsions_refuse_non_finite_weights():
+    # before, generalized_log_torsion returned inf and variation_check a nan report
+    path = exponential_metric_path([0.1 * np.eye(d) for d in build_preset("torus2").dims])
+    for call, shown in ((lambda: generalized_log_torsion([1.0, 2.0], [0.0, math.inf]),
+                         "beta_1 must be finite, got inf"),
+                        (lambda: generalized_log_torsion([1.0, 2.0], [-math.inf, 0.0]),
+                         "beta_0 must be finite, got -inf"),
+                        (lambda: variation_check(build_preset("torus2"), path, (0.0, math.nan, 2.0)),
+                         "beta_1 must be finite, got nan")):
+        with pytest.raises(BadParameter, match=f"^weight {re.escape(shown)}$"):
+            call()
+
+
 def test_reconstruct_refuses_weights_off_the_recurrence():
     assert classify_beta((0.0, 1.0, 2.0)).reconstruct(4).tolist() == [0.0, 1.0, 2.0, 3.0]
     with pytest.raises(BadParameter, match="not in span"):
