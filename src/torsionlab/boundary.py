@@ -39,10 +39,11 @@ conventions.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import BadParameter, ShapeMismatch, UnsupportedPartition, _as_int
-from .models import SpectralModel, TorsionReport, _check_tolerance, circle, product, residue_torsion
+from .errors import (BadParameter, ShapeMismatch, UnsupportedPartition, _as_int, _as_real,
+                     _points, _tolerance)
+from .models import SpectralModel, TorsionReport, circle, product, residue_torsion
 from .zetas import _length, circle_heat_trace, combine_heat_traces
 
 CONDITIONS = ("relative", "absolute", "mixed")
@@ -91,8 +92,9 @@ def build_cylinder(R: float = 1.0, L: float = 2.0 * math.pi,
     the direct sum of the two mixed products (the dtheta and dx form parts).
     relative: b = (0, 1, 1); absolute: b = (1, 1, 0); mixed: b = (0, 0, 0).
     """
-    return product(f"cylinder(R={R:g}, L={L:g}, {condition})",
-                   build_interval(R, condition), circle(L=L))
+    # the factors first: their rules refuse an R or L that {R:g} or {L:g} would not format
+    interval, factor = build_interval(R, condition), circle(L=L)
+    return product(f"cylinder(R={R:g}, L={L:g}, {condition})", interval, factor)
 
 
 class PropositionReport(NamedTuple):
@@ -117,16 +119,16 @@ class PropositionReport(NamedTuple):
 
 
 def proposition_check(relative: SpectralModel, absolute: SpectralModel,
-                      s_values: Sequence[float] = (0.0, 0.75, 2.0),
+                      s_values: Iterable[float] = (0.0, 0.75, 2.0),
                       tol: float = 1e-8) -> PropositionReport:
     """Check sum_k (-1)^k k zeta_{k,R}(s) = (-1)^(n-1) sum_k (-1)^k k zeta_{k,A}(s),
     the vanishing of both unweighted alternating sums, and the degree-flip
-    duality zeta_{k,R} = zeta_{n-k,A}, at every sampled s.  SchemaError
-    refuses a tol that is not a finite number >= 0, BadParameter no s_values.
+    duality zeta_{k,R} = zeta_{n-k,A}, at every sampled s of the iterable
+    s_values.  SchemaError refuses a tol that is not a finite number >= 0,
+    BadParameter no s_values.
     """
-    _check_tolerance(tol)
-    if not len(s_values):
-        raise BadParameter("s_values is empty: the identities would be checked nowhere")
+    _tolerance(tol)
+    s_values = _points(s_values)
     if relative.dim != absolute.dim:
         raise ShapeMismatch("models have different dimensions")
     if relative.condition != "relative" or absolute.condition != "absolute":
@@ -145,7 +147,7 @@ def proposition_check(relative: SpectralModel, absolute: SpectralModel,
         unweighted_a = max(unweighted_a, abs(
             sum((-1.0) ** k * za[k] for k in range(n + 1))))
         duality = max(duality, max(abs(zr[k] - za[n - k]) for k in range(n + 1)))
-    return PropositionReport(geometry=relative.name, s_values=tuple(s_values),
+    return PropositionReport(geometry=relative.name, s_values=s_values,
                              weighted_sign_law=weighted,
                              unweighted_relative=unweighted_r,
                              unweighted_absolute=unweighted_a,
@@ -211,12 +213,15 @@ def gluing_check(geometry: str, *, R: float = 1.0, L: float = 2.0 * math.pi,
 
     Pieces keep the outer condition on the original boundary and take
     relative conditions on the interface, i.e. they are fully relative when
-    outer='relative' and mixed otherwise.  A degenerate split (an empty
-    piece) is rejected, and so is a tol that is not a finite number >= 0.
+    outer='relative' and mixed otherwise.  BadParameter refuses an R or a
+    split that is not a real number, UnsupportedPartition a degenerate split
+    (an empty piece), and SchemaError a tol that is not a finite number >= 0.
     """
-    _check_tolerance(tol)
+    _tolerance(tol)
     if outer not in ("relative", "absolute"):
         raise BadParameter("outer condition must be 'relative' or 'absolute'")
+    _as_real(R, "R", BadParameter)
+    _as_real(split, "split", BadParameter)
     if not 0.0 < split < R:
         raise UnsupportedPartition(
             f"split must cut the interior: need 0 < {split:g} < {R:g}")

@@ -51,7 +51,9 @@ from .errors import (
     NonChainComplex,
     SchemaError,
     ShapeMismatch,
+    _angle,
     _as_int,
+    _family,
 )
 
 ORTHOGONALITY_TOL = 1e-12
@@ -434,11 +436,6 @@ def rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _check_angle(theta: float, name: str) -> None:
-    if not 0.0 <= theta < 2.0 * math.pi:
-        raise BadParameter(f"{name} must lie in [0, 2*pi), got {theta}")
-
-
 @lru_cache(maxsize=None)
 def _preset_cells(name: str) -> CellStructure:
     """The cells of preset `name`, which read none of its options: built at
@@ -463,15 +460,15 @@ def _preset_cells(name: str) -> CellStructure:
 def circle(*, theta: float = 1.0) -> tuple[CellStructure, Representation]:
     """One 0-cell, one 1-cell, bd(e) = (t - 1) e0 with rho(t) the rotation by
     theta; acyclic iff theta != 0."""
-    _check_angle(theta, "theta")
+    _angle(theta, "theta")
     return _preset_cells("circle"), Representation(2, [rotation(theta)])
 
 
 def torus2(*, alpha: float = 1.0, beta: float = 0.3) -> tuple[CellStructure, Representation]:
     """One 0-cell, 1-cells a, b, a 2-cell with bd(f) = (1 - b) a + (a - 1) b;
     rho(a), rho(b) rotate by alpha and beta; acyclic unless both are 0."""
-    _check_angle(alpha, "alpha")
-    _check_angle(beta, "beta")
+    _angle(alpha, "alpha")
+    _angle(beta, "beta")
     return _preset_cells("torus2"), Representation(2, [rotation(alpha), rotation(beta)])
 
 
@@ -486,18 +483,12 @@ def point(*, rank: int = 1) -> tuple[CellStructure, Representation]:
 
 
 PRESETS = {"circle": circle, "torus2": torus2, "interval": interval, "point": point}
-# read here, before anything (a tracer) can wrap a preset and hide its keywords
-_KEYWORDS = {name: frozenset(f.__kwdefaults__) for name, f in PRESETS.items()}
+_build = _family("preset", PRESETS)
 
 
 def preset(name: str, **params) -> tuple[CellStructure, Representation]:
     """PRESETS[name](**params); BadParameter names any keyword it does not read."""
-    if name not in PRESETS:
-        raise BadParameter(f"unknown preset {name!r}")
-    unread = params.keys() - _KEYWORDS[name]
-    if unread:
-        raise BadParameter(f"preset {name} does not read {', '.join(sorted(unread))}")
-    return PRESETS[name](**params)
+    return _build(name, params)
 
 
 def build_preset(name: str, **params) -> TwistedComplex:

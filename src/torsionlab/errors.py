@@ -1,4 +1,4 @@
-"""Exception hierarchy, and _as_int, the integer rule every constructor shares.
+"""Exception hierarchy, and the rules every constructor applies to a scalar argument.
 
 Every failure mode of the public API raises a subclass of TorsionLabError,
 so callers (and the CLI) can distinguish contract violations from bugs.
@@ -6,8 +6,24 @@ Each class's exit_code is the CLI's exit status for it: 2 for SchemaError
 and its subclasses (a value outside its documented domain), 3 for
 NotAcyclic, 4 for PoleHit and 1 for every other error, NumericalLimit (a
 value inside its domain that the numerics cannot hold) among them.
+
+Each scalar rule has its one definition here:
+
+* _as_int, an integer (complexes, models, boundary, and the seed of
+  verify.run_suites);
+* _as_real, a real number (_angle, _tolerance, zetas._length, the radius
+  and split of boundary.gluing_check, and weights._weights);
+* _angle, a character angle in [0, 2 pi) (the presets and circle models in
+  complexes, models and zetas);
+* _tolerance, a finite tol >= 0 (models, boundary and verify);
+* _points, a non-empty sample of points s (models.identity_suite and
+  boundary.proposition_check);
+* _family, a table of keyword-only builders that refuses an unknown name
+  or a keyword the chosen builder does not read (models.build_model and
+  complexes.preset).
 """
 
+import math
 import numbers
 
 
@@ -81,3 +97,58 @@ def _as_int(value, name: str, error: type[Exception] = SchemaError,
     if low is not None and value < low:
         raise error(f"{name} must be {'positive' if low else 'non-negative'}, got {int(value)}")
     return int(value)
+
+
+def _as_real(value, name: str, error: type[Exception] = SchemaError) -> float:
+    """value as a float; `error` refuses a bool or a value that is not a real
+    number (a str, None or a complex; numpy floats are real numbers)."""
+    if type(value) is float:
+        return value
+    if type(value) is bool or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _angle(value, name: str) -> float:
+    """value as a float in [0, 2 pi); BadParameter refuses any other, NaN included."""
+    theta = _as_real(value, name, BadParameter)
+    if not 0.0 <= theta < 2.0 * math.pi:
+        raise BadParameter(f"{name} must lie in [0, 2*pi), got {value}")
+    return theta
+
+
+def _tolerance(tol) -> None:
+    """Refuse, with SchemaError, a tol that is not a finite number >= 0."""
+    value = _as_real(tol, "tolerance")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise SchemaError(f"tolerance must be a finite number >= 0, got {tol!r}")
+
+
+def _points(s_values) -> tuple:
+    """The sample points s_values, any iterable, as a tuple; BadParameter
+    refuses one that is not iterable or is empty."""
+    try:
+        points = tuple(s_values)
+    except TypeError:
+        raise BadParameter(f"s_values must be an iterable of points, got {s_values!r}") from None
+    if not points:
+        raise BadParameter("s_values is empty: the identities would be checked nowhere")
+    return points
+
+
+def _family(kind: str, builders: dict):
+    """build(name, params) = builders[name](**params), where BadParameter refuses
+    an unknown name and names every keyword the builder does not read.  The
+    keywords are read here, when the table is made, before anything (a tracer)
+    can wrap a builder and hide them; the builder is looked up on each call."""
+    keywords = {name: frozenset(f.__kwdefaults__ or ()) for name, f in builders.items()}
+
+    def build(name: str, params: dict):
+        if name not in builders:
+            raise BadParameter(f"unknown {kind} {name!r}")
+        unread = params.keys() - keywords[name]
+        if unread:
+            raise BadParameter(f"{kind} {name} does not read {', '.join(sorted(unread))}")
+        return builders[name](**params)
+
+    return build

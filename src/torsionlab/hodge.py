@@ -142,13 +142,17 @@ def exponential_metric_path(generators: Sequence[np.ndarray]) -> MetricPath:
     """u -> h_k(u) = exp(u S_k) = (v exp(u w)) v^T, from the one eigh per degree
     taken here of each symmetrized generator S_k = 0.5 (G_k + G_k^T).
 
-    BadParameter refuses a generator entry that is not finite.  path(u)
-    raises NumericalLimit naming the degree when an eigenvalue of u S_k
-    leaves (log tiny, log max), where exp(u S_k) or its inverse would
-    overflow: the generator is admissible, floating point cannot hold it.
+    ShapeMismatch refuses a generator that is not a square matrix and
+    BadParameter one with an entry that is not finite, each naming the
+    degree.  path(u) raises NumericalLimit naming the degree when an
+    eigenvalue of u S_k leaves (log tiny, log max), where exp(u S_k) or its
+    inverse would overflow: the generator is admissible, floating point
+    cannot hold it.
     """
     generators = [np.array(s, dtype=float) for s in generators]
     for k, s in enumerate(generators):
+        if s.ndim != 2 or s.shape[0] != s.shape[1]:
+            raise ShapeMismatch(f"metric generator in degree {k} is not square: {s.shape}")
         if not np.isfinite(s).all():
             raise BadParameter(f"metric generator in degree {k} has an entry that is not finite")
     eighs = [np.linalg.eigh(0.5 * (s + s.T)) for s in generators]
@@ -171,8 +175,12 @@ def exponential_metric_path(generators: Sequence[np.ndarray]) -> MetricPath:
 
 
 def _require_metric(cplx: TwistedComplex, metric: ChainMetric | None) -> ChainMetric:
+    """metric, the identity for None; BadParameter refuses any other type,
+    ShapeMismatch a metric whose degrees do not match the complex."""
     if metric is None:
         return ChainMetric.identity(cplx)
+    if not isinstance(metric, ChainMetric):
+        raise BadParameter(f"metric must be a ChainMetric or None, got {type(metric).__name__}")
     if not metric.matches(cplx):
         raise ShapeMismatch("metric degrees do not match the complex")
     return metric

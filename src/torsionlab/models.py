@@ -36,14 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import BadParameter, NotAcyclic, NumericalLimit, SchemaError, ShapeMismatch, _as_int
+from .errors import (BadParameter, NotAcyclic, NumericalLimit, SchemaError, ShapeMismatch,
+                     _angle, _as_int, _family, _points, _tolerance)
 from .weights import _weights, euler_characteristics, generalized_log_torsion
 from .zetas import (
     HeatTrace,
     ZetaEval,
-    _angle,
     _constant_term,
     circle_heat_trace,
     combine_heat_traces,
@@ -111,8 +111,8 @@ ClosedModel = SpectralModel
 def circle(*, L: float = 2.0 * math.pi, theta: float = 0.0, rank: int = 1) -> SpectralModel:
     """Flat circle of length L with the rotation character theta (rank 2) or none."""
     rank = _as_int(rank, "circle rank", BadParameter)
-    _angle(theta)  # before the rank rule, which every angle out of range would fail
-    theta += 0.0  # -0.0 is the trivial character; name it theta=0
+    # the angle rule first: every angle out of range would fail the rank rule too
+    theta = _angle(theta, "theta") + 0.0  # -0.0 is the trivial character; name it theta=0
     if theta != 0.0 and rank != 2:
         raise BadParameter("a nontrivial circle character requires rank 2")
     if rank not in (1, 2):
@@ -170,18 +170,12 @@ def product(name: str, *factors: SpectralModel) -> SpectralModel:
 
 
 MODELS = {"circle": circle, "torus": torus, "sphere2": sphere2}
-# read here, before anything (a tracer) can wrap a builder and hide its keywords
-_KEYWORDS = {name: frozenset(f.__kwdefaults__ or ()) for name, f in MODELS.items()}
+_build = _family("model", MODELS)
 
 
 def build_model(name: str, **params) -> SpectralModel:
     """MODELS[name](**params); BadParameter names any keyword it does not read."""
-    if name not in MODELS:
-        raise BadParameter(f"unknown model {name!r}")
-    unread = params.keys() - _KEYWORDS[name]
-    if unread:
-        raise BadParameter(f"model {name} does not read {', '.join(sorted(unread))}")
-    return MODELS[name](**params)
+    return _build(name, params)
 
 
 def residue_log_trace(model: SpectralModel, k: int) -> float:
@@ -283,24 +277,18 @@ class IdentityReport(NamedTuple):
         return {**self._asdict(), "ok": self.ok}
 
 
-def _check_tolerance(tol: float) -> None:
-    """Refuse, with SchemaError, a tol that is not a finite number >= 0."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise SchemaError(f"tolerance must be a finite number >= 0, got {tol!r}")
-
-
-def identity_suite(model: SpectralModel, s_values: Sequence[float] = (0.0, 0.75, 2.0),
+def identity_suite(model: SpectralModel, s_values: Iterable[float] = (0.0, 0.75, 2.0),
                    tol: float = 1e-8) -> IdentityReport:
     """Check the duality and alternating-sum identities of the degree zetas.
 
     At every sampled s: zeta_k(s) = zeta_{n-k}(s); for odd n the alternating
     sum vanishes; for even n both the plain and the k-weighted alternating
-    sums vanish and (n/2) * sum = weighted sum.  SchemaError refuses a tol
-    that is not a finite number >= 0, BadParameter an empty s_values.
+    sums vanish and (n/2) * sum = weighted sum.  s_values may be any iterable.
+    SchemaError refuses a tol that is not a finite number >= 0, BadParameter
+    an empty s_values.
     """
-    _check_tolerance(tol)
-    if not len(s_values):
-        raise BadParameter("s_values is empty: the identities would be checked nowhere")
+    _tolerance(tol)
+    s_values = _points(s_values)
     n = model.dim
     duality = 0.0
     alternating = 0.0
@@ -316,7 +304,7 @@ def identity_suite(model: SpectralModel, s_values: Sequence[float] = (0.0, 0.75,
             wtd = sum((-1.0) ** k * k * vals[k] for k in range(n + 1))
             weighted = max(weighted, abs(wtd))
             half_relation = max(half_relation, abs(0.5 * n * alt - wtd))
-    return IdentityReport(model=model.name, s_values=tuple(s_values),
+    return IdentityReport(model=model.name, s_values=s_values,
                           duality=duality, alternating_sum=alternating,
                           weighted_sum=weighted, half_dim_relation=half_relation,
                           tol=tol)

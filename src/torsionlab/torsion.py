@@ -235,6 +235,7 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
 # with gamma and alpha indices outside 0..n read as zero.  This is exact in
 # finite dimensions; the check below only carries the O(step^2) error of the
 # central differences.
+_VARIATION_STEP = 1e-4
 
 
 class VariationReport(NamedTuple):
@@ -256,22 +257,22 @@ class VariationReport(NamedTuple):
 
 
 def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float],
-                    step: float = 1e-4, check_convergence: bool = True) -> VariationReport:
+                    check_convergence: bool = True) -> VariationReport:
     """Compare d/du of 2*log T against the telescoped trace sum at u = 0.
 
     The derivative of the metric and of 2*log T are both central differences
-    with the given step, so the two sides agree to O(step^2).  With
+    with step _VARIATION_STEP = 1e-4, so the two sides agree to O(step^2).  With
     check_convergence=True the two sides are compared again at step/2 and a
     StepTooLarge error is raised unless the discrepancy shrinks roughly
     quadratically (or is already at rounding level).  BadParameter refuses a
-    step that is not a finite number > 0 or a weight that is not finite.
+    weight that is not a finite real number, and a path value that is not a
+    ChainMetric.
     """
-    if not (math.isfinite(step) and step > 0.0):
-        raise BadParameter(f"step must be a finite number > 0, got {step!r}")
+    step = _VARIATION_STEP
     n = cplx.dimension
     beta = _weights(beta, n + 1)
     # path(0)'s inverses and coclosed eigenvectors serve both steps
-    h0 = path(0.0)
+    h0 = _metric_at(path, 0.0)
     fac = factorize(cplx, h0)
     coclosed = [fac.coclosed(k) for k in range(n)]
     h0_invs = [h0.inv(k) for k in range(n + 1)]
@@ -289,12 +290,21 @@ def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float
     return report._replace(halved_discrepancy=halved.discrepancy)
 
 
+def _metric_at(path: MetricPath, u: float) -> ChainMetric:
+    """path(u); BadParameter refuses a value that is not a ChainMetric."""
+    metric = path(u)
+    if not isinstance(metric, ChainMetric):
+        raise BadParameter(f"metric path must return a ChainMetric, got "
+                           f"{type(metric).__name__} at u = {u:g}")
+    return metric
+
+
 def _variation_single(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float],
                       step: float, h0_invs: Sequence[np.ndarray],
                       coclosed: Sequence[np.ndarray]):
     """Both sides at one step, the alpha_k taken at h0 = path(0): h0_invs[k] is
     h0's inverse in degree k, and coclosed[k] are h0's coclosed vectors (k < n)."""
-    hp, hm = path(step), path(-step)
+    hp, hm = _metric_at(path, step), _metric_at(path, -step)
     # 2 log T on either side; this raises NotAcyclic, so P_k = L_k^{-1} below
     lhs = (2.0 * generalized_log_torsion(factorize(cplx, hp).tr_logs, beta)
            - 2.0 * generalized_log_torsion(factorize(cplx, hm).tr_logs, beta)) / (2.0 * step)

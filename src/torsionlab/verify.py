@@ -40,6 +40,8 @@ from .errors import (
     SchemaError,
     StepTooLarge,
     UnsupportedPartition,
+    _as_int,
+    _tolerance,
 )
 from .hodge import ChainMetric, Factorization, exponential_metric_path, factorize
 from .torsion import determinant_oracle, log_reidemeister, variation_check
@@ -1119,8 +1121,8 @@ def run_suites(name: str, tol: float | None = None,
     negative seed, and BadParameter for an unknown suite.
     """
     if tol is not None:
-        mdl._check_tolerance(tol)
-    if seed < 0:
+        _tolerance(tol)
+    if _as_int(seed, "seed") < 0:
         raise SchemaError(f"seed must be a nonnegative integer, got {seed!r}")
     if name != "all" and name not in SUITES:
         raise BadParameter(f"unknown suite {name!r}; choose from "

@@ -8,14 +8,18 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadParameter, ShapeMismatch
+from .errors import BadParameter, ShapeMismatch, _as_real
 
 SECOND_DIFFERENCE_TOL = 1e-12
 
 
 def _weights(beta: Sequence[float], length: int | None = None) -> tuple[float, ...]:
-    """beta as floats: `length` of them when given (ShapeMismatch), each finite (BadParameter)."""
-    weights = tuple(map(float, beta))
+    """beta as floats: `length` of them when given (ShapeMismatch), each a finite
+    real number (BadParameter).  A float or an int is read without a check or
+    a name; any other weight goes through errors._as_real."""
+    weights = tuple(float(b) if type(b) is float or type(b) is int
+                    else _as_real(b, f"weight beta_{k}", BadParameter)
+                    for k, b in enumerate(beta))
     if length is not None and len(weights) != length:
         raise ShapeMismatch(f"got {length} traces but {len(weights)} weights")
     for k, b in enumerate(weights):

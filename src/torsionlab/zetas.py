@@ -67,7 +67,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadParameter, NumericalLimit, PoleHit, QuadratureFailure, ShapeMismatch
+from .errors import (BadParameter, NumericalLimit, PoleHit, QuadratureFailure, ShapeMismatch,
+                     _angle, _as_real)
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -359,7 +360,7 @@ def circle_heat_trace(L: float, theta: float = 0.0, rank: int = 1) -> HeatTrace:
     so full(t) = kernel + tail(t) holds to rounding at the split point t = 1.
     """
     _length(L, "L")
-    _angle(theta)
+    _angle(theta, "theta")
     pref = L / math.sqrt(4.0 * math.pi)
     scale = (2.0 * math.pi / L) ** 2
     a = theta / (2.0 * math.pi)
@@ -446,23 +447,17 @@ def sphere2_scalar_heat_trace() -> HeatTrace:
 
 
 def _length(value, name: str, scale: float = 1.0) -> None:
-    """Refuse, naming `name`, a length that is not positive and finite
-    (BadParameter), or whose circle, of length ell = scale value, needs more
-    than _SERIES_TERMS terms at t = 1 (sqrt(4 _EXP_CUTOFF)/ell images or
+    """Refuse, naming `name`, a length that is not a positive and finite real
+    number (BadParameter), or whose circle, of length ell = scale value, needs
+    more than _SERIES_TERMS terms at t = 1 (sqrt(4 _EXP_CUTOFF)/ell images or
     ell sqrt(_EXP_CUTOFF)/(2 pi) modes; NumericalLimit), which also keeps its
     eigenvalues and integration limits finite."""
-    if value is None or not 0.0 < value < math.inf:
+    if not 0.0 < _as_real(value, name, BadParameter) < math.inf:
         raise BadParameter(f"{name} must be positive and finite, got {value}")
     ell = scale * value
     terms = max(math.sqrt(4.0 * _EXP_CUTOFF) / ell, ell * math.sqrt(_EXP_CUTOFF) / (2.0 * math.pi))
     if terms > _SERIES_TERMS:
         raise NumericalLimit(f"{name} = {value:g} needs {terms:.2g} series terms, over {_SERIES_TERMS}")
-
-
-def _angle(theta) -> None:
-    """Refuse a character angle outside [0, 2 pi), NaN included."""
-    if not 0.0 <= theta < 2.0 * math.pi:
-        raise BadParameter(f"character angle must lie in [0, 2 pi), got {theta}")
 
 
 # --- the continuation engine -------------------------------------------------

@@ -63,7 +63,7 @@ def test_criterion_7_variation_identity():
     for cplx, beta in cases:
         path = exponential_metric_path(
             [rng.standard_normal((d, d)) for d in cplx.dims])
-        rep = variation_check(cplx, path, beta, step=1e-4)
+        rep = variation_check(cplx, path, beta)
         worst = max(worst, rep.discrepancy)
         if rep.discrepancy > 1e-10:
             ratios.append(rep.convergence_ratio)

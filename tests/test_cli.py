@@ -277,8 +277,7 @@ _MALFORMED = (
     (["gluing", "--split", "1.5"], "split must cut the interior: need 0 < 1.5 < 1"),
     (["zeta", "--model", "circle", "--theta", "0.7", "--s", "2"],
      "a nontrivial circle character requires rank 2"),
-    (["model-torsion", "--model", "circle", "--theta", "7"],
-     "character angle must lie in [0, 2 pi), got 7.0"),
+    (["model-torsion", "--model", "circle", "--theta", "7"], "theta must lie in [0, 2*pi), got 7.0"),
 )
 
 

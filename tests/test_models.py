@@ -69,7 +69,7 @@ def test_build_model_guards():
 @pytest.mark.parametrize("rank", [1, 2])
 def test_circle_checks_the_angle_range_before_the_rank_rule(theta, rank):
     # before, rank 1 named the rank rule for these angles and rank 2 the range
-    with pytest.raises(BadParameter, match=r"^character angle must lie in \[0, 2 pi\), got "):
+    with pytest.raises(BadParameter, match=r"^theta must lie in \[0, 2\*pi\), got "):
         models.circle(theta=theta, rank=rank)
 
 
@@ -204,10 +204,13 @@ def test_identity_checks_refuse_an_empty_sample():
     # before, identity_suite returned ok and proposition_check deviations of 0.0
     # without evaluating a single zeta
     rel, absm = build_interval(1.0, "relative"), build_interval(1.0, "absolute")
-    for call in (lambda: identity_suite(build_model("sphere2"), s_values=()),
-                 lambda: boundary.proposition_check(rel, absm, s_values=())):
+    for call in (lambda s_values: identity_suite(build_model("sphere2"), s_values=s_values),
+                 lambda s_values: boundary.proposition_check(rel, absm, s_values=s_values)):
         with pytest.raises(BadParameter, match="^s_values is empty"):
-            call()
+            call(())
+        # a generator is read once into the points the report lists
+        report = call(s for s in (0.75, 2.0))
+        assert report.s_values == (0.75, 2.0) and report.ok
 
 
 def test_analytic_torsion_requires_acyclic_in_reidemeister_mode():
