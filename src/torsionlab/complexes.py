@@ -109,6 +109,10 @@ class Representation:
         if not all(map(_is_letter, word)):
             raise SchemaError(
                 f"word {word!r} is not a tuple of (generator >= 0, exponent +-1) integer pairs")
+        return self._product(word)
+
+    def _product(self, word: GroupWord) -> np.ndarray:
+        """evaluate without the letter check, for words already checked (CellStructure's)."""
         out = np.eye(self.rank)
         for gen, exp in word:
             if gen >= self.n_generators:
@@ -374,18 +378,20 @@ def build_twisted_boundary(cells: CellStructure, rho: Representation) -> Twisted
     """Assemble the twisted boundary blocks and verify bd o bd = 0.
 
     What depends on the structure alone is compiled once per CellStructure
-    (CellStructure._layout).  A build then runs rho.evaluate once per
-    distinct word, in order of first use, forms every coeff * image of a
-    degree in one batch, and sums them by one np.add.at into that degree's
-    distinct (target, cell) blocks, from 0.0 in incidence order, so repeated
-    pairs add up exactly as a per-incidence += into a dense bd_k would.  The
-    cost is O(incidences * n^2) and no dense matrix is formed.  Raises
-    SchemaError if a sum is not finite, and NonChainComplex if any
-    composition exceeds 1e-12 * (1 + |bd_{k-1}|_inf * |bd_k|_inf).
+    (CellStructure._layout), whose construction checked every word.  A
+    build then multiplies out each distinct word once, in order of first
+    use, by rho._product (evaluate without its letter check), forms every
+    coeff * image of a degree in one batch, and sums them by one np.add.at
+    into that degree's distinct (target, cell) blocks, from 0.0 in
+    incidence order, so repeated pairs add up exactly as a per-incidence +=
+    into a dense bd_k would.  The cost is O(incidences * n^2) and no dense
+    matrix is formed.  Raises SchemaError if a word names a generator rho
+    lacks or a sum is not finite, and NonChainComplex if any composition
+    exceeds 1e-12 * (1 + |bd_{k-1}|_inf * |bd_k|_inf).
     """
     n = rho.rank
     layout = cells._layout
-    images = np.array([rho.evaluate(word) for word in layout.words]).reshape(-1, n, n)
+    images = np.array([rho._product(word) for word in layout.words]).reshape(-1, n, n)
     blocks = []
     # an overflowing sum becomes inf here and is refused by the complex
     with np.errstate(over="ignore", invalid="ignore"):

@@ -22,16 +22,19 @@ maps W_k = h_k^{1/2} bd_k^T h_{k-1}^{-1/2} and W_{k+1}: the left singular
 vectors of W_k span the closed part, the right singular vectors of W_{k+1}
 the coclosed part, and each sigma^2 is an eigenvalue.  factorize makes one
 values-only SVD per map and reads ranks off it with numpy's matrix_rank
-rule, the one kernel rule; torsion and Betti numbers need nothing more.
-Its Factorization is the whole Laplacian route: spectra, betti, and
+rule, the one kernel rule (_kept); torsion and Betti numbers need nothing
+more.  Its Factorization is the whole Laplacian route: spectra, betti, and
 tr_logs, the one place that decides acyclicity and takes the log of a
 spectrum.  It keeps singular values only: singular vectors (for
 eigenpairs and coclosed) come from a second SVD of W_k, formed again by
 _weighted_map on each request, as a ChainMetric forms h^{1/2}, h^{-1/2}
-and h^{-1}.  Working on the maps rather than on L_k
-keeps small eigenvalues accurate: cond(W) = sqrt(cond(L)), so nothing here
-forms delta_k or L_k as a matrix; the dense operators, Green's operators
-and Hodge split that check a Factorization live in verify.
+and h^{-1}.  A caller that needs the coclosed vectors and no spectrum,
+as the variation check does at its base point, takes rank and vectors
+from one full SVD per map (_coclosed_vectors), through the same cut.
+Working on the maps rather than on L_k keeps small eigenvalues accurate:
+cond(W) = sqrt(cond(L)), so nothing here forms delta_k or L_k as a
+matrix; the dense operators, Green's operators and Hodge split that check
+a Factorization live in verify.
 All functions are pure and operate on immutable inputs; results are
 deterministic.
 """
@@ -51,6 +54,7 @@ SYMMETRY_TOL = 1e-12
 # exp(x) and exp(-x) are normal floats for x strictly between these
 _LOG_TINY = math.log(np.finfo(float).tiny)
 _LOG_MAX = math.log(np.finfo(float).max)
+_EPS = np.finfo(float).eps
 
 
 class ChainMetric:
@@ -160,12 +164,16 @@ def exponential_metric_path(generators: Sequence[np.ndarray]) -> MetricPath:
     def path(u: float) -> ChainMetric:
         degrees = []
         for k, (w, v) in enumerate(eighs):
-            uw = u * w
-            if uw.size and not (_LOG_TINY < np.min(uw) and np.max(uw) < _LOG_MAX):
-                raise NumericalLimit(
-                    f"metric generator in degree {k}: exp(u S_k) or its inverse overflows, "
-                    f"u S_k has eigenvalues in [{np.min(uw):.3e}, {np.max(uw):.3e}]")
-            e = np.exp(uw)
+            if w.size:
+                # w ascends, so u w has its extremes at its ends; a NaN fails the test
+                lo, hi = u * w[0], u * w[-1]
+                if not lo <= hi:
+                    lo, hi = hi, lo
+                if not (_LOG_TINY < lo and hi < _LOG_MAX):
+                    raise NumericalLimit(
+                        f"metric generator in degree {k}: exp(u S_k) or its inverse overflows, "
+                        f"u S_k has eigenvalues in [{lo:.3e}, {hi:.3e}]")
+            e = np.exp(u * w)
             degrees.append(((v * e) @ v.T, e, v))
         metric = ChainMetric.__new__(ChainMetric)
         metric._store(degrees)
@@ -218,7 +226,7 @@ class Factorization:
         for k, b_k in enumerate(b):
             if b_k:
                 raise NotAcyclic(f"degree {k} has Betti number {b_k} (Betti numbers {b})")
-        return [float(np.sum(np.log(lam))) for lam in self.spectra]
+        return [float(np.log(lam).sum()) for lam in self.spectra]
 
     def _svd(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(U, V) of W_k for the kept singular values: W_k V = U diag(sigmas[k])."""
@@ -267,6 +275,21 @@ def _weighted_map(cplx: TwistedComplex, metric: ChainMetric, k: int) -> np.ndarr
     return w
 
 
+def _kept(sigma: np.ndarray, shape: tuple[int, int], k: int) -> np.ndarray:
+    """The singular values sigma (descending) of W_k, of the given shape, above
+    numpy's matrix_rank cut sigma_max * max(shape) * eps: the one kernel rule.
+
+    The eigenvalues of L_k are the squares, so SchemaError refuses a map
+    whose largest square leaves the float range (entries near the float
+    maximum).
+    """
+    if sigma.size and not math.isfinite(float(sigma[0]) * float(sigma[0])):
+        raise SchemaError(f"bd_{k} has singular value {sigma[0]:.3g}, "
+                          f"whose square is not finite")
+    cut = sigma[0] * (max(shape) * _EPS) if sigma.size else 0.0
+    return sigma[sigma > cut]
+
+
 def factorize(cplx: TwistedComplex, metric: ChainMetric | None = None) -> Factorization:
     """One values-only SVD per weighted boundary map; vectors come later, on demand."""
     metric = _require_metric(cplx, metric)
@@ -275,13 +298,24 @@ def factorize(cplx: TwistedComplex, metric: ChainMetric | None = None) -> Factor
     for k in range(1, len(dims)):
         w = _weighted_map(cplx, metric, k)
         sigma = np.linalg.svd(w, compute_uv=False) if w.size else np.zeros(0)
-        # the eigenvalues of L_k are the squares: refuse a map whose largest
-        # square leaves the float range (entries near the float maximum)
-        if sigma.size and not math.isfinite(float(sigma[0]) * float(sigma[0])):
-            raise SchemaError(f"bd_{k} has singular value {sigma[0]:.3g}, "
-                              f"whose square is not finite")
-        cut = sigma[0] * (max(w.shape) * np.finfo(float).eps) if sigma.size else 0.0
-        sigmas.append(sigma[sigma > cut])
+        sigmas.append(_kept(sigma, w.shape, k))
     sigmas.append(np.zeros(0))
     spectra = tuple(np.sort(np.concatenate(sigmas[k:k + 2]) ** 2) for k in range(len(dims)))
     return Factorization(cplx=cplx, metric=metric, sigmas=tuple(sigmas), spectra=spectra)
+
+
+def _coclosed_vectors(cplx: TwistedComplex, metric: ChainMetric | None) -> list[np.ndarray]:
+    """factorize(cplx, metric).coclosed(k) for every k < n, bit for bit, from one
+    full SVD per map: its singular values give the rank through _kept, the
+    same rule and refusals as factorize, and its right vectors the span."""
+    metric = _require_metric(cplx, metric)
+    out = []
+    for k in range(1, cplx.dimension + 1):
+        w = _weighted_map(cplx, metric, k)
+        if w.size:
+            _, sigma, vt = np.linalg.svd(w, full_matrices=False)
+        else:
+            sigma, vt = np.zeros(0), np.zeros((0, w.shape[1]))
+        vectors = vt[:_kept(sigma, w.shape, k).size].T
+        out.append(vectors if metric.is_identity else metric.isqrt(k - 1) @ vectors)
+    return out

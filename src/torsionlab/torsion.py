@@ -25,7 +25,8 @@ import numpy as np
 from .complexes import TwistedComplex
 from .errors import BadParameter, NotAcyclic, NumericalLimit, StepTooLarge
 # exponential_metric_path is named here too, for the callers of variation_check
-from .hodge import ChainMetric, MetricPath, exponential_metric_path, factorize
+from .hodge import (ChainMetric, MetricPath, _coclosed_vectors, exponential_metric_path,
+                    factorize)
 from .weights import _weights, generalized_log_torsion
 
 RANK_TOL = 1e-10
@@ -273,8 +274,7 @@ def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float
     beta = _weights(beta, n + 1)
     # path(0)'s inverses and coclosed eigenvectors serve both steps
     h0 = _metric_at(path, 0.0)
-    fac = factorize(cplx, h0)
-    coclosed = [fac.coclosed(k) for k in range(n)]
+    coclosed = _coclosed_vectors(cplx, h0)
     h0_invs = [h0.inv(k) for k in range(n + 1)]
     report = _variation_single(cplx, path, beta, step, h0_invs, coclosed)
     if not check_convergence:

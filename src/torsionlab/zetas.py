@@ -68,7 +68,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (BadParameter, NumericalLimit, PoleHit, QuadratureFailure, ShapeMismatch,
-                     _angle, _as_real)
+                     _angle, _as_int, _as_real)
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -358,9 +358,11 @@ def circle_heat_trace(L: float, theta: float = 0.0, rank: int = 1) -> HeatTrace:
     where lo = hi).  The remainder is the exact image sum, cosine-weighted
     for theta != 0 (the conjugate characters of a rank-2 rotation block),
     so full(t) = kernel + tail(t) holds to rounding at the split point t = 1.
+    BadParameter refuses a rank that is not a positive integer.
     """
     _length(L, "L")
     _angle(theta, "theta")
+    rank = _as_int(rank, "rank", BadParameter, low=1)
     pref = L / math.sqrt(4.0 * math.pi)
     scale = (2.0 * math.pi / L) ** 2
     a = theta / (2.0 * math.pi)
@@ -650,14 +652,15 @@ def _expansion_error(terms, sigma: float) -> tuple[float, float]:
 def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> ZetaEval:
     """Evaluate zeta(s) (and optionally zeta'(s)) for a HeatTrace model.
 
-    s may be any real or complex number away from the poles {p > 0 with
-    c_p != 0}; s = -n takes the s = -n rule of the module docstring.
+    s may be any finite real or complex number (a bool is not one) away
+    from the poles {p > 0 with c_p != 0}; s = -n takes the s = -n rule of
+    the module docstring.
     Derivatives are supported for real s.  Every integral is one split: a
     weighted remainder on (cut, 1] and a weighted tail on [1, upper], each
     one quad call that evaluates the trace once per node for all its weights
     (value and derivative, or the real and imaginary parts of t^(s-1)).
     """
-    if not isinstance(s, numbers.Number):
+    if type(s) is bool or not isinstance(s, numbers.Number):
         raise BadParameter(f"s must be a number, got {s!r}")
     given, s = s, complex(s)
     if not cmath.isfinite(s):

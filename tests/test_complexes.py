@@ -386,14 +386,16 @@ def test_assembly_matches_per_incidence_loop_bitwise():
 
 
 def test_assembly_evaluates_each_word_once(monkeypatch):
+    # each distinct word is multiplied out once, by the unchecked product:
+    # CellStructure checked its letters at construction
     calls = []
-    evaluate = Representation.evaluate
+    product = Representation._product
 
     def counted(self, word):
         calls.append(word)
-        return evaluate(self, word)
+        return product(self, word)
 
-    monkeypatch.setattr(Representation, "evaluate", counted)
+    monkeypatch.setattr(Representation, "_product", counted)
     for cells, rho in _assembly_cases():
         calls.clear()
         build_twisted_boundary(cells, rho)

@@ -277,6 +277,41 @@ def test_exponential_metric_refuses_overflow():
         ChainMetric.exponential([np.diag([800.0, 0.0]), np.zeros((2, 2))])
 
 
+def test_metric_path_refuses_where_every_eigenvalue_was_tested():
+    # path(u) reads the extremes of u w from the ends of eigh's ascending w: it
+    # refuses at the u, in the degree and with the message that the test over
+    # every eigenvalue of u S_k gives, NaN included, past a zero-size degree
+    log_tiny, log_max = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+    gens = [np.diag([-3.0, 2.0]), np.zeros((0, 0)), np.array([[5.0]]),
+            np.array([[1e-300, 0.0, 0.0], [0.0, -40.0, 2.0], [0.0, 2.0, 700.0]])]
+    path = exponential_metric_path(gens)
+    eigenvalues = [np.linalg.eigh(0.5 * (s + s.T))[0] for s in gens]
+
+    def reference(u):
+        for k, w in enumerate(eigenvalues):
+            uw = u * w
+            if uw.size and not (log_tiny < np.min(uw) and np.max(uw) < log_max):
+                return (f"metric generator in degree {k}: exp(u S_k) or its inverse overflows, "
+                        f"u S_k has eigenvalues in [{np.min(uw):.3e}, {np.max(uw):.3e}]")
+        return None
+
+    refused = 0
+    for u in (1.0, -1.0, 0.0, -0.0, 0.5, -0.5, 1.05, -1.05, -18.0, -20.0, 100.0, -100.0,
+              150.0, -150.0, 300.0, -300.0, 5, -5, np.float64(-250.0), math.nan):
+        message = reference(u)
+        if message is None:
+            metric = path(u)
+            assert [metric.matrix(k).shape[0] for k in range(4)] == [2, 0, 1, 3]
+        else:
+            refused += 1
+            with pytest.raises(NumericalLimit) as caught:
+                path(u)
+            assert str(caught.value) == message, u
+    assert 0 < refused < 20
+    # every degree zero-size: nothing to test, nothing refused
+    assert exponential_metric_path([np.zeros((0, 0))])(math.inf).matrix(0).shape == (0, 0)
+
+
 def test_exponential_metric_against_series():
     rng = np.random.default_rng(1)
     s = rng.standard_normal((4, 4))

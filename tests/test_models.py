@@ -188,6 +188,14 @@ def test_zeta_refuses_a_degree_or_s_that_is_not_a_number():
     assert circle.zeta(np.int64(1), np.float64(2.0)) == circle.zeta(1, 2.0)
 
 
+def test_zeta_refuses_a_bool_s():
+    # before, zeta(0, True) returned zeta(1)
+    circle = build_model("circle")
+    for s in (True, False):
+        with pytest.raises(BadParameter, match=f"^s must be a number, got {s!r}$"):
+            circle.zeta(0, s)
+
+
 def test_torsions_refuse_weights_that_are_not_finite():
     # before, each returned nan or +-inf
     twisted, circle = build_model("circle", theta=1.0, rank=2), build_model("circle")

@@ -646,8 +646,9 @@ def test_variation_gentle_grid_paths():
 
 
 def test_variation_shares_the_base_point(monkeypatch):
-    # path(u0), its factorization and its inverses serve both steps: 5 path and
-    # 5 factorize calls with the halving check, 3 and 3 without
+    # path(u0), its coclosed vectors and its inverses serve both steps: 5 path
+    # and 4 factorize calls with the halving check, 3 and 2 without (the base
+    # point takes its vectors from one SVD per map, not from a factorization)
     from torsionlab import hodge, torsion
 
     counts = {"path": 0, "factorize": 0}
@@ -675,10 +676,56 @@ def test_variation_shares_the_base_point(monkeypatch):
         return real_inv(self, k)
 
     monkeypatch.setattr(ChainMetric, "inv", counting_inv)
-    for check, expected in ((True, 5), (False, 3)):
+    for check, paths, factorizations in ((True, 5, 4), (False, 3, 2)):
         counts.update(path=0, factorize=0, inv=0)
         variation_check(cx, path, (0.0, 1.0, 2.0), check_convergence=check)
-        assert counts == {"path": expected, "factorize": expected, "inv": len(cx.dims)}
+        assert counts == {"path": paths, "factorize": factorizations, "inv": len(cx.dims)}
+
+
+def test_variation_runs_one_full_svd_per_map_at_the_base_point(monkeypatch):
+    # the base point takes rank and coclosed vectors from one full SVD per map,
+    # and each of the four factorizations (two steps, either sign) one values-only
+    # SVD per map; before, the base point ran a values-only SVD too: 5 and 1
+    svd = np.linalg.svd
+    calls = {}
+
+    def counting_svd(a, *args, **kwargs):
+        key = (a.shape, kwargs.get("compute_uv", True))
+        calls[key] = calls.get(key, 0) + 1
+        return svd(a, *args, **kwargs)
+
+    rng = np.random.default_rng(41)
+    cx = build_preset("torus2", alpha=1.0, beta=0.3)
+    path = exponential_metric_path([rng.standard_normal((d, d)) for d in cx.dims])
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    variation_check(cx, path, (0.0, 1.0, 2.0))
+    shapes = [(cx.dims[k], cx.dims[k - 1]) for k in range(1, cx.dimension + 1)]
+    assert len(set(shapes)) == 2
+    assert calls == {**{(shape, False): 4 for shape in shapes},
+                     **{(shape, True): 1 for shape in shapes}}
+
+
+def test_base_point_vectors_are_the_factorization_vectors():
+    # rank through the same kernel cut and vectors from the same SVD call: the
+    # base point's coclosed vectors equal factorize(cplx, h0).coclosed(k) bit for
+    # bit, also where the cut drops singular values (the untwisted torus)
+    rng = np.random.default_rng(43)
+    complexes = (build_preset("torus2", alpha=1.0, beta=0.3),
+                 _cover("torus2", (2, 2), alpha=0.7, beta=2.0),
+                 _cover("circle", (8,), theta=2.5),
+                 build_preset("torus2", alpha=0.0, beta=0.0))
+    for cx in complexes:
+        path = exponential_metric_path([rng.standard_normal((d, d)) for d in cx.dims])
+        for metric in (path(0.0), path(0.5), ChainMetric.identity(cx)):
+            fac = factorize(cx, metric)
+            vectors = hodge._coclosed_vectors(cx, metric)
+            assert len(vectors) == cx.dimension
+            for k, v in enumerate(vectors):
+                expected = fac.coclosed(k)
+                assert v.shape == expected.shape and v.dtype == expected.dtype
+                assert v.tobytes() == expected.tobytes()
+    # the kernel cut kept fewer vectors than the map has columns
+    assert hodge._coclosed_vectors(complexes[-1], None)[0].shape == (2, 0)
 
 
 def test_variation_requires_acyclic():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -930,3 +931,17 @@ def test_plain_quad_matches_the_memo(make, monkeypatch):
             neval += info["neval"]
         assert len(calls) == 2
         assert neval == ev.nodes
+
+
+def test_circle_heat_trace_refuses_a_rank_that_is_not_a_positive_integer():
+    # before, rank=-1 gave a kernel of dimension -1, rank=1.5 one of 1.5 and
+    # rank="2" a raw TypeError
+    for rank, shown in ((-1, "must be positive, got -1"), (0, "must be positive, got 0"),
+                        (1.5, "must be an integer, got 1.5"), ("2", "must be an integer, got '2'"),
+                        (True, "must be an integer, got True"), (None, "must be an integer, got None")):
+        with pytest.raises(BadParameter, match=f"^rank {re.escape(shown)}$"):
+            circle_heat_trace(1.0, 0.0, rank)
+    assert circle_heat_trace(1.0, 0.0, np.int64(3)).kernel_dim == 3
+    # models.circle states its own rule first, with its own message
+    with pytest.raises(BadParameter, match="^circle rank must be 1 or 2, got 0$"):
+        build_model("circle", rank=0)
