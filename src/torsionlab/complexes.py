@@ -54,6 +54,7 @@ from .errors import (
     _angle,
     _as_int,
     _family,
+    _real_array,
 )
 
 ORTHOGONALITY_TOL = 1e-12
@@ -75,8 +76,10 @@ def _is_letter(letter) -> bool:
 class Representation:
     """An orthogonal representation given by its generator images.
 
-    Each image G must satisfy max|G^T G - I| < 1e-12.  Inverses are taken
-    as transposes, so words with negative exponents stay exactly orthogonal.
+    Each image G must be an array of integers or floats with
+    max|G^T G - I| < 1e-12, or BadRepresentation names it.  Inverses are
+    taken as transposes, so words with negative exponents stay exactly
+    orthogonal.
     Representations compare by identity, as complexes do.
     """
 
@@ -87,7 +90,7 @@ class Representation:
         rank = _as_int(rank, "rank", BadRepresentation, low=1)
         images = []
         for idx, g in enumerate(generator_images):
-            g = np.asarray(g, dtype=float)
+            g = _real_array(g, f"generator {idx}", BadRepresentation)
             if g.shape != (rank, rank):
                 raise BadRepresentation(
                     f"generator {idx} has shape {g.shape}, expected {(rank, rank)}")
@@ -279,8 +282,8 @@ class TwistedComplex:
     raises SchemaError naming the value for a rank or cell count that is not
     an integer (a bool or 1.0 is not) or is below 1 or 0, ShapeMismatch
     unless there is one map per degree k >= 1, each (dims[k-1], dims[k]),
-    and SchemaError naming the degree for an entry that is not finite, so
-    every instance is well-shaped and finite.
+    and SchemaError naming the degree for an entry that is not a finite
+    integer or float, so every instance is well-shaped and finite.
     boundary(k) densifies bd_k from the blocks on every call, for the
     Laplacian route; nothing else is kept.  Values are immutable after
     construction; instances are safe to share across threads.
@@ -301,7 +304,7 @@ class TwistedComplex:
                                 f"for a complex of dimension {len(cells) - 1}")
         blocks = []
         for k, b in enumerate(boundaries, start=1):
-            b = np.asarray(b, dtype=float)
+            b = _real_array(b, f"bd_{k}", SchemaError)
             expected = (rank * cells[k - 1], rank * cells[k])
             if b.shape != expected:
                 raise ShapeMismatch(f"bd_{k} has shape {b.shape}, expected {expected}")
@@ -572,7 +575,7 @@ def structure_from_json(data: dict) -> tuple[CellStructure, Representation]:
     rep = data["rep"]
     if not isinstance(rep, list) or len(rep) != n_gens:
         raise SchemaError("rep must list exactly `generators` matrices")
-    rho = Representation(rank, [np.asarray(m, dtype=float) for m in rep])
+    rho = Representation(rank, rep)
 
     if not isinstance(data["cells"], list):
         raise SchemaError("cells must be a list")

@@ -1,4 +1,4 @@
-"""Exception hierarchy, and the rules every constructor applies to a scalar argument.
+"""Exception hierarchy, and the rules every constructor applies to an argument.
 
 Every failure mode of the public API raises a subclass of TorsionLabError,
 so callers (and the CLI) can distinguish contract violations from bugs.
@@ -7,7 +7,7 @@ and its subclasses (a value outside its documented domain), 3 for
 NotAcyclic, 4 for PoleHit and 1 for every other error, NumericalLimit (a
 value inside its domain that the numerics cannot hold) among them.
 
-Each scalar rule has its one definition here:
+Each rule has its one definition here:
 
 * _as_int, an integer (complexes, models, boundary, and the seed of
   verify.run_suites);
@@ -20,11 +20,15 @@ Each scalar rule has its one definition here:
   boundary.proposition_check);
 * _family, a table of keyword-only builders that refuses an unknown name
   or a keyword the chosen builder does not read (models.build_model and
-  complexes.preset).
+  complexes.preset);
+* _real_array, an array of integers or floats (the metrics and generators of
+  hodge, the boundaries and generator images of complexes).
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class TorsionLabError(Exception):
@@ -107,6 +111,18 @@ def _as_real(value, name: str, error: type[Exception] = SchemaError) -> float:
     if type(value) is bool or not isinstance(value, numbers.Real):
         raise error(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _real_array(value, name: str, error: type[Exception]) -> np.ndarray:
+    """value as a new float array; `error` refuses ragged rows and any entry that is
+    not an integer or a float (a complex, a bool, a str, None), never casting it."""
+    try:
+        array = np.asarray(value)
+    except ValueError:
+        raise error(f"{name} is not a rectangular array") from None
+    if array.dtype.kind not in "iuf":
+        raise error(f"{name} has entries of type {array.dtype}, not integers or floats")
+    return array.astype(float)
 
 
 def _angle(value, name: str) -> float:

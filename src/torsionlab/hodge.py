@@ -25,16 +25,14 @@ values-only SVD per map and reads ranks off it with numpy's matrix_rank
 rule, the one kernel rule (_kept); torsion and Betti numbers need nothing
 more.  Its Factorization is the whole Laplacian route: spectra, betti, and
 tr_logs, the one place that decides acyclicity and takes the log of a
-spectrum.  It keeps singular values only: singular vectors (for
-eigenpairs and coclosed) come from a second SVD of W_k, formed again by
-_weighted_map on each request, as a ChainMetric forms h^{1/2}, h^{-1/2}
-and h^{-1}.  A caller that needs the coclosed vectors and no spectrum,
-as the variation check does at its base point, takes rank and vectors
-from one full SVD per map (_coclosed_vectors), through the same cut.
+spectrum.  It keeps no vectors.  The one vector path is _coclosed_vectors,
+for the variation check's base point: rank and coclosed vectors from one
+full SVD per map, through the same cut.  The closed vectors, which only
+verify needs, follow from the coclosed ones through bd_k with no SVD.
 Working on the maps rather than on L_k keeps small eigenvalues accurate:
 cond(W) = sqrt(cond(L)), so nothing here forms delta_k or L_k as a
-matrix; the dense operators, Green's operators and Hodge split that check
-a Factorization live in verify.
+matrix; the dense operators, eigenpairs, Green's operators and Hodge
+split that check a Factorization live in verify.
 All functions are pure and operate on immutable inputs; results are
 deterministic.
 """
@@ -48,7 +46,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .complexes import TwistedComplex
-from .errors import BadParameter, NotAcyclic, NumericalLimit, SchemaError, ShapeMismatch
+from .errors import (BadParameter, NotAcyclic, NumericalLimit, SchemaError, ShapeMismatch,
+                     _real_array)
 
 SYMMETRY_TOL = 1e-12
 # exp(x) and exp(-x) are normal floats for x strictly between these
@@ -74,7 +73,7 @@ class ChainMetric:
     def __init__(self, matrices: Sequence[np.ndarray]):
         degrees = []
         for k, h in enumerate(matrices):
-            h = np.array(h, dtype=float)
+            h = _real_array(h, f"metric in degree {k}", BadParameter)
             if h.ndim != 2 or h.shape[0] != h.shape[1]:
                 raise ShapeMismatch(f"metric in degree {k} is not square: {h.shape}")
             if h.size:
@@ -147,13 +146,14 @@ def exponential_metric_path(generators: Sequence[np.ndarray]) -> MetricPath:
     taken here of each symmetrized generator S_k = 0.5 (G_k + G_k^T).
 
     ShapeMismatch refuses a generator that is not a square matrix and
-    BadParameter one with an entry that is not finite, each naming the
-    degree.  path(u) raises NumericalLimit naming the degree when an
-    eigenvalue of u S_k leaves (log tiny, log max), where exp(u S_k) or its
-    inverse would overflow: the generator is admissible, floating point
-    cannot hold it.
+    BadParameter one with an entry that is not a finite integer or float,
+    each naming the degree.  path(u) raises NumericalLimit naming the
+    degree when an eigenvalue of u S_k leaves (log tiny, log max), where
+    exp(u S_k) or its inverse would overflow: the generator is admissible,
+    floating point cannot hold it.
     """
-    generators = [np.array(s, dtype=float) for s in generators]
+    generators = [_real_array(s, f"metric generator in degree {k}", BadParameter)
+                  for k, s in enumerate(generators)]
     for k, s in enumerate(generators):
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ShapeMismatch(f"metric generator in degree {k} is not square: {s.shape}")
@@ -202,8 +202,7 @@ class Factorization:
     numpy's matrix_rank cut sigma_max * max(W_k.shape) * eps, descending;
     that cut is the one kernel rule.  Each sigma^2 belongs to both L_{k-1}
     and L_k, so spectra[k] (ascending) is the positive spectrum of L_k.
-    Neither W_k nor its singular vectors are kept: each request for vectors
-    forms W_k again and runs one SVD of it.
+    Plain data: neither W_k nor any singular vector is kept.
     """
 
     cplx: TwistedComplex
@@ -227,40 +226,6 @@ class Factorization:
             if b_k:
                 raise NotAcyclic(f"degree {k} has Betti number {b_k} (Betti numbers {b})")
         return [float(np.log(lam).sum()) for lam in self.spectra]
-
-    def _svd(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(U, V) of W_k for the kept singular values: W_k V = U diag(sigmas[k])."""
-        r = self.sigmas[k].size
-        if not r:  # W_k is dims[k] x dims[k - 1], zero-shaped past either end
-            dims = (0, *self.cplx.dims, 0)
-            return np.zeros((dims[k + 1], 0)), np.zeros((dims[k], 0))
-        u, _, vt = np.linalg.svd(_weighted_map(self.cplx, self.metric, k), full_matrices=False)
-        return u[:, :r], vt[:r].T
-
-    def eigenpairs(self, k: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """(eigenvalues, eigenvectors, n_closed): the positive eigenpairs of L_k.
-
-        Eigenvector columns are h_k-orthonormal.  The first n_closed are
-        closed (in im d_{k-1}): left singular vectors of W_k.  The rest are
-        coclosed (in im delta_k): right singular vectors of W_{k+1}.  Both
-        are mapped back by one h_k^{-1/2}; the eigenvalues are their sigma^2.
-        """
-        if not 0 <= k <= self.cplx.dimension:
-            raise ShapeMismatch(f"degree {k} outside 0..{self.cplx.dimension}")
-        _, coclosed = self._svd(k + 1)
-        closed, _ = self._svd(k)
-        if not self.metric.is_identity:
-            isqrt = self.metric.isqrt(k)
-            closed, coclosed = isqrt @ closed, isqrt @ coclosed
-        lam = np.concatenate([self.sigmas[k], self.sigmas[k + 1]]) ** 2
-        return lam, np.hstack([closed, coclosed]), closed.shape[1]
-
-    def coclosed(self, k: int) -> np.ndarray:
-        """The coclosed eigenvectors of eigenpairs(k), spanning im delta_k."""
-        if not 0 <= k <= self.cplx.dimension:
-            raise ShapeMismatch(f"degree {k} outside 0..{self.cplx.dimension}")
-        _, vectors = self._svd(k + 1)
-        return vectors if self.metric.is_identity else self.metric.isqrt(k) @ vectors
 
 
 def _weighted_map(cplx: TwistedComplex, metric: ChainMetric, k: int) -> np.ndarray:
@@ -291,7 +256,7 @@ def _kept(sigma: np.ndarray, shape: tuple[int, int], k: int) -> np.ndarray:
 
 
 def factorize(cplx: TwistedComplex, metric: ChainMetric | None = None) -> Factorization:
-    """One values-only SVD per weighted boundary map; vectors come later, on demand."""
+    """One values-only SVD per weighted boundary map; no vectors."""
     metric = _require_metric(cplx, metric)
     dims = cplx.dims
     sigmas = [np.zeros(0)]
@@ -305,9 +270,10 @@ def factorize(cplx: TwistedComplex, metric: ChainMetric | None = None) -> Factor
 
 
 def _coclosed_vectors(cplx: TwistedComplex, metric: ChainMetric | None) -> list[np.ndarray]:
-    """factorize(cplx, metric).coclosed(k) for every k < n, bit for bit, from one
-    full SVD per map: its singular values give the rank through _kept, the
-    same rule and refusals as factorize, and its right vectors the span."""
+    """The coclosed eigenvectors h_k^{-1/2} V of L_k for every k < n, V the right
+    singular vectors of W_{k+1}, h_k-orthonormal and spanning im delta_k, from
+    one full SVD per map: its singular values give the rank through _kept,
+    the same rule and refusals as factorize."""
     metric = _require_metric(cplx, metric)
     out = []
     for k in range(1, cplx.dimension + 1):

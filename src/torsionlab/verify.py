@@ -37,13 +37,13 @@ from .errors import (
     BadParameter,
     NotAcyclic,
     PoleHit,
-    SchemaError,
     StepTooLarge,
     UnsupportedPartition,
     _as_int,
     _tolerance,
 )
-from .hodge import ChainMetric, Factorization, exponential_metric_path, factorize
+from .hodge import (ChainMetric, Factorization, _coclosed_vectors, exponential_metric_path,
+                    factorize)
 from .torsion import determinant_oracle, log_reidemeister, variation_check
 from .weights import classify_beta, euler_characteristics, generalized_log_torsion
 from .zetas import (
@@ -263,13 +263,26 @@ def _laplacian(cplx: TwistedComplex, metric: ChainMetric | None, k: int) -> np.n
     return down + up
 
 
+def _eigenpairs(fac: Factorization, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(sigma^2, h_k-orthonormal eigenvectors, n_closed): the positive eigenpairs of
+    L_k, the n_closed closed ones first, then hodge's coclosed vectors of degree k.
+    W_k V = U Sigma gives the closed h_k^{-1/2} U = bd_k^T (h_{k-1}^{-1/2} V) / sigma,
+    degree k-1's coclosed vectors through bd_k: no metric factor and no SVD."""
+    cplx, sigmas = fac.cplx, fac.sigmas
+    coclosed = [*_coclosed_vectors(cplx, fac.metric), np.zeros((cplx.dims[-1], 0))]
+    closed = (cplx.boundary(k).T @ coclosed[k - 1] / sigmas[k] if k
+              else np.zeros((cplx.dims[0], 0)))
+    lam = np.concatenate([sigmas[k], sigmas[k + 1]]) ** 2
+    return lam, np.hstack([closed, coclosed[k]]), closed.shape[1]
+
+
 def _green_inverse(fac: Factorization, k: int) -> np.ndarray:
     """(L_k + Pi_ker)^{-1} = I + Q (1/lambda - 1) Q^T h_k.
 
     Q holds the positive eigenvectors, so this is L_k^{-1} off the kernel
     and the identity on it; no kernel basis is needed.
     """
-    lam, q, _ = fac.eigenpairs(k)
+    lam, q, _ = _eigenpairs(fac, k)
     q_h = q.T if fac.metric.is_identity else q.T @ fac.metric.matrix(k)
     return np.eye(q.shape[0]) + (q * (1.0 / lam - 1.0)) @ q_h
 
@@ -277,7 +290,7 @@ def _green_inverse(fac: Factorization, k: int) -> np.ndarray:
 def _hodge_split(fac: Factorization, k: int, lam: float) -> tuple:
     """(f_mult, g_mult, proj_closed, proj_coclosed) of the lam-eigenspace of L_k.
 
-    The eigenspace is spanned by the eigenpairs(k) columns whose eigenvalue
+    The eigenspace is spanned by the _eigenpairs columns whose eigenvalue
     is within 1e-7 relative of lam (none if lam is no eigenvalue).  f_mult
     counts its closed part, g_mult its coclosed part, and g_mult in degree k
     equals f_mult in degree k+1 (d/sqrt(lam) is an isometry between them).
@@ -285,7 +298,7 @@ def _hodge_split(fac: Factorization, k: int, lam: float) -> tuple:
     restricted to the eigenspace, in that h-orthonormal basis: they are
     complementary orthogonal projections.
     """
-    eigenvalues, vectors, n_closed = fac.eigenpairs(k)
+    eigenvalues, vectors, n_closed = _eigenpairs(fac, k)
     close = np.abs(eigenvalues - lam) <= 1e-7 * max(1.0, abs(lam))
     basis = vectors[:, close]
     h_k = fac.metric.matrix(k)
@@ -1122,8 +1135,7 @@ def run_suites(name: str, tol: float | None = None,
     """
     if tol is not None:
         _tolerance(tol)
-    if _as_int(seed, "seed") < 0:
-        raise SchemaError(f"seed must be a nonnegative integer, got {seed!r}")
+    _as_int(seed, "seed", low=0)
     if name != "all" and name not in SUITES:
         raise BadParameter(f"unknown suite {name!r}; choose from "
                            f"{sorted(SUITES)} or 'all'")

@@ -1,5 +1,6 @@
-"""The scalar rules of errors.py: each argument that is not a number of its
-kind is refused with its documented class, never a raw Python or numpy error."""
+"""The scalar and matrix rules of errors.py: each argument that is not a number
+(or an array of numbers) of its kind is refused with its documented class,
+never a raw Python or numpy error nor a value cast from a degraded input."""
 
 import re
 
@@ -7,6 +8,9 @@ import numpy as np
 import pytest
 
 from torsionlab import (
+    ChainMetric,
+    Representation,
+    TwistedComplex,
     build_cylinder,
     build_interval,
     build_model,
@@ -21,7 +25,8 @@ from torsionlab import (
     residue_torsion,
     variation_check,
 )
-from torsionlab.errors import BadParameter, SchemaError, ShapeMismatch
+from torsionlab.complexes import complex_from_json
+from torsionlab.errors import BadParameter, BadRepresentation, SchemaError, ShapeMismatch
 from torsionlab.verify import run_suites
 
 # (call, class, message prefix); before these rules each escaped as a raw
@@ -70,6 +75,30 @@ _REFUSALS = {
                    "metric must be a ChainMetric or None, got str"),
     "path None": (lambda: variation_check(build_preset("circle"), lambda u: None, (0.0, 1.0)),
                   BadParameter, "metric path must return a ChainMetric, got NoneType at u = 0"),
+    # the matrix rule: before it a complex entry lost its imaginary part with a
+    # ComplexWarning (this metric gave the torsion of diag(2, 1), the generator
+    # that of the identity metric), a bool or None was cast, and a str escaped
+    "metric complex": (lambda: ChainMetric([[[2 + 5j, 0], [0, 1]], np.eye(2)]), BadParameter,
+                       "metric in degree 0 has entries of type complex128"),
+    "metric entry str": (lambda: ChainMetric([[["a"]]]), BadParameter,
+                         "metric in degree 0 has entries of type <U1"),
+    "metric ragged": (lambda: ChainMetric([np.eye(1), [[1.0, 0.0], [0.0]]]), BadParameter,
+                      "metric in degree 1 is not a rectangular array"),
+    "generator complex": (lambda: exponential_metric_path([[[1j, 0], [0, 0]]]), BadParameter,
+                          "metric generator in degree 0 has entries of type complex128"),
+    "generator str": (lambda: exponential_metric_path([np.eye(1), [["a"]]]), BadParameter,
+                      "metric generator in degree 1 has entries of type <U1"),
+    "boundary complex": (lambda: TwistedComplex(1, [1, 1], [[[1j]]]), SchemaError,
+                         "bd_1 has entries of type complex128"),
+    "boundary None": (lambda: TwistedComplex(1, [1, 1], [[[None]]]), SchemaError,
+                      "bd_1 has entries of type object"),
+    "image complex": (lambda: Representation(1, [np.eye(1), [[1j]]]), BadRepresentation,
+                      "generator 1 has entries of type complex128"),
+    "image bool": (lambda: Representation(1, [[[True]]]), BadRepresentation,
+                   "generator 0 has entries of type bool"),
+    "image from JSON": (lambda: complex_from_json({"dimension": 0, "rank": 1, "generators": 1,
+                                                   "rep": [[["a"]]], "cells": [[[]]]}),
+                        BadRepresentation, "generator 0 has entries of type <U1"),
 }
 
 
@@ -85,3 +114,7 @@ def test_a_number_of_another_type_is_read_as_a_float():
     assert preset("circle", theta=np.float64(1.0))[1].generator_images[0][0, 0] == np.cos(1.0)
     assert build_model("circle", L=np.int64(2)).name == build_model("circle", L=2.0).name
     assert generalized_log_torsion([1.0, 2.0], [np.float32(1.0), 2]) == 1.5
+    # and arrays of integers or of any float width are read as float arrays
+    assert ChainMetric([np.eye(2, dtype=np.int64)]).matrix(0).dtype == np.float64
+    assert TwistedComplex(1, [1, 1], [np.float32([[2.0]])]).boundary(1).tolist() == [[2.0]]
+    assert Representation(1, [[[-1]]]).generator_images[0].tolist() == [[-1.0]]

@@ -20,8 +20,10 @@ from torsionlab.errors import (
     NumericalLimit,
     ShapeMismatch,
 )
+from torsionlab.hodge import _coclosed_vectors
 from torsionlab.verify import (
     _coboundary,
+    _eigenpairs,
     _green_inverse,
     _hodge_split,
     _laplacian,
@@ -85,73 +87,55 @@ def test_laplacian_shape_mismatch():
 
 
 def test_eigenpairs_examples():
-    # eigenpairs of L_k: closed pairs (from W_k) first, then coclosed (from W_{k+1})
+    # eigenpairs of L_k: closed pairs (through bd_k) first, then coclosed (from W_{k+1})
     cx = build_preset("circle", theta=math.pi / 2)
     fac = factorize(cx)
-    lam, vectors, n_closed = fac.eigenpairs(1)
+    lam, vectors, n_closed = _eigenpairs(fac, 1)
     assert np.allclose(lam, [2.0, 2.0]) and vectors.shape == (2, 2) and n_closed == 2
-    lam, vectors, n_closed = fac.eigenpairs(0)
+    lam, vectors, n_closed = _eigenpairs(fac, 0)
     assert np.allclose(lam, [2.0, 2.0]) and vectors.shape == (2, 2) and n_closed == 0
 
     cx2 = build_preset("torus2", alpha=1.0, beta=0.3)
     fac = factorize(cx2)
-    assert [fac.eigenpairs(k)[2] for k in range(3)] == [0, 2, 2]
-    assert all(fac.eigenpairs(k)[0].size == cx2.dims[k] for k in range(3))  # no kernel
-    for k in (-1, 3):
-        with pytest.raises(ShapeMismatch):
-            fac.eigenpairs(k)
-        with pytest.raises(ShapeMismatch):
-            fac.coclosed(k)
-
-
-def test_eigenpairs_forms_the_inverse_root_once(monkeypatch):
-    # before, eigenpairs(1) formed h_1^{-1/2} three times: isqrt degrees [1, 1, 0, 1]
-    cx = build_preset("torus2", alpha=1.0, beta=0.3)
-    metric = ChainMetric.random_spd(cx, np.random.default_rng(4))
-    fac = factorize(cx, metric)
-    closed = metric.isqrt(1) @ fac._svd(1)[0]
-    coclosed = fac.coclosed(1)
-    calls = []
-    isqrt = ChainMetric.isqrt
-    monkeypatch.setattr(ChainMetric, "isqrt", lambda self, k: calls.append(k) or isqrt(self, k))
-    _, vectors, n_closed = fac.eigenpairs(1)
-    assert calls == [1, 0, 1]
-    for ours, reference in ((vectors[:, :n_closed], closed), (vectors[:, n_closed:], coclosed)):
-        assert ours.shape == reference.shape and ours.tobytes() == reference.tobytes()
+    assert [_eigenpairs(fac, k)[2] for k in range(3)] == [0, 2, 2]
+    assert all(_eigenpairs(fac, k)[0].size == cx2.dims[k] for k in range(3))  # no kernel
 
 
 def test_eigenpairs_residuals_and_orthonormality():
+    # the closed vectors come from the coclosed ones of degree k - 1 through bd_k;
+    # the untwisted 8-gon checks that isometry where the kernel cut drops values
     rng = np.random.default_rng(8)
-    cx = build_preset("torus2", alpha=0.9, beta=2.4)
-    metric = ChainMetric.random_spd(cx, rng)
-    fac = factorize(cx, metric)
-    for k in range(3):
-        lap = _laplacian(cx, metric, k)
-        lam, vectors, n_closed = fac.eigenpairs(k)
-        assert np.array_equal(np.sort(lam), fac.spectra[k])
-        scale = max(1.0, np.max(np.abs(lap)))
-        for value, v in zip(lam, vectors.T):
-            assert np.linalg.norm(lap @ v - value * v) < 1e-9 * scale
-        gram = vectors.T @ metric.matrix(k) @ vectors
-        assert np.max(np.abs(gram - np.eye(lam.size))) < 1e-10
-        # closed vectors have d_k v = 0, coclosed ones delta_{k-1} v = 0
-        assert np.max(np.abs(_coboundary(cx, k) @ vectors[:, :n_closed]), initial=0.0) < 1e-10
-        if k > 0:
-            down = _metric_adjoint(cx, metric, k - 1) @ vectors[:, n_closed:]
-            assert np.max(np.abs(down), initial=0.0) < 1e-10
+    for cx in (build_preset("torus2", alpha=0.9, beta=2.4), _cover("circle", (8,), theta=0.0)):
+        metric = ChainMetric.random_spd(cx, rng)
+        fac = factorize(cx, metric)
+        for k in range(cx.dimension + 1):
+            lap = _laplacian(cx, metric, k)
+            lam, vectors, n_closed = _eigenpairs(fac, k)
+            assert np.array_equal(np.sort(lam), fac.spectra[k])
+            scale = max(1.0, np.max(np.abs(lap)))
+            for value, v in zip(lam, vectors.T):
+                assert np.linalg.norm(lap @ v - value * v) < 1e-9 * scale
+            gram = vectors.T @ metric.matrix(k) @ vectors
+            assert np.max(np.abs(gram - np.eye(lam.size))) < 1e-10
+            # closed vectors have d_k v = 0, coclosed ones delta_{k-1} v = 0
+            closed = _coboundary(cx, k) @ vectors[:, :n_closed]
+            assert np.max(np.abs(closed), initial=0.0) < 1e-10
+            if k > 0:
+                down = _metric_adjoint(cx, metric, k - 1) @ vectors[:, n_closed:]
+                assert np.max(np.abs(down), initial=0.0) < 1e-10
+    # the 8-gon's kernel cut dropped two of W_1's 16 singular values
+    assert fac.betti == [2, 2] and n_closed == 14
 
 
 def test_singular_vectors_repeat_bitwise():
-    # no vectors are kept, so every request runs its SVD again: same bits each time
+    # no vectors are kept, so every call runs its SVDs again: same bits each time
     rng = np.random.default_rng(9)
     cx = _cover("torus2", (3, 3), alpha=1.0, beta=0.3)
     for metric in (None, ChainMetric.random_spd(cx, rng)):
-        fac = factorize(cx, metric)
-        for k in range(cx.dimension + 1):
-            first, again = fac.eigenpairs(k), fac.eigenpairs(k)
-            assert first[2] == again[2]
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(first[:2], again[:2]))
-            assert fac.coclosed(k).tobytes() == fac.coclosed(k).tobytes()
+        first, again = _coclosed_vectors(cx, metric), _coclosed_vectors(cx, metric)
+        assert len(first) == len(again) == cx.dimension
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                   for a, b in zip(first, again))
 
 
 def test_acyclic_spectra_values_and_strict_mode():
@@ -181,11 +165,11 @@ def test_factorization_kernel_follows_betti():
     lap = _laplacian(cx, None, 0)
     fac = factorize(cx)
     assert fac.betti == [0, 0]
-    assert fac.eigenpairs(0)[0].size == 2
+    assert _eigenpairs(fac, 0)[0].size == 2
     assert np.max(np.abs(_green_inverse(fac, 0) @ lap - np.eye(2))) < 1e-8
     trivial = build_preset("circle", theta=0.0)
     fac = factorize(trivial)
-    assert [d - fac.eigenpairs(k)[0].size for k, d in enumerate(trivial.dims)] \
+    assert [d - _eigenpairs(fac, k)[0].size for k, d in enumerate(trivial.dims)] \
         == fac.betti == [2, 2]
     # the untwisted 8-gon: the Green operator is I on the constant sections, its kernel
     ngon = _cover("circle", (8,), theta=0.0)

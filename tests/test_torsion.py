@@ -593,7 +593,9 @@ def test_routes_read_the_boundary_maps_only(monkeypatch):
              "NotAnEigenvalue"}
     for module in (torsionlab, hodge, torsion, errors):
         assert not moved & set(vars(module)), f"{module.__name__} defines a dense helper"
-    assert not hasattr(hodge.Factorization, "green_inverse")
+    # and a Factorization is plain data: no vectors and no Green's operator
+    for name in ("green_inverse", "_svd", "eigenpairs", "coclosed"):
+        assert not hasattr(hodge.Factorization, name)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a torsion route formed d_k, delta_k or L_k")
@@ -703,29 +705,6 @@ def test_variation_runs_one_full_svd_per_map_at_the_base_point(monkeypatch):
     assert len(set(shapes)) == 2
     assert calls == {**{(shape, False): 4 for shape in shapes},
                      **{(shape, True): 1 for shape in shapes}}
-
-
-def test_base_point_vectors_are_the_factorization_vectors():
-    # rank through the same kernel cut and vectors from the same SVD call: the
-    # base point's coclosed vectors equal factorize(cplx, h0).coclosed(k) bit for
-    # bit, also where the cut drops singular values (the untwisted torus)
-    rng = np.random.default_rng(43)
-    complexes = (build_preset("torus2", alpha=1.0, beta=0.3),
-                 _cover("torus2", (2, 2), alpha=0.7, beta=2.0),
-                 _cover("circle", (8,), theta=2.5),
-                 build_preset("torus2", alpha=0.0, beta=0.0))
-    for cx in complexes:
-        path = exponential_metric_path([rng.standard_normal((d, d)) for d in cx.dims])
-        for metric in (path(0.0), path(0.5), ChainMetric.identity(cx)):
-            fac = factorize(cx, metric)
-            vectors = hodge._coclosed_vectors(cx, metric)
-            assert len(vectors) == cx.dimension
-            for k, v in enumerate(vectors):
-                expected = fac.coclosed(k)
-                assert v.shape == expected.shape and v.dtype == expected.dtype
-                assert v.tobytes() == expected.tobytes()
-    # the kernel cut kept fewer vectors than the map has columns
-    assert hodge._coclosed_vectors(complexes[-1], None)[0].shape == (2, 0)
 
 
 def test_variation_requires_acyclic():

@@ -95,7 +95,7 @@ def test_tolerance_must_be_finite_and_nonnegative(tol):
 
 
 def test_negative_seed_is_a_schema_error():
-    with pytest.raises(SchemaError, match="^seed must be a nonnegative integer, got -1$"):
+    with pytest.raises(SchemaError, match="^seed must be non-negative, got -1$"):
         run_suites("combinatorial", seed=-1)
 
 
