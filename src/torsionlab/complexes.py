@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -54,6 +53,7 @@ from .errors import (
     _angle,
     _as_int,
     _family,
+    _ReadOnly,
     _real_array,
 )
 
@@ -72,17 +72,17 @@ def _is_letter(letter) -> bool:
             and letter[0] >= 0 and letter[1] in (-1, 1))
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Representation:
+class Representation(_ReadOnly):
     """An orthogonal representation given by its generator images.
 
     Each image G must be an array of integers or floats with
     max|G^T G - I| < 1e-12, or BadRepresentation names it.  Inverses are
     taken as transposes, so words with negative exponents stay exactly
-    orthogonal.
+    orthogonal.  The fields are read-only.
     Representations compare by identity, as complexes do.
     """
 
+    __slots__ = ("rank", "generator_images")
     rank: int
     generator_images: tuple[np.ndarray, ...]
 
@@ -126,37 +126,48 @@ class Representation:
         return out
 
 
-@dataclass(frozen=True)
-class CellStructure:
+class CellStructure(_ReadOnly):
     """Cells per degree plus signed, word-decorated incidences.
 
     incidences[k][i] lists (target cell index, coefficient, word) for the
     i-th k-cell; degree 0 has no incidences.  Construction raises
     SchemaError for a dimension or cell count that is not a non-negative
     integer (a bool is not one), a target out of range, a coefficient that
-    is not an integer, or a word that is not a GroupWord.
+    is not an integer, or a word that is not a GroupWord.  It keeps its
+    own nested tuples of the given cell counts and incidences, so a later
+    edit of the caller's lists changes nothing here.  The fields are
+    read-only, and structures compare and hash by value; a copy,
+    CellStructure(dimension=..., cells_per_degree=..., incidences=...) of
+    the fields, compiles its own layout.
     """
 
+    # __dict__ holds the _layout, compiled at the first build
+    __slots__ = ("dimension", "cells_per_degree", "incidences", "__dict__")
     dimension: int
     cells_per_degree: tuple[int, ...]
     incidences: tuple[tuple[tuple[tuple[int, int, GroupWord], ...], ...], ...]
 
-    def __post_init__(self):
-        _as_int(self.dimension, "dimension", low=0)
-        for count in self.cells_per_degree:
+    def __init__(self, dimension: int, cells_per_degree: Sequence[int],
+                 incidences: Sequence[Sequence[Sequence[tuple[int, int, GroupWord]]]]):
+        _as_int(dimension, "dimension", low=0)
+        counts = tuple(cells_per_degree)
+        for count in counts:
             _as_int(count, "a cell count", low=0)
-        if len(self.cells_per_degree) != self.dimension + 1:
+        if len(counts) != dimension + 1:
             raise SchemaError("cells_per_degree must have length dimension + 1")
-        if len(self.incidences) != self.dimension + 1:
+        if len(incidences) != dimension + 1:
             raise SchemaError("incidences must have one entry per degree")
-        for k, per_cell in enumerate(self.incidences):
-            if len(per_cell) != self.cells_per_degree[k]:
+        kept = []
+        for k, per_cell in enumerate(incidences):
+            if len(per_cell) != counts[k]:
                 raise SchemaError(f"degree {k}: incidence list does not match cell count")
+            cells = []
             for i, entries in enumerate(per_cell):
+                entries = tuple(map(tuple, entries))
                 for (target, coeff, word) in entries:
                     if k == 0:
                         raise SchemaError("0-cells cannot carry boundary incidences")
-                    if not 0 <= target < self.cells_per_degree[k - 1]:
+                    if not 0 <= target < counts[k - 1]:
                         raise SchemaError(
                             f"degree {k} cell {i}: target {target} out of range")
                     try:
@@ -172,6 +183,22 @@ class CellStructure:
                         raise SchemaError(
                             f"degree {k} cell {i}: word {word!r} is not a tuple of "
                             f"(generator >= 0, exponent +-1) integer pairs")
+                cells.append(entries)
+            kept.append(tuple(cells))
+        for name, value in (("dimension", dimension), ("cells_per_degree", counts),
+                            ("incidences", tuple(kept))):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return self.dimension, self.cells_per_degree, self.incidences
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @cached_property
     def _layout(self) -> "_Layout":
@@ -271,8 +298,7 @@ def _first_of_runs(sorted_keys: np.ndarray) -> np.ndarray:
     return first
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class TwistedComplex:
+class TwistedComplex(_ReadOnly):
     """A twisted chain complex, each boundary map stored as its nonzero blocks.
 
     blocks[k-1] holds bd_k, of shape (rank*c_{k-1}, rank*c_k), for
@@ -286,14 +312,16 @@ class TwistedComplex:
     integer or float, so every instance is well-shaped and finite.
     boundary(k) densifies bd_k from the blocks on every call, for the
     Laplacian route; nothing else is kept.  Values are immutable after
-    construction; instances are safe to share across threads.
+    construction (the fields are read-only); instances are safe to share
+    across threads, and complexes compare by identity.
     """
 
+    __slots__ = ("rank", "cells_per_degree", "blocks", "_pairs")
     rank: int
     cells_per_degree: tuple[int, ...]
     blocks: tuple[Blocks, ...]
     # the _chain_pairs of the blocks, which validate reads
-    _pairs: tuple = field(repr=False)
+    _pairs: tuple
 
     def __init__(self, rank: int, cells_per_degree: Sequence[int],
                  boundaries: Sequence[np.ndarray]):
@@ -608,11 +636,9 @@ def structure_from_json(data: dict) -> tuple[CellStructure, Representation]:
                             _as_int(inc["coeff"], "incidence coeff"), tuple(map(tuple, word))))
         per_degree[k].append(entries)
 
-    cells_struct = CellStructure(
-        dimension=dimension,
-        cells_per_degree=tuple(len(group) for group in per_degree),
-        incidences=tuple(tuple(tuple(e) for e in group) for group in per_degree),
-    )
+    cells_struct = CellStructure(dimension=dimension,
+                                 cells_per_degree=[len(group) for group in per_degree],
+                                 incidences=per_degree)
     return cells_struct, rho
 
 

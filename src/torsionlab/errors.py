@@ -1,4 +1,5 @@
-"""Exception hierarchy, and the rules every constructor applies to an argument.
+"""Exception hierarchy, the rules every constructor applies to an argument,
+and the read-only guard of the library's immutable classes.
 
 Every failure mode of the public API raises a subclass of TorsionLabError,
 so callers (and the CLI) can distinguish contract violations from bugs.
@@ -23,6 +24,10 @@ Each rule has its one definition here:
   complexes.preset);
 * _real_array, an array of integers or floats (the metrics and generators of
   hodge, the boundaries and generator images of complexes).
+
+_ReadOnly is the one guard of the classes whose fields never change after
+construction (Representation, CellStructure and TwistedComplex in
+complexes, Factorization in hodge, HeatTrace in zetas).
 """
 
 import math
@@ -168,3 +173,30 @@ def _family(kind: str, builders: dict):
         return builders[name](**params)
 
     return build
+
+
+class _ReadOnly:
+    """Refuses assigning and deleting attributes of an instance, as a frozen
+    dataclass does; a constructor stores each field with object.__setattr__.
+
+    A subclass names its fields in __slots__; repr shows those without a
+    leading underscore, and copy and pickle restore every one."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__
+                 if not name.startswith("_"))
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+    def __setstate__(self, state: tuple) -> None:
+        # object.__getstate__ gives (__dict__ or None, slot values or None)
+        for part in state:
+            for name, value in (part or {}).items():
+                object.__setattr__(self, name, value)

@@ -40,14 +40,13 @@ deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .complexes import TwistedComplex
 from .errors import (BadParameter, NotAcyclic, NumericalLimit, SchemaError, ShapeMismatch,
-                     _real_array)
+                     _ReadOnly, _real_array)
 
 SYMMETRY_TOL = 1e-12
 # exp(x) and exp(-x) are normal floats for x strictly between these
@@ -194,21 +193,29 @@ def _require_metric(cplx: TwistedComplex, metric: ChainMetric | None) -> ChainMe
     return metric
 
 
-@dataclass(frozen=True, eq=False)
-class Factorization:
+class Factorization(_ReadOnly):
     """The singular values of every metric-weighted boundary map.
 
     sigmas[k] holds the singular values of W_k (see _weighted_map) above
     numpy's matrix_rank cut sigma_max * max(W_k.shape) * eps, descending;
     that cut is the one kernel rule.  Each sigma^2 belongs to both L_{k-1}
     and L_k, so spectra[k] (ascending) is the positive spectrum of L_k.
-    Plain data: neither W_k nor any singular vector is kept.
+    Plain data: neither W_k nor any singular vector is kept.  The fields
+    are read-only, and factorizations compare by identity.
     """
 
+    __slots__ = ("cplx", "metric", "sigmas", "spectra")
     cplx: TwistedComplex
     metric: ChainMetric
     sigmas: tuple[np.ndarray, ...]
     spectra: tuple[np.ndarray, ...]
+
+    def __init__(self, cplx: TwistedComplex, metric: ChainMetric,
+                 sigmas: tuple[np.ndarray, ...], spectra: tuple[np.ndarray, ...]):
+        object.__setattr__(self, "cplx", cplx)
+        object.__setattr__(self, "metric", metric)
+        object.__setattr__(self, "sigmas", sigmas)
+        object.__setattr__(self, "spectra", spectra)
 
     @property
     def betti(self) -> list[int]:
@@ -228,16 +235,22 @@ class Factorization:
         return [float(np.log(lam).sum()) for lam in self.spectra]
 
 
-def _weighted_map(cplx: TwistedComplex, metric: ChainMetric, k: int) -> np.ndarray:
-    """W_k = h_k^{1/2} bd_k^T h_{k-1}^{-1/2} : C_{k-1} -> C_k for 1 <= k <= n, bd_k^T
-    for the identity metric.  SchemaError refuses an entry that is not finite."""
-    w = cplx.boundary(k).T
+def _weighted_map(bd: np.ndarray, metric: ChainMetric, k: int) -> np.ndarray:
+    """W_k = h_k^{1/2} bd_k^T h_{k-1}^{-1/2} : C_{k-1} -> C_k for 1 <= k <= n, from
+    the dense bd_k; bd_k^T for the identity metric.  SchemaError refuses an
+    entry that is not finite."""
+    w = bd.T
     if not metric.is_identity:
         with np.errstate(over="ignore", invalid="ignore"):
             w = metric.sqrt(k) @ w @ metric.isqrt(k - 1)
         if not np.isfinite(w).all():
             raise SchemaError(f"bd_{k} weighted by the metric has an entry that is not finite")
     return w
+
+
+def _boundaries(cplx: TwistedComplex) -> Iterable[np.ndarray]:
+    """The dense bd_1 .. bd_n of cplx, each formed when the iteration reaches it."""
+    return map(cplx.boundary, range(1, cplx.dimension + 1))
 
 
 def _kept(sigma: np.ndarray, shape: tuple[int, int], k: int) -> np.ndarray:
@@ -257,27 +270,36 @@ def _kept(sigma: np.ndarray, shape: tuple[int, int], k: int) -> np.ndarray:
 
 def factorize(cplx: TwistedComplex, metric: ChainMetric | None = None) -> Factorization:
     """One values-only SVD per weighted boundary map; no vectors."""
+    return _factorize(cplx, metric, _boundaries(cplx))
+
+
+def _factorize(cplx: TwistedComplex, metric: ChainMetric | None,
+               maps: Iterable[np.ndarray]) -> Factorization:
+    """factorize, with maps the dense bd_1 .. bd_n of cplx: a caller that
+    factors one complex under several metrics forms them once."""
     metric = _require_metric(cplx, metric)
-    dims = cplx.dims
     sigmas = [np.zeros(0)]
-    for k in range(1, len(dims)):
-        w = _weighted_map(cplx, metric, k)
+    for k, bd in enumerate(maps, start=1):
+        w = _weighted_map(bd, metric, k)
         sigma = np.linalg.svd(w, compute_uv=False) if w.size else np.zeros(0)
         sigmas.append(_kept(sigma, w.shape, k))
     sigmas.append(np.zeros(0))
-    spectra = tuple(np.sort(np.concatenate(sigmas[k:k + 2]) ** 2) for k in range(len(dims)))
+    spectra = tuple(np.sort(np.concatenate(sigmas[k:k + 2]) ** 2)
+                    for k in range(cplx.dimension + 1))
     return Factorization(cplx=cplx, metric=metric, sigmas=tuple(sigmas), spectra=spectra)
 
 
-def _coclosed_vectors(cplx: TwistedComplex, metric: ChainMetric | None) -> list[np.ndarray]:
+def _coclosed_vectors(cplx: TwistedComplex, metric: ChainMetric | None,
+                      maps: Iterable[np.ndarray] | None = None) -> list[np.ndarray]:
     """The coclosed eigenvectors h_k^{-1/2} V of L_k for every k < n, V the right
     singular vectors of W_{k+1}, h_k-orthonormal and spanning im delta_k, from
     one full SVD per map: its singular values give the rank through _kept,
-    the same rule and refusals as factorize."""
+    the same rule and refusals as factorize.  maps are the dense bd_1 ..
+    bd_n of cplx, formed here when not given."""
     metric = _require_metric(cplx, metric)
     out = []
-    for k in range(1, cplx.dimension + 1):
-        w = _weighted_map(cplx, metric, k)
+    for k, bd in enumerate(_boundaries(cplx) if maps is None else maps, start=1):
+        w = _weighted_map(bd, metric, k)
         if w.size:
             _, sigma, vt = np.linalg.svd(w, full_matrices=False)
         else:

@@ -35,7 +35,6 @@ coefficient arithmetic; analytic ones go through the Mellin engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (BadParameter, NotAcyclic, NumericalLimit, SchemaError, ShapeMismatch,
@@ -54,8 +53,13 @@ from .zetas import (
 )
 
 
-@dataclass(frozen=True)
-class SpectralModel:
+class _SpectralModelFields(NamedTuple):
+    name: str
+    heat: tuple[HeatTrace, ...]
+    condition: str | None = None
+
+
+class SpectralModel(_SpectralModelFields):
     """A model geometry: one heat trace per degree.
 
     condition is None on a closed manifold and the boundary condition
@@ -64,11 +68,20 @@ class SpectralModel:
     twisted harmonic forms, so chi and chi_prime already carry the
     coefficient rank.  zeta and zeta_at_zero raise SchemaError for a degree
     that is not an integer in 0..dim.
+
+    A read-only named tuple (name, heat, condition) that compares and
+    hashes by value; heat is kept as a tuple of the given traces, by the
+    constructor and by _replace, which makes a changed copy.
     """
 
-    name: str
-    heat: tuple[HeatTrace, ...]
-    condition: str | None = None
+    __slots__ = ()
+
+    def __new__(cls, name: str, heat: Iterable[HeatTrace], condition: str | None = None):
+        return tuple.__new__(cls, (name, tuple(heat), condition))
+
+    @classmethod
+    def _make(cls, iterable) -> "SpectralModel":
+        return cls(*iterable)
 
     @property
     def dim(self) -> int:

@@ -25,8 +25,8 @@ import numpy as np
 from .complexes import TwistedComplex
 from .errors import BadParameter, NotAcyclic, NumericalLimit, StepTooLarge
 # exponential_metric_path is named here too, for the callers of variation_check
-from .hodge import (ChainMetric, MetricPath, _coclosed_vectors, exponential_metric_path,
-                    factorize)
+from .hodge import (ChainMetric, MetricPath, _boundaries, _coclosed_vectors, _factorize,
+                    exponential_metric_path, factorize)
 from .weights import _weights, generalized_log_torsion
 
 RANK_TOL = 1e-10
@@ -272,14 +272,16 @@ def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float
     step = _VARIATION_STEP
     n = cplx.dimension
     beta = _weights(beta, n + 1)
-    # path(0)'s inverses and coclosed eigenvectors serve both steps
+    # path(0)'s inverses and coclosed eigenvectors serve both steps, and the
+    # dense maps, formed once per check (the complex keeps none), every SVD
     h0 = _metric_at(path, 0.0)
-    coclosed = _coclosed_vectors(cplx, h0)
+    maps = list(_boundaries(cplx))
+    coclosed = _coclosed_vectors(cplx, h0, maps)
     h0_invs = [h0.inv(k) for k in range(n + 1)]
-    report = _variation_single(cplx, path, beta, step, h0_invs, coclosed)
+    report = _variation_single(cplx, maps, path, beta, step, h0_invs, coclosed)
     if not check_convergence:
         return report
-    halved = _variation_single(cplx, path, beta, step / 2.0, h0_invs, coclosed)
+    halved = _variation_single(cplx, maps, path, beta, step / 2.0, h0_invs, coclosed)
     floor = 1e-10 * max(1.0, abs(report.lhs))
     if report.discrepancy > floor and halved.discrepancy > 0.0:
         ratio = report.discrepancy / halved.discrepancy
@@ -299,15 +301,16 @@ def _metric_at(path: MetricPath, u: float) -> ChainMetric:
     return metric
 
 
-def _variation_single(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float],
-                      step: float, h0_invs: Sequence[np.ndarray],
+def _variation_single(cplx: TwistedComplex, maps: Sequence[np.ndarray], path: MetricPath,
+                      beta: Sequence[float], step: float, h0_invs: Sequence[np.ndarray],
                       coclosed: Sequence[np.ndarray]):
-    """Both sides at one step, the alpha_k taken at h0 = path(0): h0_invs[k] is
-    h0's inverse in degree k, and coclosed[k] are h0's coclosed vectors (k < n)."""
+    """Both sides at one step, the alpha_k taken at h0 = path(0): maps are the
+    dense bd_1 .. bd_n of cplx, h0_invs[k] is h0's inverse in degree k, and
+    coclosed[k] are h0's coclosed vectors (k < n)."""
     hp, hm = _metric_at(path, step), _metric_at(path, -step)
     # 2 log T on either side; this raises NotAcyclic, so P_k = L_k^{-1} below
-    lhs = (2.0 * generalized_log_torsion(factorize(cplx, hp).tr_logs, beta)
-           - 2.0 * generalized_log_torsion(factorize(cplx, hm).tr_logs, beta)) / (2.0 * step)
+    lhs = (2.0 * generalized_log_torsion(_factorize(cplx, hp, maps).tr_logs, beta)
+           - 2.0 * generalized_log_torsion(_factorize(cplx, hm, maps).tr_logs, beta)) / (2.0 * step)
 
     hdots = [(hp.matrix(k) - hm.matrix(k)) / (2.0 * step) for k in range(len(beta))]
     alphas = [inv @ hdot for inv, hdot in zip(h0_invs, hdots)]

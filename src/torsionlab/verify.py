@@ -15,9 +15,8 @@ is deterministic for a fixed seed; cases keep registration order, not id order.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -54,6 +53,9 @@ from .zetas import (
     sphere2_scalar_heat_trace,
     zeta_at_zero,
 )
+
+if TYPE_CHECKING:  # annotations only: fractions loads where the exact tables are used
+    from fractions import Fraction
 
 DEFAULT_SEED = 20260808
 S_SAMPLES = (0.0, 0.75, 2.0)
@@ -127,6 +129,8 @@ def _blocked_sum(term, start: int, stop: int) -> float:
 def _bernoulli_even(top: int = 24) -> tuple[Fraction, ...]:
     """B_2, B_4, ..., B_top from B_0 = 1 and sum_{k<=m} C(m+1, k) B_k = 0,
     computed on first use: every CLI process imports verify."""
+    from fractions import Fraction  # here, so that a CLI process loads it only to check
+
     b = [Fraction(1)]
     for m in range(1, top + 1):
         b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
@@ -758,6 +762,8 @@ def closed_spectral_suite(tol: float | None = None,
     rec.add("product-trace-pointwise",
             "product heat traces multiply pointwise",
             "identity:spectral-product", measured, 1e-12)
+
+    from fractions import Fraction  # here, so that a CLI process loads it only to check
 
     coeffs = dict(sphere2_power_coefficients())
     measured = 0.0 if coeffs[0] == Fraction(1, 3) else 1.0

@@ -60,24 +60,24 @@ import cmath
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (BadParameter, NumericalLimit, PoleHit, QuadratureFailure, ShapeMismatch,
-                     _angle, _as_int, _as_real)
+                     _angle, _as_int, _as_real, _ReadOnly)
+
+if TYPE_CHECKING:  # annotations only: fractions loads where the exact tables are used
+    from fractions import Fraction
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
-# Bernoulli numbers B_2, B_4, ..., B_24.
+# Bernoulli numbers B_2, B_4, ..., B_24 as (numerator, denominator) pairs in
+# lowest terms: digamma reads n / d, sphere2_power_coefficients Fraction(n, d).
 _BERNOULLI = (
-    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
-    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
-    Fraction(43867, 798), Fraction(-174611, 330), Fraction(854513, 138),
-    Fraction(-236364091, 2730),
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+    (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730),
 )
 
 
@@ -96,8 +96,8 @@ def digamma(x: float) -> float:
     result += math.log(x) - 0.5 / x
     x2 = 1.0 / (x * x)
     power = x2
-    for j, b2j in enumerate(_BERNOULLI[:7], start=1):
-        result -= float(b2j) / (2 * j) * power
+    for j, (n, d) in enumerate(_BERNOULLI[:7], start=1):
+        result -= n / d / (2 * j) * power  # n / d rounds once, as float(Fraction(n, d))
         power *= x2
     return result
 
@@ -146,8 +146,7 @@ def _rgamma_prime(s: float) -> float:
 # --- heat traces ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeatTrace:
+class HeatTrace(_ReadOnly):
     """Exact small-time data plus spectral evaluators for one operator.
 
     terms are (p, c_p) pairs for sum_p c_p t^{-p}, p descending; remainder(t)
@@ -161,23 +160,54 @@ class HeatTrace:
     expansion, whose remainder is 0 below the cut _expansion_cut(terms);
     mellin_zeta bounds what the cut drops, and the rounding above it, from
     the terms alone.  Theta-exact traces have no such terms.
+
+    The fields are read-only.  Traces compare and hash by their five fields
+    (remainder and tail by identity), never by the memo; _replace(**changes)
+    is a copy with those fields changed, which starts an empty memo.
     """
 
+    __slots__ = ("terms", "remainder", "tail", "kernel_dim", "lambda_min", "_samples")
     terms: tuple[tuple[float, float], ...]
     remainder: Callable[[np.ndarray], np.ndarray]
     tail: Callable[[np.ndarray], np.ndarray]
     kernel_dim: int
     lambda_min: float
-    # mellin_zeta's memo, for the trace's lifetime (dataclasses.replace starts
-    # an empty one): (part, lo, hi, index into _TS_GROUPS) -> _node_arrays of
-    # part on that group's nodes over [lo, hi], three read-only arrays: the
-    # positions where part is nonzero, t there and part(t) dt/du there.  The
-    # nodes depend on the trace alone (lo, hi are cut and 1, or 1 and the
-    # tail's upper limit), so it holds at most 2 len(_TS_GROUPS) entries, of
-    # at most 24 bytes a node (2049 nodes a part).  A series cutoff
-    # chosen per call (ROADMAP item 4) would make the samples depend on the
-    # call: the key must then name that cutoff.
-    _samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # mellin_zeta's memo, for the trace's lifetime (every trace, a _replace
+    # copy too, starts an empty one): (part, lo, hi, index into _TS_GROUPS)
+    # -> _node_arrays of part on that group's nodes over [lo, hi], three
+    # read-only arrays: the positions where part is nonzero, t there and
+    # part(t) dt/du there.  The nodes depend on the trace alone (lo, hi are
+    # cut and 1, or 1 and the tail's upper limit), so it holds at most
+    # 2 len(_TS_GROUPS) entries, of at most 24 bytes a node (2049 nodes a
+    # part).  A series cutoff chosen per call (ROADMAP item 4) would make
+    # the samples depend on the call: the key must then name that cutoff.
+    _samples: dict
+
+    def __init__(self, terms: tuple[tuple[float, float], ...],
+                 remainder: Callable[[np.ndarray], np.ndarray],
+                 tail: Callable[[np.ndarray], np.ndarray], kernel_dim: int, lambda_min: float):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "remainder", remainder)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "kernel_dim", kernel_dim)
+        object.__setattr__(self, "lambda_min", lambda_min)
+        object.__setattr__(self, "_samples", {})
+
+    def _key(self) -> tuple:
+        return self.terms, self.remainder, self.tail, self.kernel_dim, self.lambda_min
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _replace(self, **changes) -> "HeatTrace":
+        return HeatTrace(**{"terms": self.terms, "remainder": self.remainder, "tail": self.tail,
+                            "kernel_dim": self.kernel_dim, "lambda_min": self.lambda_min,
+                            **changes})
 
     def power(self, t):
         t = np.asarray(t, dtype=float)
@@ -403,8 +433,10 @@ def sphere2_power_coefficients() -> tuple[tuple[int, Fraction], ...]:
     and B_2k(1/2) = (2^(1-2k) - 1) B_2k, gives the half-integer sum
     1/t - sum_{k>=1} B_2k(1/2) (-t)^(k-1)/k!.  B_2 .. B_24 cover t^11.
     """
+    from fractions import Fraction  # here alone: importing the library loads no fractions
+
     # mid[i] is the coefficient of t^(i-1) in the half-integer sum
-    mid = [Fraction(1)] + [(1 - Fraction(2) ** (1 - 2 * k)) * b2k * (-1) ** (k - 1)
+    mid = [Fraction(1)] + [(1 - Fraction(2) ** (1 - 2 * k)) * Fraction(*b2k) * (-1) ** (k - 1)
                            / math.factorial(k) for k, b2k in enumerate(_BERNOULLI, start=1)]
     coeffs = ((j, sum(mid[i] / (4 ** (j + 1 - i) * math.factorial(j + 1 - i))
                       for i in range(j + 2)))

@@ -458,6 +458,19 @@ def test_cli_loads_no_scipy():
     assert "nodes" in proc.stdout
 
 
+def test_import_loads_no_dataclasses_or_fractions():
+    # a fresh interpreter: generated dataclass methods (with dataclasses and
+    # copy) and fractions (with decimal) cost every CLI process about 5 ms;
+    # the exact Bernoulli tables import fractions on use
+    for module in ("torsionlab", "torsionlab.cli"):
+        code = (f"import sys, {module}; print(sorted(m for m in "
+                "('dataclasses', 'fractions', 'decimal') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_child_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module
+
+
 def test_zeta_boundary_model(capsys):
     code, out, _ = run_cli(capsys, "zeta", "--model", "interval",
                            "--condition", "relative", "--R", "1.0",

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -17,6 +16,7 @@ from torsionlab import (
     cyclic_cover,
     determinant_oracle,
     factorize,
+    log_reidemeister,
     preset,
     rotation,
     validate,
@@ -194,6 +194,24 @@ def test_cell_structure_refuses_non_finite_coefficients():
         with pytest.raises(SchemaError, match="incidence coefficients must be integers"):
             CellStructure(dimension=1, cells_per_degree=(1, 1),
                           incidences=(((),), (((0, coeff, ()),),)))
+
+
+def test_cell_structure_keeps_tuples_of_the_callers_lists():
+    # before, the structure kept these lists: hash raised TypeError, and an entry
+    # appended afterwards, at row 5 of 1, built a complex that failed with IndexError
+    incidences = [[()], [[(0, 1, ((0, 1),)), (0, -1, ())]]]
+    counts = [1, 1]
+    cells = CellStructure(dimension=1, cells_per_degree=counts, incidences=incidences)
+    key = hash(cells)
+    incidences[1][0].append((5, 1, ()))
+    counts.append(1)
+    assert hash(cells) == key
+    assert cells == preset("circle", theta=1.0)[0]
+    cx = build_twisted_boundary(cells, Representation(2, [rotation(1.0)]))
+    reference = build_preset("circle", theta=1.0)
+    assert _same_bits(cx.boundary(1), reference.boundary(1))
+    assert log_reidemeister(cx) == log_reidemeister(reference)
+    assert determinant_oracle(cx) == determinant_oracle(reference)
 
 
 def test_complex_refuses_non_finite_entries():
@@ -417,7 +435,9 @@ def test_preset_structure_is_shared_and_builds_bitwise():
             cx = build_preset(name, **params)
             cells, rho = preset(name, **params)
             # a structure of its own compiles its own layout: the same bits
-            own = build_twisted_boundary(dataclasses.replace(cells), rho)
+            own = build_twisted_boundary(
+                CellStructure(dimension=cells.dimension, cells_per_degree=cells.cells_per_degree,
+                              incidences=cells.incidences), rho)
             ref = _reference_boundaries(cells, rho)
             assert all(_same_bits(cx.boundary(k), own.boundary(k)) and
                        _same_bits(cx.boundary(k), r) for k, r in enumerate(ref, start=1))

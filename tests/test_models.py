@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import functools
 import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from torsionlab import (
     boundary,
     circle_heat_trace,
     complexes,
+    hodge,
     models,
     torsion,
     verify,
@@ -300,8 +303,8 @@ def test_product_forms_each_equal_product_once():
     # evaluates its circle once per call, not once per copy or per factor
     h = circle_heat_trace(6.0)
     calls = []
-    counted = dataclasses.replace(h, remainder=lambda t: calls.append("remainder") or h.remainder(t),
-                                  tail=lambda t: calls.append("tail") or h.tail(t))
+    counted = h._replace(remainder=lambda t: calls.append("remainder") or h.remainder(t),
+                         tail=lambda t: calls.append("tail") or h.tail(t))
     torus = models.product("4-torus", *[SpectralModel(name="circle", heat=(counted, counted))] * 4)
     t = np.array([0.3, 0.7, 1.0])
     torus.heat[2].remainder(t)
@@ -372,12 +375,84 @@ _RECORDS = [complexes.ValidationReport, weights.BetaClassification,
 
 @pytest.mark.parametrize("record", _RECORDS, ids=[r.__name__ for r in _RECORDS])
 def test_report_records_are_read_only_named_tuples(record):
-    # a frozen dataclass compiles its methods at every import of the library
+    # a dataclass would load dataclasses and compile its methods at every import
+    # of the library (test_import_loads_no_dataclasses_or_fractions)
     assert not dataclasses.is_dataclass(record)
     fields = list(inspect.signature(record).parameters)
     instance = record(**dict.fromkeys(fields))
     with pytest.raises(AttributeError):
         setattr(instance, fields[0], 0)
+
+
+def _library_instances() -> dict:
+    """One instance of each read-only library class, by class name."""
+    cells, rho = complexes.preset("circle", theta=1.0)
+    cx = complexes.build_twisted_boundary(cells, rho)
+    model = build_model("circle")
+    return {"Representation": rho, "CellStructure": cells, "TwistedComplex": cx,
+            "Factorization": hodge.factorize(cx), "SpectralModel": model,
+            "HeatTrace": model.heat[0]}
+
+
+@pytest.mark.parametrize("name", list(_library_instances()))
+def test_library_classes_are_read_only(name):
+    # plain classes and one named tuple: nothing is generated at import
+    instance = _library_instances()[name]
+    assert type(instance).__name__ == name and not dataclasses.is_dataclass(instance)
+    field = next(iter(inspect.signature(type(instance)).parameters))
+    value = getattr(instance, field)
+    for change in (lambda: setattr(instance, field, 0), lambda: delattr(instance, field),
+                   lambda: setattr(instance, "extra", 0)):
+        with pytest.raises(AttributeError):
+            change()
+    assert getattr(instance, field) is value and not hasattr(instance, "extra")
+    # repr names the public fields, as a dataclass's does; a copy keeps them
+    assert repr(instance).startswith(f"{name}({field}=")
+    assert repr(copy.copy(instance)) == repr(instance)
+
+
+def test_structures_models_and_traces_compare_by_value():
+    made = _library_instances()
+    cells, model, trace = made["CellStructure"], made["SpectralModel"], made["HeatTrace"]
+    copies = [complexes.CellStructure(dimension=cells.dimension,
+                                      cells_per_degree=list(cells.cells_per_degree),
+                                      incidences=list(cells.incidences)),
+              SpectralModel(model.name, list(model.heat), model.condition),
+              trace._replace()]
+    # the circle's loop with the trivial word in place of its generator
+    changed = [complexes.CellStructure(dimension=1, cells_per_degree=(1, 1),
+                                       incidences=(((),), (((0, 1, ()), (0, -1, ())),))),
+               model._replace(name="another circle"), trace._replace(kernel_dim=0)]
+    copies[0] = pickle.loads(pickle.dumps(copies[0]))
+    for instance, same, other in zip((cells, model, trace), copies, changed):
+        assert same is not instance and same == instance and hash(same) == hash(instance)
+        assert other != instance
+    # the memo is no part of a trace's value
+    zetas.mellin_zeta(trace, 2.5)
+    assert trace._samples and not copies[2]._samples
+    assert copies[2] == trace and hash(copies[2]) == hash(trace)
+
+
+def test_representations_complexes_and_factorizations_compare_by_identity():
+    made = _library_instances()
+    rho, cx, fac = made["Representation"], made["TwistedComplex"], made["Factorization"]
+    again = [complexes.Representation(rho.rank, rho.generator_images),
+             complexes.TwistedComplex(cx.rank, cx.cells_per_degree, [cx.boundary(1)]),
+             hodge.factorize(cx)]
+    for instance, twin in zip((rho, cx, fac), again):
+        assert instance == instance and twin != instance
+        assert hash(instance) == object.__hash__(instance)
+    unpickled = pickle.loads(pickle.dumps(rho))
+    assert unpickled != rho and np.array_equal(*unpickled.generator_images, *rho.generator_images)
+
+
+def test_a_model_keeps_a_tuple_of_the_callers_traces():
+    heat = list(build_model("circle").heat)
+    model = SpectralModel(name="circle", heat=heat)
+    key = hash(model)
+    heat.append(heat[0])
+    assert model.heat == tuple(heat[:2]) and model.dim == 1 and hash(model) == key
+    assert model._replace(condition="relative").heat == model.heat
 
 
 @pytest.mark.parametrize("build", [

@@ -654,14 +654,15 @@ def test_variation_shares_the_base_point(monkeypatch):
     from torsionlab import hodge, torsion
 
     counts = {"path": 0, "factorize": 0}
-    real_factorize = hodge.factorize
+    real_factorize = hodge._factorize
 
     def counting_factorize(*args, **kwargs):
         counts["factorize"] += 1
         return real_factorize(*args, **kwargs)
 
-    monkeypatch.setattr(hodge, "factorize", counting_factorize)
-    monkeypatch.setattr(torsion, "factorize", counting_factorize)
+    # factorize and the variation sides both factor through _factorize
+    monkeypatch.setattr(hodge, "_factorize", counting_factorize)
+    monkeypatch.setattr(torsion, "_factorize", counting_factorize)
     rng = np.random.default_rng(31)
     cx = build_preset("torus2", alpha=1.0, beta=0.3)
     real_path = exponential_metric_path([rng.standard_normal((d, d)) for d in cx.dims])
@@ -677,11 +678,23 @@ def test_variation_shares_the_base_point(monkeypatch):
         counts["inv"] += 1
         return real_inv(self, k)
 
+    # and each dense bd_k once, for the base point and all four sides (5 times
+    # a map with the halving check, 3 without, before)
+    real_boundary = TwistedComplex.boundary
+    densified = []
+
+    def counting_boundary(self, k):
+        densified.append(k)
+        return real_boundary(self, k)
+
     monkeypatch.setattr(ChainMetric, "inv", counting_inv)
+    monkeypatch.setattr(TwistedComplex, "boundary", counting_boundary)
     for check, paths, factorizations in ((True, 5, 4), (False, 3, 2)):
         counts.update(path=0, factorize=0, inv=0)
+        densified.clear()
         variation_check(cx, path, (0.0, 1.0, 2.0), check_convergence=check)
         assert counts == {"path": paths, "factorize": factorizations, "inv": len(cx.dims)}
+        assert sorted(densified) == list(range(1, cx.dimension + 1))
 
 
 def test_variation_runs_one_full_svd_per_map_at_the_base_point(monkeypatch):

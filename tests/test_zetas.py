@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import tracemalloc
@@ -736,8 +735,7 @@ def test_mellin_complex_s():
 
 def test_quadrature_warning_raises():
     # sin(1/t) oscillates without bound near t = 0: quad cannot reach its target
-    h = dataclasses.replace(circle_heat_trace(2.0 * math.pi),
-                            remainder=lambda t: np.sin(1.0 / t))
+    h = circle_heat_trace(2.0 * math.pi)._replace(remainder=lambda t: np.sin(1.0 / t))
     with pytest.raises(QuadratureFailure):
         mellin_zeta(h, 2.0)
     # full_output, as a tracer that counts nodes calls it, raises just the same
@@ -794,8 +792,8 @@ def test_error_estimates_bound_the_true_error():
 def test_nodes_count_the_trace_evaluations():
     h = circle_heat_trace(2.0 * math.pi, 0.7, 2)
     calls = []
-    counted = dataclasses.replace(h, remainder=lambda t: calls.append(t.size) or h.remainder(t),
-                                  tail=lambda t: calls.append(t.size) or h.tail(t))
+    counted = h._replace(remainder=lambda t: calls.append(t.size) or h.remainder(t),
+                         tail=lambda t: calls.append(t.size) or h.tail(t))
     ev = mellin_zeta(counted, 0.75, derivative=True)
     # one call per group of levels, each counting its whole batch of nodes
     assert ev.nodes == sum(calls) > 0
@@ -829,8 +827,8 @@ def test_memo_leaves_every_zeta_bitwise(make):
 def test_memo_samples_each_group_once():
     h = circle_heat_trace(2.0 * math.pi, 0.7, 2)
     calls = []
-    counted = dataclasses.replace(h, remainder=lambda t: calls.append(t.size) or h.remainder(t),
-                                  tail=lambda t: calls.append(t.size) or h.tail(t))
+    counted = h._replace(remainder=lambda t: calls.append(t.size) or h.remainder(t),
+                         tail=lambda t: calls.append(t.size) or h.tail(t))
     first = mellin_zeta(counted, 2.5)
     assert first.nodes == sum(calls) > 0
     for s, derivative in ((2.5, False), (0.75, True), (complex(0.5, 2.0), False)):
@@ -867,8 +865,8 @@ def test_memo_is_private_to_each_trace():
     nodes = sum(zetas._tanh_sinh_nodes(levels)[0].size for levels in zetas._TS_GROUPS)
     assert nodes == 2049
     assert sum(a.nbytes for arrays in samples.values() for a in arrays) <= 2 * nodes * 24 < 98_400
-    # replace starts an empty memo, and the copy fills its own
-    other = dataclasses.replace(h)
+    # a copy starts an empty memo, and fills its own
+    other = h._replace()
     assert other._samples == {} and other._samples is not samples
     mellin_zeta(other, 2.5)
     assert other._samples and len(samples) == len(h._samples)
@@ -882,7 +880,7 @@ def test_memo_keeps_nothing_from_a_trace_that_raises():
         raise ZeroDivisionError("trace failed")
 
     for part in ("remainder", "tail"):
-        broken = dataclasses.replace(h, **{part: fails})
+        broken = h._replace(**{part: fails})
         with pytest.raises(ZeroDivisionError):
             mellin_zeta(broken, 2.5)
         # the remainder is integrated first: its failure leaves nothing at all
@@ -897,7 +895,7 @@ def test_memo_refuses_a_trace_of_another_shape():
     upper = _EXP_CUTOFF / h.lambda_min
     for wrong in (lambda t: 0.0, lambda t: np.ones(3)):
         for part, lo, hi in (("remainder", 0.0, 1.0), ("tail", 1.0, upper)):
-            broken = dataclasses.replace(h, **{part: wrong})
+            broken = h._replace(**{part: wrong})
             with pytest.raises(ShapeMismatch, match=f"^the {part} returned shape"):
                 mellin_zeta(broken, 2.5)
             assert all(key[0] != part for key in broken._samples)
