@@ -205,9 +205,8 @@ class HeatTrace(_ReadOnly):
         return hash(self._key())
 
     def _replace(self, **changes) -> "HeatTrace":
-        return HeatTrace(**{"terms": self.terms, "remainder": self.remainder, "tail": self.tail,
-                            "kernel_dim": self.kernel_dim, "lambda_min": self.lambda_min,
-                            **changes})
+        # __slots__ names the fields of _key first, in order
+        return HeatTrace(**dict(zip(self.__slots__, self._key()), **changes))
 
     def power(self, t):
         t = np.asarray(t, dtype=float)
