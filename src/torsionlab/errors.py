@@ -68,10 +68,6 @@ class NotAcyclic(TorsionLabError):
     exit_code = 3
 
 
-class StepTooLarge(TorsionLabError):
-    """Finite-difference check did not exhibit quadratic convergence."""
-
-
 class PoleHit(TorsionLabError):
     """A zeta function evaluated at a pole of its meromorphic continuation."""
 

@@ -24,11 +24,11 @@ the coclosed part, and each sigma^2 is an eigenvalue.  factorize makes one
 values-only SVD per map and reads ranks off it with numpy's matrix_rank
 rule, the one kernel rule (_kept); torsion and Betti numbers need nothing
 more.  Its Factorization is the whole Laplacian route: spectra, betti, and
-tr_logs, the one place that decides acyclicity and takes the log of a
-spectrum.  It keeps no vectors.  The one vector path is _coclosed_vectors,
-for the variation check's base point: rank and coclosed vectors from one
-full SVD per map, through the same cut.  The closed vectors, which only
-verify needs, follow from the coclosed ones through bd_k with no SVD.
+tr_logs, the one place that takes the log of a spectrum (_require_acyclic
+decides acyclicity).  It keeps no vectors.  The one vector path is
+_singular_triples: each map's rank, singular values and vectors from one
+full SVD, through the same cut, for the variation check and for verify,
+which maps the coclosed vectors through bd_k for the closed ones.
 Working on the maps rather than on L_k keeps small eigenvalues accurate:
 cond(W) = sqrt(cond(L)), so nothing here forms delta_k or L_k as a
 matrix; the dense operators, eigenpairs, Green's operators and Hodge
@@ -137,12 +137,14 @@ class ChainMetric:
         return self._dims == cplx.dims
 
 
-MetricPath = Callable[[float], ChainMetric]
+MetricPath = Callable[[float], ChainMetric]  # from h(0) = I, with dh_k/du at 0 as path.tangent
 
 
 def exponential_metric_path(generators: Sequence[np.ndarray]) -> MetricPath:
     """u -> h_k(u) = exp(u S_k) = (v exp(u w)) v^T, from the one eigh per degree
-    taken here of each symmetrized generator S_k = 0.5 (G_k + G_k^T).
+    taken here of each symmetrized generator S_k = 0.5 (G_k + G_k^T).  The
+    path starts at h(0) = I, and path.tangent holds its tangent at u = 0,
+    the read-only S_k.
 
     ShapeMismatch refuses a generator that is not a square matrix and
     BadParameter one with an entry that is not a finite integer or float,
@@ -158,7 +160,10 @@ def exponential_metric_path(generators: Sequence[np.ndarray]) -> MetricPath:
             raise ShapeMismatch(f"metric generator in degree {k} is not square: {s.shape}")
         if not np.isfinite(s).all():
             raise BadParameter(f"metric generator in degree {k} has an entry that is not finite")
-    eighs = [np.linalg.eigh(0.5 * (s + s.T)) for s in generators]
+    tangent = tuple(0.5 * (s + s.T) for s in generators)
+    for s in tangent:
+        s.setflags(write=False)
+    eighs = [np.linalg.eigh(s) for s in tangent]
 
     def path(u: float) -> ChainMetric:
         degrees = []
@@ -178,6 +183,7 @@ def exponential_metric_path(generators: Sequence[np.ndarray]) -> MetricPath:
         metric._store(degrees)
         return metric
 
+    path.tangent = tangent
     return path
 
 
@@ -228,11 +234,15 @@ class Factorization(_ReadOnly):
 
         Raises NotAcyclic, naming the first degree with a nonzero Betti number.
         """
-        b = self.betti
-        for k, b_k in enumerate(b):
-            if b_k:
-                raise NotAcyclic(f"degree {k} has Betti number {b_k} (Betti numbers {b})")
+        _require_acyclic(self.betti)
         return [float(np.log(lam).sum()) for lam in self.spectra]
+
+
+def _require_acyclic(betti: list[int]) -> None:
+    """NotAcyclic naming the first degree with a nonzero Betti number, if any."""
+    for k, b_k in enumerate(betti):
+        if b_k:
+            raise NotAcyclic(f"degree {k} has Betti number {b_k} (Betti numbers {betti})")
 
 
 def _weighted_map(bd: np.ndarray, metric: ChainMetric, k: int) -> np.ndarray:
@@ -270,16 +280,9 @@ def _kept(sigma: np.ndarray, shape: tuple[int, int], k: int) -> np.ndarray:
 
 def factorize(cplx: TwistedComplex, metric: ChainMetric | None = None) -> Factorization:
     """One values-only SVD per weighted boundary map; no vectors."""
-    return _factorize(cplx, metric, _boundaries(cplx))
-
-
-def _factorize(cplx: TwistedComplex, metric: ChainMetric | None,
-               maps: Iterable[np.ndarray]) -> Factorization:
-    """factorize, with maps the dense bd_1 .. bd_n of cplx: a caller that
-    factors one complex under several metrics forms them once."""
     metric = _require_metric(cplx, metric)
     sigmas = [np.zeros(0)]
-    for k, bd in enumerate(maps, start=1):
+    for k, bd in enumerate(_boundaries(cplx), start=1):
         w = _weighted_map(bd, metric, k)
         sigma = np.linalg.svd(w, compute_uv=False) if w.size else np.zeros(0)
         sigmas.append(_kept(sigma, w.shape, k))
@@ -289,21 +292,21 @@ def _factorize(cplx: TwistedComplex, metric: ChainMetric | None,
     return Factorization(cplx=cplx, metric=metric, sigmas=tuple(sigmas), spectra=spectra)
 
 
-def _coclosed_vectors(cplx: TwistedComplex, metric: ChainMetric | None,
-                      maps: Iterable[np.ndarray] | None = None) -> list[np.ndarray]:
-    """The coclosed eigenvectors h_k^{-1/2} V of L_k for every k < n, V the right
-    singular vectors of W_{k+1}, h_k-orthonormal and spanning im delta_k, from
-    one full SVD per map: its singular values give the rank through _kept,
-    the same rule and refusals as factorize.  maps are the dense bd_1 ..
-    bd_n of cplx, formed here when not given."""
+def _singular_triples(cplx: TwistedComplex, metric: ChainMetric | None,
+                      maps: Iterable[np.ndarray] | None = None) -> list[tuple]:
+    """(U, sigma, V) of W_k for k = 1 .. n, from one full SVD per map, cut to the
+    rank its singular values give through _kept (the same rule and refusals as
+    factorize): W_k V = U diag(sigma).  h_{k-1}^{-1/2} V are the coclosed
+    eigenvectors of L_{k-1}, h-orthonormal and spanning im delta_{k-1}.  maps
+    are the dense bd_1 .. bd_n of cplx, formed here when not given."""
     metric = _require_metric(cplx, metric)
     out = []
     for k, bd in enumerate(_boundaries(cplx) if maps is None else maps, start=1):
         w = _weighted_map(bd, metric, k)
         if w.size:
-            _, sigma, vt = np.linalg.svd(w, full_matrices=False)
+            u, sigma, vt = np.linalg.svd(w, full_matrices=False)
         else:
-            sigma, vt = np.zeros(0), np.zeros((0, w.shape[1]))
-        vectors = vt[:_kept(sigma, w.shape, k).size].T
-        out.append(vectors if metric.is_identity else metric.isqrt(k - 1) @ vectors)
+            u, sigma, vt = np.zeros((w.shape[0], 0)), np.zeros(0), np.zeros((0, w.shape[1]))
+        sigma = _kept(sigma, w.shape, k)
+        out.append((u[:, :sigma.size], sigma, vt[:sigma.size].T))
     return out

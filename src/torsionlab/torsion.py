@@ -9,9 +9,9 @@ Two independent routes to the log torsion of an acyclic based complex:
 * an alternating product of boundary minors chosen by Gaussian
   elimination (determinant_oracle), which never builds a Laplacian.
 
-The variation machinery differentiates tr log L_k along a path of chain
-metrics h_k(u) and checks the exact finite-dimensional telescoping
-identity; see variation_check.
+variation_check checks the exact telescoping identity for d/du 2 log T at
+u = 0 along a path of chain metrics from h(0) = I, both sides read exactly
+off the path's stated tangent and one full SVD per boundary map.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .complexes import TwistedComplex
-from .errors import BadParameter, NotAcyclic, NumericalLimit, StepTooLarge
+from .errors import BadParameter, NotAcyclic, NumericalLimit, ShapeMismatch, _real_array
 # exponential_metric_path is named here too, for the callers of variation_check
-from .hodge import (ChainMetric, MetricPath, _boundaries, _coclosed_vectors, _factorize,
+from .hodge import (ChainMetric, MetricPath, _boundaries, _require_acyclic, _singular_triples,
                     exponential_metric_path, factorize)
 from .weights import _weights, generalized_log_torsion
 
@@ -226,103 +226,77 @@ def _full_pivot_logdet(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarra
 
 # --- metric variation -------------------------------------------------------
 #
-# Along a path of metrics h_k(u), with alpha_k := h_k^{-1} dh_k/du,
-# P_k = L_k^{-1} (acyclic case) and gamma_k := tr(P_k delta_k d_k alpha_k),
-# the derivative of twice the weighted log torsion telescopes to
+# Along a path of metrics h_k(u) from h_k(0) = I with tangent S_k at u = 0,
+# alpha_k := h_k^{-1} dh_k/du is S_k there.  With P_k = L_k^{-1} (acyclic case)
+# and gamma_k := tr(P_k delta_k d_k alpha_k), the derivative of twice the
+# weighted log torsion telescopes to
 #
 #   sum_k (-1)^(k+1) beta_k [tr alpha_k + tr alpha_{k+1}
 #                            - gamma_{k+1} - 2 gamma_k - gamma_{k-1}],
 #
-# with gamma and alpha indices outside 0..n read as zero.  This is exact in
-# finite dimensions; the check below only carries the O(step^2) error of the
-# central differences.
-_VARIATION_STEP = 1e-4
+# with gamma and alpha indices outside 0..n read as zero.  The identity is
+# exact in finite dimensions, and so are both sides below.  tr log L_k sums
+# log sigma^2 over the singular values of W_k and W_{k+1}, and at constant
+# rank d/du sum log sigma(W_k)^2 = 2 tr(W_k^+ dW_k/du) (Golub & Pereyra,
+# SIAM J. Numer. Anal. 10, 1973).  At h = I, W_k = bd_k^T and
+# dW_k/du = (S_k bd_k^T - bd_k^T S_{k-1}) / 2.  One full SVD per map gives
+# W_k^+ = V diag(1 / sigma) U^T and, in V, the coclosed vectors of gamma.
 
 
 class VariationReport(NamedTuple):
-    """Measured two-sided comparison of the variation identity at one step."""
+    """The two exact sides of the variation identity at u = 0 and their gap."""
 
     gammas: tuple[float, ...]
     tr_alphas: tuple[float, ...]
     lhs: float
     rhs: float
     discrepancy: float
-    step: float
-    halved_discrepancy: float | None = None
-
-    @property
-    def convergence_ratio(self) -> float | None:
-        if self.halved_discrepancy is None or self.halved_discrepancy == 0.0:
-            return None
-        return self.discrepancy / self.halved_discrepancy
 
 
-def variation_check(cplx: TwistedComplex, path: MetricPath, beta: Sequence[float],
-                    check_convergence: bool = True) -> VariationReport:
+def variation_check(cplx: TwistedComplex, path: MetricPath,
+                    beta: Sequence[float]) -> VariationReport:
     """Compare d/du of 2*log T against the telescoped trace sum at u = 0.
 
-    The derivative of the metric and of 2*log T are both central differences
-    with step _VARIATION_STEP = 1e-4, so the two sides agree to O(step^2).  With
-    check_convergence=True the two sides are compared again at step/2 and a
-    StepTooLarge error is raised unless the discrepancy shrinks roughly
-    quadratically (or is already at rounding level).  BadParameter refuses a
-    weight that is not a finite real number, and a path value that is not a
-    ChainMetric.
+    path starts at h(0) = I and states its tangent dh_k/du at u = 0 as
+    path.tangent, as every path of exponential_metric_path does; only the
+    tangent is read.  Both sides are exact, from one full SVD per boundary
+    map (its rank through hodge's kernel rule), so they agree to rounding.
+    BadParameter refuses a weight that is not a finite real number, and a
+    path with no tangent or a tangent entry that is not an integer or a
+    float; ShapeMismatch refuses a tangent whose degrees do not match the
+    complex, and NotAcyclic a complex with homology.
     """
-    step = _VARIATION_STEP
     n = cplx.dimension
     beta = _weights(beta, n + 1)
-    # path(0)'s inverses and coclosed eigenvectors serve both steps, and the
-    # dense maps, formed once per check (the complex keeps none), every SVD
-    h0 = _metric_at(path, 0.0)
-    maps = list(_boundaries(cplx))
-    coclosed = _coclosed_vectors(cplx, h0, maps)
-    h0_invs = [h0.inv(k) for k in range(n + 1)]
-    report = _variation_single(cplx, maps, path, beta, step, h0_invs, coclosed)
-    if not check_convergence:
-        return report
-    halved = _variation_single(cplx, maps, path, beta, step / 2.0, h0_invs, coclosed)
-    floor = 1e-10 * max(1.0, abs(report.lhs))
-    if report.discrepancy > floor and halved.discrepancy > 0.0:
-        ratio = report.discrepancy / halved.discrepancy
-        # quadratic convergence halves to ~1/4; a kink halves to only ~1/2
-        if ratio < 2.5:
-            raise StepTooLarge(
-                f"discrepancy fell only {ratio:.2f}x when halving step {step:g}")
-    return report._replace(halved_discrepancy=halved.discrepancy)
-
-
-def _metric_at(path: MetricPath, u: float) -> ChainMetric:
-    """path(u); BadParameter refuses a value that is not a ChainMetric."""
-    metric = path(u)
-    if not isinstance(metric, ChainMetric):
-        raise BadParameter(f"metric path must return a ChainMetric, got "
-                           f"{type(metric).__name__} at u = {u:g}")
-    return metric
-
-
-def _variation_single(cplx: TwistedComplex, maps: Sequence[np.ndarray], path: MetricPath,
-                      beta: Sequence[float], step: float, h0_invs: Sequence[np.ndarray],
-                      coclosed: Sequence[np.ndarray]):
-    """Both sides at one step, the alpha_k taken at h0 = path(0): maps are the
-    dense bd_1 .. bd_n of cplx, h0_invs[k] is h0's inverse in degree k, and
-    coclosed[k] are h0's coclosed vectors (k < n)."""
-    hp, hm = _metric_at(path, step), _metric_at(path, -step)
-    # 2 log T on either side; this raises NotAcyclic, so P_k = L_k^{-1} below
-    lhs = (2.0 * generalized_log_torsion(_factorize(cplx, hp, maps).tr_logs, beta)
-           - 2.0 * generalized_log_torsion(_factorize(cplx, hm, maps).tr_logs, beta)) / (2.0 * step)
-
-    hdots = [(hp.matrix(k) - hm.matrix(k)) / (2.0 * step) for k in range(len(beta))]
-    alphas = [inv @ hdot for inv, hdot in zip(h0_invs, hdots)]
-    # P_k delta_k d_k is the h_k-orthogonal projector onto im delta_k, spanned
-    # by the coclosed eigenvectors v_i of L_k, so gamma_k = sum_i v_i^T dh_k/du v_i;
-    # gamma_n = 0 as delta_n d_n vanishes.  g[j + 1] and a[j + 1] hold degree j,
-    # and the zeros at either end stand for the degrees outside 0..n.
-    g = [0.0] + [float(np.sum(v * (hdot @ v))) for v, hdot in zip(coclosed, hdots)] + [0.0, 0.0]
-    a = [0.0] + [float(np.trace(alpha)) for alpha in alphas] + [0.0]
+    tangent = getattr(path, "tangent", None)
+    if tangent is None:
+        raise BadParameter(f"metric path must state its tangent at u = 0, "
+                           f"got a {type(path).__name__} without one")
+    tangent = [_real_array(s, f"metric path tangent in degree {k}", BadParameter)
+               for k, s in enumerate(tangent)]
+    if [s.shape for s in tangent] != [(d, d) for d in cplx.dims]:
+        raise ShapeMismatch("metric path tangent degrees do not match the complex")
+    maps = list(_boundaries(cplx))  # dense once per check: the complex keeps none
+    triples = _singular_triples(cplx, None, maps)
+    ranks = [0, *(sigma.size for _, sigma, _ in triples), 0]
+    _require_acyclic([d - ranks[k] - ranks[k + 1] for k, d in enumerate(cplx.dims)])
+    # dlog[k] = d/du sum log sigma(W_k)^2 = 2 tr(W_k^+ dW_k/du), zero for the
+    # maps outside 1..n; tr log L_k moves by dlog[k] + dlog[k + 1]
+    dlog = [0.0]
+    for k, (bd, (u, sigma, v)) in enumerate(zip(maps, triples), start=1):
+        w_dot = 0.5 * (tangent[k] @ bd.T - bd.T @ tangent[k - 1])
+        dlog.append(2.0 * float(np.sum((v / sigma) * (w_dot.T @ u))))
+    dlog.append(0.0)
+    lhs = sum((-1.0) ** (k + 1) * b_k * (dlog[k] + dlog[k + 1]) for k, b_k in enumerate(beta))
+    # P_k delta_k d_k is the projector onto im delta_k, spanned by the coclosed
+    # vectors V of degree k (the right singular vectors of W_{k+1}), so
+    # gamma_k = tr(V^T S_k V); gamma_n = 0 as delta_n d_n vanishes.  g[j + 1] and
+    # a[j + 1] hold degree j, and the zeros at either end the degrees outside 0..n.
+    g = ([0.0] + [float(np.sum(v * (s @ v))) for s, (_, _, v) in zip(tangent, triples)]
+         + [0.0, 0.0])
+    a = [0.0] + [float(np.trace(s)) for s in tangent] + [0.0]
     rhs = sum((-1.0) ** (k + 1) * b_k
               * (a[k + 1] + a[k + 2] - g[k + 2] - 2.0 * g[k + 1] - g[k])
               for k, b_k in enumerate(beta))
-    return VariationReport(
-        gammas=tuple(g[1:-1]), tr_alphas=tuple(a[1:-1]), lhs=float(lhs),
-        rhs=float(rhs), discrepancy=abs(float(lhs) - float(rhs)), step=step)
+    return VariationReport(gammas=tuple(g[1:-1]), tr_alphas=tuple(a[1:-1]), lhs=float(lhs),
+                           rhs=float(rhs), discrepancy=abs(float(lhs) - float(rhs)))

@@ -36,12 +36,11 @@ from .errors import (
     BadParameter,
     NotAcyclic,
     PoleHit,
-    StepTooLarge,
     UnsupportedPartition,
     _as_int,
     _tolerance,
 )
-from .hodge import (ChainMetric, Factorization, _coclosed_vectors, exponential_metric_path,
+from .hodge import (ChainMetric, Factorization, _singular_triples, exponential_metric_path,
                     factorize)
 from .torsion import determinant_oracle, log_reidemeister, variation_check
 from .weights import classify_beta, euler_characteristics, generalized_log_torsion
@@ -267,32 +266,41 @@ def _laplacian(cplx: TwistedComplex, metric: ChainMetric | None, k: int) -> np.n
     return down + up
 
 
-def _eigenpairs(fac: Factorization, k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(sigma^2, h_k-orthonormal eigenvectors, n_closed): the positive eigenpairs of
-    L_k, the n_closed closed ones first, then hodge's coclosed vectors of degree k.
-    W_k V = U Sigma gives the closed h_k^{-1/2} U = bd_k^T (h_{k-1}^{-1/2} V) / sigma,
-    degree k-1's coclosed vectors through bd_k: no metric factor and no SVD."""
-    cplx, sigmas = fac.cplx, fac.sigmas
-    coclosed = [*_coclosed_vectors(cplx, fac.metric), np.zeros((cplx.dims[-1], 0))]
-    closed = (cplx.boundary(k).T @ coclosed[k - 1] / sigmas[k] if k
-              else np.zeros((cplx.dims[0], 0)))
-    lam = np.concatenate([sigmas[k], sigmas[k + 1]]) ** 2
-    return lam, np.hstack([closed, coclosed[k]]), closed.shape[1]
+def _eigenpairs(fac: Factorization) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """(sigma^2, h_k-orthonormal eigenvectors, n_closed) for every degree k: the
+    positive eigenpairs of L_k, the n_closed closed ones first, then the coclosed
+    h_k^{-1/2} V, V the right singular vectors of W_{k+1}, from one full SVD per
+    map for all degrees.  W_k V = U Sigma gives the closed h_k^{-1/2} U =
+    bd_k^T (h_{k-1}^{-1/2} V) / sigma, degree k-1's coclosed vectors through
+    bd_k: no metric factor and no second SVD."""
+    cplx, sigmas, metric = fac.cplx, fac.sigmas, fac.metric
+    coclosed = [v if metric.is_identity else metric.isqrt(k) @ v
+                for k, (_, _, v) in enumerate(_singular_triples(cplx, metric))]
+    coclosed.append(np.zeros((cplx.dims[-1], 0)))
+    out = []
+    for k in range(cplx.dimension + 1):
+        closed = (cplx.boundary(k).T @ coclosed[k - 1] / sigmas[k] if k
+                  else np.zeros((cplx.dims[0], 0)))
+        lam = np.concatenate([sigmas[k], sigmas[k + 1]]) ** 2
+        out.append((lam, np.hstack([closed, coclosed[k]]), closed.shape[1]))
+    return out
 
 
-def _green_inverse(fac: Factorization, k: int) -> np.ndarray:
-    """(L_k + Pi_ker)^{-1} = I + Q (1/lambda - 1) Q^T h_k.
+def _green_inverses(fac: Factorization) -> list[np.ndarray]:
+    """(L_k + Pi_ker)^{-1} = I + Q (1/lambda - 1) Q^T h_k for every degree k.
 
     Q holds the positive eigenvectors, so this is L_k^{-1} off the kernel
     and the identity on it; no kernel basis is needed.
     """
-    lam, q, _ = _eigenpairs(fac, k)
-    q_h = q.T if fac.metric.is_identity else q.T @ fac.metric.matrix(k)
-    return np.eye(q.shape[0]) + (q * (1.0 / lam - 1.0)) @ q_h
+    h = fac.metric
+    return [np.eye(q.shape[0])
+            + (q * (1.0 / lam - 1.0)) @ (q.T if h.is_identity else q.T @ h.matrix(k))
+            for k, (lam, q, _) in enumerate(_eigenpairs(fac))]
 
 
-def _hodge_split(fac: Factorization, k: int, lam: float) -> tuple:
-    """(f_mult, g_mult, proj_closed, proj_coclosed) of the lam-eigenspace of L_k.
+def _hodge_splits(fac: Factorization, lam: float) -> list[tuple]:
+    """(f_mult, g_mult, proj_closed, proj_coclosed) of the lam-eigenspace of L_k,
+    for every degree k.
 
     The eigenspace is spanned by the _eigenpairs columns whose eigenvalue
     is within 1e-7 relative of lam (none if lam is no eigenvalue).  f_mult
@@ -302,13 +310,16 @@ def _hodge_split(fac: Factorization, k: int, lam: float) -> tuple:
     restricted to the eigenspace, in that h-orthonormal basis: they are
     complementary orthogonal projections.
     """
-    eigenvalues, vectors, n_closed = _eigenpairs(fac, k)
-    close = np.abs(eigenvalues - lam) <= 1e-7 * max(1.0, abs(lam))
-    basis = vectors[:, close]
-    h_k = fac.metric.matrix(k)
-    down, up = _laplacian_halves(fac.cplx, fac.metric, k)
-    return (int(np.count_nonzero(close[:n_closed])), int(np.count_nonzero(close[n_closed:])),
-            basis.T @ h_k @ (down @ basis) / lam, basis.T @ h_k @ (up @ basis) / lam)
+    out = []
+    for k, (eigenvalues, vectors, n_closed) in enumerate(_eigenpairs(fac)):
+        close = np.abs(eigenvalues - lam) <= 1e-7 * max(1.0, abs(lam))
+        basis = vectors[:, close]
+        h_k = fac.metric.matrix(k)
+        down, up = _laplacian_halves(fac.cplx, fac.metric, k)
+        out.append((int(np.count_nonzero(close[:n_closed])),
+                    int(np.count_nonzero(close[n_closed:])),
+                    basis.T @ h_k @ (down @ basis) / lam, basis.T @ h_k @ (up @ basis) / lam))
+    return out
 
 
 # --- symbolic telescoping ---------------------------------------------------
@@ -419,7 +430,7 @@ def combinatorial_suite(tol: float | None = None,
     worst_exact, worst_green = 0.0, 0.0
     laps = [_laplacian(cx2, metric, k) for k in range(3)]
     fac = factorize(cx2, metric)
-    greens = [_green_inverse(fac, k) for k in range(3)]
+    greens = _green_inverses(fac)
     for k in range(2):
         d_k = _coboundary(cx2, k)
         scale = max(1.0, float(np.max(np.abs(d_k @ laps[k]))))
@@ -454,7 +465,7 @@ def combinatorial_suite(tol: float | None = None,
 
     cxq = build_preset("circle", theta=math.pi / 2)
     facq = factorize(cxq)
-    (f0, g0, *projs0), (f1, g1, *projs1) = (_hodge_split(facq, k, 2.0) for k in (0, 1))
+    (f0, g0, *projs0), (f1, g1, *projs1) = _hodge_splits(facq, 2.0)
     measured = abs(f0 - 0) + abs(g0 - 2) + abs(f1 - 2) + abs(g1 - 0)
     for closed, coclosed in (projs0, projs1):
         eye = np.eye(closed.shape[0])
@@ -467,8 +478,8 @@ def combinatorial_suite(tol: float | None = None,
 
     fac2 = factorize(cx2)
     lam = float(fac2.spectra[0][0])
-    g0 = _hodge_split(fac2, 0, lam)[1]
-    f1 = _hodge_split(fac2, 1, lam)[0]
+    splits = _hodge_splits(fac2, lam)
+    g0, f1 = splits[0][1], splits[1][0]
     rec.add("hodge-split-torus-pairing",
             "coclosed multiplicity in degree 0 equals closed multiplicity in degree 1",
             "oracle:eigensolve", abs(g0 - f1), 1e-9)
@@ -1015,14 +1026,26 @@ def boundary_suite(tol: float | None = None,
 # --- variation suite ---------------------------------------------------------
 
 
-def _laplacian_dot_residual(cplx: TwistedComplex, path, step: float) -> float:
+def _difference_gaps(cplx: TwistedComplex, path, beta, lhs: float,
+                     step: float = 1e-4) -> tuple[float, float]:
+    """The gaps between lhs, variation_check's exact left side, and the central
+    difference of 2 log T along path at u = 0, at step and at step / 2: on a
+    smooth path the second is about a quarter of the first."""
+    def gap(h: float) -> float:
+        plus, minus = (2.0 * generalized_log_torsion(factorize(cplx, path(u)).tr_logs, beta)
+                       for u in (h, -h))
+        return abs((plus - minus) / (2.0 * h) - lhs)
+    return gap(step), gap(step / 2.0)
+
+
+def _laplacian_dot_residual(cplx: TwistedComplex, path, step: float = 1e-4) -> float:
     """Largest relative gap, over all k, between the central difference of L_k
-    along the path at u = 0 and, with alpha_k = h_k^{-1} dh_k/du, its derivative
-    -alpha_k delta_k d_k + delta_k alpha_{k+1} d_k
+    along the path at u = 0 and, with alpha_k = path.tangent[k] (h(0) = I), its
+    derivative -alpha_k delta_k d_k + delta_k alpha_{k+1} d_k
     - d_{k-1} alpha_{k-1} delta_{k-1} + d_{k-1} delta_{k-1} alpha_k."""
     n = cplx.dimension
     h0, hp, hm = path(0.0), path(step), path(-step)
-    alphas = [h0.inv(k) @ ((hp.matrix(k) - hm.matrix(k)) / (2.0 * step)) for k in range(n + 1)]
+    alphas = path.tangent
     deltas = [_metric_adjoint(cplx, h0, k) for k in range(n)]
     residual = 0.0
     for k in range(n + 1):
@@ -1047,47 +1070,49 @@ def variation_suite(tol: float | None = None,
     rng = np.random.default_rng(seed)
 
     cx = build_preset("circle", theta=1.0)
-    const = variation_check(cx, lambda u: ChainMetric.identity(cx), (0.0, 1.0),
-                            check_convergence=False)
+    const = variation_check(cx, exponential_metric_path([np.zeros((2, 2))] * 2), (0.0, 1.0))
     rec.add("constant-path", "a constant metric path gives zero on both sides",
             "identity:zero-derivative",
             max(abs(const.lhs), abs(const.rhs)), 1e-14)
 
+    # 2 log T = const - 2 log(1 + u) is curved, so the central difference
+    # has an O(step^2) gap to the exact -2
     def scale_path(u: float) -> ChainMetric:
         return ChainMetric([np.eye(2) * (1.0 + u), np.eye(2)])
 
+    scale_path.tangent = (np.eye(2), np.zeros((2, 2)))
     rep = variation_check(cx, scale_path, (0.0, 1.0))
     rec.add("circle-scale-path",
             "rescaling the degree-0 metric matches the telescoped sum",
-            "identity:finite-telescoping", rep.discrepancy, 1e-6,
+            "identity:finite-telescoping", rep.discrepancy, 1e-12,
             f"lhs {rep.lhs:.12g}, rhs {rep.rhs:.12g}")
     rec.add("circle-scale-path-alpha",
             "the logarithmic derivative of (1+u) I at u = 0 has trace 2",
-            "closed-form:derivative", abs(rep.tr_alphas[0] - 2.0), 1e-6)
-    ratio = rep.convergence_ratio or 4.0
+            "closed-form:derivative", abs(rep.tr_alphas[0] - 2.0), 1e-12)
+    gap, halved = _difference_gaps(cx, scale_path, (0.0, 1.0), rep.lhs)
     rec.add("circle-scale-path-order",
-            "halving the step divides the discrepancy by about four",
-            "identity:quadratic-convergence", abs(ratio - 4.0), 2.0)
+            "halving the step divides the central difference's gap to lhs by about four",
+            "identity:quadratic-convergence", abs(gap / halved - 4.0), 2.0)
 
     worst, worst_ratio, worst_dot = 0.0, 0.0, 0.0
     for case in range(3):
         cx2 = build_preset("torus2", alpha=1.0 + 0.3 * case, beta=0.3 + 0.2 * case)
         gens = [rng.standard_normal((d, d)) for d in cx2.dims]
         path = exponential_metric_path(gens)
-        rep = variation_check(cx2, path, (1.0, 1.0, 1.0) if case == 0
-                              else (0.0, 1.0, 2.0) if case == 1
-                              else tuple(float(rng.uniform(-2, 2)) for _ in range(3)))
+        beta = ((1.0, 1.0, 1.0) if case == 0 else (0.0, 1.0, 2.0) if case == 1
+                else tuple(float(rng.uniform(-2, 2)) for _ in range(3)))
+        rep = variation_check(cx2, path, beta)
         worst = max(worst, rep.discrepancy)
+        gap, halved = _difference_gaps(cx2, path, beta, rep.lhs)
         # the halving ratio is only meaningful above the rounding floor
-        if rep.discrepancy > 1e-10 and rep.convergence_ratio is not None:
-            worst_ratio = max(worst_ratio,
-                              abs(math.log2(rep.convergence_ratio) - 2.0))
-        worst_dot = max(worst_dot, _laplacian_dot_residual(cx2, path, rep.step))
+        if gap > 1e-10:
+            worst_ratio = max(worst_ratio, abs(math.log2(gap / halved) - 2.0))
+        worst_dot = max(worst_dot, _laplacian_dot_residual(cx2, path))
     rec.add("torus-random-paths",
             "random exponential metric paths satisfy the identity",
-            "identity:finite-telescoping", worst, 1e-6)
+            "identity:finite-telescoping", worst, 1e-12)
     rec.add("torus-random-paths-order",
-            "discrepancy shrinks quadratically in the step",
+            "the central difference's gap to lhs shrinks quadratically in the step",
             "identity:quadratic-convergence", worst_ratio, 1.0)
     rec.add("laplacian-derivative-formula",
             "the four-term Laplacian derivative formula holds to O(step^2)",
@@ -1097,8 +1122,7 @@ def variation_suite(tol: float | None = None,
     cx2 = build_preset("torus2", alpha=1.0, beta=0.3)
     for _ in range(6):
         gens = [rng.standard_normal((d, d)) for d in cx2.dims]
-        rep = variation_check(cx2, exponential_metric_path(gens), (0.0, 1.0, 2.0),
-                              check_convergence=False)
+        rep = variation_check(cx2, exponential_metric_path(gens), (0.0, 1.0, 2.0))
         gammas.append(rep.gammas[1:-1])
     smin = float(np.linalg.svd(np.array(gammas), compute_uv=False)[-1]) \
         if gammas and gammas[0] else 0.0
@@ -1107,19 +1131,19 @@ def variation_suite(tol: float | None = None,
                     "observation:numerical-rank", 0.0 if smin > 1e-6 else 1.0,
                     f"smallest singular value {smin:.3e}")
 
+    # one-sided slopes 1 and 2 about a stated tangent of 1.5: the central
+    # difference nears the exact lhs at O(step) only, so its gap just halves
     def kinked(u: float) -> ChainMetric:
         factor = 1.0 + (u if u >= 0.0 else 2.0 * u)
         return ChainMetric([np.eye(2) * factor, np.eye(2)])
 
-    raised = 0.0
-    try:
-        variation_check(cx, kinked, (0.0, 1.0))
-        raised = 1.0
-    except StepTooLarge:
-        pass
+    kinked.tangent = (1.5 * np.eye(2), np.zeros((2, 2)))
+    gap, halved = _difference_gaps(cx, kinked, (0.0, 1.0),
+                                   variation_check(cx, kinked, (0.0, 1.0)).lhs)
     rec.add_verdict("kinked-path-rejected",
                     "a non-smooth path fails the quadratic-convergence guard",
-                    "negative-control", raised)
+                    "negative-control", float(2.5 < gap / halved < 8.0),
+                    f"halving ratio {gap / halved:.3f}")
 
     return rec.results
 

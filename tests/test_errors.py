@@ -74,7 +74,8 @@ _REFUSALS = {
     "metric str": (lambda: factorize(build_preset("circle"), "identity"), BadParameter,
                    "metric must be a ChainMetric or None, got str"),
     "path None": (lambda: variation_check(build_preset("circle"), lambda u: None, (0.0, 1.0)),
-                  BadParameter, "metric path must return a ChainMetric, got NoneType at u = 0"),
+                  BadParameter, "metric path must state its tangent at u = 0, got a function "
+                                 "without one"),
     # the matrix rule: before it a complex entry lost its imaginary part with a
     # ComplexWarning (this metric gave the torsion of diag(2, 1), the generator
     # that of the identity metric), a bool or None was cast, and a str escaped

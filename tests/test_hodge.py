@@ -20,12 +20,12 @@ from torsionlab.errors import (
     NumericalLimit,
     ShapeMismatch,
 )
-from torsionlab.hodge import _coclosed_vectors
+from torsionlab.hodge import _singular_triples
 from torsionlab.verify import (
     _coboundary,
     _eigenpairs,
-    _green_inverse,
-    _hodge_split,
+    _green_inverses,
+    _hodge_splits,
     _laplacian,
     _metric_adjoint,
 )
@@ -90,15 +90,15 @@ def test_eigenpairs_examples():
     # eigenpairs of L_k: closed pairs (through bd_k) first, then coclosed (from W_{k+1})
     cx = build_preset("circle", theta=math.pi / 2)
     fac = factorize(cx)
-    lam, vectors, n_closed = _eigenpairs(fac, 1)
-    assert np.allclose(lam, [2.0, 2.0]) and vectors.shape == (2, 2) and n_closed == 2
-    lam, vectors, n_closed = _eigenpairs(fac, 0)
-    assert np.allclose(lam, [2.0, 2.0]) and vectors.shape == (2, 2) and n_closed == 0
+    (lam0, vectors0, n_closed0), (lam1, vectors1, n_closed1) = _eigenpairs(fac)
+    assert np.allclose(lam1, [2.0, 2.0]) and vectors1.shape == (2, 2) and n_closed1 == 2
+    assert np.allclose(lam0, [2.0, 2.0]) and vectors0.shape == (2, 2) and n_closed0 == 0
 
     cx2 = build_preset("torus2", alpha=1.0, beta=0.3)
     fac = factorize(cx2)
-    assert [_eigenpairs(fac, k)[2] for k in range(3)] == [0, 2, 2]
-    assert all(_eigenpairs(fac, k)[0].size == cx2.dims[k] for k in range(3))  # no kernel
+    pairs = _eigenpairs(fac)
+    assert [n_closed for _, _, n_closed in pairs] == [0, 2, 2]
+    assert [lam.size for lam, _, _ in pairs] == list(cx2.dims)  # no kernel
 
 
 def test_eigenpairs_residuals_and_orthonormality():
@@ -108,9 +108,8 @@ def test_eigenpairs_residuals_and_orthonormality():
     for cx in (build_preset("torus2", alpha=0.9, beta=2.4), _cover("circle", (8,), theta=0.0)):
         metric = ChainMetric.random_spd(cx, rng)
         fac = factorize(cx, metric)
-        for k in range(cx.dimension + 1):
+        for k, (lam, vectors, n_closed) in enumerate(_eigenpairs(fac)):
             lap = _laplacian(cx, metric, k)
-            lam, vectors, n_closed = _eigenpairs(fac, k)
             assert np.array_equal(np.sort(lam), fac.spectra[k])
             scale = max(1.0, np.max(np.abs(lap)))
             for value, v in zip(lam, vectors.T):
@@ -132,10 +131,37 @@ def test_singular_vectors_repeat_bitwise():
     rng = np.random.default_rng(9)
     cx = _cover("torus2", (3, 3), alpha=1.0, beta=0.3)
     for metric in (None, ChainMetric.random_spd(cx, rng)):
-        first, again = _coclosed_vectors(cx, metric), _coclosed_vectors(cx, metric)
+        first, again = _singular_triples(cx, metric), _singular_triples(cx, metric)
         assert len(first) == len(again) == cx.dimension
         assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
-                   for a, b in zip(first, again))
+                   for triple, triple_again in zip(first, again)
+                   for a, b in zip(triple, triple_again))
+
+
+def test_eigenpairs_take_one_full_svd_per_map(monkeypatch):
+    # the eigenpairs of every degree, and the Green's operators and Hodge splits
+    # built on them, take the coclosed vectors once per factorization: one full
+    # SVD per map.  Each degree ran every map's SVD again before: six full SVDs
+    # for the three Green's operators of torus2, where two do
+    svd = np.linalg.svd
+    shapes = []
+
+    def counting_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    rng = np.random.default_rng(5)
+    cx = build_preset("torus2", alpha=1.0, beta=0.3)
+    maps = [(cx.dims[k], cx.dims[k - 1]) for k in range(1, cx.dimension + 1)]
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for metric in (None, ChainMetric.random_spd(cx, rng)):
+        fac = factorize(cx, metric)
+        lam = float(fac.spectra[0][0])
+        for run in (_eigenpairs, _green_inverses, lambda f: _hodge_splits(f, lam)):
+            shapes.clear()
+            assert len(run(fac)) == cx.dimension + 1
+            assert shapes == maps
 
 
 def test_acyclic_spectra_values_and_strict_mode():
@@ -165,16 +191,16 @@ def test_factorization_kernel_follows_betti():
     lap = _laplacian(cx, None, 0)
     fac = factorize(cx)
     assert fac.betti == [0, 0]
-    assert _eigenpairs(fac, 0)[0].size == 2
-    assert np.max(np.abs(_green_inverse(fac, 0) @ lap - np.eye(2))) < 1e-8
+    assert _eigenpairs(fac)[0][0].size == 2
+    assert np.max(np.abs(_green_inverses(fac)[0] @ lap - np.eye(2))) < 1e-8
     trivial = build_preset("circle", theta=0.0)
     fac = factorize(trivial)
-    assert [d - _eigenpairs(fac, k)[0].size for k, d in enumerate(trivial.dims)] \
+    assert [d - lam.size for d, (lam, _, _) in zip(trivial.dims, _eigenpairs(fac))] \
         == fac.betti == [2, 2]
     # the untwisted 8-gon: the Green operator is I on the constant sections, its kernel
     ngon = _cover("circle", (8,), theta=0.0)
     assert factorize(ngon).betti == [2, 2]
-    green = _green_inverse(factorize(ngon), 0)
+    green = _green_inverses(factorize(ngon))[0]
     constants = np.tile(np.eye(2), (8, 1))
     off_kernel = np.eye(16) - constants @ constants.T / 8.0
     assert np.max(np.abs(green @ constants - constants)) < 1e-12
@@ -337,6 +363,21 @@ def test_exponential_metric_is_one_eigh_per_degree(monkeypatch):
     assert len(calls) == len(cx.dims)
 
 
+def test_exponential_path_states_its_tangent():
+    # h(0) = I, and path.tangent holds the read-only symmetrized generators S_k,
+    # the path's derivative at u = 0
+    rng = np.random.default_rng(6)
+    gens = [rng.standard_normal((d, d)) for d in (3, 5)]
+    path = exponential_metric_path(gens)
+    step = 1e-5
+    assert len(path.tangent) == len(gens)
+    for k, (g, s) in enumerate(zip(gens, path.tangent)):
+        assert np.array_equal(s, 0.5 * (g + g.T)) and not s.flags.writeable
+        assert np.max(np.abs(path(0.0).matrix(k) - np.eye(len(g)))) < 1e-14
+        difference = (path(step).matrix(k) - path(-step).matrix(k)) / (2.0 * step)
+        assert np.max(np.abs(difference - s)) < 1e-8
+
+
 def test_exponential_metric_keeps_h_and_its_eigenpairs():
     # a metric on the path keeps h_k and shares the path's eigenpairs; h^{1/2},
     # h^{-1/2} and h^{-1} are formed per request (64 MB kept on the 512-gon's dims
@@ -361,9 +402,10 @@ def test_hodge_split_pairing_across_degrees():
     fac = factorize(cx, ChainMetric.random_spd(cx, rng))
     for k in (0, 1):
         for lam in fac.spectra[k]:
-            g_here = _hodge_split(fac, k, float(lam))[1]
+            splits = _hodge_splits(fac, float(lam))
+            g_here = splits[k][1]
             # lam absent upstairs has f_mult 0 there: its eigenspace here is closed
-            f_above = _hodge_split(fac, k + 1, float(lam))[0]
+            f_above = splits[k + 1][0]
             assert g_here == f_above
 
 
@@ -373,7 +415,7 @@ def test_intertwining_identities():
     metric = ChainMetric.random_spd(cx, rng)
     laps = [_laplacian(cx, metric, k) for k in range(3)]
     fac = factorize(cx, metric)
-    greens = [_green_inverse(fac, k) for k in range(3)]
+    greens = _green_inverses(fac)
     for k in range(2):
         d_k = _coboundary(cx, k)
         delta_k = _metric_adjoint(cx, metric, k)
