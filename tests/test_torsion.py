@@ -669,19 +669,11 @@ def test_variation_gentle_grid_paths():
             assert rep.discrepancy <= 1e-12 * max(1.0, abs(rep.lhs)), (seed, beta, rep)
 
 
-def test_variation_runs_one_full_svd_per_map(monkeypatch):
-    # both sides come from one full SVD per map at h(0) = I, read off the
-    # path's tangent: no values-only SVD, no factorization, no path value and
-    # no metric inverse, and each dense bd_k formed once.  Before, a check ran
-    # four values-only SVDs per map, on the metrics at u = +-step and +-step/2
-    svd = np.linalg.svd
-    calls = {}
-
-    def counting_svd(a, *args, **kwargs):
-        key = (a.shape, kwargs.get("compute_uv", True))
-        calls[key] = calls.get(key, 0) + 1
-        return svd(a, *args, **kwargs)
-
+def test_variation_shares_the_base_point(monkeypatch):
+    # both sides are read at the one base point h(0) = I from the path's
+    # tangent: no factorization, no path value and no metric inverse, and each
+    # dense bd_k formed once.  Before, the base point served two steps either
+    # side of it, with 3 path values and 2 factorizations at the least
     def forbidden(*args, **kwargs):
         raise AssertionError("the variation check factored, inverted or evaluated a metric")
 
@@ -692,21 +684,39 @@ def test_variation_runs_one_full_svd_per_map(monkeypatch):
         densified.append(k)
         return real_boundary(self, k)
 
-    rng = np.random.default_rng(41)
+    rng = np.random.default_rng(31)
     cx = build_preset("torus2", alpha=1.0, beta=0.3)
     real_path = exponential_metric_path([rng.standard_normal((d, d)) for d in cx.dims])
     expected = variation_check(cx, real_path, (0.0, 1.0, 2.0))
     path = types.SimpleNamespace(tangent=real_path.tangent)  # states a tangent, has no values
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(TwistedComplex, "boundary", counting_boundary)
     monkeypatch.setattr(ChainMetric, "inv", forbidden)
     for module in (hodge, torsion):
         monkeypatch.setattr(module, "factorize", forbidden)
     assert variation_check(cx, path, (0.0, 1.0, 2.0)) == expected
+    assert sorted(densified) == list(range(1, cx.dimension + 1))
+
+
+def test_variation_runs_one_full_svd_per_map_at_the_base_point(monkeypatch):
+    # both sides come from one full SVD per map at h(0) = I and no values-only
+    # SVD.  Before, a check ran four values-only SVDs per map, on the metrics
+    # at u = +-step and +-step/2, besides the base point's full one
+    svd = np.linalg.svd
+    calls = {}
+
+    def counting_svd(a, *args, **kwargs):
+        key = (a.shape, kwargs.get("compute_uv", True))
+        calls[key] = calls.get(key, 0) + 1
+        return svd(a, *args, **kwargs)
+
+    rng = np.random.default_rng(41)
+    cx = build_preset("torus2", alpha=1.0, beta=0.3)
+    path = exponential_metric_path([rng.standard_normal((d, d)) for d in cx.dims])
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    variation_check(cx, path, (0.0, 1.0, 2.0))
     shapes = [(cx.dims[k], cx.dims[k - 1]) for k in range(1, cx.dimension + 1)]
     assert len(set(shapes)) == 2
     assert calls == {(shape, True): 1 for shape in shapes}
-    assert sorted(densified) == list(range(1, cx.dimension + 1))
 
 
 def test_variation_refuses_a_path_without_a_tangent():
