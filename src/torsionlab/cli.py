@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import os
 import sys
 from typing import NoReturn
@@ -51,9 +50,9 @@ from .torsion import determinant_oracle
 from .verify import DEFAULT_SEED, SUITES, run_suites
 from .weights import _weights, classify_beta, generalized_log_torsion
 
-# Each model and preset states its options once, as its builder's keywords
-# and their defaults.  They default to None on the command line, so one
-# given where it is not read is rejected.
+# Each model, preset and gluing geometry states its options once, as its
+# builder's keywords and their defaults.  They default to None on the
+# command line, so one given where it is not read is rejected.
 SPECTRAL_MODELS = {**mdl.MODELS, "interval": bnd.build_interval, "cylinder": bnd.build_cylinder}
 
 
@@ -64,7 +63,8 @@ def _options(builder) -> dict:
 MODEL_OPTIONS = {name: _options(builder) for name, builder in SPECTRAL_MODELS.items()}
 PRESET_OPTIONS = {name: {"beta_angle" if k == "beta" else k: v for k, v in _options(f).items()}
                   for name, f in PRESETS.items()}
-GLUING_OPTIONS = {"interval": {"R": 1.0}, "cylinder": {"R": 1.0, "L": 2.0 * math.pi}}
+GLUING_OPTIONS = {geometry: {k: bnd.gluing_check.__kwdefaults__[k] for k in keys}
+                  for geometry, keys in (("interval", ("R",)), ("cylinder", ("R", "L")))}
 
 
 def fmt(x: float) -> str:
@@ -157,7 +157,7 @@ def cmd_torsion(args) -> int:
     if kind == "random" and seed.isdecimal():
         metric = ChainMetric.random_spd(cplx, np.random.default_rng(int(seed)))
     elif args.metric == "identity":
-        metric = ChainMetric.identity(cplx)
+        metric = None
     else:
         raise SchemaError(f"metric spec must be identity or random:SEED with SEED a "
                           f"nonnegative integer, got {args.metric!r}")

@@ -27,7 +27,7 @@ Each rule has its one definition here:
 
 _ReadOnly is the one guard of the classes whose fields never change after
 construction (Representation, CellStructure and TwistedComplex in
-complexes, Factorization in hodge, HeatTrace in zetas).
+complexes, ChainMetric and Factorization in hodge, HeatTrace in zetas).
 """
 
 import math

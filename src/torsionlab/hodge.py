@@ -12,7 +12,8 @@ The degree-k Laplacian is
 
     L_k = delta_k d_k + d_{k-1} delta_{k-1},
 
-h_k-self-adjoint and positive semi-definite.  With identity metrics this is
+h_k-self-adjoint and positive semi-definite.  The identity metric is None,
+everywhere a metric is taken or kept, and with it this is
 bd_k^T bd_k + bd_{k+1} bd_{k+1}^T.  Spectra (hence every torsion downstream)
 do not depend on the chain-vs-cochain bookkeeping.
 
@@ -55,19 +56,20 @@ _LOG_MAX = math.log(np.finfo(float).max)
 _EPS = np.finfo(float).eps
 
 
-class ChainMetric:
+class ChainMetric(_ReadOnly):
     """Per-degree symmetric positive-definite inner products h_k.
 
     Each degree keeps h_k and its eigenpairs (w, v), from one eigh made at
     construction (of h_k itself, or of S_k for an exponential metric, whose
     path takes it once for all its metrics); matrix, sqrt, isqrt and inv
     form h, h^{1/2} = (v sqrt(w)) v^T, h^{-1/2} = (v / sqrt(w)) v^T and
-    h^{-1} = (v / w) v^T read-only on each request.  Instances are
-    immutable.  ChainMetric.identity, the only is_identity metric, keeps
-    only dims and builds a read-only I on request.
+    h^{-1} = (v / w) v^T read-only on each request.  The identity metric
+    is None, not a ChainMetric.  The fields are read-only, and metrics
+    compare by identity.
     """
 
-    is_identity = False
+    __slots__ = ("_degrees",)
+    _degrees: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
     def __init__(self, matrices: Sequence[np.ndarray]):
         degrees = []
@@ -92,15 +94,7 @@ class ChainMetric:
 
     def _store(self, degrees: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
         """Keep h_k and the eigenpairs (w, v) of h_k in each degree."""
-        self._degrees = tuple(degrees)
-        self._dims = tuple(h.shape[0] for h, _, _ in self._degrees)
-
-    @classmethod
-    def identity(cls, cplx: TwistedComplex) -> "ChainMetric":
-        """h_k = I in every degree, unfactored: I is its own square root and inverse."""
-        metric = cls.__new__(cls)
-        metric._dims, metric.is_identity = cplx.dims, True
-        return metric
+        object.__setattr__(self, "_degrees", tuple(degrees))
 
     @classmethod
     def exponential(cls, generators: Sequence[np.ndarray]) -> "ChainMetric":
@@ -114,10 +108,10 @@ class ChainMetric:
         return cls.exponential([0.25 * (s + s.T) for s in draws])
 
     def _form(self, k: int, factor: Callable[..., np.ndarray]) -> np.ndarray:
-        """factor(h, w, v) of degree k, read-only; a read-only I for the identity metric."""
-        if not 0 <= k < len(self._dims):
-            raise ShapeMismatch(f"degree {k} outside 0..{len(self._dims) - 1}")
-        out = np.eye(self._dims[k]) if self.is_identity else factor(*self._degrees[k])
+        """factor(h, w, v) of degree k, read-only."""
+        if not 0 <= k < len(self._degrees):
+            raise ShapeMismatch(f"degree {k} outside 0..{len(self._degrees) - 1}")
+        out = factor(*self._degrees[k])
         out.setflags(write=False)
         return out
 
@@ -134,7 +128,7 @@ class ChainMetric:
         return self._form(k, lambda h, w, v: (v / w) @ v.T)
 
     def matches(self, cplx: TwistedComplex) -> bool:
-        return self._dims == cplx.dims
+        return tuple(h.shape[0] for h, _, _ in self._degrees) == cplx.dims
 
 
 MetricPath = Callable[[float], ChainMetric]  # from h(0) = I, with dh_k/du at 0 as path.tangent
@@ -187,11 +181,11 @@ def exponential_metric_path(generators: Sequence[np.ndarray]) -> MetricPath:
     return path
 
 
-def _require_metric(cplx: TwistedComplex, metric: ChainMetric | None) -> ChainMetric:
-    """metric, the identity for None; BadParameter refuses any other type,
+def _require_metric(cplx: TwistedComplex, metric: ChainMetric | None) -> ChainMetric | None:
+    """metric, None for the identity; BadParameter refuses any other type,
     ShapeMismatch a metric whose degrees do not match the complex."""
     if metric is None:
-        return ChainMetric.identity(cplx)
+        return None
     if not isinstance(metric, ChainMetric):
         raise BadParameter(f"metric must be a ChainMetric or None, got {type(metric).__name__}")
     if not metric.matches(cplx):
@@ -206,17 +200,18 @@ class Factorization(_ReadOnly):
     numpy's matrix_rank cut sigma_max * max(W_k.shape) * eps, descending;
     that cut is the one kernel rule.  Each sigma^2 belongs to both L_{k-1}
     and L_k, so spectra[k] (ascending) is the positive spectrum of L_k.
-    Plain data: neither W_k nor any singular vector is kept.  The fields
-    are read-only, and factorizations compare by identity.
+    Plain data: neither W_k nor any singular vector is kept; metric is None
+    at the identity.  The fields are read-only, and factorizations compare
+    by identity.
     """
 
     __slots__ = ("cplx", "metric", "sigmas", "spectra")
     cplx: TwistedComplex
-    metric: ChainMetric
+    metric: ChainMetric | None
     sigmas: tuple[np.ndarray, ...]
     spectra: tuple[np.ndarray, ...]
 
-    def __init__(self, cplx: TwistedComplex, metric: ChainMetric,
+    def __init__(self, cplx: TwistedComplex, metric: ChainMetric | None,
                  sigmas: tuple[np.ndarray, ...], spectra: tuple[np.ndarray, ...]):
         object.__setattr__(self, "cplx", cplx)
         object.__setattr__(self, "metric", metric)
@@ -245,12 +240,12 @@ def _require_acyclic(betti: list[int]) -> None:
             raise NotAcyclic(f"degree {k} has Betti number {b_k} (Betti numbers {betti})")
 
 
-def _weighted_map(bd: np.ndarray, metric: ChainMetric, k: int) -> np.ndarray:
+def _weighted_map(bd: np.ndarray, metric: ChainMetric | None, k: int) -> np.ndarray:
     """W_k = h_k^{1/2} bd_k^T h_{k-1}^{-1/2} : C_{k-1} -> C_k for 1 <= k <= n, from
     the dense bd_k; bd_k^T for the identity metric.  SchemaError refuses an
     entry that is not finite."""
     w = bd.T
-    if not metric.is_identity:
+    if metric is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             w = metric.sqrt(k) @ w @ metric.isqrt(k - 1)
         if not np.isfinite(w).all():

@@ -70,8 +70,9 @@ class SpectralModel(_SpectralModelFields):
     that is not an integer in 0..dim.
 
     A read-only named tuple (name, heat, condition) that compares and
-    hashes by value; heat is kept as a tuple of the given traces, by the
-    constructor and by _replace, which makes a changed copy.
+    hashes by its name, its condition and the identity of its traces;
+    heat is kept as a tuple of the given traces, by the constructor and by
+    _replace, which makes a changed copy.
     """
 
     __slots__ = ()
@@ -231,11 +232,14 @@ def residue_torsion(model: SpectralModel, beta: Sequence[float]) -> TorsionRepor
     zeta0 = tuple(model.zeta_at_zero(k) for k in range(model.dim + 1))
     res = tuple(residue_log_trace(model, k) for k in range(model.dim + 1))
     log_t = generalized_log_torsion(res, beta)
+    chi, chi_prime = euler_characteristics(model.betti, model.dim)
+    # weighted_zeta_sum_at_zero's sum, in its order, of the zeta0 just read
+    weighted = sum((-1.0) ** k * k * z for k, z in enumerate(zeta0))
     flags = {
-        "chi": model.chi,
-        "chi_prime": model.chi_prime,
-        "weighted_assembly": model.chi_prime + model.weighted_zeta_sum_at_zero(),
-        "weighted_closed_form": 0.5 * model.dim * model.chi,
+        "chi": chi,
+        "chi_prime": chi_prime,
+        "weighted_assembly": chi_prime + weighted,
+        "weighted_closed_form": 0.5 * model.dim * chi,
     }
     return TorsionReport(model=model.name, beta=beta, betti=model.betti,
                          zeta0=zeta0, residue_traces=res, log_torsion_res=log_t,

@@ -243,15 +243,15 @@ def _coboundary(cplx: TwistedComplex, k: int) -> np.ndarray:
     return cplx.boundary(k + 1).T
 
 
-def _metric_adjoint(cplx: TwistedComplex, metric: ChainMetric, k: int) -> np.ndarray:
+def _metric_adjoint(cplx: TwistedComplex, metric: ChainMetric | None, k: int) -> np.ndarray:
     """delta_k = h_k^{-1} d_k^T h_{k+1} : C_{k+1} -> C_k (d_k^T for the identity metric)."""
     d = _coboundary(cplx, k)
-    if metric.is_identity or k + 1 > cplx.dimension:
+    if metric is None or k + 1 > cplx.dimension:
         return d.T
     return metric.inv(k) @ d.T @ metric.matrix(k + 1)
 
 
-def _laplacian_halves(cplx: TwistedComplex, metric: ChainMetric, k: int) -> tuple:
+def _laplacian_halves(cplx: TwistedComplex, metric: ChainMetric | None, k: int) -> tuple:
     """(d_{k-1} delta_{k-1}, delta_k d_k), the halves of L_k; zero where a half
     leaves 0..dim (k = 0 down, k = dim up)."""
     zero = np.zeros((cplx.dims[k], cplx.dims[k]))
@@ -262,7 +262,7 @@ def _laplacian_halves(cplx: TwistedComplex, metric: ChainMetric, k: int) -> tupl
 
 def _laplacian(cplx: TwistedComplex, metric: ChainMetric | None, k: int) -> np.ndarray:
     """L_k = delta_k d_k + d_{k-1} delta_{k-1}, h_k-self-adjoint PSD (identity metric for None)."""
-    down, up = _laplacian_halves(cplx, ChainMetric.identity(cplx) if metric is None else metric, k)
+    down, up = _laplacian_halves(cplx, metric, k)
     return down + up
 
 
@@ -274,7 +274,7 @@ def _eigenpairs(fac: Factorization) -> list[tuple[np.ndarray, np.ndarray, int]]:
     bd_k^T (h_{k-1}^{-1/2} V) / sigma, degree k-1's coclosed vectors through
     bd_k: no metric factor and no second SVD."""
     cplx, sigmas, metric = fac.cplx, fac.sigmas, fac.metric
-    coclosed = [v if metric.is_identity else metric.isqrt(k) @ v
+    coclosed = [v if metric is None else metric.isqrt(k) @ v
                 for k, (_, _, v) in enumerate(_singular_triples(cplx, metric))]
     coclosed.append(np.zeros((cplx.dims[-1], 0)))
     out = []
@@ -294,7 +294,7 @@ def _green_inverses(fac: Factorization) -> list[np.ndarray]:
     """
     h = fac.metric
     return [np.eye(q.shape[0])
-            + (q * (1.0 / lam - 1.0)) @ (q.T if h.is_identity else q.T @ h.matrix(k))
+            + (q * (1.0 / lam - 1.0)) @ (q.T if h is None else q.T @ h.matrix(k))
             for k, (lam, q, _) in enumerate(_eigenpairs(fac))]
 
 
@@ -314,7 +314,7 @@ def _hodge_splits(fac: Factorization, lam: float) -> list[tuple]:
     for k, (eigenvalues, vectors, n_closed) in enumerate(_eigenpairs(fac)):
         close = np.abs(eigenvalues - lam) <= 1e-7 * max(1.0, abs(lam))
         basis = vectors[:, close]
-        h_k = fac.metric.matrix(k)
+        h_k = np.eye(fac.cplx.dims[k]) if fac.metric is None else fac.metric.matrix(k)
         down, up = _laplacian_halves(fac.cplx, fac.metric, k)
         out.append((int(np.count_nonzero(close[:n_closed])),
                     int(np.count_nonzero(close[n_closed:])),

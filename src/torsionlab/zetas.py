@@ -161,9 +161,9 @@ class HeatTrace(_ReadOnly):
     mellin_zeta bounds what the cut drops, and the rounding above it, from
     the terms alone.  Theta-exact traces have no such terms.
 
-    The fields are read-only.  Traces compare and hash by their five fields
-    (remainder and tail by identity), never by the memo; _replace(**changes)
-    is a copy with those fields changed, which starts an empty memo.
+    The fields are read-only, and traces compare by identity;
+    _replace(**changes) is a copy with the given fields changed, which
+    starts an empty memo.
     """
 
     __slots__ = ("terms", "remainder", "tail", "kernel_dim", "lambda_min", "_samples")
@@ -193,20 +193,9 @@ class HeatTrace(_ReadOnly):
         object.__setattr__(self, "lambda_min", lambda_min)
         object.__setattr__(self, "_samples", {})
 
-    def _key(self) -> tuple:
-        return self.terms, self.remainder, self.tail, self.kernel_dim, self.lambda_min
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def _replace(self, **changes) -> "HeatTrace":
-        # __slots__ names the fields of _key first, in order
-        return HeatTrace(**dict(zip(self.__slots__, self._key()), **changes))
+        fields = {name: getattr(self, name) for name in self.__slots__ if name != "_samples"}
+        return HeatTrace(**(fields | changes))
 
     def power(self, t):
         t = np.asarray(t, dtype=float)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -83,7 +84,7 @@ def test_laplacian_shape_mismatch():
     cx = build_preset("circle", theta=1.0)
     other = build_preset("torus2", alpha=1.0, beta=0.3)
     with pytest.raises(ShapeMismatch):
-        factorize(cx, ChainMetric.identity(other))
+        factorize(cx, ChainMetric.random_spd(other, np.random.default_rng(0)))
 
 
 def test_eigenpairs_examples():
@@ -210,33 +211,38 @@ def test_factorization_kernel_follows_betti():
 def test_identity_metric_is_unfactored_identity():
     for cx in (build_preset("circle", theta=1.0), build_preset("torus2", alpha=1.0, beta=0.3),
                build_preset("circle", theta=0.0)):
-        metric = ChainMetric.identity(cx)
         factored = ChainMetric([np.eye(d) for d in cx.dims])
-        assert metric.is_identity and not factored.is_identity
         for k, d in enumerate(cx.dims):
-            for factor in (metric.matrix(k), metric.sqrt(k), metric.isqrt(k), metric.inv(k)):
+            for factor in (factored.matrix(k), factored.sqrt(k), factored.isqrt(k),
+                           factored.inv(k)):
                 assert np.array_equal(factor, np.eye(d)) and not factor.flags.writeable
-        for lam, ref in zip(factorize(cx, metric).spectra, factorize(cx, factored).spectra):
+        identity, weighted = factorize(cx), factorize(cx, factored)
+        assert identity.metric is None and weighted.metric is factored
+        for lam, ref in zip(identity.spectra, weighted.spectra):
             assert np.array_equal(lam, ref)
-    # only the dims are kept, not the 512-gon's two 1024 x 1024 eyes (16.8 MB)
-    ngon = _cover("circle", (512,), theta=1.0)
-    tracemalloc.start()
-    try:
-        ChainMetric.identity(ngon)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 20, f"ChainMetric.identity peaked at {peak} bytes"
+
+
+def test_chain_metric_is_read_only():
+    cx = build_preset("circle", theta=1.0)
+    metric = ChainMetric.random_spd(cx, np.random.default_rng(0))
+    sqrt = metric.sqrt(1)
+    for name in ("_degrees", "matrix", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(metric, name, None)
+        with pytest.raises(AttributeError):
+            delattr(metric, name)
+    assert np.array_equal(metric.sqrt(1), sqrt) and metric.matches(cx)
+    # a copy keeps the degrees, and metrics compare by identity
+    again = pickle.loads(pickle.dumps(metric))
+    assert again != metric and np.array_equal(again.sqrt(1), sqrt)
 
 
 def test_metric_factors_refuse_a_degree_outside_the_metric():
-    cx = build_preset("circle", theta=1.0)
     factored = ChainMetric([np.diag([2.0, 3.0]), np.array([[5.0]])])
-    for metric in (factored, ChainMetric.identity(cx)):
-        for k in (-1, 2):
-            for factor in (metric.matrix, metric.sqrt, metric.isqrt, metric.inv):
-                with pytest.raises(ShapeMismatch, match=f"^degree {k} outside 0..1$"):
-                    factor(k)
+    for k in (-1, 2):
+        for factor in (factored.matrix, factored.sqrt, factored.isqrt, factored.inv):
+            with pytest.raises(ShapeMismatch, match=f"^degree {k} outside 0..1$"):
+                factor(k)
     assert factored.matrix(1).tolist() == [[5.0]]
 
 

@@ -93,7 +93,7 @@ def _reference_positive_spectra(cx, metric):
     parts = [[] for _ in cx.dims]
     for k in range(1, cx.dimension + 1):
         w = cx.boundary(k).T
-        if not metric.is_identity:
+        if metric is not None:
             w = metric.sqrt(k) @ w @ metric.isqrt(k - 1)
         sigma = np.linalg.svd(w, compute_uv=False) if w.size else np.zeros(0)
         cut = sigma[0] * max(w.shape) * np.finfo(float).eps if sigma.size else 0.0
@@ -345,7 +345,7 @@ def test_torsion_path_is_values_only_and_bitwise(monkeypatch):
     rng = np.random.default_rng(17)
     for cx in (*(_cover("circle", (n,), theta=1.3) for n in (2, 8, 64)),
                _cover("torus2", (4, 4), alpha=1.0, beta=0.3)):
-        for metric in (ChainMetric.identity(cx), ChainMetric.random_spd(cx, rng)):
+        for metric in (None, ChainMetric.random_spd(cx, rng)):
             fac = factorize(cx, metric)
             assert fac.betti == [0] * (cx.dimension + 1)
             tr_logs = fac.tr_logs
@@ -483,7 +483,7 @@ def test_generalized_log_torsion_examples():
         generalized_log_torsion((1.0, 2.0), (1.0, 2.0, 3.0))
     # variation_check's weights go through the same one length check
     with pytest.raises(ShapeMismatch, match="^got 2 traces but 3 weights$"):
-        variation_check(cx, lambda u: ChainMetric.identity(cx), (0.0, 1.0, 2.0))
+        variation_check(cx, lambda u: None, (0.0, 1.0, 2.0))
 
 
 def test_generalized_log_torsion_linearity():
@@ -723,7 +723,7 @@ def test_variation_refuses_a_path_without_a_tangent():
     cx = build_preset("circle", theta=1.0)
     with pytest.raises(BadParameter, match="^metric path must state its tangent at u = 0, "
                                            "got a function without one$"):
-        variation_check(cx, lambda u: ChainMetric.identity(cx), (0.0, 1.0))
+        variation_check(cx, lambda u: None, (0.0, 1.0))
     with pytest.raises(ShapeMismatch, match="^metric path tangent degrees do not match the "
                                             "complex$"):
         variation_check(cx, exponential_metric_path([np.eye(2)]), (0.0, 1.0))

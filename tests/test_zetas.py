@@ -870,7 +870,8 @@ def test_memo_is_private_to_each_trace():
     assert other._samples == {} and other._samples is not samples
     mellin_zeta(other, 2.5)
     assert other._samples and len(samples) == len(h._samples)
-    assert "_samples" not in repr(h) and other == h
+    # a copy is another trace with the same fields: traces compare by identity
+    assert "_samples" not in repr(h) and repr(other) == repr(h) and other != h
 
 
 def test_memo_keeps_nothing_from_a_trace_that_raises():
