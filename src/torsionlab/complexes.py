@@ -59,6 +59,7 @@ from .errors import (
 
 ORTHOGONALITY_TOL = 1e-12
 CHAIN_TOL = 1e-12
+_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970  # the least integer float() overflows on
 
 # A group word is a tuple of (generator index, exponent) letters: integers,
 # the index >= 0 and the exponent +-1; CellStructure and evaluate refuse others.
@@ -132,8 +133,10 @@ class CellStructure(_ReadOnly):
     incidences[k][i] lists (target cell index, coefficient, word) for the
     i-th k-cell; degree 0 has no incidences.  Construction raises
     SchemaError for a dimension or cell count that is not a non-negative
-    integer (a bool is not one), a target out of range, a coefficient that
-    is not an integer, or a word that is not a GroupWord.  It keeps its
+    integer and, naming the degree and cell, for a target or coefficient
+    that is not an integer (a bool or 1.0 is not, a numpy integer is), a
+    target out of range, a coefficient beyond the float range, or a word
+    not a GroupWord: structure_from_json leaves them to it.  It keeps its
     own nested tuples of the given cell counts and incidences, so a later
     edit of the caller's lists changes nothing here.  The fields are
     read-only, and structures compare and hash by value; a copy,
@@ -167,18 +170,18 @@ class CellStructure(_ReadOnly):
                 for (target, coeff, word) in entries:
                     if k == 0:
                         raise SchemaError("0-cells cannot carry boundary incidences")
+                    if type(target) is not int:  # int first: the name is formatted for others
+                        target = _as_int(target, f"degree {k} cell {i}: target")
                     if not 0 <= target < counts[k - 1]:
                         raise SchemaError(
                             f"degree {k} cell {i}: target {target} out of range")
-                    try:
-                        integral = (isinstance(coeff, numbers.Real) and math.isfinite(coeff)
-                                    and coeff == int(coeff))
-                    except OverflowError:  # an int beyond the float range
+                    if type(coeff) is not int:
+                        coeff = _as_int(coeff, f"degree {k} cell {i}: the coefficient on "
+                                               f"target {target}")
+                    if not -_FLOAT_OVERFLOW < coeff < _FLOAT_OVERFLOW:
                         raise SchemaError(
                             f"degree {k} cell {i}: the coefficient on target {target} "
-                            f"does not fit a float") from None
-                    if not integral:
-                        raise SchemaError("incidence coefficients must be integers")
+                            f"does not fit a float")
                     if not (isinstance(word, tuple) and all(map(_is_letter, word))):
                         raise SchemaError(
                             f"degree {k} cell {i}: word {word!r} is not a tuple of "
@@ -586,60 +589,53 @@ _CELL_FIELDS = {"dim", "boundary"}
 _INCIDENCE_FIELDS = {"cell", "coeff", "word"}
 
 
-def structure_from_json(data: dict) -> tuple[CellStructure, Representation]:
-    """Parse the fixed JSON schema into (CellStructure, Representation)."""
-    if not isinstance(data, dict):
-        raise SchemaError("top-level JSON value must be an object")
-    unknown = set(data) - _TOP_FIELDS
-    if unknown:
-        raise SchemaError(f"unknown top-level fields: {sorted(unknown)}")
-    missing = _TOP_FIELDS - set(data)
-    if missing:
-        raise SchemaError(f"missing top-level fields: {sorted(missing)}")
+def _object(value, fields: set, where: str) -> None:
+    """Refuse, with SchemaError naming `where`, a value not a JSON object of exactly `fields`."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where} must be an object")
+    if value.keys() != fields:
+        shown = [f"{kind} fields {sorted(names)}" for kind, names in
+                 (("unknown", value.keys() - fields), ("missing", fields - value.keys())) if names]
+        raise SchemaError(f"{where}: {'; '.join(shown)}")
 
+
+def _list(value, where: str) -> list:
+    """value, a JSON list; SchemaError names `where`."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{where} must be a list")
+    return value
+
+
+def structure_from_json(data: dict) -> tuple[CellStructure, Representation]:
+    """Parse the fixed JSON schema into (CellStructure, Representation).
+
+    Checked here is the document's shape, and the integers that sort its cells
+    by degree; Representation judges rank and rep, CellStructure each cell,
+    coeff and word, as they do from Python."""
+    _object(data, _TOP_FIELDS, "the document")
     dimension = _as_int(data["dimension"], "dimension")
-    rank = _as_int(data["rank"], "rank")
     n_gens = _as_int(data["generators"], "generators")
     rep = data["rep"]
     if not isinstance(rep, list) or len(rep) != n_gens:
         raise SchemaError("rep must list exactly `generators` matrices")
-    rho = Representation(rank, rep)
+    rho = Representation(data["rank"], rep)
 
-    if not isinstance(data["cells"], list):
-        raise SchemaError("cells must be a list")
-    per_degree: list[list[list[tuple[int, int, GroupWord]]]] = [
-        [] for _ in range(dimension + 1)]
-    for cell in data["cells"]:
-        if not isinstance(cell, dict):
-            raise SchemaError("each cell must be an object")
-        unknown = set(cell) - _CELL_FIELDS
-        if unknown:
-            raise SchemaError(f"unknown cell fields: {sorted(unknown)}")
-        if set(cell) != _CELL_FIELDS:
-            raise SchemaError("each cell needs exactly the fields 'dim' and 'boundary'")
+    per_degree = [[] for _ in range(dimension + 1)]
+    for j, cell in enumerate(_list(data["cells"], "cells")):
+        _object(cell, _CELL_FIELDS, f"cells[{j}]")
         k = _as_int(cell["dim"], "cell dim")
         if not 0 <= k <= dimension:
             raise SchemaError(f"cell dim {k} exceeds complex dimension {dimension}")
-        entries: list[tuple[int, int, GroupWord]] = []
-        if not isinstance(cell["boundary"], list):
-            raise SchemaError("cell boundary must be a list")
-        for inc in cell["boundary"]:
-            if not isinstance(inc, dict):
-                raise SchemaError("each incidence must be an object")
-            if set(inc) != _INCIDENCE_FIELDS:
-                raise SchemaError(
-                    "each incidence needs exactly the fields 'cell', 'coeff', 'word'")
+        entries = []
+        for m, inc in enumerate(_list(cell["boundary"], f"cells[{j}].boundary")):
+            _object(inc, _INCIDENCE_FIELDS, f"cells[{j}].boundary[{m}]")
             word = inc["word"]
             if not (isinstance(word, list) and all(isinstance(x, list) for x in word)):
                 raise SchemaError(f"an incidence word must be a list of letters, got {word!r}")
-            entries.append((_as_int(inc["cell"], "incidence cell"),
-                            _as_int(inc["coeff"], "incidence coeff"), tuple(map(tuple, word))))
+            entries.append((inc["cell"], inc["coeff"], tuple(map(tuple, word))))
         per_degree[k].append(entries)
 
-    cells_struct = CellStructure(dimension=dimension,
-                                 cells_per_degree=[len(group) for group in per_degree],
-                                 incidences=per_degree)
-    return cells_struct, rho
+    return CellStructure(dimension, [len(group) for group in per_degree], per_degree), rho
 
 
 def complex_from_json(source: str | Path | dict) -> TwistedComplex:

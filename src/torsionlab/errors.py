@@ -10,8 +10,8 @@ value inside its domain that the numerics cannot hold) among them.
 
 Each rule has its one definition here:
 
-* _as_int, an integer (complexes, models, boundary, and the seed of
-  verify.run_suites);
+* _as_int, an integer (complexes, each CellStructure target and coefficient
+  among them, models, boundary, and the seed of verify.run_suites);
 * _as_real, a real number (_angle, _tolerance, zetas._length, the radius
   and split of boundary.gluing_check, and weights._weights);
 * _angle, a character angle in [0, 2 pi) (the presets and circle models in

@@ -130,6 +130,9 @@ class ChainMetric(_ReadOnly):
     def matches(self, cplx: TwistedComplex) -> bool:
         return tuple(h.shape[0] for h, _, _ in self._degrees) == cplx.dims
 
+    def __repr__(self) -> str:
+        return f"ChainMetric(dims={tuple(h.shape[0] for h, _, _ in self._degrees)})"
+
 
 MetricPath = Callable[[float], ChainMetric]  # from h(0) = I, with dh_k/du at 0 as path.tangent
 

@@ -111,8 +111,7 @@ _LANCZOS = (
 
 
 def _gamma_complex(z: complex) -> complex:
-    if z.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * z) * _gamma_complex(1.0 - z))
+    """Gamma(z) by Lanczos' series, for Re z >= 1/2 (rgamma reflects the rest)."""
     z -= 1.0
     x = _LANCZOS[0]
     for i, c in enumerate(_LANCZOS[1:], start=1):

@@ -163,6 +163,9 @@ def test_gluing_rejects_degenerate_partitions():
         gluing_check("interval", split=1.0, R=1.0)
     with pytest.raises(UnsupportedPartition):
         gluing_check("moebius")
+    # the pieces' mixed condition is not an outer one
+    with pytest.raises(BadParameter, match="^outer condition must be 'relative' or 'absolute'$"):
+        gluing_check("interval", outer="mixed")
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])

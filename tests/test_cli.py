@@ -610,6 +610,30 @@ def test_csv_output(capsys):
     assert float(rows["value"]) == pytest.approx(-2.0)
 
 
+def test_csv_rows_are_the_flattened_json(capsys):
+    # a payload with lists (beta, dims, spectra, tr_log): each entry is a row keyed
+    # by its path, list indices included, and a float is printed to 15 digits
+    _, out, _ = run_cli(capsys, "torsion", "--preset", "circle", "--json")
+    expected = {}
+
+    def walk(value, key):
+        if isinstance(value, dict):
+            for name, item in value.items():
+                walk(item, f"{key}{name}.")
+        elif isinstance(value, list):
+            for idx, item in enumerate(value):
+                walk(item, f"{key}{idx}.")
+        else:
+            expected[key[:-1]] = f"{value:.15g}" if isinstance(value, float) else str(value)
+
+    walk(json.loads(out), "")
+    code, out, _ = run_cli(capsys, "torsion", "--preset", "circle", "--csv")
+    rows = dict(line.split(",", 1) for line in out.splitlines())
+    assert code == 0 and len(rows) == len(out.splitlines())
+    assert rows == expected and list(rows) == sorted(rows)
+    assert "spectra.1.0" in rows
+
+
 def test_tol_override_spares_pass_fail_cases():
     verdicts = {"combinatorial/telescoping-symbolic",
                 "combinatorial/guards-and-negative-control",

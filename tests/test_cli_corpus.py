@@ -55,6 +55,8 @@ def argvs() -> list[list[str]]:
     out += [["zeta", "--model", m, "--degree", "1", "--s", s, "--derivative"]
             for m in sorted(MODEL_OPTIONS) for s in ("0", "-1.5")]
     out += [["model-torsion", "--model", m, "--kind", "both"] for m in ("sphere2", "torus")]
+    out += [["model-torsion", "--model", m, "--kind", "analytic"]
+            for m in ("circle", "sphere2", "torus")]
     out += [["verify", "--suite", suite] for suite in SUITES]
     return [argv + ["--json"] for argv in out + [
         ["torsion", "--preset", "circle", "--theta", "0"],                   # exit 3

@@ -82,6 +82,9 @@ def test_representation_rejects_non_orthogonal():
     for bad in (np.nan, np.inf):
         with pytest.raises(BadRepresentation, match="not orthogonal"):
             Representation(1, [np.array([[bad]])])
+    with pytest.raises(BadRepresentation,
+                       match=r"^generator 1 has shape \(3, 3\), expected \(2, 2\)$"):
+        Representation(2, [np.eye(2), np.eye(3)])
 
 
 def test_representations_compare_by_identity():
@@ -160,6 +163,14 @@ def test_mis_shaped_complex_is_refused_at_construction():
     # a 2 x 1 bd_1 over dims (1, 1), which both torsion routes used to take values of
     with pytest.raises(ShapeMismatch, match=r"bd_1 has shape \(2, 1\), expected \(1, 1\)"):
         TwistedComplex(rank=1, cells_per_degree=(1, 1), boundaries=(np.ones((2, 1)),))
+    # a cell structure whose counts and incidence lists do not agree
+    for counts, incidences, shown in (
+            ((1,), ((), ()), "cells_per_degree must have length dimension + 1"),
+            ((1, 1), ((),), "incidences must have one entry per degree"),
+            ((1, 1), (((),), ()), "degree 1: incidence list does not match cell count"),
+            ((1, 1), ((((0, 1, ()),),), ((),)), "0-cells cannot carry boundary incidences")):
+        with pytest.raises(SchemaError, match=f"^{re.escape(shown)}$"):
+            CellStructure(dimension=1, cells_per_degree=counts, incidences=incidences)
 
 
 def test_complex_refuses_a_rank_or_cell_count_that_is_not_an_integer():
@@ -191,9 +202,36 @@ def test_complex_refuses_a_rank_or_cell_count_that_is_not_an_integer():
 
 def test_cell_structure_refuses_non_finite_coefficients():
     for coeff in (math.nan, math.inf, -math.inf, 0.5):
-        with pytest.raises(SchemaError, match="incidence coefficients must be integers"):
+        shown = f"degree 1 cell 0: the coefficient on target 0 must be an integer, got {coeff!r}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(shown)}$"):
             CellStructure(dimension=1, cells_per_degree=(1, 1),
                           incidences=(((),), (((0, coeff, ()),),)))
+
+
+def test_targets_and_coefficients_are_integers_from_python_and_json():
+    # one rule, in CellStructure: before, JSON refused these with messages of its own,
+    # and CellStructure built all but the target True (refused as out of range), a
+    # target of 0.5 as target 0 (log T = -0.08404 on the circle at theta = 1) and a
+    # coefficient of True or 1.0 as 1
+    for target, coeff, shown in ((0.5, 1, "target must be an integer, got 0.5"),
+                                 (True, 1, "target must be an integer, got True"),
+                                 (0, True, "the coefficient on target 0 must be an integer, "
+                                           "got True"),
+                                 (0, 1.0, "the coefficient on target 0 must be an integer, "
+                                          "got 1.0")):
+        data = _circle_json(1.0)
+        data["cells"][1]["boundary"][0].update(cell=target, coeff=coeff)
+        for build in (lambda: CellStructure(1, (1, 1), (((),), (((target, coeff, ((0, 1),)),
+                                                                  (0, -1, ())),))),
+                      lambda: complex_from_json(json.dumps(data))):
+            with pytest.raises(SchemaError, match=f"^degree 1 cell 0: {re.escape(shown)}$") as got:
+                build()
+            assert got.type is SchemaError and got.value.exit_code == 2
+    # numpy integers are integers, as in words
+    cells = CellStructure(1, (1, 1), (((),), (((np.int64(0), np.int32(1), ((0, 1),)),
+                                                (np.intp(0), np.int64(-1), ())),)))
+    assert log_reidemeister(build_twisted_boundary(cells, Representation(2, [rotation(1.0)]))) \
+        == log_reidemeister(build_preset("circle", theta=1.0))
 
 
 def test_cell_structure_keeps_tuples_of_the_callers_lists():
@@ -261,13 +299,40 @@ def test_json_round_trip_matches_preset():
 def test_json_rejects_unknown_fields():
     data = _circle_json(1.0)
     data["extra"] = 1
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match=r"^the document: unknown fields \['extra'\]$"):
         complex_from_json(data)
     data = _circle_json(1.0)
     data["cells"][0]["color"] = "blue"
     del data["cells"][0]["dim"]
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match=r"^cells\[0\]: unknown fields \['color'\]; "
+                                          r"missing fields \['dim'\]$"):
         complex_from_json(data)
+    # the document's shape, each object with exactly its fields and each list a list,
+    # is the one thing structure_from_json checks itself
+    for spoil, shown in ((lambda d: [d.pop(key) for key in ("rep", "cells")],
+                          "the document: missing fields ['cells', 'rep']"),
+                         (lambda d: d["cells"][1]["boundary"][1].pop("word"),
+                          "cells[1].boundary[1]: missing fields ['word']"),
+                         (lambda d: d["cells"][1]["boundary"].append(3),
+                          "cells[1].boundary[2] must be an object"),
+                         (lambda d: d["cells"][1].update(boundary={}),
+                          "cells[1].boundary must be a list"),
+                         (lambda d: d.update(cells=None), "cells must be a list")):
+        data = _circle_json(1.0)
+        spoil(data)
+        with pytest.raises(SchemaError, match=f"^{re.escape(shown)}$"):
+            complex_from_json(data)
+    with pytest.raises(SchemaError, match="^the document must be an object$"):
+        structure_from_json([])
+    # the rank is Representation's to judge, with the class it raises from Python
+    for rank, shown in ((1.5, "rank must be an integer, got 1.5"),
+                        (True, "rank must be an integer, got True"),
+                        (0, "rank must be positive, got 0")):
+        data = _circle_json(1.0)
+        data["rank"] = rank
+        with pytest.raises(BadRepresentation, match=f"^{re.escape(shown)}$") as info:
+            complex_from_json(data)
+        assert info.value.exit_code == 2
 
 
 BAD_LETTERS = ((0, 2), (0, 0), (0, 1.5), (0, -2), (0.7, -1), (-1, 1), (0, True), (0,), (0, 1, 1))

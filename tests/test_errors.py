@@ -71,6 +71,8 @@ _REFUSALS = {
                       "metric generator in degree 0 is not square: (2, 3)"),
     "generator 1-d": (lambda: exponential_metric_path([np.eye(2), np.zeros(2)]), ShapeMismatch,
                       "metric generator in degree 1 is not square: (2,)"),
+    "metric 2x3": (lambda: ChainMetric([np.eye(2), np.zeros((2, 3))]), ShapeMismatch,
+                   "metric in degree 1 is not square: (2, 3)"),
     "metric str": (lambda: factorize(build_preset("circle"), "identity"), BadParameter,
                    "metric must be a ChainMetric or None, got str"),
     "path None": (lambda: variation_check(build_preset("circle"), lambda u: None, (0.0, 1.0)),

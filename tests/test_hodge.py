@@ -237,6 +237,14 @@ def test_chain_metric_is_read_only():
     assert again != metric and np.array_equal(again.sqrt(1), sqrt)
 
 
+def test_chain_metric_repr_names_its_dimensions():
+    # before, every metric printed as ChainMetric(), its one slot being private
+    metric = ChainMetric.random_spd(build_preset("torus2"), np.random.default_rng(0))
+    assert repr(metric) == "ChainMetric(dims=(2, 4, 2))"
+    assert repr(ChainMetric([np.eye(2), 2.0 * np.eye(2)])) == "ChainMetric(dims=(2, 2))"
+    assert repr(ChainMetric([])) == "ChainMetric(dims=())"
+
+
 def test_metric_factors_refuse_a_degree_outside_the_metric():
     factored = ChainMetric([np.diag([2.0, 3.0]), np.array([[5.0]])])
     for k in (-1, 2):

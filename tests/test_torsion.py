@@ -505,6 +505,8 @@ def test_euler_characteristic_duality_identity():
         assert chi_prime * (1 + (-1) ** n) == n * chi
         if n % 2 == 0:
             assert 2 * chi_prime == n * chi
+    with pytest.raises(ShapeMismatch, match="^expected 3 Betti numbers, got 2$"):
+        euler_characteristics([1, 0], 2)
 
 
 def test_classify_beta_examples():
@@ -569,6 +571,11 @@ def test_variation_constant_path():
     cx = build_preset("circle", theta=1.0)
     rep = variation_check(cx, exponential_metric_path([np.zeros((2, 2))] * 2), (0.0, 1.0))
     assert rep.lhs == 0.0 and rep.rhs == 0.0
+    # a complex with no cells: its 0 x 0 map takes no SVD (numpy's raises LinAlgError)
+    empty = TwistedComplex(1, (0, 0), [np.zeros((0, 0))])
+    rep = variation_check(empty, exponential_metric_path([np.zeros((0, 0))] * 2), (0.0, 1.0))
+    assert rep.gammas == rep.tr_alphas == (0.0, 0.0)
+    assert rep.lhs == rep.rhs == rep.discrepancy == 0.0
 
 
 def test_variation_circle_scale_path():
@@ -738,4 +745,10 @@ def test_variation_requires_acyclic():
     trivial = build_twisted_boundary(cells, Representation(1, [np.eye(1)]))
     with pytest.raises(NotAcyclic):
         variation_check(trivial, exponential_metric_path([np.zeros((1, 1))] * 2),
+                        (0.0, 1.0))
+    # one vertex and no edge: the 1 x 0 map has no singular value, and H_0 survives
+    vertex = TwistedComplex(1, (1, 0), [np.zeros((1, 0))])
+    with pytest.raises(NotAcyclic,
+                       match=r"^degree 0 has Betti number 1 \(Betti numbers \[1, 0\]\)$"):
+        variation_check(vertex, exponential_metric_path([np.zeros((1, 1)), np.zeros((0, 0))]),
                         (0.0, 1.0))

@@ -41,6 +41,9 @@ def test_digamma_values():
     assert abs(digamma(1.0) + euler) < 1e-12
     assert abs(digamma(0.5) + euler + 2.0 * math.log(2.0)) < 1e-12
     assert abs(digamma(5.0) - (digamma(1.0) + sum(1.0 / k for k in range(1, 5)))) < 1e-12
+    for pole in (0.0, -2.0):
+        with pytest.raises(BadParameter, match=f"^digamma pole at nonpositive integer {pole}$"):
+            digamma(pole)
 
 
 def test_rgamma_zeros_and_values():
@@ -48,8 +51,11 @@ def test_rgamma_zeros_and_values():
     assert abs(rgamma(0.5) - 1.0 / math.sqrt(math.pi)) < 1e-14
     for m in (0, -1, -2, -5):
         assert abs(rgamma(float(m))) < 1e-15
-    z = rgamma(complex(2.0, 1.0))
-    assert abs(z * math.gamma(2.0) - rgamma(complex(2.0, 1.0)) * 1.0) == 0.0
+    # complex s on both sides of Re s = 1/2, where rgamma reflects
+    mpmath = pytest.importorskip("mpmath")
+    for s in (-3.7 + 2j, 0.2 + 1j, 0.49 + 0.5j, 0.51 - 0.5j, 0.8 - 3j, 2.5 + 4j):
+        exact = complex(mpmath.rgamma(s))
+        assert abs(rgamma(s) - exact) <= 1e-14 * abs(exact), s
 
 
 def test_rgamma_prime_closed_forms():
@@ -416,6 +422,8 @@ def test_product_heat_trace_terms():
     assert abs(terms[0.5] - L / (2.0 * math.sqrt(4.0 * math.pi))) < 1e-14
     assert hn.kernel_dim == 1
     assert abs((zeta_at_zero(hn) - zeta_at_zero(hd)) - (-1.0)) < 1e-14
+    with pytest.raises(BadParameter, match="^multiply at least one heat trace$"):
+        product_heat_trace()
 
 
 def test_product_heat_trace_pointwise_and_split():
@@ -741,6 +749,10 @@ def test_quadrature_warning_raises():
     # full_output, as a tracer that counts nodes calls it, raises just the same
     with pytest.raises(QuadratureFailure):
         zetas.quad(h.remainder, lambda t: (t,), 0.0, 1.0, [zetas.QUAD_EPSABS], full_output=1)
+    # an integral that is not finite is refused at its first level, not returned
+    with pytest.raises(QuadratureFailure, match=r"^integral over \[0, 1\] returned \[inf\]$"):
+        zetas.quad(lambda t: np.full(t.shape, np.inf), lambda t: (t,), 0.0, 1.0,
+                   [zetas.QUAD_EPSABS])
 
 
 def test_error_estimates_bound_the_true_error():
