@@ -133,10 +133,11 @@ class CellStructure(_ReadOnly):
     incidences[k][i] lists (target cell index, coefficient, word) for the
     i-th k-cell; degree 0 has no incidences.  Construction raises
     SchemaError for a dimension or cell count that is not a non-negative
-    integer and, naming the degree and cell, for a target or coefficient
-    that is not an integer (a bool or 1.0 is not, a numpy integer is), a
-    target out of range, a coefficient beyond the float range, or a word
-    not a GroupWord: structure_from_json leaves them to it.  It keeps its
+    integer and, naming the degree and cell, for incidences that are not
+    (target, coeff, word) triples, a target or coefficient that is not an
+    integer (a bool or 1.0 is not, a numpy integer is), a target out of
+    range, a coefficient beyond the float range, or a word not a GroupWord:
+    structure_from_json leaves them to it.  It keeps its
     own nested tuples of the given cell counts and incidences, so a later
     edit of the caller's lists changes nothing here.  The fields are
     read-only, and structures compare and hash by value; a copy,
@@ -166,10 +167,18 @@ class CellStructure(_ReadOnly):
                 raise SchemaError(f"degree {k}: incidence list does not match cell count")
             cells = []
             for i, entries in enumerate(per_cell):
-                entries = tuple(map(tuple, entries))
-                for (target, coeff, word) in entries:
+                try:
+                    entries = tuple(map(tuple, entries))
+                except TypeError:
+                    raise SchemaError(f"degree {k} cell {i}: incidences {entries!r} are not "
+                                      f"a list of (target, coeff, word) triples") from None
+                for entry in entries:
                     if k == 0:
                         raise SchemaError("0-cells cannot carry boundary incidences")
+                    if len(entry) != 3:
+                        raise SchemaError(f"degree {k} cell {i}: incidence {entry!r} is not "
+                                          f"a (target, coeff, word) triple")
+                    target, coeff, word = entry
                     if type(target) is not int:  # int first: the name is formatted for others
                         target = _as_int(target, f"degree {k} cell {i}: target")
                     if not 0 <= target < counts[k - 1]:

@@ -161,7 +161,10 @@ def product(name: str, *factors: SpectralModel) -> SpectralModel:
     condition it keeps.  Its degree-k trace is the sum over i_1 + ... + i_m = k
     of product_heat_trace(factors[0].heat[i_1], ...); each multiset of traces
     is multiplied once, shared between degrees, and weighted by the number of
-    index tuples that give it, so the n-torus multiplies its circle once."""
+    index tuples that give it, so the n-torus multiplies its circle once.
+    Degrees with the same multiplicity table (the same multisets with the
+    same counts, in the same order) share one combined trace, and with it
+    one sample memo: torus(n=4).heat[1] is heat[3]."""
     conditions = [f.condition for f in factors if f.condition is not None]
     if len(conditions) > 1:
         raise BadParameter("a product takes at most one factor with a boundary")
@@ -178,9 +181,11 @@ def product(name: str, *factors: SpectralModel) -> SpectralModel:
         degrees = grown
     keys = dict.fromkeys(key for groups in degrees for key in groups)
     made = {key: product_heat_trace(*(traces[i] for i in key)) for key in keys}
-    heat = [combine_heat_traces([(count, made[key]) for key, count in groups.items()])
-            for groups in degrees]
-    return SpectralModel(name=name, heat=tuple(heat), condition=(conditions or [None])[0])
+    tables = [tuple(groups.items()) for groups in degrees]
+    combined = {table: combine_heat_traces([(count, made[key]) for key, count in table])
+                for table in dict.fromkeys(tables)}
+    heat = tuple(combined[table] for table in tables)
+    return SpectralModel(name=name, heat=heat, condition=(conditions or [None])[0])
 
 
 MODELS = {"circle": circle, "torus": torus, "sphere2": sphere2}
@@ -246,18 +251,28 @@ def residue_torsion(model: SpectralModel, beta: Sequence[float]) -> TorsionRepor
                          flags=flags)
 
 
+def _degree_zetas(model: SpectralModel, s, derivative: bool = False) -> list[ZetaEval]:
+    """mellin_zeta of each degree's trace at s, evaluated once per distinct
+    trace: degrees that share a trace share its (deterministic) value."""
+    done = {}
+    for h in model.heat:
+        if id(h) not in done:
+            done[id(h)] = mellin_zeta(h, s, derivative=derivative)
+    return [done[id(h)] for h in model.heat]
+
+
 def analytic_torsion(model: SpectralModel, beta: Sequence[float],
                      require_acyclic: bool = False) -> TorsionReport:
     """log T_zeta(beta) = 1/2 sum_k (-1)^k beta_k zeta_k'(0).
 
     With require_acyclic=True (the torsion-as-Reidemeister reading of
     beta = k) a nonzero Betti number raises NotAcyclic.  beta = 1 yields 0
-    in every dimension.
+    in every dimension.  Degrees that share a trace share one evaluation.
     """
     beta = _weights(beta, model.dim + 1)
     if require_acyclic and any(model.betti):
         raise NotAcyclic(f"model {model.name} has Betti numbers {model.betti}")
-    evals = [model.zeta(k, 0.0, derivative=True) for k in range(model.dim + 1)]
+    evals = _degree_zetas(model, 0.0, derivative=True)
     zeta0 = tuple(e.value for e in evals)
     prime = tuple(e.derivative for e in evals)
     res = tuple(residue_log_trace(model, k) for k in range(model.dim + 1))
@@ -300,7 +315,8 @@ def identity_suite(model: SpectralModel, s_values: Iterable[float] = (0.0, 0.75,
 
     At every sampled s: zeta_k(s) = zeta_{n-k}(s); for odd n the alternating
     sum vanishes; for even n both the plain and the k-weighted alternating
-    sums vanish and (n/2) * sum = weighted sum.  s_values may be any iterable.
+    sums vanish and (n/2) * sum = weighted sum; each distinct degree trace is
+    evaluated once per s.  s_values may be any iterable.
     SchemaError refuses a tol that is not a finite number >= 0, BadParameter
     an empty s_values.
     """
@@ -312,7 +328,7 @@ def identity_suite(model: SpectralModel, s_values: Iterable[float] = (0.0, 0.75,
     weighted = 0.0 if n % 2 == 0 else None
     half_relation = 0.0 if n % 2 == 0 else None
     for s in s_values:
-        vals = [model.zeta(k, s).value for k in range(n + 1)]
+        vals = [e.value for e in _degree_zetas(model, s)]
         for k in range(n + 1):
             duality = max(duality, abs(vals[k] - vals[n - k]))
         alt = sum((-1.0) ** k * vals[k] for k in range(n + 1))

@@ -45,13 +45,16 @@ its split: levels 0-4 in one call, then one call per further level.  The
 nodes depend on the trace alone, never on s, so mellin_zeta samples each
 part (remainder, tail) once per group of levels and keeps, in the trace's
 private memo HeatTrace._samples and for the trace's lifetime, what quad
-needs of those samples: the positions of the nonzero ones, t there and
-trace(t) dt/du there.  Every later zeta of the trace, at any s, reads them,
-and forms only its weights at those t.  Each integral aims
-at QUAD_EPSABS absolute error, or at the bound the estimate already counts
-for the sphere's cut and rounding where that is larger, and at QUAD_EPSREL
-relative error; an integral that cannot get there raises QuadratureFailure
-instead of returning its estimate.
+needs of those samples: at the nonzero ones, each one's level index, t and
+trace(t) dt/du.  Every later zeta of the trace, at any s, reads them, forms
+only its weights at those t, and sums each level of the group with one
+np.bincount by level index; a level with no nonzero sample sums to 0.0.
+models.product gives degrees with one spectrum (the n-torus's k and n - k)
+one trace, so one memo, and models evaluate each distinct trace once.
+Each integral aims at QUAD_EPSABS absolute error, or at the bound the
+estimate already counts for the sphere's cut and rounding where that is
+larger, and at QUAD_EPSREL relative error; an integral that cannot get
+there raises QuadratureFailure instead of returning its estimate.
 """
 
 from __future__ import annotations
@@ -165,18 +168,23 @@ class HeatTrace(_ReadOnly):
     starts an empty memo.
     """
 
-    __slots__ = ("terms", "remainder", "tail", "kernel_dim", "lambda_min", "_samples")
+    __slots__ = ("terms", "remainder", "tail", "kernel_dim", "lambda_min", "_limits", "_samples")
     terms: tuple[tuple[float, float], ...]
     remainder: Callable[[np.ndarray], np.ndarray]
     tail: Callable[[np.ndarray], np.ndarray]
     kernel_dim: int
     lambda_min: float
+    # (positive_powers, _expansion_cut(terms)), what mellin_zeta reads of
+    # the terms on every call: None until _limits_of forms it, at the first
+    # zeta of the trace, so a trace that is never evaluated never forms it
+    _limits: tuple[tuple[float, ...], float] | None
     # mellin_zeta's memo, for the trace's lifetime (every trace, a _replace
     # copy too, starts an empty one): (part, lo, hi, index into _TS_GROUPS)
     # -> _node_arrays of part on that group's nodes over [lo, hi], three
-    # read-only arrays: the positions where part is nonzero, t there and
-    # part(t) dt/du there.  The nodes depend on the trace alone (lo, hi are
-    # cut and 1, or 1 and the tail's upper limit), so it holds at most
+    # read-only, equal-length 8-byte arrays over the nodes where part is
+    # nonzero: each one's level index in the group, t there and part(t)
+    # dt/du there.  The nodes depend on the trace alone (lo, hi are cut and
+    # 1, or 1 and the tail's upper limit), so it holds at most
     # 2 len(_TS_GROUPS) entries, of at most 24 bytes a node (2049 nodes a
     # part).  A series cutoff chosen per call (ROADMAP item 4) would make
     # the samples depend on the call: the key must then name that cutoff.
@@ -190,10 +198,11 @@ class HeatTrace(_ReadOnly):
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "kernel_dim", kernel_dim)
         object.__setattr__(self, "lambda_min", lambda_min)
+        object.__setattr__(self, "_limits", None)
         object.__setattr__(self, "_samples", {})
 
     def _replace(self, **changes) -> "HeatTrace":
-        fields = {name: getattr(self, name) for name in self.__slots__ if name != "_samples"}
+        fields = {name: getattr(self, name) for name in self.__slots__ if name[0] != "_"}
         return HeatTrace(**(fields | changes))
 
     def power(self, t):
@@ -206,6 +215,12 @@ class HeatTrace(_ReadOnly):
     @property
     def positive_powers(self) -> tuple[float, ...]:
         return tuple(p for p, c in self.terms if p > 0.0 and c != 0.0)
+
+    def _limits_of(self) -> tuple[tuple[float, ...], float]:
+        """(positive_powers, _expansion_cut(terms)), formed at the first call."""
+        if self._limits is None:
+            object.__setattr__(self, "_limits", (self.positive_powers, _expansion_cut(self.terms)))
+        return self._limits
 
     def consistency_residual(self) -> float:
         """|(b + tail(t)) - (power(t) + remainder(t))| at the split point t = 1."""
@@ -512,15 +527,14 @@ _TS_GROUPS = ((0, 1, 2, 3, 4),) + tuple((m,) for m in range(5, _TS_MAX_LEVEL + 1
 
 @lru_cache(maxsize=None)
 def _tanh_sinh_nodes(levels: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """(c, w, left, starts), read-only, for the nodes u = k 2^-m, 0 <= u <=
+    """(c, w, left, index), read-only, for the nodes u = k 2^-m, 0 <= u <=
     _TS_REACH, first used at each level m of levels (every k at level 0, odd
     k after), level after level: t = lo + half c where left, else hi - half c
     (the midpoint, k = 0, once), with c = 1 - tanh(pi/2 sinh u) formed
-    without cancellation and dt/du = half w; levels[i]'s nodes begin at
-    starts[i]."""
-    c, w, left, starts = [], [], [], []
-    for level in levels:
-        starts.append(len(c))
+    without cancellation and dt/du = half w; a node first used at levels[i]
+    has index i."""
+    c, w, left, index = [], [], [], []
+    for i, level in enumerate(levels):
         h = 2.0 ** -level
         for k in range(0 if level == 0 else 1, int(_TS_REACH / h) + 1, 1 if level == 0 else 2):
             v = 0.5 * math.pi * math.sinh(k * h)
@@ -528,7 +542,8 @@ def _tanh_sinh_nodes(levels: tuple[int, ...]) -> tuple[np.ndarray, ...]:
             c += [2.0 / (1.0 + math.exp(2.0 * v))] * len(sides)
             w += [0.5 * math.pi * math.cosh(k * h) / math.cosh(v) ** 2] * len(sides)
             left += sides
-    arrays = (np.array(c), np.array(w), np.array(left), np.array(starts))
+            index += [i] * len(sides)
+    arrays = (np.array(c), np.array(w), np.array(left), np.array(index, dtype=np.int64))
     for array in arrays:
         array.flags.writeable = False
     return arrays
@@ -539,27 +554,31 @@ _TS_LEVELS = tuple((group, i) for group, levels in enumerate(_TS_GROUPS) for i i
 
 
 def _node_arrays(trace, name: str, lo: float, hi: float, group: int) -> tuple[np.ndarray, ...]:
-    """(positions, t, trace(t) dt/du) at the nodes of _TS_GROUPS[group] over
+    """(level, t, trace(t) dt/du) at the nodes of _TS_GROUPS[group] over
     [lo, hi] where trace is nonzero, read-only: all that quad needs of the
-    trace there, none of it dependent on the weights.  A trace that returns
-    another shape than its nodes' raises ShapeMismatch naming it `name`."""
-    c, w, left, _ = _tanh_sinh_nodes(_TS_GROUPS[group])
+    trace there, none of it dependent on the weights.  level[j] is the
+    index in the group of the level that first uses sample j; the nodes
+    where trace is 0 are dropped, so a level may keep none.  A trace that
+    returns another shape than its nodes' raises ShapeMismatch naming it
+    `name`."""
+    c, w, left, index = _tanh_sinh_nodes(_TS_GROUPS[group])
     half = 0.5 * (hi - lo)
     t = np.where(left, lo + half * c, hi - half * c)
     f = np.asarray(trace(t), dtype=float)
     if f.shape != t.shape:
         raise ShapeMismatch(f"the {name} returned shape {f.shape} on {t.size} nodes")
     at = np.flatnonzero(f)
-    arrays = (at, t[at], f[at] * w[at])
+    arrays = (index[at], t[at], f[at] * w[at])
     for array in arrays:
         array.flags.writeable = False
     return arrays
 
 
 class _Sampled:
-    """h's remainder or tail as quad's trace: its node arrays are read from
-    h's memo, HeatTrace._samples, or formed once by _node_arrays and kept
-    there.  nodes counts every node quad uses, sampled afresh or not."""
+    """h's remainder or tail as quad's trace: its node arrays (level index,
+    t, part(t) dt/du at the nonzero samples) are read from h's memo,
+    HeatTrace._samples, or formed once by _node_arrays and kept there.
+    nodes counts every node quad uses, sampled afresh or not."""
 
     __slots__ = ("h", "part", "nodes")
 
@@ -583,56 +602,57 @@ def quad(trace, weights, lo: float, hi: float, epsabs, full_output: int = 0):
     trace and weights take an array of nodes: trace returns an array of its
     shape and weights a sequence of such arrays.  The nodes of levels 0-4
     (129) go to trace in one call, then those of each later level in one,
-    and of each call _node_arrays keeps the positions where the trace is
-    nonzero, t there and trace(t) dt/du there.  mellin_zeta passes, in place
-    of a trace, a _Sampled, whose node_arrays method reads these from the
-    trace's memo.  The weights are formed at those t alone, so a weight that
-    would overflow where the trace vanishes is never formed, and scattered
-    into the full node row, zeros included, whose slices np.add.reduceat
-    sums to each level's sum.  One flat loop in Python floats runs over the
-    levels: h = 2^-m halves the step; with d_m the change from level m-1 to
-    m, level m's error is estimated as d_m^2 / d_{m-1}, as the convergence
-    is quadratic.  From level 2 on, each integral aims at max(epsabs[i],
-    QUAD_EPSREL |value|), and the last level, _TS_MAX_LEVEL, accepts
-    QUAD_EPSREL_LAST; an integral that misses that too, or a value that is
-    not finite, raises QuadratureFailure.  Returns (values, errors), and
-    also {"neval": trace evaluations} with full_output.
+    and of each call _node_arrays keeps, where the trace is nonzero, each
+    sample's level index, t and trace(t) dt/du.  mellin_zeta passes, in
+    place of a trace, a _Sampled, whose node_arrays method reads these from
+    the trace's memo.  The weights are formed at those t alone, so a weight
+    that would overflow where the trace vanishes is never formed, under the
+    caller's numpy error state (_split quiets overflow and invalid for both
+    of mellin_zeta's integrals at once: an overflow where the trace is
+    nonzero makes the value inf or nan, which is refused below), and
+    np.bincount sums each weight times trace(t) dt/du by level index, one
+    sum per level of the group (0.0 for a level that kept no sample).  One
+    flat loop in Python floats runs over the levels, and in each over the
+    integrals by index: h = 2^-m halves the step; with d_m the change from
+    level m-1 to m, level m's error is estimated as d_m^2 / d_{m-1}, as the
+    convergence is quadratic.  From level 2 on, each integral aims at
+    max(epsabs[i], QUAD_EPSREL |value|), and the last level, _TS_MAX_LEVEL,
+    accepts QUAD_EPSREL_LAST; an integral that misses that too, or a value
+    that is not finite, raises QuadratureFailure.  Returns (values, errors),
+    and also {"neval": trace evaluations} with full_output.
     """
     node_arrays = getattr(trace, "node_arrays", None)
     if node_arrays is None:
         node_arrays = partial(_node_arrays, trace, "trace")
-    half = 0.5 * (hi - lo)
     count = len(epsabs)
     values, change, errors = [0.0] * count, [math.inf] * count, [0.0] * count
     neval = 0
-    # a weight that overflows where the trace is nonzero makes the value inf
-    # or nan, which is refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for level, (group, row) in enumerate(_TS_LEVELS):
-            if row == 0:
-                at, t, ftw = node_arrays(lo, hi, group)
-                c, _, _, starts = _tanh_sinh_nodes(_TS_GROUPS[group])
-                neval += c.size
-                terms = np.zeros((count, c.size))
-                for i, weight in enumerate(weights(t)):
-                    terms[i, at] = weight * ftw
-                sums = np.add.reduceat(terms, starts, axis=1).T.tolist()
-            scale = half * 2.0 ** -level
-            finite = converged = True
-            for i, (x, eps) in enumerate(zip(sums[row], epsabs)):
-                v = 0.5 * values[i] + scale * x
-                d, last = abs(v - values[i]), change[i]
-                values[i], change[i] = v, d
-                errors[i] = err = d * d / last if last else d
-                finite = finite and math.isfinite(v)
-                converged = converged and err <= max(eps, QUAD_EPSREL * abs(v))
-            if not finite:
-                raise QuadratureFailure(f"integral over [{lo:g}, {hi:g}] returned {values}")
-            if level >= 2 and converged:
-                break
-        else:
-            if not all(err <= max(eps, QUAD_EPSREL_LAST * abs(v))
-                       for err, eps, v in zip(errors, epsabs, values)):
+    scale = hi - lo  # half the interval times h = 2^-level, halved before each level
+    for level, (group, row) in enumerate(_TS_LEVELS):
+        if row == 0:
+            index, t, ftw = node_arrays(lo, hi, group)
+            neval += _tanh_sinh_nodes(_TS_GROUPS[group])[0].size
+            width = len(_TS_GROUPS[group])
+            sums = [np.bincount(index, weight * ftw, width).tolist() for weight in weights(t)]
+        scale *= 0.5
+        finite = converged = True
+        for i, level_sums in enumerate(sums):
+            old = values[i]
+            values[i] = v = 0.5 * old + scale * level_sums[row]
+            d, last = abs(v - old), change[i]
+            change[i] = d
+            errors[i] = err = d * d / last if last else d
+            if not math.isfinite(v):
+                finite = False
+            if not (err <= epsabs[i] or err <= QUAD_EPSREL * abs(v)):
+                converged = False
+        if not finite:
+            raise QuadratureFailure(f"integral over [{lo:g}, {hi:g}] returned {values}")
+        if level >= 2 and converged:
+            break
+    else:
+        for i in range(count):
+            if not (errors[i] <= epsabs[i] or errors[i] <= QUAD_EPSREL_LAST * abs(values[i])):
                 raise QuadratureFailure(
                     f"integral over [{lo:g}, {hi:g}]: error estimate {max(errors):.1e} "
                     f"after {neval} nodes, above the target")
@@ -649,12 +669,12 @@ _ROUNDING = 1e-14
 _DIFFERENCE_ROUNDING = 2.0 * math.ulp(1.0)
 
 
-def _expansion_error(terms, sigma: float) -> tuple[float, float]:
-    """Bounds on the error the cut of a truncated expansion through t^N leaves
-    in int_0^1 w(t) remainder(t) dt, for w = t^(sigma-1) and t^(sigma-1) |log t|:
-    below the cut |c_N| t^N bounds the dropped remainder, above it
-    _DIFFERENCE_ROUNDING sum_p |c_p| t^-p bounds its rounding.  Needs sigma > -N."""
-    cut = _expansion_cut(terms)
+def _expansion_error(terms, cut: float, sigma: float) -> tuple[float, float]:
+    """Bounds on the error the cut = _expansion_cut(terms) of a truncated
+    expansion through t^N leaves in int_0^1 w(t) remainder(t) dt, for
+    w = t^(sigma-1) and t^(sigma-1) |log t|: below the cut |c_N| t^N bounds
+    the dropped remainder, above it _DIFFERENCE_ROUNDING sum_p |c_p| t^-p
+    bounds its rounding.  Needs sigma > -N."""
     if cut == 0.0:
         return 0.0, 0.0
     p_last, c_last = terms[-1]
@@ -666,6 +686,20 @@ def _expansion_error(terms, sigma: float) -> tuple[float, float]:
         abs(c) * (log_cut if sigma == p else (1.0 - cut ** (sigma - p)) / (sigma - p))
         for p, c in terms)
     return bound, bound * (1.0 / a + log_cut)
+
+
+def _split(h: HeatTrace, weights, bounds, cut: float, upper: float):
+    """(int_cut^1 w remainder, int_1^upper w tail, quad error, nodes used)
+    for each weight w in weights(t); the remainder integral of weight i aims
+    at bounds[i], its own known rounding, where that exceeds QUAD_EPSABS.
+    Both integrals run with overflow and invalid quiet, under one error
+    state: a weight that overflows where the trace is nonzero makes the
+    value inf or nan, which quad refuses."""
+    rem_part, tail_part = _Sampled(h, "remainder"), _Sampled(h, "tail")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rem, e1 = quad(rem_part, weights, cut, 1.0, [max(QUAD_EPSABS, bound) for bound in bounds])
+        tl, e2 = quad(tail_part, weights, 1.0, upper, [QUAD_EPSABS] * len(bounds))
+    return rem, tl, [x + y for x, y in zip(e1, e2)], rem_part.nodes + tail_part.nodes
 
 
 def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> ZetaEval:
@@ -684,25 +718,14 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
     given, s = s, complex(s)
     if not cmath.isfinite(s):
         raise BadParameter(f"s must be finite, got {given}")
-    for p in h.positive_powers:
+    poles, cut = h._limits_of()  # the remainder is 0 below the cut
+    for p in poles:
         if abs(s - p) < 1e-8:
             raise PoleHit(f"zeta has a pole at s = {p}")
     upper = max(2.0, _EXP_CUTOFF / h.lambda_min)
     b = h.kernel_dim
-    cut = _expansion_cut(h.terms)  # the remainder is 0 below it
-    cut_err, log_err = _expansion_error(h.terms, s.real)
+    cut_err, log_err = _expansion_error(h.terms, cut, s.real)
     nodes = 0
-
-    def split(weights, bounds) -> tuple[tuple, tuple, list[float]]:
-        """(int_cut^1 w remainder, int_1^upper w tail, quad error) for each
-        weight w in weights(t); the remainder integral of weight i aims at
-        bounds[i], its own known rounding, where that exceeds QUAD_EPSABS."""
-        nonlocal nodes
-        rem_part, tail_part = _Sampled(h, "remainder"), _Sampled(h, "tail")
-        rem, e1 = quad(rem_part, weights, cut, 1.0, [max(QUAD_EPSABS, bound) for bound in bounds])
-        tl, e2 = quad(tail_part, weights, 1.0, upper, [QUAD_EPSABS] * len(bounds))
-        nodes += rem_part.nodes + tail_part.nodes
-        return rem, tl, [x + y for x, y in zip(e1, e2)]
 
     def error(factor, quad_err: float, bound: float, parts) -> float:
         """|factor| times the quadrature error, the known bound and the
@@ -717,7 +740,8 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
         err = abs(fact) * 1e-15 * (abs(c_n) + b + 1.0)
         deriv = None
         if derivative:
-            (rem_int,), (tail_int,), (e,) = split(lambda t: (1.0 / t ** (n + 1),), [cut_err])
+            (rem_int,), (tail_int,), (e,), nodes = _split(
+                h, lambda t: (1.0 / t ** (n + 1),), [cut_err], cut, upper)
             psi = sum(1.0 / k for k in range(1, n + 1)) - EULER_GAMMA
             f_parts = ([-psi * r_n] + [c / (-n - p) for p, c in h.terms if p != -n]
                        + [b / n if n else 0.0, rem_int, tail_int])
@@ -737,7 +761,8 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
             modulus, phase = t ** (s.real - 1.0), s.imag * np.log(t)
             return modulus * np.cos(phase), modulus * np.sin(phase)
 
-        re_im_rem, re_im_tail, (e_re, e_im) = split(parts, [cut_err, cut_err])
+        re_im_rem, re_im_tail, (e_re, e_im), nodes = _split(h, parts, [cut_err, cut_err],
+                                                             cut, upper)
         f_parts = closed + [complex(*re_im_rem), complex(*re_im_tail)]
         rg = rgamma(s)
         return ZetaEval(s=s, value=rg * sum(f_parts), derivative=None,
@@ -750,9 +775,9 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
             w = t ** a
             return w, w * np.log(t)
 
-        rem, tl, (e, e_log) = split(weights, [cut_err, log_err])
+        rem, tl, (e, e_log), nodes = _split(h, weights, [cut_err, log_err], cut, upper)
     else:
-        rem, tl, (e,) = split(lambda t: (t ** a,), [cut_err])
+        rem, tl, (e,), nodes = _split(h, lambda t: (t ** a,), [cut_err], cut, upper)
     f_parts = [x.real for x in closed] + [rem[0], tl[0]]
     rg = rgamma(sr)
     err = error(rg, e, cut_err, f_parts) + _ROUNDING

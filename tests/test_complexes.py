@@ -208,6 +208,19 @@ def test_cell_structure_refuses_non_finite_coefficients():
                           incidences=(((),), (((0, coeff, ()),),)))
 
 
+def test_cell_structure_refuses_an_incidence_that_is_not_a_triple():
+    # before, the first and third escaped as a raw ValueError from unpacking and
+    # the second as a raw TypeError
+    for per_cell, shown in (
+            (((((0, 1),),),), "incidence ((0, 1),) is not a (target, coeff, word) triple"),
+            ((None,), "incidences None are not a list of (target, coeff, word) triples"),
+            ((((0, 1, (), 2),),),
+             "incidence (0, 1, (), 2) is not a (target, coeff, word) triple")):
+        with pytest.raises(SchemaError, match=f"^degree 1 cell 0: {re.escape(shown)}$") as got:
+            CellStructure(1, (1, 1), (((),), per_cell))
+        assert got.value.exit_code == 2
+
+
 def test_targets_and_coefficients_are_integers_from_python_and_json():
     # one rule, in CellStructure: before, JSON refused these with messages of its own,
     # and CellStructure built all but the target True (refused as out of range), a

@@ -314,6 +314,46 @@ def test_product_forms_each_equal_product_once():
     assert torus.betti == (1, 4, 6, 4, 1)
 
 
+def test_product_shares_the_trace_of_degrees_with_one_multiplicity_table():
+    # degrees k and n - k of the n-torus sum the same products with the same
+    # counts: one combined trace, so one sample memo, serves both
+    for n in (3, 4):
+        heat = build_model("torus", n=n, L=6.0).heat
+        assert all(heat[k] is heat[n - k] for k in range(n + 1))
+        assert len({id(h) for h in heat}) == n // 2 + 1
+
+
+@pytest.mark.parametrize("build", [lambda: build_model("torus", n=4, L=6.0),
+                                   lambda: build_model("torus", n=3, L=6.0),
+                                   lambda: build_model("sphere2"),
+                                   lambda: build_model("circle", theta=1.3, rank=2),
+                                   lambda: build_cylinder(1.1, 2.0, "mixed")])
+def test_identity_suite_and_analytic_torsion_evaluate_each_trace_once(build, monkeypatch):
+    calls = []
+    real = models.mellin_zeta
+
+    def counting(h, s, derivative=False):
+        calls.append((id(h), s, derivative))
+        return real(h, s, derivative=derivative)
+
+    monkeypatch.setattr(models, "mellin_zeta", counting)
+    model = build()
+    # the same degrees, each its own copy of its trace: evaluated degree by degree
+    separate = SpectralModel(model.name, [h._replace() for h in model.heat], model.condition)
+    distinct = len({id(h) for h in model.heat})
+    beta = tuple(range(model.dim + 1))
+    s_values = (0.0, 0.75, 2.5)  # off every pole of these models (2 on the 4-torus)
+    for check, points in ((lambda m: identity_suite(m, s_values), len(s_values)),
+                          (lambda m: analytic_torsion(m, beta), 1)):
+        calls[:] = []
+        shared = check(model)
+        assert len(calls) == len(set(calls)) == distinct * points
+        calls[:] = []
+        # repr round-trips each float: the reports agree bit for bit
+        assert repr(check(separate)) == repr(shared)
+        assert len(calls) == (model.dim + 1) * points
+
+
 def test_product_takes_one_boundary_factor():
     interval = build_interval(1.0, "relative")
     assert models.product("one", interval).heat == interval.heat

@@ -944,6 +944,42 @@ def test_plain_quad_matches_the_memo(make, monkeypatch):
         assert neval == ev.nodes
 
 
+def test_quad_sums_a_level_with_no_nonzero_sample_to_zero():
+    # a bump on (0.25, 0.35) that every node of levels 0, 1 and 3 misses: quad
+    # keeps no sample of those levels and sums each to exactly 0.0
+    def bump(t):
+        x = (np.asarray(t) - 0.3) / 0.05
+        return np.where(np.abs(x) < 1.0, (1.0 - x * x) ** 8, 0.0)
+
+    def weights(t):
+        return t ** -0.25, np.ones(t.shape)
+
+    level, t, ftw = zetas._node_arrays(bump, "trace", 0.0, 1.0, 0)
+    assert set(level.tolist()) == {2, 4}
+    for weight in weights(t):
+        sums = np.bincount(level, weight * ftw, 5)
+        assert sums[0] == sums[1] == sums[3] == 0.0 != sums[2]
+    values, errors, info = zetas.quad(bump, weights, 0.0, 1.0, [zetas.QUAD_EPSABS] * 2,
+                                      full_output=1)
+    # the reference: each level's full node row, zeros included, summed exactly,
+    # and the nested trapezoid rule v_m = v_{m-1}/2 + half 2^-m x_m over them
+    dense = []
+    for levels in zetas._TS_GROUPS:
+        c, w, left, index = zetas._tanh_sinh_nodes(levels)
+        nodes = np.where(left, 0.5 * c, 1.0 - 0.5 * c)
+        rows = [w * bump(nodes) * weight for weight in weights(nodes)]
+        dense += [[math.fsum(row[index == i]) for row in rows] for i in range(len(levels))]
+    assert dense[0] == dense[1] == dense[3] == [0.0, 0.0]
+    reference = [0.0, 0.0]
+    for m, x in enumerate(dense):
+        reference = [0.5 * v + 0.5 * 2.0 ** -m * xm for v, xm in zip(reference, x)]
+    # the bump takes every level, so quad's values are the last level's
+    assert info["neval"] == 2049
+    for value, exact in zip(values, reference):
+        assert abs(value - exact) <= 4.0 * math.ulp(exact)
+    assert all(0.0 < e < 1e-12 for e in errors)
+
+
 def test_circle_heat_trace_refuses_a_rank_that_is_not_a_positive_integer():
     # before, rank=-1 gave a kernel of dimension -1, rank=1.5 one of 1.5 and
     # rank="2" a raw TypeError
