@@ -43,7 +43,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (BadParameter, ShapeMismatch, UnsupportedPartition, _as_int, _as_real,
                      _points, _tolerance)
-from .models import SpectralModel, TorsionReport, circle, product, residue_torsion
+from .models import SpectralModel, TorsionReport, _degree_zetas, circle, product, residue_torsion
 from .zetas import _length, circle_heat_trace, combine_heat_traces
 
 CONDITIONS = ("relative", "absolute", "mixed")
@@ -124,8 +124,9 @@ def proposition_check(relative: SpectralModel, absolute: SpectralModel,
     """Check sum_k (-1)^k k zeta_{k,R}(s) = (-1)^(n-1) sum_k (-1)^k k zeta_{k,A}(s),
     the vanishing of both unweighted alternating sums, and the degree-flip
     duality zeta_{k,R} = zeta_{n-k,A}, at every sampled s of the iterable
-    s_values.  SchemaError refuses a tol that is not a finite number >= 0,
-    BadParameter no s_values.
+    s_values, each distinct degree trace of a model evaluated once per s
+    (models._degree_zetas).  SchemaError refuses a tol that is not a finite
+    number >= 0, BadParameter no s_values.
     """
     _tolerance(tol)
     s_values = _points(s_values)
@@ -137,8 +138,7 @@ def proposition_check(relative: SpectralModel, absolute: SpectralModel,
     sign = (-1.0) ** (n - 1)
     weighted = unweighted_r = unweighted_a = duality = 0.0
     for s in s_values:
-        zr = [relative.zeta(k, s).value for k in range(n + 1)]
-        za = [absolute.zeta(k, s).value for k in range(n + 1)]
+        zr, za = ([e.value for e in _degree_zetas(model, s)] for model in (relative, absolute))
         weighted = max(weighted, abs(
             sum((-1.0) ** k * k * zr[k] for k in range(n + 1))
             - sign * sum((-1.0) ** k * k * za[k] for k in range(n + 1))))

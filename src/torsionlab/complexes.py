@@ -353,14 +353,6 @@ class TwistedComplex(_ReadOnly):
             blocks.append(Blocks(_frozen(rows), _frozen(cols), grid[rows, cols]))
         self._store(rank, cells, blocks, _chain_pairs(blocks, cells))
 
-    @classmethod
-    def _assembled(cls, rank: int, cells_per_degree: tuple[int, ...],
-                   blocks: Sequence[Blocks], pairs: tuple) -> "TwistedComplex":
-        """A complex from well-shaped Blocks and their pairs (build_twisted_boundary)."""
-        cplx = cls.__new__(cls)
-        cplx._store(rank, cells_per_degree, blocks, pairs)
-        return cplx
-
     def _store(self, rank: int, cells_per_degree: tuple[int, ...],
                blocks: Sequence[Blocks], pairs: tuple) -> None:
         for k, b in enumerate(blocks, start=1):
@@ -382,13 +374,12 @@ class TwistedComplex(_ReadOnly):
 
     def boundary(self, k: int) -> np.ndarray:
         """bd_k as a dense read-only matrix for 1 <= k <= dimension, built from
-        the blocks on each call; a zero-shaped matrix outside that range."""
+        the blocks on each call; outside that range an empty matrix of shape
+        (dim C_{k-1}, dim C_k), where dim C_j = 0 for j outside 0..dimension."""
         if 1 <= k <= self.dimension:
             return _densify(self.blocks[k - 1], self.rank,
                             self.cells_per_degree[k - 1], self.cells_per_degree[k])
-        if k <= 0:
-            return np.zeros((0, self.dims[0] if k == 0 else 0))
-        return np.zeros((self.dims[self.dimension], 0))
+        return np.zeros([self.dims[j] if 0 <= j <= self.dimension else 0 for j in (k - 1, k)])
 
 
 def _densify(blocks: Blocks, n: int, n_rows: int, n_cols: int) -> np.ndarray:
@@ -442,7 +433,8 @@ def build_twisted_boundary(cells: CellStructure, rho: Representation) -> Twisted
             values = np.zeros((degree.rows.size, n, n))
             np.add.at(values, degree.block, degree.coeffs[:, None, None] * images[degree.words])
             blocks.append(Blocks(degree.rows, degree.cols, values))
-    cplx = TwistedComplex._assembled(n, cells.cells_per_degree, blocks, layout.pairs)
+    cplx = TwistedComplex.__new__(TwistedComplex)  # well-shaped blocks: only _store's checks
+    cplx._store(n, cells.cells_per_degree, blocks, layout.pairs)
     for k, residual, bound in validate(cplx).residuals:
         if residual > bound:
             raise NonChainComplex(
@@ -622,8 +614,8 @@ def structure_from_json(data: dict) -> tuple[CellStructure, Representation]:
     by degree; Representation judges rank and rep, CellStructure each cell,
     coeff and word, as they do from Python."""
     _object(data, _TOP_FIELDS, "the document")
-    dimension = _as_int(data["dimension"], "dimension")
-    n_gens = _as_int(data["generators"], "generators")
+    dimension = _as_int(data["dimension"], "dimension", low=0)
+    n_gens = _as_int(data["generators"], "generators", low=0)
     rep = data["rep"]
     if not isinstance(rep, list) or len(rep) != n_gens:
         raise SchemaError("rep must list exactly `generators` matrices")
@@ -634,7 +626,7 @@ def structure_from_json(data: dict) -> tuple[CellStructure, Representation]:
         _object(cell, _CELL_FIELDS, f"cells[{j}]")
         k = _as_int(cell["dim"], "cell dim")
         if not 0 <= k <= dimension:
-            raise SchemaError(f"cell dim {k} exceeds complex dimension {dimension}")
+            raise SchemaError(f"cell dim {k} outside 0..{dimension}")
         entries = []
         for m, inc in enumerate(_list(cell["boundary"], f"cells[{j}].boundary")):
             _object(inc, _INCIDENCE_FIELDS, f"cells[{j}].boundary[{m}]")

@@ -25,11 +25,12 @@ the coclosed part, and each sigma^2 is an eigenvalue.  factorize makes one
 values-only SVD per map and reads ranks off it with numpy's matrix_rank
 rule, the one kernel rule (_kept); torsion and Betti numbers need nothing
 more.  Its Factorization is the whole Laplacian route: spectra, betti, and
-tr_logs, the one place that takes the log of a spectrum (_require_acyclic
-decides acyclicity).  It keeps no vectors.  The one vector path is
-_singular_triples: each map's rank, singular values and vectors from one
-full SVD, through the same cut, for the variation check and for verify,
-which maps the coclosed vectors through bd_k for the closed ones.
+tr_logs, the one place that takes the log of a spectrum (weights'
+_require_acyclic, the verdict both halves share, decides acyclicity).  It
+keeps no vectors.  The one vector path is _singular_triples: each map's
+rank, singular values and vectors from one full SVD, through the same cut,
+for the variation check and for verify, which maps the coclosed vectors
+through bd_k for the closed ones.
 Working on the maps rather than on L_k keeps small eigenvalues accurate:
 cond(W) = sqrt(cond(L)), so nothing here forms delta_k or L_k as a
 matrix; the dense operators, eigenpairs, Green's operators and Hodge
@@ -46,8 +47,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .complexes import TwistedComplex
-from .errors import (BadParameter, NotAcyclic, NumericalLimit, SchemaError, ShapeMismatch,
-                     _ReadOnly, _real_array)
+from .errors import (BadParameter, NumericalLimit, SchemaError, ShapeMismatch, _ReadOnly,
+                     _real_array)
+from .weights import _require_acyclic
 
 SYMMETRY_TOL = 1e-12
 # exp(x) and exp(-x) are normal floats for x strictly between these
@@ -234,13 +236,6 @@ class Factorization(_ReadOnly):
         """
         _require_acyclic(self.betti)
         return [float(np.log(lam).sum()) for lam in self.spectra]
-
-
-def _require_acyclic(betti: list[int]) -> None:
-    """NotAcyclic naming the first degree with a nonzero Betti number, if any."""
-    for k, b_k in enumerate(betti):
-        if b_k:
-            raise NotAcyclic(f"degree {k} has Betti number {b_k} (Betti numbers {betti})")
 
 
 def _weighted_map(bd: np.ndarray, metric: ChainMetric | None, k: int) -> np.ndarray:

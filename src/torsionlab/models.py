@@ -37,9 +37,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import (BadParameter, NotAcyclic, NumericalLimit, SchemaError, ShapeMismatch,
-                     _angle, _as_int, _family, _points, _tolerance)
-from .weights import _weights, euler_characteristics, generalized_log_torsion
+from .errors import (BadParameter, NumericalLimit, SchemaError, ShapeMismatch, _angle, _as_int,
+                     _family, _points, _tolerance)
+from .weights import _require_acyclic, _weights, euler_characteristics, generalized_log_torsion
 from .zetas import (
     HeatTrace,
     ZetaEval,
@@ -266,12 +266,14 @@ def analytic_torsion(model: SpectralModel, beta: Sequence[float],
     """log T_zeta(beta) = 1/2 sum_k (-1)^k beta_k zeta_k'(0).
 
     With require_acyclic=True (the torsion-as-Reidemeister reading of
-    beta = k) a nonzero Betti number raises NotAcyclic.  beta = 1 yields 0
-    in every dimension.  Degrees that share a trace share one evaluation.
+    beta = k) a nonzero Betti number raises NotAcyclic through
+    weights._require_acyclic, naming the first degree with homology as the
+    Laplacian route does.  beta = 1 yields 0 in every dimension.  Degrees
+    that share a trace share one evaluation.
     """
     beta = _weights(beta, model.dim + 1)
-    if require_acyclic and any(model.betti):
-        raise NotAcyclic(f"model {model.name} has Betti numbers {model.betti}")
+    if require_acyclic:
+        _require_acyclic(model.betti)
     evals = _degree_zetas(model, 0.0, derivative=True)
     zeta0 = tuple(e.value for e in evals)
     prime = tuple(e.derivative for e in evals)

@@ -25,9 +25,9 @@ import numpy as np
 from .complexes import TwistedComplex
 from .errors import BadParameter, NotAcyclic, NumericalLimit, ShapeMismatch, _real_array
 # exponential_metric_path is named here too, for the callers of variation_check
-from .hodge import (ChainMetric, MetricPath, _boundaries, _require_acyclic, _singular_triples,
+from .hodge import (ChainMetric, MetricPath, _boundaries, _singular_triples,
                     exponential_metric_path, factorize)
-from .weights import _weights, generalized_log_torsion
+from .weights import _require_acyclic, _weights, generalized_log_torsion
 
 RANK_TOL = 1e-10
 

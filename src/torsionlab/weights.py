@@ -1,6 +1,9 @@
-"""Degree weights, shared by both halves: generalized_log_torsion sums
-tr log L_k (torsion), res_k or -zeta_k'(0) (models) with them, and every
-entry that takes weights reads them through _weights, the one weight rule.
+"""Degree weights and the acyclicity verdict, shared by both halves:
+generalized_log_torsion sums tr log L_k (torsion), res_k or -zeta_k'(0)
+(models) with them, and every entry that takes weights reads them through
+_weights, the one weight rule.  _require_acyclic is the one verdict on
+Betti numbers: hodge's tr_logs, torsion's variation_check and models'
+analytic_torsion(require_acyclic=True) refuse through it, in its words.
 """
 
 import math
@@ -8,7 +11,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BadParameter, ShapeMismatch, _as_real
+from .errors import BadParameter, NotAcyclic, ShapeMismatch, _as_real
 
 SECOND_DIFFERENCE_TOL = 1e-12
 
@@ -26,6 +29,13 @@ def _weights(beta: Sequence[float], length: int | None = None) -> tuple[float, .
         if not math.isfinite(b):
             raise BadParameter(f"weight beta_{k} must be finite, got {b!r}")
     return weights
+
+
+def _require_acyclic(betti: Sequence[int]) -> None:
+    """NotAcyclic naming the first degree with a nonzero Betti number, if any."""
+    for k, b_k in enumerate(betti):
+        if b_k:
+            raise NotAcyclic(f"degree {k} has Betti number {b_k} (Betti numbers {list(betti)})")
 
 
 def generalized_log_torsion(tr_logs: Sequence[float], beta: Sequence[float]) -> float:

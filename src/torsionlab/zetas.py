@@ -63,7 +63,7 @@ import cmath
 import math
 import numbers
 import sys
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -168,16 +168,13 @@ class HeatTrace(_ReadOnly):
     starts an empty memo.
     """
 
-    __slots__ = ("terms", "remainder", "tail", "kernel_dim", "lambda_min", "_limits", "_samples")
+    # __dict__ holds the _limits, formed at the first zeta of the trace
+    __slots__ = ("terms", "remainder", "tail", "kernel_dim", "lambda_min", "_samples", "__dict__")
     terms: tuple[tuple[float, float], ...]
     remainder: Callable[[np.ndarray], np.ndarray]
     tail: Callable[[np.ndarray], np.ndarray]
     kernel_dim: int
     lambda_min: float
-    # (positive_powers, _expansion_cut(terms)), what mellin_zeta reads of
-    # the terms on every call: None until _limits_of forms it, at the first
-    # zeta of the trace, so a trace that is never evaluated never forms it
-    _limits: tuple[tuple[float, ...], float] | None
     # mellin_zeta's memo, for the trace's lifetime (every trace, a _replace
     # copy too, starts an empty one): (part, lo, hi, index into _TS_GROUPS)
     # -> _node_arrays of part on that group's nodes over [lo, hi], three
@@ -198,7 +195,6 @@ class HeatTrace(_ReadOnly):
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "kernel_dim", kernel_dim)
         object.__setattr__(self, "lambda_min", lambda_min)
-        object.__setattr__(self, "_limits", None)
         object.__setattr__(self, "_samples", {})
 
     def _replace(self, **changes) -> "HeatTrace":
@@ -216,11 +212,12 @@ class HeatTrace(_ReadOnly):
     def positive_powers(self) -> tuple[float, ...]:
         return tuple(p for p, c in self.terms if p > 0.0 and c != 0.0)
 
-    def _limits_of(self) -> tuple[tuple[float, ...], float]:
-        """(positive_powers, _expansion_cut(terms)), formed at the first call."""
-        if self._limits is None:
-            object.__setattr__(self, "_limits", (self.positive_powers, _expansion_cut(self.terms)))
-        return self._limits
+    @cached_property
+    def _limits(self) -> tuple[tuple[float, ...], float]:
+        """(positive_powers, _expansion_cut(terms)), what mellin_zeta reads of the
+        terms on every call, formed at the first zeta of the trace, so a trace
+        that is never evaluated never forms it."""
+        return self.positive_powers, _expansion_cut(self.terms)
 
     def consistency_residual(self) -> float:
         """|(b + tail(t)) - (power(t) + remainder(t))| at the split point t = 1."""
@@ -718,7 +715,7 @@ def mellin_zeta(h: HeatTrace, s: float | complex, derivative: bool = False) -> Z
     given, s = s, complex(s)
     if not cmath.isfinite(s):
         raise BadParameter(f"s must be finite, got {given}")
-    poles, cut = h._limits_of()  # the remainder is 0 below the cut
+    poles, cut = h._limits  # the remainder is 0 below the cut
     for p in poles:
         if abs(s - p) < 1e-8:
             raise PoleHit(f"zeta has a pole at s = {p}")

@@ -3,12 +3,14 @@ import math
 import pytest
 
 from torsionlab import (
+    SpectralModel,
     build_cylinder,
     build_interval,
     gluing_check,
     proposition_check,
     residue_torsion,
 )
+from torsionlab import models
 from torsionlab.errors import BadParameter, SchemaError, ShapeMismatch, UnsupportedPartition
 from torsionlab.verify import _hurwitz
 
@@ -89,6 +91,29 @@ def test_proposition_sign_law():
     w_abs = absm.weighted_zeta_sum_at_zero()
     assert abs(w_rel + w_abs) < 1e-13
     assert abs(w_rel) > 0.5
+
+
+def test_proposition_check_evaluates_each_trace_once(monkeypatch):
+    calls = []
+    real = models.mellin_zeta
+
+    def counting(h, s, derivative=False):
+        calls.append((id(h), s))
+        return real(h, s, derivative=derivative)
+
+    monkeypatch.setattr(models, "mellin_zeta", counting)
+    # degrees 0 and 1 of each model share one trace, as the mixed interval's do
+    trace = build_interval(1.0, "mixed").heat[0]
+    rel, absm = (SpectralModel("shared", (trace, trace), c) for c in ("relative", "absolute"))
+    shared = proposition_check(rel, absm, S_SAMPLES)
+    assert shared.ok
+    assert len(calls) == 2 * len(S_SAMPLES)  # one per model per s; two before
+    # each degree its own copy of the trace: evaluated degree by degree, to the same bits
+    rel, absm = (SpectralModel(m.name, [h._replace() for h in m.heat], m.condition)
+                 for m in (rel, absm))
+    calls[:] = []
+    assert repr(proposition_check(rel, absm, S_SAMPLES)) == repr(shared)
+    assert len(calls) == 4 * len(S_SAMPLES)
 
 
 def test_proposition_check_argument_order():

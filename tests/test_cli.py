@@ -278,6 +278,7 @@ _MALFORMED = (
     (["zeta", "--model", "circle", "--theta", "0.7", "--s", "2"],
      "a nontrivial circle character requires rank 2"),
     (["model-torsion", "--model", "circle", "--theta", "7"], "theta must lie in [0, 2*pi), got 7.0"),
+    (["torsion", "--preset", "circle", "--beta", "lin:a,b"], "bad linear weight spec 'lin:a,b'"),
 )
 
 
@@ -347,6 +348,15 @@ _REFUSALS = (
     (["torsion", "--input", "tests/bad_word_exponent.json"], 2,
      "error: degree 1 cell 0: word ((0, 2),) is not a tuple of (generator >= 0, "
      "exponent +-1) integer pairs\n"),
+    (["torsion"], 2, "error: provide either --input or --preset\n"),
+    # before, "rep must list exactly `generators` matrices"
+    (["torsion", "--input", '{"dimension": 1, "rank": 1, "generators": -1, "rep": [], '
+                            '"cells": []}'], 2,
+     "error: generators must be non-negative, got -1\n"),
+    # before, "cell dim -1 exceeds complex dimension 1"
+    (["torsion", "--input", '{"dimension": 1, "rank": 1, "generators": 0, "rep": [], '
+                            '"cells": [{"dim": -1, "boundary": []}]}'], 2,
+     "error: cell dim -1 outside 0..1\n"),
 )
 
 

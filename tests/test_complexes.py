@@ -76,6 +76,16 @@ def test_block_shapes():
     assert cx.dims == (2, 4, 2)
 
 
+def test_boundary_shape_is_that_of_its_chain_spaces_in_every_degree():
+    # bd_k : C_k -> C_{k-1}, with C_j = 0 outside 0..n; before, the circle's
+    # boundary(3) had shape (2, 0)
+    for cx in (build_preset("circle", theta=1.0), build_preset("torus2")):
+        n = cx.dimension
+        dims = dict(enumerate(cx.dims))
+        for k in range(-2, n + 4):
+            assert cx.boundary(k).shape == (dims.get(k - 1, 0), dims.get(k, 0)), k
+
+
 def test_representation_rejects_non_orthogonal():
     with pytest.raises(BadRepresentation):
         Representation(2, [np.array([[1.0, 0.1], [0.0, 1.0]])])
@@ -231,7 +241,10 @@ def test_targets_and_coefficients_are_integers_from_python_and_json():
                                  (0, True, "the coefficient on target 0 must be an integer, "
                                            "got True"),
                                  (0, 1.0, "the coefficient on target 0 must be an integer, "
-                                          "got 1.0")):
+                                          "got 1.0"),
+                                 # and one range rule: below 0, or at the cell count (1)
+                                 (-1, 1, "target -1 out of range"),
+                                 (1, 1, "target 1 out of range")):
         data = _circle_json(1.0)
         data["cells"][1]["boundary"][0].update(cell=target, coeff=coeff)
         for build in (lambda: CellStructure(1, (1, 1), (((),), (((target, coeff, ((0, 1),)),
@@ -330,7 +343,12 @@ def test_json_rejects_unknown_fields():
                           "cells[1].boundary[2] must be an object"),
                          (lambda d: d["cells"][1].update(boundary={}),
                           "cells[1].boundary must be a list"),
-                         (lambda d: d.update(cells=None), "cells must be a list")):
+                         (lambda d: d.update(cells=None), "cells must be a list"),
+                         (lambda d: d.update(generators=2),
+                          "rep must list exactly `generators` matrices"),
+                         # before, "cell dim 0 exceeds complex dimension -1"
+                         (lambda d: d.update(dimension=-1),
+                          "dimension must be non-negative, got -1")):
         data = _circle_json(1.0)
         spoil(data)
         with pytest.raises(SchemaError, match=f"^{re.escape(shown)}$"):

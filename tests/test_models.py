@@ -226,7 +226,10 @@ def test_identity_checks_refuse_an_empty_sample():
 
 def test_analytic_torsion_requires_acyclic_in_reidemeister_mode():
     torus = build_model("torus", n=2, L=1.0)
-    with pytest.raises(NotAcyclic):
+    # the Laplacian route's verdict, in its words (before: "model torus(n=2, L=1)
+    # has Betti numbers (1, 2, 1)")
+    with pytest.raises(NotAcyclic, match=r"^degree 0 has Betti number 1 "
+                                         r"\(Betti numbers \[1, 2, 1\]\)$"):
         analytic_torsion(torus, (0.0, 1.0, 2.0), require_acyclic=True)
     # without the flag the combination is still defined
     report = analytic_torsion(torus, (0.0, 1.0, 2.0))

@@ -856,8 +856,13 @@ def test_memo_samples_each_group_once():
 
 def test_memo_is_private_to_each_trace():
     h = circle_heat_trace(6.0, 1.3, 2)
+    # the poles and the cut are formed at the first zeta, once, and stay read-only
+    assert "_limits" not in vars(h)
     for s, derivative in _MEMO_CALLS:
         mellin_zeta(h, s, derivative=derivative)
+    assert h._limits is h._limits == (h.positive_powers, zetas._expansion_cut(h.terms))
+    with pytest.raises(AttributeError):
+        h._limits = ((), 0.0)
     samples = h._samples
     # at most one entry per part and group: the positions of the nonzero
     # samples, t there and trace(t) dt/du there, three read-only arrays of
@@ -880,6 +885,7 @@ def test_memo_is_private_to_each_trace():
     # a copy starts an empty memo, and fills its own
     other = h._replace()
     assert other._samples == {} and other._samples is not samples
+    assert "_limits" not in vars(other)
     mellin_zeta(other, 2.5)
     assert other._samples and len(samples) == len(h._samples)
     # a copy is another trace with the same fields: traces compare by identity
